@@ -113,3 +113,73 @@ fn checked_and_unchecked_agree_on_refusals() {
         assert_eq!(&g, &kc.graph, "{check:?}");
     }
 }
+
+/// The checker's exploration pinned on `examples/gcd.gsl`: the verdict and
+/// every exploration counter of all 15 deferred obligations, in obligation
+/// order, at a 2 000-state budget. The counters depend on the DFS order
+/// (internal steps first, wire by wire in denotation order, then inputs
+/// and outputs with ports in name order, successors in relation order) and
+/// on the visited-at-pop rule, so any change to the exploration shows up
+/// here as a changed number.
+#[test]
+fn gcd_obligations_pin_verdicts_and_exploration_counters() {
+    use graphiti_sem::{
+        check_refinement_with_stats, denote, BoundHit, BoundKind, Env, RefineStats, Refinement,
+    };
+
+    let program = graphiti_frontend::parse_program(include_str!("../../../examples/gcd.gsl"))
+        .expect("example parses");
+    let compiled = graphiti_frontend::compile(&program).expect("example compiles");
+    let kernel = &compiled.kernels[0];
+    let opts = PipelineOptions {
+        tags: kernel.ooo_tags.expect("kernel is marked ooo"),
+        check: CheckMode::Deferred,
+        ..Default::default()
+    };
+    let (_, report) = optimize_loop(&kernel.graph, &kernel.inner_init, &opts).unwrap();
+    let cfg = RefineConfig { max_states: 2_000, ..Default::default() };
+    let got: Vec<(String, Refinement, [u64; 5])> = report
+        .obligations
+        .iter()
+        .map(|ob| {
+            let env = Env::standard();
+            let (verdict, s): (Refinement, RefineStats) =
+                check_refinement_with_stats(&denote(&ob.rhs, &env), &denote(&ob.lhs, &env), &cfg);
+            let counters =
+                [s.visited_states, s.frontier_peak, s.closures, s.depth_prunes, s.queue_prunes];
+            (ob.rewrite.clone(), verdict, counters)
+        })
+        .collect();
+
+    let bound = |kind, at| Refinement::BoundReached(BoundHit { kind, at });
+    let states = bound(BoundKind::States, 2001);
+    let queue_cap = bound(BoundKind::QueueCap, 3);
+    let expected: Vec<(&str, Refinement, [u64; 5])> = vec![
+        ("mux-combine", states.clone(), [2001, 131, 7661, 1617, 4412]),
+        ("branch-combine", states.clone(), [2001, 90, 6901, 1436, 3840]),
+        ("fork1-elim", queue_cap.clone(), [21, 11, 105, 0, 64]),
+        ("split-join-elim", Refinement::Holds, [1, 1, 5, 0, 0]),
+        ("op-to-pure", states.clone(), [2001, 53, 7187, 1189, 3348]),
+        ("op-to-pure", queue_cap.clone(), [21, 10, 95, 0, 64]),
+        ("fork-to-pure", queue_cap.clone(), [243, 34, 664, 120, 317]),
+        ("fork-to-pure", queue_cap.clone(), [243, 34, 664, 120, 317]),
+        ("pure-fuse", queue_cap.clone(), [21, 7, 85, 0, 64]),
+        ("pure-over-split-r", Refinement::Holds, [1, 1, 5, 0, 0]),
+        ("pure-fuse", queue_cap.clone(), [21, 7, 85, 0, 64]),
+        ("pure-over-split-r", Refinement::Holds, [1, 1, 5, 0, 0]),
+        ("region-to-pure", queue_cap, [21, 7, 85, 0, 64]),
+        ("loop-ooo", states, [2001, 23, 5521, 620, 4678]),
+        ("pure-expand", Refinement::Holds, [1, 1, 1, 0, 0]),
+    ];
+    assert_eq!(got.len(), expected.len(), "obligation count");
+    for (i, ((name, verdict, counters), (want_name, want_verdict, want_counters))) in
+        got.iter().zip(&expected).enumerate()
+    {
+        assert_eq!(name, want_name, "obligation {i}");
+        assert_eq!(verdict, want_verdict, "obligation {i} ({name})");
+        assert_eq!(
+            counters, want_counters,
+            "obligation {i} ({name}): visited/frontier/closures/depth/queue"
+        );
+    }
+}

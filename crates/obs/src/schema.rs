@@ -131,6 +131,34 @@ pub const SCHEMA: &[MetricSpec] = &[
         stability: Unstable,
     },
     MetricSpec {
+        name: "refine.verdict.bounded",
+        kind: Counter,
+        unit: "events",
+        help: "Refinement checks that found no violation but hit an exploration bound (not a proof).",
+        stability: Stable,
+    },
+    MetricSpec {
+        name: "refine.verdict.fails",
+        kind: Counter,
+        unit: "events",
+        help: "Refinement checks that found a counterexample trace.",
+        stability: Stable,
+    },
+    MetricSpec {
+        name: "refine.verdict.holds",
+        kind: Counter,
+        unit: "events",
+        help: "Refinement checks that explored their whole bounded space without hitting a bound.",
+        stability: Stable,
+    },
+    MetricSpec {
+        name: "refine.verdict.incomparable",
+        kind: Counter,
+        unit: "events",
+        help: "Refinement checks whose two modules expose different ports.",
+        stability: Stable,
+    },
+    MetricSpec {
         name: "refine.visited_states",
         kind: Counter,
         unit: "states",

@@ -16,7 +16,9 @@
 //! catalogue audits, CI, the `--checked-deferred` CLI mode.
 
 use crate::engine::Obligation;
-use graphiti_sem::{check_refinement, denote, Env, RefineConfig, Refinement};
+use graphiti_sem::{check_refinement, denote, BoundKind, Env, RefineConfig, Refinement};
+use std::collections::BTreeMap;
+use std::fmt;
 
 /// The verdict for one discharged obligation.
 #[derive(Debug, Clone)]
@@ -67,6 +69,54 @@ fn check_one(ob: Obligation, cfg: &RefineConfig) -> Discharged {
 /// The first violation in a batch of verdicts, if any.
 pub fn first_violation(verdicts: &[Discharged]) -> Option<&Discharged> {
     verdicts.iter().find(|d| !d.verdict.is_ok())
+}
+
+/// Verdict counts of a discharged batch by class, so a summary never
+/// reports a bounded check as a proof. Displays as, e.g.,
+/// `4 hold, 11 bounded (states 2, queue_cap 9), 0 fail`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Exhaustive checks: no violation and no bound hit.
+    pub holds: usize,
+    /// No violation up to a bound, per bound kind.
+    pub bounded: BTreeMap<BoundKind, usize>,
+    /// Counterexamples found.
+    pub fails: usize,
+    /// Obligations whose sides expose different ports (or whose check
+    /// was cut off by an injected fault).
+    pub incomparable: usize,
+}
+
+impl Tally {
+    /// Counts the verdicts of a batch.
+    pub fn of(verdicts: &[Discharged]) -> Tally {
+        let mut t = Tally::default();
+        for d in verdicts {
+            match &d.verdict {
+                Refinement::Holds => t.holds += 1,
+                Refinement::BoundReached(hit) => *t.bounded.entry(hit.kind).or_insert(0) += 1,
+                Refinement::Fails { .. } => t.fails += 1,
+                Refinement::Incomparable(_) => t.incomparable += 1,
+            }
+        }
+        t
+    }
+}
+
+impl fmt::Display for Tally {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} hold, {} bounded", self.holds, self.bounded.values().sum::<usize>())?;
+        if !self.bounded.is_empty() {
+            let kinds: Vec<String> =
+                self.bounded.iter().map(|(kind, n)| format!("{kind} {n}")).collect();
+            write!(f, " ({})", kinds.join(", "))?;
+        }
+        write!(f, ", {} fail", self.fails)?;
+        if self.incomparable > 0 {
+            write!(f, ", {} incomparable", self.incomparable)?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -130,5 +180,24 @@ mod tests {
         let got: Vec<String> = verdicts.iter().map(|d| d.rewrite.clone()).collect();
         assert_eq!(names, got);
         assert!(verdicts.iter().all(|d| d.verdict.is_ok()));
+    }
+
+    #[test]
+    fn tally_separates_bounded_from_holds() {
+        use graphiti_sem::BoundHit;
+        let d = |verdict| Discharged { rewrite: "r".into(), verdict };
+        let bound = |kind, at| Refinement::BoundReached(BoundHit { kind, at });
+        let batch = [
+            d(Refinement::Holds),
+            d(bound(BoundKind::QueueCap, 3)),
+            d(bound(BoundKind::States, 2001)),
+            d(bound(BoundKind::QueueCap, 3)),
+        ];
+        let t = Tally::of(&batch);
+        assert_eq!(t.holds, 1);
+        assert_eq!(t.to_string(), "1 hold, 3 bounded (states 1, queue_cap 2), 0 fail");
+        let mixed =
+            [d(Refinement::Fails { trace: vec![] }), d(Refinement::Incomparable("x".into()))];
+        assert_eq!(Tally::of(&mixed).to_string(), "0 hold, 0 bounded, 1 fail, 1 incomparable");
     }
 }

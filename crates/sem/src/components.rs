@@ -14,7 +14,7 @@
 //! leave the transition disabled.
 
 use crate::module::{InputFn, Module, OutputFn};
-use crate::state::{CompState, State, TaggerState};
+use crate::state::{CompState, TaggerState};
 use graphiti_ir::{CompKind, PortName, Tag, Value};
 use std::rc::Rc;
 
@@ -61,20 +61,20 @@ pub fn retag(tag: Option<Tag>, v: Value) -> Value {
     }
 }
 
-fn queues_of(s: &State) -> Option<&Vec<std::collections::VecDeque<Value>>> {
+fn queues_of(s: &CompState) -> Option<&Vec<std::collections::VecDeque<Value>>> {
     match s {
-        State::Leaf(CompState::Queues(qs)) => Some(qs),
+        CompState::Queues(qs) => Some(qs),
         _ => None,
     }
 }
 
 /// Enqueues `v` into queue `idx`.
-fn enq(s: &State, idx: usize, v: Value) -> Vec<State> {
+fn enq(s: &CompState, idx: usize, v: Value) -> Vec<CompState> {
     match queues_of(s) {
         Some(qs) => {
             let mut qs = qs.clone();
             qs[idx].push_back(v);
-            vec![State::Leaf(CompState::Queues(qs))]
+            vec![CompState::Queues(qs)]
         }
         None => vec![],
     }
@@ -107,7 +107,7 @@ fn front_output(deps: Vec<usize>, f: impl Fn(&[Value]) -> Option<Value> + 'stati
                 for &d in &deps {
                     qs[d].pop_front();
                 }
-                vec![(result, State::Leaf(CompState::Queues(qs)))]
+                vec![(result, CompState::Queues(qs))]
             }
             None => vec![],
         }
@@ -115,7 +115,7 @@ fn front_output(deps: Vec<usize>, f: impl Fn(&[Value]) -> Option<Value> + 'stati
 }
 
 fn fork_module(ways: usize) -> Module {
-    let mut m = Module::inert(State::Leaf(CompState::queues(ways)));
+    let mut m = Module::leaf(CompState::queues(ways));
     let input: InputFn = Rc::new(move |s, v| {
         let qs = match queues_of(s) {
             Some(qs) => qs,
@@ -125,20 +125,20 @@ fn fork_module(ways: usize) -> Module {
         for q in qs.iter_mut() {
             q.push_back(v.clone());
         }
-        vec![State::Leaf(CompState::Queues(qs))]
+        vec![CompState::Queues(qs)]
     });
-    m.inputs.insert(port("in"), input);
+    m.add_input(port("in"), input);
     for k in 0..ways {
-        m.outputs.insert(port(&format!("out{k}")), front_output(vec![k], |vs| Some(vs[0].clone())));
+        m.add_output(port(&format!("out{k}")), front_output(vec![k], |vs| Some(vs[0].clone())));
     }
     m
 }
 
 fn join_module() -> Module {
-    let mut m = Module::inert(State::Leaf(CompState::queues(2)));
-    m.inputs.insert(port("in0"), enq_input(0));
-    m.inputs.insert(port("in1"), enq_input(1));
-    m.outputs.insert(
+    let mut m = Module::leaf(CompState::queues(2));
+    m.add_input(port("in0"), enq_input(0));
+    m.add_input(port("in1"), enq_input(1));
+    m.add_output(
         port("out"),
         front_output(vec![0, 1], |vs| {
             let (tag, payloads) = untag_all(vs)?;
@@ -149,7 +149,7 @@ fn join_module() -> Module {
 }
 
 fn split_module() -> Module {
-    let mut m = Module::inert(State::Leaf(CompState::queues(2)));
+    let mut m = Module::leaf(CompState::queues(2));
     // The input transition distributes the pair into the two output queues,
     // in the style of the paper's fork.in0.
     let input: InputFn = Rc::new(|s, v| {
@@ -165,19 +165,19 @@ fn split_module() -> Module {
         let mut qs = qs.clone();
         qs[0].push_back(retag(tag, a));
         qs[1].push_back(retag(tag, b));
-        vec![State::Leaf(CompState::Queues(qs))]
+        vec![CompState::Queues(qs)]
     });
-    m.inputs.insert(port("in"), input);
-    m.outputs.insert(port("out0"), front_output(vec![0], |vs| Some(vs[0].clone())));
-    m.outputs.insert(port("out1"), front_output(vec![1], |vs| Some(vs[0].clone())));
+    m.add_input(port("in"), input);
+    m.add_output(port("out0"), front_output(vec![0], |vs| Some(vs[0].clone())));
+    m.add_output(port("out1"), front_output(vec![1], |vs| Some(vs[0].clone())));
     m
 }
 
 fn mux_module() -> Module {
-    let mut m = Module::inert(State::Leaf(CompState::queues(3)));
-    m.inputs.insert(port("cond"), enq_input(0));
-    m.inputs.insert(port("t"), enq_input(1));
-    m.inputs.insert(port("f"), enq_input(2));
+    let mut m = Module::leaf(CompState::queues(3));
+    m.add_input(port("cond"), enq_input(0));
+    m.add_input(port("t"), enq_input(1));
+    m.add_input(port("f"), enq_input(2));
     let output: OutputFn = Rc::new(|s| {
         let qs = match queues_of(s) {
             Some(qs) => qs,
@@ -198,19 +198,19 @@ fn mux_module() -> Module {
                 let mut qs = qs.clone();
                 qs[0].pop_front();
                 qs[data_q].pop_front();
-                vec![(v, State::Leaf(CompState::Queues(qs)))]
+                vec![(v, CompState::Queues(qs))]
             }
             None => vec![],
         }
     });
-    m.outputs.insert(port("out"), output);
+    m.add_output(port("out"), output);
     m
 }
 
 fn branch_module() -> Module {
-    let mut m = Module::inert(State::Leaf(CompState::queues(2)));
-    m.inputs.insert(port("cond"), enq_input(0));
-    m.inputs.insert(port("in"), enq_input(1));
+    let mut m = Module::leaf(CompState::queues(2));
+    m.add_input(port("cond"), enq_input(0));
+    m.add_input(port("in"), enq_input(1));
     let make = |want: bool| -> OutputFn {
         front_output(vec![0, 1], move |vs| {
             let b = vs[0].untag().1.as_bool()?;
@@ -221,15 +221,15 @@ fn branch_module() -> Module {
             }
         })
     };
-    m.outputs.insert(port("t"), make(true));
-    m.outputs.insert(port("f"), make(false));
+    m.add_output(port("t"), make(true));
+    m.add_output(port("f"), make(false));
     m
 }
 
 fn merge_module() -> Module {
-    let mut m = Module::inert(State::Leaf(CompState::queues(2)));
-    m.inputs.insert(port("in0"), enq_input(0));
-    m.inputs.insert(port("in1"), enq_input(1));
+    let mut m = Module::leaf(CompState::queues(2));
+    m.add_input(port("in0"), enq_input(0));
+    m.add_input(port("in1"), enq_input(1));
     // Locally nondeterministic: the output may come from either queue.
     let output: OutputFn = Rc::new(|s| {
         let qs = match queues_of(s) {
@@ -241,67 +241,66 @@ fn merge_module() -> Module {
             if let Some(v) = qs[idx].front() {
                 let mut qs2 = qs.clone();
                 qs2[idx].pop_front();
-                next.push((v.clone(), State::Leaf(CompState::Queues(qs2))));
+                next.push((v.clone(), CompState::Queues(qs2)));
             }
         }
         next
     });
-    m.outputs.insert(port("out"), output);
+    m.add_output(port("out"), output);
     m
 }
 
 fn init_module(initial: bool) -> Module {
-    let start = State::Leaf(CompState::Init { queue: Default::default(), emitted_initial: false });
-    let mut m = Module::inert(start);
+    let mut m = Module::leaf(CompState::Init { queue: Default::default(), emitted_initial: false });
     let input: InputFn = Rc::new(|s, v| match s {
-        State::Leaf(CompState::Init { queue, emitted_initial }) => {
+        CompState::Init { queue, emitted_initial } => {
             let mut queue = queue.clone();
             queue.push_back(v.clone());
-            vec![State::Leaf(CompState::Init { queue, emitted_initial: *emitted_initial })]
+            vec![CompState::Init { queue, emitted_initial: *emitted_initial }]
         }
         _ => vec![],
     });
-    m.inputs.insert(port("in"), input);
+    m.add_input(port("in"), input);
     let output: OutputFn = Rc::new(move |s| match s {
-        State::Leaf(CompState::Init { queue, emitted_initial }) => {
+        CompState::Init { queue, emitted_initial } => {
             if !*emitted_initial {
                 return vec![(
                     Value::Bool(initial),
-                    State::Leaf(CompState::Init { queue: queue.clone(), emitted_initial: true }),
+                    CompState::Init { queue: queue.clone(), emitted_initial: true },
                 )];
             }
             let mut queue = queue.clone();
             match queue.pop_front() {
                 Some(v) => {
-                    vec![(v, State::Leaf(CompState::Init { queue, emitted_initial: true }))]
+                    vec![(v, CompState::Init { queue, emitted_initial: true })]
                 }
                 None => vec![],
             }
         }
         _ => vec![],
     });
-    m.outputs.insert(port("out"), output);
+    m.add_output(port("out"), output);
     m
 }
 
 fn buffer_module() -> Module {
-    let mut m = Module::inert(State::Leaf(CompState::queues(1)));
-    m.inputs.insert(port("in"), enq_input(0));
-    m.outputs.insert(port("out"), front_output(vec![0], |vs| Some(vs[0].clone())));
+    let mut m = Module::leaf(CompState::queues(1));
+    m.add_input(port("in"), enq_input(0));
+    m.add_output(port("out"), front_output(vec![0], |vs| Some(vs[0].clone())));
     m
 }
 
 fn sink_module() -> Module {
-    let mut m = Module::inert(State::Leaf(CompState::queues(0)));
+    let mut m = Module::leaf(CompState::queues(0));
     let input: InputFn = Rc::new(|s, _| vec![s.clone()]);
-    m.inputs.insert(port("in"), input);
+    m.add_input(port("in"), input);
     m
 }
 
 fn constant_module(value: Value) -> Module {
-    let mut m = Module::inert(State::Leaf(CompState::queues(1)));
-    m.inputs.insert(port("ctrl"), enq_input(0));
-    m.outputs.insert(
+    let mut m = Module::leaf(CompState::queues(1));
+    m.add_input(port("ctrl"), enq_input(0));
+    m.add_output(
         port("out"),
         front_output(vec![0], move |vs| {
             let (tag, _) = vs[0].untag();
@@ -313,11 +312,11 @@ fn constant_module(value: Value) -> Module {
 
 fn operator_module(op: graphiti_ir::Op) -> Module {
     let arity = op.arity();
-    let mut m = Module::inert(State::Leaf(CompState::queues(arity)));
+    let mut m = Module::leaf(CompState::queues(arity));
     for k in 0..arity {
-        m.inputs.insert(port(&format!("in{k}")), enq_input(k));
+        m.add_input(port(&format!("in{k}")), enq_input(k));
     }
-    m.outputs.insert(
+    m.add_output(
         port("out"),
         front_output((0..arity).collect(), move |vs| {
             let (tag, payloads) = untag_all(vs)?;
@@ -328,9 +327,9 @@ fn operator_module(op: graphiti_ir::Op) -> Module {
 }
 
 fn pure_module(func: graphiti_ir::PureFn) -> Module {
-    let mut m = Module::inert(State::Leaf(CompState::queues(1)));
-    m.inputs.insert(port("in"), enq_input(0));
-    m.outputs.insert(
+    let mut m = Module::leaf(CompState::queues(1));
+    m.add_input(port("in"), enq_input(0));
+    m.add_output(
         port("out"),
         front_output(vec![0], move |vs| {
             let (tag, payload) = vs[0].untag();
@@ -341,10 +340,10 @@ fn pure_module(func: graphiti_ir::PureFn) -> Module {
 }
 
 fn tagger_module(tags: u32) -> Module {
-    let mut m = Module::inert(State::Leaf(CompState::Tagger(TaggerState::new(tags))));
-    let tagger_of = |s: &State| -> Option<TaggerState> {
+    let mut m = Module::leaf(CompState::Tagger(TaggerState::new(tags)));
+    let tagger_of = |s: &CompState| -> Option<TaggerState> {
         match s {
-            State::Leaf(CompState::Tagger(t)) => Some(t.clone()),
+            CompState::Tagger(t) => Some(t.clone()),
             _ => None,
         }
     };
@@ -356,9 +355,9 @@ fn tagger_module(tags: u32) -> Module {
             None => return vec![],
         };
         ts.pending.push_back(v.clone());
-        vec![State::Leaf(CompState::Tagger(ts))]
+        vec![CompState::Tagger(ts)]
     });
-    m.inputs.insert(port("in"), input);
+    m.add_input(port("in"), input);
     // Tagged completion re-entering the boundary.
     let t = tagger_of;
     let retag_in: InputFn = Rc::new(move |s, v| {
@@ -375,9 +374,9 @@ fn tagger_module(tags: u32) -> Module {
             return vec![];
         }
         ts.done.insert(tag, payload);
-        vec![State::Leaf(CompState::Tagger(ts))]
+        vec![CompState::Tagger(ts)]
     });
-    m.inputs.insert(port("retag"), retag_in);
+    m.add_input(port("retag"), retag_in);
     // Tagged output into the region: allocate the smallest free tag.
     let t = tagger_of;
     let tagged_out: OutputFn = Rc::new(move |s| {
@@ -395,9 +394,9 @@ fn tagger_module(tags: u32) -> Module {
         };
         ts.free.remove(&tag);
         ts.order.push_back(tag);
-        vec![(Value::tagged(tag, v), State::Leaf(CompState::Tagger(ts)))]
+        vec![(Value::tagged(tag, v), CompState::Tagger(ts))]
     });
-    m.outputs.insert(port("tagged"), tagged_out);
+    m.add_output(port("tagged"), tagged_out);
     // In-order untagged release.
     let t = tagger_of;
     let out: OutputFn = Rc::new(move |s| {
@@ -415,9 +414,9 @@ fn tagger_module(tags: u32) -> Module {
         };
         ts.order.pop_front();
         ts.free.insert(tag);
-        vec![(v, State::Leaf(CompState::Tagger(ts)))]
+        vec![(v, CompState::Tagger(ts))]
     });
-    m.outputs.insert(port("out"), out);
+    m.add_output(port("out"), out);
     m
 }
 
@@ -426,9 +425,9 @@ fn load_module() -> Module {
     // to reason about effect-free regions (pure generation refuses regions
     // with memory ports), and this total model keeps whole-graph denotation
     // defined.
-    let mut m = Module::inert(State::Leaf(CompState::queues(1)));
-    m.inputs.insert(port("addr"), enq_input(0));
-    m.outputs.insert(
+    let mut m = Module::leaf(CompState::queues(1));
+    m.add_input(port("addr"), enq_input(0));
+    m.add_output(
         port("data"),
         front_output(vec![0], |vs| {
             let (tag, _) = vs[0].untag();
@@ -439,10 +438,10 @@ fn load_module() -> Module {
 }
 
 fn store_module() -> Module {
-    let mut m = Module::inert(State::Leaf(CompState::queues(2)));
-    m.inputs.insert(port("addr"), enq_input(0));
-    m.inputs.insert(port("data"), enq_input(1));
-    m.outputs.insert(
+    let mut m = Module::leaf(CompState::queues(2));
+    m.add_input(port("addr"), enq_input(0));
+    m.add_input(port("data"), enq_input(1));
+    m.add_output(
         port("done"),
         front_output(vec![0, 1], |vs| {
             let (tag, _) = untag_all(vs)?;
@@ -458,12 +457,12 @@ fn lsq_module(body_plan: &[bool], epi_plan: &[bool]) -> Module {
     // layout mirrors the port order: seq, then (saddr, sdata) per store
     // site, then laddr per load site.
     let (stores, loads) = graphiti_ir::lsq_site_counts(body_plan, epi_plan);
-    let mut m = Module::inert(State::Leaf(CompState::queues(1 + 2 * stores + loads)));
-    m.inputs.insert(port("seq"), enq_input(0));
+    let mut m = Module::leaf(CompState::queues(1 + 2 * stores + loads));
+    m.add_input(port("seq"), enq_input(0));
     for k in 0..stores {
-        m.inputs.insert(port(&format!("saddr{k}")), enq_input(1 + 2 * k));
-        m.inputs.insert(port(&format!("sdata{k}")), enq_input(2 + 2 * k));
-        m.outputs.insert(
+        m.add_input(port(&format!("saddr{k}")), enq_input(1 + 2 * k));
+        m.add_input(port(&format!("sdata{k}")), enq_input(2 + 2 * k));
+        m.add_output(
             port(&format!("sdone{k}")),
             front_output(vec![1 + 2 * k, 2 + 2 * k], |vs| {
                 let (tag, _) = untag_all(vs)?;
@@ -472,8 +471,8 @@ fn lsq_module(body_plan: &[bool], epi_plan: &[bool]) -> Module {
         );
     }
     for k in 0..loads {
-        m.inputs.insert(port(&format!("laddr{k}")), enq_input(1 + 2 * stores + k));
-        m.outputs.insert(
+        m.add_input(port(&format!("laddr{k}")), enq_input(1 + 2 * stores + k));
+        m.add_output(
             port(&format!("ldata{k}")),
             front_output(vec![1 + 2 * stores + k], |vs| {
                 let (tag, _) = vs[0].untag();
@@ -511,20 +510,21 @@ pub fn component_module(kind: &CompKind) -> Module {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::State;
     use graphiti_ir::Op;
 
     fn feed(m: &Module, s: &State, p: &str, v: Value) -> State {
-        m.inputs[&port(p)](s, &v).remove(0)
+        m.input_step(&port(p), s, &v).remove(0)
     }
 
     fn emit(m: &Module, s: &State, p: &str) -> Vec<(Value, State)> {
-        m.outputs[&port(p)](s)
+        m.output_step(&port(p), s)
     }
 
     #[test]
     fn fork_duplicates() {
         let m = component_module(&CompKind::Fork { ways: 2 });
-        let s = feed(&m, &m.init[0], "in", Value::Int(3));
+        let s = feed(&m, &m.init()[0], "in", Value::Int(3));
         assert_eq!(emit(&m, &s, "out0")[0].0, Value::Int(3));
         assert_eq!(emit(&m, &s, "out1")[0].0, Value::Int(3));
     }
@@ -532,14 +532,14 @@ mod tests {
     #[test]
     fn join_synchronizes_and_split_undoes() {
         let j = component_module(&CompKind::Join);
-        let s = feed(&j, &j.init[0], "in0", Value::Int(1));
+        let s = feed(&j, &j.init()[0], "in0", Value::Int(1));
         assert!(emit(&j, &s, "out").is_empty(), "join waits for both operands");
         let s = feed(&j, &s, "in1", Value::Bool(true));
         let (v, _) = emit(&j, &s, "out").remove(0);
         assert_eq!(v, Value::pair(Value::Int(1), Value::Bool(true)));
 
         let sp = component_module(&CompKind::Split);
-        let s = feed(&sp, &sp.init[0], "in", v);
+        let s = feed(&sp, &sp.init()[0], "in", v);
         assert_eq!(emit(&sp, &s, "out0")[0].0, Value::Int(1));
         assert_eq!(emit(&sp, &s, "out1")[0].0, Value::Bool(true));
     }
@@ -547,7 +547,7 @@ mod tests {
     #[test]
     fn mux_selects_by_condition() {
         let m = component_module(&CompKind::Mux);
-        let s = feed(&m, &m.init[0], "cond", Value::Bool(false));
+        let s = feed(&m, &m.init()[0], "cond", Value::Bool(false));
         let s = feed(&m, &s, "t", Value::Int(10));
         let s = feed(&m, &s, "f", Value::Int(20));
         assert_eq!(emit(&m, &s, "out")[0].0, Value::Int(20));
@@ -556,7 +556,7 @@ mod tests {
     #[test]
     fn branch_routes_by_condition() {
         let m = component_module(&CompKind::Branch);
-        let s = feed(&m, &m.init[0], "cond", Value::Bool(true));
+        let s = feed(&m, &m.init()[0], "cond", Value::Bool(true));
         let s = feed(&m, &s, "in", Value::Int(5));
         assert_eq!(emit(&m, &s, "t")[0].0, Value::Int(5));
         assert!(emit(&m, &s, "f").is_empty());
@@ -565,7 +565,7 @@ mod tests {
     #[test]
     fn merge_is_nondeterministic() {
         let m = component_module(&CompKind::Merge);
-        let s = feed(&m, &m.init[0], "in0", Value::Int(1));
+        let s = feed(&m, &m.init()[0], "in0", Value::Int(1));
         let s = feed(&m, &s, "in1", Value::Int(2));
         let outs = emit(&m, &s, "out");
         let vals: Vec<_> = outs.iter().map(|(v, _)| v.clone()).collect();
@@ -575,7 +575,7 @@ mod tests {
     #[test]
     fn init_emits_initial_token_first() {
         let m = component_module(&CompKind::Init { initial: false });
-        let s = feed(&m, &m.init[0], "in", Value::Bool(true));
+        let s = feed(&m, &m.init()[0], "in", Value::Bool(true));
         let (v, s2) = emit(&m, &s, "out").remove(0);
         assert_eq!(v, Value::Bool(false), "pre-loaded token comes first");
         let (v2, _) = emit(&m, &s2, "out").remove(0);
@@ -585,7 +585,7 @@ mod tests {
     #[test]
     fn operator_is_tag_transparent() {
         let m = component_module(&CompKind::Operator { op: Op::AddI });
-        let s = feed(&m, &m.init[0], "in0", Value::tagged(4, Value::Int(2)));
+        let s = feed(&m, &m.init()[0], "in0", Value::tagged(4, Value::Int(2)));
         let s = feed(&m, &s, "in1", Value::tagged(4, Value::Int(3)));
         assert_eq!(emit(&m, &s, "out")[0].0, Value::tagged(4, Value::Int(5)));
     }
@@ -593,7 +593,7 @@ mod tests {
     #[test]
     fn operator_blocks_on_tag_mismatch() {
         let m = component_module(&CompKind::Operator { op: Op::AddI });
-        let s = feed(&m, &m.init[0], "in0", Value::tagged(1, Value::Int(2)));
+        let s = feed(&m, &m.init()[0], "in0", Value::tagged(1, Value::Int(2)));
         let s = feed(&m, &s, "in1", Value::tagged(2, Value::Int(3)));
         assert!(emit(&m, &s, "out").is_empty());
     }
@@ -601,14 +601,14 @@ mod tests {
     #[test]
     fn constant_triggered_by_control_keeps_tag() {
         let m = component_module(&CompKind::Constant { value: Value::Int(9) });
-        let s = feed(&m, &m.init[0], "ctrl", Value::tagged(2, Value::Unit));
+        let s = feed(&m, &m.init()[0], "ctrl", Value::tagged(2, Value::Unit));
         assert_eq!(emit(&m, &s, "out")[0].0, Value::tagged(2, Value::Int(9)));
     }
 
     #[test]
     fn tagger_allocates_and_reorders() {
         let m = component_module(&CompKind::TaggerUntagger { tags: 2 });
-        let s = feed(&m, &m.init[0], "in", Value::Int(10));
+        let s = feed(&m, &m.init()[0], "in", Value::Int(10));
         let s = feed(&m, &s, "in", Value::Int(20));
         let (t0, s) = emit(&m, &s, "tagged").remove(0);
         let (t1, s) = emit(&m, &s, "tagged").remove(0);
@@ -633,12 +633,12 @@ mod tests {
     #[test]
     fn tagger_rejects_duplicate_completion() {
         let m = component_module(&CompKind::TaggerUntagger { tags: 2 });
-        let s = feed(&m, &m.init[0], "in", Value::Int(10));
+        let s = feed(&m, &m.init()[0], "in", Value::Int(10));
         let (_, s) = emit(&m, &s, "tagged").remove(0);
         let s = feed(&m, &s, "retag", Value::tagged(0, Value::Int(1)));
-        assert!(m.inputs[&port("retag")](&s, &Value::tagged(0, Value::Int(2))).is_empty());
+        assert!(m.input_step(&port("retag"), &s, &Value::tagged(0, Value::Int(2))).is_empty());
         assert!(
-            m.inputs[&port("retag")](&s, &Value::tagged(1, Value::Int(2))).is_empty(),
+            m.input_step(&port("retag"), &s, &Value::tagged(1, Value::Int(2))).is_empty(),
             "unallocated tags are rejected"
         );
     }
@@ -646,21 +646,21 @@ mod tests {
     #[test]
     fn sink_discards() {
         let m = component_module(&CompKind::Sink);
-        let s = feed(&m, &m.init[0], "in", Value::Int(1));
-        assert_eq!(s, m.init[0]);
+        let s = feed(&m, &m.init()[0], "in", Value::Int(1));
+        assert_eq!(s, m.init()[0]);
     }
 
     #[test]
     fn pure_applies_function() {
         let m = component_module(&CompKind::Pure { func: graphiti_ir::PureFn::Dup });
-        let s = feed(&m, &m.init[0], "in", Value::Int(4));
+        let s = feed(&m, &m.init()[0], "in", Value::Int(4));
         assert_eq!(emit(&m, &s, "out")[0].0, Value::pair(Value::Int(4), Value::Int(4)));
     }
 
     #[test]
     fn store_fires_when_both_operands_ready() {
         let m = component_module(&CompKind::Store { mem: "m".into() });
-        let s = feed(&m, &m.init[0], "addr", Value::Int(3));
+        let s = feed(&m, &m.init()[0], "addr", Value::Int(3));
         assert!(emit(&m, &s, "done").is_empty());
         let s = feed(&m, &s, "data", Value::Int(7));
         assert_eq!(emit(&m, &s, "done")[0].0, Value::Unit);

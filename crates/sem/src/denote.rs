@@ -123,13 +123,16 @@ mod tests {
         let (m, _) = denote_graph(&fork_mod(), &Env::standard()).unwrap();
         assert_eq!(m.input_ports(), vec![PortName::Io(0)]);
         assert_eq!(m.output_ports(), vec![PortName::Io(0)]);
-        let s0 = m.init[0].clone();
-        let s1 = m.inputs[&PortName::Io(0)](&s0, &Value::Int(7)).remove(0);
+        let s0 = m.init()[0].clone();
+        let s1 = m.input_step(&PortName::Io(0), &s0, &Value::Int(7)).remove(0);
         // Two internal (connect) transitions move the forked copies into the
         // modulo operand queues.
         let states = run_internals_to_fixpoint(&m, &s1);
-        let out: Vec<_> =
-            states.iter().flat_map(|s| m.outputs[&PortName::Io(0)](s)).map(|(v, _)| v).collect();
+        let out: Vec<_> = states
+            .iter()
+            .flat_map(|s| m.output_step(&PortName::Io(0), s))
+            .map(|(v, _)| v)
+            .collect();
         assert!(out.contains(&Value::Int(0)), "7 % 7 == 0, got {out:?}");
     }
 
@@ -156,6 +159,6 @@ mod tests {
         let m = denote(&expr, &Env::standard());
         assert_eq!(m.input_ports(), vec![PortName::local("a", "in")]);
         assert_eq!(m.output_ports(), vec![PortName::local("b", "out")]);
-        assert_eq!(m.internals.len(), 1);
+        assert_eq!(m.internal_count(), 1);
     }
 }

@@ -49,7 +49,7 @@ pub fn run_random(
     max_steps: usize,
 ) -> RunResult {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut state = m.init.first().expect("module has an initial state").clone();
+    let mut state = m.init().first().expect("module has an initial state").clone();
     let mut positions: BTreeMap<PortName, usize> = BTreeMap::new();
     let mut outputs: BTreeMap<PortName, Vec<Value>> = BTreeMap::new();
     let mut steps = 0;
@@ -59,18 +59,16 @@ pub fn run_random(
         for (p, vals) in feeds {
             let pos = positions.get(p).copied().unwrap_or(0);
             if pos < vals.len() {
-                if let Some(f) = m.inputs.get(p) {
-                    for s2 in f(&state, &vals[pos]) {
-                        actions.push(Action::Feed(p.clone(), s2));
-                    }
+                for s2 in m.input_step(p, &state, &vals[pos]) {
+                    actions.push(Action::Feed(p.clone(), s2));
                 }
             }
         }
         for s2 in m.internal_step(&state) {
             actions.push(Action::Internal(s2));
         }
-        for (p, f) in &m.outputs {
-            for (v, s2) in f(&state) {
+        for p in m.outputs.keys() {
+            for (v, s2) in m.output_step(p, &state) {
                 actions.push(Action::Emit(p.clone(), v, s2));
             }
         }

@@ -48,6 +48,7 @@
 mod components;
 mod denote;
 mod exec;
+mod intern;
 mod module;
 mod refine;
 mod state;
@@ -56,7 +57,7 @@ mod traces;
 pub use components::{component_module, retag, untag_all};
 pub use denote::{denote, denote_graph, Env};
 pub use exec::{run_random, RunResult};
-pub use module::{InputFn, InternalFn, Module, OutputFn};
+pub use module::{InputFn, Module, OutputFn};
 pub use refine::{
     check_refinement, check_refinement_with_stats, check_simulation, BoundHit, BoundKind, Event,
     RefineConfig, RefineStats, Refinement,

@@ -5,65 +5,170 @@
 //! represented executably as functions from a state (and, for external
 //! transitions, a value) to the set of successor states.
 //!
-//! The two module combinators of §4.5 are implemented here:
+//! Modules are flat and slot-indexed. Every base component is one *slot*
+//! holding its own relations over its own [`CompState`] leaf; a module
+//! state is one leaf per slot ([`State`]). Ports and internal transitions
+//! refer to a slot's relations by index, so the combinators of §4.5 are
+//! index wiring and never wrap a relation:
 //!
-//! * [`Module::product`] — the union `m₁ ⊎ m₂` with paired state, and
-//! * [`Module::connect`] — `m[o ⇝ i]`, which removes the output `o` and the
-//!   input `i` and adds the fused internal transition. Crucially, *no*
-//!   internal transitions may fire between the output and input halves of
-//!   the fused step, which is what makes the asymmetric refinement
-//!   definitions of §4.4 compose.
+//! * [`Module::product`] — the union `m₁ ⊎ m₂` concatenates the slots (the
+//!   paired state is the concatenated leaf vector);
+//! * [`Module::connect`] — `m[o ⇝ i]` removes the output `o` and the input
+//!   `i` and records the fused internal transition as an (output, input)
+//!   wire. Crucially, *no* internal transitions may fire between the output
+//!   and input halves of the fused step, which is what makes the asymmetric
+//!   refinement definitions of §4.4 compose;
+//! * [`Module::rename`] rekeys the port tables.
+//!
+//! A step of the whole module touches only the slots it names (one, or two
+//! for a wire), which is what lets the refinement checker memoise steps per
+//! leaf state.
 
-use crate::state::State;
+use crate::state::{CompState, State};
 use graphiti_ir::{PortName, Value};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-/// An input transition relation: `(state, consumed value) → successor
-/// states`.
-pub type InputFn = Rc<dyn Fn(&State, &Value) -> Vec<State>>;
+/// An input transition relation of one component: `(leaf state, consumed
+/// value) → successor leaf states`.
+pub type InputFn = Rc<dyn Fn(&CompState, &Value) -> Vec<CompState>>;
 
-/// An output transition relation: `state → (emitted value, successor state)`
-/// pairs.
-pub type OutputFn = Rc<dyn Fn(&State) -> Vec<(Value, State)>>;
+/// An output transition relation of one component: `leaf state → (emitted
+/// value, successor leaf state)` pairs.
+pub type OutputFn = Rc<dyn Fn(&CompState) -> Vec<(Value, CompState)>>;
 
-/// An internal transition relation: `state → successor states`.
-pub type InternalFn = Rc<dyn Fn(&State) -> Vec<State>>;
+/// The relations of one slot's component. Ports and wires refer to them by
+/// index; a relation whose port was connected away stays here, reachable
+/// from its wire. Components have no internal transitions of their own:
+/// every internal step of a module is a connect wire.
+#[derive(Clone, Default)]
+pub(crate) struct Relations {
+    pub(crate) inputs: Vec<InputFn>,
+    pub(crate) outputs: Vec<OutputFn>,
+}
+
+/// A relation of one slot: the slot index and the index into that slot's
+/// relation list of the relevant direction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Rel {
+    pub(crate) slot: usize,
+    pub(crate) idx: usize,
+}
+
+impl Rel {
+    fn shifted(self, by: usize) -> Rel {
+        Rel { slot: self.slot + by, ..self }
+    }
+}
+
+/// A connect wire, a module's internal transition: an emission of the
+/// output relation consumed by the input relation in one atomic step.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Wire {
+    pub(crate) out: Rel,
+    pub(crate) inp: Rel,
+}
+
+impl Wire {
+    fn shifted(self, by: usize) -> Wire {
+        Wire { out: self.out.shifted(by), inp: self.inp.shifted(by) }
+    }
+}
 
 /// A module `M(S)`: maps from port names to external transitions, a
-/// collection of internal transitions, and the initial states.
+/// collection of internal transitions, and the initial states, over flat
+/// slot-indexed state.
 #[derive(Clone)]
 pub struct Module {
+    /// One entry per base component.
+    pub(crate) slots: Vec<Relations>,
     /// Input transitions by port.
-    pub inputs: BTreeMap<PortName, InputFn>,
+    pub(crate) inputs: BTreeMap<PortName, Rel>,
     /// Output transitions by port.
-    pub outputs: BTreeMap<PortName, OutputFn>,
-    /// Internal transitions.
-    pub internals: Vec<InternalFn>,
+    pub(crate) outputs: BTreeMap<PortName, Rel>,
+    /// Internal transitions in denotation order: a product lists its left
+    /// operand's wires before its right operand's, and a connect appends
+    /// its wire.
+    pub(crate) wires: Vec<Wire>,
     /// Initial states (usually a singleton).
-    pub init: Vec<State>,
+    init: Vec<State>,
 }
 
 impl std::fmt::Debug for Module {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Module")
+            .field("slots", &self.slots.len())
             .field("inputs", &self.inputs.keys().collect::<Vec<_>>())
             .field("outputs", &self.outputs.keys().collect::<Vec<_>>())
-            .field("internals", &self.internals.len())
+            .field("wires", &self.wires.len())
             .field("init", &self.init)
             .finish()
     }
 }
 
 impl Module {
-    /// A module with no ports, no transitions, and a single given state.
-    pub fn inert(init: State) -> Module {
+    /// A single-component module (one slot) with the given initial leaf
+    /// state and no ports yet; add them with [`Module::add_input`] and
+    /// [`Module::add_output`].
+    pub fn leaf(init: CompState) -> Module {
         Module {
+            slots: vec![Relations::default()],
             inputs: BTreeMap::new(),
             outputs: BTreeMap::new(),
-            internals: Vec::new(),
-            init: vec![init],
+            wires: Vec::new(),
+            init: vec![State::new(vec![init])],
         }
+    }
+
+    /// The component relations of a single-component module.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the module has more than one slot: relations are added to
+    /// components before they are composed.
+    fn only_slot(&mut self) -> &mut Relations {
+        assert_eq!(self.slots.len(), 1, "relations are added to single-component modules");
+        &mut self.slots[0]
+    }
+
+    /// Adds an input port to a single-component module.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the module has more than one slot or already has input `p`.
+    pub fn add_input(&mut self, p: PortName, f: InputFn) {
+        let slot = self.only_slot();
+        slot.inputs.push(f);
+        let rel = Rel { slot: 0, idx: slot.inputs.len() - 1 };
+        assert!(self.inputs.insert(p, rel).is_none(), "duplicate input port");
+    }
+
+    /// Adds an output port to a single-component module.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the module has more than one slot or already has output `p`.
+    pub fn add_output(&mut self, p: PortName, f: OutputFn) {
+        let slot = self.only_slot();
+        slot.outputs.push(f);
+        let rel = Rel { slot: 0, idx: slot.outputs.len() - 1 };
+        assert!(self.outputs.insert(p, rel).is_none(), "duplicate output port");
+    }
+
+    /// The initial states.
+    pub fn init(&self) -> &[State] {
+        &self.init
+    }
+
+    /// The number of slots (base components); every state has one leaf
+    /// per slot.
+    pub(crate) fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The number of internal transitions: one per connect wire.
+    pub fn internal_count(&self) -> usize {
+        self.wires.len()
     }
 
     /// The input port names.
@@ -99,51 +204,36 @@ impl Module {
             let nk = out_map.get(&k).cloned().unwrap_or(k);
             assert!(outputs.insert(nk, v).is_none(), "output port collision after rename");
         }
-        Module { inputs, outputs, internals: self.internals, init: self.init }
+        Module { inputs, outputs, ..self }
     }
 
-    /// The union combinator `m₁ ⊎ m₂`: paired state, transitions lifted to
-    /// act on their half of the pair, initial states the cartesian product.
+    /// The union combinator `m₁ ⊎ m₂`: the slots and wires of `other`
+    /// follow those of `self`, and the initial states are the cartesian
+    /// product.
     ///
     /// # Panics
     ///
     /// Panics if the two modules share a port name (products in a circuit
     /// never do, because port names embed instance names).
-    pub fn product(self, other: Module) -> Module {
-        let mut inputs: BTreeMap<PortName, InputFn> = BTreeMap::new();
-        for (k, f) in self.inputs {
-            inputs.insert(k, lift_input_left(f));
-        }
-        for (k, f) in other.inputs {
+    pub fn product(mut self, other: Module) -> Module {
+        let by = self.slots.len();
+        for (k, r) in other.inputs {
             assert!(
-                inputs.insert(k, lift_input_right(f)).is_none(),
+                self.inputs.insert(k, r.shifted(by)).is_none(),
                 "input port collision in product"
             );
         }
-        let mut outputs: BTreeMap<PortName, OutputFn> = BTreeMap::new();
-        for (k, f) in self.outputs {
-            outputs.insert(k, lift_output_left(f));
-        }
-        for (k, f) in other.outputs {
+        for (k, r) in other.outputs {
             assert!(
-                outputs.insert(k, lift_output_right(f)).is_none(),
+                self.outputs.insert(k, r.shifted(by)).is_none(),
                 "output port collision in product"
             );
         }
-        let mut internals: Vec<InternalFn> = Vec::new();
-        for f in self.internals {
-            internals.push(lift_internal_left(f));
-        }
-        for f in other.internals {
-            internals.push(lift_internal_right(f));
-        }
-        let mut init = Vec::new();
-        for a in &self.init {
-            for b in &other.init {
-                init.push(State::pair(a.clone(), b.clone()));
-            }
-        }
-        Module { inputs, outputs, internals, init }
+        self.wires.extend(other.wires.into_iter().map(|w| w.shifted(by)));
+        self.slots.extend(other.slots);
+        self.init =
+            self.init.iter().flat_map(|a| other.init.iter().map(|b| State::pair(a, b))).collect();
+        self
     }
 
     /// The connect combinator `m[o ⇝ i]`: removes output `o` and input `i`
@@ -154,125 +244,110 @@ impl Module {
     /// that the present port (if any) is still removed; callers lowering
     /// well-formed circuits never hit that case.
     pub fn connect(mut self, o: &PortName, i: &PortName) -> Module {
-        let out_f = self.outputs.remove(o);
-        let in_f = self.inputs.remove(i);
-        if let (Some(out_f), Some(in_f)) = (out_f, in_f) {
-            let r: InternalFn = Rc::new(move |s| {
-                let mut next = Vec::new();
-                for (v, s2) in out_f(s) {
-                    next.extend(in_f(&s2, &v));
-                }
-                next
-            });
-            self.internals.push(r);
+        let out = self.outputs.remove(o);
+        let inp = self.inputs.remove(i);
+        if let (Some(out), Some(inp)) = (out, inp) {
+            self.wires.push(Wire { out, inp });
         }
         self
     }
 
-    /// All successors of `s` by one internal step.
-    pub fn internal_step(&self, s: &State) -> Vec<State> {
-        let mut out = Vec::new();
-        for f in &self.internals {
-            out.extend(f(s));
-        }
-        out
+    /// Applies input relation `r` to its slot's leaf.
+    pub(crate) fn input_rel(&self, r: Rel, leaf: &CompState, v: &Value) -> Vec<CompState> {
+        (self.slots[r.slot].inputs[r.idx])(leaf, v)
     }
-}
 
-fn lift_input_left(f: InputFn) -> InputFn {
-    Rc::new(move |s, v| match s {
-        State::Pair(a, b) => {
-            f(a, v).into_iter().map(|a2| State::Pair(Box::new(a2), b.clone())).collect()
-        }
-        _ => Vec::new(),
-    })
-}
+    /// Applies output relation `r` to its slot's leaf.
+    pub(crate) fn output_rel(&self, r: Rel, leaf: &CompState) -> Vec<(Value, CompState)> {
+        (self.slots[r.slot].outputs[r.idx])(leaf)
+    }
 
-fn lift_input_right(f: InputFn) -> InputFn {
-    Rc::new(move |s, v| match s {
-        State::Pair(a, b) => {
-            f(b, v).into_iter().map(|b2| State::Pair(a.clone(), Box::new(b2))).collect()
+    /// All successors of `s` by consuming `v` at input `p` (none when the
+    /// module has no such input).
+    pub fn input_step(&self, p: &PortName, s: &State, v: &Value) -> Vec<State> {
+        match self.inputs.get(p) {
+            Some(&r) => self
+                .input_rel(r, &s.leaves()[r.slot], v)
+                .into_iter()
+                .map(|l| s.with(r.slot, l))
+                .collect(),
+            None => Vec::new(),
         }
-        _ => Vec::new(),
-    })
-}
+    }
 
-fn lift_output_left(f: OutputFn) -> OutputFn {
-    Rc::new(move |s| match s {
-        State::Pair(a, b) => {
-            f(a).into_iter().map(|(v, a2)| (v, State::Pair(Box::new(a2), b.clone()))).collect()
+    /// All `(emitted value, successor)` pairs of `s` at output `p` (none
+    /// when the module has no such output).
+    pub fn output_step(&self, p: &PortName, s: &State) -> Vec<(Value, State)> {
+        match self.outputs.get(p) {
+            Some(&r) => self
+                .output_rel(r, &s.leaves()[r.slot])
+                .into_iter()
+                .map(|(v, l)| (v, s.with(r.slot, l)))
+                .collect(),
+            None => Vec::new(),
         }
-        _ => Vec::new(),
-    })
-}
+    }
 
-fn lift_output_right(f: OutputFn) -> OutputFn {
-    Rc::new(move |s| match s {
-        State::Pair(a, b) => {
-            f(b).into_iter().map(|(v, b2)| (v, State::Pair(a.clone(), Box::new(b2)))).collect()
+    /// All successors of `s` by one internal step, wire by wire in
+    /// denotation order.
+    pub fn internal_step(&self, s: &State) -> Vec<State> {
+        let mut next = Vec::new();
+        for &Wire { out, inp } in &self.wires {
+            for (v, l) in self.output_rel(out, &s.leaves()[out.slot]) {
+                let mid = s.with(out.slot, l);
+                next.extend(
+                    self.input_rel(inp, &mid.leaves()[inp.slot], &v)
+                        .into_iter()
+                        .map(|l| mid.with(inp.slot, l)),
+                );
+            }
         }
-        _ => Vec::new(),
-    })
-}
-
-fn lift_internal_left(f: InternalFn) -> InternalFn {
-    Rc::new(move |s| match s {
-        State::Pair(a, b) => {
-            f(a).into_iter().map(|a2| State::Pair(Box::new(a2), b.clone())).collect()
-        }
-        _ => Vec::new(),
-    })
-}
-
-fn lift_internal_right(f: InternalFn) -> InternalFn {
-    Rc::new(move |s| match s {
-        State::Pair(a, b) => {
-            f(b).into_iter().map(|b2| State::Pair(a.clone(), Box::new(b2))).collect()
-        }
-        _ => Vec::new(),
-    })
+        next
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::CompState;
 
     /// A one-queue pass-through module (a simple buffer) with ports `pin`
     /// and `pout`.
     fn queue_module(inst: &str) -> Module {
-        let init = State::Leaf(CompState::queues(1));
-        let input: InputFn = Rc::new(|s, v| match s {
-            State::Leaf(CompState::Queues(qs)) => {
-                let mut qs = qs.clone();
-                qs[0].push_back(v.clone());
-                vec![State::Leaf(CompState::Queues(qs))]
-            }
-            _ => vec![],
-        });
-        let output: OutputFn = Rc::new(|s| match s {
-            State::Leaf(CompState::Queues(qs)) => {
-                let mut qs = qs.clone();
-                match qs[0].pop_front() {
-                    Some(v) => vec![(v, State::Leaf(CompState::Queues(qs)))],
-                    None => vec![],
+        let mut m = Module::leaf(CompState::queues(1));
+        m.add_input(
+            PortName::local(inst, "in"),
+            Rc::new(|s, v| match s {
+                CompState::Queues(qs) => {
+                    let mut qs = qs.clone();
+                    qs[0].push_back(v.clone());
+                    vec![CompState::Queues(qs)]
                 }
-            }
-            _ => vec![],
-        });
-        let mut m = Module::inert(init);
-        m.inputs.insert(PortName::local(inst, "in"), input);
-        m.outputs.insert(PortName::local(inst, "out"), output);
+                _ => vec![],
+            }),
+        );
+        m.add_output(
+            PortName::local(inst, "out"),
+            Rc::new(|s| match s {
+                CompState::Queues(qs) => {
+                    let mut qs = qs.clone();
+                    match qs[0].pop_front() {
+                        Some(v) => vec![(v, CompState::Queues(qs))],
+                        None => vec![],
+                    }
+                }
+                _ => vec![],
+            }),
+        );
         m
     }
 
     #[test]
     fn queue_roundtrip() {
         let m = queue_module("q");
-        let s0 = m.init[0].clone();
-        let s1 = m.inputs[&PortName::local("q", "in")](&s0, &Value::Int(5));
+        let s0 = m.init()[0].clone();
+        let s1 = m.input_step(&PortName::local("q", "in"), &s0, &Value::Int(5));
         assert_eq!(s1.len(), 1);
-        let outs = m.outputs[&PortName::local("q", "out")](&s1[0]);
+        let outs = m.output_step(&PortName::local("q", "out"), &s1[0]);
         assert_eq!(outs.len(), 1);
         assert_eq!(outs[0].0, Value::Int(5));
     }
@@ -282,12 +357,13 @@ mod tests {
         let m = queue_module("a").product(queue_module("b"));
         assert_eq!(m.inputs.len(), 2);
         assert_eq!(m.outputs.len(), 2);
-        let s0 = m.init[0].clone();
-        let s1 = &m.inputs[&PortName::local("a", "in")](&s0, &Value::Int(1))[0];
-        let s2 = &m.inputs[&PortName::local("b", "in")](s1, &Value::Int(2))[0];
-        let a_out = &m.outputs[&PortName::local("a", "out")](s2);
+        assert_eq!(m.slot_count(), 2);
+        let s0 = m.init()[0].clone();
+        let s1 = &m.input_step(&PortName::local("a", "in"), &s0, &Value::Int(1))[0];
+        let s2 = &m.input_step(&PortName::local("b", "in"), s1, &Value::Int(2))[0];
+        let a_out = m.output_step(&PortName::local("a", "out"), s2);
         assert_eq!(a_out[0].0, Value::Int(1));
-        let b_out = &m.outputs[&PortName::local("b", "out")](s2);
+        let b_out = m.output_step(&PortName::local("b", "out"), s2);
         assert_eq!(b_out[0].0, Value::Int(2));
     }
 
@@ -298,14 +374,30 @@ mod tests {
             .connect(&PortName::local("a", "out"), &PortName::local("b", "in"));
         assert_eq!(m.inputs.len(), 1);
         assert_eq!(m.outputs.len(), 1);
-        assert_eq!(m.internals.len(), 1);
-        let s0 = m.init[0].clone();
-        let s1 = &m.inputs[&PortName::local("a", "in")](&s0, &Value::Int(7))[0];
+        assert_eq!(m.internal_count(), 1);
+        let s0 = m.init()[0].clone();
+        let s1 = &m.input_step(&PortName::local("a", "in"), &s0, &Value::Int(7))[0];
         // Before the internal fires, b has nothing to emit.
-        assert!(m.outputs[&PortName::local("b", "out")](s1).is_empty());
+        assert!(m.output_step(&PortName::local("b", "out"), s1).is_empty());
         let s2 = &m.internal_step(s1)[0];
-        let outs = m.outputs[&PortName::local("b", "out")](s2);
+        let outs = m.output_step(&PortName::local("b", "out"), s2);
         assert_eq!(outs[0].0, Value::Int(7));
+    }
+
+    #[test]
+    fn connect_within_one_slot_feeds_the_emitted_leaf() {
+        // A self-loop wire: the input half sees the leaf the output half
+        // left behind, as in the fused relation `out ; in`.
+        let m =
+            queue_module("q").connect(&PortName::local("q", "out"), &PortName::local("q", "in"));
+        let mut s = m.init()[0].clone();
+        let mut qs = vec![std::collections::VecDeque::new()];
+        qs[0].extend([Value::Int(1), Value::Int(2)]);
+        s = s.with(0, CompState::Queues(qs));
+        let rotated = m.internal_step(&s);
+        assert_eq!(rotated.len(), 1);
+        let all: Vec<&Value> = rotated[0].all_values();
+        assert_eq!(all, vec![&Value::Int(2), &Value::Int(1)]);
     }
 
     #[test]
@@ -313,7 +405,7 @@ mod tests {
         let m =
             queue_module("a").connect(&PortName::local("zz", "out"), &PortName::local("a", "in"));
         assert!(m.inputs.is_empty(), "present input side is still removed");
-        assert_eq!(m.internals.len(), 0);
+        assert_eq!(m.internal_count(), 0);
     }
 
     #[test]
@@ -328,9 +420,23 @@ mod tests {
     }
 
     #[test]
-    fn product_initial_states_are_paired() {
-        let m = queue_module("a").product(queue_module("b"));
-        assert_eq!(m.init.len(), 1);
-        assert!(matches!(m.init[0], State::Pair(_, _)));
+    fn product_initial_states_are_concatenated() {
+        let m = queue_module("a").product(queue_module("b")).product(queue_module("c"));
+        assert_eq!(m.init().len(), 1);
+        assert_eq!(m.init()[0].leaves().len(), 3);
+    }
+
+    #[test]
+    fn product_keeps_wires_in_denotation_order() {
+        // (a ⊗ b)[a.out ⇝ b.in] ⊗ c, then [b.out ⇝ c.in]: the wire
+        // recorded on the left operand comes first, shifted slots intact.
+        let left = queue_module("a")
+            .product(queue_module("b"))
+            .connect(&PortName::local("a", "out"), &PortName::local("b", "in"));
+        let m = left
+            .product(queue_module("c"))
+            .connect(&PortName::local("b", "out"), &PortName::local("c", "in"));
+        let wires: Vec<(usize, usize)> = m.wires.iter().map(|w| (w.out.slot, w.inp.slot)).collect();
+        assert_eq!(wires, vec![(0, 1), (1, 2)]);
     }
 }

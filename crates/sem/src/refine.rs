@@ -16,11 +16,13 @@
 //! resource bound is hit — carrying a [`BoundHit`] that says which bound
 //! and at what count — so a bounded pass is never confused with a proof.
 
-use crate::module::Module;
+use crate::intern::{FxHashMap, FxHashSet, Ids, Stepper, Values};
+use crate::module::{Module, Rel};
 use crate::state::State;
 use graphiti_ir::{PortName, Value};
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::fmt;
+use std::rc::Rc;
 
 /// An externally visible event of a module run.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -189,29 +191,6 @@ fn closure(m: &Module, start: BTreeSet<State>, limit: usize) -> Option<BTreeSet<
     Some(all)
 }
 
-fn spec_input_step(
-    spec: &Module,
-    set: &BTreeSet<State>,
-    p: &PortName,
-    v: &Value,
-) -> BTreeSet<State> {
-    let f = &spec.inputs[p];
-    set.iter().flat_map(|t| f(t, v)).collect()
-}
-
-fn spec_output_step(
-    spec: &Module,
-    set: &BTreeSet<State>,
-    p: &PortName,
-    v: &Value,
-) -> BTreeSet<State> {
-    let f = &spec.outputs[p];
-    set.iter()
-        .flat_map(|t| f(t))
-        .filter_map(|(v2, t2)| if v2 == *v { Some(t2) } else { None })
-        .collect()
-}
-
 /// Checks (bounded) trace inclusion of `imp` in `spec`.
 ///
 /// Every weak trace of `imp` — inputs drawn from `cfg.domain`, queues capped
@@ -253,6 +232,8 @@ fn record_check_metrics(verdict: &Refinement, stats: &RefineStats) {
         visited: graphiti_obs::Counter,
         visited_per_check: graphiti_obs::Histogram,
         frontier_peak: graphiti_obs::Histogram,
+        /// Verdict classes: holds, bounded, fails, incomparable.
+        verdicts: [graphiti_obs::Counter; 4],
     }
     fn fetch() -> Handles {
         Handles {
@@ -261,6 +242,12 @@ fn record_check_metrics(verdict: &Refinement, stats: &RefineStats) {
             visited: graphiti_obs::counter("refine.visited_states"),
             visited_per_check: graphiti_obs::histogram("refine.visited_states_per_check"),
             frontier_peak: graphiti_obs::histogram("refine.frontier_peak"),
+            verdicts: [
+                graphiti_obs::counter("refine.verdict.holds"),
+                graphiti_obs::counter("refine.verdict.bounded"),
+                graphiti_obs::counter("refine.verdict.fails"),
+                graphiti_obs::counter("refine.verdict.incomparable"),
+            ],
         }
     }
     thread_local! {
@@ -277,6 +264,13 @@ fn record_check_metrics(verdict: &Refinement, stats: &RefineStats) {
         h.visited.add(stats.visited_states);
         h.visited_per_check.record(stats.visited_states);
         h.frontier_peak.record(stats.frontier_peak);
+        let class = match verdict {
+            Refinement::Holds => 0,
+            Refinement::BoundReached(_) => 1,
+            Refinement::Fails { .. } => 2,
+            Refinement::Incomparable(_) => 3,
+        };
+        h.verdicts[class].inc();
     });
     if let Refinement::BoundReached(hit) = verdict {
         graphiti_obs::counter(&format!("refine.bound_hits.{}", hit.kind.name())).inc();
@@ -306,114 +300,276 @@ fn check_refinement_inner(
             spec.output_ports()
         ));
     }
+    Explorer::new(imp, spec, cfg).run(stats)
+}
 
-    let closure_bound = Refinement::BoundReached(BoundHit {
-        kind: BoundKind::ClosureLimit,
-        at: cfg.closure_limit as u64,
-    });
-    stats.closures += 1;
-    let spec_init = match closure(spec, spec.init.iter().cloned().collect(), cfg.closure_limit) {
-        Some(s) => s,
-        None => return closure_bound,
-    };
+/// An item of the exploration stack.
+struct Item {
+    /// The implementation state.
+    state: Ids,
+    /// The spec states that can have produced the same events, closed
+    /// under spec internal steps (an id into [`Explorer::sets`]).
+    set: u32,
+    depth: usize,
+    /// The events so far (a node of [`Explorer::trace`]).
+    trace: u32,
+}
 
-    let mut bound_hit: Option<BoundHit> = None;
-    let note_bound = |slot: &mut Option<BoundHit>, kind: BoundKind, at: u64| {
-        slot.get_or_insert(BoundHit { kind, at });
-    };
-    let mut visited: HashSet<(State, BTreeSet<State>)> = HashSet::new();
-    // Depth-first exploration: counterexamples (when they exist) usually sit
-    // deep along one path, and DFS reaches them without materializing every
-    // shallower state first. Completeness up to the bounds is unchanged.
-    let mut queue: VecDeque<(State, BTreeSet<State>, usize, Vec<Event>)> = VecDeque::new();
-    for i0 in &imp.init {
-        queue.push_back((i0.clone(), spec_init.clone(), 0, Vec::new()));
+/// The trace node of the empty trace.
+const NO_EVENTS: u32 = u32::MAX;
+
+/// An event in the trace arena: the port's index in name order and the
+/// value's id.
+#[derive(Clone, Copy)]
+enum Step {
+    In(usize, u32),
+    Out(usize, u32),
+}
+
+/// One refinement check's exploration over interned states.
+///
+/// The implementation is explored depth-first over (state, spec-state set)
+/// pairs — the on-the-fly subset construction — with the visited check at
+/// pop time. Both modules step through their own memoised [`Stepper`];
+/// spec-state sets are interned (sorted and flattened, one id per distinct
+/// set), and the events of a path live in a parent-pointer arena rather
+/// than in a trace per stack item. Everything is dropped when the check
+/// returns.
+struct Explorer<'m> {
+    imp: Stepper<'m>,
+    spec: Stepper<'m>,
+    cfg: &'m RefineConfig,
+    values: Values,
+    /// Spec-state sets by id: each the sorted concatenation of its states.
+    sets: Vec<Rc<[u32]>>,
+    set_ids: FxHashMap<Rc<[u32]>, u32>,
+    /// Trace nodes: parent node and the event appended to it.
+    trace: Vec<(u32, Step)>,
+}
+
+impl<'m> Explorer<'m> {
+    fn new(imp: &'m Module, spec: &'m Module, cfg: &'m RefineConfig) -> Explorer<'m> {
+        Explorer {
+            imp: Stepper::new(imp),
+            spec: Stepper::new(spec),
+            cfg,
+            values: Values::default(),
+            sets: Vec::new(),
+            set_ids: FxHashMap::default(),
+            trace: Vec::new(),
+        }
     }
 
-    while let Some((s, tset, depth, trace)) = queue.pop_back() {
-        stats.frontier_peak = stats.frontier_peak.max(queue.len() as u64 + 1);
-        if !visited.insert((s.clone(), tset.clone())) {
-            continue;
-        }
-        stats.visited_states = visited.len() as u64;
-        if visited.len() > cfg.max_states {
-            return Refinement::BoundReached(BoundHit {
-                kind: BoundKind::States,
-                at: visited.len() as u64,
-            });
-        }
-        if depth >= cfg.max_depth {
-            stats.depth_prunes += 1;
-            note_bound(&mut bound_hit, BoundKind::Depth, depth as u64);
-            continue;
-        }
+    fn run(mut self, stats: &mut RefineStats) -> Refinement {
+        let cfg = self.cfg;
+        let closure_bound = Refinement::BoundReached(BoundHit {
+            kind: BoundKind::ClosureLimit,
+            at: cfg.closure_limit as u64,
+        });
+        stats.closures += 1;
+        let (imp, spec) = (self.imp.module(), self.spec.module());
+        let spec_init: Vec<Ids> = spec.init().iter().map(|s| self.spec.intern_state(s)).collect();
+        let Some(spec_init) = self.closure(spec_init) else {
+            return closure_bound;
+        };
+        let domain: Vec<u32> = cfg.domain.iter().map(|v| self.values.id(v)).collect();
+        // Ports pair up by position: both modules list the same names in
+        // the same (name) order.
+        let inputs: Vec<(Rel, Rel)> =
+            imp.inputs.values().copied().zip(spec.inputs.values().copied()).collect();
+        let outputs: Vec<(Rel, Rel)> =
+            imp.outputs.values().copied().zip(spec.outputs.values().copied()).collect();
 
-        // Implementation internal steps: the spec set is already closed.
-        for s2 in imp.internal_step(&s) {
-            if s2.max_queue_len() > cfg.queue_cap {
-                stats.queue_prunes += 1;
-                note_bound(&mut bound_hit, BoundKind::QueueCap, s2.max_queue_len() as u64);
+        let mut bound_hit: Option<BoundHit> = None;
+        let note_bound = |slot: &mut Option<BoundHit>, kind: BoundKind, at: u64| {
+            slot.get_or_insert(BoundHit { kind, at });
+        };
+        let mut visited: FxHashSet<(Ids, u32)> = FxHashSet::default();
+        // Depth-first exploration: counterexamples (when they exist) usually sit
+        // deep along one path, and DFS reaches them without materializing every
+        // shallower state first. Completeness up to the bounds is unchanged.
+        let mut stack: Vec<Item> = Vec::new();
+        for i0 in imp.init() {
+            let state = self.imp.intern_state(i0);
+            stack.push(Item { state, set: spec_init, depth: 0, trace: NO_EVENTS });
+        }
+        let mut succs: Vec<Ids> = Vec::new();
+        let mut emitted: Vec<(u32, Ids)> = Vec::new();
+
+        while let Some(item) = stack.pop() {
+            stats.frontier_peak = stats.frontier_peak.max(stack.len() as u64 + 1);
+            if !visited.insert((item.state.clone(), item.set)) {
                 continue;
             }
-            queue.push_back((s2, tset.clone(), depth + 1, trace.clone()));
-        }
+            stats.visited_states = visited.len() as u64;
+            if visited.len() > cfg.max_states {
+                return Refinement::BoundReached(BoundHit {
+                    kind: BoundKind::States,
+                    at: visited.len() as u64,
+                });
+            }
+            if item.depth >= cfg.max_depth {
+                stats.depth_prunes += 1;
+                note_bound(&mut bound_hit, BoundKind::Depth, item.depth as u64);
+                continue;
+            }
+            let depth = item.depth + 1;
+            let mut push = |stack: &mut Vec<Item>, imp: &Stepper, state: Ids, set, trace| {
+                let q = imp.max_queue_len(&state);
+                if q > cfg.queue_cap {
+                    stats.queue_prunes += 1;
+                    note_bound(&mut bound_hit, BoundKind::QueueCap, q as u64);
+                } else {
+                    stack.push(Item { state, set, depth, trace });
+                }
+            };
 
-        // Inputs.
-        for p in imp.input_ports() {
-            for v in &cfg.domain {
-                let succs = imp.inputs[&p](&s, v);
-                if succs.is_empty() {
-                    continue;
-                }
-                let stepped = spec_input_step(spec, &tset, &p, v);
-                stats.closures += 1;
-                let closed = match closure(spec, stepped, cfg.closure_limit) {
-                    Some(c) => c,
-                    None => return closure_bound,
-                };
-                let mut trace2 = trace.clone();
-                trace2.push(Event::In(p.clone(), v.clone()));
-                if closed.is_empty() {
-                    if cfg.well_typed_inputs {
-                        // The spec cannot accept this value at all: a
-                        // well-typed context never provides it.
+            // Implementation internal steps: the spec set is already closed.
+            self.imp.internal_succs(&mut self.values, &item.state, &mut succs);
+            for s2 in succs.drain(..) {
+                push(&mut stack, &self.imp, s2, item.set, item.trace);
+            }
+
+            // Inputs.
+            for (port, &(ri, rs)) in inputs.iter().enumerate() {
+                for &v in &domain {
+                    self.imp.input_succs(&self.values, ri, &item.state, v, &mut succs);
+                    if succs.is_empty() {
                         continue;
                     }
-                    return Refinement::Fails { trace: trace2 };
-                }
-                for s2 in succs {
-                    if s2.max_queue_len() > cfg.queue_cap {
-                        stats.queue_prunes += 1;
-                        note_bound(&mut bound_hit, BoundKind::QueueCap, s2.max_queue_len() as u64);
-                        continue;
+                    let stepped = self.spec_after_input(item.set, rs, v);
+                    stats.closures += 1;
+                    let Some(closed) = self.closure(stepped) else {
+                        return closure_bound;
+                    };
+                    if self.sets[closed as usize].is_empty() {
+                        succs.clear();
+                        if cfg.well_typed_inputs {
+                            // The spec cannot accept this value at all: a
+                            // well-typed context never provides it.
+                            continue;
+                        }
+                        return self.fails(item.trace, Step::In(port, v));
                     }
-                    queue.push_back((s2, closed.clone(), depth + 1, trace2.clone()));
+                    let trace = self.extend(item.trace, Step::In(port, v));
+                    for s2 in succs.drain(..) {
+                        push(&mut stack, &self.imp, s2, closed, trace);
+                    }
+                }
+            }
+
+            // Outputs.
+            for (port, &(ri, rs)) in outputs.iter().enumerate() {
+                self.imp.output_succs(&mut self.values, ri, &item.state, &mut emitted);
+                for (v, s2) in emitted.drain(..) {
+                    let stepped = self.spec_after_output(item.set, rs, v);
+                    stats.closures += 1;
+                    let Some(closed) = self.closure(stepped) else {
+                        return closure_bound;
+                    };
+                    if self.sets[closed as usize].is_empty() {
+                        return self.fails(item.trace, Step::Out(port, v));
+                    }
+                    let trace = self.extend(item.trace, Step::Out(port, v));
+                    stack.push(Item { state: s2, set: closed, depth, trace });
                 }
             }
         }
 
-        // Outputs.
-        for p in imp.output_ports() {
-            for (v, s2) in imp.outputs[&p](&s) {
-                let stepped = spec_output_step(spec, &tset, &p, &v);
-                let mut trace2 = trace.clone();
-                trace2.push(Event::Out(p.clone(), v.clone()));
-                stats.closures += 1;
-                let closed = match closure(spec, stepped, cfg.closure_limit) {
-                    Some(c) => c,
-                    None => return closure_bound,
-                };
-                if closed.is_empty() {
-                    return Refinement::Fails { trace: trace2 };
-                }
-                queue.push_back((s2, closed, depth + 1, trace2));
-            }
+        match bound_hit {
+            Some(hit) => Refinement::BoundReached(hit),
+            None => Refinement::Holds,
         }
     }
 
-    match bound_hit {
-        Some(hit) => Refinement::BoundReached(hit),
-        None => Refinement::Holds,
+    /// The spec states after consuming `v` at input `r` from some state of
+    /// set `set`.
+    fn spec_after_input(&mut self, set: u32, r: Rel, v: u32) -> Vec<Ids> {
+        let set = Rc::clone(&self.sets[set as usize]);
+        let mut out = Vec::new();
+        for t in set.chunks_exact(self.spec.module().slot_count()) {
+            self.spec.input_succs(&self.values, r, t, v, &mut out);
+        }
+        out
+    }
+
+    /// The spec states after emitting `v` at output `r` from some state of
+    /// set `set`.
+    fn spec_after_output(&mut self, set: u32, r: Rel, v: u32) -> Vec<Ids> {
+        let set = Rc::clone(&self.sets[set as usize]);
+        let mut emitted = Vec::new();
+        for t in set.chunks_exact(self.spec.module().slot_count()) {
+            self.spec.output_succs(&mut self.values, r, t, &mut emitted);
+        }
+        emitted.into_iter().filter(|(v2, _)| *v2 == v).map(|(_, t)| t).collect()
+    }
+
+    /// The spec internal closure of `start`, interned. `None` when it
+    /// exceeds the closure limit. Only states the closure adds count
+    /// towards the limit, as in [`closure`].
+    fn closure(&mut self, start: Vec<Ids>) -> Option<u32> {
+        let mut all: FxHashSet<Ids> = FxHashSet::default();
+        let mut frontier: Vec<Ids> = Vec::new();
+        for s in start {
+            if all.insert(s.clone()) {
+                frontier.push(s);
+            }
+        }
+        let mut succs = Vec::new();
+        while let Some(s) = frontier.pop() {
+            self.spec.internal_succs(&mut self.values, &s, &mut succs);
+            for s2 in succs.drain(..) {
+                if !all.contains(&s2) {
+                    all.insert(s2.clone());
+                    if all.len() > self.cfg.closure_limit {
+                        return None;
+                    }
+                    frontier.push(s2);
+                }
+            }
+        }
+        let mut states: Vec<Ids> = all.into_iter().collect();
+        states.sort_unstable();
+        let flat: Vec<u32> = states.concat();
+        if let Some(&id) = self.set_ids.get(&flat[..]) {
+            return Some(id);
+        }
+        let flat: Rc<[u32]> = flat.into();
+        let id = u32::try_from(self.sets.len()).expect("fewer than 2^32 spec-state sets");
+        self.sets.push(Rc::clone(&flat));
+        self.set_ids.insert(flat, id);
+        Some(id)
+    }
+
+    /// A new trace node: `parent`'s events followed by `step`.
+    fn extend(&mut self, parent: u32, step: Step) -> u32 {
+        self.trace.push((parent, step));
+        u32::try_from(self.trace.len() - 1).expect("fewer than 2^32 trace nodes")
+    }
+
+    /// The verdict for a path whose events `parent` end in the unmatched
+    /// event `last`.
+    fn fails(&self, parent: u32, last: Step) -> Refinement {
+        let mut steps = vec![last];
+        let mut node = parent;
+        while node != NO_EVENTS {
+            let (up, step) = self.trace[node as usize];
+            steps.push(step);
+            node = up;
+        }
+        let imp = self.imp.module();
+        let port = |ports: &BTreeMap<PortName, Rel>, k: usize| {
+            ports.keys().nth(k).expect("port index in range").clone()
+        };
+        let trace = steps
+            .into_iter()
+            .rev()
+            .map(|step| match step {
+                Step::In(k, v) => Event::In(port(&imp.inputs, k), self.values.get(v).clone()),
+                Step::Out(k, v) => Event::Out(port(&imp.outputs, k), self.values.get(v).clone()),
+            })
+            .collect();
+        Refinement::Fails { trace }
     }
 }
 
@@ -428,9 +584,9 @@ pub fn check_simulation(
     cfg: &RefineConfig,
 ) -> Refinement {
     let mut queue: VecDeque<(State, State, usize, Vec<Event>)> = VecDeque::new();
-    for i0 in &imp.init {
+    for i0 in imp.init() {
         let mut matched = false;
-        for s0 in &spec.init {
+        for s0 in spec.init() {
             if phi(i0, s0) {
                 matched = true;
                 queue.push_back((i0.clone(), s0.clone(), 0, Vec::new()));
@@ -492,12 +648,12 @@ pub fn check_simulation(
                 return Refinement::Incomparable(format!("spec lacks input port {p}"));
             }
             for v in &cfg.domain {
-                for i2 in imp.inputs[&p](&i, v) {
+                for i2 in imp.input_step(&p, &i, v) {
                     if i2.max_queue_len() > cfg.queue_cap {
                         note_bound(&mut bound_hit, BoundKind::QueueCap, i2.max_queue_len() as u64);
                         continue;
                     }
-                    let after_in = spec_input_step(spec, &[s.clone()].into_iter().collect(), &p, v);
+                    let after_in = spec.input_step(&p, &s, v).into_iter().collect();
                     let closed = match closure(spec, after_in, cfg.closure_limit) {
                         Some(c) => c,
                         None => return closure_bound,
@@ -523,8 +679,12 @@ pub fn check_simulation(
             if !spec.outputs.contains_key(&p) {
                 return Refinement::Incomparable(format!("spec lacks output port {p}"));
             }
-            for (v, i2) in imp.outputs[&p](&i) {
-                let candidates = spec_output_step(spec, &spec_closure, &p, &v);
+            for (v, i2) in imp.output_step(&p, &i) {
+                let candidates: BTreeSet<State> = spec_closure
+                    .iter()
+                    .flat_map(|t| spec.output_step(&p, t))
+                    .filter_map(|(v2, t2)| if v2 == v { Some(t2) } else { None })
+                    .collect();
                 let mut trace2 = trace.clone();
                 trace2.push(Event::Out(p.clone(), v.clone()));
                 let matches: Vec<&State> = candidates.iter().filter(|s2| phi(&i2, s2)).collect();
@@ -609,16 +769,61 @@ mod tests {
             component_module(&CompKind::Constant { value: Value::Int(9) }).rename(&in_map, &out_map)
         };
         let cfg = RefineConfig::with_domain(vec![Value::Int(0)]);
-        let r = check_refinement(&buffer, &constant, &cfg);
-        match r {
-            Refinement::Fails { trace } => {
-                assert_eq!(trace.last(), Some(&Event::Out(PortName::Io(0), Value::Int(0))));
+        let io = PortName::Io(0);
+        assert_eq!(
+            check_refinement(&buffer, &constant, &cfg),
+            Refinement::Fails {
+                trace: vec![
+                    Event::In(io.clone(), Value::Int(0)),
+                    Event::Out(io.clone(), Value::Int(0))
+                ]
             }
-            other => panic!("expected failure, got {other:?}"),
-        }
+        );
         // The constant does not refine the buffer either (it emits 9 after
         // consuming 0).
-        assert!(matches!(check_refinement(&constant, &buffer, &cfg), Refinement::Fails { .. }));
+        assert_eq!(
+            check_refinement(&constant, &buffer, &cfg),
+            Refinement::Fails {
+                trace: vec![Event::In(io.clone(), Value::Int(0)), Event::Out(io, Value::Int(9))]
+            }
+        );
+    }
+
+    #[test]
+    fn counterexample_trace_crosses_connect_steps() {
+        // Three chained buffers against two buffers feeding a constant 9:
+        // the chain's first output echoes an input, which the constant
+        // never does. The counterexample is the first failing path of the
+        // depth-first exploration, with the internal (connect) steps that
+        // carried the tokens down the chain erased from the trace.
+        let buffer = || CompKind::Buffer { slots: 1, transparent: false };
+        let chain = |last: CompKind, last_in: &str| {
+            let expr = ExprLow::product_of(vec![
+                ExprLow::base("b0", buffer()),
+                ExprLow::base("b1", buffer()),
+                ExprLow::base("b2", last),
+            ])
+            .connect_all([
+                (PortName::local("b0", "out"), PortName::local("b1", "in")),
+                (PortName::local("b1", "out"), PortName::local("b2", last_in)),
+            ]);
+            denote(&expr, &Env::standard())
+        };
+        let three = chain(buffer(), "in");
+        let to_constant = chain(CompKind::Constant { value: Value::Int(9) }, "ctrl");
+        let cfg = RefineConfig::with_domain(vec![Value::Int(0), Value::Int(1)]);
+        let feed = Event::In(PortName::local("b0", "in"), Value::Int(1));
+        assert_eq!(
+            check_refinement(&three, &to_constant, &cfg),
+            Refinement::Fails {
+                trace: vec![
+                    feed.clone(),
+                    feed.clone(),
+                    feed,
+                    Event::Out(PortName::local("b2", "out"), Value::Int(1)),
+                ]
+            }
+        );
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Module states.
 //!
-//! The denotation of an ExprLow expression is a module whose state mirrors
-//! the expression structure: a base component contributes a [`CompState`]
-//! leaf, and a product `e₁ ⊗ e₂` pairs the states of its operands (§4.5 of
-//! the paper). States are ordinary values with structural equality so the
-//! refinement checker can store them in sets.
+//! The denotation of an ExprLow expression is a flat module: every base
+//! component contributes one slot holding a [`CompState`] leaf, and a
+//! product `e₁ ⊗ e₂` concatenates the slots of its operands (the paired
+//! state of §4.5 of the paper). States are ordinary values with structural
+//! equality so they can be compared and stored in sets.
 
 use graphiti_ir::{Tag, Value};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -83,53 +83,48 @@ impl CompState {
     }
 }
 
-/// A module state: a leaf per base component, paired along products.
+/// A module state: one [`CompState`] per slot, in slot order.
+///
+/// A module is a flat product of base components (see
+/// [`Module`](crate::Module)): `⟦e₁ ⊗ e₂⟧` concatenates the slots of its
+/// operands, so the paired state `(s₁, s₂)` of §4.5 is the concatenation of
+/// their leaf vectors.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum State {
-    /// The state of a single component.
-    Leaf(CompState),
-    /// The paired state of a product of two circuits.
-    Pair(Box<State>, Box<State>),
-}
+pub struct State(Box<[CompState]>);
 
 impl State {
-    /// Pairs two states.
-    pub fn pair(a: State, b: State) -> State {
-        State::Pair(Box::new(a), Box::new(b))
+    /// A state with the given leaves, one per slot.
+    pub fn new(leaves: Vec<CompState>) -> State {
+        State(leaves.into_boxed_slice())
+    }
+
+    /// The paired state of a product: the leaves of `a` followed by those
+    /// of `b`.
+    pub(crate) fn pair(a: &State, b: &State) -> State {
+        State(a.0.iter().chain(b.0.iter()).cloned().collect())
+    }
+
+    /// All component leaf states, in slot order.
+    pub fn leaves(&self) -> &[CompState] {
+        &self.0
+    }
+
+    /// This state with slot `slot` replaced by `leaf`.
+    pub(crate) fn with(&self, slot: usize, leaf: CompState) -> State {
+        let mut leaves = self.0.clone();
+        leaves[slot] = leaf;
+        State(leaves)
     }
 
     /// The length of the longest queue anywhere in the state, used by the
     /// refinement checker to bound exploration.
     pub fn max_queue_len(&self) -> usize {
-        match self {
-            State::Leaf(c) => c.max_queue_len(),
-            State::Pair(a, b) => a.max_queue_len().max(b.max_queue_len()),
-        }
+        self.0.iter().map(CompState::max_queue_len).max().unwrap_or(0)
     }
 
     /// Total number of tokens resident in the circuit.
     pub fn token_count(&self) -> usize {
-        match self {
-            State::Leaf(c) => c.token_count(),
-            State::Pair(a, b) => a.token_count() + b.token_count(),
-        }
-    }
-
-    /// All component leaf states, left to right.
-    pub fn leaves(&self) -> Vec<&CompState> {
-        let mut out = Vec::new();
-        self.collect_leaves(&mut out);
-        out
-    }
-
-    fn collect_leaves<'a>(&'a self, out: &mut Vec<&'a CompState>) {
-        match self {
-            State::Leaf(c) => out.push(c),
-            State::Pair(a, b) => {
-                a.collect_leaves(out);
-                b.collect_leaves(out);
-            }
-        }
+        self.0.iter().map(CompState::token_count).sum()
     }
 
     /// All values resident anywhere in the state (queues, pending/done maps).
@@ -153,10 +148,14 @@ impl State {
 
 impl fmt::Display for State {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            State::Leaf(c) => write!(f, "{c:?}"),
-            State::Pair(a, b) => write!(f, "({a}, {b})"),
+        f.write_str("(")?;
+        for (i, leaf) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(", ")?;
+            }
+            write!(f, "{leaf:?}")?;
         }
+        f.write_str(")")
     }
 }
 
@@ -170,7 +169,11 @@ mod tests {
         qs[0].push_back(Value::Int(1));
         qs[0].push_back(Value::Int(2));
         qs[1].push_back(Value::Int(3));
-        let s = State::pair(State::Leaf(CompState::Queues(qs)), State::Leaf(CompState::queues(1)));
+        let s = State::pair(
+            &State::new(vec![CompState::Queues(qs)]),
+            &State::new(vec![CompState::queues(1)]),
+        );
+        assert_eq!(s.leaves().len(), 2);
         assert_eq!(s.max_queue_len(), 2);
         assert_eq!(s.token_count(), 3);
     }
@@ -184,8 +187,8 @@ mod tests {
 
     #[test]
     fn states_are_ordered_and_hashable() {
-        let a = State::Leaf(CompState::queues(1));
-        let b = State::Leaf(CompState::queues(2));
+        let a = State::new(vec![CompState::queues(1)]);
+        let b = State::new(vec![CompState::queues(2)]);
         let mut set = BTreeSet::new();
         set.insert(a.clone());
         set.insert(b);

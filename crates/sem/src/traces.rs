@@ -31,7 +31,7 @@ pub fn bounded_traces(
     // per trace; visited pairs bound the recursion.
     let mut visited: BTreeSet<(State, Vec<Event>)> = BTreeSet::new();
     let mut stack: Vec<(State, Vec<Event>)> =
-        m.init.iter().map(|s| (s.clone(), Vec::new())).collect();
+        m.init().iter().map(|s| (s.clone(), Vec::new())).collect();
     while let Some((s, trace)) = stack.pop() {
         if !visited.insert((s.clone(), trace.clone())) {
             continue;
@@ -45,9 +45,9 @@ pub fn bounded_traces(
         if trace.len() >= max_events {
             continue;
         }
-        for (p, f) in &m.inputs {
+        for p in m.inputs.keys() {
             for v in domain {
-                for s2 in f(&s, v) {
+                for s2 in m.input_step(p, &s, v) {
                     if s2.max_queue_len() > queue_cap {
                         continue;
                     }
@@ -58,8 +58,8 @@ pub fn bounded_traces(
                 }
             }
         }
-        for (p, f) in &m.outputs {
-            for (v, s2) in f(&s) {
+        for p in m.outputs.keys() {
+            for (v, s2) in m.output_step(p, &s) {
                 let mut t2 = trace.clone();
                 t2.push(Event::Out(p.clone(), v));
                 traces.insert(t2.clone());

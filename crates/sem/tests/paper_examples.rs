@@ -8,7 +8,7 @@
 //! combinators and check each intermediate behaviour.
 
 use graphiti_ir::{CompKind, ExprLow, Op, PortName, Value};
-use graphiti_sem::{component_module, denote, Env, State};
+use graphiti_sem::{component_module, denote, Env};
 use std::collections::BTreeMap;
 
 fn local(a: &str, b: &str) -> PortName {
@@ -20,16 +20,16 @@ fn local(a: &str, b: &str) -> PortName {
 #[test]
 fn fork_module_relations() {
     let m = component_module(&CompKind::Fork { ways: 2 });
-    let s0 = m.init[0].clone();
+    let s0 = m.init()[0].clone();
     // in0: enq to both lists.
-    let s1 = m.inputs[&local("", "in")](&s0, &Value::Int(6)).remove(0);
-    let s2 = m.inputs[&local("", "in")](&s1, &Value::Int(4)).remove(0);
+    let s1 = m.input_step(&local("", "in"), &s0, &Value::Int(6)).remove(0);
+    let s2 = m.input_step(&local("", "in"), &s1, &Value::Int(4)).remove(0);
     // out0 dequeues list 1 in FIFO order, independently of out1.
-    let (v, s3) = m.outputs[&local("", "out0")](&s2).remove(0);
+    let (v, s3) = m.output_step(&local("", "out0"), &s2).remove(0);
     assert_eq!(v, Value::Int(6));
-    let (v, _) = m.outputs[&local("", "out0")](&s3).remove(0);
+    let (v, _) = m.output_step(&local("", "out0"), &s3).remove(0);
     assert_eq!(v, Value::Int(4));
-    let (v, _) = m.outputs[&local("", "out1")](&s3).remove(0);
+    let (v, _) = m.output_step(&local("", "out1"), &s3).remove(0);
     assert_eq!(v, Value::Int(6), "list 2 still holds the first element");
 }
 
@@ -38,13 +38,16 @@ fn fork_module_relations() {
 #[test]
 fn mod_module_relations() {
     let m = component_module(&CompKind::Operator { op: Op::Mod });
-    let s0 = m.init[0].clone();
-    let s1 = m.inputs[&local("", "in0")](&s0, &Value::Int(17)).remove(0);
-    assert!(m.outputs[&local("", "out")](&s1).is_empty(), "no output until both operands arrived");
-    let s2 = m.inputs[&local("", "in1")](&s1, &Value::Int(5)).remove(0);
-    let (v, s3) = m.outputs[&local("", "out")](&s2).remove(0);
+    let s0 = m.init()[0].clone();
+    let s1 = m.input_step(&local("", "in0"), &s0, &Value::Int(17)).remove(0);
+    assert!(
+        m.output_step(&local("", "out"), &s1).is_empty(),
+        "no output until both operands arrived"
+    );
+    let s2 = m.input_step(&local("", "in1"), &s1, &Value::Int(5)).remove(0);
+    let (v, s3) = m.output_step(&local("", "out"), &s2).remove(0);
     assert_eq!(v, Value::Int(2), "first₁ % first₂");
-    assert!(m.outputs[&local("", "out")](&s3).is_empty(), "both operands consumed");
+    assert!(m.output_step(&local("", "out"), &s3).is_empty(), "both operands consumed");
 }
 
 /// §4.5: the full Fig. 6 denotation: ⟦fork ⊗ mod⟧ with the connections
@@ -67,13 +70,14 @@ fn fig6_denotation_behaviour() {
     // connects removed four ports and added two internal transitions.
     assert_eq!(m.input_ports(), vec![local("f", "in")]);
     assert_eq!(m.output_ports(), vec![local("m", "out")]);
-    assert_eq!(m.internals.len(), 2);
+    assert_eq!(m.internal_count(), 2);
 
-    // The state is the product of the two component states.
-    assert!(matches!(m.init[0], State::Pair(_, _)));
+    // The state is the product of the two component states: one leaf per
+    // component.
+    assert_eq!(m.init()[0].leaves().len(), 2);
 
     // Behaviour: in(9); τ; τ; out(0).
-    let s = m.inputs[&local("f", "in")](&m.init[0], &Value::Int(9)).remove(0);
+    let s = m.input_step(&local("f", "in"), &m.init()[0], &Value::Int(9)).remove(0);
     // `modforkconn`-style steps: each internal transition moves one forked
     // copy into a modulo operand queue.
     let mut frontier = vec![s];
@@ -81,7 +85,7 @@ fn fig6_denotation_behaviour() {
     for _ in 0..4 {
         let mut next = Vec::new();
         for st in &frontier {
-            outputs.extend(m.outputs[&local("m", "out")](st).into_iter().map(|(v, _)| v));
+            outputs.extend(m.output_step(&local("m", "out"), st).into_iter().map(|(v, _)| v));
             next.extend(m.internal_step(st));
         }
         if next.is_empty() {
@@ -90,7 +94,7 @@ fn fig6_denotation_behaviour() {
         frontier = next;
     }
     for st in &frontier {
-        outputs.extend(m.outputs[&local("m", "out")](st).into_iter().map(|(v, _)| v));
+        outputs.extend(m.output_step(&local("m", "out"), st).into_iter().map(|(v, _)| v));
     }
     assert!(outputs.contains(&Value::Int(0)), "9 % 9 = 0 after the internal steps: {outputs:?}");
 }
@@ -111,7 +115,7 @@ fn connect_is_atomic() {
         (local("f", "out1"), local("m", "in1")),
     ]);
     let m = denote(&expr, &Env::standard());
-    let s = m.inputs[&local("f", "in")](&m.init[0], &Value::Int(9)).remove(0);
+    let s = m.input_step(&local("f", "in"), &m.init()[0], &Value::Int(9)).remove(0);
     let succs = m.internal_step(&s);
     assert_eq!(succs.len(), 2, "one fused step per connection");
     for s2 in &succs {
@@ -138,7 +142,7 @@ fn denotation_is_compositional() {
         denote(&product, &Env::standard()).connect(&local("f", "out0"), &local("m", "in0"));
     assert_eq!(via_expr.input_ports(), via_combinator.input_ports());
     assert_eq!(via_expr.output_ports(), via_combinator.output_ports());
-    assert_eq!(via_expr.internals.len(), via_combinator.internals.len());
+    assert_eq!(via_expr.internal_count(), via_combinator.internal_count());
     // Behavioural spot check on a shared input.
     let feeds: BTreeMap<PortName, Vec<Value>> =
         [(local("f", "in"), vec![Value::Int(8)]), (local("m", "in1"), vec![Value::Int(3)])]

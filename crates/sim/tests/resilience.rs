@@ -3,16 +3,18 @@
 //! cancellation, deterministic fault injection into the fire paths and the
 //! artifact cache, and the compiled-artifact cache's LRU bound.
 //!
-//! Failpoint configuration is process-global, so the tests that arm it
-//! serialize on a local mutex and always clear the schedule on exit (the
-//! guard pattern survives assertion panics).
+//! Failpoint configuration is process-global, so every test here that
+//! simulates or compiles serializes on a local mutex (a sibling's armed
+//! schedule would otherwise inject into its run), and the tests that arm
+//! it always clear the schedule on exit (the guard pattern survives
+//! assertion panics).
 
 use graphiti_ir::{ep, CompKind, ExprHigh, Value};
 use graphiti_sim::{simulate, Memory, Scheduler, SimConfig, SimError};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Serializes the failpoint-arming tests in this binary.
+/// Serializes the tests in this binary around the failpoint schedule.
 fn fp_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     match LOCK.get_or_init(|| Mutex::new(())).lock() {
@@ -55,6 +57,7 @@ fn deadlock_kernel() -> ExprHigh {
 
 #[test]
 fn deadlock_is_reported_identically_on_all_three_schedulers() {
+    let _serial = fp_lock();
     let g = deadlock_kernel();
     let mut reports = Vec::new();
     for sched in [Scheduler::EventDriven, Scheduler::ReferenceSweep, Scheduler::Compiled] {
@@ -99,6 +102,7 @@ fn deadlock_is_reported_identically_on_all_three_schedulers() {
 fn without_the_window_the_deadlock_kernel_just_finishes_short() {
     // Detection off (the default): quiescence with frozen tokens is an
     // ordinary finish with leftovers, preserving pre-existing behavior.
+    let _serial = fp_lock();
     let g = deadlock_kernel();
     let r = simulate(
         &g,
@@ -125,6 +129,7 @@ fn healthy_kernel() -> ExprHigh {
 
 #[test]
 fn pre_tripped_token_cancels_every_scheduler() {
+    let _serial = fp_lock();
     let g = healthy_kernel();
     for sched in [Scheduler::EventDriven, Scheduler::ReferenceSweep, Scheduler::Compiled] {
         let token = graphiti_obs::CancelToken::new();
@@ -194,7 +199,10 @@ fn corrupted_cache_reads_are_quarantined_and_recompiled() {
 fn artifact_cache_is_bounded_by_lru_eviction() {
     // 300 distinct circuits (disambiguated by buffer depth) overflow the
     // 256-entry cap no matter what other tests have inserted; the cache
-    // must evict rather than grow without bound.
+    // must evict rather than grow without bound. Serialised with the
+    // failpoint tests: a sibling arming `compile.lower` would otherwise
+    // fail these lowerings.
+    let _serial = fp_lock();
     let (ev0, _, _, _) = graphiti_sim::compile_cache_detail();
     let cfg = SimConfig { scheduler: Scheduler::Compiled, ..Default::default() };
     for slots in 0..300usize {

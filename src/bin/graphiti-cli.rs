@@ -30,7 +30,9 @@
 //! inline while the pipeline runs; `--checked-deferred` collects the
 //! obligations instead and discharges the whole batch on worker threads
 //! after the (sequential) rewriting finishes — same verdicts, and the
-//! independent checks overlap.
+//! independent checks overlap. A deferred batch that finds no violation
+//! is summarised as a verdict tally, e.g. `4 hold, 11 bounded (states 2,
+//! queue_cap 9), 0 fail`: a check that stopped at a bound is not a proof.
 //!
 //! `--metrics-out FILE` / `--openmetrics-out FILE` / `--trace-out FILE`
 //! install the `graphiti-obs` collection sink and write a metrics JSON
@@ -406,7 +408,8 @@ fn discharge_deferred(
             v.rewrite, v.verdict
         ));
     }
-    eprintln!("graphiti-cli: {context}: discharged {n} deferred obligations in parallel; all hold");
+    let tally = graphiti::rewrite::verify::Tally::of(&verdicts);
+    eprintln!("graphiti-cli: {context}: discharged {n} deferred obligations in parallel: {tally}");
     Ok(())
 }
 

@@ -145,7 +145,14 @@ fn cli_checked_deferred_discharges_in_parallel() {
     let (stdout, stderr, ok) = run_cli(SEQUENTIAL_LOOP, &["--tags", "4", "--checked-deferred"]);
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("type=\"tagger\""), "{stdout}");
-    assert!(stderr.contains("deferred obligations in parallel; all hold"), "{stderr}");
+    // Both obligations stop at the queue cap: the summary must say
+    // "bounded", never that they hold.
+    assert!(
+        stderr.contains(
+            "discharged 2 deferred obligations in parallel: 0 hold, 2 bounded (queue_cap 2), 0 fail"
+        ),
+        "{stderr}"
+    );
 }
 
 #[test]

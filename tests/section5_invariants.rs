@@ -55,7 +55,7 @@ fn loops(tags: u32) -> (ExprHigh, ExprHigh) {
 fn tagger_state(s: &State) -> &graphiti_sem::TaggerState {
     let taggers: Vec<_> = s
         .leaves()
-        .into_iter()
+        .iter()
         .filter_map(|l| match l {
             CompState::Tagger(t) => Some(t),
             _ => None,
@@ -119,7 +119,7 @@ fn psi_preserved_walk(tags: u32, inputs: &[i64], seed: u64) {
     let (_, ooo) = loops(tags);
     let (m, _) = denote_graph(&ooo, &Env::standard()).unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut state = m.init[0].clone();
+    let mut state = m.init()[0].clone();
     psi(&state, tags);
     let mut pending: Vec<Value> = inputs.iter().rev().map(|x| Value::Int(*x)).collect();
     let in_port = PortName::Io(0);
@@ -127,11 +127,11 @@ fn psi_preserved_walk(tags: u32, inputs: &[i64], seed: u64) {
     for _ in 0..3000 {
         let mut actions: Vec<State> = Vec::new();
         if let Some(v) = pending.last() {
-            actions.extend(m.inputs[&in_port](&state, v));
+            actions.extend(m.input_step(&in_port, &state, v));
         }
         let n_input_actions = actions.len();
         actions.extend(m.internal_step(&state));
-        let outputs: Vec<(Value, State)> = m.outputs[&out_port](&state);
+        let outputs: Vec<(Value, State)> = m.output_step(&out_port, &state);
         let n_before_outputs = actions.len();
         actions.extend(outputs.into_iter().map(|(_, s)| s));
         if actions.is_empty() {
