@@ -210,9 +210,10 @@ fn bench_egraph(c: &mut Criterion) {
 
 /// The compiled backend's compile-once/simulate-many economics: what a
 /// cold lowering costs, what a warm (content-hash cache hit) compiled
-/// run costs, and the event-driven run it displaces. After the criterion
-/// rows, a quick wall-clock estimate prints the amortisation point — the
-/// number of simulations at which the lowering has paid for itself.
+/// run costs, and the reference-sweep run it displaces. After the
+/// criterion rows, a quick wall-clock estimate prints the amortisation
+/// point — the number of simulations at which the lowering has paid for
+/// itself.
 fn bench_compile_backend(c: &mut Criterion) {
     let _obs = ObsScope::new("compile_backend");
     let p = suite::matvec(8);
@@ -222,6 +223,7 @@ fn bench_compile_backend(c: &mut Criterion) {
     let feeds: BTreeMap<String, Vec<Value>> =
         [("start".to_string(), vec![Value::Unit])].into_iter().collect();
     let compiled_cfg = SimConfig { scheduler: Scheduler::Compiled, ..SimConfig::default() };
+    let sweep_cfg = SimConfig { scheduler: Scheduler::ReferenceSweep, ..SimConfig::default() };
 
     let mut group = c.benchmark_group("compile_backend");
     group.bench_function("compile_cold", |b| {
@@ -238,10 +240,10 @@ fn bench_compile_backend(c: &mut Criterion) {
             black_box(r.cycles);
         })
     });
-    group.bench_function("event_driven_run", |b| {
+    group.bench_function("reference_sweep_run", |b| {
         b.iter(|| {
-            let r = simulate(&placed, &feeds, p.arrays.clone(), SimConfig::default())
-                .expect("simulates");
+            let r =
+                simulate(&placed, &feeds, p.arrays.clone(), sweep_cfg.clone()).expect("simulates");
             black_box(r.cycles);
         })
     });
@@ -263,24 +265,24 @@ fn bench_compile_backend(c: &mut Criterion) {
     let t_warm = time(&mut || {
         simulate(&placed, &feeds, p.arrays.clone(), compiled_cfg.clone()).expect("simulates");
     });
-    let t_event = time(&mut || {
-        simulate(&placed, &feeds, p.arrays.clone(), SimConfig::default()).expect("simulates");
+    let t_sweep = time(&mut || {
+        simulate(&placed, &feeds, p.arrays.clone(), sweep_cfg.clone()).expect("simulates");
     });
-    if t_event > t_warm {
+    if t_sweep > t_warm {
         println!(
             "compile_backend: lowering {:.1}us amortises after {:.1} simulations \
-             (event-driven {:.1}us/run, compiled warm {:.1}us/run)",
+             (reference sweep {:.1}us/run, compiled warm {:.1}us/run)",
             t_compile * 1e6,
-            t_compile / (t_event - t_warm),
-            t_event * 1e6,
+            t_compile / (t_sweep - t_warm),
+            t_sweep * 1e6,
             t_warm * 1e6,
         );
     } else {
         println!(
-            "compile_backend: compiled warm run ({:.1}us) not faster than event-driven \
-             ({:.1}us) on this host; lowering cost {:.1}us never amortises",
+            "compile_backend: compiled warm run ({:.1}us) not faster than the reference \
+             sweep ({:.1}us) on this host; lowering cost {:.1}us never amortises",
             t_warm * 1e6,
-            t_event * 1e6,
+            t_sweep * 1e6,
             t_compile * 1e6,
         );
     }

@@ -2,8 +2,8 @@
 //!
 //! The simulator inner loop is the hottest path in the repository; the
 //! observability layer's promise (DESIGN.md) is that with no sink
-//! installed its entire footprint is one relaxed atomic load at
-//! `Simulator::new` time, so the disabled numbers here must stay within
+//! installed its entire footprint is one relaxed atomic load when a run
+//! starts, so the disabled numbers here must stay within
 //! ~2% of a build without the instrumentation at all. The enabled
 //! numbers quantify what a profile costs when you do ask for one.
 //!
@@ -12,11 +12,10 @@
 //! `sim/waveform_enabled` line prices the cycle-accurate VCD recorder
 //! and stall attribution against the same disabled baseline,
 //! `sim/flight_enabled` prices the flight recorder's ring writes on the
-//! same macro path, `sim/compiled_cache_hit` prices the compiled
-//! backend's per-run content-hash lookup on its warm (artifact already
-//! cached) path, and `sim/compiled_telemetry` prices the scope unit —
-//! per-cycle frame capture plus the post-run waveform/stall decode — on
-//! top of that warm path.
+//! same macro path. These rows run the default (compiled) core;
+//! `sim/compiled_cache_hit` names it explicitly on its warm (artifact
+//! already cached) path, and `sim/compiled_telemetry` prices waveform
+//! capture plus stall attribution on top of that warm path.
 //!
 //! The `robust/*` group prices the resilience layer:
 //! `robust/failpoints_disabled` is an unarmed injection-site check (the
@@ -99,8 +98,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
 
     // The compiled backend's warm path: every simulate call re-hashes the
     // circuit and looks the artifact up in the content-addressed cache, so
-    // this row prices content-key + cache hit + compiled run against the
-    // interpreted `obs_disabled` baseline.
+    // this row prices content-key + cache hit + compiled run.
     let compiled_cfg =
         SimConfig { scheduler: graphiti_sim::Scheduler::Compiled, ..SimConfig::default() };
     graphiti_sim::compile_cache_clear();
@@ -113,20 +111,18 @@ fn bench_obs_overhead(c: &mut Criterion) {
         })
     });
 
-    // The compiled backend with the scope armed: per-active-cycle frame
-    // capture plus the post-run waveform/stall decode. The delta against
-    // `compiled_cache_hit` prices full-fidelity telemetry; the
-    // telemetry-off row above is the zero-overhead contract.
-    let telemetry_cfg = SimConfig {
+    // The compiled backend with waveform capture and stall attribution on.
+    // The delta against `compiled_cache_hit` prices full-fidelity
+    // observation; the unobserved row above is the zero-overhead contract.
+    let observed_cfg = SimConfig {
         scheduler: graphiti_sim::Scheduler::Compiled,
-        telemetry: true,
         waveform: true,
         attribute_stalls: true,
         ..SimConfig::default()
     };
     group.bench_function("compiled_telemetry", |b| {
         b.iter(|| {
-            let r = simulate(&placed, &feeds, p.arrays.clone(), telemetry_cfg.clone())
+            let r = simulate(&placed, &feeds, p.arrays.clone(), observed_cfg.clone())
                 .expect("simulates");
             black_box(r.waveform.as_ref().map(String::len));
         })

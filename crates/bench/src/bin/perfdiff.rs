@@ -28,13 +28,14 @@
 //!   skipped (the reason is printed instead) — rebaselining exists
 //!   precisely because the honest new numbers differ.
 //!
-//! Reports carry an optional top-level `"scheduler"` member naming the
-//! simulation backend (`table2 --scheduler`); a missing member means
-//! `event-driven`. When the two reports come from *different* backends
-//! the deltas are still printed for inspection but never gated — raw
-//! cycle counts are only comparable within one backend — and the emitted
-//! trajectory entry is tagged with the current report's backend so
-//! `perftrend` keeps the series separate too.
+//! Reports carry a top-level `"scheduler"` member naming the simulation
+//! backend (`table2 --scheduler`, default `compiled`). A report without
+//! one is rejected rather than assumed to come from some backend: when
+//! the two reports come from *different* backends the deltas are still
+//! printed for inspection but never gated — raw cycle counts are only
+//! comparable within one backend — so a guessed backend could silently
+//! switch the gate off. The emitted trajectory entry is tagged with the
+//! current report's backend so `perftrend` keeps the series separate too.
 
 use graphiti_bench::jsonin::{parse, Json};
 use graphiti_bench::trend;
@@ -43,7 +44,7 @@ use std::process::exit;
 /// Everything perfdiff extracts from one report document.
 struct Report {
     /// Simulation backend the report was produced under (`"scheduler"`
-    /// member; absent means the default event-driven backend).
+    /// member).
     backend: String,
     /// `benchmark/flow` → cycles, in document order.
     cycles: Vec<(String, u64)>,
@@ -81,8 +82,13 @@ fn load(path: &str) -> Report {
             }
         }
     }
-    let backend =
-        doc.get("scheduler").and_then(Json::as_str).unwrap_or(trend::DEFAULT_BACKEND).to_string();
+    let Some(backend) = doc.get("scheduler").and_then(Json::as_str).map(str::to_string) else {
+        eprintln!(
+            "perfdiff: `{path}` has no \"scheduler\" member naming its simulation backend; \
+             regenerate it with `table2 --json` or `report --json`"
+        );
+        exit(2);
+    };
     let wall_seconds = doc.get("wall_seconds").and_then(Json::as_f64);
     let mut sched = Vec::new();
     let mut stall = Vec::new();

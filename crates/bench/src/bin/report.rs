@@ -12,7 +12,10 @@
 //! * `--metrics-dir DIR` — run each benchmark with the obs sink enabled
 //!   and write one `DIR/<bench>.metrics.json` profile per benchmark run.
 
-use graphiti_bench::{ablations, evaluate, evaluate_suite, json, suite, tables, BenchResult};
+use graphiti_bench::{
+    ablations, backend_name, evaluate, evaluate_suite, json, suite, tables, BenchResult,
+};
+use graphiti_sim::Scheduler;
 use std::time::Instant;
 
 fn render_tables(results: &[BenchResult], to_stderr: bool) {
@@ -84,7 +87,8 @@ fn main() {
     if json_out {
         // With --metrics-dir the registry only holds the last benchmark,
         // so the combined document omits the (misleading) aggregate.
-        print!("{}", json::report_json(&results, wall, metrics_dir.is_none()));
+        let backend = backend_name(Scheduler::default());
+        print!("{}", json::report_json_for(&results, wall, metrics_dir.is_none(), backend));
         render_tables(&results, true);
     } else {
         render_tables(&results, false);

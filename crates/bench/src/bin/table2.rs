@@ -10,10 +10,10 @@
 //!   alongside the table numbers and harness wall-clock, in the shape
 //!   `perfdiff` consumes).
 //! * `--small` — run the reduced-size suite (CI perf smoke).
-//! * `--scheduler NAME` — simulate under `event-driven` (default),
-//!   `reference-sweep`, or `compiled`. The cycle counts are bit-identical
-//!   across backends; the JSON report is stamped with a top-level
-//!   `"scheduler"` member so `perfdiff` keeps the trajectories separate.
+//! * `--scheduler NAME` — simulate under `compiled` (default) or
+//!   `reference-sweep`. The cycle counts are bit-identical across
+//!   backends; the JSON report is stamped with a top-level `"scheduler"`
+//!   member so `perfdiff` keeps the trajectories separate.
 
 use graphiti_bench::{backend_name, evaluate_suite_with, json, small_suite, suite, tables};
 use graphiti_sim::Scheduler;
@@ -22,7 +22,7 @@ use std::time::Instant;
 fn main() {
     let mut json_out = false;
     let mut small = false;
-    let mut scheduler = Scheduler::EventDriven;
+    let mut scheduler = Scheduler::default();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -30,13 +30,11 @@ fn main() {
             "--small" => small = true,
             "--scheduler" => {
                 scheduler = match it.next().as_deref() {
-                    Some("event-driven") => Scheduler::EventDriven,
                     Some("reference-sweep") => Scheduler::ReferenceSweep,
                     Some("compiled") => Scheduler::Compiled,
                     other => {
                         eprintln!(
-                            "--scheduler needs one of event-driven|reference-sweep|compiled, \
-                             got {other:?}"
+                            "--scheduler needs one of reference-sweep|compiled, got {other:?}"
                         );
                         std::process::exit(2);
                     }

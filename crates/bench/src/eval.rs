@@ -161,7 +161,6 @@ pub const CP_TARGET_NS: f64 = 6.5;
 /// reports and `BENCH_sim.json` trajectory entries.
 pub fn backend_name(scheduler: Scheduler) -> &'static str {
     match scheduler {
-        Scheduler::EventDriven => "event-driven",
         Scheduler::ReferenceSweep => "reference-sweep",
         Scheduler::Compiled => "compiled",
     }
@@ -169,10 +168,9 @@ pub fn backend_name(scheduler: Scheduler) -> &'static str {
 
 /// Runs a sequence of kernel graphs against shared memory, returning
 /// `(total cycles, max clock period, total area, final memory, stalls)`.
-/// Stall attribution is on for every scheduler — the interpreting cores
-/// walk waiting node-cycles in place, while the compiled backend records
-/// scope frames (`SimConfig::telemetry`) and decodes an identical report
-/// post-run — so every `--json` report embeds the cause summary.
+/// Stall attribution is on for every scheduler (both walk waiting
+/// node-cycles through the same observer), so every `--json` report
+/// embeds the cause summary.
 fn run_dataflow(
     graphs: &[ExprHigh],
     initial: Memory,
@@ -189,12 +187,7 @@ fn run_dataflow(
         area = area + circuit_area(&placed);
         let feeds: BTreeMap<String, Vec<Value>> =
             [("start".to_string(), vec![Value::Unit])].into_iter().collect();
-        let cfg = SimConfig {
-            attribute_stalls: true,
-            scheduler,
-            telemetry: scheduler == Scheduler::Compiled,
-            ..SimConfig::default()
-        };
+        let cfg = SimConfig { attribute_stalls: true, scheduler, ..SimConfig::default() };
         let r = simulate(&placed, &feeds, mem, cfg)?;
         cycles += r.cycles;
         mem = r.memory;
@@ -369,13 +362,11 @@ fn assemble(ctx: &BenchCtx<'_>, outcomes: Vec<(Flow, FlowOutcome)>) -> BenchResu
 /// Fails on compilation or simulation errors; refusals and incorrect
 /// results (the DF-OoO bicg bug) are *recorded*, not errors.
 pub fn evaluate(p: &Program) -> Result<BenchResult, EvalError> {
-    evaluate_with(p, Scheduler::EventDriven)
+    evaluate_with(p, Scheduler::default())
 }
 
 /// Like [`evaluate`], but simulating the dataflow flows under `scheduler`
-/// (the Vericert flow is statically scheduled and unaffected). Stall
-/// summaries are omitted under [`Scheduler::Compiled`], which rejects
-/// per-cycle attribution.
+/// (the Vericert flow is statically scheduled and unaffected).
 ///
 /// # Errors
 ///
@@ -400,7 +391,7 @@ pub fn evaluate_with(p: &Program, scheduler: Scheduler) -> Result<BenchResult, E
 /// Propagates the first benchmark failure, in deterministic (suite, flow)
 /// order.
 pub fn evaluate_suite(suite: &[Program]) -> Result<Vec<BenchResult>, EvalError> {
-    evaluate_suite_with(suite, Scheduler::EventDriven)
+    evaluate_suite_with(suite, Scheduler::default())
 }
 
 /// Like [`evaluate_suite`], but simulating the dataflow flows under
@@ -508,17 +499,16 @@ mod tests {
     }
 
     #[test]
-    fn compiled_backend_matches_event_driven_with_stalls() {
+    fn compiled_backend_matches_the_sweep_with_stalls() {
         let p = suite::matvec(8);
-        let ev = evaluate(&p).unwrap();
-        let co = evaluate_with(&p, Scheduler::Compiled).unwrap();
+        let sw = evaluate_with(&p, Scheduler::ReferenceSweep).unwrap();
+        let co = evaluate(&p).unwrap();
         for flow in [Flow::DfIo, Flow::Graphiti, Flow::DfOoo] {
-            assert_eq!(ev.flows[&flow].cycles, co.flows[&flow].cycles, "{flow}: cycles diverge");
+            assert_eq!(sw.flows[&flow].cycles, co.flows[&flow].cycles, "{flow}: cycles diverge");
             assert!(co.flows[&flow].correct, "{flow}: compiled run incorrect");
-            // The compiled backend attributes via the decoded scope log;
-            // the summary must match the interpreter's exactly.
-            let e = ev.flows[&flow].stalls.as_ref().expect("event-driven attributes");
-            let c = co.flows[&flow].stalls.as_ref().expect("compiled attributes via telemetry");
+            // The summary must match the sweep's exactly.
+            let e = sw.flows[&flow].stalls.as_ref().expect("the sweep attributes");
+            let c = co.flows[&flow].stalls.as_ref().expect("the compiled core attributes");
             assert_eq!(e, c, "{flow}: stall summaries diverge");
             assert_eq!(
                 c.causes.values().sum::<u64>(),
@@ -527,7 +517,7 @@ mod tests {
             );
         }
         // The static flow is untouched by the scheduler choice.
-        assert_eq!(ev.flows[&Flow::Vericert].cycles, co.flows[&Flow::Vericert].cycles);
+        assert_eq!(sw.flows[&Flow::Vericert].cycles, co.flows[&Flow::Vericert].cycles);
     }
 
     #[test]

@@ -49,17 +49,11 @@ pub fn results_with_metrics_json(results: &[BenchResult]) -> String {
 }
 
 /// The full report shape consumed by `perfdiff`: benchmark results, the
-/// harness wall-clock in seconds, and (when `with_metrics`) the current
+/// harness wall-clock in seconds, (when `with_metrics`) the current
 /// `graphiti-obs` registry snapshot with the scheduler-efficiency
-/// counters. Reports produced this way carry no `"scheduler"` member and
-/// are read back as the default `event-driven` backend.
-pub fn report_json(results: &[BenchResult], wall_seconds: f64, with_metrics: bool) -> String {
-    render(results, Some(wall_seconds), None, with_metrics.then(graphiti_obs::metrics_json))
-}
-
-/// Like [`report_json`], but stamping a top-level `"scheduler"` member
-/// with the simulation backend the results were produced under, so
-/// `perfdiff` can refuse to gate cycle counts across backends.
+/// counters, and a top-level `"scheduler"` member naming the simulation
+/// backend the results were produced under, so `perfdiff` can refuse to
+/// gate cycle counts across backends.
 pub fn report_json_for(
     results: &[BenchResult],
     wall_seconds: f64,
@@ -214,7 +208,6 @@ mod tests {
     fn report_for_backend_stamps_the_scheduler_member() {
         let doc = report_json_for(&[sample()], 0.5, false, "compiled");
         assert!(doc.contains("\"scheduler\": \"compiled\""));
-        assert!(!report_json(&[sample()], 0.5, false).contains("\"scheduler\""));
     }
 
     #[test]

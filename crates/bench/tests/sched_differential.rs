@@ -1,11 +1,11 @@
-//! Differential testing of the three simulator schedulers.
+//! Differential testing of the two simulator schedulers.
 //!
-//! The event-driven worklist scheduler and the compiled backend both claim
-//! *exact* equivalence with the retained reference sweep — not just the
-//! same outputs, but the same cycle counts, final memory, and per-node
-//! firing totals. These tests pin that claim against the full seven-kernel
-//! suite (in-order and after the verified out-of-order transformation) and
-//! against randomly generated front-end kernels.
+//! The compiled backend claims *exact* equivalence with the reference
+//! sweep, the executable specification — not just the same outputs, but
+//! the same cycle counts, final memory, per-node firing totals, leftovers,
+//! waveforms, and stall reports. These tests pin that claim against the
+//! full seven-kernel suite (in-order and after the verified out-of-order
+//! transformation) and against randomly generated front-end kernels.
 
 use graphiti_core::{optimize_loop, PipelineOptions};
 use graphiti_frontend::{compile, run_program, Expr, InnerLoop, OuterLoop, Program, StoreStmt};
@@ -27,9 +27,7 @@ fn run_with(
     simulate(g, &start_feed(), mem, cfg).expect("simulation succeeds")
 }
 
-/// One observed run: waveform capture and stall attribution on (with
-/// `telemetry` armed so the compiled backend records and decodes its
-/// scope log instead of rejecting the hooks).
+/// One observed run: waveform capture and stall attribution on.
 fn run_observed(
     g: &graphiti_ir::ExprHigh,
     mem: graphiti_frontend::Memory,
@@ -40,21 +38,24 @@ fn run_observed(
         scheduler,
         waveform: true,
         attribute_stalls: true,
-        telemetry: scheduler == Scheduler::Compiled,
         wave_sample,
         ..SimConfig::default()
     };
     simulate(g, &start_feed(), mem, cfg).expect("observed simulation succeeds")
 }
 
-/// Asserts the compiled backend's decoded telemetry matches the
-/// event-driven scheduler's direct observation: byte-identical VCD,
-/// identical stall report, and per-cause sums equal to the totals.
-fn assert_telemetry_agrees(g: &graphiti_ir::ExprHigh, mem: graphiti_frontend::Memory, what: &str) {
-    let ev = run_observed(g, mem.clone(), Scheduler::EventDriven, 1);
+/// Asserts the compiled backend's observations match the reference
+/// sweep's: byte-identical VCD, identical stall report, and per-cause sums
+/// equal to the totals.
+fn assert_observations_agree(
+    g: &graphiti_ir::ExprHigh,
+    mem: graphiti_frontend::Memory,
+    what: &str,
+) {
+    let sw = run_observed(g, mem.clone(), Scheduler::ReferenceSweep, 1);
     let co = run_observed(g, mem.clone(), Scheduler::Compiled, 1);
-    assert_eq!(ev.waveform, co.waveform, "{what}: VCD documents differ");
-    assert_eq!(ev.stalls, co.stalls, "{what}: stall reports differ");
+    assert_eq!(sw.waveform, co.waveform, "{what}: VCD documents differ");
+    assert_eq!(sw.stalls, co.stalls, "{what}: stall reports differ");
     let report = co.stalls.as_ref().expect("attribution requested");
     assert_eq!(
         report.cause_totals().values().sum::<u64>(),
@@ -62,38 +63,29 @@ fn assert_telemetry_agrees(g: &graphiti_ir::ExprHigh, mem: graphiti_frontend::Me
         "{what}: compiled cause sums diverge from totals"
     );
     // Sampled waveforms agree too (and attribution stays cycle-exact).
-    let evs = run_observed(g, mem.clone(), Scheduler::EventDriven, 5);
+    let sws = run_observed(g, mem.clone(), Scheduler::ReferenceSweep, 5);
     let cos = run_observed(g, mem, Scheduler::Compiled, 5);
-    assert_eq!(evs.waveform, cos.waveform, "{what}: sampled VCDs differ");
+    assert_eq!(sws.waveform, cos.waveform, "{what}: sampled VCDs differ");
     assert_eq!(cos.stalls, co.stalls, "{what}: sampling changed attribution");
 }
 
-/// Asserts the three schedulers agree on every observable of `g`, then
+/// Asserts both schedulers agree on every observable of `g`, then
 /// returns the (common) final memory so kernel sequences can be chained.
 fn assert_schedulers_agree(
     g: &graphiti_ir::ExprHigh,
     mem: graphiti_frontend::Memory,
     what: &str,
 ) -> graphiti_frontend::Memory {
-    let ev = run_with(g, mem.clone(), Scheduler::EventDriven);
     let sw = run_with(g, mem.clone(), Scheduler::ReferenceSweep);
     let co = run_with(g, mem.clone(), Scheduler::Compiled);
-    for (name, r) in [("sweep", &sw), ("compiled", &co)] {
-        assert_eq!(ev.cycles, r.cycles, "{what}: cycles differ vs {name}");
-        assert_eq!(ev.outputs, r.outputs, "{what}: outputs differ vs {name}");
-        assert_eq!(ev.memory, r.memory, "{what}: memory differs vs {name}");
-        assert_eq!(ev.firings, r.firings, "{what}: total firings differ vs {name}");
-        assert_eq!(
-            ev.firings_by_node, r.firings_by_node,
-            "{what}: per-node firings differ vs {name}"
-        );
-        assert_eq!(
-            ev.leftover_tokens, r.leftover_tokens,
-            "{what}: leftover tokens differ vs {name}"
-        );
-    }
-    assert_telemetry_agrees(g, mem, what);
-    ev.memory
+    assert_eq!(sw.cycles, co.cycles, "{what}: cycles differ");
+    assert_eq!(sw.outputs, co.outputs, "{what}: outputs differ");
+    assert_eq!(sw.memory, co.memory, "{what}: memory differs");
+    assert_eq!(sw.firings, co.firings, "{what}: total firings differ");
+    assert_eq!(sw.firings_by_node, co.firings_by_node, "{what}: per-node firings differ");
+    assert_eq!(sw.leftover_tokens, co.leftover_tokens, "{what}: leftover tokens differ");
+    assert_observations_agree(g, mem, what);
+    sw.memory
 }
 
 /// The seven kernels at reduced sizes (the CI smoke sizes plus gcd).
@@ -141,9 +133,9 @@ fn schedulers_agree_on_all_kernels_out_of_order() {
 }
 
 /// Store-queue kernels: multi-site and read-modify-write arrays compile
-/// through a `StoreQueue` that serialises commits in program order. All
-/// three schedulers must execute the queue bit-identically — same cycle
-/// counts, firings, telemetry — and the final memory must match the
+/// through a `StoreQueue` that serialises commits in program order. Both
+/// schedulers must execute the queue bit-identically — same cycle counts,
+/// firings, observations — and the final memory must match the
 /// reference interpreter (the property whose violation the fuzzer's
 /// store-race reproducer originally pinned).
 #[test]
@@ -169,8 +161,8 @@ fn schedulers_agree_on_lsq_kernels() {
 
 /// The verified pipeline must refuse to tag a loop that drives a store
 /// queue (the sequence stream encodes program order, which tagging would
-/// scramble) — and the refused circuit still runs identically on all
-/// three schedulers.
+/// scramble) — and the refused circuit still runs identically on both
+/// schedulers.
 #[test]
 fn lsq_kernels_survive_the_ooo_pipeline_unchanged() {
     let p = graphiti_bench::suite::histogram(2, 4, 3);
@@ -241,24 +233,21 @@ proptest! {
     fn schedulers_agree_on_random_kernels(p in kernel_strategy()) {
         let compiled = compile(&p).unwrap();
         let (placed, _) = place_buffers(&compiled.kernels[0].graph);
-        let ev = run_with(&placed, p.arrays.clone(), Scheduler::EventDriven);
         let sw = run_with(&placed, p.arrays.clone(), Scheduler::ReferenceSweep);
         let co = run_with(&placed, p.arrays.clone(), Scheduler::Compiled);
-        for r in [&sw, &co] {
-            prop_assert_eq!(ev.cycles, r.cycles);
-            prop_assert_eq!(&ev.outputs, &r.outputs);
-            prop_assert_eq!(&ev.memory, &r.memory);
-            prop_assert_eq!(&ev.firings_by_node, &r.firings_by_node);
-            prop_assert_eq!(ev.leftover_tokens, r.leftover_tokens);
-        }
-        // The compiled backend's decoded telemetry must match the
-        // event-driven scheduler's direct observation byte for byte.
-        let evo = run_observed(&placed, p.arrays.clone(), Scheduler::EventDriven, 1);
+        prop_assert_eq!(sw.cycles, co.cycles);
+        prop_assert_eq!(&sw.outputs, &co.outputs);
+        prop_assert_eq!(&sw.memory, &co.memory);
+        prop_assert_eq!(&sw.firings_by_node, &co.firings_by_node);
+        prop_assert_eq!(sw.leftover_tokens, co.leftover_tokens);
+        // The compiled backend's observations must match the sweep's byte
+        // for byte.
+        let swo = run_observed(&placed, p.arrays.clone(), Scheduler::ReferenceSweep, 1);
         let coo = run_observed(&placed, p.arrays.clone(), Scheduler::Compiled, 1);
-        prop_assert_eq!(&evo.waveform, &coo.waveform);
-        prop_assert_eq!(&evo.stalls, &coo.stalls);
-        // And the event-driven run is still *correct*, not just consistent.
+        prop_assert_eq!(&swo.waveform, &coo.waveform);
+        prop_assert_eq!(&swo.stalls, &coo.stalls);
+        // And the compiled run is still *correct*, not just consistent.
         let expected = run_program(&p).unwrap();
-        prop_assert_eq!(&ev.memory["out"], &expected["out"]);
+        prop_assert_eq!(&co.memory["out"], &expected["out"]);
     }
 }

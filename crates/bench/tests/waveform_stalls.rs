@@ -35,23 +35,23 @@ fn run_with(
 }
 
 /// Every kernel of every suite program dumps the same bytes under the
-/// event-driven scheduler as under the reference sweep: the waveform is
-/// a property of the circuit, not of the scheduling core.
+/// compiled backend as under the reference sweep: the waveform is a
+/// property of the circuit, not of the scheduling core.
 #[test]
 fn waveforms_are_byte_identical_across_schedulers_on_the_suite() {
     for p in seven_kernels() {
         let compiled = compile(&p).unwrap();
-        let mut mem_ev = p.arrays.clone();
+        let mut mem_co = p.arrays.clone();
         let mut mem_sw = p.arrays.clone();
         for k in &compiled.kernels {
             let (placed, _) = place_buffers(&k.graph);
             let cfg = |scheduler| SimConfig { waveform: true, scheduler, ..SimConfig::default() };
-            let ev = run_with(&placed, mem_ev, cfg(Scheduler::EventDriven));
+            let co = run_with(&placed, mem_co, cfg(Scheduler::Compiled));
             let sw = run_with(&placed, mem_sw, cfg(Scheduler::ReferenceSweep));
-            let (ev_vcd, sw_vcd) = (ev.waveform.unwrap(), sw.waveform.unwrap());
-            assert!(!ev_vcd.is_empty(), "{}: empty waveform", p.name);
-            assert_eq!(ev_vcd, sw_vcd, "{}: waveform depends on the scheduler", p.name);
-            mem_ev = ev.memory;
+            let (co_vcd, sw_vcd) = (co.waveform.unwrap(), sw.waveform.unwrap());
+            assert!(!co_vcd.is_empty(), "{}: empty waveform", p.name);
+            assert_eq!(co_vcd, sw_vcd, "{}: waveform depends on the scheduler", p.name);
+            mem_co = co.memory;
             mem_sw = sw.memory;
         }
     }
@@ -208,10 +208,10 @@ proptest! {
             scheduler,
             ..SimConfig::default()
         };
-        let ev = run_with(&placed, p.arrays.clone(), cfg(Scheduler::EventDriven));
+        let co = run_with(&placed, p.arrays.clone(), cfg(Scheduler::Compiled));
         let sw = run_with(&placed, p.arrays.clone(), cfg(Scheduler::ReferenceSweep));
-        prop_assert_eq!(ev.waveform.as_ref(), sw.waveform.as_ref());
-        let report = ev.stalls.unwrap();
+        prop_assert_eq!(co.waveform.as_ref(), sw.waveform.as_ref());
+        let report = co.stalls.unwrap();
         prop_assert_eq!(&report, &sw.stalls.unwrap());
         let (mut stalled, mut starved) = (0u64, 0u64);
         for stats in report.by_node.values() {

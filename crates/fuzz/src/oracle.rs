@@ -3,11 +3,10 @@
 //! Each oracle states a property that must hold for *every* well-formed
 //! program, so a generated case needs no hand-written expected output:
 //!
-//! 1. **Scheduler equivalence** — the event-driven, reference-sweep, and
-//!    compiled schedulers agree on every observable (cycles, outputs,
-//!    memory, firings, leftovers), even after buffer capacities are
-//!    randomly widened; and the common result matches the reference
-//!    interpreter.
+//! 1. **Scheduler equivalence** — the compiled backend and the reference
+//!    sweep agree on every observable (cycles, outputs, memory, firings,
+//!    leftovers), even after buffer capacities are randomly widened; and
+//!    the common result matches the reference interpreter.
 //! 2. **Rewrite equivalence** — running the verified out-of-order
 //!    pipeline and then simulating yields the same final memory as
 //!    simulating the untransformed circuit; a refusal must leave the
@@ -20,12 +19,11 @@
 //!    a small input domain; a `Fails` verdict on a circuit whose
 //!    simulations agree (oracle 2 ran first) is a checker/simulator
 //!    disagreement.
-//! 5. **Telemetry equivalence** — the compiled backend's scope log,
-//!    decoded post-run, yields a VCD byte-identical to the event-driven
-//!    scheduler's direct capture and an identical stall report whose
-//!    per-cause sums equal the stall/starve totals (WaveCert's framing:
-//!    the fast path's observations are validated against the reference,
-//!    not trusted).
+//! 5. **Telemetry equivalence** — the compiled backend yields a VCD
+//!    byte-identical to the reference sweep's and an identical stall
+//!    report whose per-cause sums equal the stall/starve totals
+//!    (WaveCert's framing: the fast path's observations are validated
+//!    against the reference, not trusted).
 
 use crate::gen::mutate_buffer_slots;
 use graphiti_core::{optimize_loop, PipelineOptions};
@@ -124,33 +122,30 @@ pub fn oracle_sched(p: &Program, rng: &mut StdRng) -> Result<(), Failure> {
     for k in &compiled.kernels {
         let (placed, _) = place_buffers(&k.graph);
         let placed = mutate_buffer_slots(rng, &placed);
-        let ev = run(&placed, mem.clone(), Scheduler::EventDriven, false, O)?;
         let sw = run(&placed, mem.clone(), Scheduler::ReferenceSweep, false, O)?;
         let co = run(&placed, mem, Scheduler::Compiled, false, O)?;
-        for (other_name, other) in [("sweep", &sw), ("compiled", &co)] {
-            let checks: [(&str, bool); 6] = [
-                ("cycles", ev.cycles == other.cycles),
-                ("outputs", ev.outputs == other.outputs),
-                ("memory", ev.memory == other.memory),
-                ("firings", ev.firings == other.firings),
-                ("firings-by-node", ev.firings_by_node == other.firings_by_node),
-                ("leftovers", ev.leftover_tokens == other.leftover_tokens),
-            ];
-            for (what, ok) in checks {
-                if !ok {
-                    return Err(Failure::new(
-                        O,
-                        what,
-                        format!(
-                            "kernel `{}`: schedulers disagree on {what} \
-                             (event-driven cycles={}, {other_name} cycles={})",
-                            k.name, ev.cycles, other.cycles
-                        ),
-                    ));
-                }
+        let checks: [(&str, bool); 6] = [
+            ("cycles", sw.cycles == co.cycles),
+            ("outputs", sw.outputs == co.outputs),
+            ("memory", sw.memory == co.memory),
+            ("firings", sw.firings == co.firings),
+            ("firings-by-node", sw.firings_by_node == co.firings_by_node),
+            ("leftovers", sw.leftover_tokens == co.leftover_tokens),
+        ];
+        for (what, ok) in checks {
+            if !ok {
+                return Err(Failure::new(
+                    O,
+                    what,
+                    format!(
+                        "kernel `{}`: schedulers disagree on {what} \
+                         (reference-sweep cycles={}, compiled cycles={})",
+                        k.name, sw.cycles, co.cycles
+                    ),
+                ));
             }
         }
-        mem = ev.memory;
+        mem = sw.memory;
     }
     if mem != expected {
         let which: Vec<&String> = expected
@@ -199,8 +194,8 @@ pub fn oracle_rewrite(p: &Program) -> Result<(), Failure> {
         }
         let (placed_io, _) = place_buffers(&k.graph);
         let (placed_ooo, _) = place_buffers(&g);
-        let rio = run(&placed_io, mem_io, Scheduler::EventDriven, false, O)?;
-        let rooo = run(&placed_ooo, mem_ooo, Scheduler::EventDriven, false, O)?;
+        let rio = run(&placed_io, mem_io, Scheduler::Compiled, false, O)?;
+        let rooo = run(&placed_ooo, mem_ooo, Scheduler::Compiled, false, O)?;
         if rio.memory != rooo.memory {
             return Err(Failure::new(
                 O,
@@ -238,7 +233,7 @@ pub fn oracle_roundtrip(p: &Program) -> Result<(), Failure> {
         compile(p).map_err(|e| Failure::new(O, "compile-error", format!("codegen: {e}")))?;
     if let Some(k) = compiled.kernels.first() {
         let (placed, _) = place_buffers(&k.graph);
-        let r = run(&placed, p.arrays.clone(), Scheduler::EventDriven, true, O)?;
+        let r = run(&placed, p.arrays.clone(), Scheduler::Compiled, true, O)?;
         let wave = r.waveform.as_deref().unwrap_or_default();
         let dump = graphiti_obs::vcd::parse(wave)
             .map_err(|e| Failure::new(O, "vcd-parse", format!("emitted VCD rejected: {e}")))?;
@@ -294,9 +289,9 @@ pub fn oracle_refinement(p: &Program) -> Result<(), Failure> {
     Ok(())
 }
 
-/// Oracle 5: telemetry equivalence. The compiled backend's decoded scope
-/// log must reproduce the event-driven scheduler's observations exactly:
-/// byte-identical VCD, identical stall report, cause sums equal totals.
+/// Oracle 5: telemetry equivalence. The compiled backend must reproduce
+/// the reference sweep's observations exactly: byte-identical VCD,
+/// identical stall report, cause sums equal totals.
 pub fn oracle_telemetry(p: &Program) -> Result<(), Failure> {
     const O: &str = "telemetry-equiv";
     let compiled =
@@ -309,26 +304,25 @@ pub fn oracle_telemetry(p: &Program) -> Result<(), Failure> {
                 scheduler,
                 waveform: true,
                 attribute_stalls: true,
-                telemetry: scheduler == Scheduler::Compiled,
                 ..SimConfig::default()
             };
             simulate(&placed, &start_feed(), mem, cfg)
                 .map_err(|e| Failure::new(O, "sim-error", format!("{scheduler:?}: {e}")))
         };
-        let ev = observe(Scheduler::EventDriven, mem.clone())?;
+        let sw = observe(Scheduler::ReferenceSweep, mem.clone())?;
         let co = observe(Scheduler::Compiled, mem)?;
-        if ev.waveform != co.waveform {
+        if sw.waveform != co.waveform {
             return Err(Failure::new(
                 O,
                 "vcd",
-                format!("kernel `{}`: decoded VCD differs from event-driven capture", k.name),
+                format!("kernel `{}`: compiled VCD differs from the sweep's", k.name),
             ));
         }
-        if ev.stalls != co.stalls {
+        if sw.stalls != co.stalls {
             return Err(Failure::new(
                 O,
                 "stalls",
-                format!("kernel `{}`: decoded stall report differs", k.name),
+                format!("kernel `{}`: compiled stall report differs", k.name),
             ));
         }
         let report = co.stalls.as_ref().expect("attribution requested");

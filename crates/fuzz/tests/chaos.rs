@@ -6,8 +6,8 @@
 //!    absorbed by a fallback), never a crash;
 //! 2. **no wrong answer**: with `--fallback` semantics
 //!    ([`graphiti_robust::simulate_resilient`]), a compiled-backend fault
-//!    degrades to the event-driven core, whose result must be
-//!    bit-identical to the undisturbed baseline run;
+//!    degrades to the reference sweep, whose result must be bit-identical
+//!    to the undisturbed baseline run;
 //! 3. **determinism**: replaying the same schedule reproduces the exact
 //!    same injection log, so any failure here is a stable reproducer.
 //!
@@ -77,15 +77,16 @@ fn same_observables(a: &SimResult, b: &SimResult) -> bool {
         && a.leftover_tokens == b.leftover_tokens
 }
 
-/// Runs every kernel of one corpus program event-driven with no faults
-/// armed: the ground truth the chaotic runs must reproduce bit for bit.
+/// Runs every kernel of one corpus program on the reference sweep with no
+/// faults armed: the ground truth the chaotic runs must reproduce bit for
+/// bit.
 fn baseline(p: &graphiti_frontend::Program) -> Vec<SimResult> {
     let compiled = compile(p).expect("corpus program compiles");
     let mut mem = p.arrays.clone();
     let mut out = Vec::new();
     for k in &compiled.kernels {
         let (placed, _) = place_buffers(&k.graph);
-        let cfg = SimConfig { scheduler: Scheduler::EventDriven, ..Default::default() };
+        let cfg = SimConfig { scheduler: Scheduler::ReferenceSweep, ..Default::default() };
         let r = simulate(&placed, &start_feed(), mem.clone(), cfg)
             .expect("undisturbed corpus kernel simulates");
         mem = r.memory.clone();
@@ -149,8 +150,8 @@ fn chaos_replay_degrades_gracefully_and_bit_identically() {
                         }
                     }
                     // The armed sites are compiled-only, so the ladder's
-                    // event-driven rung runs undisturbed: any hard error
-                    // is a wrong-degradation bug.
+                    // sweep rung runs undisturbed: any hard error is a
+                    // wrong-degradation bug.
                     Err(e) => {
                         dump_reproducer(&case, schedule, &format!("kernel #{i}: hard error {e}"));
                         panic!(

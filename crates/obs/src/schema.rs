@@ -267,28 +267,7 @@ pub const SCHEMA: &[MetricSpec] = &[
         name: "sim.sched.worklist_pushes",
         kind: Counter,
         unit: "events",
-        help: "Worklist insertions by the event-driven scheduler.",
-        stability: Unstable,
-    },
-    MetricSpec {
-        name: "sim.scope.decode_us",
-        kind: Counter,
-        unit: "us",
-        help: "Wall-clock time spent decoding compiled-backend scope logs post-run.",
-        stability: Unstable,
-    },
-    MetricSpec {
-        name: "sim.scope.frames",
-        kind: Counter,
-        unit: "events",
-        help: "Scope frames captured by the compiled backend's event log.",
-        stability: Unstable,
-    },
-    MetricSpec {
-        name: "sim.scope.log_words",
-        kind: Counter,
-        unit: "words",
-        help: "64-bit words appended to compiled-backend scope event logs.",
+        help: "Dirty-worklist insertions by the compiled scheduler (0 under the reference sweep).",
         stability: Unstable,
     },
     MetricSpec {
@@ -318,13 +297,6 @@ pub const SCHEMA: &[MetricSpec] = &[
         unit: "cycles",
         help: "Node-cycles lost waiting on missing operands.",
         stability: Stable,
-    },
-    MetricSpec {
-        name: "sim.telemetry.runs",
-        kind: Counter,
-        unit: "events",
-        help: "Compiled-backend runs executed with SimConfig::telemetry enabled.",
-        stability: Unstable,
     },
     MetricSpec {
         name: "sim.token_latency_cycles",

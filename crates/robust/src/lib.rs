@@ -13,15 +13,15 @@
 //!   [`StageError`] naming the stage, the cause, and the elapsed time,
 //!   instead of an ad-hoc error string (or a hang).
 //! * [`simulate_resilient`] walks the scheduler degradation ladder
-//!   `Compiled → EventDriven → ReferenceSweep`: when a faster backend fails
-//!   with a *backend-local* error (a lowering bug, an injected fault, an
-//!   unsupported configuration), the run is retried on the next, more
-//!   battle-tested core and the degradation is counted under the frozen
-//!   `robust.*` metric names and recorded in the flight ring.
+//!   `Compiled → ReferenceSweep`: when the compiled backend fails with a
+//!   *backend-local* error (a fault injected into its lowering, cache, or
+//!   drive loop), the run is retried on the executable-specification
+//!   sweep and the degradation is counted under the frozen `robust.*`
+//!   metric names and recorded in the flight ring.
 //!
-//! Degradation is deliberately conservative: only
-//! [`SimError::Unsupported`] and [`SimError::Injected`] fall through the
-//! ladder. Errors that describe the *circuit* rather than the backend —
+//! Degradation is deliberately conservative: only [`SimError::Injected`]
+//! falls through the ladder. Errors that describe the *circuit* rather
+//! than the backend —
 //! [`SimError::Deadlock`], [`SimError::Timeout`], memory and evaluation
 //! faults, bad graphs — are identical across schedulers by construction,
 //! so retrying elsewhere would only launder a real bug into wasted work.
@@ -162,11 +162,11 @@ fn outcome_name(kind: &StageErrorKind) -> &'static str {
     }
 }
 
-/// Whether a simulation error is *backend-local* — caused by the scheduler
-/// implementation (or a fault injected into it) rather than by the circuit
-/// — and therefore worth retrying on the next rung of the ladder.
+/// Whether a simulation error is *backend-local* — a fault injected into
+/// the scheduler rather than a property of the circuit — and therefore
+/// worth retrying on the next rung of the ladder.
 fn degradable(e: &SimError) -> bool {
-    matches!(e, SimError::Unsupported(_) | SimError::Injected(_))
+    matches!(e, SimError::Injected(_))
 }
 
 /// Runs a simulation with graceful scheduler degradation.
@@ -175,7 +175,7 @@ fn degradable(e: &SimError) -> bool {
 /// backend-local error (see [`simulate_resilient`]'s module docs) the run
 /// is repeated — on a fresh clone of `memory`, so a partial first attempt
 /// cannot leak state — on the next scheduler down the ladder
-/// `Compiled → EventDriven → ReferenceSweep`. The returned pair carries
+/// `Compiled → ReferenceSweep`. The returned pair carries
 /// the result together with the scheduler that actually produced it, so
 /// callers can report degradations.
 ///
@@ -194,10 +194,7 @@ pub fn simulate_resilient(
     cfg: SimConfig,
 ) -> Result<(SimResult, Scheduler), SimError> {
     let ladder: &[Scheduler] = match cfg.scheduler {
-        Scheduler::Compiled => {
-            &[Scheduler::Compiled, Scheduler::EventDriven, Scheduler::ReferenceSweep]
-        }
-        Scheduler::EventDriven => &[Scheduler::EventDriven, Scheduler::ReferenceSweep],
+        Scheduler::Compiled => &[Scheduler::Compiled, Scheduler::ReferenceSweep],
         Scheduler::ReferenceSweep => &[Scheduler::ReferenceSweep],
     };
     for (i, &sched) in ladder.iter().enumerate() {
@@ -233,7 +230,6 @@ pub fn simulate_resilient(
 /// Metric-name slug for a scheduler.
 fn sched_slug(s: Scheduler) -> &'static str {
     match s {
-        Scheduler::EventDriven => "event",
         Scheduler::ReferenceSweep => "sweep",
         Scheduler::Compiled => "compiled",
     }

@@ -1,5 +1,5 @@
 //! Degradation-ladder integration: injected compiled-backend faults fall
-//! back to the interpreters with bit-identical results, while circuit
+//! back to the reference sweep with bit-identical results, while circuit
 //! diagnoses (deadlock) refuse to degrade.
 //!
 //! Failpoint state is process-global; the tests serialize on a local
@@ -39,7 +39,7 @@ fn square_kernel() -> ExprHigh {
 }
 
 #[test]
-fn compiled_fault_degrades_to_event_driven_bit_identically() {
+fn compiled_fault_degrades_to_the_sweep_bit_identically() {
     let _serial = fp_lock();
     let _guard = FpGuard;
     let g = square_kernel();
@@ -48,14 +48,14 @@ fn compiled_fault_degrades_to_event_driven_bit_identically() {
         &g,
         &input,
         Memory::new(),
-        SimConfig { scheduler: Scheduler::EventDriven, ..Default::default() },
+        SimConfig { scheduler: Scheduler::ReferenceSweep, ..Default::default() },
     )
     .unwrap();
     graphiti_obs::failpoint::configure("seed=9;sim.fire.compiled=1/1").unwrap();
     let cfg = SimConfig { scheduler: Scheduler::Compiled, ..Default::default() };
     let (r, used) = simulate_resilient(&g, &input, Memory::new(), cfg)
         .expect("the ladder must absorb a compiled-only fault");
-    assert_eq!(used, Scheduler::EventDriven, "first fallback rung");
+    assert_eq!(used, Scheduler::ReferenceSweep, "the fallback rung");
     assert_eq!(r.outputs, truth.outputs);
     assert_eq!(r.cycles, truth.cycles);
     assert_eq!(r.firings, truth.firings);
@@ -67,9 +67,9 @@ fn interpreter_faults_walk_the_whole_ladder_or_fail_gracefully() {
     let _guard = FpGuard;
     let g = square_kernel();
     let input = feeds("x", vec![Value::Int(3)]);
-    // `sim.fire` is shared by both interpreters: with a 1/1 rate every
-    // rung fails, so the ladder exhausts and the last error comes back —
-    // an Err, never a panic or a wrong answer.
+    // With both fire sites armed at a 1/1 rate every rung fails, so the
+    // ladder exhausts and the last error comes back — an Err, never a
+    // panic or a wrong answer.
     graphiti_obs::failpoint::configure("seed=2;sim.fire=1/1;sim.fire.compiled=1/1").unwrap();
     let cfg = SimConfig { scheduler: Scheduler::Compiled, ..Default::default() };
     let err = simulate_resilient(&g, &input, Memory::new(), cfg).unwrap_err();
@@ -77,17 +77,16 @@ fn interpreter_faults_walk_the_whole_ladder_or_fail_gracefully() {
 }
 
 #[test]
-fn unsupported_configuration_degrades_to_an_interpreter() {
+fn observed_runs_stay_on_the_compiled_backend() {
     let _serial = fp_lock();
     let _guard = FpGuard;
     let g = square_kernel();
     let input = feeds("x", vec![Value::Int(4)]);
-    // Waveform capture without telemetry is Unsupported on the compiled
-    // backend; the ladder lands on the event-driven core, which observes
-    // directly.
+    // The compiled backend observes directly; nothing is left for the
+    // ladder to absorb.
     let cfg = SimConfig { scheduler: Scheduler::Compiled, waveform: true, ..Default::default() };
     let (r, used) = simulate_resilient(&g, &input, Memory::new(), cfg).unwrap();
-    assert_eq!(used, Scheduler::EventDriven);
+    assert_eq!(used, Scheduler::Compiled);
     assert!(r.waveform.is_some());
 }
 

@@ -20,15 +20,19 @@
 //!   the tagged closure behind them, plus arbitrating merges) fall back to
 //!   the dynamic per-fire worklist marks.
 //!
-//! Bit-identity with the interpreter rests on two facts. First, the
-//! word-at-a-time scan of the dirty bitset visits set bits in ascending
-//! index order — exactly the order the event-driven core's `cur` heap pops
-//! — and a fire marks affected nodes `j > i` into the current round and
-//! `j <= i` into the next, the same `(pass, index)` discipline DESIGN.md
-//! §3.7 proves equivalent to the reference sweep. Second, examining a
-//! *superset* of the dirty set in index order is harmless: a node whose
-//! channels did not change cannot fire, so the extra examinations are
-//! no-ops. The static-region masks exploit exactly that latitude.
+//! Bit-identity with the reference sweep rests on two facts (DESIGN.md
+//! §3.7). First, a round of the compiled core is a sweep pass restricted
+//! to its dirty set: the word-at-a-time scan visits set bits in ascending
+//! index order, and a fire marks the affected nodes `j > i` into the
+//! current round (the sweep would still reach them this pass) and
+//! `j <= i` into the next. A node fires only after one of its channels,
+//! its per-cycle firing caps, or the clock changed since it last failed
+//! to fire, and every such event marks it, so the compiled core fires
+//! exactly the nodes the sweep fires, at the same `(pass, index)`
+//! positions. Second, examining a *superset* of the dirty set in index
+//! order is harmless: a node whose channels did not change cannot fire,
+//! so the extra examinations are no-ops. The static-region masks exploit
+//! exactly that latitude.
 //!
 //! The compiled artifact is immutable and shared (`Arc`) via a global
 //! content-addressed cache, so bench suites compile once and simulate many;
@@ -36,10 +40,10 @@
 
 mod fire;
 mod rt;
-pub(crate) mod scope;
 
 use crate::memory::Memory;
-use crate::sim::{op_latency, purefn_latency, Scheduler, SimConfig, SimError, SimResult};
+use crate::sim::{narrow, op_latency, purefn_latency, Scheduler, SimConfig, SimError, SimResult};
+use crate::stall::UnitClass;
 use fire::FireFn;
 use graphiti_ir::{CompKind, ExprHigh, Op, PureFn, Value};
 use std::collections::{BTreeMap, HashMap};
@@ -71,30 +75,35 @@ pub(crate) struct CNode {
     pub(crate) nxt_marks: Range,
 }
 
-/// The coarse unit classification the scope decoder's stall walks match
-/// on — exactly the `Unit` variants `walk_downstream`/`walk_upstream` in
-/// `sim.rs` distinguish, so the decoded attribution mirrors the
-/// interpreter's by construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ScopeKind {
-    /// Sink (back-pressure root: the drain is the bottleneck).
-    Sink,
-    /// Load port (memory dependency in both walk directions).
-    Load,
-    /// Store port (memory dependency downstream).
-    Store,
-    /// Buffer (full: back-pressure root; non-empty: latency source).
-    Buffer,
-    /// Latency pipeline (Piped operator or Pure; non-empty: latency
-    /// source).
-    Pipe,
-    /// Tagger (non-empty: latency source).
-    Tagger,
-    /// Store queue (program-order memory serialisation in both walk
-    /// directions).
-    Lsq,
-    /// Everything else (walked through).
-    Plain,
+/// Names packed into one buffer: one allocation per table instead of one
+/// per name, which keeps cached artifacts small.
+#[derive(Default)]
+pub(crate) struct NameTable {
+    buf: String,
+    ends: Vec<u32>,
+}
+
+impl NameTable {
+    fn push(&mut self, name: impl std::fmt::Display) {
+        use std::fmt::Write as _;
+        let _ = write!(self.buf, "{name}");
+        self.ends.push(self.buf.len() as u32);
+    }
+
+    /// The `i`-th name.
+    pub(crate) fn get(&self, i: usize) -> &str {
+        let start = i.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        &self.buf[start..self.ends[i] as usize]
+    }
+
+    /// Every name, in index order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &str> {
+        (0..self.ends.len()).map(|i| self.get(i))
+    }
+
+    fn bytes(&self) -> usize {
+        self.buf.len() + self.ends.len() * std::mem::size_of::<u32>()
+    }
 }
 
 /// Static shape of one internal queue (pipeline, buffer).
@@ -143,14 +152,14 @@ pub struct CompileStats {
 /// writes. Shared via [`Arc`] through the content-hash cache.
 pub(crate) struct CompiledCircuit {
     pub(crate) nodes: Vec<CNode>,
-    pub(crate) names: Vec<String>,
+    pub(crate) names: NameTable,
     /// Flat pool backing every node's `ins`/`outs` channel-id lists.
     pub(crate) port_pool: Vec<u32>,
     /// Flat pool backing every node's mark lists: `(word, bits)` pairs.
     pub(crate) mark_pool: Vec<(u32, u64)>,
     /// Channels `0..n_slots` are internal one-slot latches; the rest are
     /// unbounded external queues (inputs first, then outputs), mirroring
-    /// the interpreter's channel layout exactly.
+    /// the reference sweep's channel layout exactly.
     pub(crate) n_slots: usize,
     pub(crate) n_chans: usize,
     pub(crate) input_chans: BTreeMap<String, u32>,
@@ -171,17 +180,16 @@ pub(crate) struct CompiledCircuit {
     pub(crate) mems: Vec<String>,
     /// `u64` words needed for a bitset over nodes.
     pub(crate) words: usize,
-    /// Per channel: a human-readable name in the interpreter's exact
-    /// format (`from.port-to.port`, `in.x`, `out.y`), feeding the scope
-    /// decoder's VCD signal list and stall report.
-    pub(crate) chan_names: Vec<String>,
+    /// Per channel: a human-readable name in the reference sweep's exact
+    /// format (`from.port-to.port`, `in.x`, `out.y`), feeding the VCD
+    /// signal list, stall reports, and deadlock reports.
+    pub(crate) chan_names: NameTable,
     /// Per channel: the node that reads it, if any (single-consumer).
     pub(crate) consumer_of: Vec<Option<u32>>,
     /// Per channel: the node that writes it, if any (single-producer).
     pub(crate) producer_of: Vec<Option<u32>>,
-    /// Per node: the unit classification the scope decoder's stall walks
-    /// match on.
-    pub(crate) scope_kind: Vec<ScopeKind>,
+    /// Per node: the unit class the stall walks match on.
+    pub(crate) class: Vec<UnitClass>,
     pub(crate) stats: CompileStats,
     /// The 128-bit content key the artifact was cached under. Re-checked
     /// on every cache read: a stored artifact whose key no longer matches
@@ -255,10 +263,10 @@ fn approx_bytes(art: &CompiledCircuit) -> usize {
         + art.nodes.len() * std::mem::size_of::<CNode>()
         + art.port_pool.len() * std::mem::size_of::<u32>()
         + art.mark_pool.len() * std::mem::size_of::<(u32, u64)>()
-        + art.names.iter().map(String::len).sum::<usize>()
-        + art.chan_names.iter().map(String::len).sum::<usize>()
+        + art.names.bytes()
+        + art.chan_names.bytes()
         + (art.consumer_of.len() + art.producer_of.len() + art.pipe_of.len()) * 8
-        + art.scope_kind.len()
+        + art.class.len() * std::mem::size_of::<UnitClass>()
         + art.lsqs.iter().map(|l| (l.body.len() + l.epi.len()) * 8).sum::<usize>()
 }
 
@@ -508,36 +516,36 @@ fn lower(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
     let mut chan_of_out: BTreeMap<graphiti_ir::Endpoint, u32> = BTreeMap::new();
     let mut chan_of_in: BTreeMap<graphiti_ir::Endpoint, u32> = BTreeMap::new();
     // Channel names are baked into the (config-agnostic, cached) artifact
-    // so a telemetry run never re-derives them; the format matches the
+    // so an observed run never re-derives them; the format matches the
     // interpreter's byte for byte.
-    let mut chan_names: Vec<String> = Vec::new();
+    let mut chan_names = NameTable::default();
     let mut n_chans: usize = 0;
     for (from, to) in g.edges() {
-        let id = narrow_chan(n_chans)?;
+        let id = narrow("channel", n_chans)?;
         chan_of_out.insert(from.clone(), id);
         chan_of_in.insert(to.clone(), id);
-        chan_names.push(format!("{}.{}-{}.{}", from.node, from.port, to.node, to.port));
+        chan_names.push(format_args!("{}.{}-{}.{}", from.node, from.port, to.node, to.port));
         n_chans += 1;
     }
     let n_slots = n_chans;
     let mut input_chans = BTreeMap::new();
     for (name, target) in g.inputs() {
-        let id = narrow_chan(n_chans)?;
+        let id = narrow("channel", n_chans)?;
         chan_of_in.insert(target.clone(), id);
         input_chans.insert(name.clone(), id);
-        chan_names.push(format!("in.{name}"));
+        chan_names.push(format_args!("in.{name}"));
         n_chans += 1;
     }
     let mut output_chans = BTreeMap::new();
     for (name, source) in g.outputs() {
-        let id = narrow_chan(n_chans)?;
+        let id = narrow("channel", n_chans)?;
         chan_of_out.insert(source.clone(), id);
         output_chans.insert(name.clone(), id);
-        chan_names.push(format!("out.{name}"));
+        chan_names.push(format_args!("out.{name}"));
         n_chans += 1;
     }
 
-    let mut names = Vec::new();
+    let mut names = NameTable::default();
     let mut port_pool: Vec<u32> = Vec::new();
     let mut nodes: Vec<CNode> = Vec::new();
     let mut consts: Vec<Value> = Vec::new();
@@ -550,7 +558,7 @@ fn lower(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
     let mut lsqs: Vec<LsqSpec> = Vec::new();
     let mut mems: Vec<String> = Vec::new();
     let mut queued: Vec<(u32, u32)> = Vec::new();
-    let mut scope_kind: Vec<ScopeKind> = Vec::new();
+    let mut class: Vec<UnitClass> = Vec::new();
     // Merges arbitrate between inputs and taggers reorder: both (plus the
     // tagged closure computed below) stay on the dynamic worklist.
     let mut dynamic: Vec<bool> = Vec::new();
@@ -568,7 +576,7 @@ fn lower(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
 
     for (name, kind) in g.nodes() {
         let i = nodes.len();
-        narrow_node(i)?;
+        narrow("node", i)?;
         let (ins_p, outs_p) = kind.interface();
         let ins_start = port_pool.len() as u32;
         for p in &ins_p {
@@ -656,21 +664,21 @@ fn lower(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
         if pipe != NO_IDX {
             queued.push((i as u32, pipe));
         }
-        // The same Unit-variant distinctions the interpreter's stall walks
-        // make: a zero-latency operator lowers to `comb` and is walked
-        // through, a latency-bearing one holds tokens like Pure does.
-        scope_kind.push(match kind {
-            CompKind::Sink => ScopeKind::Sink,
-            CompKind::Load { .. } => ScopeKind::Load,
-            CompKind::Store { .. } => ScopeKind::Store,
-            CompKind::Buffer { .. } => ScopeKind::Buffer,
-            CompKind::Operator { op } if op_latency(*op) > 0 => ScopeKind::Pipe,
-            CompKind::Pure { .. } => ScopeKind::Pipe,
-            CompKind::TaggerUntagger { .. } => ScopeKind::Tagger,
-            CompKind::StoreQueue { .. } => ScopeKind::Lsq,
-            _ => ScopeKind::Plain,
+        // The same classes the interpreter derives from its units: a
+        // zero-latency operator lowers to `comb` and is walked through, a
+        // latency-bearing one holds tokens like Pure does.
+        class.push(match kind {
+            CompKind::Sink => UnitClass::Sink,
+            CompKind::Load { .. } => UnitClass::Load,
+            CompKind::Store { .. } => UnitClass::Store,
+            CompKind::Buffer { slots, .. } => UnitClass::Buffer { slots: (*slots).max(1) },
+            CompKind::Operator { op } if op_latency(*op) > 0 => UnitClass::Pipe,
+            CompKind::Pure { .. } => UnitClass::Pipe,
+            CompKind::TaggerUntagger { .. } => UnitClass::Tagger,
+            CompKind::StoreQueue { .. } => UnitClass::Lsq,
+            _ => UnitClass::Plain,
         });
-        names.push(name.clone());
+        names.push(name);
         pipe_of.push(pipe);
         tagger_of.push(tagger);
         dynamic.push(dyn_node);
@@ -678,7 +686,7 @@ fn lower(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
     }
 
     let n = nodes.len();
-    narrow_chan(n_chans)?;
+    narrow("channel", n_chans)?;
     let mut consumer_of: Vec<Option<u32>> = vec![None; n_chans];
     let mut producer_of: Vec<Option<u32>> = vec![None; n_chans];
     for (i, nd) in nodes.iter().enumerate() {
@@ -758,8 +766,8 @@ fn lower(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
         region_masks.push(mask);
     }
 
-    // Per-node scheduler marks. The fine affected set mirrors the
-    // event-driven core's `mark!` coverage: the node itself, the consumers
+    // Per-node scheduler marks. The fine affected set is every node whose
+    // fireability a fire of `i` can change: the node itself, the consumers
     // of its outputs, the producers of its inputs. Static-region nodes
     // additionally re-arm their whole region (sound: index-order
     // examination of a superset is a no-op for unaffected nodes).
@@ -864,24 +872,10 @@ fn lower(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
         chan_names,
         consumer_of,
         producer_of,
-        scope_kind,
+        class,
         stats,
         // The cache key is assigned by `get_or_compile` at admission; a
         // bare `lower` artifact never reaches the cache.
         content_key: (0, 0),
-    })
-}
-
-fn narrow_node(i: usize) -> Result<u32, SimError> {
-    u32::try_from(i).map_err(|_| {
-        SimError::BadGraph(format!("node index {i} does not fit the simulator's u32 index space"))
-    })
-}
-
-fn narrow_chan(i: usize) -> Result<u32, SimError> {
-    u32::try_from(i).map_err(|_| {
-        SimError::BadGraph(format!(
-            "channel index {i} does not fit the simulator's u32 index space"
-        ))
     })
 }

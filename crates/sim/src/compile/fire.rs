@@ -1,11 +1,11 @@
 //! Monomorphic fire functions — one per component kind.
 //!
-//! Each function is the compiled counterpart of one `step_unit` arm in
-//! `sim.rs` and must preserve its transaction semantics *exactly*: the
-//! same gating order, the same error conditions raised at the same points,
-//! the same channel pops and pushes. The hot loop dispatches through the
-//! per-node `fn` pointer baked in at lowering time, so no per-node kind
-//! match runs while simulating.
+//! Each function is the compiled counterpart of one `step_unit` arm of the
+//! reference sweep in `sim.rs` and must preserve its transaction semantics
+//! *exactly*: the same gating order, the same error conditions raised at
+//! the same points, the same channel pops and pushes. The hot loop
+//! dispatches through the per-node `fn` pointer baked in at lowering time,
+//! so no per-node kind match runs while simulating.
 //!
 //! Channel tokens live in the split `(u32 tag, payload)` representation
 //! (see [`super::canon`]); error messages reassemble the interpreter-shaped
@@ -213,9 +213,8 @@ pub(super) fn comb(art: &CompiledCircuit, rt: &mut Rt, i: u32) -> Result<bool, S
         return Ok(false);
     }
     let Some(tag) = fronts_tag(rt, ins) else { return Ok(false) };
-    if rt.tracing && rt.is_traced(i) {
-        let values = ins.iter().map(|&c| rt.front_value(c)).collect();
-        rt.trace_buf.push((rt.now, i, values));
+    if rt.captures(i) {
+        rt.captured = Some(ins.iter().map(|&c| rt.front_value(c)).collect());
     }
     let mut payloads = std::mem::take(&mut rt.scratch);
     payloads.extend(ins.iter().map(|&c| rt.pop(c).1));
@@ -253,9 +252,8 @@ pub(super) fn piped(art: &CompiledCircuit, rt: &mut Rt, i: u32) -> Result<bool, 
     let spec = &art.pipe_specs[pid as usize];
     if !rt.is_accepted(i) && rt.pipes[pid as usize].len() < spec.cap {
         if let Some(tag) = fronts_tag(rt, ins) {
-            if rt.tracing && rt.is_traced(i) {
-                let values = ins.iter().map(|&c| rt.front_value(c)).collect();
-                rt.trace_buf.push((rt.now, i, values));
+            if rt.captures(i) {
+                rt.captured = Some(ins.iter().map(|&c| rt.front_value(c)).collect());
             }
             let mut payloads = std::mem::take(&mut rt.scratch);
             payloads.extend(ins.iter().map(|&c| rt.pop(c).1));

@@ -5,16 +5,15 @@
 //! accepted/emitted caps, fired-this-cycle) is bit-packed into `u64`
 //! words; the inner loop scans the current round's words low-to-high with
 //! `trailing_zeros`, which visits set bits in ascending node-index order —
-//! the exact drain order the event-driven heap produces. Channel payloads
+//! the order the reference sweep examines them in. Channel payloads
 //! live in flat arrays with their tags out-of-band as raw `u32` words, so
 //! tag moves are plain word copies instead of `Box` traffic.
 
-use super::scope::Scope;
-use super::{assemble, canon, CompiledCircuit, ScopeKind, NO_IDX, NO_TAG};
+use super::{assemble, canon, CompiledCircuit, NO_IDX, NO_TAG};
 use crate::memory::{MemError, Memory};
 use crate::sim::{SimConfig, SimError, SimResult, TraceEvent};
-use crate::stall::{DeadlockReport, StallCause, StallState, StuckNode};
-use graphiti_ir::Value;
+use crate::stall::{self, CircuitView, Observers, UnitClass};
+use graphiti_ir::{Tag, Value};
 use graphiti_sem::TaggerState;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -100,20 +99,20 @@ impl RtMem {
 pub(crate) struct Rt {
     // -- channels --
     /// Valid bits of the one-slot latch channels, packed.
-    pub(super) slot_full: Vec<u64>,
+    slot_full: Vec<u64>,
     /// Out-of-band tag per slot ([`NO_TAG`]: untagged).
-    pub(super) slot_tag: Vec<u32>,
+    slot_tag: Vec<u32>,
     /// Payload per slot (`Value::Unit` when vacant).
     slot_val: Vec<Value>,
     /// External queues (inputs, then outputs), indexed by `chan - n_slots`.
-    pub(super) queues: Vec<VecDeque<(u32, Value)>>,
+    queues: Vec<VecDeque<(u32, Value)>>,
     n_slots: usize,
     // -- per-node bitsets --
     accepted: Vec<u64>,
     emitted: Vec<u64>,
-    pub(super) fired: Vec<u64>,
+    fired: Vec<u64>,
     init_done: Vec<u64>,
-    pub(super) cur: Vec<u64>,
+    cur: Vec<u64>,
     nxt: Vec<u64>,
     // -- unit state --
     /// Internal queues as `(tag, payload, ready)` rings.
@@ -136,22 +135,24 @@ pub(crate) struct Rt {
     firings_by_node: Vec<u64>,
     examined: u64,
     pushes: u64,
-    // -- telemetry --
-    /// Scope recorder, present when [`SimConfig::telemetry`] requests a
-    /// waveform or stall attribution. Boxed to keep the hot struct lean.
-    scope: Option<Box<Scope>>,
-    /// Whether any node is traced (checked first on the fire fast path).
-    pub(super) tracing: bool,
-    /// Per-node traced flags (empty when `tracing` is off).
+    // -- observation --
+    /// The run's observers (metrics, attribution, waveform), armed when
+    /// the run starts and absent when it asks for none.
+    observe: Option<Box<Observers>>,
+    /// Whether fires are traced or counted — the one check the fire path
+    /// pays when neither is.
+    observing: bool,
+    /// Per-node [`SimConfig::trace_nodes`] flags (empty unless
+    /// `observing`).
     traced: Vec<bool>,
+    /// Operand values the current fire consumed, when captured.
+    pub(super) captured: Option<Vec<Value>>,
     /// Raw acceptance events `(cycle, node, consumed values)`.
-    pub(super) trace_buf: Vec<(u64, u32, Vec<Value>)>,
+    trace_buf: Vec<(u64, u32, Vec<Value>)>,
 }
 
 impl Rt {
-    fn new(art: &CompiledCircuit, memory: Memory, cfg: &SimConfig) -> Rt {
-        let scoped = cfg.telemetry && (cfg.waveform || cfg.attribute_stalls);
-        let tracing = cfg.telemetry && !cfg.trace_nodes.is_empty();
+    fn new(art: &CompiledCircuit, memory: Memory) -> Rt {
         let words = art.words;
         Rt {
             slot_full: vec![0; art.n_slots.div_ceil(64)],
@@ -182,21 +183,35 @@ impl Rt {
             firings_by_node: vec![0; art.nodes.len()],
             examined: 0,
             pushes: 0,
-            scope: scoped.then(|| Box::new(Scope::new(art, cfg))),
-            tracing,
-            traced: if tracing {
-                art.names.iter().map(|n| cfg.trace_nodes.contains(n)).collect()
-            } else {
-                Vec::new()
-            },
+            observe: None,
+            observing: false,
+            traced: Vec::new(),
+            captured: None,
             trace_buf: Vec::new(),
         }
     }
 
-    /// Whether node `i` is on the trace list.
+    /// Whether a fire of node `i` should capture the operand values it
+    /// consumes (for the trace list or the per-fire trace events).
     #[inline]
-    pub(super) fn is_traced(&self, i: u32) -> bool {
-        self.traced[i as usize]
+    pub(super) fn captures(&self, i: u32) -> bool {
+        self.observing
+            && (self.traced[i as usize]
+                || self.observe.as_ref().is_some_and(|o| o.traces(i as usize)))
+    }
+
+    /// Hands one fire of node `i`, and the values it captured, to the
+    /// trace list and the shared observer.
+    fn note_fire(&mut self, i: u32) {
+        let values = self.captured.take();
+        if let Some(o) = &mut self.observe {
+            o.note_fire(i as usize, values.as_deref());
+        }
+        if let Some(values) = values {
+            if self.traced[i as usize] {
+                self.trace_buf.push((self.now, i, values));
+            }
+        }
     }
 
     // -- channel operations --
@@ -352,7 +367,7 @@ pub(super) fn run(
     memory: Memory,
     cfg: &SimConfig,
 ) -> Result<SimResult, SimError> {
-    let mut rt = Rt::new(art, memory, cfg);
+    let mut rt = Rt::new(art, memory);
     for (name, vals) in feeds {
         let chan = *art
             .input_chans
@@ -362,6 +377,13 @@ pub(super) fn run(
             rt.put(chan, NO_TAG, v.clone());
         }
     }
+    // Observers are armed once the inputs are fed; a run that asks for
+    // none allocates none of this.
+    rt.observe = Observers::arm(&Live { art, rt: &rt }, cfg);
+    rt.observing = rt.observe.as_ref().is_some_and(|o| o.collects()) || !cfg.trace_nodes.is_empty();
+    if rt.observing {
+        rt.traced = art.names.iter().map(|n| cfg.trace_nodes.iter().any(|t| t == n)).collect();
+    }
     graphiti_obs::flight::record("sim.start", || {
         format!("{} nodes, {} channels, scheduler=Compiled", art.nodes.len(), art.n_chans)
     });
@@ -370,12 +392,13 @@ pub(super) fn run(
         graphiti_obs::flight::record("sim.error", || format!("cycle {}: {e}", rt.now));
         outcome?;
     }
-    Ok(finish(art, rt, cfg))
+    Ok(finish(art, rt))
 }
 
 /// The main loop: rounds within a cycle, cycles until quiescence, idle
-/// fast-forward between pipeline maturities. Mirrors the event-driven
-/// core's control flow exactly; only the worklist representation differs.
+/// fast-forward between pipeline maturities. Each round drains the dirty
+/// set in ascending index order, like one pass of the reference sweep
+/// (see the module docs of `compile.rs`).
 fn drive(art: &CompiledCircuit, rt: &mut Rt, cfg: &SimConfig) -> Result<(), SimError> {
     let max_cycles = cfg.max_cycles;
     let n = art.nodes.len();
@@ -389,6 +412,7 @@ fn drive(art: &CompiledCircuit, rt: &mut Rt, cfg: &SimConfig) -> Result<(), SimE
     let mut timers: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
     loop {
         let mut any = false;
+        let examined_before = rt.examined;
         // Rounds: drain `cur` in ascending index order; marks with `j > i`
         // land back in `cur` (still ahead of the scan), the rest in `nxt`.
         loop {
@@ -414,6 +438,9 @@ fn drive(art: &CompiledCircuit, rt: &mut Rt, cfg: &SimConfig) -> Result<(), SimE
                 rt.firings += 1;
                 rt.firings_by_node[i as usize] += 1;
                 rt.fired[w] |= 1u64 << b;
+                if rt.observing {
+                    rt.note_fire(i);
+                }
                 for &(mw, mask) in art.marks(nd.cur_marks) {
                     let word = &mut rt.cur[mw as usize];
                     rt.pushes += u64::from((mask & !*word).count_ones());
@@ -436,12 +463,12 @@ fn drive(art: &CompiledCircuit, rt: &mut Rt, cfg: &SimConfig) -> Result<(), SimE
             std::mem::swap(&mut rt.cur, &mut rt.nxt);
         }
         if any {
-            // Scope frame: the post-fixpoint state of the cycle that just
-            // ended, before the clock advances and the fired bits reset —
-            // the instant the interpreter samples its waveform.
-            if let Some(mut sc) = rt.scope.take() {
-                sc.capture(art, rt);
-                rt.scope = Some(sc);
+            // Observe the post-fixpoint state of the cycle that just ended,
+            // before the clock advances and the fired bits reset — the
+            // instant the reference sweep observes.
+            if let Some(mut o) = rt.observe.take() {
+                o.end_cycle(&Live { art, rt }, rt.now, rt.examined - examined_before);
+                rt.observe = Some(o);
             }
             rt.last_active = rt.now;
             rt.now += 1;
@@ -484,29 +511,12 @@ fn drive(art: &CompiledCircuit, rt: &mut Rt, cfg: &SimConfig) -> Result<(), SimE
                     }
                 }
                 None => {
-                    // Quiescence with a stalled node (and nothing pending
-                    // that could ever drain its output) is a permanent
-                    // deadlock — the same test the interpreter applies.
-                    if cfg.deadlock_window > 0
-                        && (0..art.nodes.len()).any(|i| live_waiting(art, rt, i) == Some(true))
-                    {
-                        return Err(SimError::Deadlock(Box::new(deadlock_report(art, rt))));
-                    }
+                    stall::deadlock_at_quiescence(&Live { art, rt }, cfg, rt.now)?;
                     break;
                 }
             }
         }
-        if let Some(tok) = &cfg.cancel {
-            if tok.is_cancelled() {
-                return Err(SimError::Cancelled);
-            }
-        }
-        if cfg.deadlock_window > 0
-            && rt.now.saturating_sub(rt.last_active) >= cfg.deadlock_window
-            && tokens_in_flight(art, rt) > 0
-        {
-            return Err(SimError::Deadlock(Box::new(deadlock_report(art, rt))));
-        }
+        stall::boundary_check(&Live { art, rt }, cfg, rt.now, rt.last_active)?;
         if rt.now > max_cycles {
             return Err(SimError::Timeout(max_cycles));
         }
@@ -514,224 +524,40 @@ fn drive(art: &CompiledCircuit, rt: &mut Rt, cfg: &SimConfig) -> Result<(), SimE
     Ok(())
 }
 
-/// The interpreter's `waiting_state` over live runtime state:
-/// `Some(true)` for a stalled node (all operands latched, did not fire),
-/// `Some(false)` for a starved one, `None` otherwise.
-fn live_waiting(art: &CompiledCircuit, rt: &Rt, i: usize) -> Option<bool> {
-    if rt.fired[i / 64] & (1u64 << (i % 64)) != 0 {
-        return None;
-    }
-    let ins = art.ports(art.nodes[i].ins);
-    if ins.is_empty() {
-        return None;
-    }
-    let ready = ins.iter().filter(|&&c| rt.full(c)).count();
-    if ready == ins.len() {
-        Some(true)
-    } else if ready > 0 {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// Occupancy of node `j`'s internal queue over live state.
-#[inline]
-fn live_occupancy(art: &CompiledCircuit, rt: &Rt, j: usize) -> usize {
-    let pid = art.pipe_of[j];
-    if pid == NO_IDX {
-        0
-    } else {
-        rt.pipes[pid as usize].len()
-    }
-}
-
-/// Tokens resident anywhere but the external outputs, mirroring the
-/// leftover count in [`finish`].
-fn tokens_in_flight(art: &CompiledCircuit, rt: &Rt) -> u64 {
-    let slots: usize = rt.slot_full.iter().map(|w| w.count_ones() as usize).sum();
-    let inputs: usize =
-        art.input_chans.values().map(|&c| rt.queues[c as usize - art.n_slots].len()).sum();
-    let internal: usize = rt.pipes.iter().map(VecDeque::len).sum::<usize>()
-        + rt.taggers.iter().map(TaggerState::len).sum::<usize>();
-    (slots + inputs + internal) as u64
-}
-
-/// `Simulator::walk_downstream` over live runtime state — the same match
-/// arms as the scope decoder's replay walker, reading `rt` directly.
-fn live_walk_downstream(
-    art: &CompiledCircuit,
-    rt: &Rt,
-    start: usize,
-    ss: &mut StallState,
-) -> StallCause {
-    ss.epoch += 1;
-    ss.path.clear();
-    ss.visited[start] = ss.epoch;
-    let mut cur = start;
-    loop {
-        let outs = art.ports(art.nodes[cur].outs);
-        let Some(&c) = outs.iter().find(|&&c| !rt.space(c)) else {
-            return StallCause::BlockedDownstream;
-        };
-        ss.path.push(c);
-        let Some(j) = art.consumer_of[c as usize] else { return StallCause::BlockedDownstream };
-        let j = j as usize;
-        match art.scope_kind[j] {
-            ScopeKind::Sink => return StallCause::BlockedBySink,
-            ScopeKind::Store | ScopeKind::Load => return StallCause::MemoryDependency,
-            ScopeKind::Lsq => return StallCause::LsqOrdering,
-            ScopeKind::Buffer
-                if live_occupancy(art, rt, j) >= art.pipe_specs[art.pipe_of[j] as usize].cap =>
-            {
-                return StallCause::BlockedByFullBuffer
-            }
-            _ => {}
-        }
-        if ss.visited[j] == ss.epoch {
-            return StallCause::BlockedDownstream;
-        }
-        ss.visited[j] = ss.epoch;
-        cur = j;
-    }
-}
-
-/// `Simulator::walk_upstream` over live runtime state.
-fn live_walk_upstream(
-    art: &CompiledCircuit,
-    rt: &Rt,
-    start: usize,
-    ss: &mut StallState,
-) -> StallCause {
-    ss.epoch += 1;
-    ss.path.clear();
-    ss.visited[start] = ss.epoch;
-    let mut cur = start;
-    loop {
-        let ins = art.ports(art.nodes[cur].ins);
-        let Some(&c) = ins.iter().find(|&&c| !rt.full(c)) else {
-            return StallCause::StarvedUpstream;
-        };
-        ss.path.push(c);
-        let Some(j) = art.producer_of[c as usize] else {
-            return StallCause::StarvedBySource;
-        };
-        let j = j as usize;
-        match art.scope_kind[j] {
-            ScopeKind::Load if live_occupancy(art, rt, j) > 0 => {
-                return StallCause::MemoryDependency
-            }
-            ScopeKind::Lsq if live_occupancy(art, rt, j) > 0 => return StallCause::LsqOrdering,
-            ScopeKind::Pipe | ScopeKind::Buffer if live_occupancy(art, rt, j) > 0 => {
-                return StallCause::PipelineLatency
-            }
-            ScopeKind::Tagger if !rt.taggers[art.nodes[j].p0 as usize].is_empty() => {
-                return StallCause::PipelineLatency
-            }
-            _ => {}
-        }
-        if ss.visited[j] == ss.epoch {
-            return StallCause::StarvedUpstream;
-        }
-        ss.visited[j] = ss.epoch;
-        cur = j;
-    }
-}
-
-/// The stuck-wavefront report over live runtime state. Node and channel
-/// indices coincide with the interpreter's by construction, so the report
-/// is identical to the one the interpreted schedulers build.
-fn deadlock_report(art: &CompiledCircuit, rt: &Rt) -> DeadlockReport {
-    let mut ss = StallState::new(art.nodes.len(), art.n_chans);
-    let mut wavefront = Vec::new();
-    for i in 0..art.nodes.len() {
-        let (stalled, cause) = match live_waiting(art, rt, i) {
-            Some(true) => (true, live_walk_downstream(art, rt, i, &mut ss)),
-            Some(false) => (false, live_walk_upstream(art, rt, i, &mut ss)),
-            None => continue,
-        };
-        wavefront.push(StuckNode {
-            node: art.names[i].clone(),
-            stalled,
-            cause,
-            path: ss.path.iter().map(|&c| art.chan_names[c as usize].clone()).collect(),
-        });
-    }
-    DeadlockReport { cycle: rt.now, tokens_in_flight: tokens_in_flight(art, rt), wavefront }
-}
-
-/// Folds run state into the interpreter's result shape: reassembles
+/// Folds run state into the reference sweep's result shape: reassembles
 /// tagged outputs, reconstitutes the memory map, resolves per-node
-/// firings to names, decodes the scope log into waveform/stall telemetry,
-/// and flushes scheduler metrics.
-fn finish(art: &CompiledCircuit, mut rt: Rt, cfg: &SimConfig) -> SimResult {
-    // Decode the scope log first: the stall counters it yields join the
-    // metric flush below, exactly where the interpreter mints them.
-    let (waveform, stalls) = match rt.scope.take() {
-        Some(sc) => {
-            let t0 = std::time::Instant::now();
-            let decoded = super::scope::decode(art, &sc.log, cfg);
-            if graphiti_obs::enabled() {
-                graphiti_obs::counter("sim.scope.frames").add(sc.frames);
-                graphiti_obs::counter("sim.scope.log_words").add(sc.log.len() as u64);
-                graphiti_obs::counter("sim.scope.decode_us").add(t0.elapsed().as_micros() as u64);
+/// firings to names, renders the waveform and stall report, and flushes
+/// the run's metrics.
+fn finish(art: &CompiledCircuit, mut rt: Rt) -> SimResult {
+    let (waveform, stalls) = match rt.observe.take() {
+        Some(o) => {
+            if o.collects() {
+                rt.lsq_stats.flush();
             }
-            decoded
+            let live = Live { art, rt: &rt };
+            o.finish(&live, rt.last_active + 1, &rt.firings_by_node, rt.examined, rt.pushes)
         }
         None => (None, None),
     };
     let trace: Vec<TraceEvent> = std::mem::take(&mut rt.trace_buf)
         .into_iter()
-        .map(|(cycle, i, values)| TraceEvent { cycle, node: art.names[i as usize].clone(), values })
+        .map(|(cycle, i, values)| TraceEvent {
+            cycle,
+            node: art.names.get(i as usize).to_string(),
+            values,
+        })
         .collect();
     let firings_by_node: BTreeMap<String, u64> = art
         .names
         .iter()
         .zip(&rt.firings_by_node)
         .filter(|&(_, &c)| c > 0)
-        .map(|(name, &c)| (name.clone(), c))
+        .map(|(name, &c)| (name.to_string(), c))
         .collect();
-    if graphiti_obs::enabled() {
-        graphiti_obs::counter("sim.firings").add(rt.firings);
-        graphiti_obs::counter("sim.cycles").add(rt.last_active + 1);
-        graphiti_obs::counter("sim.sched.examined").add(rt.examined);
-        graphiti_obs::counter("sim.sched.worklist_pushes").add(rt.pushes);
-        if let Some(rate) = rt.firings.saturating_mul(1000).checked_div(rt.examined) {
-            graphiti_obs::gauge("sim.sched.fires_per_1k_examined").set(rate as i64);
-        }
-        for (name, &count) in art.names.iter().zip(&rt.firings_by_node) {
-            if count > 0 {
-                graphiti_obs::counter(&format!("sim.fire.{name}")).add(count);
-            }
-        }
-        rt.lsq_stats.flush();
-        if cfg.telemetry {
-            graphiti_obs::counter("sim.telemetry.runs").inc();
-        }
-        // The stall counters derive from the decoded report, so the seven
-        // per-cause sums equal the totals by construction — the same
-        // guarantee the interpreter's shared `waiting_state` gives.
-        if let Some(report) = &stalls {
-            graphiti_obs::counter("sim.stall_cycles").add(report.stall_cycles);
-            graphiti_obs::counter("sim.starved_cycles").add(report.starved_cycles);
-            for (cause, count) in report.cause_totals() {
-                graphiti_obs::counter(&format!("sim.stall_cause.{cause}")).add(count);
-            }
-            for (name, stats) in &report.by_node {
-                if stats.stalled > 0 {
-                    graphiti_obs::counter(&format!("sim.stall_cycles.{name}")).add(stats.stalled);
-                }
-            }
-        }
-    }
     graphiti_obs::flight::record("sim.finish", || {
         format!("cycles={} firings={}", rt.last_active + 1, rt.firings)
     });
-    let slot_leftover: usize = rt.slot_full.iter().map(|w| w.count_ones() as usize).sum();
-    let input_leftover: usize =
-        art.input_chans.values().map(|&c| rt.queues[c as usize - art.n_slots].len()).sum();
-    let internal_leftover: usize = rt.pipes.iter().map(VecDeque::len).sum::<usize>()
-        + rt.taggers.iter().map(TaggerState::len).sum::<usize>();
+    let leftover_tokens = stall::tokens_in_flight(&Live { art, rt: &rt });
     let outputs: BTreeMap<String, Vec<Value>> = art
         .output_chans
         .iter()
@@ -745,10 +571,88 @@ fn finish(art: &CompiledCircuit, mut rt: Rt, cfg: &SimConfig) -> SimResult {
         outputs,
         memory: rt.mem.into_memory(),
         firings: rt.firings,
-        leftover_tokens: slot_leftover + input_leftover + internal_leftover,
+        leftover_tokens,
         firings_by_node,
         trace,
         waveform,
         stalls,
+    }
+}
+
+/// The live runtime state seen through [`CircuitView`], for the shared
+/// observers, deadlock tests, and leftover count.
+struct Live<'a> {
+    art: &'a CompiledCircuit,
+    rt: &'a Rt,
+}
+
+impl CircuitView for Live<'_> {
+    fn node_count(&self) -> usize {
+        self.art.nodes.len()
+    }
+
+    fn chan_count(&self) -> usize {
+        self.art.n_chans
+    }
+
+    fn ins(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.art.ports(self.art.nodes[i].ins).iter().map(|&c| c as usize)
+    }
+
+    fn outs(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.art.ports(self.art.nodes[i].outs).iter().map(|&c| c as usize)
+    }
+
+    fn producer(&self, c: usize) -> Option<usize> {
+        self.art.producer_of[c].map(|j| j as usize)
+    }
+
+    fn consumer(&self, c: usize) -> Option<usize> {
+        self.art.consumer_of[c].map(|j| j as usize)
+    }
+
+    fn class(&self, i: usize) -> UnitClass {
+        self.art.class[i]
+    }
+
+    fn node_name(&self, i: usize) -> &str {
+        self.art.names.get(i)
+    }
+
+    fn chan_name(&self, c: usize) -> &str {
+        self.art.chan_names.get(c)
+    }
+
+    fn has_token(&self, c: usize) -> bool {
+        self.rt.full(c as u32)
+    }
+
+    fn has_space(&self, c: usize) -> bool {
+        self.rt.space(c as u32)
+    }
+
+    fn front_tag(&self, c: usize) -> Option<Tag> {
+        let c = c as u32;
+        let t = if self.rt.full(c) { self.rt.front_tag(c) } else { NO_TAG };
+        (t != NO_TAG).then_some(t)
+    }
+
+    fn occupancy(&self, i: usize) -> usize {
+        match (self.art.pipe_of[i], self.art.class[i]) {
+            (NO_IDX, UnitClass::Tagger) => self.rt.taggers[self.art.nodes[i].p0 as usize].len(),
+            (NO_IDX, _) => 0,
+            (pid, _) => self.rt.pipes[pid as usize].len(),
+        }
+    }
+
+    fn fired(&self, i: usize) -> bool {
+        self.rt.fired[i / 64] >> (i % 64) & 1 != 0
+    }
+
+    fn queued(&self, c: usize) -> usize {
+        match c.checked_sub(self.art.n_slots) {
+            Some(q) => self.rt.queues[q].len(),
+            None => usize::from(self.rt.full(c as u32)),
+        }
     }
 }

@@ -24,48 +24,44 @@
 //! per-cycle firing caps make this terminate. Idle stretches (waiting for a
 //! deep FP pipeline) are fast-forwarded.
 //!
-//! Two schedulers implement that contract (selected by
-//! [`SimConfig::scheduler`], see DESIGN.md §"Event-driven scheduler"):
+//! Two cores implement that contract (selected by [`SimConfig::scheduler`],
+//! see DESIGN.md §3.7):
 //!
-//! * [`Scheduler::EventDriven`] (default) keeps a dirty worklist seeded from
-//!   channel activity: after each fire only the consumers of channels that
-//!   gained tokens, the producers of channels that drained, and the firing
-//!   node itself are re-examined, and latency pipelines re-arm their node
-//!   with a timer at the expiry cycle. The worklist is drained in node-index
-//!   order, round by round, which makes the firing sequence — and therefore
-//!   every observable result — bit-identical to the sweep.
-//! * [`Scheduler::ReferenceSweep`] is the original sweep-until-fixpoint loop,
-//!   retained as the executable specification for differential testing.
+//! * [`Scheduler::Compiled`] (default) lowers the circuit once into a
+//!   specialised simulator with a bit-packed dirty worklist (see
+//!   `compile.rs`) and caches the artifact per circuit content-hash;
+//! * [`Scheduler::ReferenceSweep`] is the sweep-until-fixpoint interpreter
+//!   in this file, retained as the executable specification the compiled
+//!   core is differentially tested against.
+//!
+//! Both observe through the same code: the stall walker, deadlock tests,
+//! token counts, and per-cycle metrics in `stall.rs` and the waveform
+//! recorder in `wave.rs` read either core's live state through one
+//! `CircuitView` trait at the end of every active cycle, so every
+//! observable is bit-identical across them.
 
 use crate::memory::{mem_read, mem_write, MemError, Memory};
-use crate::stall::{StallCause, StallReport, StallState};
-use crate::wave::WaveRecorder;
+use crate::stall::{CircuitView, Observers, StallReport, UnitClass};
 use graphiti_ir::{CompKind, ExprHigh, Op, PureFn, Tag, Value};
 use graphiti_sem::{retag, TaggerState};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// Which scheduling core drives the simulation. Both produce identical
-/// results (cycles, outputs, memory, per-node firings); the sweep exists as
-/// the executable specification the event-driven core is tested against.
+/// results (cycles, outputs, memory, per-node firings, leftovers, and
+/// every observation); the sweep exists as the executable specification
+/// the compiled core is tested against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
-    /// Dirty-worklist core: only nodes whose channels changed (or whose
-    /// pipeline timer expired) are re-examined.
-    #[default]
-    EventDriven,
-    /// Original sweep-until-fixpoint core: every node is examined every
+    /// Sweep-until-fixpoint interpreter: every node is examined every
     /// pass of every cycle.
     ReferenceSweep,
     /// Compiled core: the circuit is lowered once into a specialised
     /// simulator (monomorphic fire functions, bit-packed scheduler state,
     /// static firing schedules for in-order regions) and the artifact is
-    /// cached per circuit content-hash. Produces the same observable
-    /// results as the other two cores. Waveform capture, stall
-    /// attribution, and node tracing require [`SimConfig::telemetry`]
-    /// (the scope event log, DESIGN.md §3.12); without it they raise
-    /// [`SimError::Unsupported`].
+    /// cached per circuit content-hash. The observation flags arm the
+    /// same observers the sweep uses (DESIGN.md §3.12).
+    #[default]
     Compiled,
 }
 
@@ -82,7 +78,7 @@ pub struct SimConfig {
     /// list filters which components emit per-fire Chrome trace events
     /// (empty: all components).
     pub trace_nodes: Vec<String>,
-    /// Scheduling core (event-driven by default).
+    /// Scheduling core (compiled by default).
     pub scheduler: Scheduler,
     /// Capture every channel's valid/ready/tag handshake state per cycle
     /// and render it as a VCD document in [`SimResult::waveform`]. When
@@ -93,23 +89,12 @@ pub struct SimConfig {
     /// blockage chain to the root cause and aggregate a
     /// [`StallReport`] in [`SimResult::stalls`].
     pub attribute_stalls: bool,
-    /// Enable the compiled backend's scope unit: the run loop records a
-    /// compact binary event log that a post-hoc decoder turns into the
-    /// same waveforms, stall attribution, and node traces the interpreted
-    /// schedulers produce. Off by default so the telemetry-off compiled
-    /// fast path keeps its zero-overhead contract; without it, observation
-    /// flags under [`Scheduler::Compiled`] raise
-    /// [`SimError::Unsupported`]. Ignored by the interpreted schedulers,
-    /// which observe directly.
-    pub telemetry: bool,
     /// Waveform sampling stride: capture the channel handshake state on
     /// every `N`-th active cycle (`0` and `1` both mean every cycle).
     /// Bounds log/VCD growth on long runs at the cost of skipping the
-    /// cycles in between; under [`Scheduler::Compiled`] the scope frames
-    /// themselves are sampled, so stall attribution covers the same
-    /// sampled cycles (see DESIGN.md §3.12). Both schedulers sample the
-    /// same active-cycle indices, so dumps stay byte-identical across
-    /// schedulers at any stride.
+    /// cycles in between. Stall attribution stays cycle-exact at any
+    /// stride. Both schedulers sample the same active-cycle indices, so
+    /// dumps stay byte-identical across schedulers (see DESIGN.md §3.12).
     pub wave_sample: u64,
     /// Deadlock-detection window in cycles (`0`, the default, disables
     /// detection and preserves the historical behaviour of ending such
@@ -120,7 +105,7 @@ pub struct SimConfig {
     /// defensive cutoff, so does a run making no progress for this many
     /// consecutive cycles while tokens are in flight (pick a window
     /// larger than the deepest pipeline latency, which fast-forwards
-    /// idle stretches anyway). Identical across all three schedulers.
+    /// idle stretches anyway). Identical across both schedulers.
     pub deadlock_window: u64,
     /// Cooperative cancellation token, polled at cycle boundaries. When
     /// it trips, the run returns [`SimError::Cancelled`]. `None` (the
@@ -137,7 +122,6 @@ impl Default for SimConfig {
             scheduler: Scheduler::default(),
             waveform: false,
             attribute_stalls: false,
-            telemetry: false,
             wave_sample: 1,
             deadlock_window: 0,
             cancel: None,
@@ -191,12 +175,6 @@ pub enum SimError {
     Timeout(u64),
     /// The graph is not simulatable (validation failure).
     BadGraph(String),
-    /// The configuration asks a scheduler for a capability it does not
-    /// implement in that mode — e.g. waveforms, stall attribution, or
-    /// node tracing under [`Scheduler::Compiled`] without
-    /// [`SimConfig::telemetry`]. The message names the scheduler and the
-    /// flag that would enable the feature.
-    Unsupported(String),
     /// The circuit can never make progress again while tokens are still
     /// in flight (only raised when [`SimConfig::deadlock_window`] is
     /// set). Carries the stuck wavefront, identical across schedulers.
@@ -215,9 +193,6 @@ impl fmt::Display for SimError {
             SimError::Eval(m) => write!(f, "evaluation fault: {m}"),
             SimError::Timeout(c) => write!(f, "simulation exceeded {c} cycles"),
             SimError::BadGraph(m) => write!(f, "graph not simulatable: {m}"),
-            SimError::Unsupported(m) => {
-                write!(f, "unsupported configuration: {m}")
-            }
             SimError::Deadlock(r) => write!(f, "{r}"),
             SimError::Cancelled => write!(f, "simulation cancelled (deadline or supervisor)"),
             SimError::Injected(site) => write!(f, "injected fault: failpoint `{site}`"),
@@ -231,16 +206,6 @@ impl From<MemError> for SimError {
     fn from(e: MemError) -> Self {
         SimError::Mem(e)
     }
-}
-
-/// The [`SimError::Unsupported`] raised when an observation feature is
-/// requested under [`Scheduler::Compiled`] without the flag that enables
-/// it there, naming both the scheduler and the fix.
-fn compiled_needs_telemetry(feature: &str) -> SimError {
-    SimError::Unsupported(format!(
-        "{feature} on Scheduler::Compiled requires SimConfig::telemetry \
-         (pass --telemetry to graphiti-cli)"
-    ))
 }
 
 /// The outcome of a simulation run.
@@ -283,59 +248,15 @@ pub struct TraceEvent {
 
 type ChanId = usize;
 
-/// A node index narrowed to the `u32` the simulator stores in traces,
-/// worklists, and per-event records. [`Simulator::new`] runs the node and
-/// channel counts through [`NodeIdx::new`]/[`ChanIdx::new`] once, so a
-/// graph too large for the `u32` index space is a
-/// [`SimError::BadGraph`] — never a silent `as u32` truncation that would
-/// alias two distinct nodes. Hot paths then use `trusted`, which is exact
-/// for every index below the validated count (re-checked in debug builds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct NodeIdx(u32);
-
-impl NodeIdx {
-    fn new(i: usize) -> Result<NodeIdx, SimError> {
-        match u32::try_from(i) {
-            Ok(n) => Ok(NodeIdx(n)),
-            Err(_) => Err(SimError::BadGraph(format!(
-                "node index {i} does not fit the simulator's u32 index space"
-            ))),
-        }
-    }
-
-    fn get(self) -> u32 {
-        self.0
-    }
-
-    /// Narrowing for indices already covered by the count validation in
-    /// [`Simulator::new`].
-    fn trusted(i: usize) -> u32 {
-        debug_assert!(u32::try_from(i).is_ok(), "node index {i} overflows u32");
-        i as u32
-    }
-}
-
-/// Channel-side counterpart of [`NodeIdx`] (stall paths store channel
-/// indices as `u32`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ChanIdx(u32);
-
-impl ChanIdx {
-    fn new(i: usize) -> Result<ChanIdx, SimError> {
-        match u32::try_from(i) {
-            Ok(n) => Ok(ChanIdx(n)),
-            Err(_) => Err(SimError::BadGraph(format!(
-                "channel index {i} does not fit the simulator's u32 index space"
-            ))),
-        }
-    }
-
-    /// Narrowing for indices already covered by the count validation in
-    /// [`Simulator::new`].
-    fn trusted(i: usize) -> u32 {
-        debug_assert!(u32::try_from(i).is_ok(), "channel index {i} overflows u32");
-        i as u32
-    }
+/// Narrows a node or channel count to the `u32` index space both cores
+/// store in traces, stall paths, and bitsets. A graph too large for it is
+/// a [`SimError::BadGraph`] — never a silent `as u32` truncation that
+/// would alias two distinct indices. Once a count is validated, `as u32`
+/// on any index below it is exact.
+pub(crate) fn narrow(what: &str, i: usize) -> Result<u32, SimError> {
+    u32::try_from(i).map_err(|_| {
+        SimError::BadGraph(format!("{what} index {i} does not fit the simulator's u32 index space"))
+    })
 }
 
 #[derive(Debug, Default)]
@@ -473,17 +394,7 @@ pub(crate) fn lsq_rounds(body: &[bool], epi: &[bool]) -> (LsqPlan, LsqPlan) {
     (b, e)
 }
 
-/// Mutable per-run observation state (instrumented runs only).
-struct ObsRunState {
-    /// Tokens still waiting in the external input channels.
-    in_remaining: usize,
-    /// Tokens already counted at the external output channels.
-    out_seen: usize,
-    /// Consumption cycles of in-flight tokens, oldest first.
-    consumed_at: VecDeque<u64>,
-}
-
-/// Mutable per-run state shared by both scheduling cores.
+/// Mutable per-run state of the sweep.
 struct RunState {
     /// Current cycle.
     now: u64,
@@ -494,22 +405,10 @@ struct RunState {
     /// Fires per node, indexed by node id (folded into the
     /// `BTreeMap<String, u64>` API shape once at the end of the run).
     firings_by_node: Vec<u64>,
-    /// Which nodes fired at least once in the current cycle.
-    fired: Vec<bool>,
-    /// The indices set in `fired`, for allocation-free per-cycle resets.
-    fired_list: Vec<u32>,
     /// Total node examinations (scheduler-efficiency metric).
     examined: u64,
     /// Node examinations in the current cycle.
     examined_cycle: u64,
-    /// Total worklist insertions (scheduler-efficiency metric; zero for
-    /// the reference sweep, which has no worklist).
-    pushes: u64,
-    /// Active cycles completed so far (drives the [`SimConfig::wave_sample`]
-    /// stride; idle fast-forwarded cycles do not count).
-    active_cycles: u64,
-    /// Observation state, present only on instrumented runs.
-    obs_run: Option<ObsRunState>,
 }
 
 #[derive(Debug)]
@@ -520,96 +419,6 @@ struct Node {
     outs: Vec<ChanId>,
     accepted: bool,
     emitted: bool,
-}
-
-/// Metric handles held for the duration of one instrumented run. Present
-/// only when `graphiti-obs` collection was enabled at construction time,
-/// so the uninstrumented hot path pays one `Option` check per fire.
-struct SimObs {
-    /// Per node: whether its fires emit Chrome trace events (driven by
-    /// [`SimConfig::trace_nodes`]; empty list = every node).
-    trace_node: Vec<bool>,
-    /// Per node: occupancy histogram for components with internal queues
-    /// (buffers, pipelines, taggers).
-    occupancy: Vec<Option<graphiti_obs::Histogram>>,
-    /// Per node: cycles spent back-pressured (all inputs ready, no fire).
-    stall_by_node: Vec<graphiti_obs::Counter>,
-    /// `sim.stall_cycles`: node-cycles lost to back-pressure.
-    stall_total: graphiti_obs::Counter,
-    /// `sim.starved_cycles`: node-cycles waiting on missing operands.
-    starved_total: graphiti_obs::Counter,
-    /// `sim.token_latency_cycles`: source-to-sink latency distribution.
-    latency: graphiti_obs::Histogram,
-    /// `sim.sched.examined_per_cycle`: node examinations per active cycle
-    /// (scheduler efficiency: the sweep examines every node every pass, the
-    /// event-driven core only dirty ones).
-    sched_examined: graphiti_obs::Histogram,
-    /// Per node: `sim.fire.{name}` firing counters, flushed at finish.
-    fire_by_node: Vec<graphiti_obs::Counter>,
-    /// `sim.stall_cause.{cause}` counters indexed by [`StallCause::index`].
-    stall_cause: Vec<graphiti_obs::Counter>,
-    /// `sim.firings`.
-    firings: graphiti_obs::Counter,
-    /// `sim.cycles`.
-    cycles: graphiti_obs::Counter,
-    /// `sim.sched.examined`.
-    examined: graphiti_obs::Counter,
-    /// `sim.sched.worklist_pushes`.
-    worklist_pushes: graphiti_obs::Counter,
-    /// `sim.sched.fires_per_1k_examined`.
-    fire_rate: graphiti_obs::Gauge,
-}
-
-impl SimObs {
-    fn new(nodes: &[Node], cfg: &SimConfig) -> SimObs {
-        let trace_node = nodes
-            .iter()
-            .map(|n| cfg.trace_nodes.is_empty() || cfg.trace_nodes.contains(&n.name))
-            .collect();
-        let occupancy = nodes
-            .iter()
-            .map(|n| {
-                let queued = matches!(
-                    n.unit,
-                    Unit::Buffer { .. }
-                        | Unit::Piped { .. }
-                        | Unit::Pure { .. }
-                        | Unit::Load { .. }
-                        | Unit::Tagger { .. }
-                        | Unit::Lsq { .. }
-                );
-                queued.then(|| graphiti_obs::histogram(&format!("sim.buf_occupancy.{}", n.name)))
-            })
-            .collect();
-        let stall_by_node = nodes
-            .iter()
-            .map(|n| graphiti_obs::counter(&format!("sim.stall_cycles.{}", n.name)))
-            .collect();
-        // Finish-path handles are resolved here too: one registry pass per
-        // run instead of one string format + lock per metric at finish.
-        let fire_by_node =
-            nodes.iter().map(|n| graphiti_obs::counter(&format!("sim.fire.{}", n.name))).collect();
-        let stall_cause = crate::STALL_CAUSES
-            .iter()
-            .map(|c| graphiti_obs::counter(&format!("sim.stall_cause.{c}")))
-            .collect();
-        SimObs {
-            trace_node,
-            occupancy,
-            stall_by_node,
-            stall_total: graphiti_obs::counter("sim.stall_cycles"),
-            starved_total: graphiti_obs::counter("sim.starved_cycles"),
-            latency: graphiti_obs::histogram("sim.token_latency_cycles"),
-            sched_examined: graphiti_obs::histogram("sim.sched.examined_per_cycle"),
-            fire_by_node,
-            stall_cause,
-            firings: graphiti_obs::counter("sim.firings"),
-            cycles: graphiti_obs::counter("sim.cycles"),
-            examined: graphiti_obs::counter("sim.sched.examined"),
-            worklist_pushes: graphiti_obs::counter("sim.sched.worklist_pushes"),
-            fire_rate: graphiti_obs::gauge("sim.sched.fires_per_1k_examined"),
-        }
-    }
 }
 
 /// A netlist instantiated for simulation.
@@ -626,37 +435,26 @@ pub struct Simulator {
     /// Per node: does [`SimConfig::trace_nodes`] select it (precomputed so
     /// the fire path avoids a linear scan).
     traced: Vec<bool>,
-    /// Per channel: the node that reads it, if any (fanout table for the
-    /// event-driven scheduler; channels are single-consumer).
+    /// Per node: whether it fired in the current cycle.
+    fired: Vec<bool>,
+    /// Per channel: the node that reads it, if any (single-consumer).
     consumer_of: Vec<Option<u32>>,
     /// Per channel: the node that writes it, if any (single-producer).
     producer_of: Vec<Option<u32>>,
     /// Reusable operand buffer for multi-input fires (Comb/Piped), so the
     /// hot path performs no per-fire allocation after warm-up.
     scratch: Vec<Value>,
-    obs: Option<SimObs>,
+    /// The run's observers (metrics, attribution, waveform), armed when
+    /// the run starts and absent when it asks for none.
+    observe: Option<Box<Observers>>,
     /// Per channel: a human-readable name (`from.port-to.port`, `in.x`,
-    /// `out.y`). Built only when waveforms or attribution need it.
+    /// `out.y`). Built only when waveforms, attribution, or deadlock
+    /// reports need it.
     chan_names: Vec<String>,
-    /// Waveform recorder, present iff [`SimConfig::waveform`].
-    wave: Option<WaveRecorder>,
-    /// Stall-attribution state, present iff
-    /// [`SimConfig::attribute_stalls`].
-    stall: Option<StallState>,
     /// The compiled artifact, present iff the scheduler is
     /// [`Scheduler::Compiled`]; [`Simulator::run`] delegates to it and the
     /// interpreter machinery above stays empty.
     compiled: Option<std::sync::Arc<crate::compile::CompiledCircuit>>,
-}
-
-/// Why a node lost a cycle (shared vocabulary of the metrics layer and
-/// the attribution engine, so their totals agree by construction).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Waiting {
-    /// All operands present, no fire: back-pressured by a full output.
-    Stalled,
-    /// Some operands present, some missing.
-    Starved,
 }
 
 /// The common tag across the front tokens of `ins`, by reference.
@@ -714,17 +512,6 @@ impl Simulator {
     /// Fails if the graph is incomplete.
     pub fn new(g: &ExprHigh, memory: Memory, cfg: SimConfig) -> Result<Simulator, SimError> {
         if cfg.scheduler == Scheduler::Compiled {
-            if !cfg.telemetry {
-                if cfg.waveform {
-                    return Err(compiled_needs_telemetry("waveform capture"));
-                }
-                if cfg.attribute_stalls {
-                    return Err(compiled_needs_telemetry("stall attribution"));
-                }
-                if !cfg.trace_nodes.is_empty() {
-                    return Err(compiled_needs_telemetry("node tracing"));
-                }
-            }
             let art = crate::compile::get_or_compile(g, &cfg)?;
             return Ok(Simulator {
                 nodes: Vec::new(),
@@ -735,13 +522,12 @@ impl Simulator {
                 cfg,
                 trace: Vec::new(),
                 traced: Vec::new(),
+                fired: Vec::new(),
                 consumer_of: Vec::new(),
                 producer_of: Vec::new(),
                 scratch: Vec::new(),
-                obs: None,
+                observe: None,
                 chan_names: Vec::new(),
-                wave: None,
-                stall: None,
                 compiled: Some(art),
             });
         }
@@ -853,39 +639,23 @@ impl Simulator {
                 emitted: false,
             });
         }
-        // Validate both counts once; every later usize→u32 narrowing of an
-        // in-range index (`NodeIdx::trusted` / `ChanIdx::trusted`) is then
-        // exact.
-        NodeIdx::new(nodes.len())?;
-        ChanIdx::new(chans.len())?;
+        // Validate both counts once; every later `as u32` narrowing of an
+        // in-range index is then exact.
+        narrow("node", nodes.len())?;
+        narrow("channel", chans.len())?;
         let mut consumer_of: Vec<Option<u32>> = vec![None; chans.len()];
         let mut producer_of: Vec<Option<u32>> = vec![None; chans.len()];
         for (i, n) in nodes.iter().enumerate() {
-            let idx = NodeIdx::new(i)?;
             for &c in &n.ins {
-                consumer_of[c] = Some(idx.get());
+                consumer_of[c] = Some(i as u32);
             }
             for &c in &n.outs {
-                producer_of[c] = Some(idx.get());
+                producer_of[c] = Some(i as u32);
             }
         }
         let traced = nodes.iter().map(|n| cfg.trace_nodes.contains(&n.name)).collect();
-        let obs = graphiti_obs::enabled().then(|| SimObs::new(&nodes, &cfg));
-        let wave = cfg.waveform.then(|| {
-            let selected = (0..chans.len())
-                .filter(|&c| {
-                    cfg.trace_nodes.is_empty()
-                        || [producer_of[c], consumer_of[c]]
-                            .iter()
-                            .flatten()
-                            .any(|&j| cfg.trace_nodes.contains(&nodes[j as usize].name))
-                })
-                .map(|c| (c, chan_names[c].clone()))
-                .collect();
-            WaveRecorder::new(selected)
-        });
-        let stall = cfg.attribute_stalls.then(|| StallState::new(nodes.len(), chans.len()));
         Ok(Simulator {
+            fired: vec![false; nodes.len()],
             nodes,
             chans,
             input_chans,
@@ -897,10 +667,8 @@ impl Simulator {
             consumer_of,
             producer_of,
             scratch: Vec::new(),
-            obs,
+            observe: None,
             chan_names,
-            wave,
-            stall,
             compiled: None,
         })
     }
@@ -908,7 +676,7 @@ impl Simulator {
     /// Records an acceptance event if the node is traced.
     fn record(&mut self, i: usize, now: u64, values: Vec<Value>) {
         if self.traced[i] {
-            self.trace.push((now, NodeIdx::trusted(i), values));
+            self.trace.push((now, i as u32, values));
         }
     }
 
@@ -936,7 +704,7 @@ impl Simulator {
         let emitted = self.nodes[i].emitted;
         // Consumed operand values are only materialised when someone will
         // look at them — the trace or the observability layer.
-        let want_trace = self.traced[i] || self.obs.as_ref().is_some_and(|o| o.trace_node[i]);
+        let want_trace = self.traced[i] || self.observe.as_ref().is_some_and(|o| o.traces(i));
         let flags = StepFlags { accepted, emitted, want_trace };
         let res = self.step_unit(&mut unit, &ins, &outs, now, flags);
         let n = &mut self.nodes[i];
@@ -948,26 +716,8 @@ impl Simulator {
         n.accepted = accepted;
         n.emitted = emitted;
         if fired {
-            if let Some(obs) = &self.obs {
-                if obs.trace_node[i] {
-                    let args = match &traced_values {
-                        Some(vs) => {
-                            let rendered =
-                                vs.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(", ");
-                            vec![("values".to_string(), rendered)]
-                        }
-                        None => Vec::new(),
-                    };
-                    // Simulated-time track: 1 cycle = 1 µs, one lane per node.
-                    graphiti_obs::emit_complete(
-                        graphiti_obs::PID_SIM,
-                        NodeIdx::trusted(i),
-                        &self.nodes[i].name,
-                        now,
-                        1,
-                        args,
-                    );
-                }
+            if let Some(o) = &mut self.observe {
+                o.note_fire(i, traced_values.as_deref());
             }
         }
         if let Some(values) = traced_values {
@@ -1411,69 +1161,6 @@ impl Simulator {
         Ok((fired, accepted, emitted, traced_values))
     }
 
-    /// Whether node `i` lost the cycle that just ended, and how. This
-    /// single predicate drives both the `sim.stall_cycles` /
-    /// `sim.starved_cycles` counters and the attribution engine, so the
-    /// per-cause sums match the totals by construction.
-    fn waiting_state(&self, i: usize, fired: &[bool]) -> Option<Waiting> {
-        let n = &self.nodes[i];
-        if fired[i] || n.ins.is_empty() {
-            return None;
-        }
-        let ready = n.ins.iter().filter(|&&c| self.chans[c].front().is_some()).count();
-        if ready == n.ins.len() {
-            Some(Waiting::Stalled)
-        } else if ready > 0 {
-            Some(Waiting::Starved)
-        } else {
-            None
-        }
-    }
-
-    /// One end-of-cycle observation pass (instrumented runs only):
-    /// records buffer occupancy, back-pressure/starvation stalls, and
-    /// source-to-sink token latencies for the cycle that just ran.
-    fn observe_cycle(&self, obs: &SimObs, st: &mut ObsRunState, fired: &[bool], now: u64) {
-        for (i, n) in self.nodes.iter().enumerate() {
-            if let Some(h) = &obs.occupancy[i] {
-                let len = match &n.unit {
-                    Unit::Piped { pipe, .. }
-                    | Unit::Pure { pipe, .. }
-                    | Unit::Load { pipe, .. } => pipe.len(),
-                    Unit::Buffer { q, .. } => q.len(),
-                    Unit::Tagger { state } => state.len(),
-                    Unit::Lsq { pipe, .. } => pipe.len(),
-                    _ => 0,
-                };
-                h.record(len as u64);
-            }
-            match self.waiting_state(i, fired) {
-                Some(Waiting::Stalled) => {
-                    // Operands present but nothing fired: the node is
-                    // back-pressured by a full output.
-                    obs.stall_total.inc();
-                    obs.stall_by_node[i].inc();
-                }
-                Some(Waiting::Starved) => obs.starved_total.inc(),
-                None => {}
-            }
-        }
-        // Source-to-sink latency: pair the k-th token drained from the
-        // external inputs with the k-th token reaching an external output.
-        let in_now: usize = self.input_chans.values().map(|&c| self.chans[c].q.len()).sum();
-        for _ in in_now..st.in_remaining {
-            st.consumed_at.push_back(now);
-        }
-        st.in_remaining = in_now;
-        let out_now: usize = self.output_chans.values().map(|&c| self.chans[c].q.len()).sum();
-        for _ in st.out_seen..out_now {
-            if let Some(t) = st.consumed_at.pop_front() {
-                obs.latency.record(now - t);
-            }
-        }
-        st.out_seen = out_now;
-    }
-
     /// Earliest future completion among pipelines and buffers, if any.
     fn next_pending(&self, now: u64) -> Option<u64> {
         let mut min: Option<u64> = None;
@@ -1505,221 +1192,14 @@ impl Simulator {
         min
     }
 
-    /// Ready cycle of the head token of node `i`'s internal queue, if any.
-    fn front_ready(&self, i: usize) -> Option<u64> {
-        match &self.nodes[i].unit {
-            Unit::Piped { pipe, .. } | Unit::Pure { pipe, .. } | Unit::Load { pipe, .. } => {
-                pipe.front().map(|&(_, t)| t)
-            }
-            Unit::Buffer { q, .. } => q.front().map(|&(_, t)| t),
-            Unit::Lsq { pipe, .. } => pipe.front().map(|&(_, _, t)| t),
-            _ => None,
-        }
-    }
-
-    /// One end-of-cycle attribution pass: classifies every waiting
-    /// node-cycle by walking its blockage chain (DESIGN.md §3.8).
-    fn attribute_cycle(&self, ss: &mut StallState, fired: &[bool]) {
-        for i in 0..self.nodes.len() {
-            let cause = match self.waiting_state(i, fired) {
-                Some(Waiting::Stalled) => self.walk_downstream(i, ss),
-                Some(Waiting::Starved) => self.walk_upstream(i, ss),
-                None => continue,
-            };
-            ss.record(i, cause);
-        }
-    }
-
-    /// Follows the back-pressure chain of stalled node `start` downstream
-    /// along full channels to its root, filling `ss.path` with the
-    /// channels crossed.
-    fn walk_downstream(&self, start: usize, ss: &mut StallState) -> StallCause {
-        ss.epoch += 1;
-        ss.path.clear();
-        ss.visited[start] = ss.epoch;
-        let mut cur = start;
-        loop {
-            let Some(&c) = self.nodes[cur].outs.iter().find(|&&c| !self.chans[c].has_space())
-            else {
-                // No full output: held back by per-cycle firing caps, a
-                // full internal pipeline, or tag exhaustion.
-                return StallCause::BlockedDownstream;
-            };
-            ss.path.push(ChanIdx::trusted(c));
-            let Some(j) = self.consumer_of[c] else { return StallCause::BlockedDownstream };
-            let j = j as usize;
-            match &self.nodes[j].unit {
-                Unit::Sink => return StallCause::BlockedBySink,
-                Unit::Lsq { .. } => return StallCause::LsqOrdering,
-                Unit::Store { .. } | Unit::Load { .. } => return StallCause::MemoryDependency,
-                Unit::Buffer { slots, q, .. } if q.len() >= *slots => {
-                    return StallCause::BlockedByFullBuffer
-                }
-                _ => {}
-            }
-            if ss.visited[j] == ss.epoch {
-                // Cyclic back-pressure (a clogged loop ring).
-                return StallCause::BlockedDownstream;
-            }
-            ss.visited[j] = ss.epoch;
-            cur = j;
-        }
-    }
-
-    /// Follows the starvation chain of starved node `start` upstream
-    /// along empty channels to its root, filling `ss.path` with the
-    /// channels crossed.
-    fn walk_upstream(&self, start: usize, ss: &mut StallState) -> StallCause {
-        ss.epoch += 1;
-        ss.path.clear();
-        ss.visited[start] = ss.epoch;
-        let mut cur = start;
-        loop {
-            let Some(&c) = self.nodes[cur].ins.iter().find(|&&c| self.chans[c].front().is_none())
-            else {
-                // Every input of the producer holds a token, yet ours did
-                // not arrive: the producer is itself blocked.
-                return StallCause::StarvedUpstream;
-            };
-            ss.path.push(ChanIdx::trusted(c));
-            let Some(j) = self.producer_of[c] else {
-                // The empty channel is an external input: drained.
-                return StallCause::StarvedBySource;
-            };
-            let j = j as usize;
-            match &self.nodes[j].unit {
-                Unit::Lsq { pipe, .. } if !pipe.is_empty() => return StallCause::LsqOrdering,
-                Unit::Load { pipe, .. } if !pipe.is_empty() => return StallCause::MemoryDependency,
-                Unit::Piped { pipe, .. } | Unit::Pure { pipe, .. } if !pipe.is_empty() => {
-                    return StallCause::PipelineLatency
-                }
-                Unit::Buffer { q, .. } if !q.is_empty() => return StallCause::PipelineLatency,
-                Unit::Tagger { state } if !state.is_empty() => return StallCause::PipelineLatency,
-                _ => {}
-            }
-            if ss.visited[j] == ss.epoch {
-                return StallCause::StarvedUpstream;
-            }
-            ss.visited[j] = ss.epoch;
-            cur = j;
-        }
-    }
-
-    /// Tokens currently resident anywhere but the external outputs:
-    /// channel latches, external input queues, latency pipelines,
-    /// buffers, and tagger windows.
-    fn tokens_in_flight(&self) -> usize {
-        self.chans
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.output_chans.values().any(|c| c == i))
-            .map(|(_, c)| c.q.len())
-            .sum::<usize>()
-            + self
-                .nodes
-                .iter()
-                .map(|n| match &n.unit {
-                    Unit::Piped { pipe, .. }
-                    | Unit::Pure { pipe, .. }
-                    | Unit::Load { pipe, .. } => pipe.len(),
-                    Unit::Buffer { q, .. } => q.len(),
-                    Unit::Tagger { state } => state.len(),
-                    Unit::Lsq { pipe, .. } => pipe.len(),
-                    _ => 0,
-                })
-                .sum::<usize>()
-    }
-
-    /// Builds the stuck-wavefront report for a deadlock declared at
-    /// `cycle`: every waiting node in index order, its blockage chain
-    /// walked by the same machinery as stall attribution.
-    fn deadlock_report(&self, fired: &[bool], cycle: u64) -> crate::stall::DeadlockReport {
-        let mut ss = StallState::new(self.nodes.len(), self.chans.len());
-        let mut wavefront = Vec::new();
-        for i in 0..self.nodes.len() {
-            let (stalled, cause) = match self.waiting_state(i, fired) {
-                Some(Waiting::Stalled) => (true, self.walk_downstream(i, &mut ss)),
-                Some(Waiting::Starved) => (false, self.walk_upstream(i, &mut ss)),
-                None => continue,
-            };
-            wavefront.push(crate::stall::StuckNode {
-                node: self.nodes[i].name.clone(),
-                stalled,
-                cause,
-                path: ss.path.iter().map(|&c| self.chan_names[c as usize].clone()).collect(),
-            });
-        }
-        crate::stall::DeadlockReport {
-            cycle,
-            tokens_in_flight: self.tokens_in_flight() as u64,
-            wavefront,
-        }
-    }
-
-    /// The quiescence-exit deadlock test (only with
-    /// [`SimConfig::deadlock_window`] set): a *stalled* node at
-    /// quiescence — all operands latched, nothing pending that could
-    /// ever unblock its output — is a permanent deadlock. Starved-only
-    /// quiescence is indistinguishable from normal termination with
-    /// loop-priming leftovers and stays a successful finish.
-    fn deadlock_at_quiescence(&self, st: &RunState) -> Option<SimError> {
-        if self.cfg.deadlock_window == 0 {
-            return None;
-        }
-        let stalled = (0..self.nodes.len())
-            .any(|i| matches!(self.waiting_state(i, &st.fired), Some(Waiting::Stalled)));
-        if !stalled {
-            return None;
-        }
-        Some(SimError::Deadlock(Box::new(self.deadlock_report(&st.fired, st.now))))
-    }
-
-    /// Cycle-boundary resilience poll: cooperative cancellation, then the
-    /// defensive no-progress window (the window must exceed the deepest
-    /// pipeline latency, since idle fast-forward legitimately jumps the
-    /// clock without firing).
-    fn boundary_check(&self, st: &RunState) -> Result<(), SimError> {
-        if let Some(tok) = &self.cfg.cancel {
-            if tok.is_cancelled() {
-                return Err(SimError::Cancelled);
-            }
-        }
-        if self.cfg.deadlock_window > 0
-            && st.now.saturating_sub(st.last_active) >= self.cfg.deadlock_window
-            && self.tokens_in_flight() > 0
-        {
-            return Err(SimError::Deadlock(Box::new(self.deadlock_report(&st.fired, st.now))));
-        }
-        Ok(())
-    }
-
-    /// Closes an active cycle: records scheduler/occupancy/stall metrics
-    /// (instrumented runs only), runs attribution and waveform capture
-    /// (when configured), and advances the clock.
+    /// Closes an active cycle: runs the shared observers (when armed),
+    /// resets the fired flags, and advances the clock.
     fn end_active_cycle(&mut self, st: &mut RunState) {
-        if let Some(obs) = &self.obs {
-            obs.sched_examined.record(st.examined_cycle);
-            if let Some(ost) = &mut st.obs_run {
-                self.observe_cycle(obs, ost, &st.fired, st.now);
-            }
+        if let Some(mut o) = self.observe.take() {
+            o.end_cycle(&*self, st.now, st.examined_cycle);
+            self.observe = Some(o);
         }
-        if let Some(mut ss) = self.stall.take() {
-            self.attribute_cycle(&mut ss, &st.fired);
-            self.stall = Some(ss);
-        }
-        // Waveform capture honours the sampling stride; attribution and
-        // the obs counters above stay per-cycle (the interpreter observes
-        // for free, so only the log-growth-bound output is sampled).
-        if st.active_cycles.is_multiple_of(self.cfg.wave_stride()) {
-            if let Some(mut w) = self.wave.take() {
-                w.capture(st.now, |c| {
-                    let ch = &self.chans[c];
-                    (ch.front().is_some(), ch.has_space(), ch.front().and_then(|v| v.untag().0))
-                });
-                self.wave = Some(w);
-            }
-        }
-        st.active_cycles += 1;
+        self.fired.fill(false);
         st.examined_cycle = 0;
         st.last_active = st.now;
         st.now += 1;
@@ -1743,25 +1223,16 @@ impl Simulator {
                 self.chans[chan].q.push_back(v.clone());
             }
         }
-        let n = self.nodes.len();
+        // Observers are armed once the inputs are fed; a run that asks for
+        // none does none of this work.
+        self.observe = Observers::arm(&self, &self.cfg);
         let mut st = RunState {
             now: 0,
             firings: 0,
             last_active: 0,
-            firings_by_node: vec![0; n],
-            fired: vec![false; n],
-            fired_list: Vec::with_capacity(n),
+            firings_by_node: vec![0; self.nodes.len()],
             examined: 0,
             examined_cycle: 0,
-            pushes: 0,
-            active_cycles: 0,
-            // Per-run observation state, allocated only when a sink is
-            // installed; the uninstrumented loop does none of this work.
-            obs_run: self.obs.is_some().then(|| ObsRunState {
-                in_remaining: self.input_chans.values().map(|&c| self.chans[c].q.len()).sum(),
-                out_seen: self.output_chans.values().map(|&c| self.chans[c].q.len()).sum(),
-                consumed_at: VecDeque::new(),
-            }),
         };
         graphiti_obs::flight::record("sim.start", || {
             format!(
@@ -1771,13 +1242,7 @@ impl Simulator {
                 self.cfg.scheduler
             )
         });
-        let run = match self.cfg.scheduler {
-            Scheduler::EventDriven => self.run_event(&mut st),
-            Scheduler::ReferenceSweep => self.run_sweep(&mut st),
-            // Compiled runs return from the delegation above; `new` always
-            // installs the artifact for that scheduler.
-            Scheduler::Compiled => unreachable!("compiled runs delegate before dispatch"),
-        };
+        let run = self.run_sweep(&mut st);
         if let Err(e) = &run {
             graphiti_obs::flight::record("sim.error", || format!("cycle {}: {e}", st.now));
             run?;
@@ -1787,15 +1252,12 @@ impl Simulator {
 
     /// The reference scheduler: sweeps all nodes in index order until a
     /// whole pass fires nothing, cycle by cycle. Kept as the executable
-    /// specification for the event-driven core.
+    /// specification for the compiled core.
     fn run_sweep(&mut self, st: &mut RunState) -> Result<(), SimError> {
         loop {
             for node in &mut self.nodes {
                 node.accepted = false;
                 node.emitted = false;
-            }
-            for f in st.fired.iter_mut() {
-                *f = false;
             }
             let mut any = false;
             loop {
@@ -1808,7 +1270,7 @@ impl Simulator {
                         any = true;
                         st.firings += 1;
                         st.firings_by_node[i] += 1;
-                        st.fired[i] = true;
+                        self.fired[i] = true;
                     }
                 }
                 if !progress {
@@ -1822,195 +1284,17 @@ impl Simulator {
                 match self.next_pending(st.now) {
                     Some(t) => st.now = t,
                     None => {
-                        if let Some(e) = self.deadlock_at_quiescence(st) {
-                            return Err(e);
-                        }
+                        crate::stall::deadlock_at_quiescence(&*self, &self.cfg, st.now)?;
                         break;
                     }
                 }
             }
-            self.boundary_check(st)?;
+            crate::stall::boundary_check(&*self, &self.cfg, st.now, st.last_active)?;
             if st.now > self.cfg.max_cycles {
                 return Err(SimError::Timeout(self.cfg.max_cycles));
             }
         }
         Ok(())
-    }
-
-    /// The event-driven scheduler.
-    ///
-    /// Invariant: a node that is not on the worklist cannot fire until one
-    /// of its channels changes, its per-cycle firing caps reset, or the
-    /// clock reaches its pipeline head's ready cycle — and each of those
-    /// events inserts it (channel events via the fanout tables, cap resets
-    /// via the fired list at the cycle boundary, maturities via timers).
-    ///
-    /// To stay bit-identical to the sweep, the worklist is drained in
-    /// node-index order, round by round: `cur` is the analogue of the
-    /// current sweep pass, `nxt` of the following one. When node `i` fires,
-    /// an affected node `j` is queued into `cur` if `j > i` (the sweep
-    /// would still reach it this pass) and into `nxt` otherwise. Since a
-    /// channel has exactly one producer and one consumer, a node's
-    /// fireability only changes through events this marking covers, so
-    /// examinations — and therefore fires — happen at exactly the same
-    /// (pass, index) positions as in the sweep.
-    fn run_event(&mut self, st: &mut RunState) -> Result<(), SimError> {
-        let n = self.nodes.len();
-        let mut cur: BinaryHeap<Reverse<u32>> = BinaryHeap::with_capacity(n);
-        let mut nxt: BinaryHeap<Reverse<u32>> = BinaryHeap::with_capacity(n);
-        // Cycle 0 examines everything: externally fed nodes, Init and
-        // Constant generators all become fireable without a prior channel
-        // event.
-        let mut in_cur = vec![true; n];
-        let mut in_nxt = vec![false; n];
-        cur.extend((0..NodeIdx::trusted(n)).map(Reverse));
-        // (ready cycle, node) for pipeline heads maturing in the future.
-        let mut timers: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-        st.pushes += n as u64;
-        loop {
-            let mut any = false;
-            loop {
-                while let Some(Reverse(i)) = cur.pop() {
-                    let iu = i as usize;
-                    in_cur[iu] = false;
-                    st.examined += 1;
-                    st.examined_cycle += 1;
-                    if !self.step(iu, st.now)? {
-                        continue;
-                    }
-                    any = true;
-                    st.firings += 1;
-                    st.firings_by_node[iu] += 1;
-                    if !st.fired[iu] {
-                        st.fired[iu] = true;
-                        st.fired_list.push(i);
-                    }
-                    macro_rules! mark {
-                        ($j:expr) => {{
-                            let j: u32 = $j;
-                            let ju = j as usize;
-                            if j > i {
-                                if !in_cur[ju] {
-                                    in_cur[ju] = true;
-                                    cur.push(Reverse(j));
-                                    st.pushes += 1;
-                                }
-                            } else if !in_nxt[ju] {
-                                in_nxt[ju] = true;
-                                nxt.push(Reverse(j));
-                                st.pushes += 1;
-                            }
-                        }};
-                    }
-                    // The fire changed internal state (and possibly several
-                    // channels): recheck the node itself next round, plus
-                    // the consumers of its outputs and the producers of its
-                    // inputs.
-                    mark!(i);
-                    for k in 0..self.nodes[iu].outs.len() {
-                        if let Some(j) = self.out_consumer(iu, k) {
-                            mark!(j);
-                        }
-                    }
-                    for k in 0..self.nodes[iu].ins.len() {
-                        if let Some(j) = self.in_producer(iu, k) {
-                            mark!(j);
-                        }
-                    }
-                    // A token parked in a latency pipeline re-arms the node
-                    // at its maturity cycle.
-                    if let Some(t) = self.front_ready(iu) {
-                        if t > st.now {
-                            timers.push(Reverse((t, i)));
-                        }
-                    }
-                }
-                if nxt.is_empty() {
-                    break;
-                }
-                std::mem::swap(&mut cur, &mut nxt);
-                std::mem::swap(&mut in_cur, &mut in_nxt);
-            }
-            if any {
-                self.end_active_cycle(st);
-                // Per-cycle firing caps reset for nodes that fired, so they
-                // may fire again: seed the new cycle with them.
-                for &i in &st.fired_list {
-                    let iu = i as usize;
-                    self.nodes[iu].accepted = false;
-                    self.nodes[iu].emitted = false;
-                    st.fired[iu] = false;
-                    if !in_cur[iu] {
-                        in_cur[iu] = true;
-                        cur.push(Reverse(i));
-                        st.pushes += 1;
-                    }
-                }
-                st.fired_list.clear();
-                // Wake nodes whose pipeline head matures this cycle.
-                while let Some(&Reverse((t, j))) = timers.peek() {
-                    if t > st.now {
-                        break;
-                    }
-                    timers.pop();
-                    let ju = j as usize;
-                    if !in_cur[ju] {
-                        in_cur[ju] = true;
-                        cur.push(Reverse(j));
-                        st.pushes += 1;
-                    }
-                }
-            } else {
-                st.examined_cycle = 0;
-                match self.next_pending(st.now) {
-                    Some(t) => {
-                        // Idle fast-forward: jump to the next maturity and
-                        // wake every node whose pipeline head is then ready.
-                        st.now = t;
-                        for (iu, ic) in in_cur.iter_mut().enumerate() {
-                            if let Some(r) = self.front_ready(iu) {
-                                if r <= st.now && !*ic {
-                                    *ic = true;
-                                    cur.push(Reverse(NodeIdx::trusted(iu)));
-                                    st.pushes += 1;
-                                }
-                            }
-                        }
-                        // Timers at or before the new clock are subsumed by
-                        // the wake-up above.
-                        while let Some(&Reverse((t2, _))) = timers.peek() {
-                            if t2 > st.now {
-                                break;
-                            }
-                            timers.pop();
-                        }
-                    }
-                    None => {
-                        if let Some(e) = self.deadlock_at_quiescence(st) {
-                            return Err(e);
-                        }
-                        break;
-                    }
-                }
-            }
-            self.boundary_check(st)?;
-            if st.now > self.cfg.max_cycles {
-                return Err(SimError::Timeout(self.cfg.max_cycles));
-            }
-        }
-        Ok(())
-    }
-
-    /// The node consuming output port `k` of node `i`, if the channel has
-    /// an internal reader.
-    fn out_consumer(&self, i: usize, k: usize) -> Option<u32> {
-        self.consumer_of[self.nodes[i].outs[k]]
-    }
-
-    /// The node producing input port `k` of node `i`, if the channel has an
-    /// internal writer.
-    fn in_producer(&self, i: usize, k: usize) -> Option<u32> {
-        self.producer_of[self.nodes[i].ins[k]]
     }
 
     /// Folds run state into the public [`SimResult`] shape: resolves node
@@ -2024,41 +1308,23 @@ impl Simulator {
             .filter(|&(_, &c)| c > 0)
             .map(|(node, &c)| (node.name.clone(), c))
             .collect();
-        let waveform = self.wave.take().map(WaveRecorder::finish);
-        let stalls = self.stall.take().map(|ss| {
-            let node_names: Vec<String> = self.nodes.iter().map(|n| n.name.clone()).collect();
-            ss.finish(&node_names, &self.chan_names)
-        });
-        if let Some(obs) = &self.obs {
-            // All handles were memoised by SimObs::new; the finish path
-            // does no name formatting or registry locking.
-            if let Some(report) = &stalls {
-                for (cause, n) in report.cause_totals() {
-                    obs.stall_cause[cause.index()].add(n);
+        let (waveform, stalls) = match self.observe.take() {
+            Some(o) => {
+                if o.collects() {
+                    for node in &self.nodes {
+                        if let Unit::Lsq { stats, .. } = &node.unit {
+                            stats.flush();
+                        }
+                    }
                 }
+                o.finish(&self, st.last_active + 1, &st.firings_by_node, st.examined, 0)
             }
-            obs.firings.add(st.firings);
-            obs.cycles.add(st.last_active + 1);
-            obs.examined.add(st.examined);
-            obs.worklist_pushes.add(st.pushes);
-            if let Some(rate) = st.firings.saturating_mul(1000).checked_div(st.examined) {
-                obs.fire_rate.set(rate as i64);
-            }
-            for (i, &count) in st.firings_by_node.iter().enumerate() {
-                if count > 0 {
-                    obs.fire_by_node[i].add(count);
-                }
-            }
-            for node in &self.nodes {
-                if let Unit::Lsq { stats, .. } = &node.unit {
-                    stats.flush();
-                }
-            }
-        }
+            None => (None, None),
+        };
         graphiti_obs::flight::record("sim.finish", || {
             format!("cycles={} firings={}", st.last_active + 1, st.firings)
         });
-        let leftover = self.tokens_in_flight();
+        let leftover = crate::stall::tokens_in_flight(&self);
         let output_chans = std::mem::take(&mut self.output_chans);
         let outputs = output_chans
             .into_iter()
@@ -2083,6 +1349,85 @@ impl Simulator {
             waveform,
             stalls,
         }
+    }
+}
+
+impl CircuitView for Simulator {
+    fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn chan_count(&self) -> usize {
+        self.chans.len()
+    }
+
+    fn ins(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.nodes[i].ins.iter().copied()
+    }
+
+    fn outs(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.nodes[i].outs.iter().copied()
+    }
+
+    fn has_token(&self, c: usize) -> bool {
+        self.chans[c].front().is_some()
+    }
+
+    fn has_space(&self, c: usize) -> bool {
+        self.chans[c].has_space()
+    }
+
+    fn front_tag(&self, c: usize) -> Option<Tag> {
+        self.chans[c].front().and_then(|v| v.untag().0)
+    }
+
+    fn producer(&self, c: usize) -> Option<usize> {
+        self.producer_of[c].map(|j| j as usize)
+    }
+
+    fn consumer(&self, c: usize) -> Option<usize> {
+        self.consumer_of[c].map(|j| j as usize)
+    }
+
+    fn class(&self, i: usize) -> UnitClass {
+        match &self.nodes[i].unit {
+            Unit::Sink => UnitClass::Sink,
+            Unit::Load { .. } => UnitClass::Load,
+            Unit::Store { .. } => UnitClass::Store,
+            Unit::Buffer { slots, .. } => UnitClass::Buffer { slots: *slots },
+            Unit::Piped { .. } | Unit::Pure { .. } => UnitClass::Pipe,
+            Unit::Tagger { .. } => UnitClass::Tagger,
+            Unit::Lsq { .. } => UnitClass::Lsq,
+            _ => UnitClass::Plain,
+        }
+    }
+
+    fn occupancy(&self, i: usize) -> usize {
+        match &self.nodes[i].unit {
+            Unit::Piped { pipe, .. } | Unit::Pure { pipe, .. } | Unit::Load { pipe, .. } => {
+                pipe.len()
+            }
+            Unit::Buffer { q, .. } => q.len(),
+            Unit::Tagger { state } => state.len(),
+            Unit::Lsq { pipe, .. } => pipe.len(),
+            _ => 0,
+        }
+    }
+
+    fn fired(&self, i: usize) -> bool {
+        self.fired[i]
+    }
+
+    fn node_name(&self, i: usize) -> &str {
+        &self.nodes[i].name
+    }
+
+    fn chan_name(&self, c: usize) -> &str {
+        &self.chan_names[c]
+    }
+
+    fn queued(&self, c: usize) -> usize {
+        self.chans[c].q.len()
     }
 }
 
@@ -2222,8 +1567,8 @@ mod tests {
     #[test]
     fn schedulers_agree_on_tagged_pipeline() {
         // Tagger + pipelined FU + buffer exercise every event source the
-        // worklist must cover: channel pushes/pops, per-cycle cap resets,
-        // and pipeline maturities (including idle fast-forward).
+        // compiled worklist must cover: channel pushes/pops, per-cycle cap
+        // resets, and pipeline maturities (including idle fast-forward).
         let mut g = ExprHigh::new();
         g.add_node("t", CompKind::TaggerUntagger { tags: 2 }).unwrap();
         g.add_node("f", CompKind::Fork { ways: 2 }).unwrap();
@@ -2246,16 +1591,13 @@ mod tests {
             )
             .unwrap()
         };
-        let ev = run(Scheduler::EventDriven);
         let sw = run(Scheduler::ReferenceSweep);
         let co = run(Scheduler::Compiled);
-        for r in [&sw, &co] {
-            assert_eq!(ev.cycles, r.cycles);
-            assert_eq!(ev.outputs, r.outputs);
-            assert_eq!(ev.firings, r.firings);
-            assert_eq!(ev.firings_by_node, r.firings_by_node);
-            assert_eq!(ev.leftover_tokens, r.leftover_tokens);
-        }
+        assert_eq!(sw.cycles, co.cycles);
+        assert_eq!(sw.outputs, co.outputs);
+        assert_eq!(sw.firings, co.firings);
+        assert_eq!(sw.firings_by_node, co.firings_by_node);
+        assert_eq!(sw.leftover_tokens, co.leftover_tokens);
     }
 
     #[test]
@@ -2287,39 +1629,16 @@ mod tests {
             )
             .unwrap()
         };
-        let ev = run(Scheduler::EventDriven);
+        let sw = run(Scheduler::ReferenceSweep);
         let co = run(Scheduler::Compiled);
-        assert_eq!(ev.cycles, co.cycles);
-        assert_eq!(ev.memory, co.memory);
-        assert_eq!(ev.firings_by_node, co.firings_by_node);
-        assert_eq!(ev.leftover_tokens, co.leftover_tokens);
+        assert_eq!(sw.cycles, co.cycles);
+        assert_eq!(sw.memory, co.memory);
+        assert_eq!(sw.firings_by_node, co.firings_by_node);
+        assert_eq!(sw.leftover_tokens, co.leftover_tokens);
     }
 
     #[test]
-    fn compiled_scheduler_rejects_observation_hooks_without_telemetry() {
-        let mut g = ExprHigh::new();
-        g.add_node("b", CompKind::Buffer { slots: 1, transparent: true }).unwrap();
-        g.expose_input("x", ep("b", "in")).unwrap();
-        g.expose_output("y", ep("b", "out")).unwrap();
-        let cfg = SimConfig { scheduler: Scheduler::Compiled, ..Default::default() };
-        for (bad, what) in [
-            (SimConfig { waveform: true, ..cfg.clone() }, "waveform capture"),
-            (SimConfig { attribute_stalls: true, ..cfg.clone() }, "stall attribution"),
-            (SimConfig { trace_nodes: vec!["b".into()], ..cfg.clone() }, "node tracing"),
-        ] {
-            let err = Simulator::new(&g, Memory::new(), bad).err().unwrap();
-            // The diagnostic names the scheduler and the enabling flag,
-            // not just the rejected feature.
-            assert_eq!(err, compiled_needs_telemetry(what));
-            let msg = err.to_string();
-            assert!(msg.contains("Scheduler::Compiled"), "{msg}");
-            assert!(msg.contains("SimConfig::telemetry"), "{msg}");
-            assert!(msg.contains(what), "{msg}");
-        }
-    }
-
-    #[test]
-    fn compiled_scheduler_observes_under_telemetry() {
+    fn compiled_scheduler_observes_like_the_sweep() {
         let mut g = ExprHigh::new();
         g.add_node("b", CompKind::Buffer { slots: 1, transparent: true }).unwrap();
         g.add_node("a", CompKind::Operator { op: Op::AddI }).unwrap();
@@ -2336,7 +1655,6 @@ mod tests {
                 Memory::new(),
                 SimConfig {
                     scheduler,
-                    telemetry: true,
                     waveform: true,
                     attribute_stalls: true,
                     trace_nodes: vec!["a".into()],
@@ -2345,12 +1663,12 @@ mod tests {
             )
             .unwrap()
         };
-        let ev = run(Scheduler::EventDriven);
+        let sw = run(Scheduler::ReferenceSweep);
         let co = run(Scheduler::Compiled);
-        assert_eq!(ev.outputs, co.outputs);
-        assert_eq!(ev.waveform, co.waveform, "VCD documents must be byte-identical");
-        assert_eq!(ev.stalls, co.stalls, "stall reports must agree");
-        assert_eq!(ev.trace, co.trace, "trace events must agree");
+        assert_eq!(sw.outputs, co.outputs);
+        assert_eq!(sw.waveform, co.waveform, "VCD documents must be byte-identical");
+        assert_eq!(sw.stalls, co.stalls, "stall reports must agree");
+        assert_eq!(sw.trace, co.trace, "trace events must agree");
         let report = co.stalls.as_ref().unwrap();
         let attributed: u64 = report.cause_totals().values().sum();
         assert_eq!(attributed, report.stall_cycles + report.starved_cycles);
@@ -2371,26 +1689,18 @@ mod tests {
                 &g,
                 &feeds("x", vals.clone()),
                 Memory::new(),
-                SimConfig {
-                    scheduler,
-                    telemetry: true,
-                    waveform: true,
-                    wave_sample: stride,
-                    ..Default::default()
-                },
+                SimConfig { scheduler, waveform: true, wave_sample: stride, ..Default::default() },
             )
             .unwrap()
         };
         for stride in [1, 3, 7] {
-            let ev = run(Scheduler::EventDriven, stride);
             let sw = run(Scheduler::ReferenceSweep, stride);
             let co = run(Scheduler::Compiled, stride);
-            assert_eq!(ev.waveform, sw.waveform, "stride {stride}");
-            assert_eq!(ev.waveform, co.waveform, "stride {stride}");
+            assert_eq!(sw.waveform, co.waveform, "stride {stride}");
         }
         // A wider stride must not record more VCD bytes than stride 1.
-        let full = run(Scheduler::EventDriven, 1).waveform.unwrap();
-        let sampled = run(Scheduler::EventDriven, 7).waveform.unwrap();
+        let full = run(Scheduler::Compiled, 1).waveform.unwrap();
+        let sampled = run(Scheduler::Compiled, 7).waveform.unwrap();
         assert!(sampled.len() <= full.len());
     }
 
@@ -2403,19 +1713,22 @@ mod tests {
             g.expose_output("y", ep("b", "out")).unwrap();
             g
         };
-        let cfg = SimConfig { scheduler: Scheduler::Compiled, ..Default::default() };
-        crate::compile::compile_cache_clear();
-        let (h0, m0) = crate::compile::compile_cache_stats();
-        let stats = crate::compile::precompile(&build(3), &cfg).unwrap();
+        // Sibling tests simulate on the (default) compiled core
+        // concurrently, so the process-wide hit/miss counters are pinned in
+        // the serialized `resilience` test binary; here the cache is
+        // checked by artifact identity.
+        let cfg = SimConfig::default();
+        let a = crate::compile::get_or_compile(&build(3), &cfg).unwrap();
+        let stats = a.stats();
         assert_eq!(stats.nodes, 1);
         assert_eq!(stats.chans, 2, "one input queue, one output queue");
         assert_eq!(stats.static_nodes, 1, "an untagged buffer is in-order");
-        // Same circuit: cache hit. Different slot count: distinct artifact.
-        crate::compile::precompile(&build(3), &cfg).unwrap();
-        crate::compile::precompile(&build(4), &cfg).unwrap();
-        let (h1, m1) = crate::compile::compile_cache_stats();
-        assert_eq!(h1 - h0, 1);
-        assert_eq!(m1 - m0, 2);
+        // Same circuit: the cached artifact. Different slot count: a
+        // distinct one.
+        let b = crate::compile::get_or_compile(&build(3), &cfg).unwrap();
+        let c = crate::compile::get_or_compile(&build(4), &cfg).unwrap();
+        assert!(std::sync::Arc::ptr_eq(&a, &b));
+        assert!(!std::sync::Arc::ptr_eq(&a, &c));
     }
 
     #[test]

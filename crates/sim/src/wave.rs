@@ -4,12 +4,11 @@
 //! token is present), `<name>.ready` (the channel can accept one), and
 //! `<name>.tag` (the front token's tag, `x` when absent or untagged).
 //! Capture happens once per *active* cycle at the post-fixpoint channel
-//! state, which both scheduling cores reach identically, so dumps from
-//! [`crate::Scheduler::EventDriven`] and
-//! [`crate::Scheduler::ReferenceSweep`] are byte-identical. Idle
-//! stretches change no channel, so the change-based writer skips them
-//! for free.
+//! state, read through [`CircuitView`]; both simulation cores reach that
+//! state identically, so their dumps are byte-identical. Idle stretches
+//! change no channel, so the change-based writer skips them for free.
 
+use crate::stall::CircuitView;
 use graphiti_ir::Tag;
 use graphiti_obs::vcd::{SignalId, VcdValue, VcdWriter};
 
@@ -22,12 +21,21 @@ pub(crate) struct WaveRecorder {
 }
 
 impl WaveRecorder {
-    /// Declares the three wires of every `(channel id, name)` pair.
-    pub(crate) fn new(selected: Vec<(usize, String)>) -> WaveRecorder {
+    /// Declares the three wires of every channel of `v` — or, under a
+    /// non-empty `trace_nodes` filter, of every channel touching a listed
+    /// node.
+    pub(crate) fn new(v: &impl CircuitView, trace_nodes: &[String]) -> WaveRecorder {
         let mut writer = VcdWriter::new();
-        let chans = selected
-            .into_iter()
-            .map(|(c, name)| {
+        let chans = (0..v.chan_count())
+            .filter(|&c| {
+                trace_nodes.is_empty()
+                    || [v.producer(c), v.consumer(c)]
+                        .into_iter()
+                        .flatten()
+                        .any(|j| trace_nodes.iter().any(|t| t == v.node_name(j)))
+            })
+            .map(|c| {
+                let name = v.chan_name(c);
                 let valid = writer.add_wire(&format!("{name}.valid"), 1);
                 let ready = writer.add_wire(&format!("{name}.ready"), 1);
                 let tag = writer.add_wire(&format!("{name}.tag"), Tag::BITS);
@@ -37,18 +45,13 @@ impl WaveRecorder {
         WaveRecorder { chans, writer }
     }
 
-    /// Samples every selected channel at cycle `now`; `sample` maps a
-    /// channel id to `(valid, ready, front token's tag)`.
-    pub(crate) fn capture(
-        &mut self,
-        now: u64,
-        mut sample: impl FnMut(usize) -> (bool, bool, Option<Tag>),
-    ) {
+    /// Samples every selected channel of `v` at cycle `now`.
+    pub(crate) fn sample(&mut self, v: &impl CircuitView, now: u64) {
         for &(c, [valid, ready, tag]) in &self.chans {
-            let (v, r, t) = sample(c);
-            self.writer.change(now, valid, VcdValue::Bits(v as u64));
-            self.writer.change(now, ready, VcdValue::Bits(r as u64));
-            self.writer.change(now, tag, t.map_or(VcdValue::X, |t| VcdValue::Bits(t as u64)));
+            self.writer.change(now, valid, VcdValue::Bits(u64::from(v.has_token(c))));
+            self.writer.change(now, ready, VcdValue::Bits(u64::from(v.has_space(c))));
+            let t = v.front_tag(c);
+            self.writer.change(now, tag, t.map_or(VcdValue::X, |t| VcdValue::Bits(u64::from(t))));
         }
     }
 

@@ -1,5 +1,5 @@
 //! Resilience-facing integration tests for the simulator: the deadlock
-//! detector (identical across all three schedulers), cooperative
+//! detector (identical across both schedulers), cooperative
 //! cancellation, deterministic fault injection into the fire paths and the
 //! artifact cache, and the compiled-artifact cache's LRU bound.
 //!
@@ -56,11 +56,11 @@ fn deadlock_kernel() -> ExprHigh {
 }
 
 #[test]
-fn deadlock_is_reported_identically_on_all_three_schedulers() {
+fn deadlock_is_reported_identically_on_both_schedulers() {
     let _serial = fp_lock();
     let g = deadlock_kernel();
     let mut reports = Vec::new();
-    for sched in [Scheduler::EventDriven, Scheduler::ReferenceSweep, Scheduler::Compiled] {
+    for sched in [Scheduler::ReferenceSweep, Scheduler::Compiled] {
         let cfg = SimConfig {
             max_cycles: 10_000,
             deadlock_window: 64,
@@ -131,7 +131,7 @@ fn healthy_kernel() -> ExprHigh {
 fn pre_tripped_token_cancels_every_scheduler() {
     let _serial = fp_lock();
     let g = healthy_kernel();
-    for sched in [Scheduler::EventDriven, Scheduler::ReferenceSweep, Scheduler::Compiled] {
+    for sched in [Scheduler::ReferenceSweep, Scheduler::Compiled] {
         let token = graphiti_obs::CancelToken::new();
         token.cancel();
         let cfg = SimConfig { scheduler: sched, cancel: Some(token), ..Default::default() };
@@ -148,11 +148,9 @@ fn injected_fire_faults_surface_as_errors_not_panics() {
     let g = healthy_kernel();
     // Interpreted fire path.
     graphiti_obs::failpoint::configure("seed=11;sim.fire=1/1").unwrap();
-    for sched in [Scheduler::EventDriven, Scheduler::ReferenceSweep] {
-        let cfg = SimConfig { scheduler: sched, ..Default::default() };
-        let err = simulate(&g, &feeds("x", vec![Value::Int(3)]), Memory::new(), cfg).unwrap_err();
-        assert_eq!(err, SimError::Injected("sim.fire".into()), "{sched:?}");
-    }
+    let cfg = SimConfig { scheduler: Scheduler::ReferenceSweep, ..Default::default() };
+    let err = simulate(&g, &feeds("x", vec![Value::Int(3)]), Memory::new(), cfg).unwrap_err();
+    assert_eq!(err, SimError::Injected("sim.fire".into()));
     // Compiled drive loop.
     graphiti_obs::failpoint::configure("seed=11;sim.fire.compiled=1/1").unwrap();
     let cfg = SimConfig { scheduler: Scheduler::Compiled, ..Default::default() };
@@ -193,6 +191,30 @@ fn corrupted_cache_reads_are_quarantined_and_recompiled() {
     let (_, q1, _, _) = graphiti_sim::compile_cache_detail();
     assert!(q1 > q0, "the poisoned read must be quarantined ({q0} -> {q1})");
     assert_eq!(r0.outputs, r1.outputs, "quarantine must not change the answer");
+}
+
+#[test]
+fn artifact_cache_counts_hits_and_misses() {
+    // Every test here that compiles holds the lock, so the process-wide
+    // counters move only by this test's lookups.
+    let _serial = fp_lock();
+    let build = |slots| {
+        let mut g = ExprHigh::new();
+        g.add_node("b", CompKind::Buffer { slots, transparent: true }).unwrap();
+        g.expose_input("x", ep("b", "in")).unwrap();
+        g.expose_output("y", ep("b", "out")).unwrap();
+        g
+    };
+    let cfg = SimConfig::default();
+    graphiti_sim::compile_cache_clear();
+    let (h0, m0) = graphiti_sim::compile_cache_stats();
+    graphiti_sim::precompile(&build(3), &cfg).unwrap();
+    // Same circuit: cache hit. Different slot count: distinct artifact.
+    graphiti_sim::precompile(&build(3), &cfg).unwrap();
+    graphiti_sim::precompile(&build(4), &cfg).unwrap();
+    let (h1, m1) = graphiti_sim::compile_cache_stats();
+    assert_eq!(h1 - h0, 1);
+    assert_eq!(m1 - m0, 2);
 }
 
 #[test]

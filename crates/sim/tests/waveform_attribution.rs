@@ -56,16 +56,16 @@ fn vcd_dumps_are_byte_identical_across_schedulers() {
     let g = tagged_pipeline();
     let feeds: BTreeMap<String, Vec<Value>> = [("x".to_string(), floats(6))].into_iter().collect();
     let cfg = |scheduler| SimConfig { waveform: true, scheduler, ..Default::default() };
-    let ev = run(&g, &feeds, cfg(Scheduler::EventDriven));
+    let co = run(&g, &feeds, cfg(Scheduler::Compiled));
     let sw = run(&g, &feeds, cfg(Scheduler::ReferenceSweep));
-    let (ev_vcd, sw_vcd) = (ev.waveform.unwrap(), sw.waveform.unwrap());
-    assert!(!ev_vcd.is_empty());
-    assert_eq!(ev_vcd, sw_vcd, "waveforms must not depend on the scheduling core");
+    let (co_vcd, sw_vcd) = (co.waveform.unwrap(), sw.waveform.unwrap());
+    assert!(!co_vcd.is_empty());
+    assert_eq!(co_vcd, sw_vcd, "waveforms must not depend on the scheduling core");
 
-    let dump = vcd::parse(&ev_vcd).expect("writer output parses");
+    let dump = vcd::parse(&co_vcd).expect("writer output parses");
     // Three wires (valid/ready/tag) per channel: 5 edges + 1 input + 1 output.
     assert_eq!(dump.signals.len(), 3 * 7);
-    assert!(dump.end_time() < ev.cycles, "samples are taken at pre-advance cycle numbers");
+    assert!(dump.end_time() < co.cycles, "samples are taken at pre-advance cycle numbers");
 }
 
 #[test]
@@ -133,9 +133,9 @@ fn attribution_sums_match_waiting_totals_per_node() {
     feeds.insert("a".to_string(), floats(3));
     feeds.insert("b".to_string(), floats(1));
     let cfg = |scheduler| SimConfig { attribute_stalls: true, scheduler, ..Default::default() };
-    let ev = run(&g, &feeds, cfg(Scheduler::EventDriven));
+    let co = run(&g, &feeds, cfg(Scheduler::Compiled));
     let sw = run(&g, &feeds, cfg(Scheduler::ReferenceSweep));
-    let report = ev.stalls.unwrap();
+    let report = co.stalls.unwrap();
     assert_eq!(report, sw.stalls.unwrap(), "attribution must not depend on the scheduler");
 
     // Per node, the cause counters partition the waiting cycles.

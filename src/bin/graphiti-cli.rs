@@ -56,18 +56,15 @@
 //! * `vcd-check FILE` parses a previously dumped VCD and reports its
 //!   signal/change/time summary — the CI round-trip gate.
 //!
-//! Scheduler selection and compiled-backend telemetry:
+//! Scheduler selection:
 //!
-//! * `--scheduler event-driven|sweep|compiled` picks the simulation core
-//!   for compile-mode runs (default event-driven).
-//! * `--telemetry` arms the compiled backend's scope unit so waveforms,
-//!   stall attribution, and node traces work at compiled speed; it is
-//!   implied whenever `--scheduler compiled` is combined with `--vcd-out`,
-//!   `--trace-nodes`, or `explain-stalls`. The decoded output is
-//!   byte-identical to the event-driven scheduler's.
+//! * `--scheduler compiled|sweep` picks the simulation core for
+//!   compile-mode runs (default compiled). `sweep` runs the reference
+//!   sweep, the executable specification; waveforms, stall attribution,
+//!   and node traces are byte-identical under both.
 //! * `--wave-sample N` captures every N-th active cycle into the waveform
-//!   (any scheduler), bounding VCD growth on long runs; stall attribution
-//!   stays cycle-exact regardless of the stride.
+//!   (either scheduler), bounding VCD growth on long runs; stall
+//!   attribution stays cycle-exact regardless of the stride.
 //!
 //! Resilience (see DESIGN.md §3.13):
 //!
@@ -76,7 +73,7 @@
 //!   wedged stage is cut off with a structured stage error instead of
 //!   hanging the run.
 //! * `--fallback` retries compile-mode simulations down the scheduler
-//!   degradation ladder (`compiled → event-driven → sweep`) when a backend
+//!   degradation ladder (`compiled → sweep`) when the compiled backend
 //!   fails with a backend-local error; degradations are reported on stderr
 //!   and counted under `robust.*`.
 //! * `--failpoints SPEC` arms the deterministic fault-injection subsystem
@@ -116,7 +113,6 @@ struct Args {
     vcd_out: Option<String>,
     trace_nodes: Vec<String>,
     scheduler: graphiti::sim::Scheduler,
-    telemetry: bool,
     wave_sample: u64,
     top: usize,
     mode: Mode,
@@ -142,8 +138,7 @@ fn parse_args() -> Result<Args, String> {
         trace_out: None,
         vcd_out: None,
         trace_nodes: Vec::new(),
-        scheduler: graphiti::sim::Scheduler::EventDriven,
-        telemetry: false,
+        scheduler: graphiti::sim::Scheduler::default(),
         wave_sample: 1,
         top: 10,
         mode: Mode::Rewrite,
@@ -196,17 +191,15 @@ fn parse_args() -> Result<Args, String> {
             "--scheduler" => {
                 let v = it.next().ok_or("--scheduler needs a value")?;
                 args.scheduler = match v.as_str() {
-                    "event-driven" => graphiti::sim::Scheduler::EventDriven,
                     "sweep" => graphiti::sim::Scheduler::ReferenceSweep,
                     "compiled" => graphiti::sim::Scheduler::Compiled,
                     other => {
                         return Err(format!(
-                            "unknown scheduler `{other}` (expected event-driven, sweep, or compiled)"
+                            "unknown scheduler `{other}` (expected compiled or sweep)"
                         ))
                     }
                 };
             }
-            "--telemetry" => args.telemetry = true,
             "--wave-sample" => {
                 let v = it.next().ok_or("--wave-sample needs a cycle stride")?;
                 args.wave_sample = v.parse().map_err(|_| format!("bad sample stride `{v}`"))?;
@@ -242,7 +235,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err(
-                    "usage: graphiti-cli [--tags N] [--mark INIT_NODE] [--checked | --checked-deferred] [--stats] [--metrics-out FILE] [--openmetrics-out FILE] [--trace-out FILE] [--flight-out FILE] [INPUT.dot]\n       graphiti-cli --compile [--scheduler event-driven|sweep|compiled] [--telemetry] [--vcd-out FILE] [--wave-sample N] [--trace-nodes a,b,c] [--deadline-ms N] [--fallback] [--failpoints SPEC] [PROGRAM.gsl]\n       graphiti-cli profile [--telemetry] [--json FILE] [--folded FILE] [--flight-out FILE] PROGRAM.gsl\n       graphiti-cli explain-stalls [--scheduler NAME] [--top K] [PROGRAM.gsl]\n       graphiti-cli vcd-check FILE.vcd\n       graphiti-cli schema"
+                    "usage: graphiti-cli [--tags N] [--mark INIT_NODE] [--checked | --checked-deferred] [--stats] [--metrics-out FILE] [--openmetrics-out FILE] [--trace-out FILE] [--flight-out FILE] [INPUT.dot]\n       graphiti-cli --compile [--scheduler compiled|sweep] [--vcd-out FILE] [--wave-sample N] [--trace-nodes a,b,c] [--deadline-ms N] [--fallback] [--failpoints SPEC] [PROGRAM.gsl]\n       graphiti-cli profile [--json FILE] [--folded FILE] [--flight-out FILE] PROGRAM.gsl\n       graphiti-cli explain-stalls [--scheduler NAME] [--top K] [PROGRAM.gsl]\n       graphiti-cli vcd-check FILE.vcd\n       graphiti-cli schema"
                         .to_string(),
                 )
             }
@@ -589,16 +582,11 @@ fn compile_mode(src: &str, args: &Args) -> Result<(), String> {
         let mut mem = program.arrays.clone();
         let feeds: std::collections::BTreeMap<String, Vec<Value>> =
             [("start".to_string(), vec![Value::Unit])].into_iter().collect();
-        let observing = args.vcd_out.is_some() || explain || !args.trace_nodes.is_empty();
         let cfg = SimConfig {
             trace_nodes: args.trace_nodes.clone(),
             waveform: args.vcd_out.is_some(),
             attribute_stalls: explain,
             scheduler: args.scheduler,
-            // Observation on the compiled backend needs the scope unit;
-            // turn it on rather than bounce the run with Unsupported.
-            telemetry: args.telemetry
-                || (args.scheduler == graphiti::sim::Scheduler::Compiled && observing),
             wave_sample: args.wave_sample,
             cancel: Some(token.clone()),
             ..Default::default()
@@ -710,7 +698,6 @@ fn profile_mode(src: &str, args: &Args) -> Result<(), String> {
                 [("start".to_string(), vec![Value::Unit])].into_iter().collect();
             let cfg = SimConfig {
                 scheduler: graphiti::sim::Scheduler::Compiled,
-                telemetry: args.telemetry,
                 cancel: Some(token.clone()),
                 ..SimConfig::default()
             };
