@@ -17,11 +17,8 @@
 //! already cached) path, and `sim/compiled_telemetry` prices waveform
 //! capture plus stall attribution on top of that warm path.
 //!
-//! The `robust/*` group prices the resilience layer:
-//! `robust/failpoints_disabled` is an unarmed injection-site check (the
-//! zero-overhead contract — one relaxed atomic load, like the obs gate)
-//! and `robust/supervised` is a supervised no-op stage (token poll +
-//! clock read + outcome accounting).
+//! The `robust/supervised` row prices a supervised no-op stage (token
+//! poll + clock read + outcome accounting).
 //!
 //! The `metric/*` group isolates the fire-path accounting the simulator
 //! used to pay per call: `per_call_lookup` is the old pattern (registry
@@ -163,18 +160,9 @@ fn bench_metric_lookup(c: &mut Criterion) {
 fn bench_robust(c: &mut Criterion) {
     let mut group = c.benchmark_group("robust");
 
-    // The failpoint subsystem's zero-overhead contract mirrors the obs
-    // sink's: with no schedule configured, `should_fail` at an injection
-    // site is one relaxed atomic load — the simulator fire paths pay
-    // nothing for being injectable.
-    graphiti_obs::failpoint::clear();
-    group.bench_function("failpoints_disabled", |b| {
-        b.iter(|| black_box(graphiti_obs::failpoint::should_fail("sim.fire.compiled")))
-    });
-
     // A supervised stage wrapping a trivial body: the per-stage price of
-    // the resilience layer (token poll, clock read, outcome accounting)
-    // when nothing goes wrong.
+    // supervision (token poll, clock read, outcome accounting) when
+    // nothing goes wrong.
     graphiti_obs::disable();
     let token = graphiti_obs::CancelToken::new();
     group.bench_function("supervised", |b| {

@@ -410,13 +410,6 @@ fn parse_store_target(text: &str, raw: &str, line: usize) -> Result<(String, Exp
 ///
 /// Returns the first [`TextError`] encountered.
 pub fn parse_program(src: &str) -> Result<Program, TextError> {
-    if graphiti_obs::failpoint::should_fail("parse") {
-        return Err(TextError {
-            message: "injected fault: failpoint `parse`".into(),
-            line: 0,
-            col: 0,
-        });
-    }
     let mut p = Program::default();
     let mut kernel: Option<OuterLoop> = None;
     for (i, raw) in src.lines().enumerate() {

@@ -137,81 +137,6 @@ pub fn chrome_trace_json() -> String {
     out
 }
 
-/// Maps a dotted graphiti metric name onto the OpenMetrics grammar
-/// (`[a-zA-Z_:][a-zA-Z0-9_:]*`): dots and any other illegal characters
-/// become underscores.
-pub(crate) fn openmetrics_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for (i, c) in name.chars().enumerate() {
-        let ok = c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit());
-        out.push(if ok { c } else { '_' });
-    }
-    out
-}
-
-/// Escapes a HELP text for the OpenMetrics text format.
-fn openmetrics_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('\n', "\\n")
-}
-
-/// The metrics registry rendered in the OpenMetrics / Prometheus text
-/// exposition format, terminated by `# EOF`.
-///
-/// Dotted metric names are mapped to underscores (`sim.firings` ⇒
-/// `sim_firings`); counters get the `_total` sample suffix; histograms
-/// are exposed with cumulative `_bucket{le="…"}` series plus `_sum` and
-/// `_count`. `# TYPE`, `# UNIT`, and `# HELP` metadata come from the
-/// schema registry ([`crate::schema`]); names without a schema entry
-/// (the `test.` namespace) get only a `# TYPE` line.
-pub fn openmetrics_text() -> String {
-    use crate::schema;
-    let snap = snapshot();
-    let mut out = String::new();
-    let meta = |out: &mut String, raw: &str, om: &str, kind: &str| {
-        let _ = writeln!(out, "# TYPE {om} {kind}");
-        if let Some(spec) = schema::lookup(raw) {
-            if !spec.unit.is_empty() {
-                let _ = writeln!(out, "# UNIT {om} {}", spec.unit);
-            }
-            if !spec.help.is_empty() {
-                let _ = writeln!(out, "# HELP {om} {}", openmetrics_escape(spec.help));
-            }
-        }
-    };
-    for (name, v) in &snap.counters {
-        let om = openmetrics_name(name);
-        meta(&mut out, name, &om, "counter");
-        let _ = writeln!(out, "{om}_total {v}");
-    }
-    for (name, v) in &snap.gauges {
-        let om = openmetrics_name(name);
-        meta(&mut out, name, &om, "gauge");
-        let _ = writeln!(out, "{om} {v}");
-    }
-    for (name, h) in &snap.histograms {
-        let om = openmetrics_name(name);
-        meta(&mut out, name, &om, "histogram");
-        let mut cum = 0u64;
-        for (idx, c) in h.buckets.iter().enumerate() {
-            if *c == 0 {
-                continue;
-            }
-            cum += c;
-            let _ = writeln!(out, "{om}_bucket{{le=\"{}\"}} {cum}", bucket_upper_bound(idx));
-        }
-        let _ = writeln!(out, "{om}_bucket{{le=\"+Inf\"}} {}", h.count);
-        let _ = writeln!(out, "{om}_sum {}", h.sum);
-        let _ = writeln!(out, "{om}_count {}", h.count);
-        // Quantile summaries ride along as a gauge family so scrapes see
-        // the same p50/p95/p99 the CLI summary and bench --json report.
-        for (q, v) in [("0.5", h.p50), ("0.9", h.p90), ("0.95", h.p95), ("0.99", h.p99)] {
-            let _ = writeln!(out, "{om}_quantile{{q=\"{q}\"}} {v}");
-        }
-    }
-    out.push_str("# EOF\n");
-    out
-}
-
 /// The metrics registry rendered as an aligned, human-readable table.
 pub fn summary_table() -> String {
     let snap = snapshot();
@@ -296,29 +221,23 @@ mod tests {
     }
 
     #[test]
-    fn openmetrics_names_and_samples() {
+    fn percentiles_agree_across_all_exporters() {
         let _guard = crate::test_lock();
         crate::reset();
-        crate::counter("sim.firings").add(12);
         let h = crate::histogram("sim.token_latency_cycles");
-        h.record(1);
-        h.record(6);
-        let text = openmetrics_text();
-        assert!(text.contains("# TYPE sim_firings counter"));
-        assert!(text.contains("# UNIT sim_firings events"));
-        assert!(text.contains("sim_firings_total 12"));
-        assert!(text.contains("# TYPE sim_token_latency_cycles histogram"));
-        // Buckets are cumulative: le=1 sees one sample, le=7 both.
-        assert!(text.contains("sim_token_latency_cycles_bucket{le=\"1\"} 1"));
-        assert!(text.contains("sim_token_latency_cycles_bucket{le=\"7\"} 2"));
-        assert!(text.contains("sim_token_latency_cycles_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("sim_token_latency_cycles_sum 7"));
-        assert!(text.contains("sim_token_latency_cycles_count 2"));
-        // p99 lands in the le=7 bucket but is capped at the observed max.
-        assert!(text.contains("sim_token_latency_cycles_quantile{q=\"0.99\"} 6"));
-        assert!(text.ends_with("# EOF\n"));
-        assert_eq!(openmetrics_name("sim.fire.mux-3"), "sim_fire_mux_3");
-        assert_eq!(openmetrics_name("9lives"), "_lives");
+        for v in 1..=100u64 {
+            h.record(v);
+        }
+        let (p50, p95, p99) = (h.quantile(0.5), h.quantile(0.95), h.quantile(0.99));
+        let json = metrics_json();
+        assert!(json.contains(&format!("\"p50\": {p50}")), "JSON p50 differs");
+        assert!(json.contains(&format!("\"p95\": {p95}")), "JSON p95 differs");
+        assert!(json.contains(&format!("\"p99\": {p99}")), "JSON p99 differs");
+        let table = summary_table();
+        assert!(table.contains(&format!("p50<={p50}")), "summary p50 differs");
+        assert!(table.contains(&format!("p95<={p95}")), "summary p95 differs");
+        assert!(table.contains(&format!("p99<={p99}")), "summary p99 differs");
+        crate::reset();
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!   ([`chrome_trace_json`]), and a human-readable summary table
 //!   ([`summary_table`]);
 //! * a **VCD waveform writer and parser** ([`vcd`]) used by the simulator
-//!   to dump per-channel `valid`/`ready`/`tag` waves for GTKWave/Surfer.
+//!   to dump per-channel `valid`/`ready`/`tag` waves for GTKWave/Surfer;
+//! * a **cancellation token** ([`CancelToken`]) with an optional deadline,
+//!   polled by the simulator and the worker pool so a supervised stage can
+//!   be cut off.
 //!
 //! The whole layer costs nothing until a sink is installed: every
 //! instrumentation site first checks [`enabled`], a single relaxed atomic
@@ -33,7 +36,6 @@ use std::time::Instant;
 
 pub mod cancel;
 mod export;
-pub mod failpoint;
 pub mod flight;
 pub mod profile;
 pub mod schema;
@@ -43,8 +45,7 @@ pub mod vcd;
 
 pub use cancel::CancelToken;
 pub use export::{
-    chrome_trace_json, metrics_json, openmetrics_text, summary_table, write_chrome_trace,
-    write_metrics_json,
+    chrome_trace_json, metrics_json, summary_table, write_chrome_trace, write_metrics_json,
 };
 pub use span::{adopt_parent, current_span_id, span, ParentGuard, SpanGuard};
 pub use trace::{
@@ -435,6 +436,48 @@ mod tests {
         assert!(h.quantile(0.5) <= 7);
         assert_eq!(h.quantile(1.0), 1000.min(bucket_upper_bound(10)));
         assert_eq!(histogram("test.lib.hist.empty").quantile(0.99), 0);
+    }
+
+    #[test]
+    fn bucket_upper_bounds_are_strictly_monotonic() {
+        let mut prev = None;
+        for i in 0..HISTOGRAM_BUCKETS {
+            let ub = bucket_upper_bound(i);
+            if let Some(p) = prev {
+                assert!(ub > p, "bucket {i} bound {ub} not above {p}");
+            }
+            prev = Some(ub);
+        }
+        assert_eq!(bucket_upper_bound(HISTOGRAM_BUCKETS - 1), u64::MAX);
+    }
+
+    #[test]
+    fn quantile_edge_cases_empty_single_and_max_bucket() {
+        let _guard = test_lock();
+        reset();
+        // Empty histogram: every quantile is 0.
+        let empty = histogram("test.quant.empty");
+        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+            assert_eq!(empty.quantile(q), 0);
+        }
+        // Single sample: every quantile is that sample (capped by max).
+        let single = histogram("test.quant.single");
+        single.record(42);
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(single.quantile(q), 42);
+        }
+        // Max-bucket sample: the top bucket's nominal bound is u64::MAX, but
+        // the reported quantile is capped at the observed max.
+        let top = histogram("test.quant.top");
+        top.record(u64::MAX);
+        assert_eq!(top.quantile(0.99), u64::MAX);
+        let top2 = histogram("test.quant.top2");
+        top2.record(u64::MAX - 12345);
+        assert_eq!(top2.quantile(1.0), u64::MAX - 12345);
+        // Out-of-range q values clamp instead of panicking.
+        assert_eq!(single.quantile(-1.0), 42);
+        assert_eq!(single.quantile(2.0), 42);
+        reset();
     }
 
     #[test]

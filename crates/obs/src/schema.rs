@@ -1,8 +1,7 @@
 //! The metrics schema registry: every metric name the workspace emits is
 //! declared here *once*, with its kind, unit, help text, and stability
-//! tier. The declarations are the contract consumers (dashboards, the
-//! `perfdiff`/`perftrend` tooling, a future `graphiti-serve` scrape
-//! endpoint) can rely on:
+//! tier. The declarations are the contract consumers (dashboards and the
+//! `perfdiff`/`perftrend` tooling) can rely on:
 //!
 //! * **stable** metrics keep their name and meaning across releases —
 //!   renaming or re-semanticising one is a breaking change that must touch
@@ -83,7 +82,7 @@ pub struct MetricSpec {
     pub kind: MetricKind,
     /// The unit of the recorded value (`cycles`, `events`, `us`, …).
     pub unit: &'static str,
-    /// One-line human description (the OpenMetrics `HELP` text).
+    /// One-line human description, the `help` field of `obs/schema.json`.
     pub help: &'static str,
     /// Contract tier.
     pub stability: Stability,
@@ -183,7 +182,7 @@ pub const SCHEMA: &[MetricSpec] = &[
         name: "robust.*",
         kind: Counter,
         unit: "events",
-        help: "Resilience-layer events: robust.{failpoint.injected|degrade.*|stage.*}.",
+        help: "Supervised pipeline-stage outcomes: robust.stage.<stage>.{ok|failed|cancelled|deadline}.",
         stability: Stable,
     },
     MetricSpec {
@@ -197,7 +196,7 @@ pub const SCHEMA: &[MetricSpec] = &[
         name: "sim.compile.*",
         kind: Counter,
         unit: "events",
-        help: "Compiled-backend lowering facts: sim.compile.{cache_hits|cache_misses|evictions|quarantined|nodes|chans}.",
+        help: "Compiled-backend lowering facts: sim.compile.{cache_hits|cache_misses|evictions|nodes|chans}.",
         stability: Unstable,
     },
     MetricSpec {

@@ -105,8 +105,7 @@ where
 }
 
 /// [`parallel_map`] with cooperative cancellation: each worker polls
-/// `token` before claiming its next job (and the armed `pool.worker`
-/// failpoint, which models a wedged worker by cancelling the token).
+/// `token` before claiming its next job.
 ///
 /// Returns `None` when the token tripped before every job completed —
 /// in-flight jobs finish, unclaimed ones are abandoned — and
@@ -126,18 +125,12 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let poll = |token: &graphiti_obs::CancelToken| {
-        if graphiti_obs::failpoint::should_fail("pool.worker") {
-            token.cancel();
-        }
-        token.is_cancelled()
-    };
     let n = items.len();
     let workers = worker_count(n);
     if workers <= 1 {
         let mut out = Vec::with_capacity(n);
         for item in items {
-            if poll(token) {
+            if token.is_cancelled() {
                 return None;
             }
             out.push(f(item));
@@ -156,7 +149,7 @@ where
                 let _adopt = graphiti_obs::adopt_parent(parent_span);
                 let mut done: u64 = 0;
                 loop {
-                    if poll(token) {
+                    if token.is_cancelled() {
                         break;
                     }
                     let i = next.fetch_add(1, Ordering::Relaxed);

@@ -353,11 +353,7 @@ impl Engine {
             // Per-rewrite attribution: each application is its own span, so
             // `graphiti-cli profile` can cost rewrites individually.
             let _span = graphiti_obs::span(rw.name);
-            if graphiti_obs::failpoint::should_fail("rewrite.apply") {
-                Err(RewriteError::Unsupported("injected fault: failpoint `rewrite.apply`".into()))
-            } else {
-                self.apply_at_inner(g, rw, m)
-            }
+            self.apply_at_inner(g, rw, m)
         };
         match &r {
             Ok(_) => {

@@ -49,17 +49,8 @@ pub fn discharge_cancellable(
 }
 
 /// One obligation's check: denote both sides, run the bounded checker.
-/// The `refine.check` failpoint surfaces as an `Incomparable` verdict —
-/// a data-level failure flowing through [`first_violation`] like any
-/// genuine non-refinement, never a panic.
 fn check_one(ob: Obligation, cfg: &RefineConfig) -> Discharged {
     let _span = graphiti_obs::span("refine_check");
-    if graphiti_obs::failpoint::should_fail("refine.check") {
-        return Discharged {
-            rewrite: ob.rewrite,
-            verdict: Refinement::Incomparable("injected fault: failpoint `refine.check`".into()),
-        };
-    }
     let env = Env::standard();
     let lhs = denote(&ob.lhs, &env);
     let rhs = denote(&ob.rhs, &env);
@@ -82,8 +73,7 @@ pub struct Tally {
     pub bounded: BTreeMap<BoundKind, usize>,
     /// Counterexamples found.
     pub fails: usize,
-    /// Obligations whose sides expose different ports (or whose check
-    /// was cut off by an injected fault).
+    /// Obligations whose sides expose different ports.
     pub incomparable: usize,
 }
 

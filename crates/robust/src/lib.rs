@@ -1,41 +1,17 @@
-//! Resilience layer: supervised pipeline stages and graceful scheduler
-//! degradation.
+//! Supervised pipeline stages.
 //!
-//! The harness pipeline (parse → rewrite → check → simulate) is normally a
-//! straight-line sequence of fallible calls; a wedged or faulted stage takes
-//! the whole batch down with it. This crate wraps that sequence in two
-//! defensive mechanisms, both built on [`graphiti_obs::CancelToken`] and the
-//! deterministic [`graphiti_obs::failpoint`] subsystem:
-//!
-//! * [`supervise`] runs one named stage under a cooperative cancellation
-//!   token with a wall-clock deadline. A stage that fails — or that is cut
-//!   off because the token tripped — surfaces as a structured
-//!   [`StageError`] naming the stage, the cause, and the elapsed time,
-//!   instead of an ad-hoc error string (or a hang).
-//! * [`simulate_resilient`] walks the scheduler degradation ladder
-//!   `Compiled → ReferenceSweep`: when the compiled backend fails with a
-//!   *backend-local* error (a fault injected into its lowering, cache, or
-//!   drive loop), the run is retried on the executable-specification
-//!   sweep and the degradation is counted under the frozen `robust.*`
-//!   metric names and recorded in the flight ring.
-//!
-//! Degradation is deliberately conservative: only [`SimError::Injected`]
-//! falls through the ladder. Errors that describe the *circuit* rather
-//! than the backend —
-//! [`SimError::Deadlock`], [`SimError::Timeout`], memory and evaluation
-//! faults, bad graphs — are identical across schedulers by construction,
-//! so retrying elsewhere would only launder a real bug into wasted work.
-//! [`SimError::Cancelled`] aborts the ladder too: the supervisor asked the
-//! whole run to stop, not just this backend.
+//! The harness pipeline (parse → rewrite → check → simulate) is a
+//! straight-line sequence of fallible calls. [`supervise`] runs one named
+//! stage under a cooperative [`graphiti_obs::CancelToken`], usually armed
+//! with a wall-clock deadline (`graphiti-cli --deadline-ms`). A stage that
+//! fails, or that is cut off because the token tripped, surfaces as a
+//! structured [`StageError`] naming the stage, the cause, and the elapsed
+//! time, instead of an ad-hoc error string (or a hang).
 
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Instant;
-
-use graphiti_ir::{ExprHigh, Value};
-use graphiti_sim::{simulate, Memory, Scheduler, SimConfig, SimError, SimResult};
 
 /// Why a supervised stage did not produce a value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,7 +19,7 @@ pub enum StageErrorKind {
     /// The stage's cancellation token tripped because its deadline passed.
     DeadlineExceeded,
     /// The stage's cancellation token was tripped explicitly (supervisor
-    /// shutdown, a wedged-worker failpoint, an upstream failure).
+    /// shutdown, an upstream failure).
     Cancelled,
     /// The stage itself returned an error; the rendered message is kept.
     Failed(String),
@@ -112,9 +88,9 @@ fn note_stage(stage: &str, outcome: &str, elapsed_ms: u64) {
 /// The token is checked on entry (a batch whose budget is already spent
 /// never starts the next stage) and again when the stage fails, so a
 /// failure caused by cooperative cancellation — e.g.
-/// [`SimError::Cancelled`] from a simulator polling the same token, or an
-/// abandoned [`graphiti_pool::parallel_map_cancellable`] batch — is
-/// reported as [`StageErrorKind::DeadlineExceeded`] /
+/// [`graphiti_sim::SimError::Cancelled`] from a simulator polling the same
+/// token, or an abandoned `graphiti_pool::parallel_map_cancellable`
+/// batch — is reported as [`StageErrorKind::DeadlineExceeded`] /
 /// [`StageErrorKind::Cancelled`] rather than a generic failure.
 ///
 /// Outcomes are counted under `robust.stage.<stage>.{ok|failed|cancelled|
@@ -162,82 +138,10 @@ fn outcome_name(kind: &StageErrorKind) -> &'static str {
     }
 }
 
-/// Whether a simulation error is *backend-local* — a fault injected into
-/// the scheduler rather than a property of the circuit — and therefore
-/// worth retrying on the next rung of the ladder.
-fn degradable(e: &SimError) -> bool {
-    matches!(e, SimError::Injected(_))
-}
-
-/// Runs a simulation with graceful scheduler degradation.
-///
-/// The requested scheduler is tried first; when it fails with a
-/// backend-local error (see [`simulate_resilient`]'s module docs) the run
-/// is repeated — on a fresh clone of `memory`, so a partial first attempt
-/// cannot leak state — on the next scheduler down the ladder
-/// `Compiled → ReferenceSweep`. The returned pair carries
-/// the result together with the scheduler that actually produced it, so
-/// callers can report degradations.
-///
-/// Each fallback increments `robust.degrade.<from>_to_<to>` and records a
-/// flight-ring entry; a ladder exhausted without success returns the last
-/// error and increments `robust.degrade.exhausted`.
-///
-/// # Errors
-///
-/// Returns the first non-degradable error, or the final rung's error when
-/// every rung fails.
-pub fn simulate_resilient(
-    g: &ExprHigh,
-    feeds: &BTreeMap<String, Vec<Value>>,
-    memory: Memory,
-    cfg: SimConfig,
-) -> Result<(SimResult, Scheduler), SimError> {
-    let ladder: &[Scheduler] = match cfg.scheduler {
-        Scheduler::Compiled => &[Scheduler::Compiled, Scheduler::ReferenceSweep],
-        Scheduler::ReferenceSweep => &[Scheduler::ReferenceSweep],
-    };
-    for (i, &sched) in ladder.iter().enumerate() {
-        let mut attempt = cfg.clone();
-        attempt.scheduler = sched;
-        match simulate(g, feeds, memory.clone(), attempt) {
-            Ok(r) => return Ok((r, sched)),
-            Err(e) if degradable(&e) && i + 1 < ladder.len() => {
-                let next = ladder[i + 1];
-                if graphiti_obs::enabled() {
-                    graphiti_obs::counter(&format!(
-                        "robust.degrade.{}_to_{}",
-                        sched_slug(sched),
-                        sched_slug(next)
-                    ))
-                    .inc();
-                }
-                graphiti_obs::flight::record("robust.degrade", || {
-                    format!("{sched:?} failed ({e}); retrying on {next:?}")
-                });
-            }
-            Err(e) => {
-                if degradable(&e) && graphiti_obs::enabled() {
-                    graphiti_obs::counter("robust.degrade.exhausted").inc();
-                }
-                return Err(e);
-            }
-        }
-    }
-    unreachable!("every ladder has at least one rung")
-}
-
-/// Metric-name slug for a scheduler.
-fn sched_slug(s: Scheduler) -> &'static str {
-    match s {
-        Scheduler::ReferenceSweep => "sweep",
-        Scheduler::Compiled => "compiled",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphiti_sim::SimError;
 
     #[test]
     fn supervise_passes_values_through() {

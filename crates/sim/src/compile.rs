@@ -191,10 +191,6 @@ pub(crate) struct CompiledCircuit {
     /// Per node: the unit class the stall walks match on.
     pub(crate) class: Vec<UnitClass>,
     pub(crate) stats: CompileStats,
-    /// The 128-bit content key the artifact was cached under. Re-checked
-    /// on every cache read: a stored artifact whose key no longer matches
-    /// its slot is corrupted and gets quarantined instead of served.
-    pub(crate) content_key: (u64, u64),
 }
 
 impl CompiledCircuit {
@@ -243,7 +239,6 @@ fn cache() -> &'static ArtifactCache {
 static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
 static CACHE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-static CACHE_QUARANTINED: AtomicU64 = AtomicU64::new(0);
 
 /// Entry cap: evicting least-recently-used artifacts above this count
 /// bounds fuzzing runs, which compile thousands of distinct throwaway
@@ -355,45 +350,22 @@ pub(crate) fn get_or_compile(
 ) -> Result<Arc<CompiledCircuit>, SimError> {
     let key = content_key(g, cfg);
     {
-        let mut state = cache().lock().expect("compile cache poisoned");
+        let mut guard = cache().lock().expect("compile cache poisoned");
+        let state = &mut *guard;
         if let Some(entry) = state.map.get_mut(&key) {
-            // Re-verify the stored artifact against the lookup key before
-            // serving it; the `cache.read` failpoint models in-memory
-            // corruption the check would catch.
-            let corrupted =
-                entry.art.content_key != key || graphiti_obs::failpoint::should_fail("cache.read");
-            if !corrupted {
-                state.tick += 1;
-                let tick = state.tick;
-                let entry = state.map.get_mut(&key).expect("entry just found");
-                entry.tick = tick;
-                CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-                if graphiti_obs::enabled() {
-                    graphiti_obs::counter("sim.compile.cache_hits").inc();
-                }
-                return Ok(entry.art.clone());
-            }
-            let evicted = state.map.remove(&key).expect("entry just found");
-            state.bytes = state.bytes.saturating_sub(evicted.bytes);
-            CACHE_QUARANTINED.fetch_add(1, Ordering::Relaxed);
+            state.tick += 1;
+            entry.tick = state.tick;
+            CACHE_HITS.fetch_add(1, Ordering::Relaxed);
             if graphiti_obs::enabled() {
-                graphiti_obs::counter("sim.compile.quarantined").inc();
+                graphiti_obs::counter("sim.compile.cache_hits").inc();
             }
-            drop(state);
-            graphiti_obs::flight::record("cache.quarantine", || {
-                format!("corrupted artifact under key {:016x}{:016x}; recompiling", key.0, key.1)
-            });
+            return Ok(entry.art.clone());
         }
     }
     CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
     let _span = graphiti_obs::span("sim.compile");
-    if graphiti_obs::failpoint::should_fail("compile.lower") {
-        return Err(SimError::Injected("compile.lower".into()));
-    }
     let t0 = std::time::Instant::now();
-    let mut circuit = lower(g, cfg)?;
-    circuit.content_key = key;
-    let art = Arc::new(circuit);
+    let art = Arc::new(lower(g, cfg)?);
     if graphiti_obs::enabled() {
         let stats = art.stats();
         graphiti_obs::counter("sim.compile.cache_misses").inc();
@@ -453,17 +425,11 @@ pub fn compile_cache_stats() -> (u64, u64) {
     (CACHE_HITS.load(Ordering::Relaxed), CACHE_MISSES.load(Ordering::Relaxed))
 }
 
-/// `(evictions, quarantined, resident entries, resident bytes)` of the
-/// compiled-artifact cache: lifetime counters for LRU evictions and
-/// corrupted-artifact quarantines, plus the current footprint.
-pub fn compile_cache_detail() -> (u64, u64, usize, usize) {
+/// `(evictions, resident entries, resident bytes)` of the compiled-artifact
+/// cache: the lifetime count of LRU evictions plus the current footprint.
+pub fn compile_cache_detail() -> (u64, usize, usize) {
     let state = cache().lock().expect("compile cache poisoned");
-    (
-        CACHE_EVICTIONS.load(Ordering::Relaxed),
-        CACHE_QUARANTINED.load(Ordering::Relaxed),
-        state.map.len(),
-        state.bytes,
-    )
+    (CACHE_EVICTIONS.load(Ordering::Relaxed), state.map.len(), state.bytes)
 }
 
 /// Runs a compiled circuit to quiescence. The public entry point is
@@ -874,8 +840,5 @@ fn lower(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
         producer_of,
         class,
         stats,
-        // The cache key is assigned by `get_or_compile` at admission; a
-        // bare `lower` artifact never reaches the cache.
-        content_key: (0, 0),
     })
 }

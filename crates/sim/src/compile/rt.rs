@@ -427,9 +427,6 @@ fn drive(art: &CompiledCircuit, rt: &mut Rt, cfg: &SimConfig) -> Result<(), SimE
                 rt.cur[w] = bits & (bits - 1);
                 let i = (w * 64) as u32 + b;
                 rt.examined += 1;
-                if graphiti_obs::failpoint::should_fail("sim.fire.compiled") {
-                    return Err(SimError::Injected("sim.fire.compiled".into()));
-                }
                 let nd = &art.nodes[i as usize];
                 if !(nd.fire)(art, rt, i)? {
                     continue;

@@ -182,8 +182,6 @@ pub enum SimError {
     /// The run was cut off by [`SimConfig::cancel`] tripping (deadline
     /// passed or supervisor cancelled).
     Cancelled,
-    /// A fault injected by an armed `graphiti_obs::failpoint` schedule.
-    Injected(String),
 }
 
 impl fmt::Display for SimError {
@@ -195,7 +193,6 @@ impl fmt::Display for SimError {
             SimError::BadGraph(m) => write!(f, "graph not simulatable: {m}"),
             SimError::Deadlock(r) => write!(f, "{r}"),
             SimError::Cancelled => write!(f, "simulation cancelled (deadline or supervisor)"),
-            SimError::Injected(site) => write!(f, "injected fault: failpoint `{site}`"),
         }
     }
 }
@@ -691,9 +688,6 @@ impl Simulator {
     /// Attempts all enabled transactions of node `i`; returns whether any
     /// fired.
     fn step(&mut self, i: usize, now: u64) -> Result<bool, SimError> {
-        if graphiti_obs::failpoint::should_fail("sim.fire") {
-            return Err(SimError::Injected("sim.fire".into()));
-        }
         // Split borrows: temporarily take the unit and port lists out so
         // the transaction body can borrow channels and memory freely —
         // without cloning `ins`/`outs` on every candidate fire.

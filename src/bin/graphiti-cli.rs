@@ -34,10 +34,9 @@
 //! is summarised as a verdict tally, e.g. `4 hold, 11 bounded (states 2,
 //! queue_cap 9), 0 fail`: a check that stopped at a bound is not a proof.
 //!
-//! `--metrics-out FILE` / `--openmetrics-out FILE` / `--trace-out FILE`
-//! install the `graphiti-obs` collection sink and write a metrics JSON
-//! document / OpenMetrics text exposition / Chrome trace-event file
-//! (loadable in Perfetto) when the run finishes. Any of them implies
+//! `--metrics-out FILE` / `--trace-out FILE` install the `graphiti-obs`
+//! collection sink and write a metrics JSON document / Chrome trace-event
+//! file (loadable in Perfetto) when the run finishes. Either implies
 //! `--checked` (so refinement-check metrics exist), and in compile mode
 //! the optimized kernels are additionally simulated against the program's
 //! arrays so the profile includes simulator fire/stall counters.
@@ -66,18 +65,12 @@
 //!   (either scheduler), bounding VCD growth on long runs; stall
 //!   attribution stays cycle-exact regardless of the stride.
 //!
-//! Resilience (see DESIGN.md §3.13):
-//!
-//! * `--deadline-ms N` supervises the compile-mode pipeline stages under a
-//!   shared cancellation token with an N-millisecond wall-clock budget; a
-//!   wedged stage is cut off with a structured stage error instead of
-//!   hanging the run.
-//! * `--fallback` retries compile-mode simulations down the scheduler
-//!   degradation ladder (`compiled → sweep`) when the compiled backend
-//!   fails with a backend-local error; degradations are reported on stderr
-//!   and counted under `robust.*`.
-//! * `--failpoints SPEC` arms the deterministic fault-injection subsystem
-//!   (e.g. `seed=42;sim.fire.compiled=1/64`) for chaos drills.
+//! Deadlines (see DESIGN.md §3.13): `--deadline-ms N` gives the run an
+//! N-millisecond wall-clock budget on a shared cancellation token. Each
+//! pipeline stage (parse, rewrite and simulate in compile mode, and the
+//! deferred check in every mode) runs supervised under it; a stage that
+//! overruns is cut off with a structured stage error instead of hanging
+//! the run, and its outcome is counted under `robust.stage.*`.
 
 use graphiti::pipeline::{find_seq_loops, optimize_loop, PipelineOptions};
 use graphiti::prelude::*;
@@ -108,7 +101,6 @@ struct Args {
     stats: bool,
     compile: bool,
     metrics_out: Option<String>,
-    openmetrics_out: Option<String>,
     trace_out: Option<String>,
     vcd_out: Option<String>,
     trace_nodes: Vec<String>,
@@ -121,8 +113,6 @@ struct Args {
     folded_out: Option<String>,
     flight_out: Option<String>,
     deadline_ms: Option<u64>,
-    fallback: bool,
-    failpoints: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -134,7 +124,6 @@ fn parse_args() -> Result<Args, String> {
         stats: false,
         compile: false,
         metrics_out: None,
-        openmetrics_out: None,
         trace_out: None,
         vcd_out: None,
         trace_nodes: Vec::new(),
@@ -147,8 +136,6 @@ fn parse_args() -> Result<Args, String> {
         folded_out: None,
         flight_out: None,
         deadline_ms: None,
-        fallback: false,
-        failpoints: None,
     };
     let mut it = std::env::args().skip(1);
     let mut first_positional = true;
@@ -172,10 +159,6 @@ fn parse_args() -> Result<Args, String> {
             "--compile" => args.compile = true,
             "--metrics-out" => {
                 args.metrics_out = Some(it.next().ok_or("--metrics-out needs a file path")?);
-            }
-            "--openmetrics-out" => {
-                args.openmetrics_out =
-                    Some(it.next().ok_or("--openmetrics-out needs a file path")?);
             }
             "--trace-out" => {
                 args.trace_out = Some(it.next().ok_or("--trace-out needs a file path")?);
@@ -228,14 +211,9 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.deadline_ms = Some(ms);
             }
-            "--fallback" => args.fallback = true,
-            "--failpoints" => {
-                args.failpoints =
-                    Some(it.next().ok_or("--failpoints needs a spec (e.g. seed=42;parse=1/8)")?);
-            }
             "--help" | "-h" => {
                 return Err(
-                    "usage: graphiti-cli [--tags N] [--mark INIT_NODE] [--checked | --checked-deferred] [--stats] [--metrics-out FILE] [--openmetrics-out FILE] [--trace-out FILE] [--flight-out FILE] [INPUT.dot]\n       graphiti-cli --compile [--scheduler compiled|sweep] [--vcd-out FILE] [--wave-sample N] [--trace-nodes a,b,c] [--deadline-ms N] [--fallback] [--failpoints SPEC] [PROGRAM.gsl]\n       graphiti-cli profile [--json FILE] [--folded FILE] [--flight-out FILE] PROGRAM.gsl\n       graphiti-cli explain-stalls [--scheduler NAME] [--top K] [PROGRAM.gsl]\n       graphiti-cli vcd-check FILE.vcd\n       graphiti-cli schema"
+                    "usage: graphiti-cli [--tags N] [--mark INIT_NODE] [--checked | --checked-deferred] [--stats] [--metrics-out FILE] [--trace-out FILE] [--flight-out FILE] [--deadline-ms N] [INPUT.dot]\n       graphiti-cli --compile [--scheduler compiled|sweep] [--vcd-out FILE] [--wave-sample N] [--trace-nodes a,b,c] [--deadline-ms N] [PROGRAM.gsl]\n       graphiti-cli profile [--json FILE] [--folded FILE] [--flight-out FILE] PROGRAM.gsl\n       graphiti-cli explain-stalls [--scheduler NAME] [--top K] [PROGRAM.gsl]\n       graphiti-cli vcd-check FILE.vcd\n       graphiti-cli schema"
                         .to_string(),
                 )
             }
@@ -287,9 +265,7 @@ fn parse_args() -> Result<Args, String> {
                     dot circuits carry no input arrays to simulate"
             .to_string());
     }
-    if (args.metrics_out.is_some() || args.openmetrics_out.is_some() || args.trace_out.is_some())
-        && !args.deferred
-    {
+    if (args.metrics_out.is_some() || args.trace_out.is_some()) && !args.deferred {
         // A profile without refinement-check metrics would be misleading:
         // observed runs are always checked.
         args.checked = true;
@@ -303,10 +279,8 @@ fn run() -> Result<(), String> {
         print!("{}", graphiti::obs::schema::schema_json());
         return Ok(());
     }
-    let observing = args.metrics_out.is_some()
-        || args.openmetrics_out.is_some()
-        || args.trace_out.is_some()
-        || args.mode == Mode::Profile;
+    let observing =
+        args.metrics_out.is_some() || args.trace_out.is_some() || args.mode == Mode::Profile;
     if observing {
         graphiti::obs::enable();
     }
@@ -316,9 +290,6 @@ fn run() -> Result<(), String> {
         graphiti::obs::flight::enable();
         graphiti::obs::flight::set_dump_path(path.clone());
         graphiti::obs::flight::install_panic_hook();
-    }
-    if let Some(spec) = &args.failpoints {
-        graphiti::obs::failpoint::configure(spec).map_err(|e| format!("--failpoints: {e}"))?;
     }
     let result = run_inner(&args);
     if observing {
@@ -341,10 +312,6 @@ fn run() -> Result<(), String> {
 fn write_observations(args: &Args) -> Result<(), String> {
     if let Some(path) = &args.metrics_out {
         graphiti::obs::write_metrics_json(path)
-            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-    }
-    if let Some(path) = &args.openmetrics_out {
-        std::fs::write(path, graphiti::obs::openmetrics_text())
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
     }
     if let Some(path) = &args.trace_out {
@@ -376,8 +343,10 @@ fn run_token(args: &Args) -> graphiti::obs::CancelToken {
     }
 }
 
-/// Discharges a deferred obligation batch in parallel under the run token,
-/// failing on the first violation (or on an abandoned batch).
+/// Discharges a deferred obligation batch in parallel as the supervised
+/// `check` stage under the run token, failing on the first violation. A
+/// batch abandoned because the token tripped surfaces as a stage error
+/// naming the deadline or the cancellation.
 fn discharge_deferred(
     context: &str,
     obligations: Vec<graphiti::rewrite::Obligation>,
@@ -388,20 +357,15 @@ fn discharge_deferred(
         return Ok(());
     }
     let n = obligations.len();
-    let verdicts = graphiti::rewrite::verify::discharge_cancellable(obligations, token, cfg)
-        .ok_or_else(|| {
-            format!(
-                "graphiti-cli: {context}: deferred obligation batch abandoned \
-                 (deadline or cancellation)"
-            )
-        })?;
-    if let Some(v) = graphiti::rewrite::verify::first_violation(&verdicts) {
-        return Err(format!(
-            "graphiti-cli: {context}: deferred obligation of `{}` failed: {:?}",
-            v.rewrite, v.verdict
-        ));
-    }
-    let tally = graphiti::rewrite::verify::Tally::of(&verdicts);
+    let tally = graphiti_robust::supervise("check", token, || {
+        let verdicts = graphiti::rewrite::verify::discharge_cancellable(obligations, token, cfg)
+            .ok_or("deferred obligation batch abandoned")?;
+        if let Some(v) = graphiti::rewrite::verify::first_violation(&verdicts) {
+            return Err(format!("deferred obligation of `{}` failed: {:?}", v.rewrite, v.verdict));
+        }
+        Ok(graphiti::rewrite::verify::Tally::of(&verdicts))
+    })
+    .map_err(|e| format!("graphiti-cli: {context}: {e}"))?;
     eprintln!("graphiti-cli: {context}: discharged {n} deferred obligations in parallel: {tally}");
     Ok(())
 }
@@ -525,7 +489,7 @@ fn vcd_path(requested: &str, kernel: &str, kernels: usize) -> String {
 
 /// `--compile`: front-end program in, optimized dot circuits out. The
 /// whole mode runs under the run token (`--deadline-ms`), each stage
-/// supervised so a wedged or faulted stage surfaces as a structured
+/// supervised so a failed or overrunning stage surfaces as a structured
 /// stage error naming the stage and its elapsed time.
 fn compile_mode(src: &str, args: &Args) -> Result<(), String> {
     let token = run_token(args);
@@ -595,20 +559,7 @@ fn compile_mode(src: &str, args: &Args) -> Result<(), String> {
             let (placed, _) = place_buffers(g);
             let memory = mem.clone();
             let r = graphiti_robust::supervise("simulate", &token, || {
-                if args.fallback {
-                    graphiti_robust::simulate_resilient(&placed, &feeds, memory, cfg.clone()).map(
-                        |(r, used)| {
-                            if used != cfg.scheduler {
-                                eprintln!(
-                                    "graphiti-cli: kernel `{name}` degraded to {used:?} scheduler"
-                                );
-                            }
-                            r
-                        },
-                    )
-                } else {
-                    simulate(&placed, &feeds, memory, cfg.clone())
-                }
+                simulate(&placed, &feeds, memory, cfg.clone())
             })
             .map_err(|e| format!("graphiti-cli: kernel `{name}`: {e}"))?;
             eprintln!(

@@ -156,6 +156,48 @@ fn cli_checked_deferred_discharges_in_parallel() {
 }
 
 #[test]
+fn cli_supervises_the_deferred_check_stage() {
+    let dir = std::env::temp_dir().join(format!("graphiti_cli_check_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let metrics = dir.join("m.json");
+    let metrics_str = metrics.to_str().unwrap().to_string();
+    let (_, stderr, ok) = run_cli(
+        SEQUENTIAL_LOOP,
+        &[
+            "--tags",
+            "4",
+            "--checked-deferred",
+            "--deadline-ms",
+            "600000",
+            "--metrics-out",
+            &metrics_str,
+        ],
+    );
+    assert!(ok, "stderr: {stderr}");
+    // A generous deadline leaves the verdicts untouched.
+    assert!(
+        stderr.contains(
+            "discharged 2 deferred obligations in parallel: 0 hold, 2 bounded (queue_cap 2), 0 fail"
+        ),
+        "{stderr}"
+    );
+    let doc = std::fs::read_to_string(&metrics).expect("metrics file exists");
+    assert!(doc.contains("\"robust.stage.check.ok\""), "check stage outcome counted: {doc}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cli_deadline_cuts_off_the_checked_pipeline_with_a_stage_error() {
+    // gcd's deferred check takes far longer than 1 ms, so whichever stage
+    // the budget runs out in is cut off with a structured stage error.
+    let (_, stderr, ok) =
+        run_cli(GCD_PROGRAM, &["--compile", "--checked-deferred", "--deadline-ms", "1"]);
+    assert!(!ok, "an overrun deadline must fail the run: {stderr}");
+    assert!(stderr.contains("exceeded its deadline"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn cli_compile_mode_rejects_bad_programs() {
     let (_, stderr, ok) = run_cli("kernel for i in {", &["--compile"]);
     assert!(!ok);
