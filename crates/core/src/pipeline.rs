@@ -153,16 +153,12 @@ fn exhaust_in_region(
         for rw in rws {
             let m = rw.matches(&g).into_iter().find(|m| m.nodes.iter().all(|n| region.contains(n)));
             if let Some(m) = m {
-                let before: BTreeSet<NodeId> = g.node_names();
-                let g2 = engine.apply_at(&g, rw, &m)?;
-                let after = g2.node_names();
+                g = engine.apply_at(&g, rw, &m)?;
                 for n in &m.nodes {
                     region.remove(n);
                 }
-                for n in after.difference(&before) {
-                    region.insert(n.clone());
-                }
-                g = g2;
+                let applied = engine.log.last().expect("a successful application is logged");
+                region.extend(applied.created.iter().cloned());
                 continue 'outer;
             }
         }

@@ -2,8 +2,11 @@
 //!
 //! ExprHigh is the higher-level language of Fig. 1 in the paper: a graph of
 //! named component instances with point-to-point connections between ports,
-//! plus dangling graph-level inputs and outputs. Rewrites are *matched* on
-//! ExprHigh and *applied* on [ExprLow](crate::low), then lifted back.
+//! plus dangling graph-level inputs and outputs. Rewrites are *matched* and
+//! *applied* on ExprHigh: the engine splices each replacement into the graph
+//! with the mutation API below. The paper's application, substitution on
+//! [ExprLow](crate::low) and lifting back (§4.2), is the spec that debug
+//! builds check every splice against.
 
 use crate::component::CompKind;
 use std::collections::{BTreeMap, BTreeSet};

@@ -4,17 +4,20 @@
 //! Graphiti rewriting framework (ASPLOS 2026):
 //!
 //! * [`ExprHigh`] — a named graph of dataflow components connected port to
-//!   port, with graph-level inputs and outputs. Rewrites are *matched* here.
+//!   port, with graph-level inputs and outputs. Rewrites are *matched* here,
+//!   and the engine applies them here too, by splicing the replacement in.
 //! * [`ExprLow`] — an inductive expression language (`base | e ⊗ e |
-//!   connect(o, i, e)`) suited to verification; rewrites are *applied* here
-//!   by structural substitution and the result is lifted back.
+//!   connect(o, i, e)`) suited to verification. The paper applies rewrites
+//!   here by structural substitution and lifts the result back (§4.2); that
+//!   path is the spec the engine's debug builds check every splice against,
+//!   and refinement obligations are stated on ExprLow.
 //!
 //! It also defines the token [`Value`] domain (including tags), component
 //! kinds ([`CompKind`]) with their port interfaces, primitive operators
 //! ([`Op`]), the symbolic pure-function language ([`PureFn`]) used by pure
 //! generation, conversion between the two representations
-//! ([`lower`]/[`lower_grouped`]/[`lift`]), and a Dynamatic-style DOT
-//! interchange format ([`parse_dot`]/[`print_dot`]).
+//! ([`lower`]/[`lower_grouped`]/[`lower_group`]/[`lift`]), and a
+//! Dynamatic-style DOT interchange format ([`parse_dot`]/[`print_dot`]).
 //!
 //! # Example
 //!
@@ -49,5 +52,5 @@ pub use dot::{
 pub use func::{EvalError, Op, PureFn};
 pub use high::{ep, Attachment, EdgeList, Endpoint, ExprHigh, GraphError, NodeId};
 pub use low::{ExprLow, PortMaps, PortName};
-pub use lower::{lift, lift_expr, lower, lower_grouped, LowerError, Lowered};
+pub use lower::{lift, lift_expr, lower, lower_group, lower_grouped, LowerError, Lowered};
 pub use value::{Tag, Ty, Value};

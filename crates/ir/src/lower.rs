@@ -1,10 +1,13 @@
 //! Lowering [`ExprHigh`] to [`ExprLow`] and lifting back.
 //!
-//! The rewriting engine matches a subgraph on ExprHigh, lowers the graph so
-//! that the matched node set forms a *contiguous* sub-expression (the role of
-//! the paper's proven reassociation moves in §4.2), substitutes on ExprLow,
-//! and lifts back to ExprHigh. `lower_grouped` produces the grouped form;
-//! `lift` reconstructs the graph.
+//! The paper applies a rewrite by lowering the graph so that the matched node
+//! set forms a *contiguous* sub-expression (the role of its proven
+//! reassociation moves in §4.2), substituting on ExprLow, and lifting back to
+//! ExprHigh. `lower_grouped` produces the grouped form and `lift`
+//! reconstructs the graph; the rewriting engine splices on ExprHigh instead
+//! and keeps this path as the spec its debug builds check every application
+//! against. `lower_group` lowers the matched group alone, which is all a
+//! refinement obligation needs.
 
 use crate::high::{Attachment, Endpoint, ExprHigh, GraphError, NodeId};
 use crate::low::{ExprLow, PortMaps, PortName};
@@ -156,6 +159,19 @@ fn io_name_maps(g: &ExprHigh) -> (ExtPortMap, ExtPortMap, IoNameMap, IoNameMap) 
 /// Fails on an empty graph.
 pub fn lower(g: &ExprHigh) -> Result<Lowered, LowerError> {
     lower_grouped(g, &BTreeSet::new())
+}
+
+/// Lowers the node set `group` of `g` on its own, with the whole graph's
+/// port naming: the group sub-expression that [`lower_grouped`] isolates
+/// (the whole expression when `group` is every node), built without
+/// lowering the rest of the graph.
+///
+/// # Errors
+///
+/// Fails on an empty group or unknown nodes.
+pub fn lower_group(g: &ExprHigh, group: &BTreeSet<NodeId>) -> Result<ExprLow, LowerError> {
+    let (ext_ins, ext_outs, _, _) = io_name_maps(g);
+    lower_fragment(g, group, &ext_ins, &ext_outs)
 }
 
 /// Lowers `g` such that the nodes in `group` form a contiguous
@@ -339,6 +355,39 @@ mod tests {
         }
     }
 
+    /// The group subtree of a grouped lowering, found the way
+    /// `grouped_lowering_isolates_subtree` finds it: the right product child
+    /// below the outer connects. A whole-graph group is the whole expression.
+    fn group_subtree(expr: &ExprLow, whole: bool) -> &ExprLow {
+        if whole {
+            return expr;
+        }
+        let mut cur = expr;
+        while let ExprLow::Connect { inner, .. } = cur {
+            cur = inner;
+        }
+        match cur {
+            ExprLow::Product(_, group_expr) => group_expr,
+            other => panic!("expected product, got {other}"),
+        }
+    }
+
+    #[test]
+    fn lower_group_is_the_grouped_subtree() {
+        let g = fork_mod();
+        for group_nodes in [vec!["m"], vec!["f"], vec!["f", "m"]] {
+            let group: BTreeSet<NodeId> = group_nodes.iter().map(|s| s.to_string()).collect();
+            let lowered = lower_grouped(&g, &group).unwrap();
+            let whole = group == g.node_names();
+            assert_eq!(
+                &lower_group(&g, &group).unwrap(),
+                group_subtree(&lowered.expr, whole),
+                "group {group_nodes:?}"
+            );
+        }
+        assert_eq!(lower_group(&g, &BTreeSet::new()), Err(LowerError::EmptyGraph));
+    }
+
     #[test]
     fn grouped_lowering_roundtrips() {
         let g = fork_mod();
@@ -357,15 +406,7 @@ mod tests {
         let g = fork_mod();
         let group: BTreeSet<NodeId> = ["m".to_string()].into_iter().collect();
         let lowered = lower_grouped(&g, &group).unwrap();
-        // The group subtree is the rightmost product child.
-        let mut cur = lowered.expr.clone();
-        let lhs = loop {
-            match cur {
-                ExprLow::Connect { inner, .. } => cur = *inner,
-                ExprLow::Product(_, group_expr) => break *group_expr,
-                other => panic!("unexpected {other}"),
-            }
-        };
+        let lhs = group_subtree(&lowered.expr, false).clone();
         // Build an rhs exposing the same external names.
         let rhs = {
             let kind = CompKind::Operator { op: Op::AddI };

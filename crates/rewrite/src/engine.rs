@@ -2,16 +2,26 @@
 //!
 //! A [`Rewrite`] is a pair of a *matcher* (which finds instances of the
 //! left-hand side in an [`ExprHigh`] graph) and a *builder* (which produces
-//! the replacement for a concrete match). The engine applies a rewrite the
-//! way the paper describes (§3, §4.2):
+//! the replacement for a concrete match). The paper defines applying a
+//! rewrite as substitution on ExprLow (§3, §4.2):
 //!
 //! 1. the match designates a node set; the graph is lowered with
-//!    [`lower_grouped`] so those nodes form a contiguous ExprLow
-//!    sub-expression `e_lhs`;
+//!    [`lower_grouped`](graphiti_ir::lower_grouped) so those nodes form a
+//!    contiguous ExprLow sub-expression `e_lhs`;
 //! 2. the replacement is rendered as an ExprLow fragment `e_rhs` exposing
 //!    exactly the same dangling port names;
-//! 3. the substitution `e[e_lhs := e_rhs]` of §4.2 rewrites the expression,
-//!    which is lifted back to ExprHigh.
+//! 3. the substitution `e[e_lhs := e_rhs]` rewrites the expression, which is
+//!    lifted back to ExprHigh.
+//!
+//! The engine reaches the same graph by splicing on ExprHigh: it detaches
+//! the match's boundary, removes the matched nodes, adds the freshly named
+//! replacement and re-attaches the boundary to it, so an application costs
+//! the size of the match rather than of the circuit. The substitution stays
+//! as the executable spec: debug builds rebuild every successful
+//! [`Replacement::Subgraph`] application through steps 1–3 and assert that
+//! the graphs are equal. ExprLow is otherwise built only for refinement
+//! obligations, and then only for the matched group
+//! ([`lower_group`](graphiti_ir::lower_group)) and the replacement.
 //!
 //! In *checked mode* the engine discharges the premise of Theorem 4.6 for
 //! every application of a rewrite marked verified: it denotes `e_rhs` and
@@ -21,12 +31,14 @@
 //! check and recorded as such.
 //!
 //! Rewrites whose right-hand side is pure wiring (e.g. eliminating a 1-way
-//! fork) use a [`Replacement::Passthrough`], applied by graph splicing; their
+//! fork) use a [`Replacement::Passthrough`], spliced the same way; their
 //! check obligation models each wire as an elastic buffer.
 
+#[cfg(debug_assertions)]
+use graphiti_ir::{lift_expr, lower_grouped};
 use graphiti_ir::{
-    lift_expr, lower_grouped, Attachment, CompKind, Endpoint, ExprHigh, ExprLow, GraphError,
-    LowerError, NodeId, PortMaps, PortName,
+    lower_group, Attachment, CompKind, Endpoint, ExprHigh, ExprLow, GraphError, LowerError, NodeId,
+    PortMaps, PortName,
 };
 use graphiti_sem::{check_refinement, denote, Env, Event, RefineConfig, Refinement};
 
@@ -258,6 +270,9 @@ pub struct Applied {
     pub rewrite: String,
     /// Nodes that were replaced.
     pub nodes: BTreeSet<NodeId>,
+    /// Fresh names of the nodes the replacement added, in the order they
+    /// were allocated (empty for a passthrough).
+    pub created: Vec<NodeId>,
     /// Checked-mode verdict (`None` when unchecked).
     pub verdict: Option<Refinement>,
 }
@@ -382,23 +397,19 @@ impl Engine {
     ) -> Result<ExprHigh, RewriteError> {
         let repl = rw.build(g, m)?;
         self.validate_boundary(g, m, &repl)?;
-
-        let lowered = lower_grouped(g, &m.nodes)?;
-        let whole = m.nodes == g.node_names();
-        let e_lhs = extract_group(&lowered.expr, whole).clone();
-        let e_rhs = self.render_rhs(g, &repl)?;
+        let repl = match &repl {
+            Replacement::Subgraph { graph, boundary_ins, boundary_outs } => {
+                Resolved::Subgraph(self.fragment(g, graph, boundary_ins, boundary_outs)?)
+            }
+            Replacement::Passthrough { wires } => Resolved::Passthrough(wires),
+        };
 
         let verdict = if self.mode != CheckMode::Off && rw.verified {
-            let rhs = match &e_rhs {
-                Some(e) => e,
-                None => {
-                    // A passthrough with no expressible rhs cannot be
-                    // checked; treat as bound-reached.
-                    return Err(RewriteError::Unsupported(
-                        "verified rewrite with unrenderable rhs".into(),
-                    ));
-                }
-            };
+            // A passthrough with no wires has no expressible rhs.
+            let rhs = render_rhs(g, &repl).ok_or_else(|| {
+                RewriteError::Unsupported("verified rewrite with unrenderable rhs".into())
+            })?;
+            let lhs = lower_group(g, &m.nodes)?;
             match self.mode {
                 CheckMode::Checked => {
                     // Times denotation + refinement checking; the checker
@@ -406,8 +417,8 @@ impl Engine {
                     // collection is enabled.
                     let _check_span = graphiti_obs::span("refine_check");
                     let env = Env::standard();
-                    let lhs_mod = denote(&e_lhs, &env);
-                    let rhs_mod = denote(rhs, &env);
+                    let lhs_mod = denote(&lhs, &env);
+                    let rhs_mod = denote(&rhs, &env);
                     let r = check_refinement(&rhs_mod, &lhs_mod, &self.refine_cfg);
                     if let Refinement::Fails { trace } = &r {
                         return Err(RewriteError::RefinementViolated {
@@ -418,11 +429,7 @@ impl Engine {
                     Some(r)
                 }
                 CheckMode::Deferred => {
-                    self.obligations.push(Obligation {
-                        rewrite: rw.name.to_string(),
-                        lhs: e_lhs.clone(),
-                        rhs: rhs.clone(),
-                    });
+                    self.obligations.push(Obligation { rewrite: rw.name.to_string(), lhs, rhs });
                     None
                 }
                 CheckMode::Off => unreachable!("guarded above"),
@@ -431,17 +438,31 @@ impl Engine {
             None
         };
 
-        let g2 = match &repl {
-            Replacement::Subgraph { .. } => {
-                let e_rhs = e_rhs.expect("subgraph replacement always renders");
-                let expr2 = lowered.expr.substitute(&e_lhs, &e_rhs);
-                lift_expr(&expr2, &lowered.input_names, &lowered.output_names)?
+        let (g2, created) = match &repl {
+            Resolved::Subgraph(frag) => {
+                (frag.splice(g, m)?, frag.rename.values().cloned().collect())
             }
-            Replacement::Passthrough { wires } => self.splice_passthrough(g, m, wires)?,
+            Resolved::Passthrough(wires) => (self.splice_passthrough(g, m, wires)?, Vec::new()),
         };
         g2.validate()?;
+        #[cfg(debug_assertions)]
+        if let Resolved::Subgraph(frag) = &repl {
+            let spec = substituted(g, m, frag).unwrap_or_else(|e| {
+                panic!("`{}` spliced, but e[lhs := rhs] (§4.2) fails: {e}", rw.name)
+            });
+            assert_eq!(
+                spec, g2,
+                "`{}` spliced a different graph than e[lhs := rhs] (§4.2)",
+                rw.name
+            );
+        }
 
-        self.log.push(Applied { rewrite: rw.name.to_string(), nodes: m.nodes.clone(), verdict });
+        self.log.push(Applied {
+            rewrite: rw.name.to_string(),
+            nodes: m.nodes.clone(),
+            created,
+            verdict,
+        });
         Ok(g2)
     }
 
@@ -543,125 +564,61 @@ impl Engine {
         Ok(())
     }
 
-    /// The ExprLow name an old boundary in-port has in the lowered whole
-    /// graph.
-    fn old_in_name(&self, g: &ExprHigh, e: &Endpoint) -> PortName {
-        match g.driver(e) {
-            Some(Attachment::External(nm)) => {
-                let idx = g.inputs().position(|(n, _)| *n == nm).expect("external exists");
-                PortName::Io(idx as u64)
-            }
-            _ => PortName::from(e.clone()),
-        }
-    }
-
-    /// The ExprLow name an old boundary out-port has in the lowered whole
-    /// graph.
-    fn old_out_name(&self, g: &ExprHigh, e: &Endpoint) -> PortName {
-        match g.consumer(e) {
-            Some(Attachment::External(nm)) => {
-                let idx = g.outputs().position(|(n, _)| *n == nm).expect("external exists");
-                PortName::Io(idx as u64)
-            }
-            _ => PortName::from(e.clone()),
-        }
-    }
-
-    /// Renders the replacement as an ExprLow fragment exposing the old
-    /// boundary names. `None` for passthroughs with no wires to model.
-    fn render_rhs(
+    /// Resolves a subgraph replacement against `g`: allocates the fragment's
+    /// fresh names, once and in fragment node order, for the obligation, the
+    /// splice and the debug spec check to share, and assigns each fragment
+    /// port on the boundary the old port it takes over.
+    ///
+    /// # Errors
+    ///
+    /// Fails on an unconnected fragment port or a fragment external with no
+    /// boundary assignment.
+    fn fragment<'a>(
         &mut self,
         g: &ExprHigh,
-        repl: &Replacement,
-    ) -> Result<Option<ExprLow>, RewriteError> {
-        match repl {
-            Replacement::Passthrough { wires } => {
-                if wires.is_empty() {
-                    return Ok(None);
+        graph: &'a ExprHigh,
+        boundary_ins: &'a BTreeMap<String, Endpoint>,
+        boundary_outs: &'a BTreeMap<String, Endpoint>,
+    ) -> Result<Fragment<'a>, RewriteError> {
+        let rename = graph.nodes().map(|(n, _)| (n.clone(), self.fresh_name(g, n))).collect();
+        let mut frag = Fragment { graph, rename, ins: BTreeMap::new(), outs: BTreeMap::new() };
+        let unconnected = |here: &Endpoint| {
+            RewriteError::BoundaryMismatch(format!("subgraph port `{here}` unconnected"))
+        };
+        for (n, kind) in graph.nodes() {
+            let (ins, outs) = kind.interface();
+            for p in ins {
+                let here = Endpoint::new(n.clone(), p);
+                match graph.driver(&here) {
+                    Some(Attachment::Wire(_)) => {}
+                    Some(Attachment::External(x)) => {
+                        let old = boundary_ins.get(&x).ok_or_else(|| {
+                            RewriteError::BoundaryMismatch(format!(
+                                "subgraph input `{x}` has no boundary assignment"
+                            ))
+                        })?;
+                        frag.ins.insert(here, old);
+                    }
+                    None => return Err(unconnected(&here)),
                 }
-                // Model each wire as an elastic buffer for the refinement
-                // obligation (a wire is a capacity-zero buffer; traces
-                // coincide).
-                let mut bases = Vec::new();
-                for (k, (ep_in, ep_out)) in wires.iter().enumerate() {
-                    let mut maps = PortMaps::default();
-                    maps.ins.insert("in".into(), self.old_in_name(g, ep_in));
-                    maps.outs.insert("out".into(), self.old_out_name(g, ep_out));
-                    bases.push(ExprLow::Base {
-                        inst: format!("__wire{k}"),
-                        kind: CompKind::Buffer { slots: 1, transparent: true },
-                        maps,
-                    });
-                }
-                Ok(Some(ExprLow::product_of(bases)))
             }
-            Replacement::Subgraph { graph, boundary_ins, boundary_outs } => {
-                // Fresh-rename the subgraph nodes.
-                let mut rename: BTreeMap<NodeId, NodeId> = BTreeMap::new();
-                for (n, _) in graph.nodes() {
-                    rename.insert(n.clone(), self.fresh_name(g, n));
-                }
-                let mut bases = Vec::new();
-                for (n, kind) in graph.nodes() {
-                    let (ins, outs) = kind.interface();
-                    let mut maps = PortMaps::default();
-                    for p in ins {
-                        let here = Endpoint::new(n.clone(), p.clone());
-                        let ext = match graph.driver(&here) {
-                            Some(Attachment::Wire(_)) => {
-                                PortName::local(rename[n].clone(), p.clone())
-                            }
-                            Some(Attachment::External(x)) => {
-                                let old = boundary_ins.get(&x).ok_or_else(|| {
-                                    RewriteError::BoundaryMismatch(format!(
-                                        "subgraph input `{x}` has no boundary assignment"
-                                    ))
-                                })?;
-                                self.old_in_name(g, old)
-                            }
-                            None => {
-                                return Err(RewriteError::BoundaryMismatch(format!(
-                                    "subgraph port `{here}` unconnected"
-                                )))
-                            }
-                        };
-                        maps.ins.insert(p, ext);
+            for p in outs {
+                let here = Endpoint::new(n.clone(), p);
+                match graph.consumer(&here) {
+                    Some(Attachment::Wire(_)) => {}
+                    Some(Attachment::External(x)) => {
+                        let old = boundary_outs.get(&x).ok_or_else(|| {
+                            RewriteError::BoundaryMismatch(format!(
+                                "subgraph output `{x}` has no boundary assignment"
+                            ))
+                        })?;
+                        frag.outs.insert(here, old);
                     }
-                    for p in outs {
-                        let here = Endpoint::new(n.clone(), p.clone());
-                        let ext = match graph.consumer(&here) {
-                            Some(Attachment::Wire(_)) => {
-                                PortName::local(rename[n].clone(), p.clone())
-                            }
-                            Some(Attachment::External(x)) => {
-                                let old = boundary_outs.get(&x).ok_or_else(|| {
-                                    RewriteError::BoundaryMismatch(format!(
-                                        "subgraph output `{x}` has no boundary assignment"
-                                    ))
-                                })?;
-                                self.old_out_name(g, old)
-                            }
-                            None => {
-                                return Err(RewriteError::BoundaryMismatch(format!(
-                                    "subgraph port `{here}` unconnected"
-                                )))
-                            }
-                        };
-                        maps.outs.insert(p, ext);
-                    }
-                    bases.push(ExprLow::Base { inst: rename[n].clone(), kind: kind.clone(), maps });
+                    None => return Err(unconnected(&here)),
                 }
-                let mut wires = Vec::new();
-                for (from, to) in graph.edges() {
-                    wires.push((
-                        PortName::local(rename[&from.node].clone(), from.port.clone()),
-                        PortName::local(rename[&to.node].clone(), to.port.clone()),
-                    ));
-                }
-                wires.sort();
-                Ok(Some(ExprLow::product_of(bases).connect_all(wires)))
             }
         }
+        Ok(frag)
     }
 
     /// Applies a passthrough replacement by graph surgery.
@@ -701,22 +658,172 @@ impl Engine {
     }
 }
 
-/// The group sub-expression of a grouped lowering: strip the outer connects;
-/// if the graph has non-group nodes the group is the right product child.
-fn extract_group(expr: &ExprLow, whole: bool) -> &ExprLow {
-    if whole {
-        // The whole graph is one fragment: its connects are the group's
-        // internal edges and belong to the lhs.
-        return expr;
+/// A replacement resolved against the graph it rewrites.
+enum Resolved<'a> {
+    /// A fresh subgraph with its names and boundary assignment.
+    Subgraph(Fragment<'a>),
+    /// Direct wires, `(old in-port, old out-port)`.
+    Passthrough(&'a [(Endpoint, Endpoint)]),
+}
+
+/// A subgraph replacement resolved by [`Engine::fragment`].
+struct Fragment<'a> {
+    /// The replacement, with its own node names.
+    graph: &'a ExprHigh,
+    /// Fragment node name → fresh name in the rewritten graph.
+    rename: BTreeMap<NodeId, NodeId>,
+    /// Fragment in-port on the boundary → the old in-port whose driver it
+    /// inherits.
+    ins: BTreeMap<Endpoint, &'a Endpoint>,
+    /// Fragment out-port on the boundary → the old out-port whose consumer
+    /// it inherits.
+    outs: BTreeMap<Endpoint, &'a Endpoint>,
+}
+
+impl Fragment<'_> {
+    /// A fragment endpoint under the fresh naming.
+    fn renamed(&self, e: &Endpoint) -> Endpoint {
+        Endpoint::new(self.rename[&e.node].clone(), e.port.clone())
     }
-    let mut cur = expr;
-    while let ExprLow::Connect { inner, .. } = cur {
-        cur = inner;
+
+    /// Applies the replacement by graph surgery: detaches the old boundary,
+    /// swaps the matched nodes for the renamed fragment and re-attaches
+    /// each boundary driver and consumer to the fragment port that took its
+    /// port over.
+    fn splice(&self, g: &ExprHigh, m: &Match) -> Result<ExprHigh, RewriteError> {
+        let mut g2 = g.clone();
+        let mut drivers = Vec::with_capacity(self.ins.len());
+        for (here, old) in &self.ins {
+            let driver = g2
+                .detach_input(old)
+                .ok_or_else(|| RewriteError::BoundaryMismatch(format!("no driver for {old}")))?;
+            drivers.push((self.renamed(here), driver));
+        }
+        let mut consumers = Vec::with_capacity(self.outs.len());
+        for (here, old) in &self.outs {
+            let consumer = g2
+                .detach_output(old)
+                .ok_or_else(|| RewriteError::BoundaryMismatch(format!("no consumer for {old}")))?;
+            consumers.push((self.renamed(here), consumer));
+        }
+        for n in &m.nodes {
+            g2.remove_node(n)?;
+        }
+        for (n, kind) in self.graph.nodes() {
+            g2.add_node(self.rename[n].clone(), kind.clone())?;
+        }
+        for (from, to) in self.graph.edges() {
+            g2.connect(self.renamed(from), self.renamed(to))?;
+        }
+        for (to, driver) in drivers {
+            match driver {
+                Attachment::Wire(from) => g2.connect(from, to)?,
+                Attachment::External(x) => g2.expose_input(x, to)?,
+            }
+        }
+        for (from, consumer) in consumers {
+            match consumer {
+                Attachment::Wire(to) => g2.connect(from, to)?,
+                Attachment::External(y) => g2.expose_output(y, from)?,
+            }
+        }
+        Ok(g2)
     }
-    match cur {
-        ExprLow::Product(_, group) => group,
-        other => other,
+
+    /// The fragment as ExprLow exposing the old boundary names: the `rhs` of
+    /// the application's obligation.
+    fn render(&self, g: &ExprHigh) -> ExprLow {
+        let mut bases = Vec::new();
+        for (n, kind) in self.graph.nodes() {
+            let (ins, outs) = kind.interface();
+            let mut maps = PortMaps::default();
+            for p in ins {
+                let here = Endpoint::new(n.clone(), p.clone());
+                let ext = match self.ins.get(&here) {
+                    Some(old) => old_in_name(g, old),
+                    None => PortName::from(self.renamed(&here)),
+                };
+                maps.ins.insert(p, ext);
+            }
+            for p in outs {
+                let here = Endpoint::new(n.clone(), p.clone());
+                let ext = match self.outs.get(&here) {
+                    Some(old) => old_out_name(g, old),
+                    None => PortName::from(self.renamed(&here)),
+                };
+                maps.outs.insert(p, ext);
+            }
+            bases.push(ExprLow::Base { inst: self.rename[n].clone(), kind: kind.clone(), maps });
+        }
+        let mut wires: Vec<(PortName, PortName)> = self
+            .graph
+            .edges()
+            .map(|(from, to)| (self.renamed(from).into(), self.renamed(to).into()))
+            .collect();
+        wires.sort();
+        ExprLow::product_of(bases).connect_all(wires)
     }
+}
+
+/// Renders the replacement as an ExprLow fragment exposing the old boundary
+/// names. `None` for passthroughs with no wires to model.
+fn render_rhs(g: &ExprHigh, repl: &Resolved<'_>) -> Option<ExprLow> {
+    match repl {
+        Resolved::Subgraph(frag) => Some(frag.render(g)),
+        Resolved::Passthrough([]) => None,
+        Resolved::Passthrough(wires) => {
+            // Model each wire as an elastic buffer for the refinement
+            // obligation (a wire is a capacity-zero buffer; traces
+            // coincide).
+            let bases = wires
+                .iter()
+                .enumerate()
+                .map(|(k, (ep_in, ep_out))| {
+                    let mut maps = PortMaps::default();
+                    maps.ins.insert("in".into(), old_in_name(g, ep_in));
+                    maps.outs.insert("out".into(), old_out_name(g, ep_out));
+                    ExprLow::Base {
+                        inst: format!("__wire{k}"),
+                        kind: CompKind::Buffer { slots: 1, transparent: true },
+                        maps,
+                    }
+                })
+                .collect();
+            Some(ExprLow::product_of(bases))
+        }
+    }
+}
+
+/// The ExprLow name an old boundary in-port has in the lowered whole graph.
+fn old_in_name(g: &ExprHigh, e: &Endpoint) -> PortName {
+    match g.driver(e) {
+        Some(Attachment::External(nm)) => {
+            let idx = g.inputs().position(|(n, _)| *n == nm).expect("external exists");
+            PortName::Io(idx as u64)
+        }
+        _ => PortName::from(e.clone()),
+    }
+}
+
+/// The ExprLow name an old boundary out-port has in the lowered whole graph.
+fn old_out_name(g: &ExprHigh, e: &Endpoint) -> PortName {
+    match g.consumer(e) {
+        Some(Attachment::External(nm)) => {
+            let idx = g.outputs().position(|(n, _)| *n == nm).expect("external exists");
+            PortName::Io(idx as u64)
+        }
+        _ => PortName::from(e.clone()),
+    }
+}
+
+/// The §4.2 definition of applying a subgraph replacement, which
+/// [`Fragment::splice`] must reproduce exactly: lower `g` with the match
+/// grouped, substitute the rendered fragment for the group, lift back.
+#[cfg(debug_assertions)]
+fn substituted(g: &ExprHigh, m: &Match, frag: &Fragment<'_>) -> Result<ExprHigh, RewriteError> {
+    let lowered = lower_grouped(g, &m.nodes)?;
+    let expr = lowered.expr.substitute(&lower_group(g, &m.nodes)?, &frag.render(g));
+    Ok(lift_expr(&expr, &lowered.input_names, &lowered.output_names)?)
 }
 
 /// The wire (not external) driver of an input port.

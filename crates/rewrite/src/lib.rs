@@ -3,13 +3,14 @@
 //! This crate implements the rewriting half of the Graphiti framework
 //! (ASPLOS 2026):
 //!
-//! * [`Engine`] applies rewrites the way the paper describes: matches are
-//!   found on [`ExprHigh`](graphiti_ir::ExprHigh), the graph is lowered so
-//!   the matched nodes form a contiguous
-//!   [`ExprLow`](graphiti_ir::ExprLow) sub-expression, the substitution
-//!   `e[lhs := rhs]` of §4.2 rewrites it, and the result is lifted back. In
-//!   checked mode each application of a verified rewrite discharges the
-//!   premise of Theorem 4.6 via the bounded refinement checker.
+//! * [`Engine`] finds matches on [`ExprHigh`](graphiti_ir::ExprHigh) and
+//!   splices each replacement into the graph there. The paper's mechanism,
+//!   lowering the graph so the matched nodes form a contiguous
+//!   [`ExprLow`](graphiti_ir::ExprLow) sub-expression, substituting
+//!   `e[lhs := rhs]` (§4.2) and lifting back, is the spec: debug builds
+//!   check every application against it. In checked mode each application
+//!   of a verified rewrite discharges the premise of Theorem 4.6 via the
+//!   bounded refinement checker.
 //! * [`catalog`] contains the rewrite catalogue of Fig. 3, including the
 //!   formally-verified out-of-order loop rewrite
 //!   ([`catalog::ooo::loop_ooo`]).

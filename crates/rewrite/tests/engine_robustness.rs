@@ -195,3 +195,43 @@ fn wire_helpers_resolve_only_wires() {
     assert_eq!(wire_consumer(&g, &ep("jout", "out")), None, "external outputs are not wires");
     let _: Option<Endpoint> = wire_consumer(&g, &ep("nz", "out"));
 }
+
+/// An `AddI` named `m` whose ports are attached only where `wired` says.
+fn lone_adder(wired: &[&str]) -> ExprHigh {
+    let mut g = ExprHigh::new();
+    g.add_node("m", CompKind::Operator { op: Op::AddI }).unwrap();
+    for &p in wired {
+        if p == "out" {
+            g.expose_output("y", ep("m", p)).unwrap();
+        } else {
+            g.expose_input(p, ep("m", p)).unwrap();
+        }
+    }
+    g
+}
+
+#[test]
+fn subgraph_rewrite_refuses_an_undriven_boundary_port() {
+    // The splice inherits the driver of each boundary in-port; with none to
+    // inherit, the rewrite must fail rather than invent a graph input.
+    let g = lone_adder(&["in0", "out"]);
+    let mut engine = Engine::new();
+    let err = engine.apply_first(&g, &catalog::pure_gen::op_to_pure()).unwrap_err();
+    assert!(
+        matches!(&err, RewriteError::BoundaryMismatch(m) if m == "no driver for m.in1"),
+        "{err}"
+    );
+    assert_eq!(engine.rewrites_applied(), 0);
+}
+
+#[test]
+fn subgraph_rewrite_refuses_an_unconsumed_boundary_port() {
+    let g = lone_adder(&["in0", "in1"]);
+    let mut engine = Engine::new();
+    let err = engine.apply_first(&g, &catalog::pure_gen::op_to_pure()).unwrap_err();
+    assert!(
+        matches!(&err, RewriteError::BoundaryMismatch(m) if m == "no consumer for m.out"),
+        "{err}"
+    );
+    assert_eq!(engine.rewrites_applied(), 0);
+}

@@ -5,7 +5,8 @@
 //! the preorder/congruence properties of §4.6 that the proof rests on.
 
 use graphiti::prelude::*;
-use graphiti_ir::PortName;
+use graphiti_ir::{lift_expr, lower_grouped};
+use graphiti_rewrite::Replacement;
 use graphiti_sem::Module;
 use std::collections::BTreeMap;
 
@@ -124,33 +125,39 @@ fn refinement_is_preserved_by_product_and_connect() {
     assert!(r.is_ok(), "{r:?}");
 }
 
+/// The engine splices on ExprHigh; the paper applies a rewrite by the
+/// substitution `e[lhs := rhs]` on ExprLow (§4.2). The two agree exactly,
+/// fresh names included: at every match of every catalogue rewrite whose
+/// replacement is a subgraph and whose application records an obligation,
+/// on every evaluation-suite kernel and on `fork_tree_graph`, the engine's
+/// graph is the lift of the grouped lowering with the obligation's `lhs`
+/// substituted by its `rhs`. That is 250 applications.
 #[test]
 fn substitution_on_exprlow_matches_engine_result() {
-    // The engine's ExprLow path: manually lower, substitute, lift; the
-    // result equals the engine's output graph up to fresh names.
-    let g = fork_tree_graph();
-    let mut engine = Engine::new();
-    let g2 = engine.apply_first(&g, &catalog::normalize::fork_flatten()).unwrap().expect("match");
-    // The flattened graph has exactly one fork with 3 ways.
-    let forks: Vec<usize> = g2
-        .nodes()
-        .filter_map(|(_, k)| match k {
-            CompKind::Fork { ways } => Some(*ways),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(forks, vec![3]);
-    // And the graph-level I/O is unchanged.
-    let ins: Vec<&String> = g2.inputs().map(|(n, _)| n).collect();
-    let outs: Vec<&String> = g2.outputs().map(|(n, _)| n).collect();
-    assert_eq!(ins, ["x"]);
-    assert_eq!(outs, ["y"]);
-    // Lowering the result produces a well-formed expression with the same
-    // dangling ports.
-    let lowered = graphiti_ir::lower(&g2).unwrap();
-    let (dins, douts) = lowered.expr.dangling();
-    assert_eq!(dins, vec![PortName::Io(0)]);
-    assert_eq!(douts, vec![PortName::Io(0)]);
+    let mut graphs = vec![fork_tree_graph()];
+    for p in graphiti::bench::suite::evaluation_suite() {
+        graphs.extend(compile(&p).unwrap().kernels.into_iter().map(|k| k.graph));
+    }
+    let rewrites = catalog::all_rewrites();
+    let mut compared = 0;
+    for g in &graphs {
+        for rw in &rewrites {
+            for m in rw.matches(g) {
+                if !matches!(rw.build(g, &m), Ok(Replacement::Subgraph { .. })) {
+                    continue;
+                }
+                let mut engine = Engine::deferring(small_cfg());
+                let Ok(g2) = engine.apply_at(g, rw, &m) else { continue };
+                let [ob] = engine.obligations.as_slice() else { continue };
+                let lowered = lower_grouped(g, &m.nodes).unwrap();
+                let expr = lowered.expr.substitute(&ob.lhs, &ob.rhs);
+                let spec = lift_expr(&expr, &lowered.input_names, &lowered.output_names).unwrap();
+                assert_eq!(g2, spec, "`{}` at {:?}", rw.name, m.nodes);
+                compared += 1;
+            }
+        }
+    }
+    assert!(compared > 0, "no application was compared");
 }
 
 #[test]
