@@ -1,317 +1,253 @@
-//! Compares two `--json` report documents (from `report --json` or
-//! `table2 --json`) and prints a delta table over cycle counts, harness
-//! wall-clock, and the scheduler-efficiency counters.
+//! Gates a `table2 --json --small` report against the committed baseline,
+//! exactly.
 //!
 //! ```text
-//! perfdiff BASELINE.json CURRENT.json [--threshold PCT] [--emit FILE]
-//!          [--date STR] [--no-stall-gate] [--rebaseline REASON]
+//! perfdiff BASELINE.json CURRENT.json
 //! ```
 //!
-//! * exits non-zero if any (benchmark, flow) cycle count — or either of
-//!   the suite-wide `sim.stall_cycles` / `sim.starved_cycles` totals —
-//!   regressed by more than the threshold (default 10%); both are
-//!   deterministic, so this is a sound CI gate (wall-clock, which is not,
-//!   is only reported);
-//! * `--no-stall-gate` — keep reporting the stall/starve deltas but do
-//!   not fail on them (for PRs that intentionally trade waiting cycles);
-//! * `--emit FILE` — append a dated entry to the perf trajectory (the
-//!   `BENCH_sim.json` format; a legacy single-object file is wrapped as
-//!   the first entry) so history accumulates across PRs;
-//! * `--date STR` — the label stamped on the emitted entry. Passed in,
-//!   never read from the system clock, so emissions are reproducible;
-//!   defaults to `undated`.
-//! * `--rebaseline REASON` — mark the emitted entry as an intended
-//!   semantic change (a fix or feature that alters the circuits): the
-//!   trajectory gate restarts its best-ever window at this entry for
-//!   this backend, since older values measure circuits that no longer
-//!   exist. The cycle-count gate against the baseline report is also
-//!   skipped (the reason is printed instead) — rebaselining exists
-//!   precisely because the honest new numbers differ.
+//! Every value of the two documents must be equal, except wall-clock
+//! time. Objects are compared member by member and arrays element by
+//! element, in both directions, so a member present on one side only is a
+//! difference too. Two kinds of member are skipped as time:
 //!
-//! Reports carry a top-level `"scheduler"` member naming the simulation
-//! backend (`table2 --scheduler`, default `compiled`). A report without
-//! one is rejected rather than assumed to come from some backend: when
-//! the two reports come from *different* backends the deltas are still
-//! printed for inspection but never gated — raw cycle counts are only
-//! comparable within one backend — so a guessed backend could silently
-//! switch the gate off. The emitted trajectory entry is tagged with the
-//! current report's backend so `perftrend` keeps the series separate too.
+//! * a member whose key ends in `_seconds` (`wall_seconds`,
+//!   `rewrite_seconds`);
+//! * a metric (a member of `metrics.counters`, `.gauges` or
+//!   `.histograms`) whose unit in [`graphiti_obs::schema`] is `us`
+//!   (`sim.compile.us`, the `span.*.us` histograms). The schema decides
+//!   what counts as time; an undeclared metric name is compared.
+//!
+//! Everything else (cycles, clock periods, areas, stall attributions and
+//! every counter, gauge and histogram) is deterministic in a serial run,
+//! so any difference is a real change. Each difference is printed with
+//! both values, at a path that labels array elements by their `name`
+//! member (`/benchmarks/gemm/flows/GRAPHITI/cycles`). `wall_seconds` is
+//! printed for information only.
+//!
+//! Exits 0 when the documents agree, 1 on any difference (after printing
+//! the regeneration command), and 2 on unreadable input. An intended
+//! change regenerates the baseline in the same commit, serially: with
+//! more than one worker the process-wide artifact cache and the pool's
+//! per-worker counters depend on scheduling.
+//!
+//! ```text
+//! GRAPHITI_JOBS=1 table2 --json --small > ci/perf_baseline.json
+//! ```
 
 use graphiti_bench::jsonin::{parse, Json};
-use graphiti_bench::trend;
 use std::process::exit;
 
-/// Everything perfdiff extracts from one report document.
-struct Report {
-    /// Simulation backend the report was produced under (`"scheduler"`
-    /// member).
-    backend: String,
-    /// `benchmark/flow` → cycles, in document order.
-    cycles: Vec<(String, u64)>,
-    /// Harness wall-clock, if the document records it.
-    wall_seconds: Option<f64>,
-    /// Scheduler-efficiency counters, if a metrics snapshot is embedded.
-    sched: Vec<(String, u64)>,
-    /// Suite-wide stall/starve totals, if a metrics snapshot is embedded.
-    stall: Vec<(String, u64)>,
+/// The one command that regenerates the committed baseline.
+const REGENERATE: &str = "GRAPHITI_JOBS=1 table2 --json --small > ci/perf_baseline.json";
+
+/// The objects whose members are metrics, keyed by metric name.
+const METRIC_FAMILIES: [&str; 3] = ["/metrics/counters", "/metrics/gauges", "/metrics/histograms"];
+
+/// One value on which the documents disagree, both sides rendered.
+#[derive(Debug)]
+struct Difference {
+    path: String,
+    base: String,
+    cur: String,
 }
 
-/// Counters worth tracking across runs (subset of the obs registry).
-const SCHED_COUNTERS: [&str; 4] =
-    ["sim.firings", "sim.cycles", "sim.sched.examined", "sim.sched.worklist_pushes"];
+/// What comparing two documents found.
+#[derive(Debug, Default)]
+struct Comparison {
+    /// Scalar values compared on both sides.
+    compared: usize,
+    differences: Vec<Difference>,
+}
 
-/// Deterministic waiting-cycle totals, gated like cycle counts (a jump
-/// here means circuits wait more even if end-to-end cycles hide it).
-const STALL_COUNTERS: [&str; 2] = ["sim.stall_cycles", "sim.starved_cycles"];
+impl Comparison {
+    fn differ(&mut self, path: String, base: Option<&Json>, cur: Option<&Json>) {
+        self.differences.push(Difference { path, base: show(base), cur: show(cur) });
+    }
+}
 
-fn load(path: &str) -> Report {
+/// One line for a value: scalars in full, containers by size.
+fn show(v: Option<&Json>) -> String {
+    match v {
+        None => "(absent)".to_string(),
+        Some(Json::Null) => "null".to_string(),
+        Some(Json::Bool(b)) => b.to_string(),
+        Some(Json::Num(x)) => x.to_string(),
+        Some(Json::Str(s)) => format!("{s:?}"),
+        Some(Json::Arr(xs)) => format!("[{} elements]", xs.len()),
+        Some(Json::Obj(ms)) => format!("{{{} members}}", ms.len()),
+    }
+}
+
+/// Whether member `key` of the object at `parent` holds wall-clock time.
+fn is_time(parent: &str, key: &str) -> bool {
+    key.ends_with("_seconds")
+        || (METRIC_FAMILIES.contains(&parent)
+            && graphiti_obs::schema::lookup(key).is_some_and(|spec| spec.unit == "us"))
+}
+
+fn walk(path: &str, base: &Json, cur: &Json, out: &mut Comparison) {
+    match (base, cur) {
+        (Json::Obj(bs), Json::Obj(cs)) => {
+            for (key, b) in bs.iter().filter(|(k, _)| !is_time(path, k)) {
+                let p = format!("{path}/{key}");
+                match cur.get(key) {
+                    Some(c) => walk(&p, b, c, out),
+                    None => out.differ(p, Some(b), None),
+                }
+            }
+            for (key, c) in cs.iter().filter(|(k, _)| !is_time(path, k)) {
+                if base.get(key).is_none() {
+                    out.differ(format!("{path}/{key}"), None, Some(c));
+                }
+            }
+        }
+        (Json::Arr(bs), Json::Arr(cs)) => {
+            for i in 0..bs.len().max(cs.len()) {
+                let (b, c) = (bs.get(i), cs.get(i));
+                let name = b.or(c).and_then(|v| v.get("name")).and_then(Json::as_str);
+                let p = format!("{path}/{}", name.map_or_else(|| i.to_string(), str::to_string));
+                match (b, c) {
+                    (Some(b), Some(c)) => walk(&p, b, c, out),
+                    _ => out.differ(p, b, c),
+                }
+            }
+        }
+        _ => {
+            out.compared += 1;
+            if base != cur {
+                out.differ(path.to_string(), Some(base), Some(cur));
+            }
+        }
+    }
+}
+
+/// Compares every non-time value of `base` with `cur`.
+fn compare(base: &Json, cur: &Json) -> Comparison {
+    let mut out = Comparison::default();
+    walk("", base, cur, &mut out);
+    out
+}
+
+fn load(path: &str) -> Json {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("perfdiff: cannot read `{path}`: {e}");
         exit(2);
     });
-    let doc = parse(&text).unwrap_or_else(|e| {
+    parse(&text).unwrap_or_else(|e| {
         eprintln!("perfdiff: `{path}` is not valid JSON: {e}");
         exit(2);
-    });
-    let mut cycles = Vec::new();
-    for b in doc.get("benchmarks").and_then(Json::as_arr).unwrap_or(&[]) {
-        let name = b.get("name").and_then(Json::as_str).unwrap_or("?");
-        for (flow, m) in b.get("flows").and_then(Json::as_obj).unwrap_or(&[]) {
-            if let Some(c) = m.get("cycles").and_then(Json::as_u64) {
-                cycles.push((format!("{name}/{flow}"), c));
-            }
-        }
-    }
-    let Some(backend) = doc.get("scheduler").and_then(Json::as_str).map(str::to_string) else {
-        eprintln!(
-            "perfdiff: `{path}` has no \"scheduler\" member naming its simulation backend; \
-             regenerate it with `table2 --json` or `report --json`"
-        );
-        exit(2);
-    };
-    let wall_seconds = doc.get("wall_seconds").and_then(Json::as_f64);
-    let mut sched = Vec::new();
-    let mut stall = Vec::new();
-    if let Some(counters) = doc.get("metrics").and_then(|m| m.get("counters")) {
-        for key in SCHED_COUNTERS {
-            if let Some(v) = counters.get(key).and_then(Json::as_u64) {
-                sched.push((key.to_string(), v));
-            }
-        }
-        for key in STALL_COUNTERS {
-            if let Some(v) = counters.get(key).and_then(Json::as_u64) {
-                stall.push((key.to_string(), v));
-            }
-        }
-    }
-    Report { backend, cycles, wall_seconds, sched, stall }
-}
-
-/// Relative delta in percent. A zero baseline is not a silent `n/a`: a
-/// flow that went 0 → 0 is unchanged (+0.00%), while 0 → anything is an
-/// infinite regression that must still trip the gate.
-fn pct(base: f64, cur: f64) -> f64 {
-    if base > 0.0 {
-        (cur - base) / base * 100.0
-    } else if cur == 0.0 {
-        0.0
-    } else {
-        f64::INFINITY
-    }
-}
-
-fn fmt_pct(p: f64) -> String {
-    if p.is_finite() {
-        format!("{p:+.2}%")
-    } else if p == f64::INFINITY {
-        "+inf%".to_string()
-    } else {
-        "n/a".to_string()
-    }
+    })
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut paths = Vec::new();
-    let mut threshold = 10.0f64;
-    let mut emit: Option<String> = None;
-    let mut date = "undated".to_string();
-    let mut stall_gate = true;
-    let mut rebaseline: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--no-stall-gate" => stall_gate = false,
-            "--rebaseline" => {
-                rebaseline = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("perfdiff: --rebaseline needs a reason string");
-                    exit(2);
-                }));
-            }
-            "--threshold" => {
-                let v = it.next().and_then(|s| s.parse::<f64>().ok());
-                threshold = v.unwrap_or_else(|| {
-                    eprintln!("perfdiff: --threshold needs a number");
-                    exit(2);
-                });
-            }
-            "--emit" => {
-                emit = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("perfdiff: --emit needs a file path");
-                    exit(2);
-                }));
-            }
-            "--date" => {
-                date = it.next().unwrap_or_else(|| {
-                    eprintln!("perfdiff: --date needs a label");
-                    exit(2);
-                });
-            }
-            other if !other.starts_with("--") => paths.push(other.to_string()),
-            other => {
-                eprintln!("perfdiff: unknown argument `{other}`");
-                eprintln!(
-                    "usage: perfdiff BASELINE.json CURRENT.json [--threshold PCT] [--emit FILE] \
-                     [--date STR] [--no-stall-gate] [--rebaseline REASON]"
-                );
-                exit(2);
-            }
-        }
-    }
-    if paths.len() != 2 {
-        eprintln!(
-            "usage: perfdiff BASELINE.json CURRENT.json [--threshold PCT] [--emit FILE] \
-             [--date STR] [--no-stall-gate] [--rebaseline REASON]"
-        );
+    let [base_path, cur_path] = args.as_slice() else {
+        eprintln!("usage: perfdiff BASELINE.json CURRENT.json");
         exit(2);
+    };
+    let (base, cur) = (load(base_path), load(cur_path));
+    println!(
+        "wall_seconds: {} -> {} (information only)",
+        show(base.get("wall_seconds")),
+        show(cur.get("wall_seconds"))
+    );
+    let cmp = compare(&base, &cur);
+    for d in &cmp.differences {
+        println!("{}: {} -> {}", d.path, d.base, d.cur);
     }
-    let base = load(&paths[0]);
-    let cur = load(&paths[1]);
-    let cross_backend = base.backend != cur.backend;
-    if cross_backend {
-        println!(
-            "note: baseline backend `{}` != current backend `{}`; \
-             deltas are informational and not gated",
-            base.backend, cur.backend
+    if cmp.differences.is_empty() {
+        println!("perfdiff: all {} compared values are equal", cmp.compared);
+        return;
+    }
+    let n = cmp.differences.len();
+    println!(
+        "\nperfdiff: {n} difference{} ({} values compared). If the change is intended, \
+         regenerate the baseline in the same commit:\n  {REGENERATE}",
+        if n == 1 { "" } else { "s" },
+        cmp.compared
+    );
+    exit(1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A report in the shape `table2 --json` writes, cut down.
+    const DOC: &str = r#"{
+      "benchmarks": [
+        {"name": "gemm",
+         "flows": {"DF-IO": {"cycles": 120, "clock_period_ns": 6.5, "correct": true},
+                   "GRAPHITI": {"cycles": 100, "clock_period_ns": 6.5, "correct": true}},
+         "rewrites": 7, "rewrite_seconds": 0.01}
+      ],
+      "wall_seconds": 0.5,
+      "metrics": {
+        "counters": {"sim.cycles": 220, "sim.compile.us": 40},
+        "gauges": {"sim.sched.fires_per_1k_examined": 298},
+        "histograms": {"span.rewrite.optimize.us": {"count": 1, "sum": 90, "buckets": [{"le": 127, "count": 1}]}}
+      }
+    }"#;
+
+    fn differences(base: &str, cur: &str) -> Vec<Difference> {
+        compare(&parse(base).unwrap(), &parse(cur).unwrap()).differences
+    }
+
+    fn paths(base: &str, cur: &str) -> Vec<String> {
+        differences(base, cur).into_iter().map(|d| d.path).collect()
+    }
+
+    #[test]
+    fn identical_documents_agree() {
+        let doc = parse(DOC).unwrap();
+        let cmp = compare(&doc, &doc);
+        assert!(cmp.differences.is_empty(), "{:?}", cmp.differences);
+        assert_eq!(cmp.compared, 10);
+    }
+
+    #[test]
+    fn a_cycle_count_moved_by_one_either_way_is_named() {
+        for cycles in ["101", "99"] {
+            let cur = DOC.replace("\"cycles\": 100", &format!("\"cycles\": {cycles}"));
+            let ds = differences(DOC, &cur);
+            assert_eq!(ds.len(), 1, "{ds:?}");
+            assert_eq!(ds[0].path, "/benchmarks/gemm/flows/GRAPHITI/cycles");
+            assert_eq!((ds[0].base.as_str(), ds[0].cur.as_str()), ("100", cycles));
+        }
+    }
+
+    #[test]
+    fn wall_clock_members_and_microsecond_metrics_are_skipped() {
+        let cur = DOC
+            .replace("\"wall_seconds\": 0.5", "\"wall_seconds\": 0.9")
+            .replace("\"rewrite_seconds\": 0.01", "\"rewrite_seconds\": 0.02")
+            .replace("\"sim.compile.us\": 40", "\"sim.compile.us\": 41")
+            .replace("\"sum\": 90", "\"sum\": 95");
+        assert_ne!(cur, DOC);
+        assert!(paths(DOC, &cur).is_empty());
+    }
+
+    #[test]
+    fn a_member_on_one_side_only_is_one_difference() {
+        let extra = DOC.replace("\"sim.cycles\": 220", "\"sim.cycles\": 220, \"sim.firings\": 5");
+        assert_eq!(paths(DOC, &extra), ["/metrics/counters/sim.firings"]);
+        assert_eq!(paths(&extra, DOC), ["/metrics/counters/sim.firings"]);
+        let one_flow = DOC.replace(
+            "\"DF-IO\": {\"cycles\": 120, \"clock_period_ns\": 6.5, \"correct\": true},",
+            "",
         );
-    }
-    // A rebaseline declares the deltas intentional; report, don't gate.
-    let gated = !cross_backend && rebaseline.is_none();
-    if let Some(reason) = &rebaseline {
-        println!("note: rebaseline ({reason}); deltas are informational and not gated");
-    }
-
-    let width = cur
-        .cycles
-        .iter()
-        .chain(base.cycles.iter())
-        .chain(cur.sched.iter())
-        .chain(cur.stall.iter())
-        .map(|(k, _)| k.len())
-        .max()
-        .unwrap_or(12)
-        .max("benchmark/flow".len());
-    println!("{:<width$}  {:>12}  {:>12}  {:>9}", "benchmark/flow", "baseline", "current", "delta");
-    let mut regressions: Vec<(String, f64)> = Vec::new();
-    let mut rows = Vec::new();
-    for (key, c) in &cur.cycles {
-        match base.cycles.iter().find(|(k, _)| k == key) {
-            Some((_, b)) => {
-                let d = pct(*b as f64, *c as f64);
-                println!("{key:<width$}  {b:>12}  {c:>12}  {:>9}", fmt_pct(d));
-                rows.push((key.clone(), *b, *c, d));
-                if gated && d > threshold {
-                    regressions.push((format!("{key} cycles"), d));
-                }
-            }
-            None => println!("{key:<width$}  {:>12}  {c:>12}  {:>9}", "-", "new"),
-        }
-    }
-    for (key, b) in &base.cycles {
-        if !cur.cycles.iter().any(|(k, _)| k == key) {
-            println!("{key:<width$}  {b:>12}  {:>12}  {:>9}", "-", "removed");
-        }
+        let ds = differences(DOC, &one_flow);
+        assert_eq!(ds.len(), 1, "{ds:?}");
+        assert_eq!(ds[0].path, "/benchmarks/gemm/flows/DF-IO");
+        assert_eq!(ds[0].cur, "(absent)");
     }
 
-    println!();
-    if let (Some(bw), Some(cw)) = (base.wall_seconds, cur.wall_seconds) {
-        println!(
-            "{:<width$}  {bw:>12.3}  {cw:>12.3}  {:>9}   (informational)",
-            "wall_seconds",
-            fmt_pct(pct(bw, cw)),
-        );
-    }
-    for (key, c) in &cur.sched {
-        if let Some((_, b)) = base.sched.iter().find(|(k, _)| k == key) {
-            println!("{key:<width$}  {b:>12}  {c:>12}  {:>9}", fmt_pct(pct(*b as f64, *c as f64)));
-        } else {
-            println!("{key:<width$}  {:>12}  {c:>12}  {:>9}", "-", "new");
-        }
-    }
-    for (key, c) in &cur.stall {
-        match base.stall.iter().find(|(k, _)| k == key) {
-            Some((_, b)) => {
-                let d = pct(*b as f64, *c as f64);
-                let note = if stall_gate && gated { "" } else { "   (ungated)" };
-                println!("{key:<width$}  {b:>12}  {c:>12}  {:>9}{note}", fmt_pct(d));
-                if stall_gate && gated && d > threshold {
-                    regressions.push((key.clone(), d));
-                }
-            }
-            None => println!("{key:<width$}  {:>12}  {c:>12}  {:>9}", "-", "new"),
-        }
-    }
-
-    if let Some(path) = emit {
-        // Cross-backend deltas are meaningless, so an entry emitted from
-        // such a comparison records no worst-delta figure.
-        let worst = if cross_backend {
-            f64::NEG_INFINITY
-        } else {
-            regressions
-                .iter()
-                .map(|(_, d)| *d)
-                .chain(rows.iter().map(|(_, _, _, d)| *d))
-                .filter(|d| d.is_finite())
-                .fold(f64::NEG_INFINITY, f64::max)
+    #[test]
+    fn an_undeclared_metric_is_compared_even_if_it_looks_like_time() {
+        let with = |v: u32| {
+            DOC.replace("\"sim.cycles\": 220", &format!("\"sim.cycles\": 220, \"made.up.us\": {v}"))
         };
-        let entry = trend::Entry {
-            date,
-            backend: cur.backend.clone(),
-            // The current report's full cycle list — including keys the
-            // baseline lacks, so a new backend's first emission is complete.
-            cycles: cur.cycles.clone(),
-            wall_seconds: cur.wall_seconds,
-            scheduler: cur.sched.clone(),
-            stalls: cur.stall.clone(),
-            max_cycle_delta_pct: worst.is_finite().then_some(worst),
-            rebaseline: rebaseline.clone(),
-        };
-        let existing = match std::fs::read_to_string(&path) {
-            Ok(text) => Some(text),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(e) => {
-                eprintln!("perfdiff: cannot read `{path}`: {e}");
-                exit(2);
-            }
-        };
-        let doc = trend::append_rendered(existing.as_deref(), entry).unwrap_or_else(|e| {
-            eprintln!("perfdiff: cannot append to `{path}`: {e}");
-            exit(2);
-        });
-        let entries = doc.matches("\"date\":").count();
-        if let Err(e) = std::fs::write(&path, doc) {
-            eprintln!("perfdiff: cannot write `{path}`: {e}");
-            exit(2);
-        }
-        println!("\nwrote {path} ({entries} trajectory entries)");
-    }
-
-    if !regressions.is_empty() {
-        println!();
-        for (key, d) in &regressions {
-            println!("REGRESSION: {key} {d:+.2}% (threshold {threshold}%)");
-        }
-        exit(1);
+        assert!(graphiti_obs::schema::lookup("made.up.us").is_none());
+        assert_eq!(paths(&with(1), &with(2)), ["/metrics/counters/made.up.us"]);
     }
 }

@@ -157,8 +157,8 @@ impl From<SimError> for EvalError {
 /// Vivado to 4 ns; the elastic delay table here is coarser).
 pub const CP_TARGET_NS: f64 = 6.5;
 
-/// The canonical backend label for a scheduler, as stamped into `--json`
-/// reports and `BENCH_sim.json` trajectory entries.
+/// The canonical label of a scheduler (`compiled`, `reference-sweep`), as
+/// `pipebench` prints it in its run header.
 pub fn backend_name(scheduler: Scheduler) -> &'static str {
     match scheduler {
         Scheduler::ReferenceSweep => "reference-sweep",
@@ -383,34 +383,21 @@ pub fn evaluate_with(p: &Program, scheduler: Scheduler) -> Result<BenchResult, E
 /// Evaluates the whole suite (Table 2 row order), fanning the independent
 /// (benchmark, flow) jobs out across a scoped worker pool sized by
 /// `available_parallelism` (override with `GRAPHITI_JOBS`). Results are
-/// reassembled by input index, so the output order — and every metric in
-/// it — is identical to a serial run.
+/// reassembled by input index, so the output order and every table
+/// number are identical to a serial run. Some obs metrics are not: the
+/// workers share the process-wide artifact cache, and the pool records
+/// per-worker job counts.
 ///
 /// # Errors
 ///
 /// Propagates the first benchmark failure, in deterministic (suite, flow)
 /// order.
 pub fn evaluate_suite(suite: &[Program]) -> Result<Vec<BenchResult>, EvalError> {
-    evaluate_suite_with(suite, Scheduler::default())
-}
-
-/// Like [`evaluate_suite`], but simulating the dataflow flows under
-/// `scheduler` — the fan-out across the worker pool is identical, so a
-/// `--scheduler compiled` suite run exercises the shared compile cache
-/// from concurrent workers.
-///
-/// # Errors
-///
-/// Same as [`evaluate_suite`].
-pub fn evaluate_suite_with(
-    suite: &[Program],
-    scheduler: Scheduler,
-) -> Result<Vec<BenchResult>, EvalError> {
     let ctxs: Vec<BenchCtx<'_>> = suite.iter().map(prepare).collect::<Result<_, _>>()?;
     let jobs: Vec<(usize, Flow)> =
         (0..ctxs.len()).flat_map(|b| FLOWS.into_iter().map(move |f| (b, f))).collect();
     let outcomes = graphiti_pool::parallel_map(jobs, |(b, flow)| {
-        (b, flow, run_flow(&ctxs[b], flow, scheduler))
+        (b, flow, run_flow(&ctxs[b], flow, Scheduler::default()))
     });
     let mut per_bench: Vec<Vec<(Flow, FlowOutcome)>> =
         (0..ctxs.len()).map(|_| Vec::with_capacity(FLOWS.len())).collect();

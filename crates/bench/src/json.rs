@@ -1,11 +1,11 @@
 //! Hand-rolled JSON rendering of benchmark results.
 //!
 //! The build environment is offline (no serde), so this mirrors the
-//! exporters in `graphiti-obs`: a small escape helper plus explicit
-//! renderers. The `--json` flag of the bench binaries routes through
-//! here; [`results_with_metrics_json`] additionally embeds the metrics
-//! document produced by [`graphiti_obs::metrics_json`] so a profile
-//! travels alongside the headline numbers.
+//! exporters in `graphiti-obs`: a small escape helper plus one explicit
+//! renderer. The `--json` flag of the bench binaries routes through
+//! [`report_json`], which can embed the metrics document produced by
+//! [`graphiti_obs::metrics_json`] so a profile travels alongside the
+//! headline numbers.
 
 use crate::eval::{BenchResult, StallSummary};
 
@@ -35,39 +35,6 @@ fn num(x: f64) -> String {
     }
 }
 
-/// Renders benchmark results as a JSON document:
-/// `{"benchmarks": [{"name", "flows": {...}, "rewrites", ...}]}`.
-pub fn results_json(results: &[BenchResult]) -> String {
-    render(results, None, None, None)
-}
-
-/// Like [`results_json`], but with a `"metrics"` member holding the
-/// current [`graphiti_obs`] registry snapshot — call with the sink
-/// enabled so the evaluation's counters and histograms are populated.
-pub fn results_with_metrics_json(results: &[BenchResult]) -> String {
-    render(results, None, None, Some(graphiti_obs::metrics_json()))
-}
-
-/// The full report shape consumed by `perfdiff`: benchmark results, the
-/// harness wall-clock in seconds, (when `with_metrics`) the current
-/// `graphiti-obs` registry snapshot with the scheduler-efficiency
-/// counters, and a top-level `"scheduler"` member naming the simulation
-/// backend the results were produced under, so `perfdiff` can refuse to
-/// gate cycle counts across backends.
-pub fn report_json_for(
-    results: &[BenchResult],
-    wall_seconds: f64,
-    with_metrics: bool,
-    backend: &str,
-) -> String {
-    render(
-        results,
-        Some(wall_seconds),
-        Some(backend),
-        with_metrics.then(graphiti_obs::metrics_json),
-    )
-}
-
 /// Renders a flow's stall-cause summary as a `, "stalls": {...}` member.
 fn stalls_json(s: &StallSummary) -> String {
     let causes = s
@@ -89,12 +56,13 @@ fn stalls_json(s: &StallSummary) -> String {
     )
 }
 
-fn render(
-    results: &[BenchResult],
-    wall_seconds: Option<f64>,
-    backend: Option<&str>,
-    metrics: Option<String>,
-) -> String {
+/// Renders a report as a JSON document: `{"benchmarks": [{"name",
+/// "flows": {...}, "rewrites", ...}], "wall_seconds"}`, plus (when
+/// `with_metrics`) a `"metrics"` member holding the current
+/// [`graphiti_obs`] registry snapshot. Call with the sink enabled so the
+/// evaluation's counters and histograms are populated. This is the shape
+/// `perfdiff` compares.
+pub fn report_json(results: &[BenchResult], wall_seconds: f64, with_metrics: bool) -> String {
     let mut out = String::from("{\n  \"benchmarks\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str("    {\n");
@@ -124,16 +92,10 @@ fn render(
         out.push_str(&format!("      \"graph_nodes\": {}\n", r.graph_nodes));
         out.push_str(&format!("    }}{}\n", if i + 1 < results.len() { "," } else { "" }));
     }
-    out.push_str("  ]");
-    if let Some(wall) = wall_seconds {
-        out.push_str(&format!(",\n  \"wall_seconds\": {}", num(wall)));
-    }
-    if let Some(backend) = backend {
-        out.push_str(&format!(",\n  \"scheduler\": \"{}\"", escape(backend)));
-    }
-    if let Some(doc) = metrics {
+    out.push_str(&format!("  ],\n  \"wall_seconds\": {}", num(wall_seconds)));
+    if with_metrics {
         out.push_str(",\n  \"metrics\": ");
-        out.push_str(doc.trim_end());
+        out.push_str(graphiti_obs::metrics_json().trim_end());
     }
     out.push_str("\n}\n");
     out
@@ -177,7 +139,7 @@ mod tests {
 
     #[test]
     fn renders_escaped_names_and_balanced_braces() {
-        let doc = results_json(&[sample()]);
+        let doc = report_json(&[sample()], 0.5, false);
         assert!(doc.contains("\"gcd \\\"quoted\\\"\""));
         assert!(doc.contains("\"cycles\": 42"));
         assert!(doc.contains("\"correct\": true"));
@@ -202,12 +164,6 @@ mod tests {
         }
         assert_eq!(depth, 0);
         assert_eq!(min_depth, 0);
-    }
-
-    #[test]
-    fn report_for_backend_stamps_the_scheduler_member() {
-        let doc = report_json_for(&[sample()], 0.5, false, "compiled");
-        assert!(doc.contains("\"scheduler\": \"compiled\""));
     }
 
     #[test]

@@ -306,7 +306,7 @@ mod tests {
 
     #[test]
     fn parses_the_writers_output() {
-        let doc = crate::json::results_json(&[]);
+        let doc = crate::json::report_json(&[], 0.5, false);
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("benchmarks").and_then(Json::as_arr).map(<[Json]>::len), Some(0));
     }

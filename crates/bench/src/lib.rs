@@ -13,18 +13,14 @@
 //!   results, optionally embedding a `graphiti-obs` metrics snapshot.
 //! * [`jsonin`] — the matching minimal JSON reader, used by `perfdiff` to
 //!   compare two `--json` report documents.
-//! * [`trend`] — the append-only dated perf trajectory (`BENCH_sim.json`),
-//!   written by `perfdiff --emit` and gated/rendered by `perftrend`.
-//!
 //! * [`ablations`] — tag-budget, buffer-slack, and clock-period-target
 //!   sweeps for the design choices DESIGN.md calls out.
 //!
 //! Binaries: `table2`, `table3`, `fig8`, `stats`, `ablations`, and
 //! `report` regenerate each artefact at the default problem sizes;
-//! `perfdiff` compares two `--json` reports and gates on cycle-count
-//! regressions; `perftrend` renders the recorded trajectory and gates
-//! the newest entry against the best-ever; criterion benches exercise
-//! the same code paths at reduced sizes.
+//! `perfdiff` requires a serial `table2 --json --small` report to equal
+//! the committed `ci/perf_baseline.json` in every value but wall-clock
+//! time; criterion benches exercise the same code paths at reduced sizes.
 
 #![warn(missing_docs)]
 
@@ -34,11 +30,10 @@ pub mod json;
 pub mod jsonin;
 pub mod suite;
 pub mod tables;
-pub mod trend;
 
 pub use eval::{
-    backend_name, evaluate, evaluate_suite, evaluate_suite_with, evaluate_with, geomean,
-    BenchResult, EvalError, Flow, FlowMetrics, StallSummary,
+    backend_name, evaluate, evaluate_suite, evaluate_with, geomean, BenchResult, EvalError, Flow,
+    FlowMetrics, StallSummary,
 };
 
 /// A reduced-size suite for quick runs (unit tests, criterion benches).

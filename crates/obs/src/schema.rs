@@ -1,14 +1,19 @@
 //! The metrics schema registry: every metric name the workspace emits is
 //! declared here *once*, with its kind, unit, help text, and stability
-//! tier. The declarations are the contract consumers (dashboards and the
-//! `perfdiff`/`perftrend` tooling) can rely on:
+//! tier. The declarations are the naming contract consumers (dashboards
+//! and the `perfdiff` gate) can rely on:
 //!
 //! * **stable** metrics keep their name and meaning across releases —
 //!   renaming or re-semanticising one is a breaking change that must touch
 //!   the checked-in golden file `obs/schema.json` (CI diffs it);
 //! * **unstable** metrics are implementation detail (per-node breakdowns,
-//!   scheduler internals) and may change between PRs, but still must be
-//!   declared so typos never mint an accidental metric family.
+//!   scheduler internals) and may be renamed between PRs, but still must
+//!   be declared so typos never mint an accidental metric family.
+//!
+//! The tiers govern names, not values. `perfdiff` compares every value of
+//! a serial `table2 --json --small` report in both tiers against the
+//! committed baseline, skipping only metrics whose unit here is `us`, so
+//! moving any other value needs a baseline update in the same PR.
 //!
 //! Enforcement: [`crate::counter`] / [`crate::gauge`] / [`crate::histogram`]
 //! validate a name against the schema the *first* time it is minted (debug

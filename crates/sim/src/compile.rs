@@ -380,6 +380,12 @@ pub(crate) fn get_or_compile(
     let mut state = cache().lock().expect("compile cache poisoned");
     state.tick += 1;
     let tick = state.tick;
+    // Another worker may have lowered the same circuit while the lock was
+    // dropped: keep its artifact, so the byte cap is charged once.
+    if let Some(entry) = state.map.get_mut(&key) {
+        entry.tick = tick;
+        return Ok(entry.art.clone());
+    }
     // LRU eviction against both caps before admitting the new artifact.
     while !state.map.is_empty()
         && (state.map.len() >= CACHE_CAP || state.bytes + bytes > CACHE_MAX_BYTES)

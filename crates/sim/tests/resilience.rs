@@ -1,6 +1,7 @@
 //! Resilience-facing integration tests for the simulator: the deadlock
 //! detector (identical across both schedulers), cooperative cancellation,
-//! and the compiled-artifact cache's hit/miss accounting and LRU bound.
+//! and the compiled-artifact cache's hit/miss accounting, LRU bound and
+//! byte accounting under racing workers.
 //!
 //! The artifact cache and its hit, miss and eviction counters are
 //! process-global, and `artifact_cache_counts_hits_and_misses` asserts
@@ -174,4 +175,45 @@ fn artifact_cache_is_bounded_by_lru_eviction() {
     assert!(ev1 - ev0 >= 44, "300 inserts over a 256-entry cap must evict (got {})", ev1 - ev0);
     assert!(entries <= 256, "entry cap violated: {entries}");
     assert!(bytes <= 64 << 20, "byte cap violated: {bytes}");
+}
+
+/// A pipeline of `n` buffers, big enough that lowering it outlasts the
+/// moment racing workers all look the circuit up.
+fn buffer_chain(n: usize) -> ExprHigh {
+    let mut g = ExprHigh::new();
+    for i in 0..n {
+        g.add_node(format!("b{i}"), CompKind::Buffer { slots: 2, transparent: false }).unwrap();
+        if i > 0 {
+            g.connect(ep(format!("b{}", i - 1), "out"), ep(format!("b{i}"), "in")).unwrap();
+        }
+    }
+    g.expose_input("x", ep("b0", "in")).unwrap();
+    g.expose_output("y", ep(format!("b{}", n - 1), "out")).unwrap();
+    g
+}
+
+#[test]
+fn racing_workers_charge_the_byte_cap_once() {
+    // Workers that miss on one circuit at once each lower it; the cache
+    // must still hold one entry, charged once.
+    let _serial = cache_lock();
+    let g = buffer_chain(400);
+    let cfg = SimConfig::default();
+    graphiti_sim::compile_cache_clear();
+    graphiti_sim::precompile(&g, &cfg).unwrap();
+    let (_, _, single) = graphiti_sim::compile_cache_detail();
+    for round in 0..10 {
+        graphiti_sim::compile_cache_clear();
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    start.wait();
+                    graphiti_sim::precompile(&g, &cfg).unwrap();
+                });
+            }
+        });
+        let (_, entries, bytes) = graphiti_sim::compile_cache_detail();
+        assert_eq!((entries, bytes), (1, single), "round {round}: one artifact is {single} bytes");
+    }
 }
