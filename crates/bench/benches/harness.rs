@@ -14,7 +14,7 @@ use graphiti_frontend::compile;
 use graphiti_ir::{CompKind, ExprHigh, ExprLow, Op, PortName, PureFn, Value};
 use graphiti_rewrite::simplify;
 use graphiti_sem::{check_refinement, denote, Env, RefineConfig};
-use graphiti_sim::{place_buffers_targeted, simulate, Scheduler, SimConfig};
+use graphiti_sim::{place_buffers_targeted, simulate, CompiledCircuit, Scheduler, SimConfig};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 
@@ -208,12 +208,12 @@ fn bench_egraph(c: &mut Criterion) {
     });
 }
 
-/// The compiled backend's compile-once/simulate-many economics: what a
-/// cold lowering costs, what a warm (content-hash cache hit) compiled
-/// run costs, and the reference-sweep run it displaces. After the
-/// criterion rows, a quick wall-clock estimate prints the amortisation
-/// point — the number of simulations at which the lowering has paid for
-/// itself.
+/// The compiled backend's compile-once/simulate-many economics: what
+/// lowering a circuit into a `CompiledCircuit` costs, what one run of
+/// the lowered artifact costs, and the reference-sweep run it displaces.
+/// After the criterion rows, a quick wall-clock estimate prints the
+/// amortisation point — the number of simulations at which the lowering
+/// has paid for itself.
 fn bench_compile_backend(c: &mut Criterion) {
     let _obs = ObsScope::new("compile_backend");
     let p = suite::matvec(8);
@@ -226,20 +226,11 @@ fn bench_compile_backend(c: &mut Criterion) {
     let sweep_cfg = SimConfig { scheduler: Scheduler::ReferenceSweep, ..SimConfig::default() };
 
     let mut group = c.benchmark_group("compile_backend");
-    group.bench_function("compile_cold", |b| {
-        b.iter(|| {
-            graphiti_sim::compile_cache_clear();
-            black_box(graphiti_sim::precompile(&placed, &compiled_cfg).expect("lowers"));
-        })
-    });
-    graphiti_sim::precompile(&placed, &compiled_cfg).expect("lowers");
-    group.bench_function("compiled_run_warm", |b| {
-        b.iter(|| {
-            let r = simulate(&placed, &feeds, p.arrays.clone(), compiled_cfg.clone())
-                .expect("simulates");
-            black_box(r.cycles);
-        })
-    });
+    let lower = || CompiledCircuit::new(&placed, &compiled_cfg).expect("lowers");
+    group.bench_function("compile_cold", |b| b.iter(|| black_box(lower().stats())));
+    let art = lower();
+    let run = || art.run(&feeds, p.arrays.clone(), &compiled_cfg).expect("simulates");
+    group.bench_function("compiled_run_warm", |b| b.iter(|| black_box(run().cycles)));
     group.bench_function("reference_sweep_run", |b| {
         b.iter(|| {
             let r =
@@ -257,14 +248,8 @@ fn bench_compile_backend(c: &mut Criterion) {
         }
         t0.elapsed().as_secs_f64() / f64::from(reps)
     };
-    let t_compile = time(&mut || {
-        graphiti_sim::compile_cache_clear();
-        graphiti_sim::precompile(&placed, &compiled_cfg).expect("lowers");
-    });
-    graphiti_sim::precompile(&placed, &compiled_cfg).expect("lowers");
-    let t_warm = time(&mut || {
-        simulate(&placed, &feeds, p.arrays.clone(), compiled_cfg.clone()).expect("simulates");
-    });
+    let t_compile = time(&mut || drop(lower()));
+    let t_warm = time(&mut || drop(run()));
     let t_sweep = time(&mut || {
         simulate(&placed, &feeds, p.arrays.clone(), sweep_cfg.clone()).expect("simulates");
     });

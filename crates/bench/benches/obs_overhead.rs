@@ -12,10 +12,11 @@
 //! `sim/waveform_enabled` line prices the cycle-accurate VCD recorder
 //! and stall attribution against the same disabled baseline,
 //! `sim/flight_enabled` prices the flight recorder's ring writes on the
-//! same macro path. These rows run the default (compiled) core;
-//! `sim/compiled_cache_hit` names it explicitly on its warm (artifact
-//! already cached) path, and `sim/compiled_telemetry` prices waveform
-//! capture plus stall attribution on top of that warm path.
+//! same macro path. These rows run the default (compiled) core through
+//! `simulate`, which lowers the circuit on every call;
+//! `sim/compiled_run` runs an artifact lowered once up front, and
+//! `sim/compiled_telemetry` prices waveform capture plus stall
+//! attribution on that same artifact.
 //!
 //! The `robust/supervised` row prices a supervised no-op stage (token
 //! poll + clock read + outcome accounting).
@@ -31,7 +32,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use graphiti_frontend::compile;
 use graphiti_ir::Value;
-use graphiti_sim::{place_buffers_targeted, simulate, SimConfig};
+use graphiti_sim::{place_buffers_targeted, simulate, CompiledCircuit, SimConfig};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 
@@ -93,34 +94,24 @@ fn bench_obs_overhead(c: &mut Criterion) {
     graphiti_obs::flight::disable();
     graphiti_obs::flight::clear();
 
-    // The compiled backend's warm path: every simulate call re-hashes the
-    // circuit and looks the artifact up in the content-addressed cache, so
-    // this row prices content-key + cache hit + compiled run.
-    let compiled_cfg =
-        SimConfig { scheduler: graphiti_sim::Scheduler::Compiled, ..SimConfig::default() };
-    graphiti_sim::compile_cache_clear();
-    graphiti_sim::precompile(&placed, &compiled_cfg).expect("lowers");
-    group.bench_function("compiled_cache_hit", |b| {
+    // The compiled backend without the lowering: one artifact, lowered
+    // up front, runs on every iteration.
+    let plain_cfg = SimConfig::default();
+    let art = CompiledCircuit::new(&placed, &plain_cfg).expect("lowers");
+    group.bench_function("compiled_run", |b| {
         b.iter(|| {
-            let r = simulate(&placed, &feeds, p.arrays.clone(), compiled_cfg.clone())
-                .expect("simulates");
+            let r = art.run(&feeds, p.arrays.clone(), &plain_cfg).expect("simulates");
             black_box(r.cycles);
         })
     });
 
-    // The compiled backend with waveform capture and stall attribution on.
-    // The delta against `compiled_cache_hit` prices full-fidelity
-    // observation; the unobserved row above is the zero-overhead contract.
-    let observed_cfg = SimConfig {
-        scheduler: graphiti_sim::Scheduler::Compiled,
-        waveform: true,
-        attribute_stalls: true,
-        ..SimConfig::default()
-    };
+    // The same artifact with waveform capture and stall attribution on.
+    // The delta against `compiled_run` prices full-fidelity observation;
+    // the unobserved row above is the zero-overhead contract.
+    let observed_cfg = SimConfig { waveform: true, attribute_stalls: true, ..SimConfig::default() };
     group.bench_function("compiled_telemetry", |b| {
         b.iter(|| {
-            let r = simulate(&placed, &feeds, p.arrays.clone(), observed_cfg.clone())
-                .expect("simulates");
+            let r = art.run(&feeds, p.arrays.clone(), &observed_cfg).expect("simulates");
             black_box(r.waveform.as_ref().map(String::len));
         })
     });

@@ -27,8 +27,8 @@
 //! Exits 0 when the documents agree, 1 on any difference (after printing
 //! the regeneration command), and 2 on unreadable input. An intended
 //! change regenerates the baseline in the same commit, serially: with
-//! more than one worker the process-wide artifact cache and the pool's
-//! per-worker counters depend on scheduling.
+//! more than one worker the pool's per-worker counters depend on
+//! scheduling.
 //!
 //! ```text
 //! GRAPHITI_JOBS=1 table2 --json --small > ci/perf_baseline.json

@@ -384,9 +384,8 @@ pub fn evaluate_with(p: &Program, scheduler: Scheduler) -> Result<BenchResult, E
 /// (benchmark, flow) jobs out across a scoped worker pool sized by
 /// `available_parallelism` (override with `GRAPHITI_JOBS`). Results are
 /// reassembled by input index, so the output order and every table
-/// number are identical to a serial run. Some obs metrics are not: the
-/// workers share the process-wide artifact cache, and the pool records
-/// per-worker job counts.
+/// number are identical to a serial run. The `pool.*` obs metrics are
+/// not: the pool records per-worker job counts.
 ///
 /// # Errors
 ///

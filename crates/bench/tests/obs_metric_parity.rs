@@ -4,7 +4,7 @@
 //! the reference sweep mints — the same fire, occupancy, latency, stall,
 //! and cause counters, the same histograms, the same `PID_SIM` lanes.
 //! Only the backend facts differ: `sim.sched.*` (scheduler efficiency)
-//! and `sim.compile.*` (lowering and artifact cache).
+//! and `sim.compile.*` (lowering).
 //!
 //! `graphiti-obs` state is process-global, so this lives in its own test
 //! binary with a single `#[test]`.

@@ -201,14 +201,14 @@ pub const SCHEMA: &[MetricSpec] = &[
         name: "sim.compile.*",
         kind: Counter,
         unit: "events",
-        help: "Compiled-backend lowering facts: sim.compile.{cache_hits|cache_misses|evictions|nodes|chans}.",
+        help: "Compiled-backend lowering facts: sim.compile.{lowerings|nodes|chans}.",
         stability: Unstable,
     },
     MetricSpec {
         name: "sim.compile.us",
         kind: Counter,
         unit: "us",
-        help: "Wall-clock microseconds spent lowering circuits to compiled artifacts (cache misses only).",
+        help: "Wall-clock microseconds spent lowering circuits to compiled artifacts.",
         stability: Unstable,
     },
     MetricSpec {
@@ -251,13 +251,6 @@ pub const SCHEMA: &[MetricSpec] = &[
         kind: Histogram,
         unit: "events",
         help: "Node examinations per active cycle.",
-        stability: Unstable,
-    },
-    MetricSpec {
-        name: "sim.sched.fires_per_1k_examined",
-        kind: Gauge,
-        unit: "ratio",
-        help: "Scheduler hit rate: firings per 1000 node examinations.",
         stability: Unstable,
     },
     MetricSpec {

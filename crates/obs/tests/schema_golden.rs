@@ -51,9 +51,7 @@ fn workspace_hot_metrics_are_declared() {
         ("sim.sched.examined", Counter),
         ("sim.sched.examined_per_cycle", Histogram),
         ("sim.sched.worklist_pushes", Counter),
-        ("sim.sched.fires_per_1k_examined", Gauge),
-        ("sim.compile.cache_hits", Counter),
-        ("sim.compile.cache_misses", Counter),
+        ("sim.compile.lowerings", Counter),
         ("sim.compile.us", Counter),
         ("sim.compile.nodes", Counter),
         ("sim.compile.chans", Counter),

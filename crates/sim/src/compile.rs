@@ -1,8 +1,8 @@
-//! The compiled simulation backend ([`Scheduler::Compiled`]).
+//! The compiled simulation backend
+//! ([`Scheduler::Compiled`](crate::Scheduler::Compiled)).
 //!
 //! Instead of interpreting the dataflow graph node-by-node, a compile pass
-//! lowers the circuit into a specialised simulator once and caches the
-//! artifact per circuit content-hash:
+//! lowers the circuit into a specialised simulator once per run:
 //!
 //! * every node kind is monomorphised into a direct-dispatch fire function
 //!   over a flat arena — the hot loop calls through a per-node `fn` pointer
@@ -34,22 +34,22 @@
 //! so the extra examinations are no-ops. The static-region masks exploit
 //! exactly that latitude.
 //!
-//! The compiled artifact is immutable and shared (`Arc`) via a global
-//! content-addressed cache, so bench suites compile once and simulate many;
-//! per-run mutable state lives in [`rt::Rt`].
+//! The compiled artifact ([`CompiledCircuit`]) is immutable; per-run
+//! mutable state lives in [`rt::Rt`]. [`Simulator`](crate::Simulator)
+//! lowers its circuit and drops the artifact when the run ends. A caller
+//! that simulates one circuit many times holds a [`CompiledCircuit`] and
+//! runs it directly.
 
 mod fire;
 mod rt;
 
 use crate::memory::Memory;
-use crate::sim::{narrow, op_latency, purefn_latency, Scheduler, SimConfig, SimError, SimResult};
+use crate::sim::{narrow, op_latency, purefn_latency, SimConfig, SimError, SimResult};
 use crate::stall::UnitClass;
 use fire::FireFn;
 use graphiti_ir::{CompKind, ExprHigh, Op, PureFn, Value};
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::cell::Cell;
+use std::collections::BTreeMap;
 
 /// Out-of-band tag word meaning "untagged".
 pub(crate) const NO_TAG: u32 = u32::MAX;
@@ -76,7 +76,7 @@ pub(crate) struct CNode {
 }
 
 /// Names packed into one buffer: one allocation per table instead of one
-/// per name, which keeps cached artifacts small.
+/// per name, which keeps artifacts small.
 #[derive(Default)]
 pub(crate) struct NameTable {
     buf: String,
@@ -99,10 +99,6 @@ impl NameTable {
     /// Every name, in index order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &str> {
         (0..self.ends.len()).map(|i| self.get(i))
-    }
-
-    fn bytes(&self) -> usize {
-        self.buf.len() + self.ends.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -148,9 +144,14 @@ pub struct CompileStats {
     pub dynamic_nodes: u64,
 }
 
-/// An immutable compiled circuit: everything the run loop reads and never
-/// writes. Shared via [`Arc`] through the content-hash cache.
-pub(crate) struct CompiledCircuit {
+/// A circuit lowered for [`Scheduler::Compiled`](crate::Scheduler::Compiled):
+/// everything the run loop reads and never writes.
+///
+/// [`simulate`](crate::simulate) lowers its circuit on every call. A caller
+/// that simulates one circuit many times (a benchmark timing the run
+/// alone, say) lowers it once with [`CompiledCircuit::new`] and calls
+/// [`run`](CompiledCircuit::run) for each simulation.
+pub struct CompiledCircuit {
     pub(crate) nodes: Vec<CNode>,
     pub(crate) names: NameTable,
     /// Flat pool backing every node's `ins`/`outs` channel-id lists.
@@ -193,7 +194,64 @@ pub(crate) struct CompiledCircuit {
     pub(crate) stats: CompileStats,
 }
 
+thread_local! {
+    /// Circuits lowered on this thread, for [`compile_cache_stats`].
+    static LOWERINGS: Cell<u64> = const { Cell::new(0) };
+}
+
 impl CompiledCircuit {
+    /// Lowers `g` under a `sim.compile` span, so causal profiles attribute
+    /// compile time separately from simulation time.
+    ///
+    /// Of the config, only `load_latency` is read here: it sets the depth
+    /// of every Load, store-queue and Pure pipeline, so it is fixed for
+    /// the artifact's lifetime. Every other field is read per run from the
+    /// config passed to [`run`](CompiledCircuit::run).
+    ///
+    /// # Errors
+    ///
+    /// Fails like [`Simulator::new`](crate::Simulator::new) on graphs the
+    /// simulator rejects.
+    pub fn new(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
+        let _span = graphiti_obs::span("sim.compile");
+        let t0 = std::time::Instant::now();
+        let art = lower(g, cfg)?;
+        LOWERINGS.with(|n| n.set(n.get() + 1));
+        if graphiti_obs::enabled() {
+            let stats = art.stats;
+            graphiti_obs::counter("sim.compile.lowerings").inc();
+            graphiti_obs::counter("sim.compile.us").add(t0.elapsed().as_micros() as u64);
+            graphiti_obs::counter("sim.compile.nodes").add(stats.nodes);
+            graphiti_obs::counter("sim.compile.chans").add(stats.chans);
+            graphiti_obs::counter("sim.sched.region.count").add(stats.regions);
+            graphiti_obs::counter("sim.sched.region.static_nodes").add(stats.static_nodes);
+            graphiti_obs::counter("sim.sched.region.dynamic_nodes").add(stats.dynamic_nodes);
+        }
+        Ok(art)
+    }
+
+    /// Compile-pass facts (node/channel/region counts).
+    pub fn stats(&self) -> CompileStats {
+        self.stats
+    }
+
+    /// Runs the circuit to quiescence. `cfg` supplies the observation
+    /// flags, `max_cycles`, `deadlock_window` and `cancel`; its
+    /// `load_latency` and `scheduler` are not read (see
+    /// [`new`](CompiledCircuit::new)).
+    ///
+    /// # Errors
+    ///
+    /// Fails like [`Simulator::run`](crate::Simulator::run).
+    pub fn run(
+        &self,
+        feeds: &BTreeMap<String, Vec<Value>>,
+        memory: Memory,
+        cfg: &SimConfig,
+    ) -> Result<SimResult, SimError> {
+        rt::run(self, feeds, memory, cfg)
+    }
+
     #[inline]
     pub(crate) fn ports(&self, r: Range) -> &[u32] {
         &self.port_pool[r.0 as usize..(r.0 + r.1) as usize]
@@ -203,251 +261,18 @@ impl CompiledCircuit {
     pub(crate) fn marks(&self, r: Range) -> &[(u32, u64)] {
         &self.mark_pool[r.0 as usize..(r.0 + r.1) as usize]
     }
-
-    /// Compile-pass facts (node/channel/region counts).
-    pub(crate) fn stats(&self) -> CompileStats {
-        self.stats
-    }
 }
 
-/// One cached artifact with its LRU bookkeeping.
-struct CacheEntry {
-    art: Arc<CompiledCircuit>,
-    /// Approximate resident bytes, charged against [`CACHE_MAX_BYTES`].
-    bytes: usize,
-    /// Last-touch tick; the minimum across entries is the LRU victim.
-    tick: u64,
-}
+/// Does nothing: there is no artifact cache to empty. Kept because
+/// `pipebench` still calls it.
+#[doc(hidden)]
+pub fn compile_cache_clear() {}
 
-/// The artifact cache body behind the mutex: the key map plus the running
-/// byte total and the monotonically increasing touch tick.
-#[derive(Default)]
-struct CacheState {
-    map: HashMap<(u64, u64), CacheEntry>,
-    bytes: usize,
-    tick: u64,
-}
-
-/// The global artifact cache, keyed by 128-bit content hash.
-type ArtifactCache = Mutex<CacheState>;
-
-fn cache() -> &'static ArtifactCache {
-    static CACHE: OnceLock<ArtifactCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(CacheState::default()))
-}
-
-static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-static CACHE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Entry cap: evicting least-recently-used artifacts above this count
-/// bounds fuzzing runs, which compile thousands of distinct throwaway
-/// circuits.
-const CACHE_CAP: usize = 256;
-
-/// Byte cap on resident artifacts (approximate accounting), so a
-/// long-running suite over large kernels cannot exhaust memory even
-/// before it reaches [`CACHE_CAP`] entries.
-const CACHE_MAX_BYTES: usize = 64 << 20;
-
-/// Approximate heap footprint of one artifact, for the byte cap. Counts
-/// the large flat arrays and strings; per-element constants under-count a
-/// little, which only makes eviction slightly lazier.
-fn approx_bytes(art: &CompiledCircuit) -> usize {
-    std::mem::size_of::<CompiledCircuit>()
-        + art.nodes.len() * std::mem::size_of::<CNode>()
-        + art.port_pool.len() * std::mem::size_of::<u32>()
-        + art.mark_pool.len() * std::mem::size_of::<(u32, u64)>()
-        + art.names.bytes()
-        + art.chan_names.bytes()
-        + (art.consumer_of.len() + art.producer_of.len() + art.pipe_of.len()) * 8
-        + art.class.len() * std::mem::size_of::<UnitClass>()
-        + art.lsqs.iter().map(|l| (l.body.len() + l.epi.len()) * 8).sum::<usize>()
-}
-
-/// Two independently seeded hashers fed identical bytes, so one graph
-/// walk yields a 128-bit fingerprint. Doubles as a [`std::fmt::Write`]
-/// sink: node kinds stream their `Debug` rendering straight into the
-/// hashers without materialising the string, which matters because the
-/// key is recomputed on every `Scheduler::Compiled` simulate call.
-struct DualHasher(
-    std::collections::hash_map::DefaultHasher,
-    std::collections::hash_map::DefaultHasher,
-);
-
-impl DualHasher {
-    fn with_seeds(s1: u64, s2: u64) -> Self {
-        let mut h1 = std::collections::hash_map::DefaultHasher::new();
-        let mut h2 = std::collections::hash_map::DefaultHasher::new();
-        s1.hash(&mut h1);
-        s2.hash(&mut h2);
-        DualHasher(h1, h2)
-    }
-
-    fn finish_pair(&self) -> (u64, u64) {
-        (self.0.finish(), self.1.finish())
-    }
-}
-
-impl std::hash::Hasher for DualHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        self.0.write(bytes);
-        self.1.write(bytes);
-    }
-
-    fn finish(&self) -> u64 {
-        self.finish_pair().0
-    }
-}
-
-impl std::fmt::Write for DualHasher {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        std::hash::Hasher::write(self, s.as_bytes());
-        // Length-prefix framing is lost when streaming; a separator byte
-        // keeps adjacent fragments from gluing into ambiguous strings.
-        std::hash::Hasher::write(self, &[0xFF]);
-        Ok(())
-    }
-}
-
-/// A 128-bit structural fingerprint of the circuit plus the config facts
-/// the lowering bakes in (`load_latency` feeds Load and Pure pipeline
-/// depths). Two independently seeded 64-bit hashes make an accidental
-/// collision across a fuzzing campaign negligible.
-fn content_key(g: &ExprHigh, cfg: &SimConfig) -> (u64, u64) {
-    use std::fmt::Write as _;
-    let mut h = DualHasher::with_seeds(0xA5A5_5A5A_C0DE_0001, 0x5A5A_A5A5_C0DE_0002);
-    cfg.load_latency.hash(&mut h);
-    for (name, kind) in g.nodes() {
-        name.hash(&mut h);
-        let _ = write!(h, "{kind:?}");
-    }
-    for (from, to) in g.edges() {
-        from.node.hash(&mut h);
-        from.port.hash(&mut h);
-        to.node.hash(&mut h);
-        to.port.hash(&mut h);
-    }
-    for (name, target) in g.inputs() {
-        name.hash(&mut h);
-        target.node.hash(&mut h);
-        target.port.hash(&mut h);
-    }
-    for (name, source) in g.outputs() {
-        name.hash(&mut h);
-        source.node.hash(&mut h);
-        source.port.hash(&mut h);
-    }
-    h.finish_pair()
-}
-
-/// Returns the compiled artifact for `g`, lowering it on a cache miss.
-/// The lowering runs under a `sim.compile` span, so causal profiles
-/// attribute compile time separately from simulation time.
-pub(crate) fn get_or_compile(
-    g: &ExprHigh,
-    cfg: &SimConfig,
-) -> Result<Arc<CompiledCircuit>, SimError> {
-    let key = content_key(g, cfg);
-    {
-        let mut guard = cache().lock().expect("compile cache poisoned");
-        let state = &mut *guard;
-        if let Some(entry) = state.map.get_mut(&key) {
-            state.tick += 1;
-            entry.tick = state.tick;
-            CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-            if graphiti_obs::enabled() {
-                graphiti_obs::counter("sim.compile.cache_hits").inc();
-            }
-            return Ok(entry.art.clone());
-        }
-    }
-    CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-    let _span = graphiti_obs::span("sim.compile");
-    let t0 = std::time::Instant::now();
-    let art = Arc::new(lower(g, cfg)?);
-    if graphiti_obs::enabled() {
-        let stats = art.stats();
-        graphiti_obs::counter("sim.compile.cache_misses").inc();
-        graphiti_obs::counter("sim.compile.us").add(t0.elapsed().as_micros() as u64);
-        graphiti_obs::counter("sim.compile.nodes").add(stats.nodes);
-        graphiti_obs::counter("sim.compile.chans").add(stats.chans);
-        graphiti_obs::counter("sim.sched.region.count").add(stats.regions);
-        graphiti_obs::counter("sim.sched.region.static_nodes").add(stats.static_nodes);
-        graphiti_obs::counter("sim.sched.region.dynamic_nodes").add(stats.dynamic_nodes);
-    }
-    let bytes = approx_bytes(&art);
-    let mut state = cache().lock().expect("compile cache poisoned");
-    state.tick += 1;
-    let tick = state.tick;
-    // Another worker may have lowered the same circuit while the lock was
-    // dropped: keep its artifact, so the byte cap is charged once.
-    if let Some(entry) = state.map.get_mut(&key) {
-        entry.tick = tick;
-        return Ok(entry.art.clone());
-    }
-    // LRU eviction against both caps before admitting the new artifact.
-    while !state.map.is_empty()
-        && (state.map.len() >= CACHE_CAP || state.bytes + bytes > CACHE_MAX_BYTES)
-    {
-        let victim = *state.map.iter().min_by_key(|(_, e)| e.tick).expect("non-empty map").0;
-        let evicted = state.map.remove(&victim).expect("victim present");
-        state.bytes = state.bytes.saturating_sub(evicted.bytes);
-        CACHE_EVICTIONS.fetch_add(1, Ordering::Relaxed);
-        if graphiti_obs::enabled() {
-            graphiti_obs::counter("sim.compile.evictions").inc();
-        }
-    }
-    state.bytes += bytes;
-    state.map.insert(key, CacheEntry { art: art.clone(), bytes, tick });
-    Ok(art)
-}
-
-/// Lowers and caches the circuit without running it, so later
-/// [`simulate`](crate::simulate) calls under [`Scheduler::Compiled`] hit
-/// the artifact cache. Useful to price compile-once/simulate-many
-/// amortisation in benchmarks. Returns the compile-pass facts (node,
-/// channel, and static-region counts).
-///
-/// # Errors
-///
-/// Fails like [`Simulator::new`](crate::Simulator::new) on graphs the
-/// simulator rejects.
-pub fn precompile(g: &ExprHigh, cfg: &SimConfig) -> Result<CompileStats, SimError> {
-    let mut cfg = cfg.clone();
-    cfg.scheduler = Scheduler::Compiled;
-    get_or_compile(g, &cfg).map(|art| art.stats())
-}
-
-/// Empties the compiled-artifact cache (benchmark and test hygiene).
-pub fn compile_cache_clear() {
-    let mut state = cache().lock().expect("compile cache poisoned");
-    state.map.clear();
-    state.bytes = 0;
-}
-
-/// `(hits, misses)` of the compiled-artifact cache since process start.
+/// `(0, circuits lowered on the calling thread)`. Kept because `pipebench`
+/// reads it as `(cache hits, cache misses)` around each `simulate` call.
+#[doc(hidden)]
 pub fn compile_cache_stats() -> (u64, u64) {
-    (CACHE_HITS.load(Ordering::Relaxed), CACHE_MISSES.load(Ordering::Relaxed))
-}
-
-/// `(evictions, resident entries, resident bytes)` of the compiled-artifact
-/// cache: the lifetime count of LRU evictions plus the current footprint.
-pub fn compile_cache_detail() -> (u64, usize, usize) {
-    let state = cache().lock().expect("compile cache poisoned");
-    (CACHE_EVICTIONS.load(Ordering::Relaxed), state.map.len(), state.bytes)
-}
-
-/// Runs a compiled circuit to quiescence. The public entry point is
-/// [`Simulator::run`](crate::Simulator::run), which delegates here when
-/// the scheduler is [`Scheduler::Compiled`].
-pub(crate) fn run(
-    art: &CompiledCircuit,
-    feeds: &BTreeMap<String, Vec<Value>>,
-    memory: Memory,
-    cfg: &SimConfig,
-) -> Result<SimResult, SimError> {
-    rt::run(art, feeds, memory, cfg)
+    (0, LOWERINGS.with(Cell::get))
 }
 
 /// Splits a full interpreter-shaped value into the out-of-band `(tag,
@@ -487,9 +312,8 @@ fn lower(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
     // external inputs and outputs — the same order Simulator::new uses.
     let mut chan_of_out: BTreeMap<graphiti_ir::Endpoint, u32> = BTreeMap::new();
     let mut chan_of_in: BTreeMap<graphiti_ir::Endpoint, u32> = BTreeMap::new();
-    // Channel names are baked into the (config-agnostic, cached) artifact
-    // so an observed run never re-derives them; the format matches the
-    // interpreter's byte for byte.
+    // Channel names are baked into the artifact so an observed run never
+    // re-derives them; the format matches the interpreter's byte for byte.
     let mut chan_names = NameTable::default();
     let mut n_chans: usize = 0;
     for (from, to) in g.edges() {

@@ -48,9 +48,7 @@ mod timing;
 mod wave;
 
 pub use area::{circuit_area, component_area, op_area, Area};
-pub use compile::{
-    compile_cache_clear, compile_cache_detail, compile_cache_stats, precompile, CompileStats,
-};
+pub use compile::{compile_cache_clear, compile_cache_stats, CompileStats, CompiledCircuit};
 pub use memory::{mem_read, mem_write, MemError, Memory};
 pub use place::{has_combinational_cycle, place_buffers, place_buffers_targeted, PlacementStats};
 pub use sim::{

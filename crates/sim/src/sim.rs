@@ -27,9 +27,9 @@
 //! Two cores implement that contract (selected by [`SimConfig::scheduler`],
 //! see DESIGN.md §3.7):
 //!
-//! * [`Scheduler::Compiled`] (default) lowers the circuit once into a
-//!   specialised simulator with a bit-packed dirty worklist (see
-//!   `compile.rs`) and caches the artifact per circuit content-hash;
+//! * [`Scheduler::Compiled`] (default) lowers the circuit once per run
+//!   into a specialised simulator with a bit-packed dirty worklist (see
+//!   `compile.rs`);
 //! * [`Scheduler::ReferenceSweep`] is the sweep-until-fixpoint interpreter
 //!   in this file, retained as the executable specification the compiled
 //!   core is differentially tested against.
@@ -56,11 +56,12 @@ pub enum Scheduler {
     /// Sweep-until-fixpoint interpreter: every node is examined every
     /// pass of every cycle.
     ReferenceSweep,
-    /// Compiled core: the circuit is lowered once into a specialised
+    /// Compiled core: each run lowers the circuit into a specialised
     /// simulator (monomorphic fire functions, bit-packed scheduler state,
-    /// static firing schedules for in-order regions) and the artifact is
-    /// cached per circuit content-hash. The observation flags arm the
-    /// same observers the sweep uses (DESIGN.md §3.12).
+    /// static firing schedules for in-order regions), a
+    /// [`CompiledCircuit`](crate::CompiledCircuit) that a caller may also
+    /// hold and run many times. The observation flags arm the same
+    /// observers the sweep uses (DESIGN.md §3.12).
     #[default]
     Compiled,
 }
@@ -451,7 +452,7 @@ pub struct Simulator {
     /// The compiled artifact, present iff the scheduler is
     /// [`Scheduler::Compiled`]; [`Simulator::run`] delegates to it and the
     /// interpreter machinery above stays empty.
-    compiled: Option<std::sync::Arc<crate::compile::CompiledCircuit>>,
+    compiled: Option<crate::compile::CompiledCircuit>,
 }
 
 /// The common tag across the front tokens of `ins`, by reference.
@@ -509,7 +510,7 @@ impl Simulator {
     /// Fails if the graph is incomplete.
     pub fn new(g: &ExprHigh, memory: Memory, cfg: SimConfig) -> Result<Simulator, SimError> {
         if cfg.scheduler == Scheduler::Compiled {
-            let art = crate::compile::get_or_compile(g, &cfg)?;
+            let art = crate::compile::CompiledCircuit::new(g, &cfg)?;
             return Ok(Simulator {
                 nodes: Vec::new(),
                 chans: Vec::new(),
@@ -1206,7 +1207,7 @@ impl Simulator {
     /// Fails on memory faults, evaluation faults, or timeout.
     pub fn run(mut self, feeds: &BTreeMap<String, Vec<Value>>) -> Result<SimResult, SimError> {
         if let Some(art) = self.compiled.take() {
-            return crate::compile::run(&art, feeds, std::mem::take(&mut self.memory), &self.cfg);
+            return art.run(feeds, std::mem::take(&mut self.memory), &self.cfg);
         }
         for (name, vals) in feeds {
             let chan = *self
@@ -1699,30 +1700,15 @@ mod tests {
     }
 
     #[test]
-    fn compiled_artifacts_are_cached_by_content() {
-        let build = |slots| {
-            let mut g = ExprHigh::new();
-            g.add_node("b", CompKind::Buffer { slots, transparent: true }).unwrap();
-            g.expose_input("x", ep("b", "in")).unwrap();
-            g.expose_output("y", ep("b", "out")).unwrap();
-            g
-        };
-        // Sibling tests simulate on the (default) compiled core
-        // concurrently, so the process-wide hit/miss counters are pinned in
-        // the serialized `resilience` test binary; here the cache is
-        // checked by artifact identity.
-        let cfg = SimConfig::default();
-        let a = crate::compile::get_or_compile(&build(3), &cfg).unwrap();
-        let stats = a.stats();
+    fn compile_stats_count_the_lowered_circuit() {
+        let mut g = ExprHigh::new();
+        g.add_node("b", CompKind::Buffer { slots: 3, transparent: true }).unwrap();
+        g.expose_input("x", ep("b", "in")).unwrap();
+        g.expose_output("y", ep("b", "out")).unwrap();
+        let stats = crate::CompiledCircuit::new(&g, &SimConfig::default()).unwrap().stats();
         assert_eq!(stats.nodes, 1);
         assert_eq!(stats.chans, 2, "one input queue, one output queue");
         assert_eq!(stats.static_nodes, 1, "an untagged buffer is in-order");
-        // Same circuit: the cached artifact. Different slot count: a
-        // distinct one.
-        let b = crate::compile::get_or_compile(&build(3), &cfg).unwrap();
-        let c = crate::compile::get_or_compile(&build(4), &cfg).unwrap();
-        assert!(std::sync::Arc::ptr_eq(&a, &b));
-        assert!(!std::sync::Arc::ptr_eq(&a, &c));
     }
 
     #[test]

@@ -881,8 +881,8 @@ impl SimObs {
         self.out_seen = out_now;
     }
 
-    /// Flushes the run totals: firings, cycles, scheduler efficiency,
-    /// per-node fires, and the per-cause stall counters of the report
+    /// Flushes the run totals: firings, cycles, scheduler examinations and
+    /// worklist pushes, per-node fires, and the per-cause stall counters of the report
     /// (the stall/starve totals were counted cycle by cycle).
     fn finish(
         &self,
@@ -897,9 +897,6 @@ impl SimObs {
         graphiti_obs::counter("sim.cycles").add(cycles);
         graphiti_obs::counter("sim.sched.examined").add(examined);
         graphiti_obs::counter("sim.sched.worklist_pushes").add(pushes);
-        if let Some(rate) = firings.saturating_mul(1000).checked_div(examined) {
-            graphiti_obs::gauge("sim.sched.fires_per_1k_examined").set(rate as i64);
-        }
         for (i, &count) in firings_by_node.iter().enumerate() {
             if count > 0 {
                 self.fire_by_node[i].add(count);

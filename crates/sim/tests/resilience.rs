@@ -1,24 +1,13 @@
 //! Resilience-facing integration tests for the simulator: the deadlock
 //! detector (identical across both schedulers), cooperative cancellation,
-//! and the compiled-artifact cache's hit/miss accounting, LRU bound and
-//! byte accounting under racing workers.
-//!
-//! The artifact cache and its hit, miss and eviction counters are
-//! process-global, and `artifact_cache_counts_hits_and_misses` asserts
-//! exact deltas. So every test here that simulates or compiles serializes
-//! on [`cache_lock`].
+//! and the per-thread lowering count that benchmark harnesses read around
+//! their own `simulate` calls.
 
 use graphiti_ir::{ep, CompKind, ExprHigh, Value};
 use graphiti_sim::{simulate, Memory, Scheduler, SimConfig, SimError};
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard};
-
-/// Serializes the tests in this binary around the process-global
-/// artifact cache and its counters.
-fn cache_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 fn feeds(name: &str, vals: Vec<Value>) -> BTreeMap<String, Vec<Value>> {
     [(name.to_string(), vals)].into_iter().collect()
@@ -46,7 +35,6 @@ fn deadlock_kernel() -> ExprHigh {
 
 #[test]
 fn deadlock_is_reported_identically_on_both_schedulers() {
-    let _serial = cache_lock();
     let g = deadlock_kernel();
     let mut reports = Vec::new();
     for sched in [Scheduler::ReferenceSweep, Scheduler::Compiled] {
@@ -91,7 +79,6 @@ fn deadlock_is_reported_identically_on_both_schedulers() {
 fn without_the_window_the_deadlock_kernel_just_finishes_short() {
     // Detection off (the default): quiescence with frozen tokens is an
     // ordinary finish with leftovers, preserving pre-existing behavior.
-    let _serial = cache_lock();
     let g = deadlock_kernel();
     let r = simulate(
         &g,
@@ -104,7 +91,8 @@ fn without_the_window_the_deadlock_kernel_just_finishes_short() {
     assert!(r.outputs.values().all(|v| v.is_empty()));
 }
 
-/// A healthy little pipeline used by the cancellation test.
+/// A healthy little pipeline used by the cancellation and lowering-count
+/// tests.
 fn healthy_kernel() -> ExprHigh {
     let mut g = ExprHigh::new();
     g.add_node("f", CompKind::Fork { ways: 2 }).unwrap();
@@ -118,7 +106,6 @@ fn healthy_kernel() -> ExprHigh {
 
 #[test]
 fn pre_tripped_token_cancels_every_scheduler() {
-    let _serial = cache_lock();
     let g = healthy_kernel();
     for sched in [Scheduler::ReferenceSweep, Scheduler::Compiled] {
         let token = graphiti_obs::CancelToken::new();
@@ -131,89 +118,38 @@ fn pre_tripped_token_cancels_every_scheduler() {
 }
 
 #[test]
-fn artifact_cache_counts_hits_and_misses() {
-    // Every test here that compiles holds the lock, so the process-wide
-    // counters move only by this test's lookups.
-    let _serial = cache_lock();
-    let build = |slots| {
-        let mut g = ExprHigh::new();
-        g.add_node("b", CompKind::Buffer { slots, transparent: true }).unwrap();
-        g.expose_input("x", ep("b", "in")).unwrap();
-        g.expose_output("y", ep("b", "out")).unwrap();
-        g
-    };
-    let cfg = SimConfig::default();
-    graphiti_sim::compile_cache_clear();
-    let (h0, m0) = graphiti_sim::compile_cache_stats();
-    graphiti_sim::precompile(&build(3), &cfg).unwrap();
-    // Same circuit: cache hit. Different slot count: distinct artifact.
-    graphiti_sim::precompile(&build(3), &cfg).unwrap();
-    graphiti_sim::precompile(&build(4), &cfg).unwrap();
-    let (h1, m1) = graphiti_sim::compile_cache_stats();
-    assert_eq!(h1 - h0, 1);
-    assert_eq!(m1 - m0, 2);
-}
-
-#[test]
-fn artifact_cache_is_bounded_by_lru_eviction() {
-    // 300 distinct circuits (disambiguated by buffer depth) overflow the
-    // 256-entry cap no matter what other tests have inserted; the cache
-    // must evict rather than grow without bound. Serialised with the
-    // hit/miss test: its cache clear mid-loop would otherwise empty the
-    // cache under these inserts and hide evictions.
-    let _serial = cache_lock();
-    let (ev0, _, _) = graphiti_sim::compile_cache_detail();
-    let cfg = SimConfig { scheduler: Scheduler::Compiled, ..Default::default() };
-    for slots in 0..300usize {
-        let mut g = ExprHigh::new();
-        g.add_node("b", CompKind::Buffer { slots: 2 + slots, transparent: false }).unwrap();
-        g.expose_input("x", ep("b", "in")).unwrap();
-        g.expose_output("y", ep("b", "out")).unwrap();
-        graphiti_sim::precompile(&g, &cfg).unwrap();
-    }
-    let (ev1, entries, bytes) = graphiti_sim::compile_cache_detail();
-    assert!(ev1 - ev0 >= 44, "300 inserts over a 256-entry cap must evict (got {})", ev1 - ev0);
-    assert!(entries <= 256, "entry cap violated: {entries}");
-    assert!(bytes <= 64 << 20, "byte cap violated: {bytes}");
-}
-
-/// A pipeline of `n` buffers, big enough that lowering it outlasts the
-/// moment racing workers all look the circuit up.
-fn buffer_chain(n: usize) -> ExprHigh {
-    let mut g = ExprHigh::new();
-    for i in 0..n {
-        g.add_node(format!("b{i}"), CompKind::Buffer { slots: 2, transparent: false }).unwrap();
-        if i > 0 {
-            g.connect(ep(format!("b{}", i - 1), "out"), ep(format!("b{i}"), "in")).unwrap();
+fn lowering_count_is_per_thread_and_one_per_simulate() {
+    // Four other threads simulate in a loop, and the barriers put at
+    // least one of each thread's lowerings between this thread's two
+    // reads. The count must still move only by this thread's two calls,
+    // and lowering one circuit twice must change nothing observable.
+    let g = healthy_kernel();
+    let x = || feeds("x", vec![Value::Int(3), Value::Int(4)]);
+    let run = || simulate(&g, &x(), Memory::new(), SimConfig::default());
+    let (go, done) = (Barrier::new(5), Barrier::new(5));
+    let stop = AtomicBool::new(false);
+    let (delta, a, b) = std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| {
+                go.wait();
+                let first = run();
+                done.wait();
+                first.unwrap();
+                while !stop.load(Ordering::Relaxed) {
+                    run().unwrap();
+                }
+            });
         }
-    }
-    g.expose_input("x", ep("b0", "in")).unwrap();
-    g.expose_output("y", ep(format!("b{}", n - 1), "out")).unwrap();
-    g
-}
-
-#[test]
-fn racing_workers_charge_the_byte_cap_once() {
-    // Workers that miss on one circuit at once each lower it; the cache
-    // must still hold one entry, charged once.
-    let _serial = cache_lock();
-    let g = buffer_chain(400);
-    let cfg = SimConfig::default();
-    graphiti_sim::compile_cache_clear();
-    graphiti_sim::precompile(&g, &cfg).unwrap();
-    let (_, _, single) = graphiti_sim::compile_cache_detail();
-    for round in 0..10 {
-        graphiti_sim::compile_cache_clear();
-        let start = std::sync::Barrier::new(8);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    start.wait();
-                    graphiti_sim::precompile(&g, &cfg).unwrap();
-                });
-            }
-        });
-        let (_, entries, bytes) = graphiti_sim::compile_cache_detail();
-        assert_eq!((entries, bytes), (1, single), "round {round}: one artifact is {single} bytes");
-    }
+        let (h0, m0) = graphiti_sim::compile_cache_stats();
+        go.wait();
+        let (a, b) = (run(), run());
+        done.wait();
+        let (h1, m1) = graphiti_sim::compile_cache_stats();
+        stop.store(true, Ordering::Relaxed);
+        ((h1 - h0, m1 - m0), a, b)
+    });
+    assert_eq!(delta, (0, 2), "one lowering per simulate call, and no hits");
+    let (a, b) = (a.unwrap(), b.unwrap());
+    assert_eq!(a.outputs["y"], vec![Value::Int(6), Value::Int(8)]);
+    assert_eq!((&a.outputs, a.cycles, a.firings), (&b.outputs, b.cycles, b.firings));
 }
