@@ -6,29 +6,33 @@
 //! ```
 //!
 //! Every value of the two documents must be equal, except wall-clock
-//! time. Objects are compared member by member and arrays element by
-//! element, in both directions, so a member present on one side only is a
-//! difference too. Two kinds of member are skipped as time:
+//! time and the host's scheduling. Objects are compared member by member
+//! and arrays element by element, in both directions, so a member present
+//! on one side only is a difference too. Three kinds of member are
+//! skipped:
 //!
 //! * a member whose key ends in `_seconds` (`wall_seconds`,
 //!   `rewrite_seconds`);
 //! * a metric (a member of `metrics.counters`, `.gauges` or
-//!   `.histograms`) whose unit in [`graphiti_obs::schema`] is `us`
-//!   (`sim.compile.us`, the `span.*.us` histograms). The schema decides
-//!   what counts as time; an undeclared metric name is compared.
+//!   `.histograms`) whose unit in [`graphiti_obs::schema`] is `us` (the
+//!   `span.*.us` histograms). The schema decides what counts as time; an
+//!   undeclared metric name is compared;
+//! * a `pool.*` metric (`pool.workers`, `pool.jobs.worker_*`): it records
+//!   how the host scheduled the jobs, not the work they did, and a serial
+//!   run records none.
 //!
 //! Everything else (cycles, clock periods, areas, stall attributions and
-//! every counter, gauge and histogram) is deterministic in a serial run,
-//! so any difference is a real change. Each difference is printed with
-//! both values, at a path that labels array elements by their `name`
-//! member (`/benchmarks/gemm/flows/GRAPHITI/cycles`). `wall_seconds` is
-//! printed for information only.
+//! every other counter, gauge and histogram) is deterministic at any
+//! worker count, so any difference is a real change. Each difference is
+//! printed with both values, at a path that labels array elements by
+//! their `name` member (`/benchmarks/gemm/flows/GRAPHITI/cycles`).
+//! `wall_seconds` is printed for information only.
 //!
 //! Exits 0 when the documents agree, 1 on any difference (after printing
 //! the regeneration command), and 2 on unreadable input. An intended
-//! change regenerates the baseline in the same commit, serially: with
-//! more than one worker the pool's per-worker counters depend on
-//! scheduling.
+//! change regenerates the baseline in the same commit, serially, so the
+//! committed baseline records no `pool.*` facts of the host that wrote
+//! it.
 //!
 //! ```text
 //! GRAPHITI_JOBS=1 table2 --json --small > ci/perf_baseline.json
@@ -78,24 +82,26 @@ fn show(v: Option<&Json>) -> String {
     }
 }
 
-/// Whether member `key` of the object at `parent` holds wall-clock time.
-fn is_time(parent: &str, key: &str) -> bool {
+/// Whether member `key` of the object at `parent` holds wall-clock time
+/// or a pool scheduling fact, which no two runs need agree on.
+fn is_skipped(parent: &str, key: &str) -> bool {
     key.ends_with("_seconds")
         || (METRIC_FAMILIES.contains(&parent)
-            && graphiti_obs::schema::lookup(key).is_some_and(|spec| spec.unit == "us"))
+            && (key.starts_with("pool.")
+                || graphiti_obs::schema::lookup(key).is_some_and(|spec| spec.unit == "us")))
 }
 
 fn walk(path: &str, base: &Json, cur: &Json, out: &mut Comparison) {
     match (base, cur) {
         (Json::Obj(bs), Json::Obj(cs)) => {
-            for (key, b) in bs.iter().filter(|(k, _)| !is_time(path, k)) {
+            for (key, b) in bs.iter().filter(|(k, _)| !is_skipped(path, k)) {
                 let p = format!("{path}/{key}");
                 match cur.get(key) {
                     Some(c) => walk(&p, b, c, out),
                     None => out.differ(p, Some(b), None),
                 }
             }
-            for (key, c) in cs.iter().filter(|(k, _)| !is_time(path, k)) {
+            for (key, c) in cs.iter().filter(|(k, _)| !is_skipped(path, k)) {
                 if base.get(key).is_none() {
                     out.differ(format!("{path}/{key}"), None, Some(c));
                 }
@@ -121,7 +127,7 @@ fn walk(path: &str, base: &Json, cur: &Json, out: &mut Comparison) {
     }
 }
 
-/// Compares every non-time value of `base` with `cur`.
+/// Compares every value of `base` with `cur` that is not skipped.
 fn compare(base: &Json, cur: &Json) -> Comparison {
     let mut out = Comparison::default();
     walk("", base, cur, &mut out);
@@ -183,8 +189,8 @@ mod tests {
       ],
       "wall_seconds": 0.5,
       "metrics": {
-        "counters": {"sim.cycles": 220, "sim.compile.us": 40},
-        "gauges": {"sim.sched.fires_per_1k_examined": 298},
+        "counters": {"sim.cycles": 220},
+        "gauges": {},
         "histograms": {"span.rewrite.optimize.us": {"count": 1, "sum": 90, "buckets": [{"le": 127, "count": 1}]}}
       }
     }"#;
@@ -202,7 +208,7 @@ mod tests {
         let doc = parse(DOC).unwrap();
         let cmp = compare(&doc, &doc);
         assert!(cmp.differences.is_empty(), "{:?}", cmp.differences);
-        assert_eq!(cmp.compared, 10);
+        assert_eq!(cmp.compared, 9);
     }
 
     #[test]
@@ -221,10 +227,22 @@ mod tests {
         let cur = DOC
             .replace("\"wall_seconds\": 0.5", "\"wall_seconds\": 0.9")
             .replace("\"rewrite_seconds\": 0.01", "\"rewrite_seconds\": 0.02")
-            .replace("\"sim.compile.us\": 40", "\"sim.compile.us\": 41")
             .replace("\"sum\": 90", "\"sum\": 95");
         assert_ne!(cur, DOC);
         assert!(paths(DOC, &cur).is_empty());
+    }
+
+    #[test]
+    fn pool_metrics_on_one_side_only_are_no_difference() {
+        let parallel = DOC
+            .replace("\"sim.cycles\": 220", "\"sim.cycles\": 220, \"pool.jobs.worker_1\": 12")
+            .replace("\"gauges\": {}", "\"gauges\": {\"pool.workers\": 2}");
+        assert_ne!(parallel, DOC);
+        assert!(paths(DOC, &parallel).is_empty());
+        assert!(paths(&parallel, DOC).is_empty());
+        // Only metrics are skipped: a `pool.` key elsewhere is compared.
+        let elsewhere = DOC.replace("\"rewrites\": 7", "\"rewrites\": 7, \"pool.workers\": 2");
+        assert_eq!(paths(DOC, &elsewhere), ["/benchmarks/gemm/pool.workers"]);
     }
 
     #[test]

@@ -15,11 +15,6 @@
 //! repetition runs those artifacts, which is exactly the
 //! compile-once/simulate-many shape the backend exists for.
 //!
-//! Alongside the wall times, each kernel's static-section schedule from
-//! `graphiti-static` is printed (init/body/epilogue initiation
-//! intervals), so the per-region schedules the compiled backend's
-//! in-order regions amortise against are visible in the same report.
-//!
 //! * `--reps N` — simulation repetitions per backend (default 20).
 //! * `--json` — machine-readable output instead of the table.
 //! * `--min-speedup X` — exit non-zero unless the compiled backend's
@@ -30,7 +25,6 @@ use graphiti_bench::{json::escape, small_suite, suite};
 use graphiti_frontend::{compile, Memory, Program};
 use graphiti_ir::{ExprHigh, Value};
 use graphiti_sim::{place_buffers, simulate, CompiledCircuit, Scheduler, SimConfig, SimResult};
-use graphiti_static::kernel_schedule;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -53,20 +47,12 @@ struct Prepared {
     name: String,
     graphs: Vec<ExprHigh>,
     initial: Memory,
-    /// Static-section initiation intervals per kernel, from
-    /// `graphiti_static::kernel_schedule`.
-    section_iis: Vec<Vec<(&'static str, u64)>>,
 }
 
 fn prepare(p: &Program) -> Prepared {
     let compiled = compile(p).expect("suite programs compile");
     let graphs = compiled.kernels.iter().map(|k| place_buffers(&k.graph).0).collect();
-    let section_iis = p
-        .kernels
-        .iter()
-        .map(|k| kernel_schedule(k).into_iter().map(|s| (s.section, s.length)).collect())
-        .collect();
-    Prepared { name: p.name.clone(), graphs, initial: p.arrays.clone(), section_iis }
+    Prepared { name: p.name.clone(), graphs, initial: p.arrays.clone() }
 }
 
 /// Simulates the benchmark's kernel sequence once, returning the
@@ -227,14 +213,6 @@ fn main() {
             co_total * 1e3,
             speedup
         );
-        println!("\nstatic-section initiation intervals (graphiti-static kernel_schedule):");
-        for b in &prepared {
-            for (i, sections) in b.section_iis.iter().enumerate() {
-                let rendered: Vec<String> =
-                    sections.iter().map(|(s, l)| format!("{s}={l}")).collect();
-                println!("  {:<14} kernel {i}: {}", b.name, rendered.join("  "));
-            }
-        }
     }
 
     if let Some(min) = min_speedup {

@@ -10,9 +10,10 @@
 //! * `--small` — run the reduced-size suite.
 //!
 //! `GRAPHITI_JOBS=1 table2 --json --small > ci/perf_baseline.json`
-//! regenerates the baseline that `perfdiff` compares exactly. The run
-//! must be serial: with more than one worker some metrics depend on
-//! scheduling.
+//! regenerates the baseline that `perfdiff` compares exactly. A report
+//! taken at any worker count matches it, because `perfdiff` skips the
+//! `pool.*` metrics; the regeneration runs serially so that the committed
+//! baseline records none of them.
 
 use graphiti_bench::{evaluate_suite, json, small_suite, suite, tables};
 use std::time::Instant;

@@ -205,13 +205,6 @@ pub const SCHEMA: &[MetricSpec] = &[
         stability: Unstable,
     },
     MetricSpec {
-        name: "sim.compile.us",
-        kind: Counter,
-        unit: "us",
-        help: "Wall-clock microseconds spent lowering circuits to compiled artifacts.",
-        stability: Unstable,
-    },
-    MetricSpec {
         name: "sim.cycles",
         kind: Counter,
         unit: "cycles",
@@ -251,20 +244,6 @@ pub const SCHEMA: &[MetricSpec] = &[
         kind: Histogram,
         unit: "events",
         help: "Node examinations per active cycle.",
-        stability: Unstable,
-    },
-    MetricSpec {
-        name: "sim.sched.region.*",
-        kind: Counter,
-        unit: "nodes",
-        help: "Static-region partition of compiled circuits: sim.sched.region.{count|static_nodes|dynamic_nodes}.",
-        stability: Unstable,
-    },
-    MetricSpec {
-        name: "sim.sched.worklist_pushes",
-        kind: Counter,
-        unit: "events",
-        help: "Dirty-worklist insertions by the compiled scheduler (0 under the reference sweep).",
         stability: Unstable,
     },
     MetricSpec {

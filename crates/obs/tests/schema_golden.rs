@@ -50,14 +50,9 @@ fn workspace_hot_metrics_are_declared() {
         ("sim.token_latency_cycles", Histogram),
         ("sim.sched.examined", Counter),
         ("sim.sched.examined_per_cycle", Histogram),
-        ("sim.sched.worklist_pushes", Counter),
         ("sim.compile.lowerings", Counter),
-        ("sim.compile.us", Counter),
         ("sim.compile.nodes", Counter),
         ("sim.compile.chans", Counter),
-        ("sim.sched.region.count", Counter),
-        ("sim.sched.region.static_nodes", Counter),
-        ("sim.sched.region.dynamic_nodes", Counter),
         ("rewrite.attempted.loop-ooo", Counter),
         ("rewrite.applied.mux-combine", Counter),
         ("refine.checks", Counter),

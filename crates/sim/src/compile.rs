@@ -12,13 +12,9 @@
 //!   tags move out-of-band as raw `u32` words next to untagged payloads, so
 //!   a token crossing a tagged region never allocates a `Value::Tagged`
 //!   box;
-//! * in-order (arbitration-free, untagged) regions get a *static firing
-//!   schedule* precomputed at compile time: a fire inside such a region
-//!   re-arms the whole region's precomputed word mask instead of computing
-//!   fine-grained channel fanout marks, so the region replays its fixed
-//!   index-order schedule round by round. Out-of-order regions (taggers and
-//!   the tagged closure behind them, plus arbitrating merges) fall back to
-//!   the dynamic per-fire worklist marks.
+//! * each node's scheduler marks are precomputed at compile time: a fire
+//!   of node `i` re-arms `i` itself, the consumers of its outputs and the
+//!   producers of its inputs, and no other node.
 //!
 //! Bit-identity with the reference sweep rests on two facts (DESIGN.md
 //! §3.7). First, a round of the compiled core is a sweep pass restricted
@@ -31,11 +27,11 @@
 //! exactly the nodes the sweep fires, at the same `(pass, index)`
 //! positions. Second, examining a *superset* of the dirty set in index
 //! order is harmless: a node whose channels did not change cannot fire,
-//! so the extra examinations are no-ops. The static-region masks exploit
-//! exactly that latitude.
+//! so the extra examinations are no-ops. The marks rely on that: they
+//! re-arm every neighbour, whether or not the fire changed its channel.
 //!
 //! The compiled artifact ([`CompiledCircuit`]) is immutable; per-run
-//! mutable state lives in [`rt::Rt`]. [`Simulator`](crate::Simulator)
+//! mutable state lives in [`rt::Rt`]. [`simulate`](crate::simulate)
 //! lowers its circuit and drops the artifact when the run ends. A caller
 //! that simulates one circuit many times holds a [`CompiledCircuit`] and
 //! runs it directly.
@@ -135,13 +131,6 @@ pub struct CompileStats {
     pub nodes: u64,
     /// Lowered channel count (one-slot latches + external queues).
     pub chans: u64,
-    /// Number of in-order regions that received a static schedule mask.
-    pub regions: u64,
-    /// Nodes covered by a static region schedule.
-    pub static_nodes: u64,
-    /// Nodes on the dynamic worklist fallback (taggers, the tagged
-    /// closure behind them, and arbitrating merges).
-    pub dynamic_nodes: u64,
 }
 
 /// A circuit lowered for [`Scheduler::Compiled`](crate::Scheduler::Compiled):
@@ -210,27 +199,21 @@ impl CompiledCircuit {
     ///
     /// # Errors
     ///
-    /// Fails like [`Simulator::new`](crate::Simulator::new) on graphs the
-    /// simulator rejects.
+    /// Fails like [`simulate`](crate::simulate) on graphs the simulator
+    /// rejects.
     pub fn new(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
         let _span = graphiti_obs::span("sim.compile");
-        let t0 = std::time::Instant::now();
         let art = lower(g, cfg)?;
         LOWERINGS.with(|n| n.set(n.get() + 1));
         if graphiti_obs::enabled() {
-            let stats = art.stats;
             graphiti_obs::counter("sim.compile.lowerings").inc();
-            graphiti_obs::counter("sim.compile.us").add(t0.elapsed().as_micros() as u64);
-            graphiti_obs::counter("sim.compile.nodes").add(stats.nodes);
-            graphiti_obs::counter("sim.compile.chans").add(stats.chans);
-            graphiti_obs::counter("sim.sched.region.count").add(stats.regions);
-            graphiti_obs::counter("sim.sched.region.static_nodes").add(stats.static_nodes);
-            graphiti_obs::counter("sim.sched.region.dynamic_nodes").add(stats.dynamic_nodes);
+            graphiti_obs::counter("sim.compile.nodes").add(art.stats.nodes);
+            graphiti_obs::counter("sim.compile.chans").add(art.stats.chans);
         }
         Ok(art)
     }
 
-    /// Compile-pass facts (node/channel/region counts).
+    /// Compile-pass facts (node and channel counts).
     pub fn stats(&self) -> CompileStats {
         self.stats
     }
@@ -242,7 +225,7 @@ impl CompiledCircuit {
     ///
     /// # Errors
     ///
-    /// Fails like [`Simulator::run`](crate::Simulator::run).
+    /// Fails like [`simulate`](crate::simulate).
     pub fn run(
         &self,
         feeds: &BTreeMap<String, Vec<Value>>,
@@ -309,7 +292,7 @@ fn lower(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
     g.validate().map_err(|e| SimError::BadGraph(e.to_string()))?;
 
     // Channel layout: one slot per edge, then unbounded queues for the
-    // external inputs and outputs — the same order Simulator::new uses.
+    // external inputs and outputs — the same order the sweep uses.
     let mut chan_of_out: BTreeMap<graphiti_ir::Endpoint, u32> = BTreeMap::new();
     let mut chan_of_in: BTreeMap<graphiti_ir::Endpoint, u32> = BTreeMap::new();
     // Channel names are baked into the artifact so an observed run never
@@ -349,16 +332,11 @@ fn lower(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
     let mut pures: Vec<PureFn> = Vec::new();
     let mut pipe_specs: Vec<PipeSpec> = Vec::new();
     let mut pipe_of: Vec<u32> = Vec::new();
-    let mut tagger_of: Vec<u32> = Vec::new();
     let mut tagger_tags: Vec<u32> = Vec::new();
     let mut lsqs: Vec<LsqSpec> = Vec::new();
     let mut mems: Vec<String> = Vec::new();
     let mut queued: Vec<(u32, u32)> = Vec::new();
     let mut class: Vec<UnitClass> = Vec::new();
-    // Merges arbitrate between inputs and taggers reorder: both (plus the
-    // tagged closure computed below) stay on the dynamic worklist.
-    let mut dynamic: Vec<bool> = Vec::new();
-    let mut tagger_nodes: Vec<usize> = Vec::new();
 
     let mem_id = |mems: &mut Vec<String>, name: &str| -> u32 {
         match mems.iter().position(|m| m == name) {
@@ -386,8 +364,6 @@ fn lower(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
         let outs = (outs_start, outs_p.len() as u32);
 
         let mut pipe = NO_IDX;
-        let mut tagger = NO_IDX;
-        let mut dyn_node = false;
         let add_pipe = |specs: &mut Vec<PipeSpec>, cap: usize, lat: u64| -> u32 {
             specs.push(PipeSpec { cap, lat });
             (specs.len() - 1) as u32
@@ -398,10 +374,7 @@ fn lower(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
             CompKind::Split => (fire::split, 0, 0),
             CompKind::Mux => (fire::mux, 0, 0),
             CompKind::Branch => (fire::branch, 0, 0),
-            CompKind::Merge => {
-                dyn_node = true;
-                (fire::merge, 0, 0)
-            }
+            CompKind::Merge => (fire::merge, 0, 0),
             CompKind::Init { initial } => (fire::init, u32::from(*initial), 0),
             CompKind::Sink => (fire::sink, 0, 0),
             CompKind::Constant { value } => {
@@ -431,10 +404,7 @@ fn lower(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
             }
             CompKind::TaggerUntagger { tags } => {
                 tagger_tags.push(*tags);
-                tagger = (tagger_tags.len() - 1) as u32;
-                dyn_node = true;
-                tagger_nodes.push(i);
-                (fire::tagger, tagger, 0)
+                (fire::tagger, (tagger_tags.len() - 1) as u32, 0)
             }
             CompKind::Load { mem } => {
                 let mid = mem_id(&mut mems, mem);
@@ -476,8 +446,6 @@ fn lower(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
         });
         names.push(name);
         pipe_of.push(pipe);
-        tagger_of.push(tagger);
-        dynamic.push(dyn_node);
         nodes.push(CNode { fire, ins, outs, p0, p1, cur_marks: (0, 0), nxt_marks: (0, 0) });
     }
 
@@ -494,116 +462,22 @@ fn lower(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
         }
     }
 
-    // The tagged closure: everything downstream of a tagger's tagged
-    // output (stopping at tagger nodes) carries reordered tokens and stays
-    // on the dynamic worklist.
-    let mut stack: Vec<u32> = Vec::new();
-    for &t in &tagger_nodes {
-        let outs =
-            &port_pool[nodes[t].outs.0 as usize..(nodes[t].outs.0 + nodes[t].outs.1) as usize];
-        if let Some(&tagged_out) = outs.first() {
-            if let Some(j) = consumer_of[tagged_out as usize] {
-                stack.push(j);
-            }
-        }
-    }
-    let mut seen = vec![false; n];
-    while let Some(j) = stack.pop() {
-        let ju = j as usize;
-        if seen[ju] {
-            continue;
-        }
-        seen[ju] = true;
-        if tagger_of[ju] != NO_IDX {
-            continue; // the region ends at the next tagger
-        }
-        dynamic[ju] = true;
-        let nd = &nodes[ju];
-        for &c in &port_pool[nd.outs.0 as usize..(nd.outs.0 + nd.outs.1) as usize] {
-            if let Some(k) = consumer_of[c as usize] {
-                stack.push(k);
-            }
-        }
-    }
-
-    // Static regions: connected components of the in-order nodes over the
-    // channel adjacency. Each gets a shared schedule mask.
     let words = n.div_ceil(64);
-    let mut region_of: Vec<u32> = vec![NO_IDX; n];
-    let mut region_masks: Vec<Vec<u64>> = Vec::new();
-    for start in 0..n {
-        if dynamic[start] || region_of[start] != NO_IDX {
-            continue;
-        }
-        let rid = region_masks.len() as u32;
-        let mut mask = vec![0u64; words];
-        let mut stack = vec![start as u32];
-        region_of[start] = rid;
-        while let Some(j) = stack.pop() {
-            let ju = j as usize;
-            mask[ju / 64] |= 1u64 << (ju % 64);
-            let nd = &nodes[ju];
-            let neighbours = port_pool[nd.ins.0 as usize..(nd.ins.0 + nd.ins.1) as usize]
-                .iter()
-                .filter_map(|&c| producer_of[c as usize])
-                .chain(
-                    port_pool[nd.outs.0 as usize..(nd.outs.0 + nd.outs.1) as usize]
-                        .iter()
-                        .filter_map(|&c| consumer_of[c as usize]),
-                );
-            for k in neighbours {
-                let ku = k as usize;
-                if !dynamic[ku] && region_of[ku] == NO_IDX {
-                    region_of[ku] = rid;
-                    stack.push(k);
-                }
-            }
-        }
-        region_masks.push(mask);
-    }
-
-    // Per-node scheduler marks. The fine affected set is every node whose
-    // fireability a fire of `i` can change: the node itself, the consumers
-    // of its outputs, the producers of its inputs. Static-region nodes
-    // additionally re-arm their whole region (sound: index-order
-    // examination of a superset is a no-op for unaffected nodes).
+    // Per-node scheduler marks: every node whose fireability a fire of `i`
+    // can change — the node itself, the consumers of its outputs, the
+    // producers of its inputs.
     let mut mark_pool: Vec<(u32, u64)> = Vec::new();
     let mut scratch_mask = vec![0u64; words];
-    for i in 0..n {
-        for w in scratch_mask.iter_mut() {
-            *w = 0;
-        }
-        let set = |mask: &mut Vec<u64>, j: u32| {
-            mask[j as usize / 64] |= 1u64 << (j % 64);
-        };
-        set(&mut scratch_mask, i as u32);
-        let nd = &nodes[i];
-        for &c in &port_pool[nd.outs.0 as usize..(nd.outs.0 + nd.outs.1) as usize] {
-            if let Some(j) = consumer_of[c as usize] {
-                set(&mut scratch_mask, j);
-            }
-        }
-        for &c in &port_pool[nd.ins.0 as usize..(nd.ins.0 + nd.ins.1) as usize] {
-            if let Some(j) = producer_of[c as usize] {
-                set(&mut scratch_mask, j);
-            }
-        }
-        // Static-region schedule: replace the fine set by the region's
-        // precomputed mask when the region is barely wider — the shared
-        // mask then costs (almost) nothing extra to examine and turns the
-        // region's replay into a fixed word pattern. Wide regions keep
-        // the fine dynamic-worklist marks: re-arming hundreds of idle
-        // nodes per fire would swamp the win.
-        if region_of[i] != NO_IDX {
-            let region = &region_masks[region_of[i] as usize];
-            let fine: u32 = scratch_mask.iter().map(|w| w.count_ones()).sum();
-            let wide: u32 =
-                region.iter().zip(&scratch_mask).map(|(r, f)| (r | f).count_ones()).sum();
-            if wide <= fine + 2 {
-                for (w, r) in scratch_mask.iter_mut().zip(region) {
-                    *w |= r;
-                }
-            }
+    for (i, nd) in nodes.iter_mut().enumerate() {
+        scratch_mask.fill(0);
+        let consumers = port_pool[nd.outs.0 as usize..(nd.outs.0 + nd.outs.1) as usize]
+            .iter()
+            .filter_map(|&c| consumer_of[c as usize]);
+        let producers = port_pool[nd.ins.0 as usize..(nd.ins.0 + nd.ins.1) as usize]
+            .iter()
+            .filter_map(|&c| producer_of[c as usize]);
+        for j in std::iter::once(i as u32).chain(consumers).chain(producers) {
+            scratch_mask[j as usize / 64] |= 1u64 << (j % 64);
         }
         // Split at index i: strictly greater bits re-arm the current
         // round, the rest the next one.
@@ -621,7 +495,7 @@ fn lower(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
                 mark_pool.push((w as u32, gt));
             }
         }
-        let cur_marks = (cur_start, mark_pool.len() as u32 - cur_start);
+        nd.cur_marks = (cur_start, mark_pool.len() as u32 - cur_start);
         let nxt_start = mark_pool.len() as u32;
         for (w, &bits) in scratch_mask.iter().enumerate() {
             let le = match w.cmp(&wi) {
@@ -633,19 +507,10 @@ fn lower(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
                 mark_pool.push((w as u32, le));
             }
         }
-        let nxt_marks = (nxt_start, mark_pool.len() as u32 - nxt_start);
-        nodes[i].cur_marks = cur_marks;
-        nodes[i].nxt_marks = nxt_marks;
+        nd.nxt_marks = (nxt_start, mark_pool.len() as u32 - nxt_start);
     }
 
-    let dynamic_nodes = dynamic.iter().filter(|&&d| d).count() as u64;
-    let stats = CompileStats {
-        nodes: n as u64,
-        chans: n_chans as u64,
-        regions: region_masks.len() as u64,
-        static_nodes: n as u64 - dynamic_nodes,
-        dynamic_nodes,
-    };
+    let stats = CompileStats { nodes: n as u64, chans: n_chans as u64 };
     Ok(CompiledCircuit {
         nodes,
         names,
@@ -671,4 +536,39 @@ fn lower(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
         class,
         stats,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use graphiti_ir::ep;
+
+    #[test]
+    fn a_fire_marks_itself_and_its_channel_neighbours_only() {
+        // x -> b0 -> b1 -> b2 -> b3 -> y: node i's neighbours are i - 1
+        // and i + 1, and all four nodes fit in one mark word.
+        let mut g = ExprHigh::new();
+        for i in 0..4 {
+            g.add_node(format!("b{i}"), CompKind::Buffer { slots: 1, transparent: false }).unwrap();
+        }
+        g.expose_input("x", ep("b0", "in")).unwrap();
+        for i in 0..3 {
+            g.connect(ep(format!("b{i}"), "out"), ep(format!("b{}", i + 1), "in")).unwrap();
+        }
+        g.expose_output("y", ep("b3", "out")).unwrap();
+        let art = CompiledCircuit::new(&g, &SimConfig::default()).unwrap();
+        let bits = |r: Range| match art.marks(r) {
+            [] => 0,
+            [(0, bits)] => *bits,
+            other => panic!("marks beyond word 0: {other:?}"),
+        };
+        for i in 0..4 {
+            assert_eq!(art.names.get(i), format!("b{i}"));
+            let own_and_neighbours = (0b111u64 << i >> 1) & 0b1111;
+            let later = !0u64 << (i + 1);
+            let nd = &art.nodes[i];
+            assert_eq!(bits(nd.cur_marks), own_and_neighbours & later, "node {i}: current round");
+            assert_eq!(bits(nd.nxt_marks), own_and_neighbours & !later, "node {i}: next round");
+        }
+    }
 }

@@ -134,7 +134,6 @@ pub(crate) struct Rt {
     last_active: u64,
     firings_by_node: Vec<u64>,
     examined: u64,
-    pushes: u64,
     // -- observation --
     /// The run's observers (metrics, attribution, waveform), armed when
     /// the run starts and absent when it asks for none.
@@ -182,7 +181,6 @@ impl Rt {
             last_active: 0,
             firings_by_node: vec![0; art.nodes.len()],
             examined: 0,
-            pushes: 0,
             observe: None,
             observing: false,
             traced: Vec::new(),
@@ -349,13 +347,10 @@ impl Rt {
         min
     }
 
-    /// Sets bit `i` in `cur`, counting a worklist push if it was clear.
+    /// Sets bit `i` in `cur`.
     #[inline]
     fn wake(&mut self, i: usize) {
-        let m = 1u64 << (i % 64);
-        let w = &mut self.cur[i / 64];
-        self.pushes += u64::from(*w & m == 0);
-        *w |= m;
+        self.cur[i / 64] |= 1u64 << (i % 64);
     }
 }
 
@@ -408,7 +403,6 @@ fn drive(art: &CompiledCircuit, rt: &mut Rt, cfg: &SimConfig) -> Result<(), SimE
         let remaining = n - (w * 64).min(n);
         *word = if remaining >= 64 { !0 } else { (1u64 << remaining) - 1 };
     }
-    rt.pushes += n as u64;
     let mut timers: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
     loop {
         let mut any = false;
@@ -439,14 +433,10 @@ fn drive(art: &CompiledCircuit, rt: &mut Rt, cfg: &SimConfig) -> Result<(), SimE
                     rt.note_fire(i);
                 }
                 for &(mw, mask) in art.marks(nd.cur_marks) {
-                    let word = &mut rt.cur[mw as usize];
-                    rt.pushes += u64::from((mask & !*word).count_ones());
-                    *word |= mask;
+                    rt.cur[mw as usize] |= mask;
                 }
                 for &(mw, mask) in art.marks(nd.nxt_marks) {
-                    let word = &mut rt.nxt[mw as usize];
-                    rt.pushes += u64::from((mask & !*word).count_ones());
-                    *word |= mask;
+                    rt.nxt[mw as usize] |= mask;
                 }
                 if let Some(t) = rt.front_ready(art, i as usize) {
                     if t > rt.now {
@@ -477,7 +467,6 @@ fn drive(art: &CompiledCircuit, rt: &mut Rt, cfg: &SimConfig) -> Result<(), SimE
                 }
                 rt.accepted[w] &= !f;
                 rt.emitted[w] &= !f;
-                rt.pushes += u64::from((f & !rt.cur[w]).count_ones());
                 rt.cur[w] |= f;
                 rt.fired[w] = 0;
             }
@@ -532,7 +521,7 @@ fn finish(art: &CompiledCircuit, mut rt: Rt) -> SimResult {
                 rt.lsq_stats.flush();
             }
             let live = Live { art, rt: &rt };
-            o.finish(&live, rt.last_active + 1, &rt.firings_by_node, rt.examined, rt.pushes)
+            o.finish(&live, rt.last_active + 1, &rt.firings_by_node, rt.examined)
         }
         None => (None, None),
     };

@@ -6,7 +6,7 @@
 //! after place-and-route), and Dynamatic's buffer placement in the paper's
 //! evaluation flow (§6.1):
 //!
-//! * [`simulate`] / [`Simulator`] — latency-insensitive cycle simulation
+//! * [`simulate`] / [`CompiledCircuit`] — latency-insensitive cycle simulation
 //!   with pipelined functional units, tag-transparent computation, a
 //!   reorder-buffer Tagger/Untagger, and an arrival-order store model;
 //! * [`place_buffers`] — deadlock-avoiding buffer placement (opaque buffers
@@ -52,8 +52,7 @@ pub use compile::{compile_cache_clear, compile_cache_stats, CompileStats, Compil
 pub use memory::{mem_read, mem_write, MemError, Memory};
 pub use place::{has_combinational_cycle, place_buffers, place_buffers_targeted, PlacementStats};
 pub use sim::{
-    op_latency, purefn_latency, simulate, Scheduler, SimConfig, SimError, SimResult, Simulator,
-    TraceEvent,
+    op_latency, purefn_latency, simulate, Scheduler, SimConfig, SimError, SimResult, TraceEvent,
 };
 pub use stall::{
     DeadlockReport, NodeWaitStats, StallCause, StallChain, StallReport, StuckNode, STALL_CAUSES,

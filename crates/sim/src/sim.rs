@@ -58,7 +58,7 @@ pub enum Scheduler {
     ReferenceSweep,
     /// Compiled core: each run lowers the circuit into a specialised
     /// simulator (monomorphic fire functions, bit-packed scheduler state,
-    /// static firing schedules for in-order regions), a
+    /// per-node wake marks precomputed from the channel adjacency), a
     /// [`CompiledCircuit`](crate::CompiledCircuit) that a caller may also
     /// hold and run many times. The observation flags arm the same
     /// observers the sweep uses (DESIGN.md §3.12).
@@ -419,8 +419,9 @@ struct Node {
     emitted: bool,
 }
 
-/// A netlist instantiated for simulation.
-pub struct Simulator {
+/// A netlist instantiated for the reference sweep
+/// ([`Scheduler::ReferenceSweep`]).
+struct Sweep {
     nodes: Vec<Node>,
     chans: Vec<Channel>,
     input_chans: BTreeMap<String, ChanId>,
@@ -449,10 +450,6 @@ pub struct Simulator {
     /// `out.y`). Built only when waveforms, attribution, or deadlock
     /// reports need it.
     chan_names: Vec<String>,
-    /// The compiled artifact, present iff the scheduler is
-    /// [`Scheduler::Compiled`]; [`Simulator::run`] delegates to it and the
-    /// interpreter machinery above stays empty.
-    compiled: Option<crate::compile::CompiledCircuit>,
 }
 
 /// The common tag across the front tokens of `ins`, by reference.
@@ -488,7 +485,7 @@ fn take_tag(v: Value) -> (Option<Tag>, Value) {
     }
 }
 
-/// Inputs to [`Simulator::step_unit`] beyond the unit itself: the node's
+/// Inputs to [`Sweep::step_unit`] beyond the unit itself: the node's
 /// per-cycle acceptance/emission caps, and whether consumed operand values
 /// must be captured for the trace/observability layer.
 #[derive(Clone, Copy)]
@@ -498,37 +495,17 @@ struct StepFlags {
     want_trace: bool,
 }
 
-/// What a [`Simulator::step_unit`] call produced: `(fired, accepted,
+/// What a [`Sweep::step_unit`] call produced: `(fired, accepted,
 /// emitted, traced input values)`.
 type StepOutcome = (bool, bool, bool, Option<Vec<Value>>);
 
-impl Simulator {
-    /// Builds a simulator for a circuit over the given memory.
+impl Sweep {
+    /// Builds the sweep for a circuit over the given memory.
     ///
     /// # Errors
     ///
     /// Fails if the graph is incomplete.
-    pub fn new(g: &ExprHigh, memory: Memory, cfg: SimConfig) -> Result<Simulator, SimError> {
-        if cfg.scheduler == Scheduler::Compiled {
-            let art = crate::compile::CompiledCircuit::new(g, &cfg)?;
-            return Ok(Simulator {
-                nodes: Vec::new(),
-                chans: Vec::new(),
-                input_chans: BTreeMap::new(),
-                output_chans: BTreeMap::new(),
-                memory,
-                cfg,
-                trace: Vec::new(),
-                traced: Vec::new(),
-                fired: Vec::new(),
-                consumer_of: Vec::new(),
-                producer_of: Vec::new(),
-                scratch: Vec::new(),
-                observe: None,
-                chan_names: Vec::new(),
-                compiled: Some(art),
-            });
-        }
+    fn new(g: &ExprHigh, memory: Memory, cfg: SimConfig) -> Result<Sweep, SimError> {
         g.validate().map_err(|e| SimError::BadGraph(e.to_string()))?;
         // Channel names feed the waveform signal list, the stall report,
         // and the deadlock wavefront; skipped entirely on plain runs.
@@ -652,7 +629,7 @@ impl Simulator {
             }
         }
         let traced = nodes.iter().map(|n| cfg.trace_nodes.contains(&n.name)).collect();
-        Ok(Simulator {
+        Ok(Sweep {
             fired: vec![false; nodes.len()],
             nodes,
             chans,
@@ -667,7 +644,6 @@ impl Simulator {
             scratch: Vec::new(),
             observe: None,
             chan_names,
-            compiled: None,
         })
     }
 
@@ -721,7 +697,7 @@ impl Simulator {
         Ok(fired)
     }
 
-    /// The transaction body of [`step`](Simulator::step): attempts every
+    /// The transaction body of [`step`](Sweep::step): attempts every
     /// enabled sub-transaction of `unit`, returning `(fired, accepted,
     /// emitted, traced input values)`. Operand values are only cloned out
     /// when `want_trace` is set; otherwise every arm moves tokens without
@@ -1205,10 +1181,7 @@ impl Simulator {
     /// # Errors
     ///
     /// Fails on memory faults, evaluation faults, or timeout.
-    pub fn run(mut self, feeds: &BTreeMap<String, Vec<Value>>) -> Result<SimResult, SimError> {
-        if let Some(art) = self.compiled.take() {
-            return art.run(feeds, std::mem::take(&mut self.memory), &self.cfg);
-        }
+    fn run(mut self, feeds: &BTreeMap<String, Vec<Value>>) -> Result<SimResult, SimError> {
         for (name, vals) in feeds {
             let chan = *self
                 .input_chans
@@ -1312,7 +1285,7 @@ impl Simulator {
                         }
                     }
                 }
-                o.finish(&self, st.last_active + 1, &st.firings_by_node, st.examined, 0)
+                o.finish(&self, st.last_active + 1, &st.firings_by_node, st.examined)
             }
             None => (None, None),
         };
@@ -1347,7 +1320,7 @@ impl Simulator {
     }
 }
 
-impl CircuitView for Simulator {
+impl CircuitView for Sweep {
     fn node_count(&self) -> usize {
         self.nodes.len()
     }
@@ -1426,18 +1399,25 @@ impl CircuitView for Simulator {
     }
 }
 
-/// Convenience: builds and runs a simulation in one call.
+/// Simulates circuit `g` to quiescence on the core
+/// [`SimConfig::scheduler`] selects, feeding `feeds` to its inputs over
+/// `memory`.
 ///
 /// # Errors
 ///
-/// See [`Simulator::new`] and [`Simulator::run`].
+/// Fails if the graph is incomplete, and on memory faults, evaluation
+/// faults, timeout, deadlock (when `deadlock_window` is set) or
+/// cancellation.
 pub fn simulate(
     g: &ExprHigh,
     feeds: &BTreeMap<String, Vec<Value>>,
     memory: Memory,
     cfg: SimConfig,
 ) -> Result<SimResult, SimError> {
-    Simulator::new(g, memory, cfg)?.run(feeds)
+    match cfg.scheduler {
+        Scheduler::Compiled => crate::CompiledCircuit::new(g, &cfg)?.run(feeds, memory, &cfg),
+        Scheduler::ReferenceSweep => Sweep::new(g, memory, cfg)?.run(feeds),
+    }
 }
 
 #[cfg(test)]
@@ -1708,7 +1688,6 @@ mod tests {
         let stats = crate::CompiledCircuit::new(&g, &SimConfig::default()).unwrap().stats();
         assert_eq!(stats.nodes, 1);
         assert_eq!(stats.chans, 2, "one input queue, one output queue");
-        assert_eq!(stats.static_nodes, 1, "an untagged buffer is in-order");
     }
 
     #[test]

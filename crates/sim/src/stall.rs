@@ -728,12 +728,11 @@ impl Observers {
         cycles: u64,
         firings_by_node: &[u64],
         examined: u64,
-        pushes: u64,
     ) -> (Option<String>, Option<StallReport>) {
         let waveform = self.wave.map(WaveRecorder::finish);
         let stalls = self.stall.map(|ss| ss.finish(v));
         if let Some(obs) = &self.obs {
-            obs.finish(cycles, firings_by_node, examined, pushes, stalls.as_ref());
+            obs.finish(cycles, firings_by_node, examined, stalls.as_ref());
         }
         (waveform, stalls)
     }
@@ -881,22 +880,20 @@ impl SimObs {
         self.out_seen = out_now;
     }
 
-    /// Flushes the run totals: firings, cycles, scheduler examinations and
-    /// worklist pushes, per-node fires, and the per-cause stall counters of the report
-    /// (the stall/starve totals were counted cycle by cycle).
+    /// Flushes the run totals: firings, cycles, scheduler examinations,
+    /// per-node fires, and the per-cause stall counters of the report (the
+    /// stall/starve totals were counted cycle by cycle).
     fn finish(
         &self,
         cycles: u64,
         firings_by_node: &[u64],
         examined: u64,
-        pushes: u64,
         stalls: Option<&StallReport>,
     ) {
         let firings: u64 = firings_by_node.iter().sum();
         graphiti_obs::counter("sim.firings").add(firings);
         graphiti_obs::counter("sim.cycles").add(cycles);
         graphiti_obs::counter("sim.sched.examined").add(examined);
-        graphiti_obs::counter("sim.sched.worklist_pushes").add(pushes);
         for (i, &count) in firings_by_node.iter().enumerate() {
             if count > 0 {
                 self.fire_by_node[i].add(count);

@@ -3,7 +3,7 @@
 //! under backpressure, and leftover-token accounting for primed loops.
 
 use graphiti_ir::{ep, CompKind, ExprHigh, Op, Value};
-use graphiti_sim::{place_buffers, simulate, Memory, SimConfig, Simulator};
+use graphiti_sim::{place_buffers, simulate, Memory, SimConfig};
 use std::collections::BTreeMap;
 
 fn feeds(pairs: &[(&str, Vec<Value>)]) -> BTreeMap<String, Vec<Value>> {
@@ -145,8 +145,9 @@ fn unknown_feed_port_is_an_error() {
     let mut g = ExprHigh::new();
     g.add_node("k", CompKind::Sink).unwrap();
     g.expose_input("x", ep("k", "in")).unwrap();
-    let sim = Simulator::new(&g, Memory::new(), SimConfig::default()).unwrap();
-    let err = sim.run(&feeds(&[("zz", vec![Value::Unit])])).unwrap_err();
+    let err =
+        simulate(&g, &feeds(&[("zz", vec![Value::Unit])]), Memory::new(), SimConfig::default())
+            .unwrap_err();
     assert!(err.to_string().contains("no input named"), "{err}");
 }
 
@@ -154,6 +155,6 @@ fn unknown_feed_port_is_an_error() {
 fn incomplete_graph_is_rejected_up_front() {
     let mut g = ExprHigh::new();
     g.add_node("k", CompKind::Sink).unwrap();
-    let err = Simulator::new(&g, Memory::new(), SimConfig::default()).err().unwrap();
+    let err = simulate(&g, &feeds(&[]), Memory::new(), SimConfig::default()).unwrap_err();
     assert!(err.to_string().contains("not simulatable"), "{err}");
 }

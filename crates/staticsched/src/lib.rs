@@ -138,30 +138,8 @@ fn schedule_length(d: &Demand) -> u64 {
     d.critical.max(resource_bound(d)) + 3
 }
 
-/// The static schedule of one section of a kernel (its initiation
-/// interval and the bounds that produced it). This is the per-region
-/// schedule the compiled simulation backend's in-order regions amortise
-/// against: one firing wave per `length` cycles, bounded below by the
-/// dependence-critical path and the shared-unit contention.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SectionSchedule {
-    /// Section name: `init`, `body`, or `epilogue`.
-    pub section: &'static str,
-    /// Dependence-critical path in cycles.
-    pub critical: u64,
-    /// Resource bound on the initiation interval (busy time of the most
-    /// contended shared unit class, divided by its unit count).
-    pub resource_ii: u64,
-    /// Schedule length charged per executed iteration of the section —
-    /// `max(critical, resource_ii)` plus the three FSM control states.
-    pub length: u64,
-    /// Operation count of the section.
-    pub ops: u64,
-}
-
-/// Per-section demands of a kernel, shared by the costed run and the
-/// public schedule view.
-fn kernel_demands(k: &OuterLoop) -> [(&'static str, Demand); 3] {
+/// Per-section demands of a kernel: init, body, epilogue.
+fn kernel_demands(k: &OuterLoop) -> [Demand; 3] {
     let init_exprs: Vec<&Expr> = k.inner.vars.iter().map(|(_, e)| e).collect();
     let init_d = section_demand(&init_exprs, &[]);
     let body_exprs: Vec<&Expr> =
@@ -170,26 +148,7 @@ fn kernel_demands(k: &OuterLoop) -> [(&'static str, Demand); 3] {
     let body_d = section_demand(&body_exprs, &body_stores);
     let epi_stores: Vec<&StoreStmt> = k.epilogue.iter().collect();
     let epi_d = section_demand(&[], &epi_stores);
-    [("init", init_d), ("body", body_d), ("epilogue", epi_d)]
-}
-
-/// The static firing schedule of one kernel, one entry per section in
-/// execution order (`init`, `body`, `epilogue`). The `length` of each
-/// entry is exactly what [`run_static`] charges per executed iteration of
-/// that section, so consumers (benchmark reports, the compiled backend's
-/// region summaries) see the same initiation intervals the baseline's
-/// cycle counts are built from.
-pub fn kernel_schedule(k: &OuterLoop) -> Vec<SectionSchedule> {
-    kernel_demands(k)
-        .into_iter()
-        .map(|(section, d)| SectionSchedule {
-            section,
-            critical: d.critical,
-            resource_ii: resource_bound(&d),
-            length: schedule_length(&d),
-            ops: d.ops,
-        })
-        .collect()
+    [init_d, body_d, epi_d]
 }
 
 /// The statically scheduled implementation's figures for one program.
@@ -250,7 +209,7 @@ pub fn run_static(p: &Program) -> Result<StaticReport, InterpError> {
 /// schedule lengths; returns `(cycles, accumulated demand)`.
 fn run_kernel_costed(k: &OuterLoop, mem: &mut Memory) -> Result<(u64, Demand), InterpError> {
     // Precompute schedule lengths.
-    let [(_, init_d), (_, body_d), (_, epi_d)] = kernel_demands(k);
+    let [init_d, body_d, epi_d] = kernel_demands(k);
     let init_len = schedule_length(&init_d);
     let body_len = schedule_length(&body_d);
     let epi_len = schedule_length(&epi_d);
@@ -390,27 +349,16 @@ mod tests {
     fn kernel_schedule_matches_the_costed_run() {
         let p = accum_program(3, 4);
         let k = &p.kernels[0];
-        let sched = kernel_schedule(k);
-        assert_eq!(
-            sched.iter().map(|s| s.section).collect::<Vec<_>>(),
-            ["init", "body", "epilogue"]
-        );
-        for s in &sched {
-            // The charged length is the max of both bounds plus the three
-            // FSM control states.
-            assert_eq!(s.length, s.critical.max(s.resource_ii) + 3, "{}", s.section);
-        }
+        let [init, body, epilogue] = kernel_demands(k).map(|d| schedule_length(&d));
         // The body carries the fadd/fmul chain: its II dominates.
-        let body = &sched[1];
-        assert!(body.length >= 10, "body II too small: {body:?}");
-        // The exposed lengths reproduce run_static's cycle count exactly:
+        assert!(body >= 10, "body II too small: {body}");
+        // The section lengths reproduce run_static's cycle count exactly:
         // per outer iteration one control state + init + (inner trips ×
         // body) + epilogue, plus entry/exit.
         let trips_per_iter = 4; // cond is j < m after the first update
-        let expected = 2 + p.kernels[0].trip as u64
-            * (1 + sched[0].length + trips_per_iter * sched[1].length + sched[2].length);
+        let expected = 2 + k.trip as u64 * (1 + init + trips_per_iter * body + epilogue);
         let r = run_static(&p).unwrap();
-        assert_eq!(r.cycles, expected, "schedule view diverges from the costed run");
+        assert_eq!(r.cycles, expected, "section lengths diverge from the costed run");
     }
 
     #[test]
