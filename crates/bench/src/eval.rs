@@ -20,9 +20,9 @@ use std::time::Instant;
 /// The four implementation flows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Flow {
-    /// In-order dataflow circuits (fast token delivery) [21].
+    /// In-order dataflow circuits (fast token delivery) \[21\].
     DfIo,
-    /// Unverified out-of-order transformation [22].
+    /// Unverified out-of-order transformation \[22\].
     DfOoo,
     /// The verified Graphiti pipeline.
     Graphiti,

@@ -3,8 +3,8 @@
 //! The harness runs every case under [`catching`], which converts a panic
 //! anywhere in the workspace into a [`Crash`] carrying the panic message
 //! and source location. Crashes (and oracle failures) are grouped by
-//! [`fingerprint`] so a fuzz run reports *distinct* bugs, not one bug a
-//! thousand times.
+//! [`fingerprint`](Crash::fingerprint) so a fuzz run reports *distinct*
+//! bugs, not one bug a thousand times.
 
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};

@@ -50,14 +50,11 @@ mod wave;
 pub use area::{circuit_area, component_area, op_area, Area};
 pub use compile::{compile_cache_clear, compile_cache_stats, CompileStats, CompiledCircuit};
 pub use memory::{mem_read, mem_write, MemError, Memory};
-pub use place::{has_combinational_cycle, place_buffers, place_buffers_targeted, PlacementStats};
+pub use place::{place_buffers, place_buffers_targeted, PlacementStats};
 pub use sim::{
     op_latency, purefn_latency, simulate, Scheduler, SimConfig, SimError, SimResult, TraceEvent,
 };
 pub use stall::{
     DeadlockReport, NodeWaitStats, StallCause, StallChain, StallReport, StuckNode, STALL_CAUSES,
 };
-pub use timing::{
-    arrival_times, clock_period, elastic_clock_period, elastic_timing, is_sequential, NodeTiming,
-    TimingError,
-};
+pub use timing::{elastic_clock_period, elastic_timing, NodeTiming, TimingError};

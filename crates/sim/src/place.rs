@@ -8,8 +8,8 @@
 //! `tags + 2`) so the out-of-order region can actually hold its in-flight
 //! iterations — the paper likewise sizes buffers to the tag count.
 
-use graphiti_ir::{Attachment, CompKind, EdgeList, Endpoint, ExprHigh, NodeId};
-use std::collections::BTreeMap;
+use crate::timing::{Port, TimingView};
+use graphiti_ir::{Attachment, CompKind, Endpoint, ExprHigh, NodeId};
 
 /// Statistics of a placement run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -30,52 +30,37 @@ fn tag_budget(g: &ExprHigh) -> Option<u32> {
         .max()
 }
 
-/// Finds DFS back-edges over the component graph.
-fn back_edges(g: &ExprHigh) -> Vec<(Endpoint, Endpoint)> {
+/// Finds DFS back-edges over the component graph, as `(output, input)`
+/// port pairs: roots in name order, successors in output-port order.
+fn back_edges(view: &TimingView) -> Vec<(Port, Port)> {
     #[derive(Clone, Copy, PartialEq)]
     enum Color {
         White,
         Gray,
         Black,
     }
-    let mut color: BTreeMap<NodeId, Color> =
-        g.nodes().map(|(n, _)| (n.clone(), Color::White)).collect();
-    // Successor endpoints per node, in deterministic order.
-    let succs = |n: &NodeId| -> Vec<(Endpoint, Endpoint)> {
-        let kind = g.kind(n).expect("node exists");
-        let (_, outs) = kind.interface();
-        outs.iter()
-            .filter_map(|p| {
-                let from = Endpoint::new(n.clone(), p.clone());
-                match g.consumer(&from) {
-                    Some(Attachment::Wire(to)) => Some((from, to)),
-                    _ => None,
-                }
-            })
-            .collect()
-    };
+    let mut color = vec![Color::White; view.nodes().len()];
     let mut back = Vec::new();
-    let names: Vec<NodeId> = g.nodes().map(|(n, _)| n.clone()).collect();
-    for root in &names {
+    for &root in view.order() {
         if color[root] != Color::White {
             continue;
         }
-        // Iterative DFS with an explicit edge stack.
-        let mut stack: Vec<(NodeId, EdgeList, usize)> = vec![(root.clone(), succs(root), 0)];
-        color.insert(root.clone(), Color::Gray);
-        while let Some((node, edges, idx)) = stack.last_mut() {
-            if *idx >= edges.len() {
-                color.insert(node.clone(), Color::Black);
+        // Iterative DFS; each frame holds a node and its next output port.
+        let mut stack = vec![(root, 0)];
+        color[root] = Color::Gray;
+        while let Some((node, port)) = stack.last_mut() {
+            let from = (*node, *port);
+            let Some(&consumer) = view.nodes()[from.0].consumers.get(from.1) else {
+                color[from.0] = Color::Black;
                 stack.pop();
                 continue;
-            }
-            let (from, to) = edges[*idx].clone();
-            *idx += 1;
-            match color[&to.node] {
+            };
+            *port += 1;
+            let Some(to) = consumer else { continue };
+            match color[to.0] {
                 Color::White => {
-                    color.insert(to.node.clone(), Color::Gray);
-                    let s = succs(&to.node);
-                    stack.push((to.node.clone(), s, 0));
+                    color[to.0] = Color::Gray;
+                    stack.push((to.0, 0));
                 }
                 Color::Gray => back.push((from, to)),
                 Color::Black => {}
@@ -83,6 +68,14 @@ fn back_edges(g: &ExprHigh) -> Vec<(Endpoint, Endpoint)> {
         }
     }
     back
+}
+
+/// Splices a new `kind` node named `name` into the wire `from -> to`.
+fn splice(out: &mut ExprHigh, from: Endpoint, to: Endpoint, name: NodeId, kind: CompKind) {
+    out.add_node(name.clone(), kind).expect("fresh name");
+    out.detach_output(&from);
+    out.connect(from, Endpoint::new(name.clone(), "in")).expect("rewire");
+    out.connect(Endpoint::new(name, "out"), to).expect("rewire");
 }
 
 /// Inserts opaque buffers on every back-edge and transparent *slack* FIFOs
@@ -99,7 +92,9 @@ pub fn place_buffers(g: &ExprHigh) -> (ExprHigh, PlacementStats) {
     let slots = tag_budget(g).map(|t| t as usize + 2).unwrap_or(2);
     let mut out = g.clone();
     let mut stats = PlacementStats { inserted: 0, slots };
-    for (from, to) in back_edges(g) {
+    let view = TimingView::new(g);
+    for (from, to) in back_edges(&view) {
+        let (from, to) = (view.output(from), view.input(to));
         // Skip if the edge already ends or starts at a sequential buffer.
         let from_buf =
             matches!(out.kind(&from.node), Some(CompKind::Buffer { transparent: false, .. }));
@@ -109,12 +104,7 @@ pub fn place_buffers(g: &ExprHigh) -> (ExprHigh, PlacementStats) {
             continue;
         }
         let name = out.fresh(&format!("bbuf_{}", stats.inserted));
-        out.add_node(name.clone(), CompKind::Buffer { slots, transparent: false })
-            .expect("fresh name");
-        out.detach_output(&from);
-        out.detach_input(&to);
-        out.connect(from, Endpoint::new(name.clone(), "in")).expect("rewire");
-        out.connect(Endpoint::new(name, "out"), to).expect("rewire");
+        splice(&mut out, from, to, name, CompKind::Buffer { slots, transparent: false });
         stats.inserted += 1;
     }
 
@@ -140,12 +130,7 @@ pub fn place_buffers(g: &ExprHigh) -> (ExprHigh, PlacementStats) {
         .collect();
     for (k, (from, to)) in sync_edges.into_iter().enumerate() {
         let name = out.fresh(&format!("slack_{k}"));
-        out.add_node(name.clone(), CompKind::Buffer { slots, transparent: true })
-            .expect("fresh name");
-        out.detach_output(&from);
-        out.detach_input(&to);
-        out.connect(from, Endpoint::new(name.clone(), "in")).expect("rewire");
-        out.connect(Endpoint::new(name, "out"), to).expect("rewire");
+        splice(&mut out, from, to, name, CompKind::Buffer { slots, transparent: true });
         stats.inserted += 1;
     }
     (out, stats)
@@ -157,149 +142,73 @@ pub fn place_buffers(g: &ExprHigh) -> (ExprHigh, PlacementStats) {
 /// the clock-period constraint the paper gives Vivado (4 ns there; the
 /// elastic component delays here are coarser, so the default target is
 /// higher).
+///
+/// Every cut goes into the placed graph and into one indexed timing view
+/// of it alike, so each round's arrival times cost one topological pass.
 pub fn place_buffers_targeted(g: &ExprHigh, target_ns: f64) -> (ExprHigh, PlacementStats) {
-    use crate::timing::{arrival_times, elastic_timing, NodeTiming};
+    let _span = graphiti_obs::span("sim.place");
     let (mut out, mut stats) = place_buffers(g);
+    let mut view = TimingView::new(&out);
     for _ in 0..200 {
-        let arrival = match arrival_times(&out, &elastic_timing) {
-            Ok(a) => a,
-            Err(_) => break,
-        };
-        // Worst path endpoint.
-        let mut worst: Option<(f64, NodeId)> = None;
-        for (n, k) in out.nodes() {
-            let end = match elastic_timing(k) {
-                NodeTiming::Seq(i, _) => arrival[n] + i,
-                NodeTiming::Comb(d) => arrival[n] + d,
-            };
-            if worst.as_ref().map(|(w, _)| end > *w).unwrap_or(true) {
-                worst = Some((end, n.clone()));
+        let Ok(arrival) = view.arrivals() else { break };
+        let nodes = view.nodes();
+        // Worst path endpoint; the first in name order on a tie.
+        let mut worst: Option<(f64, usize)> = None;
+        for &i in view.order() {
+            let end = nodes[i].end_time(arrival[i]);
+            if worst.is_none_or(|(w, _)| end > w) {
+                worst = Some((end, i));
             }
         }
-        let (cp, endpoint) = match worst {
-            Some(w) => w,
-            None => break,
-        };
+        let Some((cp, mut cur)) = worst else { break };
         if cp <= target_ns {
             break;
         }
-        // Walk the critical path backwards to the edge where the arrival
-        // crosses the midpoint, and register it there.
-        let contrib = |node: &NodeId| -> f64 {
-            match elastic_timing(out.kind(node).expect("node")) {
-                NodeTiming::Seq(_, o) => o,
-                NodeTiming::Comb(d) => arrival[node] + d,
-            }
-        };
-        let critical_pred = |node: &NodeId| -> Option<Endpoint> {
-            let (ins, _) = out.kind(node).expect("node").interface();
-            let mut best: Option<(f64, Endpoint)> = None;
-            for p in ins {
-                if let Some(Attachment::Wire(src)) = out.driver(&Endpoint::new(node.clone(), p)) {
-                    let c = contrib(&src.node);
-                    if best.as_ref().map(|(b, _)| c > *b).unwrap_or(true) {
-                        best = Some((c, src));
+        // Walk the critical path backwards, through the first slowest input
+        // in port order, to the edge whose running length crosses the
+        // midpoint, and register it there.
+        let cut = loop {
+            let mut critical: Option<(f64, usize)> = None;
+            for (p, driver) in nodes[cur].drivers.iter().enumerate() {
+                if let Some((d, _)) = *driver {
+                    let c = nodes[d].out_time(arrival[d]);
+                    if critical.is_none_or(|(b, _)| c > b) {
+                        critical = Some((c, p));
                     }
                 }
             }
-            best.map(|(_, e)| e)
-        };
-        let mut cur = endpoint.clone();
-        let mut cut_edge: Option<(Endpoint, Endpoint)> = None;
-        while let Some(pred) = critical_pred(&cur) {
-            // The edge pred -> cur; its running length at cur's input is
-            // contrib(pred).
-            if contrib(&pred.node) <= cp / 2.0 {
-                // Find the exact in-port this edge feeds.
-                let (ins, _) = out.kind(&cur).expect("node").interface();
-                let to = ins
-                    .into_iter()
-                    .map(|p| Endpoint::new(cur.clone(), p))
-                    .find(|e| matches!(out.driver(e), Some(Attachment::Wire(s)) if s == pred));
-                if let Some(to) = to {
-                    cut_edge = Some((pred, to));
-                }
-                break;
+            let Some((c, p)) = critical else { break None };
+            if c <= cp / 2.0 {
+                break Some((cur, p));
             }
-            let is_seq = matches!(
-                elastic_timing(out.kind(&pred.node).expect("node")),
-                NodeTiming::Seq(_, _)
-            );
-            if is_seq {
+            let (pred, _) = nodes[cur].drivers[p].expect("critical input is wired");
+            if !nodes[pred].is_comb() {
                 // Entire path is one hop from a slow sequential output:
                 // nothing to cut.
-                break;
+                break None;
             }
-            cur = pred.node;
-        }
-        let (from, to) = match cut_edge {
-            Some(e) => e,
-            None => break,
+            cur = pred;
         };
-        if matches!(out.kind(&from.node), Some(CompKind::Buffer { transparent: false, .. })) {
+        let Some(to) = cut else { break };
+        let from = nodes[to.0].drivers[to.1].expect("critical input is wired");
+        let (from_ep, to_ep) = (view.output(from), view.input(to));
+        if matches!(out.kind(&from_ep.node), Some(CompKind::Buffer { transparent: false, .. })) {
             break; // cutting right after a register gains nothing
         }
         let name = out.fresh(&format!("tbuf_{}", stats.inserted));
-        out.add_node(name.clone(), CompKind::Buffer { slots: 1, transparent: false })
-            .expect("fresh name");
-        out.detach_output(&from);
-        out.detach_input(&to);
-        out.connect(from, Endpoint::new(name.clone(), "in")).expect("rewire");
-        out.connect(Endpoint::new(name, "out"), to).expect("rewire");
+        let kind = CompKind::Buffer { slots: 1, transparent: false };
+        view.splice(from, name.clone(), &kind);
+        splice(&mut out, from_ep, to_ep, name, kind);
         stats.inserted += 1;
     }
     (out, stats)
 }
 
-/// Whether the graph still has a combinational cycle (a cycle with no
-/// sequential element); used by the timing model's precondition check.
-pub fn has_combinational_cycle(g: &ExprHigh, is_sequential: &dyn Fn(&CompKind) -> bool) -> bool {
-    // DFS over combinational nodes only.
-    let comb: Vec<NodeId> =
-        g.nodes().filter(|(_, k)| !is_sequential(k)).map(|(n, _)| n.clone()).collect();
-    let comb_set: std::collections::BTreeSet<_> = comb.iter().cloned().collect();
-    let mut state: BTreeMap<NodeId, u8> = comb.iter().map(|n| (n.clone(), 0)).collect();
-    fn visit(
-        g: &ExprHigh,
-        n: &NodeId,
-        comb_set: &std::collections::BTreeSet<NodeId>,
-        state: &mut BTreeMap<NodeId, u8>,
-    ) -> bool {
-        state.insert(n.clone(), 1);
-        let (_, outs) = g.kind(n).expect("node").interface();
-        for p in outs {
-            if let Some(Attachment::Wire(to)) = g.consumer(&Endpoint::new(n.clone(), p)) {
-                if comb_set.contains(&to.node) {
-                    // Not a match guard: `visit` needs `state` mutably
-                    // while the scrutinee holds it immutably.
-                    #[allow(clippy::collapsible_match)]
-                    match state[&to.node] {
-                        1 => return true,
-                        0 => {
-                            if visit(g, &to.node, comb_set, state) {
-                                return true;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-        state.insert(n.clone(), 2);
-        false
-    }
-    for n in &comb {
-        if state[n] == 0 && visit(g, n, &comb_set, &mut state) {
-            return true;
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphiti_ir::ep;
+    use crate::timing::{elastic_clock_period, TimingError};
+    use graphiti_ir::{ep, Op, PureFn};
 
     /// A merge/fork ring: one cycle, no sequential element.
     fn ring() -> ExprHigh {
@@ -317,12 +226,11 @@ mod tests {
     #[test]
     fn back_edge_gets_a_buffer() {
         let g = ring();
-        let seq = |k: &CompKind| matches!(k, CompKind::Buffer { transparent: false, .. });
-        assert!(has_combinational_cycle(&g, &seq));
+        assert_eq!(elastic_clock_period(&g), Err(TimingError::CombinationalLoop));
         let (g2, stats) = place_buffers(&g);
         assert_eq!(stats.inserted, 1);
         g2.validate().unwrap();
-        assert!(!has_combinational_cycle(&g2, &seq));
+        assert!(elastic_clock_period(&g2).is_ok());
     }
 
     #[test]
@@ -343,5 +251,82 @@ mod tests {
         let (g2, stats) = place_buffers(&g);
         assert_eq!(stats.inserted, 0);
         assert_eq!(g, g2);
+    }
+
+    /// Opaque buffer `a`, then `kinds` in a row (each wired through its
+    /// first input and `out`), then opaque buffer `z`.
+    fn chain(kinds: &[CompKind]) -> ExprHigh {
+        let opaque = CompKind::Buffer { slots: 1, transparent: false };
+        let mut g = ExprHigh::new();
+        g.add_node("a", opaque.clone()).unwrap();
+        g.add_node("z", opaque).unwrap();
+        g.expose_input("x", ep("a", "in")).unwrap();
+        g.expose_output("y", ep("z", "out")).unwrap();
+        let mut prev = ep("a", "out");
+        for (i, k) in kinds.iter().enumerate() {
+            let n = format!("c{i:02}");
+            let (ins, _) = k.interface();
+            g.add_node(n.clone(), k.clone()).unwrap();
+            g.connect(prev, ep(n.clone(), ins[0].clone())).unwrap();
+            prev = ep(n, "out");
+        }
+        g.connect(prev, ep("z", "in")).unwrap();
+        g
+    }
+
+    fn nots(n: usize) -> Vec<CompKind> {
+        vec![CompKind::Operator { op: Op::Not }; n]
+    }
+
+    #[test]
+    fn timing_driven_cuts_register_a_slow_chain_until_it_meets_the_target() {
+        // 0.7 (out) + 40 × 0.4 + 0.7 (in) = 17.4 ns.
+        let g = chain(&nots(40));
+        assert!(elastic_clock_period(&g).unwrap() > 17.0);
+        let (placed, stats) = place_buffers_targeted(&g, 6.5);
+        placed.validate().unwrap();
+        assert!(elastic_clock_period(&placed).unwrap() <= 6.5);
+        // `place_buffers` adds nothing to an acyclic chain of one-input
+        // nodes, so every inserted buffer is a cut.
+        assert!(stats.inserted >= 2, "{stats:?}");
+        assert_eq!(placed.node_count(), g.node_count() + stats.inserted);
+        for i in 0..stats.inserted {
+            let cut = placed.kind(&format!("tbuf_{i}"));
+            assert_eq!(cut, Some(&CompKind::Buffer { slots: 1, transparent: false }));
+        }
+    }
+
+    #[test]
+    fn timing_driven_placement_keeps_a_circuit_under_the_target_as_placed() {
+        for g in [ring(), chain(&nots(4))] {
+            assert!(elastic_clock_period(&place_buffers(&g).0).unwrap() <= 6.5);
+            assert_eq!(place_buffers_targeted(&g, 6.5), place_buffers(&g));
+        }
+    }
+
+    #[test]
+    fn timing_driven_placement_stops_where_no_cut_shortens_the_path() {
+        // A 64-tag Tagger's output side (6.5 ns) feeds a register's input
+        // (0.7 ns) directly: no combinational node lies between them.
+        let mut tagger = ExprHigh::new();
+        tagger.add_node("t", CompKind::TaggerUntagger { tags: 64 }).unwrap();
+        tagger.add_node("b", CompKind::Buffer { slots: 1, transparent: false }).unwrap();
+        tagger.expose_input("x", ep("t", "in")).unwrap();
+        tagger.expose_input("r", ep("t", "retag")).unwrap();
+        tagger.connect(ep("t", "tagged"), ep("b", "in")).unwrap();
+        tagger.expose_output("y", ep("b", "out")).unwrap();
+        tagger.expose_output("o", ep("t", "out")).unwrap();
+        // One 6.2 ns Pure between registers: the midpoint cut would land
+        // right after register `a`, which gains nothing, so it is refused.
+        let six_nots = (1..6).fold(PureFn::Op(Op::Not), |f, _| {
+            PureFn::Comp(Box::new(PureFn::Op(Op::Not)), Box::new(f))
+        });
+        let pure = chain(&[CompKind::Pure { func: six_nots }]);
+        for g in [tagger, pure] {
+            let (placed, stats) = place_buffers_targeted(&g, 6.5);
+            assert!(elastic_clock_period(&placed).unwrap() > 6.5);
+            assert!(placed.nodes().all(|(n, _)| !n.starts_with("tbuf_")));
+            assert_eq!((placed, stats), place_buffers(&g));
+        }
     }
 }

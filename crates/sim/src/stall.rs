@@ -2,9 +2,9 @@
 //! waiting predicate, stall-cause attribution, deadlock reports, token
 //! counts, and the per-cycle observability metrics.
 //!
-//! Both simulation cores expose their state through [`CircuitView`] — the
+//! Both simulation cores expose their state through `CircuitView` — the
 //! reference sweep its `Value`-shaped channels, the compiled backend its
-//! bit-packed runtime — and are observed through [`Observers`] at the end
+//! bit-packed runtime — and are observed through `Observers` at the end
 //! of every active cycle, so each observer below has exactly one
 //! implementation and the cores agree on what they observe by
 //! construction.
@@ -25,7 +25,7 @@
 //!   latency pipeline.
 //!
 //! Every waiting node-cycle receives exactly one cause and is booked as
-//! stalled or starved by the same [`waiting`] predicate that drives the
+//! stalled or starved by the same `waiting` predicate that drives the
 //! `sim.stall_cycles` / `sim.starved_cycles` counters, so the report's
 //! split equals the counters and the per-cause counters sum to their
 //! total by construction — a property the test suite pins.

@@ -12,8 +12,7 @@
 //! come out slower because the Tagger's tag-allocation logic and the Merge
 //! on the loop path are slow components, mirroring the paper's observation.
 
-use crate::place::has_combinational_cycle;
-use graphiti_ir::{Attachment, CompKind, Endpoint, ExprHigh, NodeId, Op, PureFn};
+use graphiti_ir::{CompKind, Endpoint, ExprHigh, NodeId, Op, PureFn};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -109,11 +108,6 @@ pub fn elastic_timing(kind: &CompKind) -> NodeTiming {
     }
 }
 
-/// Is the component a sequential element under a timing table?
-pub fn is_sequential(kind: &CompKind, table: &dyn Fn(&CompKind) -> NodeTiming) -> bool {
-    matches!(table(kind), NodeTiming::Seq(_, _))
-}
-
 /// Estimated pure-function combinational size (used in [`elastic_timing`]).
 pub fn purefn_comb_ops(f: &PureFn) -> usize {
     match f {
@@ -123,136 +117,186 @@ pub fn purefn_comb_ops(f: &PureFn) -> usize {
     }
 }
 
-/// Computes the clock period of a circuit under a timing table.
-///
-/// # Errors
-///
-/// Fails if the circuit has a combinational loop.
-pub fn clock_period(
-    g: &ExprHigh,
-    table: &dyn Fn(&CompKind) -> NodeTiming,
-) -> Result<f64, TimingError> {
-    let seq_check = |k: &CompKind| is_sequential(k, table);
-    if has_combinational_cycle(g, &seq_check) {
-        return Err(TimingError::CombinationalLoop);
+/// A `(node index, port index)` pair of a [`TimingView`]; the port indexes
+/// the node's interface in order.
+pub(crate) type Port = (usize, usize);
+
+/// One node of a [`TimingView`].
+pub(crate) struct ViewNode {
+    pub(crate) name: NodeId,
+    pub(crate) timing: NodeTiming,
+    pub(crate) ins: Vec<String>,
+    pub(crate) outs: Vec<String>,
+    /// The output driving each input port, when a wire does.
+    pub(crate) drivers: Vec<Option<Port>>,
+    /// The input consuming each output port, when a wire does.
+    pub(crate) consumers: Vec<Option<Port>>,
+    /// Whether some output port is an external output of the circuit.
+    pub(crate) external_out: bool,
+}
+
+impl ViewNode {
+    /// The path length a wire from this node carries, given the arrival
+    /// time at its inputs: a sequential output starts a fresh path.
+    pub(crate) fn out_time(&self, arrival: f64) -> f64 {
+        match self.timing {
+            NodeTiming::Seq(_, out_side) => out_side,
+            NodeTiming::Comb(d) => arrival + d,
+        }
     }
 
-    // arrival[n]: longest combinational path arriving at node n's inputs.
-    let mut arrival: BTreeMap<NodeId, f64> = BTreeMap::new();
-    // Topological processing of the combinational subgraph: repeat sweeps
-    // until a fixpoint (the subgraph is acyclic, so |V| sweeps suffice).
-    let nodes: Vec<(NodeId, CompKind)> = g.nodes().map(|(n, k)| (n.clone(), k.clone())).collect();
-    for (n, _) in &nodes {
-        arrival.insert(n.clone(), 0.0);
-    }
-    let mut changed = true;
-    let mut rounds = 0;
-    while changed {
-        changed = false;
-        rounds += 1;
-        if rounds > nodes.len() + 2 {
-            return Err(TimingError::CombinationalLoop);
+    /// The length of a path ending in this node.
+    pub(crate) fn end_time(&self, arrival: f64) -> f64 {
+        match self.timing {
+            NodeTiming::Seq(in_side, _) => arrival + in_side,
+            NodeTiming::Comb(d) => arrival + d,
         }
-        for (n, kind) in &nodes {
-            let (ins, _) = kind.interface();
-            let mut best: f64 = 0.0;
-            for p in ins {
-                if let Some(Attachment::Wire(src)) = g.driver(&Endpoint::new(n.clone(), p)) {
-                    let src_kind = g.kind(&src.node).expect("node");
-                    let contrib = match table(src_kind) {
-                        NodeTiming::Seq(_, out_side) => out_side,
-                        NodeTiming::Comb(d) => arrival[&src.node] + d,
-                    };
-                    best = best.max(contrib);
+    }
+
+    pub(crate) fn is_comb(&self) -> bool {
+        matches!(self.timing, NodeTiming::Comb(_))
+    }
+}
+
+/// The circuit indexed for timing and placement: nodes in a `Vec` with
+/// their [`elastic_timing`] and wiring, plus their name order. Placement
+/// splices buffers into the view and the graph alike, so one build serves
+/// every timing pass of a placement run. Only `new` and `splice` change
+/// it, so each wire appears as a driver entry and a consumer entry alike.
+pub(crate) struct TimingView {
+    nodes: Vec<ViewNode>,
+    /// Node indices in name order.
+    order: Vec<usize>,
+}
+
+impl TimingView {
+    pub(crate) fn new(g: &ExprHigh) -> TimingView {
+        let index: BTreeMap<&str, usize> =
+            g.nodes().enumerate().map(|(i, (n, _))| (n.as_str(), i)).collect();
+        let mut nodes: Vec<ViewNode> = g
+            .nodes()
+            .map(|(name, kind)| {
+                let (ins, outs) = kind.interface();
+                ViewNode {
+                    name: name.clone(),
+                    timing: elastic_timing(kind),
+                    drivers: vec![None; ins.len()],
+                    consumers: vec![None; outs.len()],
+                    ins,
+                    outs,
+                    external_out: false,
                 }
-            }
-            if best > arrival[n] + 1e-12 {
-                arrival.insert(n.clone(), best);
-                changed = true;
-            }
+            })
+            .collect();
+        let port = |ports: &[String], p: &str| ports.iter().position(|q| q == p).expect("port");
+        for (from, to) in g.edges() {
+            let (f, t) = (index[from.node.as_str()], index[to.node.as_str()]);
+            let (fp, tp) = (port(&nodes[f].outs, &from.port), port(&nodes[t].ins, &to.port));
+            nodes[f].consumers[fp] = Some((t, tp));
+            nodes[t].drivers[tp] = Some((f, fp));
         }
+        for (_, e) in g.outputs() {
+            nodes[index[e.node.as_str()]].external_out = true;
+        }
+        TimingView { order: (0..nodes.len()).collect(), nodes }
     }
 
-    // CP: paths terminate at sequential inputs (arrival + in-side delay) or
-    // at external outputs (arrival + comb delay of the final node).
-    let mut cp: f64 = 1.0;
-    for (n, kind) in &nodes {
-        match table(kind) {
-            NodeTiming::Seq(in_side, _) => cp = cp.max(arrival[n] + in_side),
-            NodeTiming::Comb(d) => {
-                // If this node drives an external output, close the path.
-                let (_, outs) = kind.interface();
-                for p in outs {
-                    if matches!(
-                        g.consumer(&Endpoint::new(n.clone(), p)),
-                        Some(Attachment::External(_))
-                    ) {
-                        cp = cp.max(arrival[n] + d);
+    pub(crate) fn nodes(&self) -> &[ViewNode] {
+        &self.nodes
+    }
+
+    /// Node indices in name order.
+    pub(crate) fn order(&self) -> &[usize] {
+        &self.order
+    }
+
+    /// The endpoint of an output port.
+    pub(crate) fn output(&self, (node, port): Port) -> Endpoint {
+        Endpoint::new(self.nodes[node].name.clone(), self.nodes[node].outs[port].clone())
+    }
+
+    /// The endpoint of an input port.
+    pub(crate) fn input(&self, (node, port): Port) -> Endpoint {
+        Endpoint::new(self.nodes[node].name.clone(), self.nodes[node].ins[port].clone())
+    }
+
+    /// Combinational arrival time at every node's inputs: one Kahn pass
+    /// over the wires leaving combinational nodes.
+    ///
+    /// # Errors
+    ///
+    /// A node the pass never reaches lies on or behind a combinational
+    /// loop.
+    pub(crate) fn arrivals(&self) -> Result<Vec<f64>, TimingError> {
+        let nodes = &self.nodes;
+        let mut pending: Vec<usize> = nodes
+            .iter()
+            .map(|n| n.drivers.iter().flatten().filter(|(d, _)| nodes[*d].is_comb()).count())
+            .collect();
+        let mut ready: Vec<usize> = (0..nodes.len()).filter(|&i| pending[i] == 0).collect();
+        let mut arrival = vec![0.0; nodes.len()];
+        let mut reached = 0;
+        while let Some(i) = ready.pop() {
+            reached += 1;
+            arrival[i] = nodes[i]
+                .drivers
+                .iter()
+                .flatten()
+                .fold(0.0, |best: f64, &(d, _)| best.max(nodes[d].out_time(arrival[d])));
+            if nodes[i].is_comb() {
+                for &(c, _) in nodes[i].consumers.iter().flatten() {
+                    pending[c] -= 1;
+                    if pending[c] == 0 {
+                        ready.push(c);
                     }
                 }
             }
         }
+        if reached < nodes.len() {
+            return Err(TimingError::CombinationalLoop);
+        }
+        Ok(arrival)
     }
-    Ok(cp)
+
+    /// Splices a new one-input, one-output node into the wire leaving
+    /// `from`, keeping the name order.
+    pub(crate) fn splice(&mut self, from: Port, name: NodeId, kind: &CompKind) {
+        let to = self.nodes[from.0].consumers[from.1].expect("a wire leaves the port");
+        let new = self.nodes.len();
+        let at = self.order.partition_point(|&i| self.nodes[i].name < name);
+        self.order.insert(at, new);
+        let (ins, outs) = kind.interface();
+        self.nodes.push(ViewNode {
+            name,
+            timing: elastic_timing(kind),
+            ins,
+            outs,
+            drivers: vec![Some(from)],
+            consumers: vec![Some(to)],
+            external_out: false,
+        });
+        self.nodes[from.0].consumers[from.1] = Some((new, 0));
+        self.nodes[to.0].drivers[to.1] = Some((new, 0));
+    }
 }
 
-/// Convenience: clock period under the elastic timing table.
-///
-/// # Errors
-///
-/// See [`clock_period`].
-pub fn elastic_clock_period(g: &ExprHigh) -> Result<f64, TimingError> {
-    clock_period(g, &elastic_timing)
-}
-
-/// Combinational arrival time at every node's inputs under a timing table
-/// (the DP of [`clock_period`], exposed for timing-driven buffer
-/// placement).
+/// The clock period under the elastic timing table: the longest path from
+/// a sequential output or external input to a sequential input or
+/// external output, and at least 1 ns.
 ///
 /// # Errors
 ///
 /// Fails if the circuit has a combinational loop.
-pub fn arrival_times(
-    g: &ExprHigh,
-    table: &dyn Fn(&CompKind) -> NodeTiming,
-) -> Result<BTreeMap<NodeId, f64>, TimingError> {
-    let seq_check = |k: &CompKind| is_sequential(k, table);
-    if has_combinational_cycle(g, &seq_check) {
-        return Err(TimingError::CombinationalLoop);
-    }
-    let nodes: Vec<(NodeId, CompKind)> = g.nodes().map(|(n, k)| (n.clone(), k.clone())).collect();
-    let mut arrival: BTreeMap<NodeId, f64> = BTreeMap::new();
-    for (n, _) in &nodes {
-        arrival.insert(n.clone(), 0.0);
-    }
-    let mut changed = true;
-    let mut rounds = 0;
-    while changed {
-        changed = false;
-        rounds += 1;
-        if rounds > nodes.len() + 2 {
-            return Err(TimingError::CombinationalLoop);
-        }
-        for (n, kind) in &nodes {
-            let (ins, _) = kind.interface();
-            let mut best: f64 = 0.0;
-            for p in ins {
-                if let Some(Attachment::Wire(src)) = g.driver(&Endpoint::new(n.clone(), p)) {
-                    let src_kind = g.kind(&src.node).expect("node");
-                    let contrib = match table(src_kind) {
-                        NodeTiming::Seq(_, out_side) => out_side,
-                        NodeTiming::Comb(d) => arrival[&src.node] + d,
-                    };
-                    best = best.max(contrib);
-                }
-            }
-            if best > arrival[n] + 1e-12 {
-                arrival.insert(n.clone(), best);
-                changed = true;
-            }
-        }
-    }
-    Ok(arrival)
+pub fn elastic_clock_period(g: &ExprHigh) -> Result<f64, TimingError> {
+    let _span = graphiti_obs::span("sim.sta");
+    let view = TimingView::new(g);
+    let arrival = view.arrivals()?;
+    Ok(view
+        .nodes()
+        .iter()
+        .zip(arrival)
+        .filter(|(n, _)| !n.is_comb() || n.external_out)
+        .fold(1.0, |cp, (n, a)| cp.max(n.end_time(a))))
 }
 
 #[cfg(test)]

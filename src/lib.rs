@@ -28,7 +28,7 @@
 //! | [`sim`] | `graphiti-sim` | cycle simulation, buffer placement, timing, area |
 //! | [`staticsched`] | `graphiti-static` | the Vericert-style static baseline |
 //! | [`pipeline`] | `graphiti-core` | the five-phase out-of-order pipeline |
-//! | [`bench`] | `graphiti-bench` | benchmarks, evaluation harness, table printers |
+//! | [`bench`](mod@bench) | `graphiti-bench` | benchmarks, evaluation harness, table printers |
 //!
 //! ## Quickstart
 //!
