@@ -248,10 +248,10 @@ impl ExprHigh {
     pub fn connect(&mut self, from: Endpoint, to: Endpoint) -> Result<(), GraphError> {
         self.check_out_port(&from)?;
         self.check_in_port(&to)?;
-        if self.consumer(&from).is_some() {
+        if self.is_consumed(&from) {
             return Err(GraphError::PortAlreadyConsumed(from));
         }
-        if self.driver(&to).is_some() {
+        if self.is_driven(&to) {
             return Err(GraphError::PortAlreadyDriven(to));
         }
         self.redges.insert(to.clone(), from.clone());
@@ -274,7 +274,7 @@ impl ExprHigh {
         if self.inputs.contains_key(&name) {
             return Err(GraphError::DuplicateExternal(name));
         }
-        if self.driver(&to).is_some() {
+        if self.is_driven(&to) {
             return Err(GraphError::PortAlreadyDriven(to));
         }
         self.inputs.insert(name, to);
@@ -298,11 +298,22 @@ impl ExprHigh {
         if self.outputs.contains_key(&name) {
             return Err(GraphError::DuplicateExternal(name));
         }
-        if self.consumer(&from).is_some() {
+        if self.is_consumed(&from) {
             return Err(GraphError::PortAlreadyConsumed(from));
         }
         self.outputs.insert(name, from);
         Ok(())
+    }
+
+    /// Whether input port `to` is driven, by an edge or an external input.
+    fn is_driven(&self, to: &Endpoint) -> bool {
+        self.redges.contains_key(to) || self.inputs.values().any(|e| e == to)
+    }
+
+    /// Whether output port `from` is consumed, by an edge or an external
+    /// output.
+    fn is_consumed(&self, from: &Endpoint) -> bool {
+        self.edges.contains_key(from) || self.outputs.values().any(|e| e == from)
     }
 
     /// What drives input port `to`, if anything.
@@ -370,17 +381,19 @@ impl ExprHigh {
     ///
     /// Returns the first [`GraphError::Unconnected`] port found.
     pub fn validate(&self) -> Result<(), GraphError> {
+        let mut e = Endpoint::new(String::new(), String::new());
         for (name, kind) in &self.nodes {
+            e.node.clone_from(name);
             let (ins, outs) = kind.interface();
             for p in ins {
-                let e = Endpoint::new(name.clone(), p);
-                if self.driver(&e).is_none() {
+                e.port = p;
+                if !self.is_driven(&e) {
                     return Err(GraphError::Unconnected(e));
                 }
             }
             for p in outs {
-                let e = Endpoint::new(name.clone(), p);
-                if self.consumer(&e).is_none() {
+                e.port = p;
+                if !self.is_consumed(&e) {
                     return Err(GraphError::Unconnected(e));
                 }
             }
@@ -564,6 +577,34 @@ mod tests {
         let mut g = ExprHigh::new();
         g.add_node("s", CompKind::Sink).unwrap();
         assert_eq!(g.validate(), Err(GraphError::Unconnected(ep("s", "in"))));
+    }
+
+    #[test]
+    fn validation_reports_the_first_unconnected_port_in_node_then_port_order() {
+        let mut g = fork_mod();
+        g.detach_output(&ep("m", "out"));
+        assert_eq!(g.validate(), Err(GraphError::Unconnected(ep("m", "out"))));
+        // An edge's removal leaves both of its ends unconnected; `f` comes
+        // before `m`.
+        g.detach_output(&ep("f", "out1"));
+        assert_eq!(g.validate(), Err(GraphError::Unconnected(ep("f", "out1"))));
+        // A node's inputs come before its outputs.
+        g.detach_input(&ep("f", "in"));
+        assert_eq!(g.validate(), Err(GraphError::Unconnected(ep("f", "in"))));
+        // Exposing ports reconnects them through the external tables.
+        g.expose_input("x", ep("f", "in")).unwrap();
+        g.expose_output("y1", ep("f", "out1")).unwrap();
+        g.expose_input("z", ep("m", "in1")).unwrap();
+        g.expose_output("y", ep("m", "out")).unwrap();
+        g.validate().unwrap();
+        assert_eq!(
+            g.expose_output("y2", ep("f", "out1")),
+            Err(GraphError::PortAlreadyConsumed(ep("f", "out1")))
+        );
+        assert_eq!(
+            g.connect(ep("f", "out1"), ep("m", "in1")),
+            Err(GraphError::PortAlreadyConsumed(ep("f", "out1")))
+        );
     }
 
     #[test]

@@ -16,13 +16,12 @@
 //! resource bound is hit — carrying a [`BoundHit`] that says which bound
 //! and at what count — so a bounded pass is never confused with a proof.
 
-use crate::intern::{FxHashMap, FxHashSet, Ids, Stepper, Values};
+use crate::intern::{hash_of, Chains, FxHashMap, FxHashSet, Stepper, Values};
 use crate::module::{Module, Rel};
 use crate::state::State;
 use graphiti_ir::{PortName, Value};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::fmt;
-use std::rc::Rc;
 
 /// An externally visible event of a module run.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -53,7 +52,9 @@ pub struct RefineConfig {
     pub max_depth: usize,
     /// Maximum number of visited (state, spec-set) pairs.
     pub max_states: usize,
-    /// Maximum size of a specification internal-closure set.
+    /// Maximum size of a specification internal closure. Only the states
+    /// a closure adds to its start count: the check stops when a closure
+    /// grows larger than both this limit and its start set.
     pub closure_limit: usize,
     /// Assume the context only provides inputs the *specification* can
     /// accept (the paper's well-typed-graphs assumption, §6.3): when the
@@ -165,7 +166,9 @@ pub struct RefineStats {
     pub visited_states: u64,
     /// Peak size of the exploration frontier.
     pub frontier_peak: u64,
-    /// Spec internal closures computed.
+    /// Closure steps of the subset construction (the spec's initial
+    /// closure, then one per (spec set, event) the exploration asks for),
+    /// memo hits included.
     pub closures: u64,
     /// Paths cut off by the depth bound.
     pub depth_prunes: u64,
@@ -305,8 +308,8 @@ fn check_refinement_inner(
 
 /// An item of the exploration stack.
 struct Item {
-    /// The implementation state.
-    state: Ids,
+    /// The implementation state (an id into [`Explorer::states`]).
+    state: u32,
     /// The spec states that can have produced the same events, closed
     /// under spec internal steps (an id into [`Explorer::sets`]).
     set: u32,
@@ -318,44 +321,132 @@ struct Item {
 /// The trace node of the empty trace.
 const NO_EVENTS: u32 = u32::MAX;
 
-/// An event in the trace arena: the port's index in name order and the
-/// value's id.
-#[derive(Clone, Copy)]
+/// An event in the trace arena and in closure memo keys: the port's index
+/// in name order and the value's id.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum Step {
-    In(usize, u32),
-    Out(usize, u32),
+    In(u32, u32),
+    Out(u32, u32),
+}
+
+/// Distinct rows of one width (see [`Stepper`]), stored flat and numbered
+/// in insertion order.
+struct Rows {
+    width: usize,
+    words: Vec<u32>,
+    index: Chains,
+}
+
+impl Rows {
+    fn new(width: usize) -> Rows {
+        Rows { width, words: Vec::new(), index: Chains::default() }
+    }
+
+    /// Row `id`.
+    fn row(&self, id: u32) -> &[u32] {
+        &self.words[id as usize * self.width..][..self.width]
+    }
+
+    /// The id of `row`, and whether it is new.
+    fn insert(&mut self, row: &[u32]) -> (u32, bool) {
+        let (words, width) = (&self.words, self.width);
+        let found = self.index.id(hash_of(row), |id| words[id as usize * width..][..width] == *row);
+        if found.1 {
+            self.words.extend_from_slice(row);
+        }
+        found
+    }
+
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    fn clear(&mut self) {
+        self.words.clear();
+        self.index.clear();
+    }
+}
+
+/// Spec-state sets interned by content: set `id` is the sorted
+/// concatenation of its states' rows, `words[ends[id]..ends[id + 1]]`.
+struct Sets {
+    words: Vec<u32>,
+    ends: Vec<usize>,
+    index: Chains,
+}
+
+impl Sets {
+    fn get(&self, id: u32) -> &[u32] {
+        &self.words[self.ends[id as usize]..self.ends[id as usize + 1]]
+    }
+
+    /// The id of the set whose words were appended to `words` since the
+    /// last set; a repeat's words are dropped again.
+    fn intern_tail(&mut self) -> u32 {
+        let (words, ends) = (&self.words, &self.ends);
+        let start = *ends.last().expect("ends starts at 0");
+        let tail = &words[start..];
+        let (id, new) = self
+            .index
+            .id(hash_of(tail), |id| words[ends[id as usize]..ends[id as usize + 1]] == *tail);
+        if new {
+            self.ends.push(self.words.len());
+        } else {
+            self.words.truncate(start);
+        }
+        id
+    }
 }
 
 /// One refinement check's exploration over interned states.
 ///
 /// The implementation is explored depth-first over (state, spec-state set)
 /// pairs — the on-the-fly subset construction — with the visited check at
-/// pop time. Both modules step through their own memoised [`Stepper`];
-/// spec-state sets are interned (sorted and flattened, one id per distinct
-/// set), and the events of a path live in a parent-pointer arena rather
-/// than in a trace per stack item. Everything is dropped when the check
-/// returns.
+/// pop time. Both modules step through their own memoised [`Stepper`].
+/// Implementation states are interned rows, spec-state sets are interned
+/// (sorted and flattened, one id per distinct set), and the closed
+/// successor set of a (set, event) pair is memoised: it is a function of
+/// that key alone, and a repeat would intern nothing new, so a memo hit
+/// returns exactly what recomputing would. The events of a path live in a
+/// parent-pointer arena rather than in a trace per stack item. Everything
+/// is dropped when the check returns.
 struct Explorer<'m> {
     imp: Stepper<'m>,
     spec: Stepper<'m>,
     cfg: &'m RefineConfig,
     values: Values,
-    /// Spec-state sets by id: each the sorted concatenation of its states.
-    sets: Vec<Rc<[u32]>>,
-    set_ids: FxHashMap<Rc<[u32]>, u32>,
+    /// Implementation states by id.
+    states: Rows,
+    sets: Sets,
+    /// `closure(step(set, event))` by (set, event).
+    after: FxHashMap<(u32, Step), u32>,
+    /// Spec rows a step produced, then the successors of one closure row.
+    stepped: Vec<u32>,
+    /// Spec emissions: value id, then row.
+    emitted: Vec<u32>,
+    /// The rows of the closure being computed.
+    closure: Rows,
+    /// Closure row ids in row order.
+    order: Vec<u32>,
     /// Trace nodes: parent node and the event appended to it.
     trace: Vec<(u32, Step)>,
 }
 
 impl<'m> Explorer<'m> {
     fn new(imp: &'m Module, spec: &'m Module, cfg: &'m RefineConfig) -> Explorer<'m> {
+        let (imp, spec) = (Stepper::new(imp), Stepper::new(spec));
         Explorer {
-            imp: Stepper::new(imp),
-            spec: Stepper::new(spec),
+            states: Rows::new(imp.width()),
+            closure: Rows::new(spec.width()),
+            imp,
+            spec,
             cfg,
             values: Values::default(),
-            sets: Vec::new(),
-            set_ids: FxHashMap::default(),
+            sets: Sets { words: Vec::new(), ends: vec![0], index: Chains::default() },
+            after: FxHashMap::default(),
+            stepped: Vec::new(),
+            emitted: Vec::new(),
+            order: Vec::new(),
             trace: Vec::new(),
         }
     }
@@ -368,8 +459,10 @@ impl<'m> Explorer<'m> {
         });
         stats.closures += 1;
         let (imp, spec) = (self.imp.module(), self.spec.module());
-        let spec_init: Vec<Ids> = spec.init().iter().map(|s| self.spec.intern_state(s)).collect();
-        let Some(spec_init) = self.closure(spec_init) else {
+        for s in spec.init() {
+            self.spec.intern_state(s, &mut self.stepped);
+        }
+        let Some(spec_init) = self.close() else {
             return closure_bound;
         };
         let domain: Vec<u32> = cfg.domain.iter().map(|v| self.values.id(v)).collect();
@@ -384,21 +477,24 @@ impl<'m> Explorer<'m> {
         let note_bound = |slot: &mut Option<BoundHit>, kind: BoundKind, at: u64| {
             slot.get_or_insert(BoundHit { kind, at });
         };
-        let mut visited: FxHashSet<(Ids, u32)> = FxHashSet::default();
+        let mut visited: FxHashSet<(u32, u32)> = FxHashSet::default();
         // Depth-first exploration: counterexamples (when they exist) usually sit
         // deep along one path, and DFS reaches them without materializing every
         // shallower state first. Completeness up to the bounds is unchanged.
         let mut stack: Vec<Item> = Vec::new();
+        let mut succs: Vec<u32> = Vec::new();
         for i0 in imp.init() {
-            let state = self.imp.intern_state(i0);
+            succs.clear();
+            self.imp.intern_state(i0, &mut succs);
+            let state = self.states.insert(&succs).0;
             stack.push(Item { state, set: spec_init, depth: 0, trace: NO_EVENTS });
         }
-        let mut succs: Vec<Ids> = Vec::new();
-        let mut emitted: Vec<(u32, Ids)> = Vec::new();
+        let width = self.imp.width();
+        let mut emitted: Vec<u32> = Vec::new();
 
         while let Some(item) = stack.pop() {
             stats.frontier_peak = stats.frontier_peak.max(stack.len() as u64 + 1);
-            if !visited.insert((item.state.clone(), item.set)) {
+            if !visited.insert((item.state, item.set)) {
                 continue;
             }
             stats.visited_states = visited.len() as u64;
@@ -414,36 +510,43 @@ impl<'m> Explorer<'m> {
                 continue;
             }
             let depth = item.depth + 1;
-            let mut push = |stack: &mut Vec<Item>, imp: &Stepper, state: Ids, set, trace| {
-                let q = imp.max_queue_len(&state);
-                if q > cfg.queue_cap {
-                    stats.queue_prunes += 1;
-                    note_bound(&mut bound_hit, BoundKind::QueueCap, q as u64);
-                } else {
-                    stack.push(Item { state, set, depth, trace });
+            let mut push = |stack: &mut Vec<Item>,
+                            states: &mut Rows,
+                            imp: &Stepper,
+                            rows: &[u32],
+                            set,
+                            trace| {
+                for row in rows.chunks_exact(width) {
+                    let q = imp.max_queue_len(row);
+                    if q > cfg.queue_cap {
+                        stats.queue_prunes += 1;
+                        note_bound(&mut bound_hit, BoundKind::QueueCap, q as u64);
+                    } else {
+                        stack.push(Item { state: states.insert(row).0, set, depth, trace });
+                    }
                 }
             };
 
             // Implementation internal steps: the spec set is already closed.
-            self.imp.internal_succs(&mut self.values, &item.state, &mut succs);
-            for s2 in succs.drain(..) {
-                push(&mut stack, &self.imp, s2, item.set, item.trace);
-            }
+            succs.clear();
+            let state = self.states.row(item.state);
+            self.imp.internal_succs(&mut self.values, state, &mut succs);
+            push(&mut stack, &mut self.states, &self.imp, &succs, item.set, item.trace);
 
             // Inputs.
-            for (port, &(ri, rs)) in inputs.iter().enumerate() {
+            for (port, &(ri, rs)) in (0..).zip(&inputs) {
                 for &v in &domain {
-                    self.imp.input_succs(&self.values, ri, &item.state, v, &mut succs);
+                    succs.clear();
+                    let state = self.states.row(item.state);
+                    self.imp.input_succs(&self.values, ri, state, v, &mut succs);
                     if succs.is_empty() {
                         continue;
                     }
-                    let stepped = self.spec_after_input(item.set, rs, v);
                     stats.closures += 1;
-                    let Some(closed) = self.closure(stepped) else {
+                    let Some(closed) = self.after(item.set, Step::In(port, v), rs) else {
                         return closure_bound;
                     };
-                    if self.sets[closed as usize].is_empty() {
-                        succs.clear();
+                    if self.sets.get(closed).is_empty() {
                         if cfg.well_typed_inputs {
                             // The spec cannot accept this value at all: a
                             // well-typed context never provides it.
@@ -452,26 +555,27 @@ impl<'m> Explorer<'m> {
                         return self.fails(item.trace, Step::In(port, v));
                     }
                     let trace = self.extend(item.trace, Step::In(port, v));
-                    for s2 in succs.drain(..) {
-                        push(&mut stack, &self.imp, s2, closed, trace);
-                    }
+                    push(&mut stack, &mut self.states, &self.imp, &succs, closed, trace);
                 }
             }
 
             // Outputs.
-            for (port, &(ri, rs)) in outputs.iter().enumerate() {
-                self.imp.output_succs(&mut self.values, ri, &item.state, &mut emitted);
-                for (v, s2) in emitted.drain(..) {
-                    let stepped = self.spec_after_output(item.set, rs, v);
+            for (port, &(ri, rs)) in (0..).zip(&outputs) {
+                emitted.clear();
+                let state = self.states.row(item.state);
+                self.imp.output_succs(&mut self.values, ri, state, &mut emitted);
+                for emission in emitted.chunks_exact(1 + width) {
+                    let (v, row) = (emission[0], &emission[1..]);
                     stats.closures += 1;
-                    let Some(closed) = self.closure(stepped) else {
+                    let Some(closed) = self.after(item.set, Step::Out(port, v), rs) else {
                         return closure_bound;
                     };
-                    if self.sets[closed as usize].is_empty() {
+                    if self.sets.get(closed).is_empty() {
                         return self.fails(item.trace, Step::Out(port, v));
                     }
                     let trace = self.extend(item.trace, Step::Out(port, v));
-                    stack.push(Item { state: s2, set: closed, depth, trace });
+                    let state = self.states.insert(row).0;
+                    stack.push(Item { state, set: closed, depth, trace });
                 }
             }
         }
@@ -482,63 +586,62 @@ impl<'m> Explorer<'m> {
         }
     }
 
-    /// The spec states after consuming `v` at input `r` from some state of
-    /// set `set`.
-    fn spec_after_input(&mut self, set: u32, r: Rel, v: u32) -> Vec<Ids> {
-        let set = Rc::clone(&self.sets[set as usize]);
-        let mut out = Vec::new();
-        for t in set.chunks_exact(self.spec.module().slot_count()) {
-            self.spec.input_succs(&self.values, r, t, v, &mut out);
+    /// The interned spec states after `event` from some state of `set`,
+    /// closed under spec internal steps (relation `r` performs the event);
+    /// `None` when the closure exceeds the closure limit.
+    fn after(&mut self, set: u32, event: Step, r: Rel) -> Option<u32> {
+        if let Some(&closed) = self.after.get(&(set, event)) {
+            return Some(closed);
         }
-        out
-    }
-
-    /// The spec states after emitting `v` at output `r` from some state of
-    /// set `set`.
-    fn spec_after_output(&mut self, set: u32, r: Rel, v: u32) -> Vec<Ids> {
-        let set = Rc::clone(&self.sets[set as usize]);
-        let mut emitted = Vec::new();
-        for t in set.chunks_exact(self.spec.module().slot_count()) {
-            self.spec.output_succs(&mut self.values, r, t, &mut emitted);
-        }
-        emitted.into_iter().filter(|(v2, _)| *v2 == v).map(|(_, t)| t).collect()
-    }
-
-    /// The spec internal closure of `start`, interned. `None` when it
-    /// exceeds the closure limit. Only states the closure adds count
-    /// towards the limit, as in [`closure`].
-    fn closure(&mut self, start: Vec<Ids>) -> Option<u32> {
-        let mut all: FxHashSet<Ids> = FxHashSet::default();
-        let mut frontier: Vec<Ids> = Vec::new();
-        for s in start {
-            if all.insert(s.clone()) {
-                frontier.push(s);
-            }
-        }
-        let mut succs = Vec::new();
-        while let Some(s) = frontier.pop() {
-            self.spec.internal_succs(&mut self.values, &s, &mut succs);
-            for s2 in succs.drain(..) {
-                if !all.contains(&s2) {
-                    all.insert(s2.clone());
-                    if all.len() > self.cfg.closure_limit {
-                        return None;
+        let width = self.spec.width();
+        self.stepped.clear();
+        for t in self.sets.get(set).chunks_exact(width) {
+            match event {
+                Step::In(_, v) => self.spec.input_succs(&self.values, r, t, v, &mut self.stepped),
+                Step::Out(_, v) => {
+                    self.emitted.clear();
+                    self.spec.output_succs(&mut self.values, r, t, &mut self.emitted);
+                    for emission in self.emitted.chunks_exact(1 + width) {
+                        if emission[0] == v {
+                            self.stepped.extend_from_slice(&emission[1..]);
+                        }
                     }
-                    frontier.push(s2);
                 }
             }
         }
-        let mut states: Vec<Ids> = all.into_iter().collect();
-        states.sort_unstable();
-        let flat: Vec<u32> = states.concat();
-        if let Some(&id) = self.set_ids.get(&flat[..]) {
-            return Some(id);
+        let closed = self.close()?;
+        self.after.insert((set, event), closed);
+        Some(closed)
+    }
+
+    /// The spec internal closure of the rows in `stepped`, interned. `None`
+    /// when it grows past the closure limit: only states the closure adds
+    /// count, so that is when it ends up larger than both the limit and
+    /// its (deduplicated) start, whatever the visit order.
+    fn close(&mut self) -> Option<u32> {
+        let rows = &mut self.closure;
+        rows.clear();
+        for row in self.stepped.chunks_exact(rows.width) {
+            rows.insert(row);
         }
-        let flat: Rc<[u32]> = flat.into();
-        let id = u32::try_from(self.sets.len()).expect("fewer than 2^32 spec-state sets");
-        self.sets.push(Rc::clone(&flat));
-        self.set_ids.insert(flat, id);
-        Some(id)
+        let mut next = 0;
+        while (next as usize) < rows.len() {
+            self.stepped.clear();
+            self.spec.internal_succs(&mut self.values, rows.row(next), &mut self.stepped);
+            for row in self.stepped.chunks_exact(rows.width) {
+                if rows.insert(row).1 && rows.len() > self.cfg.closure_limit {
+                    return None;
+                }
+            }
+            next += 1;
+        }
+        self.order.clear();
+        self.order.extend(0..next);
+        self.order.sort_unstable_by(|&a, &b| rows.row(a).cmp(rows.row(b)));
+        for &id in &self.order {
+            self.sets.words.extend_from_slice(rows.row(id));
+        }
+        Some(self.sets.intern_tail())
     }
 
     /// A new trace node: `parent`'s events followed by `step`.
@@ -558,8 +661,8 @@ impl<'m> Explorer<'m> {
             node = up;
         }
         let imp = self.imp.module();
-        let port = |ports: &BTreeMap<PortName, Rel>, k: usize| {
-            ports.keys().nth(k).expect("port index in range").clone()
+        let port = |ports: &BTreeMap<PortName, Rel>, k: u32| {
+            ports.keys().nth(k as usize).expect("port index in range").clone()
         };
         let trace = steps
             .into_iter()
@@ -747,6 +850,38 @@ mod tests {
         let three = buffer_chain(3);
         assert!(check_refinement(&three, &two, &cfg).is_ok());
         assert!(check_refinement(&two, &three, &cfg).is_ok());
+    }
+
+    /// The closure limit counts only the states a closure adds to its
+    /// start: at limit 0, a spec without wires never has one to add, while
+    /// a buffer chain's first input moves its token on at once.
+    #[test]
+    fn closure_limit_counts_only_the_states_a_closure_adds() {
+        let cfg = RefineConfig {
+            domain: vec![Value::Int(0), Value::Int(1)],
+            closure_limit: 0,
+            ..Default::default()
+        };
+        let (verdict, stats) =
+            check_refinement_with_stats(&buffer_chain(2), &buffer_chain(1), &cfg);
+        assert!(verdict.is_ok(), "{verdict:?}");
+        assert!(
+            !matches!(
+                verdict,
+                Refinement::BoundReached(BoundHit { kind: BoundKind::ClosureLimit, .. })
+            ),
+            "{verdict:?}"
+        );
+        assert!(stats.closures > 1 && stats.visited_states > 1, "{stats:?}");
+
+        let (verdict, stats) =
+            check_refinement_with_stats(&buffer_chain(1), &buffer_chain(2), &cfg);
+        assert_eq!(
+            verdict,
+            Refinement::BoundReached(BoundHit { kind: BoundKind::ClosureLimit, at: 0 })
+        );
+        // The initial closure, then the first input's.
+        assert_eq!((stats.closures, stats.visited_states), (2, 1));
     }
 
     #[test]

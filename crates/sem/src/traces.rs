@@ -5,7 +5,8 @@
 //! enumerates a module's weak traces up to a depth directly — a second,
 //! independent decision procedure for trace inclusion on small modules that
 //! the tests use to cross-validate the subset-construction checker in
-//! [`check_refinement`](crate::check_refinement).
+//! [`check_refinement`](crate::check_refinement), on random graphs in
+//! `tests/checker_oracle.rs`.
 
 use crate::module::Module;
 use crate::refine::Event;
