@@ -59,14 +59,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// The members, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(members) => Some(members),
-            _ => None,
-        }
-    }
 }
 
 /// A parse failure with its byte offset.

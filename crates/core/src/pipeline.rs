@@ -33,9 +33,12 @@ use std::fmt;
 pub struct PipelineOptions {
     /// Tag budget for the out-of-order region.
     pub tags: u32,
-    /// Check refinement obligations of verified rewrites while applying.
+    /// Whether verified rewrite applications record their refinement
+    /// obligations in [`PipelineReport::obligations`].
     pub check: CheckMode,
-    /// Bounds for checked mode.
+    /// The bounds callers discharge the recorded obligations at. The
+    /// pipeline itself never reads them: it only records obligations (see
+    /// [`graphiti_rewrite::verify::discharge`]).
     pub refine_cfg: RefineConfig,
     /// Global rewrite budget.
     pub max_rewrites: usize,
@@ -86,7 +89,7 @@ pub struct PipelineReport {
     /// region collapse needed).
     pub pure_by_rewrites: bool,
     /// Refinement obligations collected in [`CheckMode::Deferred`] (empty
-    /// in the other modes), in application order. Discharge them with
+    /// when checks are off), in application order. Discharge them with
     /// [`graphiti_rewrite::verify::discharge`] — the independent checks
     /// run on worker threads.
     pub obligations: Vec<Obligation>,
@@ -118,8 +121,7 @@ impl From<RewriteError> for PipelineError {
 fn engine_for(opts: &PipelineOptions) -> Engine {
     match opts.check {
         CheckMode::Off => Engine::new(),
-        CheckMode::Checked => Engine::checked(opts.refine_cfg.clone()),
-        CheckMode::Deferred => Engine::deferring(opts.refine_cfg.clone()),
+        CheckMode::Deferred => Engine::deferring(),
     }
 }
 

@@ -258,12 +258,7 @@ pub fn oracle_refinement(p: &Program) -> Result<(), Failure> {
     let cfg = small_refine_cfg();
     for k in &compiled.kernels {
         let Some(tags) = k.ooo_tags else { continue };
-        let opts = PipelineOptions {
-            tags,
-            check: CheckMode::Deferred,
-            refine_cfg: cfg.clone(),
-            ..Default::default()
-        };
+        let opts = PipelineOptions { tags, check: CheckMode::Deferred, ..Default::default() };
         let (_, report) = optimize_loop(&k.graph, &k.inner_init, &opts)
             .map_err(|e| Failure::new(O, "pipeline-error", format!("kernel `{}`: {e}", k.name)))?;
         let n = report.obligations.len();

@@ -38,7 +38,8 @@ impl std::error::Error for EvalError {}
 ///
 /// Each operator has a fixed [arity](Op::arity) and a pure evaluation
 /// function; latency and area are assigned by the performance models, not
-/// here.
+/// here. Memory accesses are separate component kinds, which is what makes
+/// the pure-generation phase refuse loop bodies with stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Op {
     /// Integer addition.
@@ -107,13 +108,6 @@ impl Op {
             Select => (vec![Ty::Bool, Ty::Any, Ty::Any], Ty::Any),
             IToF => (vec![Ty::Int], Ty::F64),
         }
-    }
-
-    /// Whether the operator has side effects. All [`Op`]s are pure; memory
-    /// accesses are separate component kinds, which is what makes the
-    /// pure-generation phase refuse loop bodies with stores.
-    pub fn is_pure(self) -> bool {
-        true
     }
 
     /// Evaluates the operator on its operands.
@@ -328,16 +322,6 @@ impl PureFn {
     /// The pairing `⟨f, g⟩ : a -> (f a, g a)`, derived as `(f × g) ∘ dup`.
     pub fn pair(f: PureFn, g: PureFn) -> PureFn {
         PureFn::comp(PureFn::par(f, g), PureFn::Dup)
-    }
-
-    /// Convenience constructor for [`PureFn::AssocR`].
-    pub fn assoc_r() -> PureFn {
-        PureFn::AssocR
-    }
-
-    /// Convenience constructor for [`PureFn::AssocL`].
-    pub fn assoc_l() -> PureFn {
-        PureFn::AssocL
     }
 
     /// Evaluates the function on a value.

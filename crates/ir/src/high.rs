@@ -15,9 +15,6 @@ use std::fmt;
 /// A node (component instance) identifier.
 pub type NodeId = String;
 
-/// A list of directed wires as (from, to) endpoint pairs.
-pub type EdgeList = Vec<(Endpoint, Endpoint)>;
-
 /// One end of a connection: a node and one of its ports.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Endpoint {
@@ -429,36 +426,6 @@ impl ExprHigh {
         self.nodes.keys().cloned().collect()
     }
 
-    /// Renames external input `old` to `new`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `old` is missing or `new` exists.
-    pub fn rename_input(&mut self, old: &str, new: impl Into<String>) -> Result<(), GraphError> {
-        let new = new.into();
-        if self.inputs.contains_key(&new) {
-            return Err(GraphError::DuplicateExternal(new));
-        }
-        let e = self.inputs.remove(old).ok_or_else(|| GraphError::UnknownNode(old.to_string()))?;
-        self.inputs.insert(new, e);
-        Ok(())
-    }
-
-    /// Renames external output `old` to `new`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `old` is missing or `new` exists.
-    pub fn rename_output(&mut self, old: &str, new: impl Into<String>) -> Result<(), GraphError> {
-        let new = new.into();
-        if self.outputs.contains_key(&new) {
-            return Err(GraphError::DuplicateExternal(new));
-        }
-        let e = self.outputs.remove(old).ok_or_else(|| GraphError::UnknownNode(old.to_string()))?;
-        self.outputs.insert(new, e);
-        Ok(())
-    }
-
     /// A histogram of component type names, for reporting.
     ///
     /// ```
@@ -481,24 +448,6 @@ impl ExprHigh {
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
         self.edges.len()
-    }
-
-    /// All edges incident to the node set `nodes`, split into
-    /// (internal, entering, leaving) where entering/leaving cross the
-    /// boundary.
-    pub fn boundary_edges(&self, nodes: &BTreeSet<NodeId>) -> (EdgeList, EdgeList, EdgeList) {
-        let mut internal = Vec::new();
-        let mut entering = Vec::new();
-        let mut leaving = Vec::new();
-        for (from, to) in &self.edges {
-            match (nodes.contains(&from.node), nodes.contains(&to.node)) {
-                (true, true) => internal.push((from.clone(), to.clone())),
-                (false, true) => entering.push((from.clone(), to.clone())),
-                (true, false) => leaving.push((from.clone(), to.clone())),
-                (false, false) => {}
-            }
-        }
-        (internal, entering, leaving)
     }
 }
 
@@ -630,16 +579,6 @@ mod tests {
         let n = g.fresh("f");
         assert_ne!(n, "f");
         assert!(!g.node_names().contains(&n));
-    }
-
-    #[test]
-    fn boundary_edge_partition() {
-        let g = fork_mod();
-        let set: BTreeSet<NodeId> = ["m".to_string()].into_iter().collect();
-        let (internal, entering, leaving) = g.boundary_edges(&set);
-        assert!(internal.is_empty());
-        assert_eq!(entering.len(), 2);
-        assert!(leaving.is_empty());
     }
 
     #[test]

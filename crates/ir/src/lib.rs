@@ -50,7 +50,7 @@ pub use dot::{
     parse_dot, parse_purefn, parse_value, print_dot, print_purefn, print_value, DotError,
 };
 pub use func::{EvalError, Op, PureFn};
-pub use high::{ep, Attachment, EdgeList, Endpoint, ExprHigh, GraphError, NodeId};
+pub use high::{ep, Attachment, Endpoint, ExprHigh, GraphError, NodeId};
 pub use low::{ExprLow, PortMaps, PortName};
 pub use lower::{lift, lift_expr, lower, lower_group, lower_grouped, LowerError, Lowered};
 pub use value::{Tag, Ty, Value};

@@ -61,47 +61,8 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let n = items.len();
-    let workers = worker_count(n);
-    if workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let record = graphiti_obs::enabled();
-    // Causal tracing: workers adopt the caller's current span as their
-    // parent, so job spans trace back to the fan-out site.
-    let parent_span = if record { graphiti_obs::current_span_id() } else { 0 };
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let (next, slots, results, f) = (&next, &slots, &results, &f);
-            scope.spawn(move || {
-                let _adopt = graphiti_obs::adopt_parent(parent_span);
-                let mut done: u64 = 0;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let item = slots[i].lock().expect("job slot").take().expect("job taken once");
-                    let r = f(item);
-                    *results[i].lock().expect("result slot") = Some(r);
-                    done += 1;
-                }
-                if record && done > 0 {
-                    graphiti_obs::counter(&format!("pool.jobs.worker_{w}")).add(done);
-                }
-            });
-        }
-    });
-    if record {
-        graphiti_obs::gauge("pool.workers").set(workers as i64);
-    }
-    results
-        .into_iter()
-        .map(|m| m.into_inner().expect("result slot").expect("job completed"))
-        .collect()
+    parallel_map_cancellable(items, &graphiti_obs::CancelToken::new(), f)
+        .expect("a fresh token never trips")
 }
 
 /// [`parallel_map`] with cooperative cancellation: each worker polls
@@ -141,6 +102,8 @@ where
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let record = graphiti_obs::enabled();
+    // Causal tracing: workers adopt the caller's current span as their
+    // parent, so job spans trace back to the fan-out site.
     let parent_span = if record { graphiti_obs::current_span_id() } else { 0 };
     std::thread::scope(|scope| {
         for w in 0..workers {

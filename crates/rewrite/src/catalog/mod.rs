@@ -16,8 +16,9 @@
 //!   paper formally verifies.
 //!
 //! Each rewrite records whether it carries a refinement obligation
-//! (`verified`); the engine's checked mode discharges those obligations with
-//! the bounded refinement checker.
+//! (`verified`); an engine in [`CheckMode::Deferred`](crate::CheckMode)
+//! records those obligations and [`crate::verify::discharge`] checks them
+//! with the bounded refinement checker.
 
 pub mod elim;
 pub mod intro;

@@ -297,7 +297,8 @@ pub fn fork_flatten() -> Rewrite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{CheckMode, Engine};
+    use crate::engine::Engine;
+    use crate::verify::discharge;
     use graphiti_ir::Value;
     use graphiti_sem::RefineConfig;
 
@@ -366,12 +367,12 @@ mod tests {
             max_states: 20_000,
             ..Default::default()
         };
-        let mut engine = Engine::checked(cfg);
-        let rw = mux_combine();
-        let g2 = engine.apply_first(&g, &rw).unwrap().expect("match found");
+        let mut engine = Engine::deferring();
+        let g2 = engine.apply_first(&g, &mux_combine()).unwrap().expect("match found");
         g2.validate().unwrap();
-        let verdict = engine.log[0].verdict.clone().expect("checked");
-        assert!(verdict.is_ok(), "{verdict:?}");
+        let verdicts = discharge(engine.obligations, &cfg);
+        assert_eq!(verdicts.len(), 1);
+        assert!(verdicts[0].verdict.is_ok(), "{:?}", verdicts[0].verdict);
     }
 
     #[test]
@@ -427,10 +428,11 @@ mod tests {
         g.connect(ep("b", "out0"), ep("s2", "in")).unwrap();
         g.connect(ep("b", "out1"), ep("s3", "in")).unwrap();
         let cfg = RefineConfig { domain: vec![Value::Int(0)], max_depth: 6, ..Default::default() };
-        let mut engine = Engine::checked(cfg);
-        assert_eq!(engine.mode, CheckMode::Checked);
+        let mut engine = Engine::deferring();
         let g2 = engine.apply_first(&g, &fork_flatten()).unwrap().expect("match");
         g2.validate().unwrap();
-        assert!(engine.log[0].verdict.as_ref().expect("checked").is_ok());
+        let verdicts = discharge(engine.obligations, &cfg);
+        assert_eq!(verdicts.len(), 1);
+        assert!(verdicts[0].verdict.is_ok(), "{:?}", verdicts[0].verdict);
     }
 }

@@ -7,8 +7,8 @@
 //! over [`PureFn`] terms, and extraction picks the smallest equivalent
 //! function. The pipeline uses it to canonicalize and minimize the pure
 //! functions produced by pure generation; like egg, it is an *untrusted*
-//! oracle — the engine's checked mode and randomized tests validate its
-//! output.
+//! oracle — the refinement obligations of the rewrites that use it and
+//! randomized tests validate its output.
 
 use graphiti_ir::{Op, PureFn, Value};
 use std::collections::{BTreeMap, HashMap};
@@ -181,11 +181,6 @@ impl EGraph {
     /// Nodes of a class.
     pub fn nodes(&self, id: ClassId) -> Vec<ENode> {
         self.classes.get(&self.find(id)).cloned().unwrap_or_default()
-    }
-
-    /// Number of e-classes currently alive.
-    pub fn class_count(&self) -> usize {
-        self.classes.len()
     }
 
     /// Unions two classes if distinct; returns whether anything changed.

@@ -23,12 +23,12 @@
 //! obligations, and then only for the matched group
 //! ([`lower_group`](graphiti_ir::lower_group)) and the replacement.
 //!
-//! In *checked mode* the engine discharges the premise of Theorem 4.6 for
-//! every application of a rewrite marked verified: it denotes `e_rhs` and
-//! `e_lhs` and runs the bounded refinement check `⟦e_rhs⟧ ⊑ ⟦e_lhs⟧`,
-//! refusing the application on a counterexample. Rewrites marked unverified
-//! (the paper's "minor rewrites", §6.3 Limitations) are applied without a
-//! check and recorded as such.
+//! In [`CheckMode::Deferred`] the engine records the premise of Theorem 4.6
+//! for every application of a rewrite marked verified: the pair
+//! `(e_lhs, e_rhs)` whose refinement `⟦e_rhs⟧ ⊑ ⟦e_lhs⟧` must hold, as an
+//! [`Obligation`]. The batch is discharged after rewriting by
+//! [`crate::verify::discharge`]. Rewrites marked unverified (the paper's
+//! "minor rewrites", §6.3 Limitations) incur no obligation.
 //!
 //! Rewrites whose right-hand side is pure wiring (e.g. eliminating a 1-way
 //! fork) use a [`Replacement::Passthrough`], spliced the same way; their
@@ -40,7 +40,6 @@ use graphiti_ir::{
     lower_group, Attachment, CompKind, Endpoint, ExprHigh, ExprLow, GraphError, LowerError, NodeId,
     PortMaps, PortName,
 };
-use graphiti_sem::{check_refinement, denote, Env, Event, RefineConfig, Refinement};
 
 /// Bumps `rewrite.{kind}.{name}` when obs collection is enabled.
 ///
@@ -88,12 +87,6 @@ pub struct Match {
 }
 
 impl Match {
-    /// A match over the given role bindings; `nodes` is their value set.
-    pub fn from_bindings(bindings: BTreeMap<String, NodeId>) -> Match {
-        let nodes = bindings.values().cloned().collect();
-        Match { nodes, bindings }
-    }
-
     /// The node bound to `role`.
     ///
     /// # Panics
@@ -138,13 +131,6 @@ pub enum RewriteError {
     Lower(LowerError),
     /// The replacement does not cover the match's boundary exactly.
     BoundaryMismatch(String),
-    /// Checked mode found a refinement violation.
-    RefinementViolated {
-        /// The offending rewrite.
-        rewrite: String,
-        /// The violating trace.
-        trace: Vec<Event>,
-    },
     /// The rewrite's builder rejected the match.
     BuilderFailed(String),
     /// A structural assumption did not hold.
@@ -157,13 +143,6 @@ impl fmt::Display for RewriteError {
             RewriteError::Graph(e) => write!(f, "graph error: {e}"),
             RewriteError::Lower(e) => write!(f, "lowering error: {e}"),
             RewriteError::BoundaryMismatch(m) => write!(f, "boundary mismatch: {m}"),
-            RewriteError::RefinementViolated { rewrite, trace } => {
-                write!(f, "rewrite `{rewrite}` violates refinement; trace:")?;
-                for e in trace {
-                    write!(f, " {e};")?;
-                }
-                Ok(())
-            }
             RewriteError::BuilderFailed(m) => write!(f, "builder failed: {m}"),
             RewriteError::Unsupported(m) => write!(f, "unsupported: {m}"),
         }
@@ -191,8 +170,8 @@ type BuilderFn = Box<dyn Fn(&ExprHigh, &Match) -> Result<Replacement, RewriteErr
 pub struct Rewrite {
     /// Rewrite name, e.g. `"mux-combine"`.
     pub name: &'static str,
-    /// Whether the rewrite carries a refinement obligation discharged in
-    /// checked mode. Unverified rewrites mirror the paper's minor rewrites.
+    /// Whether an application incurs a refinement obligation. Unverified
+    /// rewrites mirror the paper's minor rewrites.
     pub verified: bool,
     matcher: MatcherFn,
     builder: BuilderFn,
@@ -233,26 +212,23 @@ impl Rewrite {
     }
 }
 
-/// Whether applications are verified against the semantics.
+/// Whether applications incur refinement obligations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckMode {
     /// Apply without semantic checks (fast path; the default for the
     /// benchmark pipeline, matching the extracted Lean code's behaviour).
     Off,
-    /// For every application of a `verified` rewrite, run the bounded
-    /// refinement check `⟦rhs⟧ ⊑ ⟦lhs⟧` and refuse on a counterexample.
-    Checked,
     /// Record each verified application's obligation (the lowered
-    /// `lhs`/`rhs` pair) in [`Engine::obligations`] instead of checking it
-    /// inline. Obligations are plain data, so they can be discharged later
-    /// on worker threads — see [`crate::verify::discharge`].
+    /// `lhs`/`rhs` pair) in [`Engine::obligations`]. Obligations are plain
+    /// data, so the batch is discharged after rewriting on worker threads —
+    /// see [`crate::verify::discharge`].
     Deferred,
 }
 
-/// A deferred refinement obligation: one application of a verified rewrite,
-/// captured as the lowered expression pair the inline check would have
-/// denoted. `ExprLow` is plain data (`Send`), so obligations collected on
-/// the rewriting thread can be discharged in parallel.
+/// A refinement obligation: one application of a verified rewrite, captured
+/// as the lowered expression pair `⟦rhs⟧ ⊑ ⟦lhs⟧` is checked on. `ExprLow`
+/// is plain data (`Send`), so obligations collected on the rewriting thread
+/// can be discharged in parallel.
 #[derive(Debug, Clone)]
 pub struct Obligation {
     /// Name of the rewrite that incurred the obligation.
@@ -273,22 +249,18 @@ pub struct Applied {
     /// Fresh names of the nodes the replacement added, in the order they
     /// were allocated (empty for a passthrough).
     pub created: Vec<NodeId>,
-    /// Checked-mode verdict (`None` when unchecked).
-    pub verdict: Option<Refinement>,
 }
 
 /// The rewriting engine: applies rewrites, keeps a log, and (optionally)
-/// checks refinement obligations.
+/// records refinement obligations.
 #[derive(Debug)]
 pub struct Engine {
-    /// Whether refinement obligations are checked.
+    /// Whether refinement obligations are recorded.
     pub mode: CheckMode,
-    /// Bounds for checked mode.
-    pub refine_cfg: RefineConfig,
     /// Log of applications, in order.
     pub log: Vec<Applied>,
     /// Obligations collected in [`CheckMode::Deferred`], in application
-    /// order; empty in the other modes.
+    /// order; empty when checks are off.
     pub obligations: Vec<Obligation>,
     fresh_counter: usize,
 }
@@ -302,27 +274,12 @@ impl Default for Engine {
 impl Engine {
     /// An engine with checks off.
     pub fn new() -> Engine {
-        Engine {
-            mode: CheckMode::Off,
-            refine_cfg: RefineConfig::default(),
-            log: Vec::new(),
-            obligations: Vec::new(),
-            fresh_counter: 0,
-        }
+        Engine { mode: CheckMode::Off, log: Vec::new(), obligations: Vec::new(), fresh_counter: 0 }
     }
 
-    /// An engine in checked mode with the given bounds.
-    pub fn checked(refine_cfg: RefineConfig) -> Engine {
-        Engine { mode: CheckMode::Checked, ..Engine::with_cfg(refine_cfg) }
-    }
-
-    /// An engine that defers obligations instead of checking inline.
-    pub fn deferring(refine_cfg: RefineConfig) -> Engine {
-        Engine { mode: CheckMode::Deferred, ..Engine::with_cfg(refine_cfg) }
-    }
-
-    fn with_cfg(refine_cfg: RefineConfig) -> Engine {
-        Engine { refine_cfg, ..Engine::new() }
+    /// An engine that records the obligation of every verified application.
+    pub fn deferring() -> Engine {
+        Engine { mode: CheckMode::Deferred, ..Engine::new() }
     }
 
     /// Number of rewrite applications so far.
@@ -335,8 +292,7 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Fails on builder rejection, boundary mistakes, or (in checked mode) a
-    /// refinement violation.
+    /// Fails on builder rejection or boundary mistakes.
     pub fn apply_first(
         &mut self,
         g: &ExprHigh,
@@ -404,39 +360,14 @@ impl Engine {
             Replacement::Passthrough { wires } => Resolved::Passthrough(wires),
         };
 
-        let verdict = if self.mode != CheckMode::Off && rw.verified {
+        if self.mode == CheckMode::Deferred && rw.verified {
             // A passthrough with no wires has no expressible rhs.
             let rhs = render_rhs(g, &repl).ok_or_else(|| {
                 RewriteError::Unsupported("verified rewrite with unrenderable rhs".into())
             })?;
             let lhs = lower_group(g, &m.nodes)?;
-            match self.mode {
-                CheckMode::Checked => {
-                    // Times denotation + refinement checking; the checker
-                    // itself records `refine.*` state counts when
-                    // collection is enabled.
-                    let _check_span = graphiti_obs::span("refine_check");
-                    let env = Env::standard();
-                    let lhs_mod = denote(&lhs, &env);
-                    let rhs_mod = denote(&rhs, &env);
-                    let r = check_refinement(&rhs_mod, &lhs_mod, &self.refine_cfg);
-                    if let Refinement::Fails { trace } = &r {
-                        return Err(RewriteError::RefinementViolated {
-                            rewrite: rw.name.to_string(),
-                            trace: trace.clone(),
-                        });
-                    }
-                    Some(r)
-                }
-                CheckMode::Deferred => {
-                    self.obligations.push(Obligation { rewrite: rw.name.to_string(), lhs, rhs });
-                    None
-                }
-                CheckMode::Off => unreachable!("guarded above"),
-            }
-        } else {
-            None
-        };
+            self.obligations.push(Obligation { rewrite: rw.name.to_string(), lhs, rhs });
+        }
 
         let (g2, created) = match &repl {
             Resolved::Subgraph(frag) => {
@@ -457,12 +388,7 @@ impl Engine {
             );
         }
 
-        self.log.push(Applied {
-            rewrite: rw.name.to_string(),
-            nodes: m.nodes.clone(),
-            created,
-            verdict,
-        });
+        self.log.push(Applied { rewrite: rw.name.to_string(), nodes: m.nodes.clone(), created });
         Ok(g2)
     }
 

@@ -7,7 +7,7 @@
 //! the [`PureFn`] mapping the region's single input value to that wire's
 //! value. The result is *untrusted*: the pipeline turns it into a
 //! region-to-Pure rewrite whose refinement obligation is discharged like any
-//! other (checked mode), and tests cross-check it against the rewrite-based
+//! other ([`crate::verify`]), and tests cross-check it against the rewrite-based
 //! pure generation pointwise.
 //!
 //! Extraction fails — and with it the whole out-of-order transformation, as

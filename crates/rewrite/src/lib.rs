@@ -8,19 +8,18 @@
 //!   lowering the graph so the matched nodes form a contiguous
 //!   [`ExprLow`](graphiti_ir::ExprLow) sub-expression, substituting
 //!   `e[lhs := rhs]` (§4.2) and lifting back, is the spec: debug builds
-//!   check every application against it. In checked mode each application
-//!   of a verified rewrite discharges the premise of Theorem 4.6 via the
-//!   bounded refinement checker.
+//!   check every application against it. In [`CheckMode::Deferred`] each
+//!   application of a verified rewrite records the premise of Theorem 4.6
+//!   as an [`Obligation`].
 //! * [`catalog`] contains the rewrite catalogue of Fig. 3, including the
 //!   formally-verified out-of-order loop rewrite
 //!   ([`catalog::ooo::loop_ooo`]).
 //! * [`extract_region_function`] and [`simplify`]/[`EGraph`] are the
 //!   untrusted oracles used by pure generation (§3.2), standing in for the
 //!   paper's egg-based oracle.
-//! * [`verify`] discharges deferred refinement obligations in parallel:
-//!   an engine in [`CheckMode::Deferred`] records each verified
-//!   application's lowered `lhs`/`rhs` pair, and [`verify::discharge`]
-//!   fans the independent bounded checks out across worker threads.
+//! * [`verify`] is where obligations are checked: [`verify::discharge`]
+//!   denotes each recorded `lhs`/`rhs` pair and fans the independent
+//!   bounded checks out across worker threads once rewriting is done.
 //!
 //! # Example
 //!

@@ -1,22 +1,28 @@
-//! Parallel discharge of deferred refinement obligations.
+//! Parallel discharge of refinement obligations: the one place an
+//! obligation is checked.
 //!
 //! An [`Engine`](crate::Engine) in [`CheckMode::Deferred`](crate::CheckMode)
 //! records each verified application's obligation — the lowered `lhs`/`rhs`
-//! pair the inline check would have denoted — instead of checking it while
-//! rewriting. The pairs are plain [`ExprLow`](graphiti_ir::ExprLow) data, so
-//! a batch collected on the rewriting thread can be denoted and checked on
-//! worker threads here. Verdicts come back in obligation order, so a
-//! deferred run reports exactly what the equivalent inline run would have
-//! (denotation and checking are deterministic in the expression pair).
+//! pair — while rewriting. The pairs are plain
+//! [`ExprLow`](graphiti_ir::ExprLow) data, so a batch collected on the
+//! rewriting thread is denoted and checked on worker threads here. Verdicts
+//! come back in obligation order, and denotation and checking are
+//! deterministic in the expression pair, so a batch reports the same
+//! verdicts at any worker count.
 //!
-//! Deferring does *not* change which graph the engine produces: the rewrite
-//! is applied optimistically and the violation, if any, surfaces when the
-//! batch is discharged. Use it where the checked pipeline's answer is
-//! "did every obligation hold?" rather than "stop at the first violation" —
-//! catalogue audits, CI, the `--checked-deferred` CLI mode.
+//! Recording does *not* change which graph the engine produces: every
+//! rewrite is applied, and a violation, if any, surfaces when the batch is
+//! discharged ([`first_violation`]) — the way translation validation checks
+//! a finished translation rather than each step inside it. The checked CLI
+//! run, fuzz oracle 4 and the `checked-gcd` benchmark all check this way.
+//! One copy of the per-obligation work lives outside this module: the
+//! benchmark's *traced* pass denotes and checks each obligation itself, so
+//! that denotation and checking get timing spans of their own.
 
 use crate::engine::Obligation;
-use graphiti_sem::{check_refinement, denote, BoundKind, Env, RefineConfig, Refinement};
+use graphiti_sem::{
+    check_refinement_with_stats, denote, BoundKind, Env, RefineConfig, RefineStats, Refinement,
+};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -27,6 +33,8 @@ pub struct Discharged {
     pub rewrite: String,
     /// The bounded checker's verdict for `⟦rhs⟧ ⊑ ⟦lhs⟧`.
     pub verdict: Refinement,
+    /// How much the check explored to reach the verdict.
+    pub stats: RefineStats,
 }
 
 /// Discharges a batch of obligations, fanning the independent checks out
@@ -34,7 +42,8 @@ pub struct Discharged {
 /// overridable with `GRAPHITI_JOBS`). Verdicts are returned in obligation
 /// order regardless of which worker ran each check.
 pub fn discharge(obligations: Vec<Obligation>, cfg: &RefineConfig) -> Vec<Discharged> {
-    graphiti_pool::parallel_map(obligations, |ob| check_one(ob, cfg))
+    discharge_cancellable(obligations, &graphiti_obs::CancelToken::new(), cfg)
+        .expect("a fresh token never trips")
 }
 
 /// [`discharge`] under a cooperative cancellation token (threaded through
@@ -54,7 +63,8 @@ fn check_one(ob: Obligation, cfg: &RefineConfig) -> Discharged {
     let env = Env::standard();
     let lhs = denote(&ob.lhs, &env);
     let rhs = denote(&ob.rhs, &env);
-    Discharged { rewrite: ob.rewrite, verdict: check_refinement(&rhs, &lhs, cfg) }
+    let (verdict, stats) = check_refinement_with_stats(&rhs, &lhs, cfg);
+    Discharged { rewrite: ob.rewrite, verdict, stats }
 }
 
 /// The first violation in a batch of verdicts, if any.
@@ -135,23 +145,22 @@ mod tests {
         let g = fork_tree();
         let rw = catalog::normalize::fork_flatten();
 
-        let mut inline = Engine::checked(RefineConfig::default());
-        let g_inline = inline.apply_first(&g, &rw).unwrap().expect("match");
+        let mut unchecked = Engine::new();
+        let g_unchecked = unchecked.apply_first(&g, &rw).unwrap().expect("match");
 
-        let mut deferred = Engine::deferring(RefineConfig::default());
+        let mut deferred = Engine::deferring();
         assert_eq!(deferred.mode, CheckMode::Deferred);
         let g_deferred = deferred.apply_first(&g, &rw).unwrap().expect("match");
 
-        // Same graph out, obligation captured instead of checked.
-        assert_eq!(g_inline, g_deferred);
+        // Same graph out, obligation captured alongside.
+        assert_eq!(g_unchecked, g_deferred);
+        assert!(unchecked.obligations.is_empty());
         assert_eq!(deferred.obligations.len(), 1);
-        assert!(deferred.log[0].verdict.is_none());
 
-        let verdicts = discharge(std::mem::take(&mut deferred.obligations), &deferred.refine_cfg);
+        let verdicts =
+            discharge(std::mem::take(&mut deferred.obligations), &RefineConfig::default());
         assert_eq!(verdicts.len(), 1);
         assert_eq!(verdicts[0].rewrite, rw.name);
-        // The parallel verdict matches the inline one.
-        assert_eq!(Some(&verdicts[0].verdict), inline.log[0].verdict.as_ref());
         assert!(first_violation(&verdicts).is_none());
     }
 
@@ -159,14 +168,14 @@ mod tests {
     fn discharge_preserves_obligation_order() {
         let g = fork_tree();
         let rw = catalog::normalize::fork_flatten();
-        let mut eng = Engine::deferring(RefineConfig::default());
+        let mut eng = Engine::deferring();
         // Two applications: flatten once, then the result still has the
         // obligation list in application order even if workers finish
         // out of order.
         let g2 = eng.apply_first(&g, &rw).unwrap().expect("match");
         let _ = eng.apply_first(&g2, &rw).unwrap();
         let names: Vec<String> = eng.obligations.iter().map(|o| o.rewrite.clone()).collect();
-        let verdicts = discharge(std::mem::take(&mut eng.obligations), &eng.refine_cfg);
+        let verdicts = discharge(std::mem::take(&mut eng.obligations), &RefineConfig::default());
         let got: Vec<String> = verdicts.iter().map(|d| d.rewrite.clone()).collect();
         assert_eq!(names, got);
         assert!(verdicts.iter().all(|d| d.verdict.is_ok()));
@@ -175,7 +184,8 @@ mod tests {
     #[test]
     fn tally_separates_bounded_from_holds() {
         use graphiti_sem::BoundHit;
-        let d = |verdict| Discharged { rewrite: "r".into(), verdict };
+        let d =
+            |verdict| Discharged { rewrite: "r".into(), verdict, stats: RefineStats::default() };
         let bound = |kind, at| Refinement::BoundReached(BoundHit { kind, at });
         let batch = [
             d(Refinement::Holds),

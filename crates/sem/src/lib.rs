@@ -10,10 +10,10 @@
 //!   semantics to every component kind, including the locally
 //!   nondeterministic Merge and the Tagger/Untagger reorder buffer.
 //! * [`denote`] — the denotation `⟦·⟧ε` of ExprLow expressions.
-//! * [`check_refinement`] / [`check_simulation`] — bounded, executable
-//!   counterparts of the paper's refinement proofs: trace inclusion via
-//!   subset construction over weak steps, and verification of a candidate
-//!   simulation relation against the diagrams of §4.4.
+//! * [`check_refinement`] — the bounded, executable counterpart of the
+//!   paper's refinement proofs: trace inclusion via subset construction
+//!   over weak steps. It checks trace inclusion, which refinement implies;
+//!   it does not construct or verify the simulation relation φ of §4.4.
 //! * [`run_random`] — seeded nondeterministic execution for property tests.
 //!
 //! # Example: a rewrite's semantic obligation
@@ -59,8 +59,8 @@ pub use denote::{denote, denote_graph, Env};
 pub use exec::{run_random, RunResult};
 pub use module::{InputFn, Module, OutputFn};
 pub use refine::{
-    check_refinement, check_refinement_with_stats, check_simulation, BoundHit, BoundKind, Event,
-    RefineConfig, RefineStats, Refinement,
+    check_refinement, check_refinement_with_stats, BoundHit, BoundKind, Event, RefineConfig,
+    RefineStats, Refinement,
 };
 pub use state::{CompState, State, TaggerState};
 pub use traces::{bounded_traces, trace_subset};

@@ -3,24 +3,20 @@
 //! The paper proves refinements `m ⊑ m'` (Defs 4.1–4.5) in Lean. This crate
 //! checks them *executably* on bounded domains:
 //!
-//! * [`check_refinement`] — trace inclusion over weak steps via an on-the-fly
-//!   subset construction: every trace of the implementation (with internal
-//!   steps erased) must be a trace of the specification. Refinement implies
-//!   trace inclusion, and for the finite, queue-capped state spaces explored
-//!   here the check is exhaustive up to the configured bounds.
-//! * [`check_simulation`] — verifies a user-supplied candidate relation φ
-//!   against the three simulation diagrams of §4.4 (internal steps *after*
-//!   inputs, *before* outputs) on all reachable related pairs.
+//! [`check_refinement`] checks trace inclusion over weak steps via an
+//! on-the-fly subset construction: every trace of the implementation (with
+//! internal steps erased) must be a trace of the specification. Refinement
+//! implies trace inclusion, and for the finite, queue-capped state spaces
+//! explored here the check is exhaustive up to the configured bounds.
 //!
-//! Both return [`Refinement::BoundReached`] instead of a verdict when a
+//! It returns [`Refinement::BoundReached`] instead of a verdict when a
 //! resource bound is hit — carrying a [`BoundHit`] that says which bound
 //! and at what count — so a bounded pass is never confused with a proof.
 
 use crate::intern::{hash_of, Chains, FxHashMap, FxHashSet, Stepper, Values};
 use crate::module::{Module, Rel};
-use crate::state::State;
 use graphiti_ir::{PortName, Value};
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// An externally visible event of a module run.
@@ -174,24 +170,6 @@ pub struct RefineStats {
     pub depth_prunes: u64,
     /// Successor states discarded by the queue cap.
     pub queue_prunes: u64,
-}
-
-/// The internal closure of a set of states: everything reachable via
-/// internal transitions. `None` when the closure exceeds `limit`.
-fn closure(m: &Module, start: BTreeSet<State>, limit: usize) -> Option<BTreeSet<State>> {
-    let mut all = start.clone();
-    let mut frontier: Vec<State> = start.into_iter().collect();
-    while let Some(s) = frontier.pop() {
-        for s2 in m.internal_step(&s) {
-            if all.insert(s2.clone()) {
-                if all.len() > limit {
-                    return None;
-                }
-                frontier.push(s2);
-            }
-        }
-    }
-    Some(all)
 }
 
 /// Checks (bounded) trace inclusion of `imp` in `spec`.
@@ -676,137 +654,6 @@ impl<'m> Explorer<'m> {
     }
 }
 
-/// Verifies a candidate simulation relation φ against the diagrams of §4.4:
-/// inputs may be followed by spec internal steps, outputs preceded by them,
-/// and internal steps matched by internal steps, on every reachable related
-/// pair (Defs 4.1–4.4 plus the initial-state condition).
-pub fn check_simulation(
-    imp: &Module,
-    spec: &Module,
-    phi: &dyn Fn(&State, &State) -> bool,
-    cfg: &RefineConfig,
-) -> Refinement {
-    let mut queue: VecDeque<(State, State, usize, Vec<Event>)> = VecDeque::new();
-    for i0 in imp.init() {
-        let mut matched = false;
-        for s0 in spec.init() {
-            if phi(i0, s0) {
-                matched = true;
-                queue.push_back((i0.clone(), s0.clone(), 0, Vec::new()));
-            }
-        }
-        if !matched {
-            return Refinement::Fails { trace: vec![] };
-        }
-    }
-
-    let mut bound_hit: Option<BoundHit> = None;
-    let note_bound = |slot: &mut Option<BoundHit>, kind: BoundKind, at: u64| {
-        slot.get_or_insert(BoundHit { kind, at });
-    };
-    let closure_bound = Refinement::BoundReached(BoundHit {
-        kind: BoundKind::ClosureLimit,
-        at: cfg.closure_limit as u64,
-    });
-    let mut visited: HashSet<(State, State)> = HashSet::new();
-
-    while let Some((i, s, depth, trace)) = queue.pop_front() {
-        if !visited.insert((i.clone(), s.clone())) {
-            continue;
-        }
-        if visited.len() > cfg.max_states {
-            return Refinement::BoundReached(BoundHit {
-                kind: BoundKind::States,
-                at: visited.len() as u64,
-            });
-        }
-        if depth >= cfg.max_depth {
-            note_bound(&mut bound_hit, BoundKind::Depth, depth as u64);
-            continue;
-        }
-        let spec_closure = match closure(spec, [s.clone()].into_iter().collect(), cfg.closure_limit)
-        {
-            Some(c) => c,
-            None => return closure_bound,
-        };
-
-        // Internal diagram.
-        for i2 in imp.internal_step(&i) {
-            if i2.max_queue_len() > cfg.queue_cap {
-                note_bound(&mut bound_hit, BoundKind::QueueCap, i2.max_queue_len() as u64);
-                continue;
-            }
-            let matches: Vec<&State> = spec_closure.iter().filter(|s2| phi(&i2, s2)).collect();
-            if matches.is_empty() {
-                return Refinement::Fails { trace };
-            }
-            for s2 in matches {
-                queue.push_back((i2.clone(), s2.clone(), depth + 1, trace.clone()));
-            }
-        }
-
-        // Input diagram: spec does the input, then internal steps.
-        for p in imp.input_ports() {
-            if !spec.inputs.contains_key(&p) {
-                return Refinement::Incomparable(format!("spec lacks input port {p}"));
-            }
-            for v in &cfg.domain {
-                for i2 in imp.input_step(&p, &i, v) {
-                    if i2.max_queue_len() > cfg.queue_cap {
-                        note_bound(&mut bound_hit, BoundKind::QueueCap, i2.max_queue_len() as u64);
-                        continue;
-                    }
-                    let after_in = spec.input_step(&p, &s, v).into_iter().collect();
-                    let closed = match closure(spec, after_in, cfg.closure_limit) {
-                        Some(c) => c,
-                        None => return closure_bound,
-                    };
-                    let mut trace2 = trace.clone();
-                    trace2.push(Event::In(p.clone(), v.clone()));
-                    if closed.is_empty() && cfg.well_typed_inputs {
-                        continue;
-                    }
-                    let matches: Vec<&State> = closed.iter().filter(|s2| phi(&i2, s2)).collect();
-                    if matches.is_empty() {
-                        return Refinement::Fails { trace: trace2 };
-                    }
-                    for s2 in matches {
-                        queue.push_back((i2.clone(), s2.clone(), depth + 1, trace2.clone()));
-                    }
-                }
-            }
-        }
-
-        // Output diagram: spec does internal steps, then the output.
-        for p in imp.output_ports() {
-            if !spec.outputs.contains_key(&p) {
-                return Refinement::Incomparable(format!("spec lacks output port {p}"));
-            }
-            for (v, i2) in imp.output_step(&p, &i) {
-                let candidates: BTreeSet<State> = spec_closure
-                    .iter()
-                    .flat_map(|t| spec.output_step(&p, t))
-                    .filter_map(|(v2, t2)| if v2 == v { Some(t2) } else { None })
-                    .collect();
-                let mut trace2 = trace.clone();
-                trace2.push(Event::Out(p.clone(), v.clone()));
-                let matches: Vec<&State> = candidates.iter().filter(|s2| phi(&i2, s2)).collect();
-                if matches.is_empty() {
-                    return Refinement::Fails { trace: trace2 };
-                }
-                for s2 in matches {
-                    queue.push_back((i2.clone(), s2.clone(), depth + 1, trace2.clone()));
-                }
-            }
-        }
-    }
-
-    match bound_hit {
-        Some(hit) => Refinement::BoundReached(hit),
-        None => Refinement::Holds,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1029,15 +876,6 @@ mod tests {
     }
 
     #[test]
-    fn simulation_identity_relation_on_equal_modules() {
-        let m1 = buffer_chain(2);
-        let m2 = buffer_chain(2);
-        let cfg = RefineConfig { domain: vec![Value::Int(0)], max_depth: 6, ..Default::default() };
-        let r = check_simulation(&m1, &m2, &|a, b| a == b, &cfg);
-        assert!(r.is_ok(), "{r:?}");
-    }
-
-    #[test]
     fn well_typedness_assumption_is_togglable() {
         // impl = buffer (accepts anything), spec = split;join (accepts only
         // pairs). Under the well-typed assumption the wire refines the
@@ -1075,30 +913,5 @@ mod tests {
         assert!(check_refinement(&wire, &split_join, &typed).is_ok());
         let untyped = RefineConfig { well_typed_inputs: false, ..typed };
         assert!(matches!(check_refinement(&wire, &split_join, &untyped), Refinement::Fails { .. }));
-    }
-
-    #[test]
-    fn simulation_rejects_unrelatable_modules() {
-        // impl = buffer (echoes its input), spec = constant 9: no relation
-        // can make the output diagram commute when the buffer emits 0, and
-        // in particular the total relation fails.
-        let buffer = {
-            let mut in_map = BTreeMap::new();
-            in_map.insert(PortName::local("", "in"), PortName::Io(0));
-            let mut out_map = BTreeMap::new();
-            out_map.insert(PortName::local("", "out"), PortName::Io(0));
-            component_module(&CompKind::Buffer { slots: 1, transparent: false })
-                .rename(&in_map, &out_map)
-        };
-        let constant = {
-            let mut in_map = BTreeMap::new();
-            in_map.insert(PortName::local("", "ctrl"), PortName::Io(0));
-            let mut out_map = BTreeMap::new();
-            out_map.insert(PortName::local("", "out"), PortName::Io(0));
-            component_module(&CompKind::Constant { value: Value::Int(9) }).rename(&in_map, &out_map)
-        };
-        let cfg = RefineConfig { domain: vec![Value::Int(0)], max_depth: 4, ..Default::default() };
-        let r = check_simulation(&buffer, &constant, &|_, _| true, &cfg);
-        assert!(matches!(r, Refinement::Fails { .. }), "{r:?}");
     }
 }

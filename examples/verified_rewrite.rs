@@ -1,15 +1,17 @@
 //! Defining and checking a rewrite.
 //!
 //! Shows the verification story of the paper at work in the executable
-//! setting: a *correct* rewrite (the canonical out-of-order loop rewrite of
-//! Fig. 3d) passes the engine's checked mode, while a deliberately *wrong*
-//! variant — a Merge loop **without** the Tagger/Untagger, which can emit
-//! results out of program order — is rejected by the bounded refinement
-//! check with a counterexample trace.
+//! setting: the engine records each verified application's refinement
+//! obligation and `verify::discharge` checks it. A *correct* rewrite (the
+//! canonical out-of-order loop rewrite of Fig. 3d) passes, while a
+//! deliberately *wrong* variant — a Merge loop **without** the
+//! Tagger/Untagger, which can emit results out of program order — fails the
+//! bounded refinement check with a counterexample trace.
 //!
 //! Run with: `cargo run --release --example verified_rewrite`
 
 use graphiti::prelude::*;
+use graphiti::rewrite::verify::{discharge, first_violation};
 use graphiti::rewrite::{Match, Replacement, RewriteError};
 use graphiti_ir::GraphError;
 use std::collections::BTreeMap;
@@ -51,7 +53,7 @@ fn unsound_loop_ooo() -> Rewrite {
     let sound = catalog::ooo::loop_ooo(2);
     Rewrite::new(
         "loop-ooo-unsound",
-        true, // claims to be verified: checked mode will catch the lie
+        true, // claims to be verified: its discharged obligation exposes the lie
         move |g| sound.matches(g),
         move |g, m: &Match| {
             let body_func = match g.kind(m.node("body")) {
@@ -94,25 +96,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..Default::default()
     };
 
-    // The sound rewrite passes the checked engine.
-    let mut engine = Engine::checked(cfg.clone());
-    let sound = catalog::ooo::loop_ooo(2);
-    let g2 = engine.apply_first(&g, &sound)?.expect("loop matches");
-    let verdict = engine.log[0].verdict.clone().expect("checked");
-    println!("sound loop-ooo: applied, checker verdict = {verdict:?}");
-    assert!(verdict.is_ok());
+    // The sound rewrite's obligation holds.
+    let mut engine = Engine::deferring();
+    let g2 = engine.apply_first(&g, &catalog::ooo::loop_ooo(2))?.expect("loop matches");
     g2.validate()?;
+    let verdicts = discharge(engine.obligations, &cfg);
+    println!("sound loop-ooo: applied, checker verdict = {:?}", verdicts[0].verdict);
+    assert!(first_violation(&verdicts).is_none());
 
-    // The unsound variant is rejected with a counterexample trace.
-    let mut engine = Engine::checked(cfg);
-    match engine.apply_first(&g, &unsound_loop_ooo()) {
-        Err(RewriteError::RefinementViolated { rewrite, trace }) => {
-            println!("unsound `{rewrite}` rejected; counterexample:");
-            for e in &trace {
-                println!("  {e}");
-            }
-        }
-        other => panic!("expected a refinement violation, got {other:?}"),
+    // The unsound variant's obligation fails with a counterexample trace.
+    let mut engine = Engine::deferring();
+    engine.apply_first(&g, &unsound_loop_ooo())?.expect("loop matches");
+    let verdicts = discharge(engine.obligations, &cfg);
+    let bad = first_violation(&verdicts).expect("a refinement violation");
+    let Refinement::Fails { trace } = &bad.verdict else {
+        panic!("expected a counterexample, got {:?}", bad.verdict)
+    };
+    println!("unsound `{}` rejected; counterexample:", bad.rewrite);
+    for e in trace {
+        println!("  {e}");
     }
     Ok(())
 }

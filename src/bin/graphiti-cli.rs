@@ -5,8 +5,8 @@
 //! rewritten dot graph out. This binary plays that role:
 //!
 //! ```text
-//! graphiti-cli [--tags N] [--mark INIT_NODE] [--checked | --checked-deferred]
-//!              [--stats] [--metrics-out FILE] [--trace-out FILE] [INPUT.dot]
+//! graphiti-cli [--tags N] [--mark INIT_NODE] [--checked] [--stats]
+//!              [--metrics-out FILE] [--trace-out FILE] [INPUT.dot]
 //! graphiti-cli --compile [--vcd-out FILE] [--trace-nodes a,b,c] [PROGRAM.gsl]
 //! graphiti-cli explain-stalls [--top K] [PROGRAM.gsl]
 //! graphiti-cli vcd-check FILE.vcd
@@ -26,13 +26,12 @@
 //! resulting circuits are printed as dot. A `.gsl` input file implies
 //! `--compile`.
 //!
-//! `--checked` discharges each verified rewrite's refinement obligation
-//! inline while the pipeline runs; `--checked-deferred` collects the
-//! obligations instead and discharges the whole batch on worker threads
-//! after the (sequential) rewriting finishes — same verdicts, and the
-//! independent checks overlap. A deferred batch that finds no violation
-//! is summarised as a verdict tally, e.g. `4 hold, 11 bounded (states 2,
-//! queue_cap 9), 0 fail`: a check that stopped at a bound is not a proof.
+//! `--checked` collects each verified rewrite's refinement obligation while
+//! the (sequential) rewriting runs, then discharges the whole batch on
+//! worker threads, so the independent checks overlap, before the circuit
+//! is printed. A batch that finds no violation is summarised as a verdict
+//! tally, e.g. `4 hold, 11 bounded (states 2, queue_cap 9), 0 fail`: a
+//! check that stopped at a bound is not a proof.
 //!
 //! `--metrics-out FILE` / `--trace-out FILE` install the `graphiti-obs`
 //! collection sink and write a metrics JSON document / Chrome trace-event
@@ -68,7 +67,7 @@
 //! Deadlines (see DESIGN.md §3.13): `--deadline-ms N` gives the run an
 //! N-millisecond wall-clock budget on a shared cancellation token. Each
 //! pipeline stage (parse, rewrite and simulate in compile mode, and the
-//! deferred check in every mode) runs supervised under it; a stage that
+//! check in every mode) runs supervised under it; a stage that
 //! overruns is cut off with a structured stage error instead of hanging
 //! the run, and its outcome is counted under `robust.stage.*`.
 
@@ -97,7 +96,6 @@ struct Args {
     tags: u32,
     mark: Option<String>,
     checked: bool,
-    deferred: bool,
     stats: bool,
     compile: bool,
     metrics_out: Option<String>,
@@ -120,7 +118,6 @@ fn parse_args() -> Result<Args, String> {
         tags: 8,
         mark: None,
         checked: false,
-        deferred: false,
         stats: false,
         compile: false,
         metrics_out: None,
@@ -154,7 +151,6 @@ fn parse_args() -> Result<Args, String> {
                 args.mark = Some(it.next().ok_or("--mark needs an Init node name")?);
             }
             "--checked" => args.checked = true,
-            "--checked-deferred" => args.deferred = true,
             "--stats" => args.stats = true,
             "--compile" => args.compile = true,
             "--metrics-out" => {
@@ -213,7 +209,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err(
-                    "usage: graphiti-cli [--tags N] [--mark INIT_NODE] [--checked | --checked-deferred] [--stats] [--metrics-out FILE] [--trace-out FILE] [--flight-out FILE] [--deadline-ms N] [INPUT.dot]\n       graphiti-cli --compile [--scheduler compiled|sweep] [--vcd-out FILE] [--wave-sample N] [--trace-nodes a,b,c] [--deadline-ms N] [PROGRAM.gsl]\n       graphiti-cli profile [--json FILE] [--folded FILE] [--flight-out FILE] PROGRAM.gsl\n       graphiti-cli explain-stalls [--scheduler NAME] [--top K] [PROGRAM.gsl]\n       graphiti-cli vcd-check FILE.vcd\n       graphiti-cli schema"
+                    "usage: graphiti-cli [--tags N] [--mark INIT_NODE] [--checked] [--stats] [--metrics-out FILE] [--trace-out FILE] [--flight-out FILE] [--deadline-ms N] [INPUT.dot]\n       graphiti-cli --compile [--scheduler compiled|sweep] [--vcd-out FILE] [--wave-sample N] [--trace-nodes a,b,c] [--deadline-ms N] [PROGRAM.gsl]\n       graphiti-cli profile [--json FILE] [--folded FILE] [--flight-out FILE] PROGRAM.gsl\n       graphiti-cli explain-stalls [--scheduler NAME] [--top K] [PROGRAM.gsl]\n       graphiti-cli vcd-check FILE.vcd\n       graphiti-cli schema"
                         .to_string(),
                 )
             }
@@ -250,22 +246,20 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.mode == Mode::Profile {
         // Profiling covers the whole pipeline through simulation, so it
-        // needs a runnable program too; checks run deferred so the check
-        // phase is a distinct span discharged on the pool.
+        // needs a runnable program too.
         if !args.input.as_deref().is_some_and(|p| p.ends_with(".gsl")) {
             return Err(
                 "profile needs a `.gsl` program (the simulate phase runs the kernels)".to_string()
             );
         }
         args.compile = true;
-        args.deferred = true;
     }
     if (args.vcd_out.is_some() || args.mode == Mode::ExplainStalls) && !args.compile {
         return Err("waveforms and stall attribution need a `.gsl` program (compile mode): \
                     dot circuits carry no input arrays to simulate"
             .to_string());
     }
-    if (args.metrics_out.is_some() || args.trace_out.is_some()) && !args.deferred {
+    if args.metrics_out.is_some() || args.trace_out.is_some() {
         // A profile without refinement-check metrics would be misleading:
         // observed runs are always checked.
         args.checked = true;
@@ -325,10 +319,8 @@ fn write_observations(args: &Args) -> Result<(), String> {
 }
 
 fn check_mode(args: &Args) -> CheckMode {
-    if args.deferred {
+    if args.checked {
         CheckMode::Deferred
-    } else if args.checked {
-        CheckMode::Checked
     } else {
         CheckMode::Off
     }
@@ -343,22 +335,23 @@ fn run_token(args: &Args) -> graphiti::obs::CancelToken {
     }
 }
 
-/// Discharges a deferred obligation batch in parallel as the supervised
-/// `check` stage under the run token, failing on the first violation. A
-/// batch abandoned because the token tripped surfaces as a stage error
-/// naming the deadline or the cancellation.
+/// Discharges an obligation batch in parallel at the checker's default
+/// bounds as the supervised `check` stage under the run token and prints
+/// its verdict tally, failing on the first violation. A batch abandoned
+/// because the token tripped surfaces as a stage error naming the deadline
+/// or the cancellation.
 fn discharge_deferred(
     context: &str,
     obligations: Vec<graphiti::rewrite::Obligation>,
     token: &graphiti::obs::CancelToken,
-    cfg: &graphiti::sem::RefineConfig,
 ) -> Result<(), String> {
     if obligations.is_empty() {
         return Ok(());
     }
     let n = obligations.len();
+    let cfg = graphiti::sem::RefineConfig::default();
     let tally = graphiti_robust::supervise("check", token, || {
-        let verdicts = graphiti::rewrite::verify::discharge_cancellable(obligations, token, cfg)
+        let verdicts = graphiti::rewrite::verify::discharge_cancellable(obligations, token, &cfg)
             .ok_or("deferred obligation batch abandoned")?;
         if let Some(v) = graphiti::rewrite::verify::first_violation(&verdicts) {
             return Err(format!("deferred obligation of `{}` failed: {:?}", v.rewrite, v.verdict));
@@ -425,12 +418,7 @@ fn run_inner(args: &Args) -> Result<(), String> {
         let _span = graphiti::obs::span("optimize");
         optimize_loop(&g, &init, &opts).map_err(|e| e.to_string())?
     };
-    discharge_deferred(
-        "circuit",
-        std::mem::take(&mut report.obligations),
-        &run_token(args),
-        &opts.refine_cfg,
-    )?;
+    discharge_deferred("circuit", std::mem::take(&mut report.obligations), &run_token(args))?;
     if args.stats {
         eprintln!(
             "graphiti-cli: transformed = {}, rewrites = {}, pure-by-rewrites = {}",
@@ -513,7 +501,6 @@ fn compile_mode(src: &str, args: &Args) -> Result<(), String> {
                     &format!("kernel `{}`", kernel.name),
                     std::mem::take(&mut report.obligations),
                     &token,
-                    &opts.refine_cfg,
                 )?;
                 if args.stats {
                     eprintln!(
@@ -587,7 +574,6 @@ fn compile_mode(src: &str, args: &Args) -> Result<(), String> {
 /// reconstructed from the trace. `--json` / `--folded` additionally write
 /// the JSON document and flamegraph-ready folded stacks.
 fn profile_mode(src: &str, args: &Args) -> Result<(), String> {
-    let refine_cfg = graphiti::sem::RefineConfig::default();
     let token = run_token(args);
     {
         let _root = graphiti::obs::span("pipeline");
@@ -612,7 +598,6 @@ fn profile_mode(src: &str, args: &Args) -> Result<(), String> {
                         let opts = PipelineOptions {
                             tags,
                             check: CheckMode::Deferred,
-                            refine_cfg: refine_cfg.clone(),
                             ..Default::default()
                         };
                         let (g, mut report) =
@@ -636,7 +621,7 @@ fn profile_mode(src: &str, args: &Args) -> Result<(), String> {
             // Obligations discharge on the pool here; the workers adopt
             // this span, so refine_check spans parent under `check`.
             let _phase = graphiti::obs::span("check");
-            discharge_deferred("profile", obligations, &token, &refine_cfg)?;
+            discharge_deferred("profile", obligations, &token)?;
         }
 
         {

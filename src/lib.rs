@@ -9,8 +9,9 @@
 //!
 //! The paper's development is a Lean 4 proof; this reproduction replaces
 //! deductive proofs with *executable* checking — a bounded trace-inclusion
-//! refinement checker, simulation-diagram verification, and randomized
-//! property tests — while implementing all of the paper's algorithms
+//! refinement checker, run on the obligation of every verified rewrite
+//! application, and randomized property tests — while implementing all of
+//! the paper's algorithms
 //! (ExprHigh/ExprLow, the denotational module semantics with the ⊎ and
 //! `[o ⇝ i]` combinators, the substitution-based rewriting function, the
 //! rewrite catalogue including the verified out-of-order loop rewrite, and

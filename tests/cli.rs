@@ -142,7 +142,7 @@ fn cli_compile_mode_emits_optimized_dot() {
 
 #[test]
 fn cli_checked_deferred_discharges_in_parallel() {
-    let (stdout, stderr, ok) = run_cli(SEQUENTIAL_LOOP, &["--tags", "4", "--checked-deferred"]);
+    let (stdout, stderr, ok) = run_cli(SEQUENTIAL_LOOP, &["--tags", "4", "--checked"]);
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("type=\"tagger\""), "{stdout}");
     // Both obligations stop at the queue cap: the summary must say
@@ -161,19 +161,14 @@ fn cli_supervises_the_deferred_check_stage() {
     std::fs::create_dir_all(&dir).unwrap();
     let metrics = dir.join("m.json");
     let metrics_str = metrics.to_str().unwrap().to_string();
-    let (_, stderr, ok) = run_cli(
+    // `--metrics-out` alone implies `--checked`: the observed run collects
+    // and discharges the obligations and prints their tally.
+    let (stdout, stderr, ok) = run_cli(
         SEQUENTIAL_LOOP,
-        &[
-            "--tags",
-            "4",
-            "--checked-deferred",
-            "--deadline-ms",
-            "600000",
-            "--metrics-out",
-            &metrics_str,
-        ],
+        &["--tags", "4", "--deadline-ms", "600000", "--metrics-out", &metrics_str],
     );
     assert!(ok, "stderr: {stderr}");
+    assert!(stdout.contains("type=\"tagger\""), "{stdout}");
     // A generous deadline leaves the verdicts untouched.
     assert!(
         stderr.contains(
@@ -183,6 +178,7 @@ fn cli_supervises_the_deferred_check_stage() {
     );
     let doc = std::fs::read_to_string(&metrics).expect("metrics file exists");
     assert!(doc.contains("\"robust.stage.check.ok\""), "check stage outcome counted: {doc}");
+    assert!(doc.contains("\"refine.visited_states\""), "checker metrics recorded: {doc}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -190,8 +186,7 @@ fn cli_supervises_the_deferred_check_stage() {
 fn cli_deadline_cuts_off_the_checked_pipeline_with_a_stage_error() {
     // gcd's deferred check takes far longer than 1 ms, so whichever stage
     // the budget runs out in is cut off with a structured stage error.
-    let (_, stderr, ok) =
-        run_cli(GCD_PROGRAM, &["--compile", "--checked-deferred", "--deadline-ms", "1"]);
+    let (_, stderr, ok) = run_cli(GCD_PROGRAM, &["--compile", "--checked", "--deadline-ms", "1"]);
     assert!(!ok, "an overrun deadline must fail the run: {stderr}");
     assert!(stderr.contains("exceeded its deadline"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");

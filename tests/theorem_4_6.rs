@@ -1,13 +1,15 @@
 //! Theorem 4.6 (replacement refines), executably: if `⟦rhs⟧ ⊑ ⟦lhs⟧` for a
 //! rewrite, then applying it to a *whole graph* `e` yields
-//! `⟦e[lhs := rhs]⟧ ⊑ ⟦e⟧`. The engine checks the premise per application in
-//! checked mode; here we check the *conclusion* on the full circuits, and
-//! the preorder/congruence properties of §4.6 that the proof rests on.
+//! `⟦e[lhs := rhs]⟧ ⊑ ⟦e⟧`. A checked run records the premise of every
+//! application and discharges the batch with `verify::discharge`; here we
+//! check that path, the *conclusion* on the full circuits, and the
+//! preorder/congruence properties of §4.6 that the proof rests on.
 
 use graphiti::prelude::*;
 use graphiti_ir::{lift_expr, lower_grouped};
-use graphiti_rewrite::Replacement;
-use graphiti_sem::Module;
+use graphiti_rewrite::verify::{discharge, first_violation};
+use graphiti_rewrite::{Match, Replacement};
+use graphiti_sem::{Event, Module};
 use std::collections::BTreeMap;
 
 fn io_module(g: &ExprHigh) -> Module {
@@ -146,7 +148,7 @@ fn substitution_on_exprlow_matches_engine_result() {
                 if !matches!(rw.build(g, &m), Ok(Replacement::Subgraph { .. })) {
                     continue;
                 }
-                let mut engine = Engine::deferring(small_cfg());
+                let mut engine = Engine::deferring();
                 let Ok(g2) = engine.apply_at(g, rw, &m) else { continue };
                 let [ob] = engine.obligations.as_slice() else { continue };
                 let lowered = lower_grouped(g, &m.nodes).unwrap();
@@ -163,11 +165,61 @@ fn substitution_on_exprlow_matches_engine_result() {
 #[test]
 fn checked_engine_records_verdicts_per_application() {
     let g = fork_tree_graph();
-    let mut engine = Engine::checked(small_cfg());
+    let mut engine = Engine::deferring();
     let _ = engine.apply_first(&g, &catalog::normalize::fork_flatten()).unwrap().expect("match");
     assert_eq!(engine.log.len(), 1);
-    let applied = &engine.log[0];
-    assert_eq!(applied.rewrite, "fork-flatten");
-    assert!(applied.verdict.as_ref().expect("verified rewrite is checked").is_ok());
-    let _: BTreeMap<String, String> = BTreeMap::new();
+    assert_eq!(engine.log[0].rewrite, "fork-flatten");
+    let verdicts = discharge(engine.obligations, &small_cfg());
+    assert_eq!(verdicts.len(), 1, "one obligation per verified application");
+    assert_eq!(verdicts[0].rewrite, "fork-flatten");
+    assert!(verdicts[0].verdict.is_ok(), "{:?}", verdicts[0].verdict);
+}
+
+/// A rewrite that claims to be verified but swaps `AddI` for `SubI`.
+fn unsound_add_to_sub() -> Rewrite {
+    Rewrite::new(
+        "add-to-sub-unsound",
+        true,
+        |g| {
+            g.nodes()
+                .filter(|(_, k)| matches!(k, CompKind::Operator { op: Op::AddI }))
+                .map(|(n, _)| Match {
+                    nodes: [n.clone()].into(),
+                    bindings: [("op".to_string(), n.clone())].into(),
+                })
+                .collect()
+        },
+        |_, m| {
+            let op = m.node("op");
+            let mut frag = ExprHigh::new();
+            frag.add_node("sub", CompKind::Operator { op: Op::SubI })?;
+            frag.expose_input("a", ep("sub", "in0"))?;
+            frag.expose_input("b", ep("sub", "in1"))?;
+            frag.expose_output("y", ep("sub", "out"))?;
+            let boundary_ins = BTreeMap::from([
+                ("a".into(), ep(op.clone(), "in0")),
+                ("b".into(), ep(op.clone(), "in1")),
+            ]);
+            let boundary_outs = BTreeMap::from([("y".into(), ep(op.clone(), "out"))]);
+            Ok(Replacement::Subgraph { graph: frag, boundary_ins, boundary_outs })
+        },
+    )
+}
+
+/// The engine applies an unsound verified rewrite like any other; the
+/// discharged batch names it with a counterexample that ends where the
+/// two sides disagree, on an output.
+#[test]
+fn discharge_catches_an_unsound_verified_rewrite() {
+    let g = fork_tree_graph();
+    let mut engine = Engine::deferring();
+    let g2 = engine.apply_first(&g, &unsound_add_to_sub()).unwrap().expect("match");
+    assert!(g2.nodes().any(|(_, k)| matches!(k, CompKind::Operator { op: Op::SubI })));
+    let verdicts = discharge(engine.obligations, &small_cfg());
+    let bad = first_violation(&verdicts).expect("the swap is caught");
+    assert_eq!(bad.rewrite, "add-to-sub-unsound");
+    let Refinement::Fails { trace } = &bad.verdict else {
+        panic!("expected a counterexample, got {:?}", bad.verdict)
+    };
+    assert!(matches!(trace.last(), Some(Event::Out(..))), "{trace:?}");
 }
