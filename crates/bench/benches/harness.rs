@@ -226,7 +226,7 @@ fn bench_compile_backend(c: &mut Criterion) {
     let sweep_cfg = SimConfig { scheduler: Scheduler::ReferenceSweep, ..SimConfig::default() };
 
     let mut group = c.benchmark_group("compile_backend");
-    let lower = || CompiledCircuit::new(&placed, &compiled_cfg).expect("lowers");
+    let lower = || CompiledCircuit::new(&placed).expect("lowers");
     group.bench_function("compile_cold", |b| b.iter(|| black_box(lower().stats())));
     let art = lower();
     let run = || art.run(&feeds, p.arrays.clone(), &compiled_cfg).expect("simulates");

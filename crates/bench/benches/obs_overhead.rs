@@ -97,7 +97,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     // The compiled backend without the lowering: one artifact, lowered
     // up front, runs on every iteration.
     let plain_cfg = SimConfig::default();
-    let art = CompiledCircuit::new(&placed, &plain_cfg).expect("lowers");
+    let art = CompiledCircuit::new(&placed).expect("lowers");
     group.bench_function("compiled_run", |b| {
         b.iter(|| {
             let r = art.run(&feeds, p.arrays.clone(), &plain_cfg).expect("simulates");

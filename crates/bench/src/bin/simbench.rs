@@ -149,7 +149,7 @@ fn main() {
                 let arts: Vec<CompiledCircuit> = b
                     .graphs
                     .iter()
-                    .map(|g| CompiledCircuit::new(g, &cfg).expect("lowering succeeds"))
+                    .map(|g| CompiledCircuit::new(g).expect("lowering succeeds"))
                     .collect();
                 for _ in 0..reps {
                     run_once(b, |i, mem| {

@@ -9,8 +9,7 @@
 //! discovered: stores commit out of program order and the final memory is
 //! wrong.
 
-use crate::loops::loop_with_init;
-use crate::pipeline::{PipelineError, PipelineOptions};
+use crate::pipeline::{normalize, PipelineError, PipelineOptions};
 use graphiti_ir::{ep, Attachment, CompKind, ExprHigh, NodeId};
 use graphiti_rewrite::{wire_consumer, wire_driver, Engine};
 use std::fmt;
@@ -56,28 +55,10 @@ pub fn dfooo_loop(
     init: &NodeId,
     opts: &PipelineOptions,
 ) -> Result<ExprHigh, DfOooError> {
-    // Phases 1-2 (same normalization as the verified flow).
-    let mut engine = Engine::new();
-    let phase1 = [
-        graphiti_rewrite::catalog::normalize::mux_combine(),
-        graphiti_rewrite::catalog::normalize::branch_combine(),
-        graphiti_rewrite::catalog::normalize::fork_flatten(),
-    ];
-    let refs: Vec<&graphiti_rewrite::Rewrite> = phase1.iter().collect();
-    let g = engine
-        .exhaust(graph.clone(), &refs, opts.max_rewrites)
-        .map_err(|e| DfOooError::Pipeline(PipelineError::Rewrite(e)))?;
-    let phase2 = [
-        graphiti_rewrite::catalog::elim::fork1_elim(),
-        graphiti_rewrite::catalog::elim::split_join_elim(),
-        graphiti_rewrite::catalog::elim::fork_sink_prune(),
-    ];
-    let refs: Vec<&graphiti_rewrite::Rewrite> = phase2.iter().collect();
-    let mut g = engine
-        .exhaust(g, &refs, opts.max_rewrites)
-        .map_err(|e| DfOooError::Pipeline(PipelineError::Rewrite(e)))?;
-
-    let l = loop_with_init(&g, init).ok_or(DfOooError::LoopNotFound)?;
+    // Phases 1-2 (the verified flow's normalization).
+    let (mut g, l) =
+        normalize(&mut Engine::new(), graph.clone(), init).map_err(DfOooError::Pipeline)?;
+    let l = l.ok_or(DfOooError::LoopNotFound)?;
 
     // Boundary wires of the loop.
     let entry = match g.driver(&ep(l.mux.clone(), "f")) {

@@ -40,18 +40,15 @@ pub struct PipelineOptions {
     /// pipeline itself never reads them: it only records obligations (see
     /// [`graphiti_rewrite::verify::discharge`]).
     pub refine_cfg: RefineConfig,
-    /// Global rewrite budget.
-    pub max_rewrites: usize,
 }
+
+/// The iteration budget of each exhaustive rewrite pass (every
+/// `exhaust`/`exhaust_in_region` call gets the whole budget).
+const MAX_REWRITES: usize = 100_000;
 
 impl Default for PipelineOptions {
     fn default() -> Self {
-        PipelineOptions {
-            tags: 8,
-            check: CheckMode::Off,
-            refine_cfg: RefineConfig::default(),
-            max_rewrites: 100_000,
-        }
+        PipelineOptions { tags: 8, check: CheckMode::Off, refine_cfg: RefineConfig::default() }
     }
 }
 
@@ -252,12 +249,12 @@ fn pure_expand_rewrite(
     )
 }
 
-/// The result of phases 1–2: the normalized graph and the marked loop.
-fn normalize(
+/// Phases 1–2, shared with the DF-OoO baseline: the normalized graph and
+/// the marked loop.
+pub(crate) fn normalize(
     engine: &mut Engine,
     g: ExprHigh,
     init: &NodeId,
-    max: usize,
 ) -> Result<(ExprHigh, Option<SeqLoop>), PipelineError> {
     let phase1 = [
         catalog::normalize::mux_combine(),
@@ -265,14 +262,14 @@ fn normalize(
         catalog::normalize::fork_flatten(),
     ];
     let refs: Vec<&Rewrite> = phase1.iter().collect();
-    let g = engine.exhaust(g, &refs, max)?;
+    let g = engine.exhaust(g, &refs, MAX_REWRITES)?;
     let phase2 = [
         catalog::elim::fork1_elim(),
         catalog::elim::split_join_elim(),
         catalog::elim::fork_sink_prune(),
     ];
     let refs: Vec<&Rewrite> = phase2.iter().collect();
-    let g = engine.exhaust(g, &refs, max)?;
+    let g = engine.exhaust(g, &refs, MAX_REWRITES)?;
     let l = loop_with_init(&g, init);
     Ok((g, l))
 }
@@ -316,7 +313,7 @@ pub fn optimize_loop(
     }
 
     // Phases 1-2.
-    let (g, l) = normalize(&mut engine, graph.clone(), init, opts.max_rewrites)?;
+    let (g, l) = normalize(&mut engine, graph.clone(), init)?;
     let l = match l {
         Some(l) => l,
         None => {
@@ -387,7 +384,7 @@ pub fn optimize_loop(
         catalog::pure_gen::load_to_pure(),
         catalog::pure_gen::constant_to_pure(),
     ];
-    let mut g = exhaust_in_region(&mut engine, g, &mut region, &to_pure, opts.max_rewrites)?;
+    let mut g = exhaust_in_region(&mut engine, g, &mut region, &to_pure, MAX_REWRITES)?;
     let absorb = [
         catalog::pure_gen::fork_to_pure(),
         catalog::pure_gen::pure_fuse(),
@@ -402,7 +399,7 @@ pub fn optimize_loop(
         catalog::elim::join_split_elim(),
         catalog::elim::sink_absorb_pure(),
     ];
-    g = exhaust_in_region(&mut engine, g, &mut region, &absorb, opts.max_rewrites)?;
+    g = exhaust_in_region(&mut engine, g, &mut region, &absorb, MAX_REWRITES)?;
 
     // Re-locate the loop (rewrites did not touch the steering nodes).
     let l = match loop_with_init(&g, init) {

@@ -17,7 +17,7 @@
 //!   fingerprint.
 
 use graphiti_frontend::{parse_program, print_program, Program};
-use graphiti_fuzz::gen::{gen_program, GenConfig};
+use graphiti_fuzz::gen::gen_program;
 use graphiti_fuzz::oracle::{check_program, OracleOpts};
 use graphiti_fuzz::{corpus, shrink, triage};
 use rand::rngs::StdRng;
@@ -94,12 +94,11 @@ fn cmd_run(args: Vec<String>) {
     graphiti_obs::flight::enable();
     graphiti_obs::flight::install_panic_hook();
 
-    let gen_cfg = GenConfig::default();
     let mut table = triage::Triage::new();
     let mut saved = Vec::new();
     for case in 0..budget {
         let s = case_seed(seed, case);
-        let p = gen_program(&mut StdRng::seed_from_u64(s), &gen_cfg);
+        let p = gen_program(&mut StdRng::seed_from_u64(s));
         // Oracle 4 explores a product automaton per rewrite application;
         // running it on a quarter of the cases keeps a 500-case budget
         // interactive while still covering hundreds of obligations.

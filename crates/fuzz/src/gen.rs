@@ -28,51 +28,24 @@ use graphiti_ir::{CompKind, ExprHigh, Op, Value};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Knobs bounding the random program space.
-#[derive(Debug, Clone)]
-pub struct GenConfig {
-    /// Maximum kernels per program (each compiles to its own circuit).
-    pub max_kernels: usize,
-    /// Maximum inner-loop state variables besides the counter.
-    pub max_state_vars: usize,
-    /// Maximum expression depth.
-    pub max_expr_depth: u32,
-    /// Maximum outer trip count (arrays are sized to the trip).
-    pub max_trip: i64,
-    /// Maximum inner-loop iteration bound.
-    pub max_bound: i64,
-    /// Mark kernels for the out-of-order transformation (random tag
-    /// widths in `1..=max_tags`).
-    pub allow_ooo: bool,
-    /// Upper bound for random tag budgets.
-    pub max_tags: u32,
-    /// Generate stores inside the inner body (impure kernels exercise
-    /// the pipeline's refusal path, as bicg does in the paper).
-    pub allow_effects: bool,
-    /// Generate multi-site-store shapes — two body stores to one array,
-    /// a body store to the epilogue's output array, or a body
-    /// read-modify-write — which compile through a store queue.
-    pub allow_multi_site: bool,
-    /// Generate float-typed state variables and float operators.
-    pub allow_floats: bool,
-}
+// Bounds of the random program space. Every draw may mark kernels for the
+// out-of-order transformation, store inside the inner body (impure kernels
+// exercise the pipeline's refusal path, as bicg does in the paper), draw
+// multi-site-store shapes that compile through a store queue, and use
+// float-typed state variables and operators.
 
-impl Default for GenConfig {
-    fn default() -> Self {
-        GenConfig {
-            max_kernels: 2,
-            max_state_vars: 2,
-            max_expr_depth: 3,
-            max_trip: 3,
-            max_bound: 4,
-            allow_ooo: true,
-            max_tags: 12,
-            allow_effects: true,
-            allow_multi_site: true,
-            allow_floats: true,
-        }
-    }
-}
+/// Maximum kernels per program (each compiles to its own circuit).
+const MAX_KERNELS: usize = 2;
+/// Maximum inner-loop state variables besides the counter.
+const MAX_STATE_VARS: usize = 2;
+/// Maximum expression depth.
+const MAX_EXPR_DEPTH: u32 = 3;
+/// Maximum outer trip count (arrays are sized to the trip).
+const MAX_TRIP: i64 = 3;
+/// Maximum inner-loop iteration bound.
+const MAX_BOUND: i64 = 4;
+/// Upper bound for random tag budgets.
+const MAX_TAGS: u32 = 12;
 
 /// The type a generated expression evaluates to.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -104,7 +77,7 @@ fn gen_index(rng: &mut StdRng, sc: &Scope, len: i64) -> Expr {
     }
 }
 
-fn gen_expr(rng: &mut StdRng, sc: &Scope, ty: Ty, depth: u32, floats: bool) -> Expr {
+fn gen_expr(rng: &mut StdRng, sc: &Scope, ty: Ty, depth: u32) -> Expr {
     let leaf = depth == 0 || rng.gen_bool(0.3);
     match ty {
         Ty::Int => {
@@ -128,18 +101,18 @@ fn gen_expr(rng: &mut StdRng, sc: &Scope, ty: Ty, depth: u32, floats: bool) -> E
                 match rng.gen_range(0u8..7) {
                     0 => Expr::bin(
                         Op::AddI,
-                        gen_expr(rng, sc, Ty::Int, depth - 1, floats),
-                        gen_expr(rng, sc, Ty::Int, depth - 1, floats),
+                        gen_expr(rng, sc, Ty::Int, depth - 1),
+                        gen_expr(rng, sc, Ty::Int, depth - 1),
                     ),
                     1 => Expr::bin(
                         Op::SubI,
-                        gen_expr(rng, sc, Ty::Int, depth - 1, floats),
-                        gen_expr(rng, sc, Ty::Int, depth - 1, floats),
+                        gen_expr(rng, sc, Ty::Int, depth - 1),
+                        gen_expr(rng, sc, Ty::Int, depth - 1),
                     ),
                     2 => Expr::bin(
                         Op::MulI,
-                        gen_expr(rng, sc, Ty::Int, depth - 1, floats),
-                        gen_expr(rng, sc, Ty::Int, depth - 1, floats),
+                        gen_expr(rng, sc, Ty::Int, depth - 1),
+                        gen_expr(rng, sc, Ty::Int, depth - 1),
                     ),
                     3 => {
                         // Non-zero constant divisor only: select evaluates
@@ -147,15 +120,14 @@ fn gen_expr(rng: &mut StdRng, sc: &Scope, ty: Ty, depth: u32, floats: bool) -> E
                         // faults the dataflow circuit.
                         let d = *[-3i64, -2, 2, 3, 5].get(rng.gen_range(0usize..5)).unwrap_or(&2);
                         let op = if rng.gen_bool(0.5) { Op::DivI } else { Op::Mod };
-                        Expr::bin(op, gen_expr(rng, sc, Ty::Int, depth - 1, floats), Expr::int(d))
+                        Expr::bin(op, gen_expr(rng, sc, Ty::Int, depth - 1), Expr::int(d))
                     }
                     4 | 5 => Expr::sel(
-                        gen_cond(rng, sc, depth - 1, floats),
-                        gen_expr(rng, sc, Ty::Int, depth - 1, floats),
-                        gen_expr(rng, sc, Ty::Int, depth - 1, floats),
+                        gen_cond(rng, sc, depth - 1),
+                        gen_expr(rng, sc, Ty::Int, depth - 1),
+                        gen_expr(rng, sc, Ty::Int, depth - 1),
                     ),
-                    _ => Expr::un(Op::Not, gen_cond(rng, sc, depth - 1, floats))
-                        .pipe_bool_to_int(rng),
+                    _ => Expr::un(Op::Not, gen_cond(rng, sc, depth - 1)).pipe_bool_to_int(rng),
                 }
             }
         }
@@ -171,29 +143,29 @@ fn gen_expr(rng: &mut StdRng, sc: &Scope, ty: Ty, depth: u32, floats: bool) -> E
                             sc.float_arrays[rng.gen_range(0..sc.float_arrays.len())].clone();
                         Expr::load(&a, gen_index(rng, sc, len))
                     }
-                    _ => Expr::un(Op::IToF, gen_expr(rng, sc, Ty::Int, 0, floats)),
+                    _ => Expr::un(Op::IToF, gen_expr(rng, sc, Ty::Int, 0)),
                 }
             } else {
                 match rng.gen_range(0u8..4) {
                     0 => Expr::bin(
                         Op::AddF,
-                        gen_expr(rng, sc, Ty::Float, depth - 1, floats),
-                        gen_expr(rng, sc, Ty::Float, depth - 1, floats),
+                        gen_expr(rng, sc, Ty::Float, depth - 1),
+                        gen_expr(rng, sc, Ty::Float, depth - 1),
                     ),
                     1 => Expr::bin(
                         Op::SubF,
-                        gen_expr(rng, sc, Ty::Float, depth - 1, floats),
-                        gen_expr(rng, sc, Ty::Float, depth - 1, floats),
+                        gen_expr(rng, sc, Ty::Float, depth - 1),
+                        gen_expr(rng, sc, Ty::Float, depth - 1),
                     ),
                     2 => Expr::bin(
                         Op::MulF,
-                        gen_expr(rng, sc, Ty::Float, depth - 1, floats),
-                        gen_expr(rng, sc, Ty::Float, depth - 1, floats),
+                        gen_expr(rng, sc, Ty::Float, depth - 1),
+                        gen_expr(rng, sc, Ty::Float, depth - 1),
                     ),
                     _ => Expr::sel(
-                        gen_cond(rng, sc, depth - 1, floats),
-                        gen_expr(rng, sc, Ty::Float, depth - 1, floats),
-                        gen_expr(rng, sc, Ty::Float, depth - 1, floats),
+                        gen_cond(rng, sc, depth - 1),
+                        gen_expr(rng, sc, Ty::Float, depth - 1),
+                        gen_expr(rng, sc, Ty::Float, depth - 1),
                     ),
                 }
             }
@@ -202,31 +174,27 @@ fn gen_expr(rng: &mut StdRng, sc: &Scope, ty: Ty, depth: u32, floats: bool) -> E
 }
 
 /// A boolean-valued expression (comparison or `nez`).
-fn gen_cond(rng: &mut StdRng, sc: &Scope, depth: u32, floats: bool) -> Expr {
-    if floats && !sc.float_vars.is_empty() && rng.gen_bool(0.25) {
+fn gen_cond(rng: &mut StdRng, sc: &Scope, depth: u32) -> Expr {
+    if !sc.float_vars.is_empty() && rng.gen_bool(0.25) {
         let op = if rng.gen_bool(0.5) { Op::GeF } else { Op::LtF };
-        Expr::bin(
-            op,
-            gen_expr(rng, sc, Ty::Float, depth, floats),
-            gen_expr(rng, sc, Ty::Float, depth, floats),
-        )
+        Expr::bin(op, gen_expr(rng, sc, Ty::Float, depth), gen_expr(rng, sc, Ty::Float, depth))
     } else {
         match rng.gen_range(0u8..4) {
-            0 => Expr::un(Op::NeZero, gen_expr(rng, sc, Ty::Int, depth, floats)),
+            0 => Expr::un(Op::NeZero, gen_expr(rng, sc, Ty::Int, depth)),
             1 => Expr::bin(
                 Op::GeI,
-                gen_expr(rng, sc, Ty::Int, depth, floats),
-                gen_expr(rng, sc, Ty::Int, depth, floats),
+                gen_expr(rng, sc, Ty::Int, depth),
+                gen_expr(rng, sc, Ty::Int, depth),
             ),
             2 => Expr::bin(
                 Op::EqI,
-                gen_expr(rng, sc, Ty::Int, depth, floats),
-                gen_expr(rng, sc, Ty::Int, depth, floats),
+                gen_expr(rng, sc, Ty::Int, depth),
+                gen_expr(rng, sc, Ty::Int, depth),
             ),
             _ => Expr::bin(
                 Op::LtI,
-                gen_expr(rng, sc, Ty::Int, depth, floats),
-                gen_expr(rng, sc, Ty::Int, depth, floats),
+                gen_expr(rng, sc, Ty::Int, depth),
+                gen_expr(rng, sc, Ty::Int, depth),
             ),
         }
     }
@@ -246,9 +214,9 @@ impl BoolToInt for Expr {
 }
 
 /// Draws one random well-formed program.
-pub fn gen_program(rng: &mut StdRng, cfg: &GenConfig) -> Program {
-    let n_kernels = rng.gen_range(1..cfg.max_kernels.max(1) + 1);
-    let trip = rng.gen_range(1..cfg.max_trip.max(1) + 1);
+pub fn gen_program(rng: &mut StdRng) -> Program {
+    let n_kernels = rng.gen_range(1..MAX_KERNELS + 1);
+    let trip = rng.gen_range(1..MAX_TRIP + 1);
     let mut p = Program { name: "fuzzcase".into(), ..Default::default() };
 
     // A shared pool of arrays: inputs (pre-filled) and outputs (zeroed).
@@ -260,18 +228,15 @@ pub fn gen_program(rng: &mut StdRng, cfg: &GenConfig) -> Program {
         p.arrays.insert(name.clone(), vals);
         int_arrays.push((name, trip));
     }
-    let mut float_arrays = Vec::new();
-    if cfg.allow_floats {
-        let name = "fa0".to_string();
-        let vals: Vec<Value> =
-            (0..trip).map(|_| Value::from_f64(f64::from(rng.gen_range(-8i32..9)) * 0.25)).collect();
-        p.arrays.insert(name.clone(), vals);
-        float_arrays.push((name, trip));
-    }
+    let name = "fa0".to_string();
+    let vals: Vec<Value> =
+        (0..trip).map(|_| Value::from_f64(f64::from(rng.gen_range(-8i32..9)) * 0.25)).collect();
+    p.arrays.insert(name.clone(), vals);
+    let float_arrays = vec![(name, trip)];
 
     for knum in 0..n_kernels {
-        let bound = rng.gen_range(1..cfg.max_bound.max(1) + 1);
-        let n_vars = rng.gen_range(0..cfg.max_state_vars + 1);
+        let bound = rng.gen_range(1..MAX_BOUND + 1);
+        let n_vars = rng.gen_range(0..MAX_STATE_VARS + 1);
         let mut vars: Vec<(String, Expr)> = Vec::new();
         let mut update: Vec<(String, Expr)> = Vec::new();
         let mut int_vars = vec!["j".to_string(), "lim".to_string()];
@@ -288,7 +253,7 @@ pub fn gen_program(rng: &mut StdRng, cfg: &GenConfig) -> Program {
         let mut tys = Vec::new();
         for v in 0..n_vars {
             let name = format!("v{v}");
-            let ty = if cfg.allow_floats && rng.gen_bool(0.3) { Ty::Float } else { Ty::Int };
+            let ty = if rng.gen_bool(0.3) { Ty::Float } else { Ty::Int };
             match ty {
                 Ty::Int => int_vars.push(name.clone()),
                 Ty::Float => float_vars.push(name.clone()),
@@ -312,25 +277,19 @@ pub fn gen_program(rng: &mut StdRng, cfg: &GenConfig) -> Program {
             outer: true,
         };
         for (name, ty) in &tys {
-            vars.push((
-                name.clone(),
-                gen_expr(rng, &init_sc, *ty, cfg.max_expr_depth.min(2), cfg.allow_floats),
-            ));
+            vars.push((name.clone(), gen_expr(rng, &init_sc, *ty, MAX_EXPR_DEPTH.min(2))));
         }
         update.push(("j".into(), Expr::addi(Expr::var("j"), Expr::int(1))));
         update.push(("lim".into(), Expr::var("lim")));
         for (name, ty) in &tys {
-            update.push((
-                name.clone(),
-                gen_expr(rng, &sc, *ty, cfg.max_expr_depth, cfg.allow_floats),
-            ));
+            update.push((name.clone(), gen_expr(rng, &sc, *ty, MAX_EXPR_DEPTH)));
         }
 
         // Output array for this kernel, plus optional in-body effects.
         let out = format!("out{knum}");
         p.arrays.insert(out.clone(), vec![Value::Int(0); trip as usize]);
         let mut effects = Vec::new();
-        if cfg.allow_effects && rng.gen_bool(0.25) {
+        if rng.gen_bool(0.25) {
             // Effects run in state-only scope: a constant index (kept in
             // bounds) instead of `i`. They get their own array; the loads
             // embedded below are the only reads of it — a read anywhere
@@ -341,18 +300,18 @@ pub fn gen_program(rng: &mut StdRng, cfg: &GenConfig) -> Program {
             effects.push(StoreStmt {
                 array: eff.clone(),
                 index: Expr::int(rng.gen_range(0..trip)),
-                value: gen_expr(rng, &sc, Ty::Int, 1, cfg.allow_floats),
+                value: gen_expr(rng, &sc, Ty::Int, 1),
             });
             // Multi-site shapes compile through a store queue that
             // serialises the accesses in program order; the oracles then
             // hold the queue to the interpreter's memory.
-            if cfg.allow_multi_site && rng.gen_bool(0.5) {
+            if rng.gen_bool(0.5) {
                 match rng.gen_range(0u8..3) {
                     // A second body store to the same array: two body sites.
                     0 => effects.push(StoreStmt {
                         array: eff,
                         index: Expr::int(rng.gen_range(0..trip)),
-                        value: gen_expr(rng, &sc, Ty::Int, 1, cfg.allow_floats),
+                        value: gen_expr(rng, &sc, Ty::Int, 1),
                     }),
                     // A body read-modify-write: the store statement loads
                     // its own array (the histogram shape).
@@ -361,7 +320,7 @@ pub fn gen_program(rng: &mut StdRng, cfg: &GenConfig) -> Program {
                         index: Expr::int(rng.gen_range(0..trip)),
                         value: Expr::addi(
                             Expr::load(&eff, Expr::int(rng.gen_range(0..trip))),
-                            gen_expr(rng, &sc, Ty::Int, 1, cfg.allow_floats),
+                            gen_expr(rng, &sc, Ty::Int, 1),
                         ),
                     }),
                     // A body store to the epilogue's output array: body +
@@ -369,7 +328,7 @@ pub fn gen_program(rng: &mut StdRng, cfg: &GenConfig) -> Program {
                     _ => effects.push(StoreStmt {
                         array: out.clone(),
                         index: Expr::int(rng.gen_range(0..trip)),
-                        value: gen_expr(rng, &sc, Ty::Int, 1, cfg.allow_floats),
+                        value: gen_expr(rng, &sc, Ty::Int, 1),
                     }),
                 }
             }
@@ -385,8 +344,7 @@ pub fn gen_program(rng: &mut StdRng, cfg: &GenConfig) -> Program {
             value: Expr::var(&result_var),
         }];
 
-        let ooo_tags =
-            (cfg.allow_ooo && rng.gen_bool(0.6)).then(|| rng.gen_range(1..cfg.max_tags.max(1) + 1));
+        let ooo_tags = rng.gen_bool(0.6).then(|| rng.gen_range(1..MAX_TAGS + 1));
         p.kernels.push(OuterLoop {
             var: "i".into(),
             trip,

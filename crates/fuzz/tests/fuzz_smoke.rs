@@ -3,7 +3,7 @@
 //! and the shrinker preserves the failure it is minimising.
 
 use graphiti_frontend::{compile, run_program, Program};
-use graphiti_fuzz::gen::{gen_program, GenConfig};
+use graphiti_fuzz::gen::gen_program;
 use graphiti_fuzz::oracle::{check_program, OracleOpts};
 use graphiti_fuzz::{shrink, triage};
 use rand::rngs::StdRng;
@@ -11,19 +11,17 @@ use rand::SeedableRng;
 
 #[test]
 fn generation_is_deterministic() {
-    let cfg = GenConfig::default();
-    let a = gen_program(&mut StdRng::seed_from_u64(7), &cfg);
-    let b = gen_program(&mut StdRng::seed_from_u64(7), &cfg);
+    let a = gen_program(&mut StdRng::seed_from_u64(7));
+    let b = gen_program(&mut StdRng::seed_from_u64(7));
     assert_eq!(a, b);
-    let c = gen_program(&mut StdRng::seed_from_u64(8), &cfg);
+    let c = gen_program(&mut StdRng::seed_from_u64(8));
     assert_ne!(a, c, "different seeds draw different programs");
 }
 
 #[test]
 fn generated_programs_are_well_formed() {
-    let cfg = GenConfig::default();
     for seed in 0..40u64 {
-        let p = gen_program(&mut StdRng::seed_from_u64(seed), &cfg);
+        let p = gen_program(&mut StdRng::seed_from_u64(seed));
         run_program(&p).unwrap_or_else(|e| panic!("seed {seed}: interpreter faults: {e}"));
         compile(&p).unwrap_or_else(|e| panic!("seed {seed}: does not compile: {e}"));
     }
@@ -31,9 +29,8 @@ fn generated_programs_are_well_formed() {
 
 #[test]
 fn small_budget_passes_all_oracles() {
-    let cfg = GenConfig::default();
     for seed in 0..8u64 {
-        let p = gen_program(&mut StdRng::seed_from_u64(seed), &cfg);
+        let p = gen_program(&mut StdRng::seed_from_u64(seed));
         let opts = OracleOpts { refinement: seed % 4 == 0 };
         let verdict = triage::catching(|| {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -52,9 +49,8 @@ fn shrinker_minimises_while_preserving_the_failure() {
     // A synthetic "failure": programs whose second kernel stores to
     // `out1`. The shrinker must keep that property while stripping the
     // unrelated first kernel and expression structure.
-    let cfg = GenConfig { max_kernels: 2, ..GenConfig::default() };
     let p = (0..200u64)
-        .map(|s| gen_program(&mut StdRng::seed_from_u64(s), &cfg))
+        .map(|s| gen_program(&mut StdRng::seed_from_u64(s)))
         .find(|p| p.kernels.len() == 2)
         .expect("a two-kernel draw exists");
     let mut fails =
@@ -74,7 +70,6 @@ fn multi_site_store_shapes_are_drawn_and_pass_the_oracles() {
     // compile through a store queue — and each drawn shape must pass the
     // full oracle stack, including the three-scheduler differential and
     // the rewrite round-trip.
-    let cfg = GenConfig::default();
     let multi_site = |p: &Program| {
         p.kernels.iter().any(|k| {
             let n_arrays: std::collections::BTreeSet<&str> =
@@ -83,12 +78,11 @@ fn multi_site_store_shapes_are_drawn_and_pass_the_oracles() {
                 || k.inner.effects.iter().any(|st| format!("{:?}", st.value).contains("Load"))
         })
     };
-    let drawn: Vec<u64> = (0..400u64)
-        .filter(|s| multi_site(&gen_program(&mut StdRng::seed_from_u64(*s), &cfg)))
-        .collect();
+    let drawn: Vec<u64> =
+        (0..400u64).filter(|s| multi_site(&gen_program(&mut StdRng::seed_from_u64(*s)))).collect();
     assert!(drawn.len() >= 10, "only {} multi-site draws in 400 seeds", drawn.len());
     for seed in drawn.into_iter().take(6) {
-        let p = gen_program(&mut StdRng::seed_from_u64(seed), &cfg);
+        let p = gen_program(&mut StdRng::seed_from_u64(seed));
         let opts = OracleOpts { refinement: false };
         let verdict = triage::catching(|| {
             let mut rng = StdRng::seed_from_u64(seed);

@@ -212,56 +212,6 @@ pub fn fork_sink_prune() -> Rewrite {
     )
 }
 
-/// A Buffer is semantically a wire (capacity only affects performance):
-/// eliminating it is a refinement in both directions.
-pub fn buffer_elim() -> Rewrite {
-    Rewrite::new(
-        "buffer-elim",
-        true,
-        |g| {
-            g.nodes()
-                .filter(|(_, k)| matches!(k, CompKind::Buffer { .. }))
-                .map(|(n, _)| single_match(vec![n.clone()], vec![("buf", n.clone())]))
-                .collect()
-        },
-        |_, m| {
-            let b = m.node("buf");
-            Ok(Replacement::Passthrough {
-                wires: vec![(ep(b.clone(), "in"), ep(b.clone(), "out"))],
-            })
-        },
-    )
-}
-
-/// Swaps a Join's operands, compensating with a Pure swap — an
-/// oracle-guided commutation used when reducing Split/Join residues (never
-/// applied exhaustively: it matches its own output).
-pub fn join_comm() -> Rewrite {
-    Rewrite::new(
-        "join-comm",
-        true,
-        |g| {
-            g.nodes()
-                .filter(|(_, k)| matches!(k, CompKind::Join))
-                .map(|(n, _)| single_match(vec![n.clone()], vec![("join", n.clone())]))
-                .collect()
-        },
-        |_, m| {
-            let j = m.node("join");
-            let mut fr = Frag::new();
-            fr.node("j", CompKind::Join).node("p", CompKind::Pure { func: PureFn::Swap });
-            fr.edge(("j", "out"), ("p", "in"));
-            fr.input("a", ("j", "in1"), ep(j.clone(), "in0")).input(
-                "b",
-                ("j", "in0"),
-                ep(j.clone(), "in1"),
-            );
-            fr.output("out", ("p", "out"), ep(j.clone(), "out"));
-            fr.build()
-        },
-    )
-}
-
 /// A Pure whose output is sunk is itself sunk (unverified: valid for total
 /// functions; a partial Pure could block its input where the Sink would
 /// not).
@@ -414,45 +364,6 @@ mod tests {
         g2.validate().unwrap();
         assert!(g2.nodes().any(|(_, k)| matches!(k, CompKind::Fork { ways: 2 })));
         assert!(!g2.nodes().any(|(_, k)| matches!(k, CompKind::Sink)));
-    }
-
-    #[test]
-    fn buffer_elim_is_a_wire() {
-        let mut g = ExprHigh::new();
-        g.add_node("b", CompKind::Buffer { slots: 4, transparent: false }).unwrap();
-        g.add_node("k", CompKind::Sink).unwrap();
-        g.expose_input("x", ep("b", "in")).unwrap();
-        g.connect(ep("b", "out"), ep("k", "in")).unwrap();
-        let mut engine = Engine::new();
-        let g2 = engine.apply_first(&g, &buffer_elim()).unwrap().expect("match");
-        g2.validate().unwrap();
-        assert_eq!(g2.node_count(), 1);
-    }
-
-    #[test]
-    fn join_comm_swaps_and_compensates() {
-        let mut g = ExprHigh::new();
-        g.add_node("j", CompKind::Join).unwrap();
-        g.expose_input("a", ep("j", "in0")).unwrap();
-        g.expose_input("b", ep("j", "in1")).unwrap();
-        g.expose_output("y", ep("j", "out")).unwrap();
-        let mut engine = Engine::new();
-        let g2 = engine.apply_first(&g, &join_comm()).unwrap().expect("match");
-        g2.validate().unwrap();
-        // Semantics preserved: (a, b) still comes out as (a, b).
-        use graphiti_sem::{denote_graph, run_random, Env};
-        let (m, _) = denote_graph(&g2, &Env::standard()).unwrap();
-        let feeds: BTreeMap<graphiti_ir::PortName, Vec<graphiti_ir::Value>> = [
-            (graphiti_ir::PortName::Io(0), vec![graphiti_ir::Value::Int(1)]),
-            (graphiti_ir::PortName::Io(1), vec![graphiti_ir::Value::Int(2)]),
-        ]
-        .into_iter()
-        .collect();
-        let r = run_random(&m, &feeds, 5, 500);
-        assert_eq!(
-            r.outputs[&graphiti_ir::PortName::Io(0)],
-            vec![graphiti_ir::Value::pair(graphiti_ir::Value::Int(1), graphiti_ir::Value::Int(2))]
-        );
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! effect-free loop body into a single Pure component.
 //!
 //! The stages mirror the paper: operators (and loads/constants) become Pure
-//! applications fed by Join trees; Forks move to the top of the region,
-//! duplicating what sits above them; remaining Forks become `dup` Pures
-//! followed by Splits; Pures then migrate through Joins and Splits and fuse,
-//! leaving a residue of Splits and Joins that the oracle eliminates.
+//! applications fed by Join trees; Forks become `dup` Pures followed by
+//! Splits; Pures then migrate through Joins and Splits and fuse, leaving a
+//! residue of Splits and Joins that the oracle's region-to-Pure step
+//! collapses.
 
 use super::Frag;
 use crate::engine::{wire_consumer, Match, Rewrite, RewriteError};
@@ -164,100 +164,6 @@ pub fn pure_fuse() -> Rewrite {
             fr.node("p", CompKind::Pure { func: PureFn::comp(f2, f1) });
             fr.input("a", ("p", "in"), ep(m.node("first").clone(), "in"));
             fr.output("out", ("p", "out"), ep(m.node("second").clone(), "out"));
-            fr.build()
-        },
-    )
-}
-
-/// A Fork below a Pure moves above it, duplicating the Pure (Fig. 5c).
-pub fn fork_lift_pure() -> Rewrite {
-    Rewrite::new(
-        "fork-lift-pure",
-        true,
-        |g| {
-            let mut out = Vec::new();
-            for (p, k) in g.nodes() {
-                if !matches!(k, CompKind::Pure { .. }) {
-                    continue;
-                }
-                if let Some(dst) = wire_consumer(g, &ep(p.clone(), "out")) {
-                    if dst.port == "in" && matches!(g.kind(&dst.node), Some(CompKind::Fork { .. }))
-                    {
-                        out.push(single_match(
-                            vec![p.clone(), dst.node.clone()],
-                            vec![("pure", p.clone()), ("fork", dst.node)],
-                        ));
-                    }
-                }
-            }
-            out
-        },
-        |g, m| {
-            let f = pure_func(g, m.node("pure"))
-                .ok_or_else(|| RewriteError::BuilderFailed("pure vanished".into()))?;
-            let fork = m.node("fork");
-            let ways = match g.kind(fork) {
-                Some(CompKind::Fork { ways }) => *ways,
-                _ => return Err(RewriteError::BuilderFailed("fork vanished".into())),
-            };
-            let mut fr = Frag::new();
-            fr.node("fork", CompKind::Fork { ways });
-            fr.input("a", ("fork", "in"), ep(m.node("pure").clone(), "in"));
-            for k in 0..ways {
-                let pn = format!("p{k}");
-                fr.node(&pn, CompKind::Pure { func: f.clone() });
-                fr.edge(("fork", &format!("out{k}")), (&pn, "in"));
-                fr.output(&format!("o{k}"), (&pn, "out"), ep(fork.clone(), format!("out{k}")));
-            }
-            fr.build()
-        },
-    )
-}
-
-/// A Fork below a Join moves above it, duplicating the Join (Fig. 5c).
-pub fn fork_lift_join() -> Rewrite {
-    Rewrite::new(
-        "fork-lift-join",
-        true,
-        |g| {
-            let mut out = Vec::new();
-            for (j, k) in g.nodes() {
-                if !matches!(k, CompKind::Join) {
-                    continue;
-                }
-                if let Some(dst) = wire_consumer(g, &ep(j.clone(), "out")) {
-                    if dst.port == "in" && matches!(g.kind(&dst.node), Some(CompKind::Fork { .. }))
-                    {
-                        out.push(single_match(
-                            vec![j.clone(), dst.node.clone()],
-                            vec![("join", j.clone()), ("fork", dst.node)],
-                        ));
-                    }
-                }
-            }
-            out
-        },
-        |g, m| {
-            let join = m.node("join");
-            let fork = m.node("fork");
-            let ways = match g.kind(fork) {
-                Some(CompKind::Fork { ways }) => *ways,
-                _ => return Err(RewriteError::BuilderFailed("fork vanished".into())),
-            };
-            let mut fr = Frag::new();
-            fr.node("fa", CompKind::Fork { ways }).node("fb", CompKind::Fork { ways });
-            fr.input("a", ("fa", "in"), ep(join.clone(), "in0")).input(
-                "b",
-                ("fb", "in"),
-                ep(join.clone(), "in1"),
-            );
-            for k in 0..ways {
-                let jn = format!("j{k}");
-                fr.node(&jn, CompKind::Join);
-                fr.edge(("fa", &format!("out{k}")), (&jn, "in0"))
-                    .edge(("fb", &format!("out{k}")), (&jn, "in1"));
-                fr.output(&format!("o{k}"), (&jn, "out"), ep(fork.clone(), format!("out{k}")));
-            }
             fr.build()
         },
     )
@@ -472,49 +378,6 @@ fn split_proj(name: &'static str, sunk: &'static str, kept: &'static str, proj: 
     )
 }
 
-/// Reassociates a Join tree: `join(join(a, b), c)` becomes
-/// `assocl ∘ join(a, join(b, c))`, exposing opportunities for cancellation.
-pub fn join_assoc() -> Rewrite {
-    Rewrite::new(
-        "join-assoc",
-        true,
-        |g| {
-            let mut out = Vec::new();
-            for (j1, k) in g.nodes() {
-                if !matches!(k, CompKind::Join) {
-                    continue;
-                }
-                if let Some(dst) = wire_consumer(g, &ep(j1.clone(), "out")) {
-                    if dst.port == "in0"
-                        && dst.node != *j1
-                        && matches!(g.kind(&dst.node), Some(CompKind::Join))
-                    {
-                        out.push(single_match(
-                            vec![j1.clone(), dst.node.clone()],
-                            vec![("inner", j1.clone()), ("outer", dst.node)],
-                        ));
-                    }
-                }
-            }
-            out
-        },
-        |_, m| {
-            let j1 = m.node("inner");
-            let j2 = m.node("outer");
-            let mut fr = Frag::new();
-            fr.node("jbc", CompKind::Join)
-                .node("ja", CompKind::Join)
-                .node("p", CompKind::Pure { func: PureFn::AssocL });
-            fr.edge(("jbc", "out"), ("ja", "in1")).edge(("ja", "out"), ("p", "in"));
-            fr.input("a", ("ja", "in0"), ep(j1.clone(), "in0"))
-                .input("b", ("jbc", "in0"), ep(j1.clone(), "in1"))
-                .input("c", ("jbc", "in1"), ep(j2.clone(), "in1"));
-            fr.output("out", ("p", "out"), ep(j2.clone(), "out"));
-            fr.build()
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,30 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn fork_lift_pure_duplicates_the_pure() {
-        let mut g = ExprHigh::new();
-        g.add_node("p", CompKind::Pure { func: PureFn::Dup }).unwrap();
-        g.add_node("f", CompKind::Fork { ways: 2 }).unwrap();
-        g.add_node("k0", CompKind::Sink).unwrap();
-        g.add_node("k1", CompKind::Sink).unwrap();
-        g.expose_input("x", ep("p", "in")).unwrap();
-        g.connect(ep("p", "out"), ep("f", "in")).unwrap();
-        g.connect(ep("f", "out0"), ep("k0", "in")).unwrap();
-        g.connect(ep("f", "out1"), ep("k1", "in")).unwrap();
-        let mut engine = Engine::new();
-        let g2 = engine.apply_first(&g, &fork_lift_pure()).unwrap().expect("match");
-        g2.validate().unwrap();
-        let pures = g2.nodes().filter(|(_, k)| matches!(k, CompKind::Pure { .. })).count();
-        assert_eq!(pures, 2);
-        // The fork is now fed by the external input directly.
-        let forks: Vec<_> =
-            g2.nodes().filter(|(_, k)| matches!(k, CompKind::Fork { .. })).collect();
-        assert_eq!(forks.len(), 1);
-        let fname = forks[0].0.clone();
-        assert_eq!(g2.driver(&ep(fname, "in")), Some(Attachment::External("x".into())));
-    }
-
-    #[test]
     fn fork_to_pure_produces_dup_split() {
         let mut g = ExprHigh::new();
         g.add_node("f", CompKind::Fork { ways: 3 }).unwrap();
@@ -693,35 +532,5 @@ mod tests {
         let g2 = engine.apply_first(&g, &split_fst()).unwrap().expect("match");
         assert!(g2.nodes().any(|(_, k)| matches!(k, CompKind::Pure { func: PureFn::Fst })));
         assert_eq!(g2.node_count(), 1);
-    }
-
-    #[test]
-    fn join_assoc_rebalances() {
-        let mut g = ExprHigh::new();
-        g.add_node("j1", CompKind::Join).unwrap();
-        g.add_node("j2", CompKind::Join).unwrap();
-        g.expose_input("a", ep("j1", "in0")).unwrap();
-        g.expose_input("b", ep("j1", "in1")).unwrap();
-        g.expose_input("c", ep("j2", "in1")).unwrap();
-        g.connect(ep("j1", "out"), ep("j2", "in0")).unwrap();
-        g.expose_output("y", ep("j2", "out")).unwrap();
-        let mut engine = Engine::new();
-        let g2 = engine.apply_first(&g, &join_assoc()).unwrap().expect("match");
-        g2.validate().unwrap();
-        // Semantics: output should still be ((a, b), c).
-        let (m, _) = denote_graph(&g2, &Env::standard()).unwrap();
-        let feeds: Map<_, _> = [
-            (graphiti_ir::PortName::Io(0), vec![Value::Int(1)]),
-            (graphiti_ir::PortName::Io(1), vec![Value::Int(2)]),
-            (graphiti_ir::PortName::Io(2), vec![Value::Int(3)]),
-        ]
-        .into_iter()
-        .collect();
-        let r = run_random(&m, &feeds, 3, 500);
-        let outs = &r.outputs[&graphiti_ir::PortName::Io(0)];
-        assert_eq!(
-            outs,
-            &vec![Value::pair(Value::pair(Value::Int(1), Value::Int(2)), Value::Int(3))]
-        );
     }
 }

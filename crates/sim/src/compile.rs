@@ -40,7 +40,9 @@ mod fire;
 mod rt;
 
 use crate::memory::Memory;
-use crate::sim::{narrow, op_latency, purefn_latency, SimConfig, SimError, SimResult};
+use crate::sim::{
+    narrow, op_latency, purefn_latency, SimConfig, SimError, SimResult, LOAD_LATENCY,
+};
 use crate::stall::UnitClass;
 use fire::FireFn;
 use graphiti_ir::{CompKind, ExprHigh, Op, PureFn, Value};
@@ -172,7 +174,7 @@ pub struct CompiledCircuit {
     pub(crate) words: usize,
     /// Per channel: a human-readable name in the reference sweep's exact
     /// format (`from.port-to.port`, `in.x`, `out.y`), feeding the VCD
-    /// signal list, stall reports, and deadlock reports.
+    /// signal list and stall reports.
     pub(crate) chan_names: NameTable,
     /// Per channel: the node that reads it, if any (single-consumer).
     pub(crate) consumer_of: Vec<Option<u32>>,
@@ -190,20 +192,17 @@ thread_local! {
 
 impl CompiledCircuit {
     /// Lowers `g` under a `sim.compile` span, so causal profiles attribute
-    /// compile time separately from simulation time.
-    ///
-    /// Of the config, only `load_latency` is read here: it sets the depth
-    /// of every Load, store-queue and Pure pipeline, so it is fixed for
-    /// the artifact's lifetime. Every other field is read per run from the
-    /// config passed to [`run`](CompiledCircuit::run).
+    /// compile time separately from simulation time. Every config field is
+    /// read per run from the config passed to
+    /// [`run`](CompiledCircuit::run).
     ///
     /// # Errors
     ///
     /// Fails like [`simulate`](crate::simulate) on graphs the simulator
     /// rejects.
-    pub fn new(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
+    pub fn new(g: &ExprHigh) -> Result<CompiledCircuit, SimError> {
         let _span = graphiti_obs::span("sim.compile");
-        let art = lower(g, cfg)?;
+        let art = lower(g)?;
         LOWERINGS.with(|n| n.set(n.get() + 1));
         if graphiti_obs::enabled() {
             graphiti_obs::counter("sim.compile.lowerings").inc();
@@ -219,9 +218,7 @@ impl CompiledCircuit {
     }
 
     /// Runs the circuit to quiescence. `cfg` supplies the observation
-    /// flags, `max_cycles`, `deadlock_window` and `cancel`; its
-    /// `load_latency` and `scheduler` are not read (see
-    /// [`new`](CompiledCircuit::new)).
+    /// flags, `max_cycles` and `cancel`; its `scheduler` is not read.
     ///
     /// # Errors
     ///
@@ -288,7 +285,7 @@ pub(crate) fn assemble(tag: u32, v: Value) -> Value {
 /// loop never has to. Mirrors the interpreter's channel/node layout
 /// exactly — node and channel indices coincide, which is what makes the
 /// firing order (and thus every observable) bit-identical.
-fn lower(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
+fn lower(g: &ExprHigh) -> Result<CompiledCircuit, SimError> {
     g.validate().map_err(|e| SimError::BadGraph(e.to_string()))?;
 
     // Channel layout: one slot per edge, then unbounded queues for the
@@ -393,7 +390,7 @@ fn lower(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
                 }
             }
             CompKind::Pure { func } => {
-                let lat = purefn_latency(func, cfg.load_latency);
+                let lat = purefn_latency(func);
                 pures.push(func.clone());
                 pipe = add_pipe(&mut pipe_specs, lat as usize + 1, lat);
                 (fire::pure, (pures.len() - 1) as u32, pipe)
@@ -408,7 +405,7 @@ fn lower(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
             }
             CompKind::Load { mem } => {
                 let mid = mem_id(&mut mems, mem);
-                pipe = add_pipe(&mut pipe_specs, cfg.load_latency as usize + 1, cfg.load_latency);
+                pipe = add_pipe(&mut pipe_specs, LOAD_LATENCY as usize + 1, LOAD_LATENCY);
                 (fire::load, mid, pipe)
             }
             CompKind::Store { mem } => (fire::store, mem_id(&mut mems, mem), 0),
@@ -423,7 +420,7 @@ fn lower(g: &ExprHigh, cfg: &SimConfig) -> Result<CompiledCircuit, SimError> {
                     n_stores: stores as u32,
                     cap: crate::sim::lsq_pending_cap(body_plan, epi_plan),
                 });
-                pipe = add_pipe(&mut pipe_specs, cfg.load_latency as usize + 1, cfg.load_latency);
+                pipe = add_pipe(&mut pipe_specs, LOAD_LATENCY as usize + 1, LOAD_LATENCY);
                 (fire::lsq, (lsqs.len() - 1) as u32, pipe)
             }
         };
@@ -556,7 +553,7 @@ mod tests {
             g.connect(ep(format!("b{i}"), "out"), ep(format!("b{}", i + 1), "in")).unwrap();
         }
         g.expose_output("y", ep("b3", "out")).unwrap();
-        let art = CompiledCircuit::new(&g, &SimConfig::default()).unwrap();
+        let art = CompiledCircuit::new(&g).unwrap();
         let bits = |r: Range| match art.marks(r) {
             [] => 0,
             [(0, bits)] => *bits,

@@ -11,7 +11,7 @@
 
 use super::{assemble, canon, CompiledCircuit, NO_IDX, NO_TAG};
 use crate::memory::{MemError, Memory};
-use crate::sim::{SimConfig, SimError, SimResult, TraceEvent};
+use crate::sim::{boundary_check, SimConfig, SimError, SimResult, TraceEvent};
 use crate::stall::{self, CircuitView, Observers, UnitClass};
 use graphiti_ir::{Tag, Value};
 use graphiti_sem::TaggerState;
@@ -496,13 +496,10 @@ fn drive(art: &CompiledCircuit, rt: &mut Rt, cfg: &SimConfig) -> Result<(), SimE
                         timers.pop();
                     }
                 }
-                None => {
-                    stall::deadlock_at_quiescence(&Live { art, rt }, cfg, rt.now)?;
-                    break;
-                }
+                None => break,
             }
         }
-        stall::boundary_check(&Live { art, rt }, cfg, rt.now, rt.last_active)?;
+        boundary_check(cfg)?;
         if rt.now > max_cycles {
             return Err(SimError::Timeout(max_cycles));
         }
@@ -566,7 +563,7 @@ fn finish(art: &CompiledCircuit, mut rt: Rt) -> SimResult {
 }
 
 /// The live runtime state seen through [`CircuitView`], for the shared
-/// observers, deadlock tests, and leftover count.
+/// observers and the leftover count.
 struct Live<'a> {
     art: &'a CompiledCircuit,
     rt: &'a Rt,

@@ -54,7 +54,5 @@ pub use place::{place_buffers, place_buffers_targeted, PlacementStats};
 pub use sim::{
     op_latency, purefn_latency, simulate, Scheduler, SimConfig, SimError, SimResult, TraceEvent,
 };
-pub use stall::{
-    DeadlockReport, NodeWaitStats, StallCause, StallChain, StallReport, StuckNode, STALL_CAUSES,
-};
+pub use stall::{NodeWaitStats, StallCause, StallChain, StallReport, STALL_CAUSES};
 pub use timing::{elastic_clock_period, elastic_timing, NodeTiming, TimingError};

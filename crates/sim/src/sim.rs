@@ -34,11 +34,11 @@
 //!   in this file, retained as the executable specification the compiled
 //!   core is differentially tested against.
 //!
-//! Both observe through the same code: the stall walker, deadlock tests,
-//! token counts, and per-cycle metrics in `stall.rs` and the waveform
-//! recorder in `wave.rs` read either core's live state through one
-//! `CircuitView` trait at the end of every active cycle, so every
-//! observable is bit-identical across them.
+//! Both observe through the same code: the stall walker, token counts,
+//! and per-cycle metrics in `stall.rs` and the waveform recorder in
+//! `wave.rs` read either core's live state through one `CircuitView`
+//! trait at the end of every active cycle, so every observable is
+//! bit-identical across them.
 
 use crate::memory::{mem_read, mem_write, MemError, Memory};
 use crate::stall::{CircuitView, Observers, StallReport, UnitClass};
@@ -71,8 +71,6 @@ pub enum Scheduler {
 pub struct SimConfig {
     /// Abort after this many cycles.
     pub max_cycles: u64,
-    /// Load port latency in cycles.
-    pub load_latency: u64,
     /// Record per-cycle acceptance events for these components (empty: no
     /// tracing). Used to regenerate execution traces like the paper's
     /// Fig. 2d/2e. When `graphiti-obs` collection is enabled, the same
@@ -97,17 +95,6 @@ pub struct SimConfig {
     /// stride. Both schedulers sample the same active-cycle indices, so
     /// dumps stay byte-identical across schedulers (see DESIGN.md §3.12).
     pub wave_sample: u64,
-    /// Deadlock-detection window in cycles (`0`, the default, disables
-    /// detection and preserves the historical behaviour of ending such
-    /// runs as quiescence with leftover tokens). When set, a run that
-    /// quiesces with a *stalled* node — all operands present, output
-    /// permanently blocked, nothing pending that could ever drain it —
-    /// returns [`SimError::Deadlock`] with the stuck wavefront; as a
-    /// defensive cutoff, so does a run making no progress for this many
-    /// consecutive cycles while tokens are in flight (pick a window
-    /// larger than the deepest pipeline latency, which fast-forwards
-    /// idle stretches anyway). Identical across both schedulers.
-    pub deadlock_window: u64,
     /// Cooperative cancellation token, polled at cycle boundaries. When
     /// it trips, the run returns [`SimError::Cancelled`]. `None` (the
     /// default) costs nothing.
@@ -118,13 +105,11 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             max_cycles: 50_000_000,
-            load_latency: 2,
             trace_nodes: Vec::new(),
             scheduler: Scheduler::default(),
             waveform: false,
             attribute_stalls: false,
             wave_sample: 1,
-            deadlock_window: 0,
             cancel: None,
         }
     }
@@ -153,14 +138,18 @@ pub fn op_latency(op: Op) -> u64 {
     }
 }
 
+/// Load port latency in cycles (Load units, store-queue load sites and
+/// `PureFn::Load` inside a Pure).
+pub(crate) const LOAD_LATENCY: u64 = 2;
+
 /// Worst-case latency of a symbolic pure function (used only when a Pure
 /// component survives to simulation; the pipeline normally expands it back).
-pub fn purefn_latency(f: &PureFn, load_latency: u64) -> u64 {
+pub fn purefn_latency(f: &PureFn) -> u64 {
     match f {
-        PureFn::Comp(a, b) => purefn_latency(a, load_latency) + purefn_latency(b, load_latency),
-        PureFn::Par(a, b) => purefn_latency(a, load_latency).max(purefn_latency(b, load_latency)),
+        PureFn::Comp(a, b) => purefn_latency(a) + purefn_latency(b),
+        PureFn::Par(a, b) => purefn_latency(a).max(purefn_latency(b)),
         PureFn::Op(op) => op_latency(*op),
-        PureFn::Load(_) => load_latency,
+        PureFn::Load(_) => LOAD_LATENCY,
         _ => 0,
     }
 }
@@ -176,10 +165,6 @@ pub enum SimError {
     Timeout(u64),
     /// The graph is not simulatable (validation failure).
     BadGraph(String),
-    /// The circuit can never make progress again while tokens are still
-    /// in flight (only raised when [`SimConfig::deadlock_window`] is
-    /// set). Carries the stuck wavefront, identical across schedulers.
-    Deadlock(Box<crate::stall::DeadlockReport>),
     /// The run was cut off by [`SimConfig::cancel`] tripping (deadline
     /// passed or supervisor cancelled).
     Cancelled,
@@ -192,7 +177,6 @@ impl fmt::Display for SimError {
             SimError::Eval(m) => write!(f, "evaluation fault: {m}"),
             SimError::Timeout(c) => write!(f, "simulation exceeded {c} cycles"),
             SimError::BadGraph(m) => write!(f, "graph not simulatable: {m}"),
-            SimError::Deadlock(r) => write!(f, "{r}"),
             SimError::Cancelled => write!(f, "simulation cancelled (deadline or supervisor)"),
         }
     }
@@ -204,6 +188,15 @@ impl From<MemError> for SimError {
     fn from(e: MemError) -> Self {
         SimError::Mem(e)
     }
+}
+
+/// Cycle-boundary poll of the cooperative cancellation token, called by
+/// both cores once per cycle.
+pub(crate) fn boundary_check(cfg: &SimConfig) -> Result<(), SimError> {
+    if cfg.cancel.as_ref().is_some_and(graphiti_obs::CancelToken::is_cancelled) {
+        return Err(SimError::Cancelled);
+    }
+    Ok(())
 }
 
 /// The outcome of a simulation run.
@@ -447,8 +440,7 @@ struct Sweep {
     /// the run starts and absent when it asks for none.
     observe: Option<Box<Observers>>,
     /// Per channel: a human-readable name (`from.port-to.port`, `in.x`,
-    /// `out.y`). Built only when waveforms, attribution, or deadlock
-    /// reports need it.
+    /// `out.y`). Built only when waveforms or attribution need it.
     chan_names: Vec<String>,
 }
 
@@ -507,9 +499,9 @@ impl Sweep {
     /// Fails if the graph is incomplete.
     fn new(g: &ExprHigh, memory: Memory, cfg: SimConfig) -> Result<Sweep, SimError> {
         g.validate().map_err(|e| SimError::BadGraph(e.to_string()))?;
-        // Channel names feed the waveform signal list, the stall report,
-        // and the deadlock wavefront; skipped entirely on plain runs.
-        let want_names = cfg.waveform || cfg.attribute_stalls || cfg.deadlock_window > 0;
+        // Channel names feed the waveform signal list and the stall
+        // report; skipped entirely on plain runs.
+        let want_names = cfg.waveform || cfg.attribute_stalls;
         let mut chan_names: Vec<String> = Vec::new();
         let mut chans: Vec<Channel> = Vec::new();
         let mut chan_of_out: BTreeMap<graphiti_ir::Endpoint, ChanId> = BTreeMap::new();
@@ -573,7 +565,7 @@ impl Sweep {
                     }
                 }
                 CompKind::Pure { func } => Unit::Pure {
-                    lat: purefn_latency(func, cfg.load_latency),
+                    lat: purefn_latency(func),
                     func: func.clone(),
                     pipe: VecDeque::new(),
                 },
@@ -586,7 +578,7 @@ impl Sweep {
                     Unit::Tagger { state: TaggerState::new(*tags) }
                 }
                 CompKind::Load { mem } => {
-                    Unit::Load { mem: mem.clone(), lat: cfg.load_latency, pipe: VecDeque::new() }
+                    Unit::Load { mem: mem.clone(), lat: LOAD_LATENCY, pipe: VecDeque::new() }
                 }
                 CompKind::Store { mem } => Unit::Store { mem: mem.clone() },
                 CompKind::StoreQueue { mem, body_plan, epi_plan } => {
@@ -597,7 +589,7 @@ impl Sweep {
                         body,
                         epi,
                         n_stores: n_stores as u32,
-                        lat: cfg.load_latency,
+                        lat: LOAD_LATENCY,
                         cap: lsq_pending_cap(body_plan, epi_plan),
                         pending: VecDeque::new(),
                         pipe: VecDeque::new(),
@@ -1251,13 +1243,10 @@ impl Sweep {
                 st.examined_cycle = 0;
                 match self.next_pending(st.now) {
                     Some(t) => st.now = t,
-                    None => {
-                        crate::stall::deadlock_at_quiescence(&*self, &self.cfg, st.now)?;
-                        break;
-                    }
+                    None => break,
                 }
             }
-            crate::stall::boundary_check(&*self, &self.cfg, st.now, st.last_active)?;
+            boundary_check(&self.cfg)?;
             if st.now > self.cfg.max_cycles {
                 return Err(SimError::Timeout(self.cfg.max_cycles));
             }
@@ -1406,8 +1395,9 @@ impl CircuitView for Sweep {
 /// # Errors
 ///
 /// Fails if the graph is incomplete, and on memory faults, evaluation
-/// faults, timeout, deadlock (when `deadlock_window` is set) or
-/// cancellation.
+/// faults, timeout or cancellation. A circuit that wedges is not an
+/// error: the run ends at quiescence with the wedged tokens counted in
+/// [`SimResult::leftover_tokens`].
 pub fn simulate(
     g: &ExprHigh,
     feeds: &BTreeMap<String, Vec<Value>>,
@@ -1415,7 +1405,7 @@ pub fn simulate(
     cfg: SimConfig,
 ) -> Result<SimResult, SimError> {
     match cfg.scheduler {
-        Scheduler::Compiled => crate::CompiledCircuit::new(g, &cfg)?.run(feeds, memory, &cfg),
+        Scheduler::Compiled => crate::CompiledCircuit::new(g)?.run(feeds, memory, &cfg),
         Scheduler::ReferenceSweep => Sweep::new(g, memory, cfg)?.run(feeds),
     }
 }
@@ -1685,7 +1675,7 @@ mod tests {
         g.add_node("b", CompKind::Buffer { slots: 3, transparent: true }).unwrap();
         g.expose_input("x", ep("b", "in")).unwrap();
         g.expose_output("y", ep("b", "out")).unwrap();
-        let stats = crate::CompiledCircuit::new(&g, &SimConfig::default()).unwrap().stats();
+        let stats = crate::CompiledCircuit::new(&g).unwrap().stats();
         assert_eq!(stats.nodes, 1);
         assert_eq!(stats.chans, 2, "one input queue, one output queue");
     }
@@ -1704,15 +1694,11 @@ mod tests {
         g.connect(ep("f", "out0"), ep("b", "in")).unwrap();
         g.connect(ep("f", "out1"), ep("k", "in")).unwrap();
         g.connect(ep("b", "out"), ep("m", "in1")).unwrap();
-        // The deadlock window is armed, yet a livelock keeps firing (the
-        // clock never outruns `last_active` and quiescence never comes),
-        // so the verdict stays Timeout — deadlock and timeout are
-        // distinct diagnoses.
         let r = simulate(
             &g,
             &feeds("x", vec![Value::Int(1)]),
             Memory::new(),
-            SimConfig { max_cycles: 1000, deadlock_window: 64, ..Default::default() },
+            SimConfig { max_cycles: 1000, ..Default::default() },
         );
         assert_eq!(r.unwrap_err(), SimError::Timeout(1000));
     }

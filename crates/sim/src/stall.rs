@@ -1,6 +1,6 @@
 //! Everything that reads a circuit's state without changing it: the
-//! waiting predicate, stall-cause attribution, deadlock reports, token
-//! counts, and the per-cycle observability metrics.
+//! waiting predicate, stall-cause attribution, token counts, and the
+//! per-cycle observability metrics.
 //!
 //! Both simulation cores expose their state through `CircuitView` — the
 //! reference sweep its `Value`-shaped channels, the compiled backend its
@@ -30,7 +30,7 @@
 //! split equals the counters and the per-cause counters sum to their
 //! total by construction — a property the test suite pins.
 
-use crate::sim::{SimConfig, SimError};
+use crate::sim::SimConfig;
 use crate::wave::WaveRecorder;
 use graphiti_ir::{Tag, Value};
 use std::collections::{BTreeMap, VecDeque};
@@ -228,70 +228,6 @@ impl StallReport {
     }
 }
 
-/// One node of a deadlock wavefront: a node still waiting when the
-/// simulation quiesced (or exhausted its progress window) with tokens in
-/// flight. The blockage chain is produced by the same walker as stall
-/// attribution, so the report reads like one `explain-stalls` frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StuckNode {
-    /// Node name.
-    pub node: String,
-    /// True for a stalled node (all operands present, output blocked) —
-    /// the definitive deadlock witnesses; false for a starved one.
-    pub stalled: bool,
-    /// Root cause at the end of the blockage chain.
-    pub cause: StallCause,
-    /// Channel names from the node towards the root of its blockage.
-    pub path: Vec<String>,
-}
-
-/// The stuck-wavefront report carried by [`crate::SimError::Deadlock`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeadlockReport {
-    /// Cycle at which the deadlock was declared.
-    pub cycle: u64,
-    /// Tokens still in flight: channel latches, external queues, latency
-    /// pipelines, buffers, and tagger windows.
-    pub tokens_in_flight: u64,
-    /// Every waiting node, in node-index order. At least one entry is
-    /// stalled whenever the deadlock was declared at quiescence.
-    pub wavefront: Vec<StuckNode>,
-}
-
-impl DeadlockReport {
-    /// Renders the wavefront as human-readable lines.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "deadlock at cycle {}: {} tokens in flight, {} nodes stuck",
-            self.cycle,
-            self.tokens_in_flight,
-            self.wavefront.len()
-        );
-        for n in &self.wavefront {
-            let kind = if n.stalled { "stalled" } else { "starved" };
-            let path =
-                if n.path.is_empty() { "(at node)".to_string() } else { n.path.join(" -> ") };
-            let _ = writeln!(out, "  {} [{kind}] {} via {path}", n.node, n.cause.as_str());
-        }
-        out
-    }
-}
-
-impl fmt::Display for DeadlockReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "deadlock at cycle {} with {} tokens in flight ({} stuck nodes)",
-            self.cycle,
-            self.tokens_in_flight,
-            self.wavefront.len()
-        )
-    }
-}
-
 /// The unit classes the stall walks tell apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum UnitClass {
@@ -369,8 +305,7 @@ enum Waiting {
 }
 
 /// Whether node `i` lost the cycle being observed, and how. This single
-/// predicate drives the stall/starve counters, stall attribution, and the
-/// deadlock tests.
+/// predicate drives both the stall/starve counters and stall attribution.
 fn waiting(v: &impl CircuitView, i: usize) -> Option<Waiting> {
     if v.fired(i) {
         return None;
@@ -471,66 +406,6 @@ pub(crate) fn tokens_in_flight(v: &impl CircuitView) -> usize {
     let chans: usize =
         (0..v.chan_count()).filter(|&c| v.consumer(c).is_some()).map(|c| v.queued(c)).sum();
     chans + (0..v.node_count()).map(|i| v.occupancy(i)).sum::<usize>()
-}
-
-/// Builds the stuck-wavefront report for a deadlock declared at `cycle`:
-/// every waiting node in index order, its blockage chain walked by the
-/// same machinery as stall attribution.
-fn deadlock_report(v: &impl CircuitView, cycle: u64) -> DeadlockReport {
-    let mut ss = StallState::new(v.node_count(), v.chan_count());
-    let mut wavefront = Vec::new();
-    for i in 0..v.node_count() {
-        let Some(w) = waiting(v, i) else { continue };
-        let cause = walk(v, i, w, &mut ss);
-        wavefront.push(StuckNode {
-            node: v.node_name(i).to_string(),
-            stalled: w == Waiting::Stalled,
-            cause,
-            path: ss.path.iter().map(|&c| v.chan_name(c as usize).to_string()).collect(),
-        });
-    }
-    DeadlockReport { cycle, tokens_in_flight: tokens_in_flight(v) as u64, wavefront }
-}
-
-/// The quiescence-exit deadlock test (only with
-/// [`SimConfig::deadlock_window`] set): a *stalled* node at quiescence —
-/// all operands latched, nothing pending that could ever unblock its
-/// output — is a permanent deadlock. Starved-only quiescence is
-/// indistinguishable from normal termination with loop-priming leftovers
-/// and stays a successful finish.
-pub(crate) fn deadlock_at_quiescence(
-    v: &impl CircuitView,
-    cfg: &SimConfig,
-    now: u64,
-) -> Result<(), SimError> {
-    if cfg.deadlock_window > 0
-        && (0..v.node_count()).any(|i| waiting(v, i) == Some(Waiting::Stalled))
-    {
-        return Err(SimError::Deadlock(Box::new(deadlock_report(v, now))));
-    }
-    Ok(())
-}
-
-/// Cycle-boundary resilience poll: cooperative cancellation, then the
-/// defensive no-progress window (the window must exceed the deepest
-/// pipeline latency, since idle fast-forward legitimately jumps the clock
-/// without firing).
-pub(crate) fn boundary_check(
-    v: &impl CircuitView,
-    cfg: &SimConfig,
-    now: u64,
-    last_active: u64,
-) -> Result<(), SimError> {
-    if cfg.cancel.as_ref().is_some_and(graphiti_obs::CancelToken::is_cancelled) {
-        return Err(SimError::Cancelled);
-    }
-    if cfg.deadlock_window > 0
-        && now.saturating_sub(last_active) >= cfg.deadlock_window
-        && tokens_in_flight(v) > 0
-    {
-        return Err(SimError::Deadlock(Box::new(deadlock_report(v, now))));
-    }
-    Ok(())
 }
 
 /// Upper bound on distinct chains kept (beyond it, lost cycles are still

@@ -82,7 +82,7 @@ pub fn elastic_timing(kind: &CompKind) -> NodeTiming {
             comb => Comb(comb_op_delay(*comb)),
         },
         CompKind::Pure { func } => {
-            if crate::sim::purefn_latency(func, 2) > 0 {
+            if crate::sim::purefn_latency(func) > 0 {
                 Seq(2.9, 2.7)
             } else {
                 Comb(0.8 + 0.9 * purefn_comb_ops(func) as f64)

@@ -1,6 +1,7 @@
-//! Resilience-facing integration tests for the simulator: the deadlock
-//! detector (identical across both schedulers), cooperative cancellation,
-//! and the per-thread lowering count that benchmark harnesses read around
+//! Resilience-facing integration tests for the simulator: a wedged
+//! circuit ends as quiescence with leftovers that stall attribution
+//! explains identically on both schedulers, cooperative cancellation, and
+//! the per-thread lowering count that benchmark harnesses read around
 //! their own `simulate` calls.
 
 use graphiti_ir::{ep, CompKind, ExprHigh, Value};
@@ -16,7 +17,7 @@ fn feeds(name: &str, vals: Vec<Value>) -> BTreeMap<String, Vec<Value>> {
 /// A circuit that wedges permanently: the fork cannot fire because its
 /// `out1` consumer is a join starved of its never-fed second operand, so
 /// the loop through the buffer fills up and every token freezes in place.
-fn deadlock_kernel() -> ExprHigh {
+fn wedge_kernel() -> ExprHigh {
     let mut g = ExprHigh::new();
     g.add_node("m", CompKind::Merge).unwrap();
     g.add_node("f", CompKind::Fork { ways: 2 }).unwrap();
@@ -34,61 +35,42 @@ fn deadlock_kernel() -> ExprHigh {
 }
 
 #[test]
-fn deadlock_is_reported_identically_on_both_schedulers() {
-    let g = deadlock_kernel();
-    let mut reports = Vec::new();
-    for sched in [Scheduler::ReferenceSweep, Scheduler::Compiled] {
+fn a_wedged_circuit_finishes_short_and_both_cores_explain_where() {
+    // Quiescence with frozen tokens is an ordinary finish with leftovers;
+    // stall attribution says where the circuit wedged, and both cores say
+    // it identically.
+    let g = wedge_kernel();
+    let run = |scheduler| {
         let cfg = SimConfig {
             max_cycles: 10_000,
-            deadlock_window: 64,
-            scheduler: sched,
+            scheduler,
+            attribute_stalls: true,
             ..Default::default()
         };
-        let err = simulate(&g, &feeds("x", vec![Value::Int(1), Value::Int(2)]), Memory::new(), cfg)
-            .expect_err("the kernel must deadlock");
-        match err {
-            SimError::Deadlock(report) => {
-                assert!(
-                    !report.wavefront.is_empty(),
-                    "{sched:?}: deadlock report must carry a stuck wavefront"
-                );
-                assert!(report.tokens_in_flight > 0, "{sched:?}: tokens must be frozen in flight");
-                // At least one node is *stalled* (operands present, cannot
-                // fire) — the signature that distinguishes a deadlock from
-                // benign loop-priming leftovers.
-                assert!(
-                    report.wavefront.iter().any(|n| n.stalled),
-                    "{sched:?}: wavefront must contain a stalled node: {}",
-                    report.render()
-                );
-                reports.push((sched, *report));
-            }
-            other => panic!("{sched:?}: expected Deadlock, got {other:?}"),
-        }
-    }
-    // The wavefront — nodes, stalled/starved split, causes, blame paths —
-    // and the frozen token count are identical across schedulers. (The
-    // wavefront is sorted by node index, which coincides across cores.)
-    let (_, first) = &reports[0];
-    for (sched, report) in &reports[1..] {
-        assert_eq!(report, first, "{sched:?} deadlock report diverges from {:?}", reports[0].0);
-    }
-}
-
-#[test]
-fn without_the_window_the_deadlock_kernel_just_finishes_short() {
-    // Detection off (the default): quiescence with frozen tokens is an
-    // ordinary finish with leftovers, preserving pre-existing behavior.
-    let g = deadlock_kernel();
-    let r = simulate(
-        &g,
-        &feeds("x", vec![Value::Int(1), Value::Int(2)]),
-        Memory::new(),
-        SimConfig { max_cycles: 10_000, ..Default::default() },
-    )
-    .expect("detection off: the wedge quiesces as a normal finish");
-    assert!(r.leftover_tokens > 0);
-    assert!(r.outputs.values().all(|v| v.is_empty()));
+        simulate(&g, &feeds("x", vec![Value::Int(1), Value::Int(2)]), Memory::new(), cfg)
+            .expect("the wedge quiesces as a normal finish")
+    };
+    let (sweep, compiled) = (run(Scheduler::ReferenceSweep), run(Scheduler::Compiled));
+    assert_eq!(
+        (compiled.cycles, compiled.leftover_tokens, &compiled.stalls),
+        (sweep.cycles, sweep.leftover_tokens, &sweep.stalls),
+        "the cores disagree on the wedge"
+    );
+    assert_eq!((sweep.cycles, sweep.leftover_tokens), (2, 3));
+    assert!(sweep.outputs.values().all(|v| v.is_empty()));
+    let stalls = sweep.stalls.expect("attribution was armed");
+    let chains: Vec<_> = stalls
+        .chains
+        .iter()
+        .map(|c| (c.cause.as_str(), c.path.join(" -> "), c.lost_cycles))
+        .collect();
+    assert_eq!(
+        chains,
+        [
+            ("starved-by-source", "in.never".to_string(), 2),
+            ("blocked-downstream", "f.out1-j.in0".to_string(), 1),
+        ]
+    );
 }
 
 /// A healthy little pipeline used by the cancellation and lowering-count

@@ -133,7 +133,7 @@ fn refinement_is_preserved_by_product_and_connect() {
 /// replacement is a subgraph and whose application records an obligation,
 /// on every evaluation-suite kernel and on `fork_tree_graph`, the engine's
 /// graph is the lift of the grouped lowering with the obligation's `lhs`
-/// substituted by its `rhs`. That is 250 applications.
+/// substituted by its `rhs`. That is 243 applications.
 #[test]
 fn substitution_on_exprlow_matches_engine_result() {
     let mut graphs = vec![fork_tree_graph()];
