@@ -9,7 +9,7 @@
 //! discovered: stores commit out of program order and the final memory is
 //! wrong.
 
-use crate::pipeline::{normalize, PipelineError, PipelineOptions};
+use crate::pipeline::{body_outputs, normalize, PipelineError, PipelineOptions};
 use graphiti_ir::{ep, Attachment, CompKind, ExprHigh, NodeId};
 use graphiti_rewrite::{wire_consumer, wire_driver, Engine};
 use std::fmt;
@@ -70,14 +70,7 @@ pub fn dfooo_loop(
         None => return Err(DfOooError::LoopNotFound),
     };
     let body_in = wire_consumer(&g, &ep(l.mux.clone(), "out")).ok_or(DfOooError::LoopNotFound)?;
-    let cond_src = match wire_driver(&g, &ep(l.fork.clone(), "in")) {
-        Some(s) => s,
-        None => return Err(DfOooError::LoopNotFound),
-    };
-    let branch_data = match g.driver(&ep(l.branch.clone(), "in")) {
-        Some(Attachment::Wire(e)) => e,
-        _ => return Err(DfOooError::LoopNotFound),
-    };
+    let (_, cond_src) = body_outputs(&g, &l).ok_or(DfOooError::LoopNotFound)?;
     // The condition fork's ways beyond the Init feed the Branch condition
     // and possibly extra taps (a store queue's `seq` stream). All of them
     // must keep firing after the fork is replaced — note their consumers
@@ -126,8 +119,6 @@ pub fn dfooo_loop(
             g.connect(ep(refan.clone(), format!("out{w}")), tap)?;
         }
     }
-    // The branch data path survived; keep it.
-    let _ = branch_data;
 
     // Insert the tagger and the merge.
     let tagger = g.fresh("dfooo_tagger");

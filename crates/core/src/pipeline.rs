@@ -19,10 +19,10 @@
 //!    tag-transparent).
 
 use crate::loops::{loop_body_region, loop_with_init, SeqLoop};
-use graphiti_ir::{ep, Attachment, CompKind, Endpoint, ExprHigh, NodeId, PureFn};
+use graphiti_ir::{ep, CompKind, Endpoint, ExprHigh, NodeId, PureFn};
 use graphiti_rewrite::{
-    catalog, extract_region_function, simplify, wire_consumer, CheckMode, Engine, ExtractError,
-    Match, Obligation, Replacement, Rewrite, RewriteError,
+    catalog, extract_region_function, simplify, wire_consumer, wire_driver, CheckMode, Engine,
+    ExtractError, Match, Obligation, Replacement, Rewrite, RewriteError,
 };
 use graphiti_sem::RefineConfig;
 use std::collections::{BTreeMap, BTreeSet};
@@ -41,10 +41,6 @@ pub struct PipelineOptions {
     /// [`graphiti_rewrite::verify::discharge`]).
     pub refine_cfg: RefineConfig,
 }
-
-/// The iteration budget of each exhaustive rewrite pass (every
-/// `exhaust`/`exhaust_in_region` call gets the whole budget).
-const MAX_REWRITES: usize = 100_000;
 
 impl Default for PipelineOptions {
     fn default() -> Self {
@@ -122,48 +118,36 @@ fn engine_for(opts: &PipelineOptions) -> Engine {
     }
 }
 
-/// Assembles a report, draining the engine's deferred obligations (if any)
-/// into it.
-fn report_of(
-    engine: &mut Engine,
-    transformed: bool,
-    refusal: Option<Refusal>,
-    pure_by_rewrites: bool,
-) -> PipelineReport {
-    PipelineReport {
-        transformed,
-        refusal,
-        rewrites: engine.rewrites_applied(),
-        pure_by_rewrites,
-        obligations: std::mem::take(&mut engine.obligations),
+/// Why [`transform`] stopped short of phase 5.
+enum Stop {
+    /// The loop is left as it was, for this reason.
+    Refused(Refusal),
+    /// The engine failed.
+    Failed(PipelineError),
+}
+
+impl From<Refusal> for Stop {
+    fn from(r: Refusal) -> Self {
+        Stop::Refused(r)
     }
 }
 
-/// Applies rewrites exhaustively but only at matches fully inside `region`,
-/// keeping the region set updated with freshly created nodes.
-fn exhaust_in_region(
-    engine: &mut Engine,
-    mut g: ExprHigh,
-    region: &mut BTreeSet<NodeId>,
-    rws: &[Rewrite],
-    max_iters: usize,
-) -> Result<ExprHigh, PipelineError> {
-    'outer: for _ in 0..max_iters {
-        for rw in rws {
-            let m = rw.matches(&g).into_iter().find(|m| m.nodes.iter().all(|n| region.contains(n)));
-            if let Some(m) = m {
-                g = engine.apply_at(&g, rw, &m)?;
-                for n in &m.nodes {
-                    region.remove(n);
-                }
-                let applied = engine.log.last().expect("a successful application is logged");
-                region.extend(applied.created.iter().cloned());
-                continue 'outer;
-            }
-        }
-        return Ok(g);
+impl From<PipelineError> for Stop {
+    fn from(e: PipelineError) -> Self {
+        Stop::Failed(e)
     }
-    Ok(g)
+}
+
+impl From<RewriteError> for Stop {
+    fn from(e: RewriteError) -> Self {
+        Stop::Failed(e.into())
+    }
+}
+
+/// The body's outputs in a normalized loop: the wires that drive
+/// `branch.in` (data) and `fork.in` (condition).
+pub(crate) fn body_outputs(g: &ExprHigh, l: &SeqLoop) -> Option<(Endpoint, Endpoint)> {
+    Some((wire_driver(g, &ep(l.branch.clone(), "in"))?, wire_driver(g, &ep(l.fork.clone(), "in"))?))
 }
 
 /// A targeted rewrite replacing a whole region by `Pure(f); Split`, built
@@ -175,7 +159,6 @@ fn region_to_pure_rewrite(
     cond_out: Endpoint,
     func: PureFn,
 ) -> Rewrite {
-    let region2 = region.clone();
     Rewrite::new(
         "region-to-pure",
         true,
@@ -189,7 +172,6 @@ fn region_to_pure_rewrite(
             frag.expose_input("in", ep("p", "in")).map_err(RewriteError::Graph)?;
             frag.expose_output("data", ep("s", "out0")).map_err(RewriteError::Graph)?;
             frag.expose_output("cond", ep("s", "out1")).map_err(RewriteError::Graph)?;
-            let _ = &region2;
             Ok(Replacement::Subgraph {
                 graph: frag,
                 boundary_ins: [("in".to_string(), input.clone())].into_iter().collect(),
@@ -256,20 +238,8 @@ pub(crate) fn normalize(
     g: ExprHigh,
     init: &NodeId,
 ) -> Result<(ExprHigh, Option<SeqLoop>), PipelineError> {
-    let phase1 = [
-        catalog::normalize::mux_combine(),
-        catalog::normalize::branch_combine(),
-        catalog::normalize::fork_flatten(),
-    ];
-    let refs: Vec<&Rewrite> = phase1.iter().collect();
-    let g = engine.exhaust(g, &refs, MAX_REWRITES)?;
-    let phase2 = [
-        catalog::elim::fork1_elim(),
-        catalog::elim::split_join_elim(),
-        catalog::elim::fork_sink_prune(),
-    ];
-    let refs: Vec<&Rewrite> = phase2.iter().collect();
-    let g = engine.exhaust(g, &refs, MAX_REWRITES)?;
+    let g = engine.exhaust(g, &catalog::normalize_phase(), None)?;
+    let g = engine.exhaust(g, &catalog::eliminate_phase(), None)?;
     let l = loop_with_init(&g, init);
     Ok((g, l))
 }
@@ -289,263 +259,119 @@ pub fn optimize_loop(
     opts: &PipelineOptions,
 ) -> Result<(ExprHigh, PipelineReport), PipelineError> {
     let mut engine = engine_for(opts);
-    let original = graph.clone();
+    let mut pure_by_rewrites = false;
+    let (g, refusal) = match transform(&mut engine, graph, init, opts.tags, &mut pure_by_rewrites) {
+        Ok(g) => (g, None),
+        Err(Stop::Refused(r)) => (graph.clone(), Some(r)),
+        Err(Stop::Failed(e)) => return Err(e),
+    };
+    let report = PipelineReport {
+        transformed: refusal.is_none(),
+        refusal,
+        rewrites: engine.rewrites_applied(),
+        pure_by_rewrites,
+        obligations: engine.obligations,
+    };
+    Ok((g, report))
+}
 
+/// The five phases on `graph`. `pure_by_rewrites` is set once phase 3's
+/// rewrites have run, so a refusal before that reports `false`.
+fn transform(
+    engine: &mut Engine,
+    graph: &ExprHigh,
+    init: &NodeId,
+    tags: u32,
+    pure_by_rewrites: &mut bool,
+) -> Result<ExprHigh, Stop> {
     // A store queue serialises memory accesses by the *arrival order* of
     // its sequence stream; tagging the region around it would reorder that
     // stream and break the program-order commit guarantee. Until the
     // rewrite catalogue grows an LSQ-aware tagging rule, refuse outright —
     // the circuit stays correct, just in-order.
-    if let Some(n) = graph
-        .nodes()
-        .find(|(_, k)| matches!(k, CompKind::StoreQueue { .. }))
-        .map(|(n, _)| n.clone())
-    {
-        return Ok((
-            original,
-            report_of(
-                &mut engine,
-                false,
-                Some(Refusal::ImpureBody(format!("store queue at `{n}`"))),
-                false,
-            ),
-        ));
+    if let Some((n, _)) = graph.nodes().find(|(_, k)| matches!(k, CompKind::StoreQueue { .. })) {
+        return Err(Refusal::ImpureBody(format!("store queue at `{n}`")).into());
     }
 
     // Phases 1-2.
-    let (g, l) = normalize(&mut engine, graph.clone(), init)?;
-    let l = match l {
-        Some(l) => l,
-        None => {
-            return Ok((
-                original,
-                report_of(&mut engine, false, Some(Refusal::LoopNotFound), false),
-            ))
-        }
-    };
+    let (g, l) = normalize(engine, graph.clone(), init)?;
+    let l = l.ok_or(Refusal::LoopNotFound)?;
 
     // Record the normalized body for phase 5.
-    let region0 = loop_body_region(&g, &l);
-    if let Some(impure) = region0.iter().find(|n| !g.kind(n).expect("node").is_effect_free()) {
-        return Ok((
-            original,
-            report_of(
-                &mut engine,
-                false,
-                Some(Refusal::ImpureBody(format!("store at `{impure}`"))),
-                false,
-            ),
-        ));
+    let mut region = loop_body_region(&g, &l);
+    if let Some(impure) = region.iter().find(|n| !g.kind(n).expect("node").is_effect_free()) {
+        return Err(Refusal::ImpureBody(format!("store at `{impure}`")).into());
     }
-    let body_input = match wire_consumer(&g, &ep(l.mux.clone(), "out")) {
-        Some(e) => e,
-        None => {
-            return Ok((
-                original,
-                report_of(&mut engine, false, Some(Refusal::LoopNotFound), false),
-            ))
-        }
-    };
-    // Body outputs: the wires feeding branch.in and fork.in.
-    let data_out = match g.driver(&ep(l.branch.clone(), "in")) {
-        Some(Attachment::Wire(e)) => e,
-        _ => {
-            return Ok((
-                original,
-                report_of(&mut engine, false, Some(Refusal::LoopNotFound), false),
-            ))
-        }
-    };
-    let cond_out = match g.driver(&ep(l.fork.clone(), "in")) {
-        Some(Attachment::Wire(e)) => e,
-        _ => {
-            return Ok((
-                original,
-                report_of(&mut engine, false, Some(Refusal::LoopNotFound), false),
-            ))
-        }
-    };
+    let body_input = wire_consumer(&g, &ep(l.mux.clone(), "out")).ok_or(Refusal::LoopNotFound)?;
+    let (data_out, cond_out) = body_outputs(&g, &l).ok_or(Refusal::LoopNotFound)?;
 
     // Snapshot the body fragment for phase 5.
     let mut body_snapshot = ExprHigh::new();
-    for n in &region0 {
+    for n in &region {
         body_snapshot.add_node(n.clone(), g.kind(n).expect("node").clone()).expect("snapshot node");
     }
     for (from, to) in g.edges() {
-        if region0.contains(&from.node) && region0.contains(&to.node) {
+        if region.contains(&from.node) && region.contains(&to.node) {
             body_snapshot.connect(from.clone(), to.clone()).expect("snapshot edge");
         }
     }
 
     // Phase 3a: rewrite-based pure generation inside the region.
-    let mut region = region0.clone();
-    let to_pure = [
-        catalog::pure_gen::op_to_pure(),
-        catalog::pure_gen::load_to_pure(),
-        catalog::pure_gen::constant_to_pure(),
-    ];
-    let mut g = exhaust_in_region(&mut engine, g, &mut region, &to_pure, MAX_REWRITES)?;
-    let absorb = [
-        catalog::pure_gen::fork_to_pure(),
-        catalog::pure_gen::pure_fuse(),
-        catalog::pure_gen::pure_over_join_left(),
-        catalog::pure_gen::pure_over_join_right(),
-        catalog::pure_gen::pure_over_split_left(),
-        catalog::pure_gen::pure_over_split_right(),
-        catalog::pure_gen::split_fst(),
-        catalog::pure_gen::split_snd(),
-        catalog::elim::split_join_elim(),
-        catalog::elim::split_join_swap(),
-        catalog::elim::join_split_elim(),
-        catalog::elim::sink_absorb_pure(),
-    ];
-    g = exhaust_in_region(&mut engine, g, &mut region, &absorb, MAX_REWRITES)?;
+    let g = engine.exhaust(g, &catalog::to_pure_phase(), Some(&mut region))?;
+    let mut g = engine.exhaust(g, &catalog::absorb_phase(), Some(&mut region))?;
 
     // Re-locate the loop (rewrites did not touch the steering nodes).
-    let l = match loop_with_init(&g, init) {
-        Some(l) => l,
-        None => {
-            return Ok((
-                original,
-                report_of(&mut engine, false, Some(Refusal::LoopNotFound), false),
-            ))
-        }
-    };
+    let l = loop_with_init(&g, init).ok_or(Refusal::LoopNotFound)?;
     let region_now = loop_body_region(&g, &l);
 
     // Is the region already the canonical `Pure; Split`?
-    let is_canonical = {
-        let mut pure_split = false;
-        if region_now.len() == 2 {
-            let mut kinds: Vec<&CompKind> =
-                region_now.iter().map(|n| g.kind(n).expect("node")).collect();
-            kinds.sort_by_key(|k| k.type_name());
-            if matches!(kinds[0], CompKind::Pure { .. }) && matches!(kinds[1], CompKind::Split) {
-                pure_split = true;
-            }
-        }
-        pure_split
-    };
-
-    let pure_by_rewrites = is_canonical;
-    if !is_canonical {
+    let mut kinds: Vec<&CompKind> = region_now.iter().map(|n| g.kind(n).expect("node")).collect();
+    kinds.sort_by_key(|k| k.type_name());
+    *pure_by_rewrites = matches!(kinds.as_slice(), [CompKind::Pure { .. }, CompKind::Split]);
+    if !*pure_by_rewrites {
         // Phase 3b: oracle — extract the region function symbolically,
         // simplify it with the e-graph, and apply the checked
         // region-to-Pure rewrite.
-        let rf = match extract_region_function(&g, &region_now) {
-            Ok(rf) => rf,
-            Err(ExtractError::Impure(n)) => {
-                return Ok((
-                    original,
-                    report_of(
-                        &mut engine,
-                        false,
-                        Some(Refusal::ImpureBody(format!("store at `{n}`"))),
-                        false,
-                    ),
-                ))
-            }
-            Err(e) => {
-                return Ok((
-                    original,
-                    report_of(
-                        &mut engine,
-                        false,
-                        Some(Refusal::NotReducible(e.to_string())),
-                        false,
-                    ),
-                ))
-            }
-        };
+        let rf = extract_region_function(&g, &region_now).map_err(|e| match e {
+            ExtractError::Impure(n) => Refusal::ImpureBody(format!("store at `{n}`")),
+            e => Refusal::NotReducible(e.to_string()),
+        })?;
         // Identify the data and condition outputs.
-        let data_now = match g.driver(&ep(l.branch.clone(), "in")) {
-            Some(Attachment::Wire(e)) => e,
-            _ => unreachable!("normalized loop has a branch input"),
-        };
-        let cond_now = match g.driver(&ep(l.fork.clone(), "in")) {
-            Some(Attachment::Wire(e)) => e,
-            _ => unreachable!("normalized loop has a fork input"),
-        };
+        let (data_now, cond_now) =
+            body_outputs(&g, &l).expect("normalized loop has branch and fork inputs");
         let find = |target: &Endpoint| {
             rf.outputs.iter().find(|(e, _)| e == target).map(|(_, f)| f.clone())
         };
-        let (f_data, f_cond) = match (find(&data_now), find(&cond_now)) {
-            (Some(a), Some(b)) => (a, b),
-            _ => {
-                return Ok((
-                    original,
-                    report_of(
-                        &mut engine,
-                        false,
-                        Some(Refusal::NotReducible(
-                            "region outputs do not line up with branch/fork".into(),
-                        )),
-                        false,
-                    ),
-                ))
-            }
+        let (Some(f_data), Some(f_cond)) = (find(&data_now), find(&cond_now)) else {
+            let why = "region outputs do not line up with branch/fork";
+            return Err(Refusal::NotReducible(why.into()).into());
         };
         let func = simplify(&PureFn::pair(f_data, f_cond), 6);
-        let rw =
-            region_to_pure_rewrite(region_now.clone(), rf.input.clone(), data_now, cond_now, func);
-        match engine.apply_first(&g, &rw) {
-            Ok(Some(g2)) => g = g2,
-            Ok(None) => unreachable!("targeted rewrite always matches"),
-            Err(e) => return Err(PipelineError::Rewrite(e)),
-        }
+        let rw = region_to_pure_rewrite(region_now, rf.input.clone(), data_now, cond_now, func);
+        g = engine.apply_first(&g, &rw)?.expect("targeted rewrite always matches");
     }
 
     // Phase 4: the verified out-of-order loop rewrite.
-    let l = match loop_with_init(&g, init) {
-        Some(l) => l,
-        None => unreachable!("loop steering survived phase 3"),
-    };
-    let rw = catalog::ooo::loop_ooo_at(opts.tags, l.mux.clone());
-    let g = match engine.apply_first(&g, &rw)? {
-        Some(g2) => g2,
-        None => {
-            return Ok((
-                original,
-                report_of(
-                    &mut engine,
-                    false,
-                    Some(Refusal::NotReducible("canonical loop shape not reached".into())),
-                    pure_by_rewrites,
-                ),
-            ))
-        }
-    };
+    let l = loop_with_init(&g, init).expect("loop steering survived phase 3");
+    let rw = catalog::ooo::loop_ooo_at(tags, l.mux.clone());
+    let g = engine
+        .apply_first(&g, &rw)?
+        .ok_or_else(|| Refusal::NotReducible("canonical loop shape not reached".into()))?;
 
     // Phase 5: expand the Pure back into the recorded body inside the
     // tagged region. Locate the (merge -> pure -> split) chain.
-    let (pure_node, split_node) = {
-        let mut found = None;
-        for (n, kind) in g.nodes() {
-            if !matches!(kind, CompKind::Merge) {
-                continue;
-            }
-            if let Some(p) = wire_consumer(&g, &ep(n.clone(), "out")) {
-                if matches!(g.kind(&p.node), Some(CompKind::Pure { .. })) {
-                    if let Some(s) = wire_consumer(&g, &ep(p.node.clone(), "out")) {
-                        if matches!(g.kind(&s.node), Some(CompKind::Split)) {
-                            found = Some((p.node.clone(), s.node.clone()));
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        match found {
-            Some(x) => x,
-            None => unreachable!("phase 4 produced a merge->pure->split chain"),
-        }
-    };
+    let (pure_node, split_node) = g
+        .nodes()
+        .filter(|(_, k)| matches!(k, CompKind::Merge))
+        .find_map(|(n, _)| {
+            let p = wire_consumer(&g, &ep(n.clone(), "out"))
+                .filter(|p| matches!(g.kind(&p.node), Some(CompKind::Pure { .. })))?;
+            let s = wire_consumer(&g, &ep(p.node.clone(), "out"))
+                .filter(|s| matches!(g.kind(&s.node), Some(CompKind::Split)))?;
+            Some((p.node, s.node))
+        })
+        .expect("phase 4 produced a merge->pure->split chain");
     let rw =
         pure_expand_rewrite(pure_node, split_node, body_snapshot, body_input, data_out, cond_out);
-    let g = match engine.apply_first(&g, &rw)? {
-        Some(g2) => g2,
-        None => unreachable!("targeted expansion always matches"),
-    };
-
-    Ok((g, report_of(&mut engine, true, None, pure_by_rewrites)))
+    Ok(engine.apply_first(&g, &rw)?.expect("targeted expansion always matches"))
 }

@@ -196,11 +196,7 @@ impl From<EvalError> for InterpError {
 }
 
 /// Evaluates an expression in a variable environment against a memory.
-pub fn eval_expr(
-    e: &Expr,
-    env: &BTreeMap<String, Value>,
-    mem: &Memory,
-) -> Result<Value, InterpError> {
+fn eval_expr(e: &Expr, env: &BTreeMap<String, Value>, mem: &Memory) -> Result<Value, InterpError> {
     match e {
         Expr::Const(v) => Ok(v.clone()),
         Expr::Var(v) => env.get(v).cloned().ok_or_else(|| InterpError::UnknownVar(v.clone())),
@@ -236,8 +232,15 @@ fn run_store(
 const MAX_INNER_ITERS: usize = 1_000_000;
 
 /// Runs a kernel on a memory, mutating it; the reference semantics for the
-/// dataflow circuit.
-pub fn run_kernel(k: &OuterLoop, mem: &mut Memory) -> Result<(), InterpError> {
+/// dataflow circuit. Returns the number of inner-loop iterations run,
+/// summed over the outer iterations.
+///
+/// # Errors
+///
+/// Fails on an evaluation error, or with [`InterpError::Diverged`] when one
+/// outer iteration runs more than 1,000,000 inner iterations.
+pub fn run_kernel(k: &OuterLoop, mem: &mut Memory) -> Result<u64, InterpError> {
+    let mut iterations = 0;
     for i in 0..k.trip {
         let mut env: BTreeMap<String, Value> = BTreeMap::new();
         env.insert(k.var.clone(), Value::Int(i));
@@ -270,6 +273,7 @@ pub fn run_kernel(k: &OuterLoop, mem: &mut Memory) -> Result<(), InterpError> {
                 break;
             }
         }
+        iterations += iters as u64;
         // Epilogue sees the outer variable and the final state.
         let mut epi_env = state;
         epi_env.insert(k.var.clone(), Value::Int(i));
@@ -277,7 +281,7 @@ pub fn run_kernel(k: &OuterLoop, mem: &mut Memory) -> Result<(), InterpError> {
             run_store(st, &epi_env, mem)?;
         }
     }
-    Ok(())
+    Ok(iterations)
 }
 
 /// Runs a whole program, returning the final memory.

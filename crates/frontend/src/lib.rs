@@ -46,8 +46,7 @@ mod codegen;
 mod text;
 
 pub use ast::{
-    eval_expr, run_kernel, run_program, Expr, InnerLoop, InterpError, Memory, OuterLoop, Program,
-    StoreStmt,
+    run_kernel, run_program, Expr, InnerLoop, InterpError, Memory, OuterLoop, Program, StoreStmt,
 };
 pub use codegen::{compile, compile_kernel, CodegenError, CompiledProgram, KernelCircuit};
 pub use text::{parse_expr, parse_program, print_expr, print_program, TextError};

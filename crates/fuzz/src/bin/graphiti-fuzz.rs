@@ -90,9 +90,10 @@ fn cmd_run(args: Vec<String>) {
 
     // The flight recorder runs for the whole campaign: instrumented sites
     // (simulator runs, rewrite applications, refinement bound hits) leave
-    // a trail, and each failure's reproducer carries the ring's tail.
+    // a trail, each failure's reproducer carries the ring's tail, and a
+    // panic dumps the whole ring to the working directory.
     graphiti_obs::flight::enable();
-    graphiti_obs::flight::install_panic_hook();
+    graphiti_obs::flight::install_panic_hook("graphiti-flight.jsonl");
 
     let mut table = triage::Triage::new();
     let mut saved = Vec::new();

@@ -49,7 +49,6 @@ pub struct FlightEvent {
 
 static FLIGHT_ENABLED: AtomicBool = AtomicBool::new(false);
 static HEAD: AtomicU64 = AtomicU64::new(0);
-static DUMP_PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
 
 fn slots() -> &'static [Mutex<Option<FlightEvent>>] {
     static SLOTS: OnceLock<Vec<Mutex<Option<FlightEvent>>>> = OnceLock::new();
@@ -165,33 +164,15 @@ pub fn write_jsonl(path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
     std::fs::write(path, jsonl())
 }
 
-/// Sets where [`install_panic_hook`]'s dump goes. Overrides the
-/// `GRAPHITI_FLIGHT_DUMP` environment variable.
-pub fn set_dump_path(path: impl Into<PathBuf>) {
-    *DUMP_PATH.lock().unwrap_or_else(|e| e.into_inner()) = Some(path.into());
-}
-
-/// Where a panic dump should be written: [`set_dump_path`] if called,
-/// else `$GRAPHITI_FLIGHT_DUMP`, else `graphiti-flight.jsonl` in the
-/// working directory.
-fn dump_path() -> PathBuf {
-    if let Some(p) = DUMP_PATH.lock().unwrap_or_else(|e| e.into_inner()).clone() {
-        return p;
-    }
-    std::env::var_os("GRAPHITI_FLIGHT_DUMP")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("graphiti-flight.jsonl"))
-}
-
-/// Installs a panic hook that dumps the ring as JSONL before delegating
-/// to the previously installed hook. Safe to call more than once (each
-/// call chains the hook installed before it); a no-op dump when the
-/// recorder is disabled or empty.
-pub fn install_panic_hook() {
+/// Installs a panic hook that dumps the ring as JSONL to `path` before
+/// delegating to the previously installed hook. Safe to call more than
+/// once (each call chains the hook installed before it); a no-op dump when
+/// the recorder is disabled or empty.
+pub fn install_panic_hook(path: impl Into<PathBuf>) {
+    let path = path.into();
     let previous = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
         if enabled() && recorded() > 0 {
-            let path = dump_path();
             match write_jsonl(&path) {
                 Ok(()) => eprintln!(
                     "graphiti-obs: flight recorder dumped {} events to {}",

@@ -49,8 +49,7 @@ fn panic_dump_writes_the_ring_as_jsonl() {
     let dir = std::env::temp_dir().join(format!("graphiti-flight-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let dump = dir.join("dump.jsonl");
-    flight::set_dump_path(&dump);
-    flight::install_panic_hook();
+    flight::install_panic_hook(&dump);
 
     flight::record("test.panic", || "the last thing that happened".to_string());
     flight::record("test.panic", || "and the very last".to_string());

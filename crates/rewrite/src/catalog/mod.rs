@@ -13,6 +13,11 @@
 //! * [`ooo`] — the main out-of-order loop rewrite (Fig. 3d), the one the
 //!   paper formally verifies.
 //!
+//! The phase lists ([`normalize_phase`], [`eliminate_phase`],
+//! [`to_pure_phase`], [`absorb_phase`]) fix the order in which the pipeline
+//! tries the rewrites of each phase; [`all_rewrites`] is their union plus
+//! the loop rewrite.
+//!
 //! Each rewrite records whether it carries a refinement obligation
 //! (`verified`); an engine in [`CheckMode::Deferred`](crate::CheckMode)
 //! records those obligations and [`crate::verify::discharge`] checks them
@@ -23,7 +28,7 @@ pub mod normalize;
 pub mod ooo;
 pub mod pure_gen;
 
-use crate::engine::{Replacement, RewriteError};
+use crate::engine::{Replacement, Rewrite, RewriteError};
 use graphiti_ir::{ep, CompKind, Endpoint, ExprHigh};
 use std::collections::BTreeMap;
 
@@ -80,34 +85,56 @@ impl Frag {
     }
 }
 
-/// Every catalogue rewrite the two flows apply: the phase lists of the
-/// verified pipeline plus the loop rewrite (the DF-OoO baseline's lists are
-/// a subset). The pipeline's targeted `region-to-pure` and `pure-expand`
-/// rewrites are built per loop and are not listed.
-pub fn all_rewrites() -> Vec<crate::engine::Rewrite> {
+/// Phase 1 of both flows: combine the Muxes and the Branches that share a
+/// condition fork, and flatten fork trees (Fig. 3a).
+pub fn normalize_phase() -> Vec<Rewrite> {
+    vec![normalize::mux_combine(), normalize::branch_combine(), normalize::fork_flatten()]
+}
+
+/// Phase 2 of both flows: remove the degenerate forks and the Split/Join
+/// pairs that combining introduced (Fig. 3b).
+pub fn eliminate_phase() -> Vec<Rewrite> {
+    vec![elim::fork1_elim(), elim::split_join_elim(), elim::fork_sink_prune()]
+}
+
+/// Phase 3, first pass: turn each operator, load and constant of the loop
+/// body into a Pure (§3.2).
+pub fn to_pure_phase() -> Vec<Rewrite> {
+    vec![pure_gen::op_to_pure(), pure_gen::load_to_pure(), pure_gen::constant_to_pure()]
+}
+
+/// Phase 3, second pass: absorb forks, Pures, Splits, Joins and Sinks of
+/// the loop body into one `Pure; Split` (Fig. 5).
+pub fn absorb_phase() -> Vec<Rewrite> {
     vec![
-        normalize::mux_combine(),
-        normalize::branch_combine(),
-        normalize::fork_flatten(),
-        elim::fork1_elim(),
-        elim::split_join_elim(),
-        elim::split_join_swap(),
-        elim::join_split_elim(),
-        elim::fork_sink_prune(),
-        elim::sink_absorb_pure(),
-        pure_gen::op_to_pure(),
-        pure_gen::load_to_pure(),
-        pure_gen::constant_to_pure(),
-        pure_gen::pure_fuse(),
         pure_gen::fork_to_pure(),
+        pure_gen::pure_fuse(),
         pure_gen::pure_over_join_left(),
         pure_gen::pure_over_join_right(),
         pure_gen::pure_over_split_left(),
         pure_gen::pure_over_split_right(),
         pure_gen::split_fst(),
         pure_gen::split_snd(),
-        ooo::loop_ooo(8),
+        elim::split_join_elim(),
+        elim::split_join_swap(),
+        elim::join_split_elim(),
+        elim::sink_absorb_pure(),
     ]
+}
+
+/// Every catalogue rewrite the two flows apply: each rewrite of the four
+/// phase lists once, in order of first appearance, then the loop rewrite.
+/// The pipeline's targeted `region-to-pure` and `pure-expand` rewrites are
+/// built per loop and are not listed.
+pub fn all_rewrites() -> Vec<Rewrite> {
+    let phases = [normalize_phase(), eliminate_phase(), to_pure_phase(), absorb_phase()];
+    let mut all: Vec<Rewrite> = Vec::new();
+    for rw in phases.into_iter().flatten().chain([ooo::loop_ooo(8)]) {
+        if all.iter().all(|r| r.name != rw.name) {
+            all.push(rw);
+        }
+    }
+    all
 }
 
 #[cfg(test)]

@@ -473,8 +473,7 @@ mod tests {
         assert!(g2.nodes().any(|(_, k)| matches!(k, CompKind::Fork { ways: 2 })));
         // Applying repeatedly eliminates all forks.
         let rws = [fork_to_pure()];
-        let refs: Vec<&Rewrite> = rws.iter().collect();
-        let g3 = engine.exhaust(g2, &refs, 10).unwrap();
+        let g3 = engine.exhaust(g2, &rws, None).unwrap();
         assert!(!g3.nodes().any(|(_, k)| matches!(k, CompKind::Fork { .. })));
     }
 

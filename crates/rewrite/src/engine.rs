@@ -77,6 +77,10 @@ fn bump_rewrite_counter(kind: &'static str, name: &'static str) {
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+/// The applications one [`Engine::exhaust`] pass may make before it stops,
+/// whether or not a rewrite still matches.
+const EXHAUST_BUDGET: usize = 100_000;
+
 /// A concrete occurrence of a rewrite's left-hand side.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Match {
@@ -298,9 +302,21 @@ impl Engine {
         g: &ExprHigh,
         rw: &Rewrite,
     ) -> Result<Option<ExprHigh>, RewriteError> {
+        self.apply_first_in(g, rw, None)
+    }
+
+    /// [`Engine::apply_first`], taking only a match wholly inside `region`
+    /// when one is given. Every try counts as `attempted` and the match
+    /// taken as `matched`.
+    fn apply_first_in(
+        &mut self,
+        g: &ExprHigh,
+        rw: &Rewrite,
+        region: Option<&BTreeSet<NodeId>>,
+    ) -> Result<Option<ExprHigh>, RewriteError> {
         bump_rewrite_counter("attempted", rw.name);
-        let matches = rw.matches(g);
-        match matches.into_iter().next() {
+        let inside = |m: &Match| region.is_none_or(|r| m.nodes.is_subset(r));
+        match rw.matches(g).into_iter().find(inside) {
             Some(m) => {
                 bump_rewrite_counter("matched", rw.name);
                 self.apply_at(g, rw, &m).map(Some)
@@ -392,8 +408,14 @@ impl Engine {
         Ok(g2)
     }
 
-    /// Applies the rewrites exhaustively (first match of the first matching
-    /// rewrite, repeatedly) until fixpoint or `max_iters` applications.
+    /// Applies the rewrites exhaustively: repeatedly the first match of the
+    /// first rewrite that has one, until none has (or after
+    /// `EXHAUST_BUDGET` applications).
+    ///
+    /// With a `region`, only matches wholly inside it count; each
+    /// application's matched nodes leave the region and the nodes it created
+    /// join it. The pipeline's phase 3 confines pure generation to the loop
+    /// body this way.
     ///
     /// # Errors
     ///
@@ -401,21 +423,23 @@ impl Engine {
     pub fn exhaust(
         &mut self,
         mut g: ExprHigh,
-        rws: &[&Rewrite],
-        max_iters: usize,
+        rws: &[Rewrite],
+        mut region: Option<&mut BTreeSet<NodeId>>,
     ) -> Result<ExprHigh, RewriteError> {
-        for _ in 0..max_iters {
-            let mut progressed = false;
+        'apply: for _ in 0..EXHAUST_BUDGET {
             for rw in rws {
-                if let Some(g2) = self.apply_first(&g, rw)? {
-                    g = g2;
-                    progressed = true;
-                    break;
+                let Some(g2) = self.apply_first_in(&g, rw, region.as_deref())? else { continue };
+                g = g2;
+                if let Some(region) = region.as_deref_mut() {
+                    let applied = self.log.last().expect("a successful application is logged");
+                    for n in &applied.nodes {
+                        region.remove(n);
+                    }
+                    region.extend(applied.created.iter().cloned());
                 }
+                continue 'apply;
             }
-            if !progressed {
-                return Ok(g);
-            }
+            return Ok(g);
         }
         Ok(g)
     }

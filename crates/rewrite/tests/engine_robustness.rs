@@ -2,12 +2,12 @@
 //! naming, rewrite logs, and the interplay of the pure-generation rewrites
 //! with the extraction oracle on a nontrivial loop body.
 
-use graphiti_ir::{ep, CompKind, Endpoint, ExprHigh, Op, Value};
+use graphiti_ir::{ep, CompKind, Endpoint, ExprHigh, NodeId, Op, Value};
 use graphiti_rewrite::{
     catalog, extract_region_function, wire_consumer, Engine, Match, Replacement, Rewrite,
     RewriteError,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The GCD-ish body region of the paper's Fig. 5: split, fork, mod, nez.
 fn body_region() -> ExprHigh {
@@ -58,8 +58,7 @@ fn extraction_matches_rewrite_based_pure_generation() {
         catalog::elim::split_join_swap(),
         catalog::elim::join_split_elim(),
     ];
-    let refs: Vec<&Rewrite> = rws.iter().collect();
-    let reduced = engine.exhaust(g, &refs, 10_000).unwrap();
+    let reduced = engine.exhaust(g, &rws, None).unwrap();
     reduced.validate().unwrap();
     assert!(engine.rewrites_applied() >= 5, "applied {}", engine.rewrites_applied());
 
@@ -84,16 +83,30 @@ fn exhaust_is_deterministic() {
         catalog::pure_gen::fork_to_pure(),
         catalog::pure_gen::pure_fuse(),
     ];
-    let refs: Vec<&Rewrite> = rws.iter().collect();
     let mut a = Engine::new();
     let mut b = Engine::new();
-    let ga = a.exhaust(body_region(), &refs, 10_000).unwrap();
-    let gb = b.exhaust(body_region(), &refs, 10_000).unwrap();
+    let ga = a.exhaust(body_region(), &rws, None).unwrap();
+    let gb = b.exhaust(body_region(), &rws, None).unwrap();
     assert_eq!(ga, gb);
     assert_eq!(a.rewrites_applied(), b.rewrites_applied());
     let names_a: Vec<&str> = a.log.iter().map(|x| x.rewrite.as_str()).collect();
     let names_b: Vec<&str> = b.log.iter().map(|x| x.rewrite.as_str()).collect();
     assert_eq!(names_a, names_b);
+}
+
+#[test]
+fn exhaust_in_a_region_rewrites_only_inside_it_and_tracks_created_nodes() {
+    // Both operators match `op-to-pure`; the region admits only `m`.
+    let mut region: BTreeSet<NodeId> = ["m".to_string()].into();
+    let mut engine = Engine::new();
+    let rws = [catalog::pure_gen::op_to_pure()];
+    let g = engine.exhaust(body_region(), &rws, Some(&mut region)).unwrap();
+    assert_eq!(engine.rewrites_applied(), 1);
+    assert_eq!(engine.log[0].nodes, ["m".to_string()].into());
+    assert!(g.kind("nz").is_some(), "`nz` lies outside the region");
+    // `m` left the region and the nodes that replaced it joined.
+    assert!(!engine.log[0].created.is_empty());
+    assert_eq!(region, engine.log[0].created.iter().cloned().collect());
 }
 
 #[test]
@@ -132,8 +145,7 @@ fn fresh_names_never_collide_across_applications() {
     let g = body_region();
     let mut engine = Engine::new();
     let rws = [catalog::pure_gen::op_to_pure()];
-    let refs: Vec<&Rewrite> = rws.iter().collect();
-    let g2 = engine.exhaust(g, &refs, 100).unwrap();
+    let g2 = engine.exhaust(g, &rws, None).unwrap();
     let names = g2.node_names();
     assert_eq!(names.len(), g2.node_count());
     // Two operator replacements happened; their join/pure nodes all have
@@ -147,8 +159,7 @@ fn log_records_the_rewrite_sequence() {
     let g = body_region();
     let mut engine = Engine::new();
     let rws = [catalog::pure_gen::op_to_pure(), catalog::pure_gen::fork_to_pure()];
-    let refs: Vec<&Rewrite> = rws.iter().collect();
-    let _ = engine.exhaust(g, &refs, 100).unwrap();
+    let _ = engine.exhaust(g, &rws, None).unwrap();
     assert!(engine.obligations.is_empty(), "unchecked mode records no obligations");
     assert!(engine.log.iter().any(|a| a.rewrite == "op-to-pure"));
     assert!(engine.log.iter().any(|a| a.rewrite == "fork-to-pure"));

@@ -10,15 +10,17 @@
 //! The baseline here schedules each section of a loop-nest kernel (inner
 //! body, init, epilogue) with resource-constrained list scheduling and
 //! charges the schedule length per executed iteration; iteration counts
-//! come from actually running the reference interpreter, so data-dependent
-//! loops (GCD) are costed exactly.
+//! come from actually running the reference interpreter
+//! ([`graphiti_frontend::run_kernel`]), so data-dependent loops (GCD) are
+//! costed exactly and a loop that never exits is reported as
+//! [`InterpError::Diverged`].
 
 #![warn(missing_docs)]
 
-use graphiti_frontend::{eval_expr, Expr, InterpError, Memory, OuterLoop, Program, StoreStmt};
-use graphiti_ir::{Op, Value};
+use graphiti_frontend::{run_kernel, Expr, InterpError, Memory, OuterLoop, Program, StoreStmt};
+use graphiti_ir::Op;
 use graphiti_sim::Area;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Functional-unit classes of the shared datapath.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -167,6 +169,10 @@ pub struct StaticReport {
 /// Runs a program on the static-HLS baseline, producing cycles, clock
 /// period, area, and the final memory.
 ///
+/// A kernel costs its entry and exit states, one control state plus the
+/// init and epilogue schedules per outer iteration, and the body schedule
+/// per inner iteration the reference interpreter ran.
+///
 /// # Errors
 ///
 /// Propagates interpreter errors (the cost model rides on real execution).
@@ -174,13 +180,15 @@ pub fn run_static(p: &Program) -> Result<StaticReport, InterpError> {
     let mut mem = p.arrays.clone();
     let mut cycles: u64 = 0;
     let mut total_ops: u64 = 0;
-    let mut classes_used: BTreeMap<FuClass, u64> = BTreeMap::new();
+    let mut classes_used: BTreeSet<FuClass> = BTreeSet::new();
     for k in &p.kernels {
-        let (c, d) = run_kernel_costed(k, &mut mem)?;
-        cycles += c;
-        total_ops += d.ops;
-        for (cl, b) in d.busy {
-            *classes_used.entry(cl).or_insert(0) += b;
+        let iterations = run_kernel(k, &mut mem)?;
+        let demands = kernel_demands(k);
+        let [init, body, epilogue] = demands.each_ref().map(schedule_length);
+        cycles += 2 + k.trip.max(0) as u64 * (1 + init + epilogue) + iterations * body;
+        for d in demands {
+            total_ops += d.ops;
+            classes_used.extend(d.busy.into_keys());
         }
     }
 
@@ -191,7 +199,7 @@ pub fn run_static(p: &Program) -> Result<StaticReport, InterpError> {
 
     // Area: one instance of each used unit class plus control/state.
     let mut area = Area::new(150 + 14 * total_ops, 900 + 16 * total_ops, 0);
-    for class in classes_used.keys() {
+    for class in classes_used {
         area = area
             + match class {
                 FuClass::FAdd => Area::new(310, 260, 2),
@@ -205,77 +213,11 @@ pub fn run_static(p: &Program) -> Result<StaticReport, InterpError> {
     Ok(StaticReport { cycles, clock_period, area, memory: mem })
 }
 
-/// Executes one kernel with the reference semantics while charging static
-/// schedule lengths; returns `(cycles, accumulated demand)`.
-fn run_kernel_costed(k: &OuterLoop, mem: &mut Memory) -> Result<(u64, Demand), InterpError> {
-    // Precompute schedule lengths.
-    let [init_d, body_d, epi_d] = kernel_demands(k);
-    let init_len = schedule_length(&init_d);
-    let body_len = schedule_length(&body_d);
-    let epi_len = schedule_length(&epi_d);
-
-    let mut cycles: u64 = 2; // entry/exit states
-    for i in 0..k.trip {
-        cycles += 1; // outer loop control state
-        let mut env: BTreeMap<String, Value> = BTreeMap::new();
-        env.insert(k.var.clone(), Value::Int(i));
-        let mut state: BTreeMap<String, Value> = BTreeMap::new();
-        for (name, init) in &k.inner.vars {
-            state.insert(name.clone(), eval_expr(init, &env, mem)?);
-        }
-        cycles += init_len;
-        loop {
-            // Effects with current state.
-            for st in &k.inner.effects {
-                let idx =
-                    eval_expr(&st.index, &state, mem)?.as_int().ok_or(InterpError::BadIndex)?;
-                let v = eval_expr(&st.value, &state, mem)?;
-                let arr = mem
-                    .get_mut(&st.array)
-                    .ok_or_else(|| InterpError::UnknownArray(st.array.clone()))?;
-                *arr.get_mut(idx as usize)
-                    .ok_or(InterpError::OutOfBounds(st.array.clone(), idx))? = v;
-            }
-            let mut next = BTreeMap::new();
-            for (name, upd) in &k.inner.update {
-                next.insert(name.clone(), eval_expr(upd, &state, mem)?);
-            }
-            state = next;
-            cycles += body_len;
-            let c = eval_expr(&k.inner.cond, &state, mem)?
-                .as_bool()
-                .ok_or(InterpError::BadCondition)?;
-            if !c {
-                break;
-            }
-        }
-        let mut epi_env = state;
-        epi_env.insert(k.var.clone(), Value::Int(i));
-        for st in &k.epilogue {
-            let idx = eval_expr(&st.index, &epi_env, mem)?.as_int().ok_or(InterpError::BadIndex)?;
-            let v = eval_expr(&st.value, &epi_env, mem)?;
-            let arr = mem
-                .get_mut(&st.array)
-                .ok_or_else(|| InterpError::UnknownArray(st.array.clone()))?;
-            *arr.get_mut(idx as usize).ok_or(InterpError::OutOfBounds(st.array.clone(), idx))? = v;
-        }
-        cycles += epi_len;
-    }
-
-    let mut total = Demand::default();
-    for d in [init_d, body_d, epi_d] {
-        for (c, b) in d.busy {
-            *total.busy.entry(c).or_insert(0) += b;
-        }
-        total.ops += d.ops;
-    }
-    Ok((cycles, total))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use graphiti_frontend::{run_program, InnerLoop};
+    use graphiti_ir::Value;
 
     fn accum_program(trip: i64, m: i64) -> Program {
         let inner = InnerLoop {
@@ -359,6 +301,18 @@ mod tests {
         let expected = 2 + k.trip as u64 * (1 + init + trips_per_iter * body + epilogue);
         let r = run_static(&p).unwrap();
         assert_eq!(r.cycles, expected, "section lengths diverge from the costed run");
+    }
+
+    #[test]
+    fn a_loop_that_never_exits_is_reported_as_diverged() {
+        let mut p = accum_program(1, 4);
+        p.kernels[0].inner = InnerLoop {
+            vars: vec![("j".into(), Expr::int(0))],
+            update: vec![("j".into(), Expr::addi(Expr::var("j"), Expr::int(1)))],
+            cond: Expr::Const(Value::Bool(true)),
+            effects: vec![],
+        };
+        assert_eq!(run_static(&p), Err(InterpError::Diverged));
     }
 
     #[test]

@@ -282,8 +282,7 @@ fn run() -> Result<(), String> {
         // On-demand + on-panic flight recording: the ring dumps to the
         // requested path either way.
         graphiti::obs::flight::enable();
-        graphiti::obs::flight::set_dump_path(path.clone());
-        graphiti::obs::flight::install_panic_hook();
+        graphiti::obs::flight::install_panic_hook(path);
     }
     let result = run_inner(&args);
     if observing {
