@@ -56,9 +56,10 @@ pub fn dfooo_loop(
     opts: &PipelineOptions,
 ) -> Result<ExprHigh, DfOooError> {
     // Phases 1-2 (the verified flow's normalization).
-    let (mut g, l) =
-        normalize(&mut Engine::new(), graph.clone(), init).map_err(DfOooError::Pipeline)?;
-    let l = l.ok_or(DfOooError::LoopNotFound)?;
+    let mut g = graph.clone();
+    let l = normalize(&mut Engine::new(), &mut g, init)
+        .map_err(DfOooError::Pipeline)?
+        .ok_or(DfOooError::LoopNotFound)?;
 
     // Boundary wires of the loop.
     let entry = match g.driver(&ep(l.mux.clone(), "f")) {

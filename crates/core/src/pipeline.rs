@@ -21,8 +21,8 @@
 use crate::loops::{loop_body_region, loop_with_init, SeqLoop};
 use graphiti_ir::{ep, CompKind, Endpoint, ExprHigh, NodeId, PureFn};
 use graphiti_rewrite::{
-    catalog, extract_region_function, simplify, wire_consumer, wire_driver, CheckMode, Engine,
-    ExtractError, Match, Obligation, Replacement, Rewrite, RewriteError,
+    catalog, region_oracle, wire_consumer, wire_driver, CheckMode, Engine, ExtractError, Match,
+    Obligation, Replacement, Rewrite, RewriteError,
 };
 use graphiti_sem::RefineConfig;
 use std::collections::{BTreeMap, BTreeSet};
@@ -231,17 +231,16 @@ fn pure_expand_rewrite(
     )
 }
 
-/// Phases 1–2, shared with the DF-OoO baseline: the normalized graph and
-/// the marked loop.
+/// Phases 1–2 on `g` in place, shared with the DF-OoO baseline: returns
+/// the marked loop of the normalized graph.
 pub(crate) fn normalize(
     engine: &mut Engine,
-    g: ExprHigh,
+    g: &mut ExprHigh,
     init: &NodeId,
-) -> Result<(ExprHigh, Option<SeqLoop>), PipelineError> {
-    let g = engine.exhaust(g, &catalog::normalize_phase(), None)?;
-    let g = engine.exhaust(g, &catalog::eliminate_phase(), None)?;
-    let l = loop_with_init(&g, init);
-    Ok((g, l))
+) -> Result<Option<SeqLoop>, PipelineError> {
+    engine.exhaust(g, &catalog::normalize_phase(), None)?;
+    engine.exhaust(g, &catalog::eliminate_phase(), None)?;
+    Ok(loop_with_init(g, init))
 }
 
 /// Optimizes a single marked loop in `graph` (identified by its Init node),
@@ -275,8 +274,9 @@ pub fn optimize_loop(
     Ok((g, report))
 }
 
-/// The five phases on `graph`. `pure_by_rewrites` is set once phase 3's
-/// rewrites have run, so a refusal before that reports `false`.
+/// The five phases on one copy of `graph`, rewritten in place.
+/// `pure_by_rewrites` is set once phase 3's rewrites have run, so a refusal
+/// before that reports `false`.
 fn transform(
     engine: &mut Engine,
     graph: &ExprHigh,
@@ -294,8 +294,8 @@ fn transform(
     }
 
     // Phases 1-2.
-    let (g, l) = normalize(engine, graph.clone(), init)?;
-    let l = l.ok_or(Refusal::LoopNotFound)?;
+    let mut g = graph.clone();
+    let l = normalize(engine, &mut g, init)?.ok_or(Refusal::LoopNotFound)?;
 
     // Record the normalized body for phase 5.
     let mut region = loop_body_region(&g, &l);
@@ -317,8 +317,8 @@ fn transform(
     }
 
     // Phase 3a: rewrite-based pure generation inside the region.
-    let g = engine.exhaust(g, &catalog::to_pure_phase(), Some(&mut region))?;
-    let mut g = engine.exhaust(g, &catalog::absorb_phase(), Some(&mut region))?;
+    engine.exhaust(&mut g, &catalog::to_pure_phase(), Some(&mut region))?;
+    engine.exhaust(&mut g, &catalog::absorb_phase(), Some(&mut region))?;
 
     // Re-locate the loop (rewrites did not touch the steering nodes).
     let l = loop_with_init(&g, init).ok_or(Refusal::LoopNotFound)?;
@@ -332,31 +332,26 @@ fn transform(
         // Phase 3b: oracle — extract the region function symbolically,
         // simplify it with the e-graph, and apply the checked
         // region-to-Pure rewrite.
-        let rf = extract_region_function(&g, &region_now).map_err(|e| match e {
-            ExtractError::Impure(n) => Refusal::ImpureBody(format!("store at `{n}`")),
-            e => Refusal::NotReducible(e.to_string()),
-        })?;
-        // Identify the data and condition outputs.
         let (data_now, cond_now) =
             body_outputs(&g, &l).expect("normalized loop has branch and fork inputs");
-        let find = |target: &Endpoint| {
-            rf.outputs.iter().find(|(e, _)| e == target).map(|(_, f)| f.clone())
-        };
-        let (Some(f_data), Some(f_cond)) = (find(&data_now), find(&cond_now)) else {
-            let why = "region outputs do not line up with branch/fork";
-            return Err(Refusal::NotReducible(why.into()).into());
-        };
-        let func = simplify(&PureFn::pair(f_data, f_cond), 6);
-        let rw = region_to_pure_rewrite(region_now, rf.input.clone(), data_now, cond_now, func);
-        g = engine.apply_first(&g, &rw)?.expect("targeted rewrite always matches");
+        let (input, func) =
+            region_oracle(&g, &region_now, &data_now, &cond_now).map_err(|e| match e {
+                ExtractError::Impure(n) => Refusal::ImpureBody(format!("store at `{n}`")),
+                ExtractError::MissingOutput(_) => {
+                    Refusal::NotReducible("region outputs do not line up with branch/fork".into())
+                }
+                e => Refusal::NotReducible(e.to_string()),
+            })?;
+        let rw = region_to_pure_rewrite(region_now, input, data_now, cond_now, func);
+        assert!(engine.apply_first(&mut g, &rw)?, "targeted rewrite always matches");
     }
 
     // Phase 4: the verified out-of-order loop rewrite.
     let l = loop_with_init(&g, init).expect("loop steering survived phase 3");
     let rw = catalog::ooo::loop_ooo_at(tags, l.mux.clone());
-    let g = engine
-        .apply_first(&g, &rw)?
-        .ok_or_else(|| Refusal::NotReducible("canonical loop shape not reached".into()))?;
+    if !engine.apply_first(&mut g, &rw)? {
+        return Err(Refusal::NotReducible("canonical loop shape not reached".into()).into());
+    }
 
     // Phase 5: expand the Pure back into the recorded body inside the
     // tagged region. Locate the (merge -> pure -> split) chain.
@@ -373,5 +368,6 @@ fn transform(
         .expect("phase 4 produced a merge->pure->split chain");
     let rw =
         pure_expand_rewrite(pure_node, split_node, body_snapshot, body_input, data_out, cond_out);
-    Ok(engine.apply_first(&g, &rw)?.expect("targeted expansion always matches"))
+    assert!(engine.apply_first(&mut g, &rw)?, "targeted expansion always matches");
+    Ok(g)
 }

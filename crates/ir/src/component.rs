@@ -149,6 +149,60 @@ impl CompKind {
         }
     }
 
+    /// Whether `port` is one of [`CompKind::interface`]'s input ports,
+    /// answered without building the port list.
+    pub fn has_in_port(&self, port: &str) -> bool {
+        match self {
+            CompKind::Fork { .. }
+            | CompKind::Split
+            | CompKind::Init { .. }
+            | CompKind::Buffer { .. }
+            | CompKind::Sink
+            | CompKind::Pure { .. } => port == "in",
+            CompKind::Join | CompKind::Merge => indexed(port, "in", 2),
+            CompKind::Mux => matches!(port, "cond" | "t" | "f"),
+            CompKind::Branch => matches!(port, "cond" | "in"),
+            CompKind::Constant { .. } => port == "ctrl",
+            CompKind::Operator { op } => indexed(port, "in", op.arity()),
+            CompKind::TaggerUntagger { .. } => matches!(port, "in" | "retag"),
+            CompKind::Load { .. } => port == "addr",
+            CompKind::Store { .. } => matches!(port, "addr" | "data"),
+            CompKind::StoreQueue { body_plan, epi_plan, .. } => {
+                let (stores, loads) = lsq_site_counts(body_plan, epi_plan);
+                port == "seq"
+                    || indexed(port, "saddr", stores)
+                    || indexed(port, "sdata", stores)
+                    || indexed(port, "laddr", loads)
+            }
+        }
+    }
+
+    /// Whether `port` is one of [`CompKind::interface`]'s output ports,
+    /// answered without building the port list.
+    pub fn has_out_port(&self, port: &str) -> bool {
+        match self {
+            CompKind::Fork { ways } => indexed(port, "out", *ways),
+            CompKind::Split => indexed(port, "out", 2),
+            CompKind::Branch => matches!(port, "t" | "f"),
+            CompKind::Sink => false,
+            CompKind::Join
+            | CompKind::Mux
+            | CompKind::Merge
+            | CompKind::Init { .. }
+            | CompKind::Buffer { .. }
+            | CompKind::Constant { .. }
+            | CompKind::Operator { .. }
+            | CompKind::Pure { .. } => port == "out",
+            CompKind::TaggerUntagger { .. } => matches!(port, "tagged" | "out"),
+            CompKind::Load { .. } => port == "data",
+            CompKind::Store { .. } => port == "done",
+            CompKind::StoreQueue { body_plan, epi_plan, .. } => {
+                let (stores, loads) = lsq_site_counts(body_plan, epi_plan);
+                indexed(port, "sdone", stores) || indexed(port, "ldata", loads)
+            }
+        }
+    }
+
     /// Best-effort port types `(inputs, outputs)`; polymorphic ports are
     /// [`Ty::Any`].
     pub fn port_types(&self) -> (Vec<Ty>, Vec<Ty>) {
@@ -225,6 +279,16 @@ impl CompKind {
     }
 }
 
+/// Whether `port` is `{prefix}{k}` for some `k < n`, with `k` written as
+/// [`CompKind::interface`] writes it: decimal, unsigned, no leading zero.
+fn indexed(port: &str, prefix: &str, n: usize) -> bool {
+    let Some(digits) = port.strip_prefix(prefix) else { return false };
+    let canonical = !digits.is_empty()
+        && digits.bytes().all(|b| b.is_ascii_digit())
+        && (digits == "0" || !digits.starts_with('0'));
+    canonical && digits.parse::<usize>().is_ok_and(|k| k < n)
+}
+
 /// `(store_sites, load_sites)` across the body and epilogue plans of a
 /// [`CompKind::StoreQueue`].
 pub fn lsq_site_counts(body_plan: &[bool], epi_plan: &[bool]) -> (usize, usize) {
@@ -290,6 +354,46 @@ mod tests {
             let (tins, touts) = k.port_types();
             assert_eq!(ins.len(), tins.len(), "{k}");
             assert_eq!(outs.len(), touts.len(), "{k}");
+        }
+    }
+
+    #[test]
+    fn port_membership_agrees_with_the_interface() {
+        let mut kinds: Vec<CompKind> = (1..=12).map(|ways| CompKind::Fork { ways }).collect();
+        kinds.extend(Op::ALL.map(|op| CompKind::Operator { op }));
+        kinds.extend([
+            CompKind::StoreQueue {
+                mem: "a".into(),
+                body_plan: vec![true, false],
+                epi_plan: vec![true, false],
+            },
+            CompKind::Join,
+            CompKind::Split,
+            CompKind::Mux,
+            CompKind::Branch,
+            CompKind::Merge,
+            CompKind::Init { initial: true },
+            CompKind::Buffer { slots: 1, transparent: true },
+            CompKind::Sink,
+            CompKind::Constant { value: Value::Int(0) },
+            CompKind::Pure { func: PureFn::Id },
+            CompKind::TaggerUntagger { tags: 4 },
+            CompKind::Load { mem: "a".into() },
+            CompKind::Store { mem: "a".into() },
+        ]);
+        let mut names: Vec<String> =
+            ["out01", "out+1", "in-0", "in00", "out12", ""].map(String::from).into();
+        for k in &kinds {
+            let (ins, outs) = k.interface();
+            names.extend(ins.into_iter().chain(outs));
+        }
+        assert!(names.iter().any(|n| n == "out11"), "a 12-way fork exposes out11");
+        for k in &kinds {
+            let (ins, outs) = k.interface();
+            for n in &names {
+                assert_eq!(k.has_in_port(n), ins.contains(n), "{k} in-port `{n}`");
+                assert_eq!(k.has_out_port(n), outs.contains(n), "{k} out-port `{n}`");
+            }
         }
     }
 

@@ -85,6 +85,31 @@ pub enum Op {
 }
 
 impl Op {
+    /// Every operator, for tests that must cover them all.
+    #[cfg(test)]
+    pub(crate) const ALL: [Op; 20] = [
+        Op::AddI,
+        Op::SubI,
+        Op::MulI,
+        Op::Mod,
+        Op::DivI,
+        Op::LtI,
+        Op::GeI,
+        Op::EqI,
+        Op::NeZero,
+        Op::Not,
+        Op::And,
+        Op::Or,
+        Op::AddF,
+        Op::SubF,
+        Op::MulF,
+        Op::DivF,
+        Op::GeF,
+        Op::LtF,
+        Op::Select,
+        Op::IToF,
+    ];
+
     /// Number of input operands.
     pub fn arity(self) -> usize {
         match self {
@@ -477,28 +502,7 @@ mod tests {
 
     #[test]
     fn op_arities_match_signatures() {
-        for op in [
-            Op::AddI,
-            Op::SubI,
-            Op::MulI,
-            Op::Mod,
-            Op::DivI,
-            Op::LtI,
-            Op::GeI,
-            Op::EqI,
-            Op::NeZero,
-            Op::Not,
-            Op::And,
-            Op::Or,
-            Op::AddF,
-            Op::SubF,
-            Op::MulF,
-            Op::DivF,
-            Op::GeF,
-            Op::LtF,
-            Op::Select,
-            Op::IToF,
-        ] {
+        for op in Op::ALL {
             assert_eq!(op.arity(), op.signature().0.len(), "{op}");
             assert_eq!(Op::parse(op.name()), Some(op));
         }

@@ -220,8 +220,7 @@ impl ExprHigh {
     fn check_out_port(&self, e: &Endpoint) -> Result<(), GraphError> {
         let kind =
             self.nodes.get(&e.node).ok_or_else(|| GraphError::UnknownNode(e.node.clone()))?;
-        let (_, outs) = kind.interface();
-        if !outs.contains(&e.port) {
+        if !kind.has_out_port(&e.port) {
             return Err(GraphError::UnknownPort(e.clone()));
         }
         Ok(())
@@ -230,8 +229,7 @@ impl ExprHigh {
     fn check_in_port(&self, e: &Endpoint) -> Result<(), GraphError> {
         let kind =
             self.nodes.get(&e.node).ok_or_else(|| GraphError::UnknownNode(e.node.clone()))?;
-        let (ins, _) = kind.interface();
-        if !ins.contains(&e.port) {
+        if !kind.has_in_port(&e.port) {
             return Err(GraphError::UnknownPort(e.clone()));
         }
         Ok(())
@@ -376,10 +374,23 @@ impl ExprHigh {
     ///
     /// # Errors
     ///
-    /// Returns the first [`GraphError::Unconnected`] port found.
+    /// Returns the first [`GraphError::Unconnected`] port found, in node
+    /// then port order.
     pub fn validate(&self) -> Result<(), GraphError> {
+        self.validate_except(&BTreeSet::new())
+    }
+
+    /// [`ExprHigh::validate`] over the nodes outside `skip`. The rewrite
+    /// engine checks a graph this way before splicing out the matched
+    /// nodes `skip`, whose ports its own checks cover.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`GraphError::Unconnected`] port found outside
+    /// `skip`.
+    pub fn validate_except(&self, skip: &BTreeSet<NodeId>) -> Result<(), GraphError> {
         let mut e = Endpoint::new(String::new(), String::new());
-        for (name, kind) in &self.nodes {
+        for (name, kind) in self.nodes.iter().filter(|(n, _)| !skip.contains(*n)) {
             e.node.clone_from(name);
             let (ins, outs) = kind.interface();
             for p in ins {

@@ -274,7 +274,8 @@ mod tests {
     fn fork1_elim_splices_the_wire() {
         let g = wire_graph();
         let mut engine = Engine::new();
-        let g2 = engine.apply_first(&g, &fork1_elim()).unwrap().expect("match");
+        let mut g2 = g.clone();
+        assert!(engine.apply_first(&mut g2, &fork1_elim()).unwrap(), "match");
         g2.validate().unwrap();
         assert_eq!(g2.node_count(), 2, "{g2}");
         // The external input now drives the split directly.
@@ -283,7 +284,7 @@ mod tests {
         // input straight to the external output, which has no graph
         // representation; the engine reports it rather than corrupting the
         // graph.
-        let err = engine.apply_first(&g2, &split_join_elim()).unwrap_err();
+        let err = engine.apply_first(&mut g2, &split_join_elim()).unwrap_err();
         assert!(matches!(err, crate::engine::RewriteError::Unsupported(_)), "{err}");
     }
 
@@ -301,7 +302,8 @@ mod tests {
         let pairs = Value::pair(Value::Int(0), Value::Bool(true));
         let cfg = RefineConfig { domain: vec![pairs], max_depth: 6, ..Default::default() };
         let mut engine = Engine::deferring();
-        let g2 = engine.apply_first(&g, &split_join_elim()).unwrap().expect("match");
+        let mut g2 = g.clone();
+        assert!(engine.apply_first(&mut g2, &split_join_elim()).unwrap(), "match");
         g2.validate().unwrap();
         let verdicts = discharge(engine.obligations, &cfg);
         assert_eq!(verdicts.len(), 1);
@@ -318,7 +320,8 @@ mod tests {
         g.connect(ep("s", "out1"), ep("j", "in0")).unwrap();
         g.expose_output("y", ep("j", "out")).unwrap();
         let mut engine = Engine::new();
-        let g2 = engine.apply_first(&g, &split_join_swap()).unwrap().expect("match");
+        let mut g2 = g.clone();
+        assert!(engine.apply_first(&mut g2, &split_join_swap()).unwrap(), "match");
         g2.validate().unwrap();
         assert!(g2.nodes().any(|(_, k)| matches!(k, CompKind::Pure { func: PureFn::Swap })));
         assert_eq!(g2.node_count(), 1);
@@ -341,7 +344,8 @@ mod tests {
         g.expose_output("x", ep("b0", "out")).unwrap();
         g.expose_output("y", ep("b1", "out")).unwrap();
         let mut engine = Engine::new();
-        let g2 = engine.apply_first(&g, &rw).unwrap().expect("match");
+        let mut g2 = g.clone();
+        assert!(engine.apply_first(&mut g2, &rw).unwrap(), "match");
         g2.validate().unwrap();
         assert_eq!(g2.node_count(), 2);
     }
@@ -360,7 +364,8 @@ mod tests {
         g.expose_output("o0", ep("b0", "out")).unwrap();
         g.expose_output("o1", ep("b1", "out")).unwrap();
         let mut engine = Engine::new();
-        let g2 = engine.apply_first(&g, &fork_sink_prune()).unwrap().expect("match");
+        let mut g2 = g.clone();
+        assert!(engine.apply_first(&mut g2, &fork_sink_prune()).unwrap(), "match");
         g2.validate().unwrap();
         assert!(g2.nodes().any(|(_, k)| matches!(k, CompKind::Fork { ways: 2 })));
         assert!(!g2.nodes().any(|(_, k)| matches!(k, CompKind::Sink)));
@@ -374,7 +379,8 @@ mod tests {
         g.expose_input("x", ep("p", "in")).unwrap();
         g.connect(ep("p", "out"), ep("k", "in")).unwrap();
         let mut engine = Engine::new();
-        let g2 = engine.apply_first(&g, &sink_absorb_pure()).unwrap().expect("match");
+        let mut g2 = g.clone();
+        assert!(engine.apply_first(&mut g2, &sink_absorb_pure()).unwrap(), "match");
         g2.validate().unwrap();
         assert_eq!(g2.node_count(), 1);
         assert!(g2.nodes().all(|(_, k)| matches!(k, CompKind::Sink)));

@@ -348,7 +348,8 @@ mod tests {
         let g = two_var_loop();
         let mut engine = Engine::new();
         let rw = mux_combine();
-        let g2 = engine.apply_first(&g, &rw).unwrap().expect("match found");
+        let mut g2 = g.clone();
+        assert!(engine.apply_first(&mut g2, &rw).unwrap(), "match found");
         g2.validate().unwrap();
         // Two muxes replaced by one; joins and a split introduced.
         let muxes = g2.nodes().filter(|(_, k)| matches!(k, CompKind::Mux)).count();
@@ -368,7 +369,8 @@ mod tests {
             ..Default::default()
         };
         let mut engine = Engine::deferring();
-        let g2 = engine.apply_first(&g, &mux_combine()).unwrap().expect("match found");
+        let mut g2 = g.clone();
+        assert!(engine.apply_first(&mut g2, &mux_combine()).unwrap(), "match found");
         g2.validate().unwrap();
         let verdicts = discharge(engine.obligations, &cfg);
         assert_eq!(verdicts.len(), 1);
@@ -379,7 +381,8 @@ mod tests {
     fn branch_combine_applies_and_validates() {
         let g = two_var_loop();
         let mut engine = Engine::new();
-        let g2 = engine.apply_first(&g, &branch_combine()).unwrap().expect("match found");
+        let mut g2 = g.clone();
+        assert!(engine.apply_first(&mut g2, &branch_combine()).unwrap(), "match found");
         g2.validate().unwrap();
         let brs = g2.nodes().filter(|(_, k)| matches!(k, CompKind::Branch)).count();
         assert_eq!(brs, 1);
@@ -402,7 +405,8 @@ mod tests {
         g.connect(ep("b", "out1"), ep("s3", "in")).unwrap();
         g.validate().unwrap();
         let mut engine = Engine::new();
-        let g2 = engine.apply_first(&g, &fork_flatten()).unwrap().expect("match");
+        let mut g2 = g.clone();
+        assert!(engine.apply_first(&mut g2, &fork_flatten()).unwrap(), "match");
         g2.validate().unwrap();
         let forks: Vec<_> = g2
             .nodes()
@@ -429,7 +433,8 @@ mod tests {
         g.connect(ep("b", "out1"), ep("s3", "in")).unwrap();
         let cfg = RefineConfig { domain: vec![Value::Int(0)], max_depth: 6, ..Default::default() };
         let mut engine = Engine::deferring();
-        let g2 = engine.apply_first(&g, &fork_flatten()).unwrap().expect("match");
+        let mut g2 = g.clone();
+        assert!(engine.apply_first(&mut g2, &fork_flatten()).unwrap(), "match");
         g2.validate().unwrap();
         let verdicts = discharge(engine.obligations, &cfg);
         assert_eq!(verdicts.len(), 1);

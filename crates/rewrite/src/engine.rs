@@ -13,13 +13,23 @@
 //! 3. the substitution `e[e_lhs := e_rhs]` rewrites the expression, which is
 //!    lifted back to ExprHigh.
 //!
-//! The engine reaches the same graph by splicing on ExprHigh: it detaches
-//! the match's boundary, removes the matched nodes, adds the freshly named
-//! replacement and re-attaches the boundary to it, so an application costs
-//! the size of the match rather than of the circuit. The substitution stays
-//! as the executable spec: debug builds rebuild every successful
-//! [`Replacement::Subgraph`] application through steps 1–3 and assert that
-//! the graphs are equal. ExprLow is otherwise built only for refinement
+//! The engine reaches the same graph by splicing one [`ExprHigh`] in place:
+//! it removes the matched nodes, adds the freshly named replacement and
+//! re-attaches the match's old drivers and consumers to it, so an
+//! application costs the size of the match rather than of the circuit.
+//! Every check that can refuse an application runs first: the builder, the
+//! boundary, the fragment, the obligation, the attachments the splice will
+//! re-attach, and completeness of the nodes outside the match. So a refusal
+//! leaves the graph as it was, and the splice itself cannot fail. A splice
+//! keeps a complete graph complete, so completeness is checked once per
+//! [`Engine::apply_at`], [`Engine::apply_first`] or [`Engine::exhaust`]
+//! call, not per application.
+//!
+//! The substitution stays as the executable spec: debug builds clone the
+//! graph before each splice, rebuild every [`Replacement::Subgraph`]
+//! application from the clone through steps 1–3 and assert that the graphs
+//! are equal, and validate the whole graph after every splice. Release
+//! builds do neither. ExprLow is otherwise built only for refinement
 //! obligations, and then only for the matched group
 //! ([`lower_group`](graphiti_ir::lower_group)) and the replacement.
 //!
@@ -291,18 +301,15 @@ impl Engine {
         self.log.len()
     }
 
-    /// Applies `rw` at its first match, returning the rewritten graph, or
-    /// `None` if there is no match.
+    /// Applies `rw` at its first match, rewriting `g` in place. Returns
+    /// whether `rw` matched.
     ///
     /// # Errors
     ///
-    /// Fails on builder rejection or boundary mistakes.
-    pub fn apply_first(
-        &mut self,
-        g: &ExprHigh,
-        rw: &Rewrite,
-    ) -> Result<Option<ExprHigh>, RewriteError> {
-        self.apply_first_in(g, rw, None)
+    /// Fails on builder rejection, boundary mistakes or an incomplete
+    /// graph; `g` is then left as it was.
+    pub fn apply_first(&mut self, g: &mut ExprHigh, rw: &Rewrite) -> Result<bool, RewriteError> {
+        self.apply_first_in(g, rw, None, &mut false)
     }
 
     /// [`Engine::apply_first`], taking only a match wholly inside `region`
@@ -310,40 +317,50 @@ impl Engine {
     /// taken as `matched`.
     fn apply_first_in(
         &mut self,
-        g: &ExprHigh,
+        g: &mut ExprHigh,
         rw: &Rewrite,
         region: Option<&BTreeSet<NodeId>>,
-    ) -> Result<Option<ExprHigh>, RewriteError> {
+        complete: &mut bool,
+    ) -> Result<bool, RewriteError> {
         bump_rewrite_counter("attempted", rw.name);
         let inside = |m: &Match| region.is_none_or(|r| m.nodes.is_subset(r));
-        match rw.matches(g).into_iter().find(inside) {
-            Some(m) => {
-                bump_rewrite_counter("matched", rw.name);
-                self.apply_at(g, rw, &m).map(Some)
-            }
-            None => Ok(None),
-        }
+        let Some(m) = rw.matches(g).into_iter().find(inside) else { return Ok(false) };
+        bump_rewrite_counter("matched", rw.name);
+        self.apply(g, rw, &m, complete)?;
+        Ok(true)
     }
 
-    /// Applies `rw` at the given match.
+    /// Applies `rw` at the given match, rewriting `g` in place.
     ///
     /// # Errors
     ///
     /// See [`Engine::apply_first`].
     pub fn apply_at(
         &mut self,
-        g: &ExprHigh,
+        g: &mut ExprHigh,
         rw: &Rewrite,
         m: &Match,
-    ) -> Result<ExprHigh, RewriteError> {
+    ) -> Result<(), RewriteError> {
+        self.apply(g, rw, m, &mut false)
+    }
+
+    /// [`Engine::apply_at`]. `complete` says whether `g` is already known
+    /// to be complete; the first application to check it sets it.
+    fn apply(
+        &mut self,
+        g: &mut ExprHigh,
+        rw: &Rewrite,
+        m: &Match,
+        complete: &mut bool,
+    ) -> Result<(), RewriteError> {
         let r = {
             // Per-rewrite attribution: each application is its own span, so
             // `graphiti-cli profile` can cost rewrites individually.
             let _span = graphiti_obs::span(rw.name);
-            self.apply_at_inner(g, rw, m)
+            self.apply_at_inner(g, rw, m, complete)
         };
         match &r {
-            Ok(_) => {
+            Ok(()) => {
                 bump_rewrite_counter("applied", rw.name);
                 graphiti_obs::flight::record("rewrite.applied", || {
                     format!(
@@ -361,12 +378,15 @@ impl Engine {
         r
     }
 
+    /// Checks the application, then splices it. Every check that can refuse
+    /// runs before the first mutation, so a refusal leaves `g` as it was.
     fn apply_at_inner(
         &mut self,
-        g: &ExprHigh,
+        g: &mut ExprHigh,
         rw: &Rewrite,
         m: &Match,
-    ) -> Result<ExprHigh, RewriteError> {
+        complete: &mut bool,
+    ) -> Result<(), RewriteError> {
         let repl = rw.build(g, m)?;
         self.validate_boundary(g, m, &repl)?;
         let repl = match &repl {
@@ -376,41 +396,56 @@ impl Engine {
             Replacement::Passthrough { wires } => Resolved::Passthrough(wires),
         };
 
-        if self.mode == CheckMode::Deferred && rw.verified {
+        let obligation = if self.mode == CheckMode::Deferred && rw.verified {
             // A passthrough with no wires has no expressible rhs.
             let rhs = render_rhs(g, &repl).ok_or_else(|| {
                 RewriteError::Unsupported("verified rewrite with unrenderable rhs".into())
             })?;
             let lhs = lower_group(g, &m.nodes)?;
-            self.obligations.push(Obligation { rewrite: rw.name.to_string(), lhs, rhs });
-        }
-
-        let (g2, created) = match &repl {
-            Resolved::Subgraph(frag) => {
-                (frag.splice(g, m)?, frag.rename.values().cloned().collect())
-            }
-            Resolved::Passthrough(wires) => (self.splice_passthrough(g, m, wires)?, Vec::new()),
+            Some(Obligation { rewrite: rw.name.to_string(), lhs, rhs })
+        } else {
+            None
         };
-        g2.validate()?;
-        #[cfg(debug_assertions)]
-        if let Resolved::Subgraph(frag) = &repl {
-            let spec = substituted(g, m, frag).unwrap_or_else(|e| {
-                panic!("`{}` spliced, but e[lhs := rhs] (§4.2) fails: {e}", rw.name)
-            });
-            assert_eq!(
-                spec, g2,
-                "`{}` spliced a different graph than e[lhs := rhs] (§4.2)",
-                rw.name
-            );
+
+        let links = repl.links(g)?;
+        // Every port this check can report lies outside the match: an open
+        // port on a matched node was refused above. A splice of a checked
+        // replacement keeps a complete graph complete, so later
+        // applications of the same call skip the check.
+        if !*complete {
+            g.validate_except(&m.nodes)?;
+            *complete = true;
         }
 
+        // Nothing below can refuse.
+        #[cfg(debug_assertions)]
+        let before = g.clone();
+        let created = repl.splice(g, m, links);
+        #[cfg(debug_assertions)]
+        {
+            if let Err(e) = g.validate() {
+                panic!("`{}` spliced an incomplete graph: {e}", rw.name);
+            }
+            if let Resolved::Subgraph(frag) = &repl {
+                let spec = substituted(&before, m, frag).unwrap_or_else(|e| {
+                    panic!("`{}` spliced, but e[lhs := rhs] (§4.2) fails: {e}", rw.name)
+                });
+                assert_eq!(
+                    spec, *g,
+                    "`{}` spliced a different graph than e[lhs := rhs] (§4.2)",
+                    rw.name
+                );
+            }
+        }
+
+        self.obligations.extend(obligation);
         self.log.push(Applied { rewrite: rw.name.to_string(), nodes: m.nodes.clone(), created });
-        Ok(g2)
+        Ok(())
     }
 
-    /// Applies the rewrites exhaustively: repeatedly the first match of the
-    /// first rewrite that has one, until none has (or after
-    /// `EXHAUST_BUDGET` applications).
+    /// Applies the rewrites exhaustively to `g` in place: repeatedly the
+    /// first match of the first rewrite that has one, until none has (or
+    /// after `EXHAUST_BUDGET` applications).
     ///
     /// With a `region`, only matches wholly inside it count; each
     /// application's matched nodes leave the region and the nodes it created
@@ -419,17 +454,20 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// See [`Engine::apply_first`].
+    /// See [`Engine::apply_first`]. The applications made before the
+    /// refused one stay in `g`.
     pub fn exhaust(
         &mut self,
-        mut g: ExprHigh,
+        g: &mut ExprHigh,
         rws: &[Rewrite],
         mut region: Option<&mut BTreeSet<NodeId>>,
-    ) -> Result<ExprHigh, RewriteError> {
+    ) -> Result<(), RewriteError> {
+        let mut complete = false;
         'apply: for _ in 0..EXHAUST_BUDGET {
             for rw in rws {
-                let Some(g2) = self.apply_first_in(&g, rw, region.as_deref())? else { continue };
-                g = g2;
+                if !self.apply_first_in(g, rw, region.as_deref(), &mut complete)? {
+                    continue;
+                }
                 if let Some(region) = region.as_deref_mut() {
                     let applied = self.log.last().expect("a successful application is logged");
                     for n in &applied.nodes {
@@ -439,9 +477,9 @@ impl Engine {
                 }
                 continue 'apply;
             }
-            return Ok(g);
+            return Ok(());
         }
-        Ok(g)
+        Ok(())
     }
 
     /// A node name unique in `g` and across this engine's applications.
@@ -521,8 +559,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Fails on an unconnected fragment port or a fragment external with no
-    /// boundary assignment.
+    /// Fails on an unconnected fragment port, a fragment external with no
+    /// boundary assignment, or a boundary assignment no fragment external
+    /// takes (the splice would drop that port's driver or consumer).
     fn fragment<'a>(
         &mut self,
         g: &ExprHigh,
@@ -568,43 +607,23 @@ impl Engine {
                 }
             }
         }
+        // Each fragment external took one assignment above, so a count short
+        // of the maps means an assignment no external takes.
+        if frag.ins.len() != boundary_ins.len() {
+            let x = boundary_ins.keys().find(|x| graph.inputs().all(|(n, _)| n != *x));
+            return Err(RewriteError::BoundaryMismatch(format!(
+                "boundary input `{}` is not a subgraph input",
+                x.expect("an unexposed assignment")
+            )));
+        }
+        if frag.outs.len() != boundary_outs.len() {
+            let y = boundary_outs.keys().find(|y| graph.outputs().all(|(n, _)| n != *y));
+            return Err(RewriteError::BoundaryMismatch(format!(
+                "boundary output `{}` is not a subgraph output",
+                y.expect("an unexposed assignment")
+            )));
+        }
         Ok(frag)
-    }
-
-    /// Applies a passthrough replacement by graph surgery.
-    fn splice_passthrough(
-        &self,
-        g: &ExprHigh,
-        m: &Match,
-        wires: &[(Endpoint, Endpoint)],
-    ) -> Result<ExprHigh, RewriteError> {
-        let mut g2 = g.clone();
-        let mut pairs = Vec::new();
-        for (ep_in, ep_out) in wires {
-            let driver = g2
-                .detach_input(ep_in)
-                .ok_or_else(|| RewriteError::BoundaryMismatch(format!("no driver for {ep_in}")))?;
-            let consumer = g2.detach_output(ep_out).ok_or_else(|| {
-                RewriteError::BoundaryMismatch(format!("no consumer for {ep_out}"))
-            })?;
-            pairs.push((driver, consumer));
-        }
-        for n in &m.nodes {
-            g2.remove_node(n)?;
-        }
-        for (driver, consumer) in pairs {
-            match (driver, consumer) {
-                (Attachment::Wire(from), Attachment::Wire(to)) => g2.connect(from, to)?,
-                (Attachment::External(x), Attachment::Wire(to)) => g2.expose_input(x, to)?,
-                (Attachment::Wire(from), Attachment::External(y)) => g2.expose_output(y, from)?,
-                (Attachment::External(x), Attachment::External(y)) => {
-                    return Err(RewriteError::Unsupported(format!(
-                        "passthrough would wire external `{x}` directly to external `{y}`"
-                    )))
-                }
-            }
-        }
-        Ok(g2)
     }
 }
 
@@ -614,6 +633,114 @@ enum Resolved<'a> {
     Subgraph(Fragment<'a>),
     /// Direct wires, `(old in-port, old out-port)`.
     Passthrough(&'a [(Endpoint, Endpoint)]),
+}
+
+/// What a splice re-attaches, read before it mutates anything: `(driver,
+/// consumer)` pairs, each end a wire endpoint or an external port.
+type Links = Vec<(Attachment, Attachment)>;
+
+impl Resolved<'_> {
+    /// The attachments the splice re-attaches, read from `g` without
+    /// changing it: each boundary in-port's driver goes to the fragment port
+    /// (or wire) that takes the port over, and each boundary out-port's
+    /// consumer likewise.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a boundary port with no driver or consumer left to inherit,
+    /// and on a passthrough wire from an external input straight to an
+    /// external output.
+    fn links(&self, g: &ExprHigh) -> Result<Links, RewriteError> {
+        let mut claims = Claims::default();
+        match self {
+            Resolved::Subgraph(frag) => {
+                let mut links = Vec::with_capacity(frag.ins.len() + frag.outs.len());
+                for (here, old) in &frag.ins {
+                    links.push((claims.driver(g, old)?, Attachment::Wire(frag.renamed(here))));
+                }
+                for (here, old) in &frag.outs {
+                    links.push((Attachment::Wire(frag.renamed(here)), claims.consumer(g, old)?));
+                }
+                Ok(links)
+            }
+            Resolved::Passthrough(wires) => {
+                let links = wires
+                    .iter()
+                    .map(|(ep_in, ep_out)| {
+                        Ok((claims.driver(g, ep_in)?, claims.consumer(g, ep_out)?))
+                    })
+                    .collect::<Result<Links, RewriteError>>()?;
+                for link in &links {
+                    if let (Attachment::External(x), Attachment::External(y)) = link {
+                        return Err(RewriteError::Unsupported(format!(
+                            "passthrough would wire external `{x}` directly to external `{y}`"
+                        )));
+                    }
+                }
+                Ok(links)
+            }
+        }
+    }
+
+    /// Splices the checked replacement into `g`: removes the matched nodes,
+    /// adds the renamed fragment with its own wires and makes each of
+    /// `links`. Returns the names of the nodes it added, in allocation
+    /// order.
+    fn splice(&self, g: &mut ExprHigh, m: &Match, links: Links) -> Vec<NodeId> {
+        const CHECKED: &str = "an application is checked before its splice";
+        for n in &m.nodes {
+            g.remove_node(n).expect(CHECKED);
+        }
+        let created = match self {
+            Resolved::Subgraph(frag) => {
+                for (n, kind) in frag.graph.nodes() {
+                    g.add_node(frag.rename[n].clone(), kind.clone()).expect(CHECKED);
+                }
+                for (from, to) in frag.graph.edges() {
+                    g.connect(frag.renamed(from), frag.renamed(to)).expect(CHECKED);
+                }
+                frag.rename.values().cloned().collect()
+            }
+            Resolved::Passthrough(_) => Vec::new(),
+        };
+        for link in links {
+            match link {
+                (Attachment::Wire(from), Attachment::Wire(to)) => g.connect(from, to),
+                (Attachment::External(x), Attachment::Wire(to)) => g.expose_input(x, to),
+                (Attachment::Wire(from), Attachment::External(y)) => g.expose_output(y, from),
+                (Attachment::External(_), Attachment::External(_)) => unreachable!("{CHECKED}"),
+            }
+            .expect(CHECKED);
+        }
+        created
+    }
+}
+
+/// The boundary ports [`Resolved::links`] has read so far. A port read a
+/// second time has nothing left to inherit, so it reports the same missing
+/// driver or consumer that detaching it twice would.
+#[derive(Default)]
+struct Claims<'a> {
+    ins: BTreeSet<&'a Endpoint>,
+    outs: BTreeSet<&'a Endpoint>,
+}
+
+impl<'a> Claims<'a> {
+    fn driver(&mut self, g: &ExprHigh, e: &'a Endpoint) -> Result<Attachment, RewriteError> {
+        self.ins
+            .insert(e)
+            .then(|| g.driver(e))
+            .flatten()
+            .ok_or_else(|| RewriteError::BoundaryMismatch(format!("no driver for {e}")))
+    }
+
+    fn consumer(&mut self, g: &ExprHigh, e: &'a Endpoint) -> Result<Attachment, RewriteError> {
+        self.outs
+            .insert(e)
+            .then(|| g.consumer(e))
+            .flatten()
+            .ok_or_else(|| RewriteError::BoundaryMismatch(format!("no consumer for {e}")))
+    }
 }
 
 /// A subgraph replacement resolved by [`Engine::fragment`].
@@ -634,50 +761,6 @@ impl Fragment<'_> {
     /// A fragment endpoint under the fresh naming.
     fn renamed(&self, e: &Endpoint) -> Endpoint {
         Endpoint::new(self.rename[&e.node].clone(), e.port.clone())
-    }
-
-    /// Applies the replacement by graph surgery: detaches the old boundary,
-    /// swaps the matched nodes for the renamed fragment and re-attaches
-    /// each boundary driver and consumer to the fragment port that took its
-    /// port over.
-    fn splice(&self, g: &ExprHigh, m: &Match) -> Result<ExprHigh, RewriteError> {
-        let mut g2 = g.clone();
-        let mut drivers = Vec::with_capacity(self.ins.len());
-        for (here, old) in &self.ins {
-            let driver = g2
-                .detach_input(old)
-                .ok_or_else(|| RewriteError::BoundaryMismatch(format!("no driver for {old}")))?;
-            drivers.push((self.renamed(here), driver));
-        }
-        let mut consumers = Vec::with_capacity(self.outs.len());
-        for (here, old) in &self.outs {
-            let consumer = g2
-                .detach_output(old)
-                .ok_or_else(|| RewriteError::BoundaryMismatch(format!("no consumer for {old}")))?;
-            consumers.push((self.renamed(here), consumer));
-        }
-        for n in &m.nodes {
-            g2.remove_node(n)?;
-        }
-        for (n, kind) in self.graph.nodes() {
-            g2.add_node(self.rename[n].clone(), kind.clone())?;
-        }
-        for (from, to) in self.graph.edges() {
-            g2.connect(self.renamed(from), self.renamed(to))?;
-        }
-        for (to, driver) in drivers {
-            match driver {
-                Attachment::Wire(from) => g2.connect(from, to)?,
-                Attachment::External(x) => g2.expose_input(x, to)?,
-            }
-        }
-        for (from, consumer) in consumers {
-            match consumer {
-                Attachment::Wire(to) => g2.connect(from, to)?,
-                Attachment::External(y) => g2.expose_output(y, from)?,
-            }
-        }
-        Ok(g2)
     }
 
     /// The fragment as ExprLow exposing the old boundary names: the `rhs` of

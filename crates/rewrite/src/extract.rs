@@ -15,6 +15,7 @@
 //! bug), or any component that is not one-output-per-input (Merge, Mux,
 //! Branch, ...).
 
+use crate::egraph::simplify;
 use graphiti_ir::{Attachment, CompKind, Endpoint, ExprHigh, NodeId, PureFn};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -33,6 +34,8 @@ pub enum ExtractError {
     NoInput,
     /// The region contains a cycle.
     Cyclic,
+    /// A port asked of [`region_oracle`] is not one of the region's outputs.
+    MissingOutput(Endpoint),
 }
 
 impl fmt::Display for ExtractError {
@@ -47,6 +50,7 @@ impl fmt::Display for ExtractError {
             }
             ExtractError::NoInput => write!(f, "region has no input"),
             ExtractError::Cyclic => write!(f, "region contains a cycle"),
+            ExtractError::MissingOutput(e) => write!(f, "region has no output at `{e}`"),
         }
     }
 }
@@ -61,6 +65,31 @@ pub struct RegionFunction {
     /// Each boundary output port with the function from the input value to
     /// the value leaving on that port, in port order.
     pub outputs: Vec<(Endpoint, PureFn)>,
+}
+
+/// Pure generation's oracle step, timed as one `oracle` span: extracts the
+/// function of `region`, pairs the functions leaving it at `data` and
+/// `cond`, and simplifies the pair with the e-graph. Returns the region's
+/// input port and the simplified function.
+///
+/// # Errors
+///
+/// See [`ExtractError`]; [`ExtractError::MissingOutput`] when `data` or
+/// `cond` is not one of the region's outputs.
+pub fn region_oracle(
+    g: &ExprHigh,
+    region: &BTreeSet<NodeId>,
+    data: &Endpoint,
+    cond: &Endpoint,
+) -> Result<(Endpoint, PureFn), ExtractError> {
+    let _span = graphiti_obs::span("oracle");
+    let rf = extract_region_function(g, region)?;
+    let output = |port: &Endpoint| {
+        let f = rf.outputs.iter().find(|(e, _)| e == port).map(|(_, f)| f.clone());
+        f.ok_or_else(|| ExtractError::MissingOutput(port.clone()))
+    };
+    let f = PureFn::pair(output(data)?, output(cond)?);
+    Ok((rf.input, simplify(&f, 6)))
 }
 
 /// Extracts the pure function of the `region` node set in `g`.

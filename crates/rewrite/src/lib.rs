@@ -16,7 +16,8 @@
 //!   ([`catalog::ooo::loop_ooo`]).
 //! * [`extract_region_function`] and [`simplify`]/[`EGraph`] are the
 //!   untrusted oracles used by pure generation (§3.2), standing in for the
-//!   paper's egg-based oracle.
+//!   paper's egg-based oracle; [`region_oracle`] is the pipeline's one call
+//!   of both.
 //! * [`verify`] is where obligations are checked: [`verify::discharge`]
 //!   denotes each recorded `lhs`/`rhs` pair and fans the independent
 //!   bounded checks out across worker threads once rewriting is done.
@@ -34,9 +35,10 @@
 //! g.expose_input("x", ep("f", "in"))?;
 //! g.connect(ep("f", "out0"), ep("s", "in"))?;
 //!
+//! // The engine rewrites the graph in place.
 //! let mut engine = Engine::new();
-//! let g2 = engine.apply_first(&g, &catalog::elim::fork1_elim())?.expect("match");
-//! assert_eq!(g2.node_count(), 1);
+//! assert!(engine.apply_first(&mut g, &catalog::elim::fork1_elim())?, "match");
+//! assert_eq!(g.node_count(), 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -53,4 +55,4 @@ pub use engine::{
     wire_consumer, wire_driver, Applied, CheckMode, Engine, Match, Obligation, Replacement,
     Rewrite, RewriteError,
 };
-pub use extract::{extract_region_function, ExtractError, RegionFunction};
+pub use extract::{extract_region_function, region_oracle, ExtractError, RegionFunction};

@@ -146,11 +146,13 @@ mod tests {
         let rw = catalog::normalize::fork_flatten();
 
         let mut unchecked = Engine::new();
-        let g_unchecked = unchecked.apply_first(&g, &rw).unwrap().expect("match");
+        let mut g_unchecked = g.clone();
+        assert!(unchecked.apply_first(&mut g_unchecked, &rw).unwrap(), "match");
 
         let mut deferred = Engine::deferring();
         assert_eq!(deferred.mode, CheckMode::Deferred);
-        let g_deferred = deferred.apply_first(&g, &rw).unwrap().expect("match");
+        let mut g_deferred = g.clone();
+        assert!(deferred.apply_first(&mut g_deferred, &rw).unwrap(), "match");
 
         // Same graph out, obligation captured alongside.
         assert_eq!(g_unchecked, g_deferred);
@@ -172,8 +174,9 @@ mod tests {
         // Two applications: flatten once, then the result still has the
         // obligation list in application order even if workers finish
         // out of order.
-        let g2 = eng.apply_first(&g, &rw).unwrap().expect("match");
-        let _ = eng.apply_first(&g2, &rw).unwrap();
+        let mut g2 = g.clone();
+        assert!(eng.apply_first(&mut g2, &rw).unwrap(), "match");
+        let _ = eng.apply_first(&mut g2, &rw).unwrap();
         let names: Vec<String> = eng.obligations.iter().map(|o| o.rewrite.clone()).collect();
         let verdicts = discharge(std::mem::take(&mut eng.obligations), &RefineConfig::default());
         let got: Vec<String> = verdicts.iter().map(|d| d.rewrite.clone()).collect();

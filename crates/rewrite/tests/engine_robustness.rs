@@ -1,11 +1,15 @@
 //! Engine-level integration tests: determinism, boundary validation, fresh
 //! naming, rewrite logs, and the interplay of the pure-generation rewrites
 //! with the extraction oracle on a nontrivial loop body.
+//!
+//! The engine rewrites a graph in place and runs every check that can
+//! refuse an application before it mutates anything, so each refusal test
+//! also checks that the graph, the log and the obligations are as they were.
 
-use graphiti_ir::{ep, CompKind, Endpoint, ExprHigh, NodeId, Op, Value};
+use graphiti_ir::{ep, CompKind, Endpoint, ExprHigh, NodeId, Op, PureFn, Value};
 use graphiti_rewrite::{
-    catalog, extract_region_function, wire_consumer, Engine, Match, Replacement, Rewrite,
-    RewriteError,
+    catalog, extract_region_function, wire_consumer, CheckMode, Engine, Match, Replacement,
+    Rewrite, RewriteError,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -58,7 +62,8 @@ fn extraction_matches_rewrite_based_pure_generation() {
         catalog::elim::split_join_swap(),
         catalog::elim::join_split_elim(),
     ];
-    let reduced = engine.exhaust(g, &rws, None).unwrap();
+    let mut reduced = g;
+    engine.exhaust(&mut reduced, &rws, None).unwrap();
     reduced.validate().unwrap();
     assert!(engine.rewrites_applied() >= 5, "applied {}", engine.rewrites_applied());
 
@@ -85,8 +90,9 @@ fn exhaust_is_deterministic() {
     ];
     let mut a = Engine::new();
     let mut b = Engine::new();
-    let ga = a.exhaust(body_region(), &rws, None).unwrap();
-    let gb = b.exhaust(body_region(), &rws, None).unwrap();
+    let (mut ga, mut gb) = (body_region(), body_region());
+    a.exhaust(&mut ga, &rws, None).unwrap();
+    b.exhaust(&mut gb, &rws, None).unwrap();
     assert_eq!(ga, gb);
     assert_eq!(a.rewrites_applied(), b.rewrites_applied());
     let names_a: Vec<&str> = a.log.iter().map(|x| x.rewrite.as_str()).collect();
@@ -100,13 +106,30 @@ fn exhaust_in_a_region_rewrites_only_inside_it_and_tracks_created_nodes() {
     let mut region: BTreeSet<NodeId> = ["m".to_string()].into();
     let mut engine = Engine::new();
     let rws = [catalog::pure_gen::op_to_pure()];
-    let g = engine.exhaust(body_region(), &rws, Some(&mut region)).unwrap();
+    let mut g = body_region();
+    engine.exhaust(&mut g, &rws, Some(&mut region)).unwrap();
     assert_eq!(engine.rewrites_applied(), 1);
     assert_eq!(engine.log[0].nodes, ["m".to_string()].into());
     assert!(g.kind("nz").is_some(), "`nz` lies outside the region");
     // `m` left the region and the nodes that replaced it joined.
     assert!(!engine.log[0].created.is_empty());
     assert_eq!(region, engine.log[0].created.iter().cloned().collect());
+}
+
+/// Applies `rw` to `g` once with each engine mode, expecting a refusal that
+/// leaves the graph, the log and the obligations as they were; returns the
+/// refusal.
+fn refused(g: &ExprHigh, rw: &Rewrite) -> RewriteError {
+    let [off, deferred] = [Engine::new(), Engine::deferring()].map(|mut engine| {
+        let mut g2 = g.clone();
+        let err = engine.apply_first(&mut g2, rw).unwrap_err();
+        assert_eq!(&g2, g, "a refused `{}` changed the graph", rw.name);
+        assert!(engine.log.is_empty(), "a refused `{}` was logged", rw.name);
+        assert!(engine.obligations.is_empty(), "a refused `{}` left an obligation", rw.name);
+        err
+    });
+    assert_eq!(off.to_string(), deferred.to_string());
+    off
 }
 
 #[test]
@@ -132,34 +155,118 @@ fn boundary_mismatch_is_rejected() {
             })
         },
     );
-    let g = body_region();
-    let mut engine = Engine::new();
-    let err = engine.apply_first(&g, &broken).unwrap_err();
+    let err = refused(&body_region(), &broken);
     assert!(matches!(err, RewriteError::BoundaryMismatch(_)), "{err}");
-    // And the log records nothing for the failed application.
-    assert_eq!(engine.rewrites_applied(), 0);
+}
+
+#[test]
+fn a_builder_rejection_leaves_the_graph_as_it_was() {
+    let rejecting = Rewrite::new(
+        "rejecting",
+        true,
+        |g| catalog::pure_gen::op_to_pure().matches(g),
+        |_, _| Err(RewriteError::BuilderFailed("no".into())),
+    );
+    let err = refused(&body_region(), &rejecting);
+    assert!(matches!(&err, RewriteError::BuilderFailed(m) if m == "no"), "{err}");
+}
+
+/// `a`: a 1-way fork from the graph input `xa` to a sink; `b`: a 1-way fork
+/// from the graph input `xb` straight to the graph output `yb`.
+fn two_unit_forks() -> ExprHigh {
+    let mut g = ExprHigh::new();
+    g.add_node("a", CompKind::Fork { ways: 1 }).unwrap();
+    g.add_node("k", CompKind::Sink).unwrap();
+    g.add_node("b", CompKind::Fork { ways: 1 }).unwrap();
+    g.expose_input("xa", ep("a", "in")).unwrap();
+    g.connect(ep("a", "out0"), ep("k", "in")).unwrap();
+    g.expose_input("xb", ep("b", "in")).unwrap();
+    g.expose_output("yb", ep("b", "out0")).unwrap();
+    g
+}
+
+#[test]
+fn a_passthrough_from_an_external_to_an_external_is_refused() {
+    let mut g = two_unit_forks();
+    g.remove_node("a").unwrap();
+    g.remove_node("k").unwrap();
+    let err = refused(&g, &catalog::elim::fork1_elim());
+    assert_eq!(
+        err.to_string(),
+        "unsupported: passthrough would wire external `xb` directly to external `yb`"
+    );
+}
+
+#[test]
+fn an_exhaust_refused_midway_keeps_the_applications_before_it() {
+    // `fork1-elim` takes `a` first and then refuses `b`.
+    let rws = [catalog::elim::fork1_elim()];
+    let mut first = two_unit_forks();
+    assert!(Engine::new().apply_first(&mut first, &rws[0]).unwrap());
+    assert!(first.kind("a").is_none() && first.kind("b").is_some());
+    for mut engine in [Engine::new(), Engine::deferring()] {
+        let mut g = two_unit_forks();
+        let err = engine.exhaust(&mut g, &rws, None).unwrap_err();
+        assert!(matches!(err, RewriteError::Unsupported(_)), "{err}");
+        assert_eq!(g, first, "the graph after the first application");
+        assert_eq!(engine.log.len(), 1);
+        let recorded = usize::from(engine.mode == CheckMode::Deferred);
+        assert_eq!(engine.obligations.len(), recorded);
+    }
+}
+
+#[test]
+fn a_deferred_exhaust_records_one_obligation_per_verified_application() {
+    let rws = [
+        catalog::pure_gen::op_to_pure(),
+        catalog::pure_gen::fork_to_pure(),
+        catalog::pure_gen::pure_fuse(),
+        catalog::pure_gen::pure_over_join_left(),
+        catalog::pure_gen::pure_over_join_right(),
+        catalog::pure_gen::pure_over_split_left(),
+        catalog::pure_gen::pure_over_split_right(),
+        catalog::elim::split_join_elim(),
+        catalog::elim::split_join_swap(),
+        catalog::elim::join_split_elim(),
+        catalog::elim::sink_absorb_pure(),
+    ];
+    // A Pure into a Sink, for the unverified `sink-absorb-pure`.
+    let mut g = body_region();
+    g.add_node("p", CompKind::Pure { func: PureFn::Id }).unwrap();
+    g.add_node("k", CompKind::Sink).unwrap();
+    g.expose_input("z", ep("p", "in")).unwrap();
+    g.connect(ep("p", "out"), ep("k", "in")).unwrap();
+    let mut engine = Engine::deferring();
+    engine.exhaust(&mut g, &rws, None).unwrap();
+    let verified = |name: &str| rws.iter().any(|rw| rw.name == name && rw.verified);
+    let applied = engine.log.iter().filter(|a| verified(&a.rewrite)).count();
+    assert!(applied >= 5, "applied {applied}");
+    assert!(engine.log.iter().any(|a| a.rewrite == "sink-absorb-pure"), "unverified, applied");
+    let names: Vec<&str> = engine.obligations.iter().map(|o| o.rewrite.as_str()).collect();
+    let logged: Vec<&str> =
+        engine.log.iter().map(|a| a.rewrite.as_str()).filter(|n| verified(n)).collect();
+    assert_eq!(names, logged);
 }
 
 #[test]
 fn fresh_names_never_collide_across_applications() {
-    let g = body_region();
+    let mut g = body_region();
     let mut engine = Engine::new();
     let rws = [catalog::pure_gen::op_to_pure()];
-    let g2 = engine.exhaust(g, &rws, None).unwrap();
-    let names = g2.node_names();
-    assert_eq!(names.len(), g2.node_count());
+    engine.exhaust(&mut g, &rws, None).unwrap();
+    let names = g.node_names();
+    assert_eq!(names.len(), g.node_count());
     // Two operator replacements happened; their join/pure nodes all have
     // distinct generated names.
-    let pures = g2.nodes().filter(|(_, k)| matches!(k, CompKind::Pure { .. })).count();
+    let pures = g.nodes().filter(|(_, k)| matches!(k, CompKind::Pure { .. })).count();
     assert_eq!(pures, 2);
 }
 
 #[test]
 fn log_records_the_rewrite_sequence() {
-    let g = body_region();
     let mut engine = Engine::new();
     let rws = [catalog::pure_gen::op_to_pure(), catalog::pure_gen::fork_to_pure()];
-    let _ = engine.exhaust(g, &rws, None).unwrap();
+    engine.exhaust(&mut body_region(), &rws, None).unwrap();
     assert!(engine.obligations.is_empty(), "unchecked mode records no obligations");
     assert!(engine.log.iter().any(|a| a.rewrite == "op-to-pure"));
     assert!(engine.log.iter().any(|a| a.rewrite == "fork-to-pure"));
@@ -194,9 +301,8 @@ fn targeted_rewrites_do_not_leak_to_other_sites() {
         |g, m| catalog::elim::fork_sink_prune().build(g, m),
     );
     let mut engine = Engine::new();
-    let g2 = engine.apply_first(&g, &targeted).unwrap().expect("match at f1");
-    assert!(g2.kind("f0").is_some(), "other site untouched");
-    assert!(matches!(g2.kind("f0"), Some(CompKind::Fork { ways: 2 })));
+    assert!(engine.apply_first(&mut g, &targeted).unwrap(), "match at f1");
+    assert!(matches!(g.kind("f0"), Some(CompKind::Fork { ways: 2 })), "other site untouched");
 }
 
 #[test]
@@ -224,25 +330,86 @@ fn lone_adder(wired: &[&str]) -> ExprHigh {
 #[test]
 fn subgraph_rewrite_refuses_an_undriven_boundary_port() {
     // The splice inherits the driver of each boundary in-port; with none to
-    // inherit, the rewrite must fail rather than invent a graph input.
-    let g = lone_adder(&["in0", "out"]);
-    let mut engine = Engine::new();
-    let err = engine.apply_first(&g, &catalog::pure_gen::op_to_pure()).unwrap_err();
+    // inherit, the rewrite must fail rather than invent a graph input. A
+    // deferring engine records no obligation for it.
+    let err = refused(&lone_adder(&["in0", "out"]), &catalog::pure_gen::op_to_pure());
     assert!(
         matches!(&err, RewriteError::BoundaryMismatch(m) if m == "no driver for m.in1"),
         "{err}"
     );
-    assert_eq!(engine.rewrites_applied(), 0);
 }
 
 #[test]
 fn subgraph_rewrite_refuses_an_unconsumed_boundary_port() {
-    let g = lone_adder(&["in0", "in1"]);
-    let mut engine = Engine::new();
-    let err = engine.apply_first(&g, &catalog::pure_gen::op_to_pure()).unwrap_err();
+    let err = refused(&lone_adder(&["in0", "in1"]), &catalog::pure_gen::op_to_pure());
     assert!(
         matches!(&err, RewriteError::BoundaryMismatch(m) if m == "no consumer for m.out"),
         "{err}"
     );
-    assert_eq!(engine.rewrites_applied(), 0);
+}
+
+#[test]
+fn an_incomplete_graph_is_refused_before_the_splice() {
+    // `m` is complete and matches; the unmatched sink `k` is not connected.
+    let mut g = lone_adder(&["in0", "in1", "out"]);
+    g.add_node("k", CompKind::Sink).unwrap();
+    let err = refused(&g, &catalog::pure_gen::op_to_pure());
+    assert_eq!(err.to_string(), "graph error: port `k.in` is unconnected");
+}
+
+#[test]
+fn a_boundary_assignment_no_subgraph_port_takes_is_refused() {
+    // The replacement assigns both inputs of `m` but exposes only `a`, so
+    // the splice would drop the graph input driving `m.in1`.
+    let dropping = Rewrite::new(
+        "dropping",
+        false,
+        |g| catalog::pure_gen::op_to_pure().matches(g),
+        |_, m| {
+            let n = m.nodes.first().expect("one node").clone();
+            let mut frag = ExprHigh::new();
+            frag.add_node("f", CompKind::Fork { ways: 2 }).unwrap();
+            frag.add_node("s", CompKind::Sink).unwrap();
+            frag.connect(ep("f", "out1"), ep("s", "in")).unwrap();
+            frag.expose_input("a", ep("f", "in")).unwrap();
+            frag.expose_output("y", ep("f", "out0")).unwrap();
+            let ins = [("a", "in0"), ("b", "in1")];
+            Ok(Replacement::Subgraph {
+                graph: frag,
+                boundary_ins: ins.map(|(x, p)| (x.to_string(), ep(n.clone(), p))).into(),
+                boundary_outs: [("y".to_string(), ep(n, "out"))].into(),
+            })
+        },
+    );
+    let err = refused(&lone_adder(&["in0", "in1", "out"]), &dropping);
+    assert_eq!(err.to_string(), "boundary mismatch: boundary input `b` is not a subgraph input");
+}
+
+#[test]
+fn a_boundary_port_two_subgraph_ports_take_is_refused() {
+    // `b` and `c` both take over `m.in1`, whose one driver only one of
+    // them can inherit.
+    let doubling = Rewrite::new(
+        "doubling",
+        false,
+        |g| catalog::pure_gen::op_to_pure().matches(g),
+        |_, m| {
+            let n = m.nodes.first().expect("one node").clone();
+            let mut frag = ExprHigh::new();
+            frag.add_node("j", CompKind::Join).unwrap();
+            frag.add_node("s", CompKind::Sink).unwrap();
+            frag.expose_input("a", ep("j", "in0")).unwrap();
+            frag.expose_input("b", ep("j", "in1")).unwrap();
+            frag.expose_input("c", ep("s", "in")).unwrap();
+            frag.expose_output("y", ep("j", "out")).unwrap();
+            let ins = [("a", "in0"), ("b", "in1"), ("c", "in1")];
+            Ok(Replacement::Subgraph {
+                graph: frag,
+                boundary_ins: ins.map(|(x, p)| (x.to_string(), ep(n.clone(), p))).into(),
+                boundary_outs: [("y".to_string(), ep(n, "out"))].into(),
+            })
+        },
+    );
+    let err = refused(&lone_adder(&["in0", "in1", "out"]), &doubling);
+    assert_eq!(err.to_string(), "boundary mismatch: no driver for m.in1");
 }

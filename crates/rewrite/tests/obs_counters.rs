@@ -57,7 +57,8 @@ fn counters_match_engine_log() {
         catalog::elim::join_split_elim(),
     ];
     let mut engine = Engine::new();
-    let reduced = engine.exhaust(body_region(), &rws, None).unwrap();
+    let mut reduced = body_region();
+    engine.exhaust(&mut reduced, &rws, None).unwrap();
     reduced.validate().unwrap();
     assert!(engine.rewrites_applied() >= 5, "applied {}", engine.rewrites_applied());
 
@@ -106,9 +107,8 @@ fn counters_match_engine_log() {
             })
         },
     );
-    let g = body_region();
     let before = engine.rewrites_applied();
-    let err = engine.apply_first(&g, &broken).unwrap_err();
+    let err = engine.apply_first(&mut body_region(), &broken).unwrap_err();
     assert!(matches!(err, RewriteError::BoundaryMismatch(_)), "{err}");
     assert_eq!(engine.rewrites_applied(), before);
     assert_eq!(rewrite_counter("attempted", "obs-broken"), 1);

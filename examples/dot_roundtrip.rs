@@ -40,7 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut engine = Engine::new();
     let rewrite = catalog::ooo::loop_ooo(8);
-    let g2 = engine.apply_first(&g, &rewrite)?.expect("the loop shape matches");
+    let mut g2 = g.clone();
+    assert!(engine.apply_first(&mut g2, &rewrite)?, "the loop shape matches");
     println!("// applied `{}`; printing the rewritten circuit:\n", rewrite.name);
     let printed = print_dot(&g2);
     println!("{printed}");

@@ -87,7 +87,7 @@ fn unsound_loop_ooo() -> Rewrite {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let g = countdown_loop()?;
+    let mut g = countdown_loop()?;
     // Inputs 2 (one iteration, exits 0) and 3 (two iterations, exits -1).
     let cfg = RefineConfig {
         domain: vec![Value::Int(2), Value::Int(3)],
@@ -98,7 +98,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The sound rewrite's obligation holds.
     let mut engine = Engine::deferring();
-    let g2 = engine.apply_first(&g, &catalog::ooo::loop_ooo(2))?.expect("loop matches");
+    let mut g2 = g.clone();
+    assert!(engine.apply_first(&mut g2, &catalog::ooo::loop_ooo(2))?, "loop matches");
     g2.validate()?;
     let verdicts = discharge(engine.obligations, &cfg);
     println!("sound loop-ooo: applied, checker verdict = {:?}", verdicts[0].verdict);
@@ -106,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The unsound variant's obligation fails with a counterexample trace.
     let mut engine = Engine::deferring();
-    engine.apply_first(&g, &unsound_loop_ooo())?.expect("loop matches");
+    assert!(engine.apply_first(&mut g, &unsound_loop_ooo())?, "loop matches");
     let verdicts = discharge(engine.obligations, &cfg);
     let bad = first_violation(&verdicts).expect("a refinement violation");
     let Refinement::Fails { trace } = &bad.verdict else {

@@ -56,8 +56,12 @@ fn countdown_body() -> PureFn {
 }
 
 fn apply_ooo(g: &ExprHigh, tags: u32) -> ExprHigh {
-    let mut engine = Engine::new();
-    engine.apply_first(g, &catalog::ooo::loop_ooo(tags)).unwrap().expect("loop matches")
+    let mut g = g.clone();
+    assert!(
+        Engine::new().apply_first(&mut g, &catalog::ooo::loop_ooo(tags)).unwrap(),
+        "loop matches"
+    );
+    g
 }
 
 #[test]

@@ -47,7 +47,8 @@ fn loops(tags: u32) -> (ExprHigh, ExprHigh) {
     g.expose_input("entry", ep("mux", "f")).unwrap();
     g.expose_output("exit", ep("br", "f")).unwrap();
     let mut engine = Engine::new();
-    let ooo = engine.apply_first(&g, &catalog::ooo::loop_ooo(tags)).unwrap().expect("loop matches");
+    let mut ooo = g.clone();
+    assert!(engine.apply_first(&mut ooo, &catalog::ooo::loop_ooo(tags)).unwrap(), "loop matches");
     (g, ooo)
 }
 

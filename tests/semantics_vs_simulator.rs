@@ -108,6 +108,7 @@ fn sequential_loop_agrees() {
     // The out-of-order rewrite keeps the visible behaviour deterministic
     // (the Untagger releases in order), so the cross-check still applies.
     let mut engine = Engine::new();
-    let ooo = engine.apply_first(&g, &catalog::ooo::loop_ooo(2)).unwrap().expect("loop matches");
+    let mut ooo = g.clone();
+    assert!(engine.apply_first(&mut ooo, &catalog::ooo::loop_ooo(2)).unwrap(), "loop matches");
     cross_check(&ooo, "entry", "exit", inputs);
 }

@@ -42,7 +42,8 @@ fn fork_tree_graph() -> ExprHigh {
 fn whole_graph_refinement_after_fork_flatten() {
     let g = fork_tree_graph();
     let mut engine = Engine::new();
-    let g2 = engine.apply_first(&g, &catalog::normalize::fork_flatten()).unwrap().expect("match");
+    let mut g2 = g.clone();
+    assert!(engine.apply_first(&mut g2, &catalog::normalize::fork_flatten()).unwrap(), "match");
     // Conclusion of Theorem 4.6 on the full circuits.
     let before = io_module(&g);
     let after = io_module(&g2);
@@ -63,7 +64,8 @@ fn whole_graph_refinement_after_op_to_pure() {
     g.connect(ep("s", "out1"), ep("m", "in1")).unwrap();
     g.expose_output("y", ep("m", "out")).unwrap();
     let mut engine = Engine::new();
-    let g2 = engine.apply_first(&g, &catalog::pure_gen::op_to_pure()).unwrap().expect("match");
+    let mut g2 = g.clone();
+    assert!(engine.apply_first(&mut g2, &catalog::pure_gen::op_to_pure()).unwrap(), "match");
     let cfg = RefineConfig {
         domain: vec![Value::pair(Value::Int(0), Value::Int(1))],
         max_depth: 8,
@@ -149,7 +151,10 @@ fn substitution_on_exprlow_matches_engine_result() {
                     continue;
                 }
                 let mut engine = Engine::deferring();
-                let Ok(g2) = engine.apply_at(g, rw, &m) else { continue };
+                let mut g2 = g.clone();
+                if engine.apply_at(&mut g2, rw, &m).is_err() {
+                    continue;
+                }
                 let [ob] = engine.obligations.as_slice() else { continue };
                 let lowered = lower_grouped(g, &m.nodes).unwrap();
                 let expr = lowered.expr.substitute(&ob.lhs, &ob.rhs);
@@ -164,9 +169,9 @@ fn substitution_on_exprlow_matches_engine_result() {
 
 #[test]
 fn checked_engine_records_verdicts_per_application() {
-    let g = fork_tree_graph();
+    let mut g = fork_tree_graph();
     let mut engine = Engine::deferring();
-    let _ = engine.apply_first(&g, &catalog::normalize::fork_flatten()).unwrap().expect("match");
+    assert!(engine.apply_first(&mut g, &catalog::normalize::fork_flatten()).unwrap(), "match");
     assert_eq!(engine.log.len(), 1);
     assert_eq!(engine.log[0].rewrite, "fork-flatten");
     let verdicts = discharge(engine.obligations, &small_cfg());
@@ -213,7 +218,8 @@ fn unsound_add_to_sub() -> Rewrite {
 fn discharge_catches_an_unsound_verified_rewrite() {
     let g = fork_tree_graph();
     let mut engine = Engine::deferring();
-    let g2 = engine.apply_first(&g, &unsound_add_to_sub()).unwrap().expect("match");
+    let mut g2 = g.clone();
+    assert!(engine.apply_first(&mut g2, &unsound_add_to_sub()).unwrap(), "match");
     assert!(g2.nodes().any(|(_, k)| matches!(k, CompKind::Operator { op: Op::SubI })));
     let verdicts = discharge(engine.obligations, &small_cfg());
     let bad = first_violation(&verdicts).expect("the swap is caught");
