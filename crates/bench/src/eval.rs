@@ -446,7 +446,7 @@ mod tests {
         // matvec is pure so DF-OoO is also correct.
         assert!(io.correct && gr.correct && oo.correct && vc.correct);
         assert!(!r.refused);
-        assert!(r.rewrites > 10, "rewrites = {}", r.rewrites);
+        assert_eq!(r.rewrites, 10);
         // Shapes: GRAPHITI much faster than DF-IO in cycles; Vericert the
         // slowest in cycles but fastest clock; tagged circuits cost area.
         assert!(

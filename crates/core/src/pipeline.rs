@@ -6,11 +6,11 @@
 //! 2. **Eliminate** — remove the Split/Join pairs and degenerate forks the
 //!    combining introduced (Fig. 3b).
 //! 3. **Pure generation** — turn the loop body into a single Pure component
-//!    (§3.2): first by exhaustively applying the pure-generation rewrites,
-//!    then letting the oracle (symbolic extraction + e-graph simplification,
-//!    our egg stand-in) finish the job as a checked region-to-Pure rewrite.
-//!    *A Store in the body aborts the transformation here* — this is the
-//!    refusal that uncovered the paper's bicg bug.
+//!    (§3.2) in one oracle step: symbolic extraction + e-graph
+//!    simplification (our egg stand-in) compute the body's function, and
+//!    one checked region-to-Pure rewrite replaces the body by it. *A Store
+//!    in the body aborts the transformation here* — this is the refusal
+//!    that uncovered the paper's bicg bug.
 //! 4. **Loop rewrite** — the verified out-of-order rewrite (Fig. 3d).
 //! 5. **Expand** — re-materialize the recorded loop body inside the tagged
 //!    region in place of the Pure component (the paper replays the phase-3
@@ -33,7 +33,7 @@ use std::fmt;
 pub struct PipelineOptions {
     /// Tag budget for the out-of-order region.
     pub tags: u32,
-    /// Whether verified rewrite applications record their refinement
+    /// Whether rewrite applications record their refinement
     /// obligations in [`PipelineReport::obligations`].
     pub check: CheckMode,
     /// The bounds callers discharge the recorded obligations at. The
@@ -78,9 +78,6 @@ pub struct PipelineReport {
     pub refusal: Option<Refusal>,
     /// Total rewrites applied (the §6.3 statistic).
     pub rewrites: usize,
-    /// Whether phase 3 finished purely by catalogue rewrites (no oracle
-    /// region collapse needed).
-    pub pure_by_rewrites: bool,
     /// Refinement obligations collected in [`CheckMode::Deferred`] (empty
     /// when checks are off), in application order. Discharge them with
     /// [`graphiti_rewrite::verify::discharge`] — the independent checks
@@ -161,7 +158,6 @@ fn region_to_pure_rewrite(
 ) -> Rewrite {
     Rewrite::new(
         "region-to-pure",
-        true,
         move |_g| vec![Match { nodes: region.clone(), bindings: BTreeMap::new() }],
         move |_g, _m| {
             let mut frag = ExprHigh::new();
@@ -198,7 +194,6 @@ fn pure_expand_rewrite(
 ) -> Rewrite {
     Rewrite::new(
         "pure-expand",
-        true,
         move |_g| {
             vec![Match {
                 nodes: [pure_node.clone(), split_node.clone()].into_iter().collect(),
@@ -238,8 +233,8 @@ pub(crate) fn normalize(
     g: &mut ExprHigh,
     init: &NodeId,
 ) -> Result<Option<SeqLoop>, PipelineError> {
-    engine.exhaust(g, &catalog::normalize_phase(), None)?;
-    engine.exhaust(g, &catalog::eliminate_phase(), None)?;
+    engine.exhaust(g, &catalog::normalize_phase())?;
+    engine.exhaust(g, &catalog::eliminate_phase())?;
     Ok(loop_with_init(g, init))
 }
 
@@ -258,8 +253,7 @@ pub fn optimize_loop(
     opts: &PipelineOptions,
 ) -> Result<(ExprHigh, PipelineReport), PipelineError> {
     let mut engine = engine_for(opts);
-    let mut pure_by_rewrites = false;
-    let (g, refusal) = match transform(&mut engine, graph, init, opts.tags, &mut pure_by_rewrites) {
+    let (g, refusal) = match transform(&mut engine, graph, init, opts.tags) {
         Ok(g) => (g, None),
         Err(Stop::Refused(r)) => (graph.clone(), Some(r)),
         Err(Stop::Failed(e)) => return Err(e),
@@ -268,21 +262,17 @@ pub fn optimize_loop(
         transformed: refusal.is_none(),
         refusal,
         rewrites: engine.rewrites_applied(),
-        pure_by_rewrites,
         obligations: engine.obligations,
     };
     Ok((g, report))
 }
 
 /// The five phases on one copy of `graph`, rewritten in place.
-/// `pure_by_rewrites` is set once phase 3's rewrites have run, so a refusal
-/// before that reports `false`.
 fn transform(
     engine: &mut Engine,
     graph: &ExprHigh,
     init: &NodeId,
     tags: u32,
-    pure_by_rewrites: &mut bool,
 ) -> Result<ExprHigh, Stop> {
     // A store queue serialises memory accesses by the *arrival order* of
     // its sequence stream; tagging the region around it would reorder that
@@ -298,7 +288,7 @@ fn transform(
     let l = normalize(engine, &mut g, init)?.ok_or(Refusal::LoopNotFound)?;
 
     // Record the normalized body for phase 5.
-    let mut region = loop_body_region(&g, &l);
+    let region = loop_body_region(&g, &l);
     if let Some(impure) = region.iter().find(|n| !g.kind(n).expect("node").is_effect_free()) {
         return Err(Refusal::ImpureBody(format!("store at `{impure}`")).into());
     }
@@ -316,38 +306,21 @@ fn transform(
         }
     }
 
-    // Phase 3a: rewrite-based pure generation inside the region.
-    engine.exhaust(&mut g, &catalog::to_pure_phase(), Some(&mut region))?;
-    engine.exhaust(&mut g, &catalog::absorb_phase(), Some(&mut region))?;
+    // Phase 3: the oracle extracts the body's function symbolically and
+    // simplifies it with the e-graph; one checked region-to-Pure rewrite
+    // collapses the body.
+    let (input, func) = region_oracle(&g, &region, &data_out, &cond_out).map_err(|e| match e {
+        ExtractError::Impure(n) => Refusal::ImpureBody(format!("store at `{n}`")),
+        ExtractError::MissingOutput(_) => {
+            Refusal::NotReducible("region outputs do not line up with branch/fork".into())
+        }
+        e => Refusal::NotReducible(e.to_string()),
+    })?;
+    let rw = region_to_pure_rewrite(region, input, data_out.clone(), cond_out.clone(), func);
+    assert!(engine.apply_first(&mut g, &rw)?, "targeted rewrite always matches");
 
-    // Re-locate the loop (rewrites did not touch the steering nodes).
-    let l = loop_with_init(&g, init).ok_or(Refusal::LoopNotFound)?;
-    let region_now = loop_body_region(&g, &l);
-
-    // Is the region already the canonical `Pure; Split`?
-    let mut kinds: Vec<&CompKind> = region_now.iter().map(|n| g.kind(n).expect("node")).collect();
-    kinds.sort_by_key(|k| k.type_name());
-    *pure_by_rewrites = matches!(kinds.as_slice(), [CompKind::Pure { .. }, CompKind::Split]);
-    if !*pure_by_rewrites {
-        // Phase 3b: oracle — extract the region function symbolically,
-        // simplify it with the e-graph, and apply the checked
-        // region-to-Pure rewrite.
-        let (data_now, cond_now) =
-            body_outputs(&g, &l).expect("normalized loop has branch and fork inputs");
-        let (input, func) =
-            region_oracle(&g, &region_now, &data_now, &cond_now).map_err(|e| match e {
-                ExtractError::Impure(n) => Refusal::ImpureBody(format!("store at `{n}`")),
-                ExtractError::MissingOutput(_) => {
-                    Refusal::NotReducible("region outputs do not line up with branch/fork".into())
-                }
-                e => Refusal::NotReducible(e.to_string()),
-            })?;
-        let rw = region_to_pure_rewrite(region_now, input, data_now, cond_now, func);
-        assert!(engine.apply_first(&mut g, &rw)?, "targeted rewrite always matches");
-    }
-
-    // Phase 4: the verified out-of-order loop rewrite.
-    let l = loop_with_init(&g, init).expect("loop steering survived phase 3");
+    // Phase 4: the verified out-of-order loop rewrite. Phase 3 touched no
+    // steering node, so the Mux is still `l.mux`.
     let rw = catalog::ooo::loop_ooo_at(tags, l.mux.clone());
     if !engine.apply_first(&mut g, &rw)? {
         return Err(Refusal::NotReducible("canonical loop shape not reached".into()).into());

@@ -1,4 +1,4 @@
-//! The pipeline in *checked* mode: every verified rewrite application
+//! The pipeline in *checked* mode: every rewrite application
 //! records its refinement obligation, and the batch is discharged with the
 //! bounded checker once the transformation is done — the runtime analogue
 //! of carrying the Lean proof through the extracted tool.
@@ -6,8 +6,8 @@
 use graphiti_core::{optimize_loop, PipelineOptions};
 use graphiti_frontend::{compile_kernel, Expr, InnerLoop, OuterLoop};
 use graphiti_ir::{CompKind, Op, Value};
-use graphiti_rewrite::{verify, CheckMode};
-use graphiti_sem::RefineConfig;
+use graphiti_rewrite::{verify, CheckMode, Obligation};
+use graphiti_sem::{denote, run_random, Env, RefineConfig};
 
 fn tight_cfg() -> RefineConfig {
     RefineConfig {
@@ -89,24 +89,15 @@ fn checked_and_unchecked_agree_on_refusals() {
         if check == CheckMode::Off {
             assert!(report.obligations.is_empty(), "an unchecked run records no obligations");
         } else {
-            assert!(!report.obligations.is_empty(), "the refused run applied no verified rewrite");
+            assert!(!report.obligations.is_empty(), "the refused run applied no rewrite");
             let discharged = verify::discharge(report.obligations, &tight_cfg());
             assert!(verify::first_violation(&discharged).is_none());
         }
     }
 }
 
-/// The checker's exploration pinned on `examples/gcd.gsl`: the verdict and
-/// every exploration counter of all 15 deferred obligations, in obligation
-/// order, at a 2 000-state budget. The counters depend on the DFS order
-/// (internal steps first, wire by wire in denotation order, then inputs
-/// and outputs with ports in name order, successors in relation order) and
-/// on the visited-at-pop rule, so any change to the exploration shows up
-/// here as a changed number.
-#[test]
-fn gcd_obligations_pin_verdicts_and_exploration_counters() {
-    use graphiti_sem::{BoundHit, BoundKind, Refinement};
-
+/// The deferred obligations of `examples/gcd.gsl`, in application order.
+fn gcd_obligations() -> Vec<Obligation> {
     let program = graphiti_frontend::parse_program(include_str!("../../../examples/gcd.gsl"))
         .expect("example parses");
     let compiled = graphiti_frontend::compile(&program).expect("example compiles");
@@ -116,11 +107,24 @@ fn gcd_obligations_pin_verdicts_and_exploration_counters() {
         check: CheckMode::Deferred,
         ..Default::default()
     };
-    let (_, report) = optimize_loop(&kernel.graph, &kernel.inner_init, &opts).unwrap();
+    optimize_loop(&kernel.graph, &kernel.inner_init, &opts).unwrap().1.obligations
+}
+
+/// The checker's exploration pinned on `examples/gcd.gsl`: the verdict and
+/// every exploration counter of all 7 deferred obligations, in obligation
+/// order, at a 2 000-state budget. The counters depend on the DFS order
+/// (internal steps first, wire by wire in denotation order, then inputs
+/// and outputs with ports in name order, successors in relation order) and
+/// on the visited-at-pop rule, so any change to the exploration shows up
+/// here as a changed number.
+#[test]
+fn gcd_obligations_pin_verdicts_and_exploration_counters() {
+    use graphiti_sem::{BoundHit, BoundKind, Refinement};
+
     let cfg = RefineConfig { max_states: 2_000, ..Default::default() };
     // `discharge` returns the verdicts in obligation order at any worker
     // count, and each check is deterministic in its obligation.
-    let got: Vec<(String, Refinement, [u64; 5])> = verify::discharge(report.obligations, &cfg)
+    let got: Vec<(String, Refinement, [u64; 5])> = verify::discharge(gcd_obligations(), &cfg)
         .into_iter()
         .map(|d| {
             let s = d.stats;
@@ -136,17 +140,11 @@ fn gcd_obligations_pin_verdicts_and_exploration_counters() {
     let expected: Vec<(&str, Refinement, [u64; 5])> = vec![
         ("mux-combine", states.clone(), [2001, 131, 7661, 1617, 4412]),
         ("branch-combine", states.clone(), [2001, 90, 6901, 1436, 3840]),
-        ("fork1-elim", queue_cap.clone(), [21, 11, 105, 0, 64]),
+        ("fork1-elim", queue_cap, [21, 11, 105, 0, 64]),
         ("split-join-elim", Refinement::Holds, [1, 1, 5, 0, 0]),
-        ("op-to-pure", states.clone(), [2001, 53, 7187, 1189, 3348]),
-        ("op-to-pure", queue_cap.clone(), [21, 10, 95, 0, 64]),
-        ("fork-to-pure", queue_cap.clone(), [243, 34, 664, 120, 317]),
-        ("fork-to-pure", queue_cap.clone(), [243, 34, 664, 120, 317]),
-        ("pure-fuse", queue_cap.clone(), [21, 7, 85, 0, 64]),
-        ("pure-over-split-r", Refinement::Holds, [1, 1, 5, 0, 0]),
-        ("pure-fuse", queue_cap.clone(), [21, 7, 85, 0, 64]),
-        ("pure-over-split-r", Refinement::Holds, [1, 1, 5, 0, 0]),
-        ("region-to-pure", queue_cap, [21, 7, 85, 0, 64]),
+        // Its left side starts with a Split, which rejects every value of
+        // the default domain: a vacuous hold (see the test below).
+        ("region-to-pure", Refinement::Holds, [1, 1, 5, 0, 0]),
         ("loop-ooo", states, [2001, 23, 5521, 620, 4678]),
         ("pure-expand", Refinement::Holds, [1, 1, 1, 0, 0]),
     ];
@@ -160,5 +158,47 @@ fn gcd_obligations_pin_verdicts_and_exploration_counters() {
             counters, want_counters,
             "obligation {i} ({name}): visited/frontier/closures/depth/queue"
         );
+    }
+}
+
+/// The oracle against ground truth: both sides of gcd's `region-to-pure`
+/// obligation compute the loop body of the paper's Fig. 5. Fed a pair
+/// `(a, b)`, each emits `(b, a mod b)` on the data port (the one the
+/// replacement's Split drives from `out0`) and `a mod b ≠ 0` on the
+/// condition port. The obligation's bounded check holds vacuously, so this
+/// is the test that exercises what the oracle extracted and simplified.
+#[test]
+fn region_to_pure_computes_the_gcd_body_on_concrete_pairs() {
+    let ob = gcd_obligations()
+        .into_iter()
+        .find(|o| o.rewrite == "region-to-pure")
+        .expect("phase 3 records one region-to-pure obligation");
+    let (_, _, split) = ob
+        .rhs
+        .bases()
+        .into_iter()
+        .find(|(_, kind, _)| matches!(kind, CompKind::Split))
+        .expect("the replacement ends in a Split");
+    let (data, cond) = (split.outs["out0"].clone(), split.outs["out1"].clone());
+    let env = Env::standard();
+    for (side, expr) in [("lhs", &ob.lhs), ("rhs", &ob.rhs)] {
+        let m = denote(expr, &env);
+        let input = match m.input_ports().as_slice() {
+            [input] => input.clone(),
+            ports => panic!("{side}: one input expected, got {ports:?}"),
+        };
+        let mut outputs = m.output_ports();
+        outputs.sort();
+        let mut want = vec![data.clone(), cond.clone()];
+        want.sort();
+        assert_eq!(outputs, want, "{side}: output ports");
+        for (a, b) in [(30, 12), (7, 3), (9, 9), (1000, 17)] {
+            let feeds = [(input.clone(), vec![Value::pair(Value::Int(a), Value::Int(b))])].into();
+            let r = run_random(&m, &feeds, 7, 5_000);
+            let emitted = |port| r.outputs.get(port).cloned().unwrap_or_default();
+            let next = Value::pair(Value::Int(b), Value::Int(a % b));
+            assert_eq!(emitted(&data), [next], "{side}: data for ({a}, {b})");
+            assert_eq!(emitted(&cond), [Value::Bool(a % b != 0)], "{side}: cond for ({a}, {b})");
+        }
     }
 }

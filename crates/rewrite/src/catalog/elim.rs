@@ -1,15 +1,10 @@
 //! Elimination rewrites (Fig. 3b): remove residual components introduced by
 //! normalization — degenerate forks, cancelling Split/Join pairs, and sunk
 //! values.
-//!
-//! `join-split-elim` removes synchronization and therefore *adds* behaviours;
-//! like the paper's minor rewrites it is left unverified and is only applied
-//! inside regions that pure generation is about to collapse, where every
-//! queue carries the same token stream.
 
 use super::Frag;
 use crate::engine::{wire_consumer, Match, Replacement, Rewrite, RewriteError};
-use graphiti_ir::{ep, CompKind, NodeId, PureFn};
+use graphiti_ir::{ep, CompKind, NodeId};
 use std::collections::BTreeMap;
 
 fn single_match(nodes: Vec<NodeId>, bindings: Vec<(&str, NodeId)>) -> Match {
@@ -23,7 +18,6 @@ fn single_match(nodes: Vec<NodeId>, bindings: Vec<(&str, NodeId)>) -> Match {
 pub fn fork1_elim() -> Rewrite {
     Rewrite::new(
         "fork1-elim",
-        true,
         |g| {
             g.nodes()
                 .filter(|(_, k)| matches!(k, CompKind::Fork { ways: 1 }))
@@ -44,7 +38,6 @@ pub fn fork1_elim() -> Rewrite {
 pub fn split_join_elim() -> Rewrite {
     Rewrite::new(
         "split-join-elim",
-        true,
         |g| {
             let mut out = Vec::new();
             for (s, kind) in g.nodes() {
@@ -78,89 +71,10 @@ pub fn split_join_elim() -> Rewrite {
     )
 }
 
-/// A Split whose outputs feed a Join *crosswise* is a Pure swap.
-pub fn split_join_swap() -> Rewrite {
-    Rewrite::new(
-        "split-join-swap",
-        true,
-        |g| {
-            let mut out = Vec::new();
-            for (s, kind) in g.nodes() {
-                if !matches!(kind, CompKind::Split) {
-                    continue;
-                }
-                let c0 = wire_consumer(g, &ep(s.clone(), "out0"));
-                let c1 = wire_consumer(g, &ep(s.clone(), "out1"));
-                if let (Some(a), Some(b)) = (c0, c1) {
-                    if a.node == b.node
-                        && a.port == "in1"
-                        && b.port == "in0"
-                        && matches!(g.kind(&a.node), Some(CompKind::Join))
-                    {
-                        out.push(single_match(
-                            vec![s.clone(), a.node.clone()],
-                            vec![("split", s.clone()), ("join", a.node)],
-                        ));
-                    }
-                }
-            }
-            out
-        },
-        |_, m| {
-            let s = m.node("split");
-            let j = m.node("join");
-            let mut fr = Frag::new();
-            fr.node("p", CompKind::Pure { func: PureFn::Swap });
-            fr.input("in", ("p", "in"), ep(s.clone(), "in"));
-            fr.output("out", ("p", "out"), ep(j.clone(), "out"));
-            fr.build()
-        },
-    )
-}
-
-/// A Join immediately re-split is removed (unverified: dropping the Join
-/// removes synchronization between the two streams, so this is only safe in
-/// contexts where both streams carry the same token count — exactly the
-/// regions pure generation collapses).
-pub fn join_split_elim() -> Rewrite {
-    Rewrite::new(
-        "join-split-elim",
-        false,
-        |g| {
-            let mut out = Vec::new();
-            for (j, kind) in g.nodes() {
-                if !matches!(kind, CompKind::Join) {
-                    continue;
-                }
-                if let Some(dst) = wire_consumer(g, &ep(j.clone(), "out")) {
-                    if dst.port == "in" && matches!(g.kind(&dst.node), Some(CompKind::Split)) {
-                        out.push(single_match(
-                            vec![j.clone(), dst.node.clone()],
-                            vec![("join", j.clone()), ("split", dst.node)],
-                        ));
-                    }
-                }
-            }
-            out
-        },
-        |_, m| {
-            let j = m.node("join");
-            let s = m.node("split");
-            Ok(Replacement::Passthrough {
-                wires: vec![
-                    (ep(j.clone(), "in0"), ep(s.clone(), "out0")),
-                    (ep(j.clone(), "in1"), ep(s.clone(), "out1")),
-                ],
-            })
-        },
-    )
-}
-
 /// A Fork output feeding a Sink is dropped, narrowing the Fork.
 pub fn fork_sink_prune() -> Rewrite {
     Rewrite::new(
         "fork-sink-prune",
-        true,
         |g| {
             let mut out = Vec::new();
             for (f, kind) in g.nodes() {
@@ -207,40 +121,6 @@ pub fn fork_sink_prune() -> Rewrite {
                 );
                 j += 1;
             }
-            fr.build()
-        },
-    )
-}
-
-/// A Pure whose output is sunk is itself sunk (unverified: valid for total
-/// functions; a partial Pure could block its input where the Sink would
-/// not).
-pub fn sink_absorb_pure() -> Rewrite {
-    Rewrite::new(
-        "sink-absorb-pure",
-        false,
-        |g| {
-            let mut out = Vec::new();
-            for (p, kind) in g.nodes() {
-                if !matches!(kind, CompKind::Pure { .. }) {
-                    continue;
-                }
-                if let Some(dst) = wire_consumer(g, &ep(p.clone(), "out")) {
-                    if matches!(g.kind(&dst.node), Some(CompKind::Sink)) {
-                        out.push(single_match(
-                            vec![p.clone(), dst.node.clone()],
-                            vec![("pure", p.clone()), ("sink", dst.node)],
-                        ));
-                    }
-                }
-            }
-            out
-        },
-        |_, m| {
-            let p = m.node("pure");
-            let mut fr = Frag::new();
-            fr.node("sink", CompKind::Sink);
-            fr.input("in", ("sink", "in"), ep(p.clone(), "in"));
             fr.build()
         },
     )
@@ -311,46 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn split_join_swap_becomes_pure_swap() {
-        let mut g = ExprHigh::new();
-        g.add_node("s", CompKind::Split).unwrap();
-        g.add_node("j", CompKind::Join).unwrap();
-        g.expose_input("x", ep("s", "in")).unwrap();
-        g.connect(ep("s", "out0"), ep("j", "in1")).unwrap();
-        g.connect(ep("s", "out1"), ep("j", "in0")).unwrap();
-        g.expose_output("y", ep("j", "out")).unwrap();
-        let mut engine = Engine::new();
-        let mut g2 = g.clone();
-        assert!(engine.apply_first(&mut g2, &split_join_swap()).unwrap(), "match");
-        g2.validate().unwrap();
-        assert!(g2.nodes().any(|(_, k)| matches!(k, CompKind::Pure { func: PureFn::Swap })));
-        assert_eq!(g2.node_count(), 1);
-    }
-
-    #[test]
-    fn join_split_elim_is_marked_unverified() {
-        let rw = join_split_elim();
-        assert!(!rw.verified);
-        let mut g = ExprHigh::new();
-        g.add_node("j", CompKind::Join).unwrap();
-        g.add_node("s", CompKind::Split).unwrap();
-        g.add_node("b0", CompKind::Buffer { slots: 1, transparent: false }).unwrap();
-        g.add_node("b1", CompKind::Buffer { slots: 1, transparent: false }).unwrap();
-        g.expose_input("a", ep("j", "in0")).unwrap();
-        g.expose_input("b", ep("j", "in1")).unwrap();
-        g.connect(ep("j", "out"), ep("s", "in")).unwrap();
-        g.connect(ep("s", "out0"), ep("b0", "in")).unwrap();
-        g.connect(ep("s", "out1"), ep("b1", "in")).unwrap();
-        g.expose_output("x", ep("b0", "out")).unwrap();
-        g.expose_output("y", ep("b1", "out")).unwrap();
-        let mut engine = Engine::new();
-        let mut g2 = g.clone();
-        assert!(engine.apply_first(&mut g2, &rw).unwrap(), "match");
-        g2.validate().unwrap();
-        assert_eq!(g2.node_count(), 2);
-    }
-
-    #[test]
     fn fork_sink_prune_narrows_fork() {
         let mut g = ExprHigh::new();
         g.add_node("f", CompKind::Fork { ways: 3 }).unwrap();
@@ -369,20 +209,5 @@ mod tests {
         g2.validate().unwrap();
         assert!(g2.nodes().any(|(_, k)| matches!(k, CompKind::Fork { ways: 2 })));
         assert!(!g2.nodes().any(|(_, k)| matches!(k, CompKind::Sink)));
-    }
-
-    #[test]
-    fn sink_absorb_pure_moves_sink_up() {
-        let mut g = ExprHigh::new();
-        g.add_node("p", CompKind::Pure { func: PureFn::Dup }).unwrap();
-        g.add_node("k", CompKind::Sink).unwrap();
-        g.expose_input("x", ep("p", "in")).unwrap();
-        g.connect(ep("p", "out"), ep("k", "in")).unwrap();
-        let mut engine = Engine::new();
-        let mut g2 = g.clone();
-        assert!(engine.apply_first(&mut g2, &sink_absorb_pure()).unwrap(), "match");
-        g2.validate().unwrap();
-        assert_eq!(g2.node_count(), 1);
-        assert!(g2.nodes().all(|(_, k)| matches!(k, CompKind::Sink)));
     }
 }

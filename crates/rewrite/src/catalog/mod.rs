@@ -7,26 +7,26 @@
 //!   fork, and flattening fork trees (Fig. 3a).
 //! * [`elim`] — eliminating residual components introduced by
 //!   normalization (Fig. 3b).
-//! * [`pure_gen`] — the pure-generation rewrites of §3.2 / Fig. 5, which
-//!   incrementally turn an effect-free loop body into a single Pure
-//!   component.
 //! * [`ooo`] — the main out-of-order loop rewrite (Fig. 3d), the one the
 //!   paper formally verifies.
 //!
-//! The phase lists ([`normalize_phase`], [`eliminate_phase`],
-//! [`to_pure_phase`], [`absorb_phase`]) fix the order in which the pipeline
-//! tries the rewrites of each phase; [`all_rewrites`] is their union plus
-//! the loop rewrite.
+//! Pure generation (§3.2, Fig. 5) is not a catalogue pass: the pipeline
+//! collapses the loop body in one oracle step, a `region-to-pure` rewrite
+//! built from the body's extracted function
+//! ([`region_oracle`](crate::region_oracle)).
 //!
-//! Each rewrite records whether it carries a refinement obligation
-//! (`verified`); an engine in [`CheckMode::Deferred`](crate::CheckMode)
-//! records those obligations and [`crate::verify::discharge`] checks them
-//! with the bounded refinement checker.
+//! The phase lists ([`normalize_phase`], [`eliminate_phase`]) fix the order
+//! in which both flows try the rewrites of each phase; [`all_rewrites`] is
+//! the two lists plus the loop rewrite.
+//!
+//! Every application carries a refinement obligation: an engine in
+//! [`CheckMode::Deferred`](crate::CheckMode) records it and
+//! [`crate::verify::discharge`] checks the batch with the bounded refinement
+//! checker.
 
 pub mod elim;
 pub mod normalize;
 pub mod ooo;
-pub mod pure_gen;
 
 use crate::engine::{Replacement, Rewrite, RewriteError};
 use graphiti_ir::{ep, CompKind, Endpoint, ExprHigh};
@@ -97,43 +97,13 @@ pub fn eliminate_phase() -> Vec<Rewrite> {
     vec![elim::fork1_elim(), elim::split_join_elim(), elim::fork_sink_prune()]
 }
 
-/// Phase 3, first pass: turn each operator, load and constant of the loop
-/// body into a Pure (§3.2).
-pub fn to_pure_phase() -> Vec<Rewrite> {
-    vec![pure_gen::op_to_pure(), pure_gen::load_to_pure(), pure_gen::constant_to_pure()]
-}
-
-/// Phase 3, second pass: absorb forks, Pures, Splits, Joins and Sinks of
-/// the loop body into one `Pure; Split` (Fig. 5).
-pub fn absorb_phase() -> Vec<Rewrite> {
-    vec![
-        pure_gen::fork_to_pure(),
-        pure_gen::pure_fuse(),
-        pure_gen::pure_over_join_left(),
-        pure_gen::pure_over_join_right(),
-        pure_gen::pure_over_split_left(),
-        pure_gen::pure_over_split_right(),
-        pure_gen::split_fst(),
-        pure_gen::split_snd(),
-        elim::split_join_elim(),
-        elim::split_join_swap(),
-        elim::join_split_elim(),
-        elim::sink_absorb_pure(),
-    ]
-}
-
-/// Every catalogue rewrite the two flows apply: each rewrite of the four
-/// phase lists once, in order of first appearance, then the loop rewrite.
-/// The pipeline's targeted `region-to-pure` and `pure-expand` rewrites are
-/// built per loop and are not listed.
+/// Every catalogue rewrite the two flows apply: phase 1, phase 2, then the
+/// loop rewrite. The pipeline's targeted `region-to-pure` and `pure-expand`
+/// rewrites are built per loop and are not listed.
 pub fn all_rewrites() -> Vec<Rewrite> {
-    let phases = [normalize_phase(), eliminate_phase(), to_pure_phase(), absorb_phase()];
-    let mut all: Vec<Rewrite> = Vec::new();
-    for rw in phases.into_iter().flatten().chain([ooo::loop_ooo(8)]) {
-        if all.iter().all(|r| r.name != rw.name) {
-            all.push(rw);
-        }
-    }
+    let mut all = normalize_phase();
+    all.extend(eliminate_phase());
+    all.push(ooo::loop_ooo(8));
     all
 }
 
@@ -142,13 +112,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn catalogue_has_the_papers_scale() {
-        // The paper reports ~20 rewrites for the transformation: one core
-        // (verified) out-of-order rewrite plus minor normalization rewrites.
-        let all = all_rewrites();
-        assert!(all.len() >= 20, "catalogue has {} rewrites", all.len());
-        assert!(all.iter().any(|r| r.name == "loop-ooo"));
-        let names: std::collections::BTreeSet<_> = all.iter().map(|r| r.name).collect();
-        assert_eq!(names.len(), all.len(), "rewrite names are unique");
+    fn catalogue_lists_the_rewrites_both_flows_apply() {
+        let names: Vec<&str> = all_rewrites().iter().map(|r| r.name).collect();
+        assert_eq!(
+            names,
+            [
+                "mux-combine",
+                "branch-combine",
+                "fork-flatten",
+                "fork1-elim",
+                "split-join-elim",
+                "fork-sink-prune",
+                "loop-ooo"
+            ]
+        );
     }
 }

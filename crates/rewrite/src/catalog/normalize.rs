@@ -36,7 +36,6 @@ fn fork_consumers(
 pub fn mux_combine() -> Rewrite {
     Rewrite::new(
         "mux-combine",
-        true,
         |g| {
             let mut out = Vec::new();
             for (f, kind) in g.nodes() {
@@ -135,7 +134,6 @@ pub fn mux_combine() -> Rewrite {
 pub fn branch_combine() -> Rewrite {
     Rewrite::new(
         "branch-combine",
-        true,
         |g| {
             let mut out = Vec::new();
             for (f, kind) in g.nodes() {
@@ -225,7 +223,6 @@ pub fn branch_combine() -> Rewrite {
 pub fn fork_flatten() -> Rewrite {
     Rewrite::new(
         "fork-flatten",
-        true,
         |g| {
             let mut out = Vec::new();
             for (a, kind) in g.nodes() {

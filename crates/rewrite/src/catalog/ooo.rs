@@ -139,7 +139,6 @@ fn loop_match(l: &LoopShape) -> Match {
 pub fn loop_ooo(tags: u32) -> Rewrite {
     Rewrite::new(
         "loop-ooo",
-        true,
         |g| find_loops(g).iter().map(loop_match).collect(),
         move |g, m| {
             let body_func = match g.kind(m.node("body")) {
@@ -173,7 +172,6 @@ pub fn loop_ooo(tags: u32) -> Rewrite {
 pub fn loop_ooo_at(tags: u32, mux: NodeId) -> Rewrite {
     Rewrite::new(
         "loop-ooo",
-        true,
         move |g| find_loops(g).iter().filter(|l| l.mux == mux).map(loop_match).collect(),
         move |g, m| loop_ooo(tags).build(g, m),
     )

@@ -34,11 +34,9 @@
 //! ([`lower_group`](graphiti_ir::lower_group)) and the replacement.
 //!
 //! In [`CheckMode::Deferred`] the engine records the premise of Theorem 4.6
-//! for every application of a rewrite marked verified: the pair
-//! `(e_lhs, e_rhs)` whose refinement `⟦e_rhs⟧ ⊑ ⟦e_lhs⟧` must hold, as an
-//! [`Obligation`]. The batch is discharged after rewriting by
-//! [`crate::verify::discharge`]. Rewrites marked unverified (the paper's
-//! "minor rewrites", §6.3 Limitations) incur no obligation.
+//! for every application: the pair `(e_lhs, e_rhs)` whose refinement
+//! `⟦e_rhs⟧ ⊑ ⟦e_lhs⟧` must hold, as an [`Obligation`]. The batch is
+//! discharged after rewriting by [`crate::verify::discharge`].
 //!
 //! Rewrites whose right-hand side is pure wiring (e.g. eliminating a 1-way
 //! fork) use a [`Replacement::Passthrough`], spliced the same way; their
@@ -180,23 +178,18 @@ impl From<LowerError> for RewriteError {
 type MatcherFn = Box<dyn Fn(&ExprHigh) -> Vec<Match>>;
 type BuilderFn = Box<dyn Fn(&ExprHigh, &Match) -> Result<Replacement, RewriteError>>;
 
-/// A graph rewrite: a named matcher/builder pair.
+/// A graph rewrite: a named matcher/builder pair. Every application
+/// incurs a refinement obligation.
 pub struct Rewrite {
     /// Rewrite name, e.g. `"mux-combine"`.
     pub name: &'static str,
-    /// Whether an application incurs a refinement obligation. Unverified
-    /// rewrites mirror the paper's minor rewrites.
-    pub verified: bool,
     matcher: MatcherFn,
     builder: BuilderFn,
 }
 
 impl fmt::Debug for Rewrite {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Rewrite")
-            .field("name", &self.name)
-            .field("verified", &self.verified)
-            .finish()
+        f.debug_struct("Rewrite").field("name", &self.name).finish()
     }
 }
 
@@ -204,11 +197,10 @@ impl Rewrite {
     /// Creates a rewrite.
     pub fn new(
         name: &'static str,
-        verified: bool,
         matcher: impl Fn(&ExprHigh) -> Vec<Match> + 'static,
         builder: impl Fn(&ExprHigh, &Match) -> Result<Replacement, RewriteError> + 'static,
     ) -> Rewrite {
-        Rewrite { name, verified, matcher: Box::new(matcher), builder: Box::new(builder) }
+        Rewrite { name, matcher: Box::new(matcher), builder: Box::new(builder) }
     }
 
     /// All matches of the left-hand side in `g`, in deterministic order.
@@ -232,17 +224,17 @@ pub enum CheckMode {
     /// Apply without semantic checks (fast path; the default for the
     /// benchmark pipeline, matching the extracted Lean code's behaviour).
     Off,
-    /// Record each verified application's obligation (the lowered
-    /// `lhs`/`rhs` pair) in [`Engine::obligations`]. Obligations are plain
-    /// data, so the batch is discharged after rewriting on worker threads —
-    /// see [`crate::verify::discharge`].
+    /// Record each application's obligation (the lowered `lhs`/`rhs` pair)
+    /// in [`Engine::obligations`]. Obligations are plain data, so the batch
+    /// is discharged after rewriting on worker threads — see
+    /// [`crate::verify::discharge`].
     Deferred,
 }
 
-/// A refinement obligation: one application of a verified rewrite, captured
-/// as the lowered expression pair `⟦rhs⟧ ⊑ ⟦lhs⟧` is checked on. `ExprLow`
-/// is plain data (`Send`), so obligations collected on the rewriting thread
-/// can be discharged in parallel.
+/// A refinement obligation: one rewrite application, captured as the
+/// lowered expression pair `⟦rhs⟧ ⊑ ⟦lhs⟧` is checked on. `ExprLow` is plain
+/// data (`Send`), so obligations collected on the rewriting thread can be
+/// discharged in parallel.
 #[derive(Debug, Clone)]
 pub struct Obligation {
     /// Name of the rewrite that incurred the obligation.
@@ -291,7 +283,7 @@ impl Engine {
         Engine { mode: CheckMode::Off, log: Vec::new(), obligations: Vec::new(), fresh_counter: 0 }
     }
 
-    /// An engine that records the obligation of every verified application.
+    /// An engine that records the obligation of every application.
     pub fn deferring() -> Engine {
         Engine { mode: CheckMode::Deferred, ..Engine::new() }
     }
@@ -309,22 +301,19 @@ impl Engine {
     /// Fails on builder rejection, boundary mistakes or an incomplete
     /// graph; `g` is then left as it was.
     pub fn apply_first(&mut self, g: &mut ExprHigh, rw: &Rewrite) -> Result<bool, RewriteError> {
-        self.apply_first_in(g, rw, None, &mut false)
+        self.apply_first_in(g, rw, &mut false)
     }
 
-    /// [`Engine::apply_first`], taking only a match wholly inside `region`
-    /// when one is given. Every try counts as `attempted` and the match
-    /// taken as `matched`.
+    /// [`Engine::apply_first`]. Every try counts as `attempted` and the
+    /// match taken as `matched`.
     fn apply_first_in(
         &mut self,
         g: &mut ExprHigh,
         rw: &Rewrite,
-        region: Option<&BTreeSet<NodeId>>,
         complete: &mut bool,
     ) -> Result<bool, RewriteError> {
         bump_rewrite_counter("attempted", rw.name);
-        let inside = |m: &Match| region.is_none_or(|r| m.nodes.is_subset(r));
-        let Some(m) = rw.matches(g).into_iter().find(inside) else { return Ok(false) };
+        let Some(m) = rw.matches(g).into_iter().next() else { return Ok(false) };
         bump_rewrite_counter("matched", rw.name);
         self.apply(g, rw, &m, complete)?;
         Ok(true)
@@ -396,11 +385,10 @@ impl Engine {
             Replacement::Passthrough { wires } => Resolved::Passthrough(wires),
         };
 
-        let obligation = if self.mode == CheckMode::Deferred && rw.verified {
+        let obligation = if self.mode == CheckMode::Deferred {
             // A passthrough with no wires has no expressible rhs.
-            let rhs = render_rhs(g, &repl).ok_or_else(|| {
-                RewriteError::Unsupported("verified rewrite with unrenderable rhs".into())
-            })?;
+            let rhs = render_rhs(g, &repl)
+                .ok_or_else(|| RewriteError::Unsupported("rewrite with unrenderable rhs".into()))?;
             let lhs = lower_group(g, &m.nodes)?;
             Some(Obligation { rewrite: rw.name.to_string(), lhs, rhs })
         } else {
@@ -447,35 +435,17 @@ impl Engine {
     /// first match of the first rewrite that has one, until none has (or
     /// after `EXHAUST_BUDGET` applications).
     ///
-    /// With a `region`, only matches wholly inside it count; each
-    /// application's matched nodes leave the region and the nodes it created
-    /// join it. The pipeline's phase 3 confines pure generation to the loop
-    /// body this way.
-    ///
     /// # Errors
     ///
     /// See [`Engine::apply_first`]. The applications made before the
     /// refused one stay in `g`.
-    pub fn exhaust(
-        &mut self,
-        g: &mut ExprHigh,
-        rws: &[Rewrite],
-        mut region: Option<&mut BTreeSet<NodeId>>,
-    ) -> Result<(), RewriteError> {
+    pub fn exhaust(&mut self, g: &mut ExprHigh, rws: &[Rewrite]) -> Result<(), RewriteError> {
         let mut complete = false;
         'apply: for _ in 0..EXHAUST_BUDGET {
             for rw in rws {
-                if !self.apply_first_in(g, rw, region.as_deref(), &mut complete)? {
-                    continue;
+                if self.apply_first_in(g, rw, &mut complete)? {
+                    continue 'apply;
                 }
-                if let Some(region) = region.as_deref_mut() {
-                    let applied = self.log.last().expect("a successful application is logged");
-                    for n in &applied.nodes {
-                        region.remove(n);
-                    }
-                    region.extend(applied.created.iter().cloned());
-                }
-                continue 'apply;
             }
             return Ok(());
         }

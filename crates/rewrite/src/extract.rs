@@ -5,10 +5,11 @@
 //! rewrite order). This module provides a complementary oracle: it walks the
 //! region DAG symbolically and computes, for every wire leaving the region,
 //! the [`PureFn`] mapping the region's single input value to that wire's
-//! value. The result is *untrusted*: the pipeline turns it into a
-//! region-to-Pure rewrite whose refinement obligation is discharged like any
-//! other ([`crate::verify`]), and tests cross-check it against the rewrite-based
-//! pure generation pointwise.
+//! value. The pipeline runs it once, on the loop body as phase 2 left it,
+//! and turns the result into one region-to-Pure rewrite. The result is
+//! *untrusted*: that rewrite's refinement obligation is discharged like any
+//! other ([`crate::verify`]), and tests run both sides of gcd's obligation
+//! on concrete inputs against the paper's Fig. 5 function.
 //!
 //! Extraction fails — and with it the whole out-of-order transformation, as
 //! the paper's phase 3 does — when the region contains a Store (the bicg

@@ -9,15 +9,14 @@
 //!   [`ExprLow`](graphiti_ir::ExprLow) sub-expression, substituting
 //!   `e[lhs := rhs]` (§4.2) and lifting back, is the spec: debug builds
 //!   check every application against it. In [`CheckMode::Deferred`] each
-//!   application of a verified rewrite records the premise of Theorem 4.6
-//!   as an [`Obligation`].
+//!   application records the premise of Theorem 4.6 as an [`Obligation`].
 //! * [`catalog`] contains the rewrite catalogue of Fig. 3, including the
 //!   formally-verified out-of-order loop rewrite
 //!   ([`catalog::ooo::loop_ooo`]).
 //! * [`extract_region_function`] and [`simplify`]/[`EGraph`] are the
-//!   untrusted oracles used by pure generation (§3.2), standing in for the
+//!   untrusted oracles of pure generation (§3.2), standing in for the
 //!   paper's egg-based oracle; [`region_oracle`] is the pipeline's one call
-//!   of both.
+//!   of both, and its result is applied as one checked rewrite.
 //! * [`verify`] is where obligations are checked: [`verify::discharge`]
 //!   denotes each recorded `lhs`/`rhs` pair and fans the independent
 //!   bounded checks out across worker threads once rewriting is done.

@@ -2,8 +2,8 @@
 //! obligation is checked.
 //!
 //! An [`Engine`](crate::Engine) in [`CheckMode::Deferred`](crate::CheckMode)
-//! records each verified application's obligation — the lowered `lhs`/`rhs`
-//! pair — while rewriting. The pairs are plain
+//! records each application's obligation — the lowered `lhs`/`rhs` pair —
+//! while rewriting. The pairs are plain
 //! [`ExprLow`](graphiti_ir::ExprLow) data, so a batch collected on the
 //! rewriting thread is denoted and checked on worker threads here. Verdicts
 //! come back in obligation order, and denotation and checking are
@@ -74,7 +74,7 @@ pub fn first_violation(verdicts: &[Discharged]) -> Option<&Discharged> {
 
 /// Verdict counts of a discharged batch by class, so a summary never
 /// reports a bounded check as a proof. Displays as, e.g.,
-/// `4 hold, 11 bounded (states 2, queue_cap 9), 0 fail`.
+/// `3 hold, 4 bounded (states 2, queue_cap 2), 0 fail`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Tally {
     /// Exhaustive checks: no violation and no bound hit.
@@ -125,9 +125,9 @@ mod tests {
     use crate::{catalog, CheckMode, Engine};
     use graphiti_ir::{ep, CompKind, ExprHigh};
 
-    /// A fork tree `f1 -> f2` that fork-flatten (a verified rewrite)
-    /// collapses; the engine in deferred mode must record the obligation
-    /// and `discharge` must find it holds.
+    /// A fork tree `f1 -> f2` that fork-flatten collapses; the engine in
+    /// deferred mode must record the obligation and `discharge` must find
+    /// it holds.
     fn fork_tree() -> ExprHigh {
         let mut g = ExprHigh::new();
         g.add_node("f1", CompKind::Fork { ways: 2 }).unwrap();

@@ -1,17 +1,14 @@
 //! Engine-level integration tests: determinism, boundary validation, fresh
-//! naming, rewrite logs, and the interplay of the pure-generation rewrites
-//! with the extraction oracle on a nontrivial loop body.
+//! naming and rewrite logs.
 //!
 //! The engine rewrites a graph in place and runs every check that can
 //! refuse an application before it mutates anything, so each refusal test
 //! also checks that the graph, the log and the obligations are as they were.
 
-use graphiti_ir::{ep, CompKind, Endpoint, ExprHigh, NodeId, Op, PureFn, Value};
+use graphiti_ir::{ep, CompKind, Endpoint, ExprHigh, Op};
 use graphiti_rewrite::{
-    catalog, extract_region_function, wire_consumer, CheckMode, Engine, Match, Replacement,
-    Rewrite, RewriteError,
+    catalog, wire_consumer, CheckMode, Engine, Match, Replacement, Rewrite, RewriteError,
 };
-use std::collections::{BTreeMap, BTreeSet};
 
 /// The GCD-ish body region of the paper's Fig. 5: split, fork, mod, nez.
 fn body_region() -> ExprHigh {
@@ -39,81 +36,88 @@ fn body_region() -> ExprHigh {
     g
 }
 
-#[test]
-fn extraction_matches_rewrite_based_pure_generation() {
-    // Reduce the region with the pure-generation catalogue; whatever single
-    // Pure emerges must agree pointwise with the symbolic extraction of the
-    // original region.
-    let g = body_region();
-    let rf = extract_region_function(&g, &g.node_names()).unwrap();
-    assert_eq!(rf.outputs.len(), 1);
-    let oracle_fn = rf.outputs[0].1.clone();
+/// The residue phases 1-2 clean up: a fork tree (`f` into `g`), a sunk
+/// fork output (`k`), an in-order Split/Join pair (`s`, `j`) and a 1-way
+/// fork (`u`). Exhausting [`normalize_then_eliminate`] applies
+/// `fork-flatten`, `fork1-elim`, `split-join-elim` and `fork-sink-prune`
+/// once each and leaves one 3-way fork.
+fn residue() -> ExprHigh {
+    let mut g = ExprHigh::new();
+    g.add_node("f", CompKind::Fork { ways: 3 }).unwrap();
+    g.add_node("g", CompKind::Fork { ways: 2 }).unwrap();
+    g.add_node("k", CompKind::Sink).unwrap();
+    g.add_node("s", CompKind::Split).unwrap();
+    g.add_node("j", CompKind::Join).unwrap();
+    g.add_node("u", CompKind::Fork { ways: 1 }).unwrap();
+    g.expose_input("x", ep("f", "in")).unwrap();
+    g.connect(ep("f", "out0"), ep("g", "in")).unwrap();
+    g.connect(ep("f", "out1"), ep("k", "in")).unwrap();
+    g.connect(ep("f", "out2"), ep("s", "in")).unwrap();
+    g.connect(ep("s", "out0"), ep("j", "in0")).unwrap();
+    g.connect(ep("s", "out1"), ep("j", "in1")).unwrap();
+    g.connect(ep("j", "out"), ep("u", "in")).unwrap();
+    g.expose_output("y0", ep("u", "out0")).unwrap();
+    g.expose_output("y1", ep("g", "out0")).unwrap();
+    g.expose_output("y2", ep("g", "out1")).unwrap();
+    g.validate().unwrap();
+    g
+}
 
-    let mut engine = Engine::new();
-    let rws = [
-        catalog::pure_gen::op_to_pure(),
-        catalog::pure_gen::fork_to_pure(),
-        catalog::pure_gen::pure_fuse(),
-        catalog::pure_gen::pure_over_join_left(),
-        catalog::pure_gen::pure_over_join_right(),
-        catalog::pure_gen::pure_over_split_left(),
-        catalog::pure_gen::pure_over_split_right(),
-        catalog::elim::split_join_elim(),
-        catalog::elim::split_join_swap(),
-        catalog::elim::join_split_elim(),
-    ];
-    let mut reduced = g;
-    engine.exhaust(&mut reduced, &rws, None).unwrap();
-    reduced.validate().unwrap();
-    assert!(engine.rewrites_applied() >= 5, "applied {}", engine.rewrites_applied());
+/// Phase 1's rewrites, then phase 2's, as one list.
+fn normalize_then_eliminate() -> Vec<Rewrite> {
+    let mut rws = catalog::normalize_phase();
+    rws.extend(catalog::eliminate_phase());
+    rws
+}
 
-    // The catalogue reduced the region to pures (and possibly residue);
-    // evaluate both on sample inputs end-to-end via the semantics.
-    use graphiti_sem::{denote_graph, run_random, Env};
-    let (m, _) = denote_graph(&reduced, &Env::standard()).unwrap();
-    for (a, b) in [(30i64, 12i64), (7, 3), (9, 9)] {
-        let input = Value::pair(Value::Int(a), Value::Int(b));
-        let expected = oracle_fn.eval(&input).unwrap();
-        let feeds: BTreeMap<graphiti_ir::PortName, Vec<Value>> =
-            [(graphiti_ir::PortName::Io(0), vec![input])].into_iter().collect();
-        let r = run_random(&m, &feeds, 7, 5_000);
-        assert_eq!(r.outputs[&graphiti_ir::PortName::Io(0)], vec![expected], "inputs ({a}, {b})");
-    }
+/// Every Operator, bound as `op`.
+fn operators(g: &ExprHigh) -> Vec<Match> {
+    g.nodes()
+        .filter(|(_, k)| matches!(k, CompKind::Operator { .. }))
+        .map(|(n, _)| Match {
+            nodes: [n.clone()].into(),
+            bindings: [("op".into(), n.clone())].into(),
+        })
+        .collect()
+}
+
+/// Replaces an Operator by a fresh copy of itself: a sound subgraph
+/// rewrite that inherits every boundary port.
+fn op_copy() -> Rewrite {
+    Rewrite::new("op-copy", operators, |g, m| {
+        let op = m.node("op");
+        let kind = g.kind(op).expect("matched node").clone();
+        let (ins, outs) = kind.interface();
+        let mut frag = ExprHigh::new();
+        frag.add_node("op", kind)?;
+        for p in &ins {
+            frag.expose_input(p.clone(), ep("op", p.clone()))?;
+        }
+        for p in &outs {
+            frag.expose_output(p.clone(), ep("op", p.clone()))?;
+        }
+        Ok(Replacement::Subgraph {
+            graph: frag,
+            boundary_ins: ins.into_iter().map(|p| (p.clone(), ep(op.clone(), p))).collect(),
+            boundary_outs: outs.into_iter().map(|p| (p.clone(), ep(op.clone(), p))).collect(),
+        })
+    })
 }
 
 #[test]
 fn exhaust_is_deterministic() {
-    let rws = [
-        catalog::pure_gen::op_to_pure(),
-        catalog::pure_gen::fork_to_pure(),
-        catalog::pure_gen::pure_fuse(),
-    ];
+    let rws = normalize_then_eliminate();
     let mut a = Engine::new();
     let mut b = Engine::new();
-    let (mut ga, mut gb) = (body_region(), body_region());
-    a.exhaust(&mut ga, &rws, None).unwrap();
-    b.exhaust(&mut gb, &rws, None).unwrap();
+    let (mut ga, mut gb) = (residue(), residue());
+    a.exhaust(&mut ga, &rws).unwrap();
+    b.exhaust(&mut gb, &rws).unwrap();
     assert_eq!(ga, gb);
+    assert_eq!(a.rewrites_applied(), 4);
     assert_eq!(a.rewrites_applied(), b.rewrites_applied());
     let names_a: Vec<&str> = a.log.iter().map(|x| x.rewrite.as_str()).collect();
     let names_b: Vec<&str> = b.log.iter().map(|x| x.rewrite.as_str()).collect();
     assert_eq!(names_a, names_b);
-}
-
-#[test]
-fn exhaust_in_a_region_rewrites_only_inside_it_and_tracks_created_nodes() {
-    // Both operators match `op-to-pure`; the region admits only `m`.
-    let mut region: BTreeSet<NodeId> = ["m".to_string()].into();
-    let mut engine = Engine::new();
-    let rws = [catalog::pure_gen::op_to_pure()];
-    let mut g = body_region();
-    engine.exhaust(&mut g, &rws, Some(&mut region)).unwrap();
-    assert_eq!(engine.rewrites_applied(), 1);
-    assert_eq!(engine.log[0].nodes, ["m".to_string()].into());
-    assert!(g.kind("nz").is_some(), "`nz` lies outside the region");
-    // `m` left the region and the nodes that replaced it joined.
-    assert!(!engine.log[0].created.is_empty());
-    assert_eq!(region, engine.log[0].created.iter().cloned().collect());
 }
 
 /// Applies `rw` to `g` once with each engine mode, expecting a refusal that
@@ -137,7 +141,6 @@ fn boundary_mismatch_is_rejected() {
     // A rewrite whose replacement forgets one boundary output.
     let broken = Rewrite::new(
         "broken",
-        false,
         |g| {
             g.nodes()
                 .filter(|(_, k)| matches!(k, CompKind::Fork { ways: 2 }))
@@ -161,12 +164,8 @@ fn boundary_mismatch_is_rejected() {
 
 #[test]
 fn a_builder_rejection_leaves_the_graph_as_it_was() {
-    let rejecting = Rewrite::new(
-        "rejecting",
-        true,
-        |g| catalog::pure_gen::op_to_pure().matches(g),
-        |_, _| Err(RewriteError::BuilderFailed("no".into())),
-    );
+    let rejecting =
+        Rewrite::new("rejecting", operators, |_, _| Err(RewriteError::BuilderFailed("no".into())));
     let err = refused(&body_region(), &rejecting);
     assert!(matches!(&err, RewriteError::BuilderFailed(m) if m == "no"), "{err}");
 }
@@ -206,7 +205,7 @@ fn an_exhaust_refused_midway_keeps_the_applications_before_it() {
     assert!(first.kind("a").is_none() && first.kind("b").is_some());
     for mut engine in [Engine::new(), Engine::deferring()] {
         let mut g = two_unit_forks();
-        let err = engine.exhaust(&mut g, &rws, None).unwrap_err();
+        let err = engine.exhaust(&mut g, &rws).unwrap_err();
         assert!(matches!(err, RewriteError::Unsupported(_)), "{err}");
         assert_eq!(g, first, "the graph after the first application");
         assert_eq!(engine.log.len(), 1);
@@ -216,60 +215,47 @@ fn an_exhaust_refused_midway_keeps_the_applications_before_it() {
 }
 
 #[test]
-fn a_deferred_exhaust_records_one_obligation_per_verified_application() {
-    let rws = [
-        catalog::pure_gen::op_to_pure(),
-        catalog::pure_gen::fork_to_pure(),
-        catalog::pure_gen::pure_fuse(),
-        catalog::pure_gen::pure_over_join_left(),
-        catalog::pure_gen::pure_over_join_right(),
-        catalog::pure_gen::pure_over_split_left(),
-        catalog::pure_gen::pure_over_split_right(),
-        catalog::elim::split_join_elim(),
-        catalog::elim::split_join_swap(),
-        catalog::elim::join_split_elim(),
-        catalog::elim::sink_absorb_pure(),
-    ];
-    // A Pure into a Sink, for the unverified `sink-absorb-pure`.
-    let mut g = body_region();
-    g.add_node("p", CompKind::Pure { func: PureFn::Id }).unwrap();
-    g.add_node("k", CompKind::Sink).unwrap();
-    g.expose_input("z", ep("p", "in")).unwrap();
-    g.connect(ep("p", "out"), ep("k", "in")).unwrap();
+fn a_deferred_exhaust_records_one_obligation_per_application() {
     let mut engine = Engine::deferring();
-    engine.exhaust(&mut g, &rws, None).unwrap();
-    let verified = |name: &str| rws.iter().any(|rw| rw.name == name && rw.verified);
-    let applied = engine.log.iter().filter(|a| verified(&a.rewrite)).count();
-    assert!(applied >= 5, "applied {applied}");
-    assert!(engine.log.iter().any(|a| a.rewrite == "sink-absorb-pure"), "unverified, applied");
+    engine.exhaust(&mut residue(), &normalize_then_eliminate()).unwrap();
     let names: Vec<&str> = engine.obligations.iter().map(|o| o.rewrite.as_str()).collect();
-    let logged: Vec<&str> =
-        engine.log.iter().map(|a| a.rewrite.as_str()).filter(|n| verified(n)).collect();
+    let logged: Vec<&str> = engine.log.iter().map(|a| a.rewrite.as_str()).collect();
     assert_eq!(names, logged);
+    assert_eq!(names.len(), 4);
 }
 
 #[test]
 fn fresh_names_never_collide_across_applications() {
-    let mut g = body_region();
+    // `fork_1` is taken, so the two forks the rewrites create are named
+    // past it; each application's log entry names the node it created.
+    let mut g = residue();
+    g.add_node("fork_1", CompKind::Sink).unwrap();
+    g.expose_input("z", ep("fork_1", "in")).unwrap();
     let mut engine = Engine::new();
-    let rws = [catalog::pure_gen::op_to_pure()];
-    engine.exhaust(&mut g, &rws, None).unwrap();
-    let names = g.node_names();
-    assert_eq!(names.len(), g.node_count());
-    // Two operator replacements happened; their join/pure nodes all have
-    // distinct generated names.
-    let pures = g.nodes().filter(|(_, k)| matches!(k, CompKind::Pure { .. })).count();
-    assert_eq!(pures, 2);
+    engine.exhaust(&mut g, &normalize_then_eliminate()).unwrap();
+    let created: Vec<(&str, &[String])> =
+        engine.log.iter().map(|a| (a.rewrite.as_str(), a.created.as_slice())).collect();
+    assert_eq!(
+        created,
+        [
+            ("fork-flatten", &["fork_2".to_string()][..]),
+            ("fork1-elim", &[][..]),
+            ("split-join-elim", &[][..]),
+            ("fork-sink-prune", &["fork_3".to_string()][..]),
+        ]
+    );
+    assert!(matches!(g.kind("fork_1"), Some(CompKind::Sink)), "the taken name kept its node");
+    assert!(matches!(g.kind("fork_3"), Some(CompKind::Fork { ways: 3 })));
+    assert_eq!(g.node_count(), 2);
 }
 
 #[test]
 fn log_records_the_rewrite_sequence() {
     let mut engine = Engine::new();
-    let rws = [catalog::pure_gen::op_to_pure(), catalog::pure_gen::fork_to_pure()];
-    engine.exhaust(&mut body_region(), &rws, None).unwrap();
+    engine.exhaust(&mut residue(), &normalize_then_eliminate()).unwrap();
     assert!(engine.obligations.is_empty(), "unchecked mode records no obligations");
-    assert!(engine.log.iter().any(|a| a.rewrite == "op-to-pure"));
-    assert!(engine.log.iter().any(|a| a.rewrite == "fork-to-pure"));
+    let names: Vec<&str> = engine.log.iter().map(|a| a.rewrite.as_str()).collect();
+    assert_eq!(names, ["fork-flatten", "fork1-elim", "split-join-elim", "fork-sink-prune"]);
     // Every logged application names nodes that existed at its time; at
     // minimum the sets are non-empty.
     assert!(engine.log.iter().all(|a| !a.nodes.is_empty()));
@@ -290,7 +276,6 @@ fn targeted_rewrites_do_not_leak_to_other_sites() {
     }
     let targeted = Rewrite::new(
         "prune-f1-only",
-        true,
         |g| {
             catalog::elim::fork_sink_prune()
                 .matches(g)
@@ -332,7 +317,7 @@ fn subgraph_rewrite_refuses_an_undriven_boundary_port() {
     // The splice inherits the driver of each boundary in-port; with none to
     // inherit, the rewrite must fail rather than invent a graph input. A
     // deferring engine records no obligation for it.
-    let err = refused(&lone_adder(&["in0", "out"]), &catalog::pure_gen::op_to_pure());
+    let err = refused(&lone_adder(&["in0", "out"]), &op_copy());
     assert!(
         matches!(&err, RewriteError::BoundaryMismatch(m) if m == "no driver for m.in1"),
         "{err}"
@@ -341,7 +326,7 @@ fn subgraph_rewrite_refuses_an_undriven_boundary_port() {
 
 #[test]
 fn subgraph_rewrite_refuses_an_unconsumed_boundary_port() {
-    let err = refused(&lone_adder(&["in0", "in1"]), &catalog::pure_gen::op_to_pure());
+    let err = refused(&lone_adder(&["in0", "in1"]), &op_copy());
     assert!(
         matches!(&err, RewriteError::BoundaryMismatch(m) if m == "no consumer for m.out"),
         "{err}"
@@ -353,7 +338,7 @@ fn an_incomplete_graph_is_refused_before_the_splice() {
     // `m` is complete and matches; the unmatched sink `k` is not connected.
     let mut g = lone_adder(&["in0", "in1", "out"]);
     g.add_node("k", CompKind::Sink).unwrap();
-    let err = refused(&g, &catalog::pure_gen::op_to_pure());
+    let err = refused(&g, &op_copy());
     assert_eq!(err.to_string(), "graph error: port `k.in` is unconnected");
 }
 
@@ -361,26 +346,21 @@ fn an_incomplete_graph_is_refused_before_the_splice() {
 fn a_boundary_assignment_no_subgraph_port_takes_is_refused() {
     // The replacement assigns both inputs of `m` but exposes only `a`, so
     // the splice would drop the graph input driving `m.in1`.
-    let dropping = Rewrite::new(
-        "dropping",
-        false,
-        |g| catalog::pure_gen::op_to_pure().matches(g),
-        |_, m| {
-            let n = m.nodes.first().expect("one node").clone();
-            let mut frag = ExprHigh::new();
-            frag.add_node("f", CompKind::Fork { ways: 2 }).unwrap();
-            frag.add_node("s", CompKind::Sink).unwrap();
-            frag.connect(ep("f", "out1"), ep("s", "in")).unwrap();
-            frag.expose_input("a", ep("f", "in")).unwrap();
-            frag.expose_output("y", ep("f", "out0")).unwrap();
-            let ins = [("a", "in0"), ("b", "in1")];
-            Ok(Replacement::Subgraph {
-                graph: frag,
-                boundary_ins: ins.map(|(x, p)| (x.to_string(), ep(n.clone(), p))).into(),
-                boundary_outs: [("y".to_string(), ep(n, "out"))].into(),
-            })
-        },
-    );
+    let dropping = Rewrite::new("dropping", operators, |_, m| {
+        let n = m.nodes.first().expect("one node").clone();
+        let mut frag = ExprHigh::new();
+        frag.add_node("f", CompKind::Fork { ways: 2 }).unwrap();
+        frag.add_node("s", CompKind::Sink).unwrap();
+        frag.connect(ep("f", "out1"), ep("s", "in")).unwrap();
+        frag.expose_input("a", ep("f", "in")).unwrap();
+        frag.expose_output("y", ep("f", "out0")).unwrap();
+        let ins = [("a", "in0"), ("b", "in1")];
+        Ok(Replacement::Subgraph {
+            graph: frag,
+            boundary_ins: ins.map(|(x, p)| (x.to_string(), ep(n.clone(), p))).into(),
+            boundary_outs: [("y".to_string(), ep(n, "out"))].into(),
+        })
+    });
     let err = refused(&lone_adder(&["in0", "in1", "out"]), &dropping);
     assert_eq!(err.to_string(), "boundary mismatch: boundary input `b` is not a subgraph input");
 }
@@ -389,27 +369,22 @@ fn a_boundary_assignment_no_subgraph_port_takes_is_refused() {
 fn a_boundary_port_two_subgraph_ports_take_is_refused() {
     // `b` and `c` both take over `m.in1`, whose one driver only one of
     // them can inherit.
-    let doubling = Rewrite::new(
-        "doubling",
-        false,
-        |g| catalog::pure_gen::op_to_pure().matches(g),
-        |_, m| {
-            let n = m.nodes.first().expect("one node").clone();
-            let mut frag = ExprHigh::new();
-            frag.add_node("j", CompKind::Join).unwrap();
-            frag.add_node("s", CompKind::Sink).unwrap();
-            frag.expose_input("a", ep("j", "in0")).unwrap();
-            frag.expose_input("b", ep("j", "in1")).unwrap();
-            frag.expose_input("c", ep("s", "in")).unwrap();
-            frag.expose_output("y", ep("j", "out")).unwrap();
-            let ins = [("a", "in0"), ("b", "in1"), ("c", "in1")];
-            Ok(Replacement::Subgraph {
-                graph: frag,
-                boundary_ins: ins.map(|(x, p)| (x.to_string(), ep(n.clone(), p))).into(),
-                boundary_outs: [("y".to_string(), ep(n, "out"))].into(),
-            })
-        },
-    );
+    let doubling = Rewrite::new("doubling", operators, |_, m| {
+        let n = m.nodes.first().expect("one node").clone();
+        let mut frag = ExprHigh::new();
+        frag.add_node("j", CompKind::Join).unwrap();
+        frag.add_node("s", CompKind::Sink).unwrap();
+        frag.expose_input("a", ep("j", "in0")).unwrap();
+        frag.expose_input("b", ep("j", "in1")).unwrap();
+        frag.expose_input("c", ep("s", "in")).unwrap();
+        frag.expose_output("y", ep("j", "out")).unwrap();
+        let ins = [("a", "in0"), ("b", "in1"), ("c", "in1")];
+        Ok(Replacement::Subgraph {
+            graph: frag,
+            boundary_ins: ins.map(|(x, p)| (x.to_string(), ep(n.clone(), p))).into(),
+            boundary_outs: [("y".to_string(), ep(n, "out"))].into(),
+        })
+    });
     let err = refused(&lone_adder(&["in0", "in1", "out"]), &doubling);
     assert_eq!(err.to_string(), "boundary mismatch: no driver for m.in1");
 }

@@ -5,32 +5,31 @@
 //! `graphiti-obs` state is process-global, so this lives in its own test
 //! binary with a single `#[test]` — no other test races the registry.
 
-use graphiti_ir::{ep, CompKind, ExprHigh, Op};
+use graphiti_ir::{ep, CompKind, ExprHigh};
 use graphiti_rewrite::{catalog, Engine, Match, Replacement, Rewrite, RewriteError};
 use std::collections::BTreeMap;
 
-/// The GCD-ish body region of the paper's Fig. 5 (same shape as the
-/// engine-robustness tests): split, fork, mod, nez, joins.
-fn body_region() -> ExprHigh {
+/// The residue phases 1-2 clean up (same shape as the engine-robustness
+/// tests): a fork tree, a sunk fork output, an in-order Split/Join pair and
+/// a 1-way fork.
+fn residue() -> ExprHigh {
     let mut g = ExprHigh::new();
+    g.add_node("f", CompKind::Fork { ways: 3 }).unwrap();
+    g.add_node("g", CompKind::Fork { ways: 2 }).unwrap();
+    g.add_node("k", CompKind::Sink).unwrap();
     g.add_node("s", CompKind::Split).unwrap();
-    g.add_node("fa", CompKind::Fork { ways: 2 }).unwrap();
-    g.add_node("m", CompKind::Operator { op: Op::Mod }).unwrap();
-    g.add_node("fm", CompKind::Fork { ways: 2 }).unwrap();
-    g.add_node("nz", CompKind::Operator { op: Op::NeZero }).unwrap();
-    g.add_node("jout", CompKind::Join).unwrap();
-    g.add_node("jdata", CompKind::Join).unwrap();
-    g.expose_input("x", ep("s", "in")).unwrap();
-    g.connect(ep("s", "out0"), ep("m", "in0")).unwrap();
-    g.connect(ep("s", "out1"), ep("fa", "in")).unwrap();
-    g.connect(ep("fa", "out0"), ep("jdata", "in0")).unwrap();
-    g.connect(ep("fa", "out1"), ep("m", "in1")).unwrap();
-    g.connect(ep("m", "out"), ep("fm", "in")).unwrap();
-    g.connect(ep("fm", "out0"), ep("jdata", "in1")).unwrap();
-    g.connect(ep("fm", "out1"), ep("nz", "in0")).unwrap();
-    g.connect(ep("jdata", "out"), ep("jout", "in0")).unwrap();
-    g.connect(ep("nz", "out"), ep("jout", "in1")).unwrap();
-    g.expose_output("y", ep("jout", "out")).unwrap();
+    g.add_node("j", CompKind::Join).unwrap();
+    g.add_node("u", CompKind::Fork { ways: 1 }).unwrap();
+    g.expose_input("x", ep("f", "in")).unwrap();
+    g.connect(ep("f", "out0"), ep("g", "in")).unwrap();
+    g.connect(ep("f", "out1"), ep("k", "in")).unwrap();
+    g.connect(ep("f", "out2"), ep("s", "in")).unwrap();
+    g.connect(ep("s", "out0"), ep("j", "in0")).unwrap();
+    g.connect(ep("s", "out1"), ep("j", "in1")).unwrap();
+    g.connect(ep("j", "out"), ep("u", "in")).unwrap();
+    g.expose_output("y0", ep("u", "out0")).unwrap();
+    g.expose_output("y1", ep("g", "out0")).unwrap();
+    g.expose_output("y2", ep("g", "out1")).unwrap();
     g.validate().unwrap();
     g
 }
@@ -44,23 +43,13 @@ fn counters_match_engine_log() {
     graphiti_obs::reset();
     graphiti_obs::enable();
 
-    let rws = [
-        catalog::pure_gen::op_to_pure(),
-        catalog::pure_gen::fork_to_pure(),
-        catalog::pure_gen::pure_fuse(),
-        catalog::pure_gen::pure_over_join_left(),
-        catalog::pure_gen::pure_over_join_right(),
-        catalog::pure_gen::pure_over_split_left(),
-        catalog::pure_gen::pure_over_split_right(),
-        catalog::elim::split_join_elim(),
-        catalog::elim::split_join_swap(),
-        catalog::elim::join_split_elim(),
-    ];
+    let mut rws = catalog::normalize_phase();
+    rws.extend(catalog::eliminate_phase());
     let mut engine = Engine::new();
-    let mut reduced = body_region();
-    engine.exhaust(&mut reduced, &rws, None).unwrap();
+    let mut reduced = residue();
+    engine.exhaust(&mut reduced, &rws).unwrap();
     reduced.validate().unwrap();
-    assert!(engine.rewrites_applied() >= 5, "applied {}", engine.rewrites_applied());
+    assert_eq!(engine.rewrites_applied(), 4);
 
     // Per-rewrite applied counters equal the log's per-rewrite counts.
     let mut by_name: BTreeMap<&str, u64> = BTreeMap::new();
@@ -89,7 +78,6 @@ fn counters_match_engine_log() {
     // robustness test, now observed through the registry).
     let broken = Rewrite::new(
         "obs-broken",
-        false,
         |g| {
             g.nodes()
                 .filter(|(_, k)| matches!(k, CompKind::Fork { ways: 2 }))
@@ -108,7 +96,7 @@ fn counters_match_engine_log() {
         },
     );
     let before = engine.rewrites_applied();
-    let err = engine.apply_first(&mut body_region(), &broken).unwrap_err();
+    let err = engine.apply_first(&mut residue(), &broken).unwrap_err();
     assert!(matches!(err, RewriteError::BoundaryMismatch(_)), "{err}");
     assert_eq!(engine.rewrites_applied(), before);
     assert_eq!(rewrite_counter("attempted", "obs-broken"), 1);

@@ -31,10 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             m.correct
         );
     }
-    println!(
-        "\nGRAPHITI pipeline: {} rewrites in {:.3}s, refused = {}",
-        r.rewrites, r.rewrite_seconds, r.refused
-    );
+    println!("\nGRAPHITI pipeline: {} rewrites, refused = {}", r.rewrites, r.refused);
     let io = &r.flows[&Flow::DfIo];
     let gr = &r.flows[&Flow::Graphiti];
     println!(

@@ -30,10 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let opts = PipelineOptions { tags: 8, ..Default::default() };
     let (optimized, report) = optimize_loop(&kernel.graph, &kernel.inner_init, &opts)?;
     println!(
-        "pipeline: transformed = {}, {} rewrites applied (pure generation {} the oracle)",
-        report.transformed,
-        report.rewrites,
-        if report.pure_by_rewrites { "did not need" } else { "used" }
+        "pipeline: transformed = {}, {} rewrites applied",
+        report.transformed, report.rewrites
     );
 
     let feeds = [("start".to_string(), vec![Value::Unit])].into_iter().collect();

@@ -1,7 +1,7 @@
 //! Defining and checking a rewrite.
 //!
 //! Shows the verification story of the paper at work in the executable
-//! setting: the engine records each verified application's refinement
+//! setting: the engine records each application's refinement
 //! obligation and `verify::discharge` checks it. A *correct* rewrite (the
 //! canonical out-of-order loop rewrite of Fig. 3d) passes, while a
 //! deliberately *wrong* variant — a Merge loop **without** the
@@ -51,9 +51,10 @@ fn countdown_loop() -> Result<ExprHigh, GraphError> {
 /// of program order — new behaviours the sequential loop does not have.
 fn unsound_loop_ooo() -> Rewrite {
     let sound = catalog::ooo::loop_ooo(2);
+    // Every application records an obligation: discharging this one
+    // exposes the unsound rewrite.
     Rewrite::new(
         "loop-ooo-unsound",
-        true, // claims to be verified: its discharged obligation exposes the lie
         move |g| sound.matches(g),
         move |g, m: &Match| {
             let body_func = match g.kind(m.node("body")) {

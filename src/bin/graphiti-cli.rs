@@ -26,12 +26,12 @@
 //! resulting circuits are printed as dot. A `.gsl` input file implies
 //! `--compile`.
 //!
-//! `--checked` collects each verified rewrite's refinement obligation while
-//! the (sequential) rewriting runs, then discharges the whole batch on
-//! worker threads, so the independent checks overlap, before the circuit
-//! is printed. A batch that finds no violation is summarised as a verdict
-//! tally, e.g. `4 hold, 11 bounded (states 2, queue_cap 9), 0 fail`: a
-//! check that stopped at a bound is not a proof.
+//! `--checked` collects each rewrite application's refinement obligation
+//! while the (sequential) rewriting runs, then discharges the whole batch
+//! on worker threads, so the independent checks overlap, before the
+//! circuit is printed. A batch that finds no violation is summarised as a
+//! verdict tally, e.g. `3 hold, 4 bounded (states 2, queue_cap 2), 0 fail`:
+//! a check that stopped at a bound is not a proof.
 //!
 //! `--metrics-out FILE` / `--trace-out FILE` install the `graphiti-obs`
 //! collection sink and write a metrics JSON document / Chrome trace-event
@@ -420,8 +420,8 @@ fn run_inner(args: &Args) -> Result<(), String> {
     discharge_deferred("circuit", std::mem::take(&mut report.obligations), &run_token(args))?;
     if args.stats {
         eprintln!(
-            "graphiti-cli: transformed = {}, rewrites = {}, pure-by-rewrites = {}",
-            report.transformed, report.rewrites, report.pure_by_rewrites
+            "graphiti-cli: transformed = {}, rewrites = {}",
+            report.transformed, report.rewrites
         );
         let before = g.kind_histogram();
         let after = out.kind_histogram();

@@ -9,7 +9,7 @@
 //!
 //! The paper's development is a Lean 4 proof; this reproduction replaces
 //! deductive proofs with *executable* checking — a bounded trace-inclusion
-//! refinement checker, run on the obligation of every verified rewrite
+//! refinement checker, run on the obligation of every rewrite
 //! application, and randomized property tests — while implementing all of
 //! the paper's algorithms
 //! (ExprHigh/ExprLow, the denotational module semantics with the ⊎ and

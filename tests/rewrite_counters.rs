@@ -34,7 +34,7 @@ fn every_applied_rewrite_was_attempted_and_matched() {
 
     let mut names: Vec<&str> = catalog::all_rewrites().iter().map(|rw| rw.name).collect();
     names.extend(["region-to-pure", "pure-expand"]);
-    assert_eq!(names.len(), 23);
+    assert_eq!(names.len(), 9);
     let mut applied_total = 0;
     for name in names {
         let [attempted, matched, applied, refused] =

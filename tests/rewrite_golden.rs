@@ -6,8 +6,8 @@
 //! once. Each run is folded into one 64-bit FNV-1a digest:
 //!
 //! * verified flow: `print_dot` of the optimized graph, the report's
-//!   `rewrites`, `refusal` and `pure_by_rewrites`, and each obligation's
-//!   rewrite name and `Debug` text;
+//!   `rewrites` and `refusal`, and each obligation's rewrite name and
+//!   `Debug` text;
 //! * DF-OoO: `print_dot` of `dfooo_loop`'s graph.
 //!
 //! The digests pin node names, wiring and obligation text, which the
@@ -36,38 +36,41 @@ impl Fnv {
     }
 }
 
-/// `(kernel, flow/mode, digest)`, taken from the engine that cloned the
-/// whole graph for every application.
+/// `(kernel, flow/mode, digest)`. The DF-OoO digests and the refused
+/// kernels' (bicg, histogram, scatter) date from the engine that cloned the
+/// whole graph for every application; the transformed kernels' GRAPHITI
+/// digests from pure generation as one oracle step, whose circuits equal
+/// the earlier ones up to node names.
 const GOLDEN: &[(&str, &str, u64)] = &[
-    ("bicg/bicg_k0", "GRAPHITI/off", 0x670cbc044c628db6),
-    ("bicg/bicg_k0", "GRAPHITI/deferred", 0x670cbc044c628db6),
+    ("bicg/bicg_k0", "GRAPHITI/off", 0xb588d0f86a107fa6),
+    ("bicg/bicg_k0", "GRAPHITI/deferred", 0xb588d0f86a107fa6),
     ("bicg/bicg_k0", "DF-OoO", 0xbcc9b9db35b44cff),
-    ("gemm/gemm_k0", "GRAPHITI/off", 0xeb67c0f68ecf5360),
-    ("gemm/gemm_k0", "GRAPHITI/deferred", 0xdb73da7758b4bb20),
+    ("gemm/gemm_k0", "GRAPHITI/off", 0xfe86f1108b4f5383),
+    ("gemm/gemm_k0", "GRAPHITI/deferred", 0xa2acc2e5cc4c2161),
     ("gemm/gemm_k0", "DF-OoO", 0xab44b5ad3879fc09),
-    ("gsum-many/gsum-many_k0", "GRAPHITI/off", 0xe707b411e06208ad),
-    ("gsum-many/gsum-many_k0", "GRAPHITI/deferred", 0x4b315e2875999170),
+    ("gsum-many/gsum-many_k0", "GRAPHITI/off", 0xccaff5f856c6dee5),
+    ("gsum-many/gsum-many_k0", "GRAPHITI/deferred", 0x8937868f4c19e609),
     ("gsum-many/gsum-many_k0", "DF-OoO", 0xdad723515700f6ac),
-    ("gsum-single/gsum-single_k0", "GRAPHITI/off", 0x2d826c4d50f8caf1),
-    ("gsum-single/gsum-single_k0", "GRAPHITI/deferred", 0x35e5ecf498586174),
+    ("gsum-single/gsum-single_k0", "GRAPHITI/off", 0x4a5497bc796c5eed),
+    ("gsum-single/gsum-single_k0", "GRAPHITI/deferred", 0x2d5ca88f53c71d51),
     ("gsum-single/gsum-single_k0", "DF-OoO", 0x50619d1c0243ccd4),
-    ("matvec/matvec_k0", "GRAPHITI/off", 0x425b555d09d386c1),
-    ("matvec/matvec_k0", "GRAPHITI/deferred", 0x557045cf6ea3800a),
+    ("matvec/matvec_k0", "GRAPHITI/off", 0x201bcd1cea521527),
+    ("matvec/matvec_k0", "GRAPHITI/deferred", 0x9d8ff31b1bf5fdfb),
     ("matvec/matvec_k0", "DF-OoO", 0x831f306ab5a2f8cf),
-    ("mvt/mvt_k0", "GRAPHITI/off", 0x8b4f6571571100bd),
-    ("mvt/mvt_k0", "GRAPHITI/deferred", 0x094620b6d392fa8b),
+    ("mvt/mvt_k0", "GRAPHITI/off", 0x816309d8775bf86f),
+    ("mvt/mvt_k0", "GRAPHITI/deferred", 0x5a701e43539b21ee),
     ("mvt/mvt_k0", "DF-OoO", 0x64a8bd0582933295),
-    ("mvt/mvt_k1", "GRAPHITI/off", 0x40a466f878eb686e),
-    ("mvt/mvt_k1", "GRAPHITI/deferred", 0x2d669891f3998754),
+    ("mvt/mvt_k1", "GRAPHITI/off", 0xf71aafcde62efb52),
+    ("mvt/mvt_k1", "GRAPHITI/deferred", 0x61ecd364ad152888),
     ("mvt/mvt_k1", "DF-OoO", 0x6ce1dee94b82c46e),
-    ("gcd/gcd_k0", "GRAPHITI/off", 0xfa1e6527e8406619),
-    ("gcd/gcd_k0", "GRAPHITI/deferred", 0xa5388bfb4774f1f6),
+    ("gcd/gcd_k0", "GRAPHITI/off", 0xada6796dddafb21b),
+    ("gcd/gcd_k0", "GRAPHITI/deferred", 0x1d087c0f06040319),
     ("gcd/gcd_k0", "DF-OoO", 0xc3c908e9a28402fb),
-    ("histogram/histogram_k0", "GRAPHITI/off", 0x81532d64828f71f9),
-    ("histogram/histogram_k0", "GRAPHITI/deferred", 0x81532d64828f71f9),
+    ("histogram/histogram_k0", "GRAPHITI/off", 0xf6aa613cf766e839),
+    ("histogram/histogram_k0", "GRAPHITI/deferred", 0xf6aa613cf766e839),
     ("histogram/histogram_k0", "DF-OoO", 0x94ef791abaa7df72),
-    ("scatter/scatter_k0", "GRAPHITI/off", 0x3d015a18af2fe392),
-    ("scatter/scatter_k0", "GRAPHITI/deferred", 0x3d015a18af2fe392),
+    ("scatter/scatter_k0", "GRAPHITI/off", 0x2a0155b4800c9d92),
+    ("scatter/scatter_k0", "GRAPHITI/deferred", 0x2a0155b4800c9d92),
     ("scatter/scatter_k0", "DF-OoO", 0xc235ca75374a9d28),
 ];
 
@@ -90,7 +93,6 @@ fn digests() -> Vec<(String, &'static str, u64)> {
                 h.feed(&print_dot(&g));
                 h.feed(&report.rewrites.to_string());
                 h.feed(&format!("{:?}", report.refusal));
-                h.feed(&report.pure_by_rewrites.to_string());
                 for o in &report.obligations {
                     h.feed(&o.rewrite);
                     h.feed(&format!("{o:?}"));

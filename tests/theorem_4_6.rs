@@ -55,27 +55,6 @@ fn whole_graph_refinement_after_fork_flatten() {
 }
 
 #[test]
-fn whole_graph_refinement_after_op_to_pure() {
-    let mut g = ExprHigh::new();
-    g.add_node("s", CompKind::Split).unwrap();
-    g.add_node("m", CompKind::Operator { op: Op::AddI }).unwrap();
-    g.expose_input("x", ep("s", "in")).unwrap();
-    g.connect(ep("s", "out0"), ep("m", "in0")).unwrap();
-    g.connect(ep("s", "out1"), ep("m", "in1")).unwrap();
-    g.expose_output("y", ep("m", "out")).unwrap();
-    let mut engine = Engine::new();
-    let mut g2 = g.clone();
-    assert!(engine.apply_first(&mut g2, &catalog::pure_gen::op_to_pure()).unwrap(), "match");
-    let cfg = RefineConfig {
-        domain: vec![Value::pair(Value::Int(0), Value::Int(1))],
-        max_depth: 8,
-        ..Default::default()
-    };
-    let r = check_refinement(&io_module(&g2), &io_module(&g), &cfg);
-    assert!(r.is_ok(), "{r:?}");
-}
-
-#[test]
 fn refinement_is_reflexive() {
     let g = fork_tree_graph();
     let m = io_module(&g);
@@ -135,7 +114,7 @@ fn refinement_is_preserved_by_product_and_connect() {
 /// replacement is a subgraph and whose application records an obligation,
 /// on every evaluation-suite kernel and on `fork_tree_graph`, the engine's
 /// graph is the lift of the grouped lowering with the obligation's `lhs`
-/// substituted by its `rhs`. That is 243 applications.
+/// substituted by its `rhs`. That is 16 applications.
 #[test]
 fn substitution_on_exprlow_matches_engine_result() {
     let mut graphs = vec![fork_tree_graph()];
@@ -164,7 +143,7 @@ fn substitution_on_exprlow_matches_engine_result() {
             }
         }
     }
-    assert!(compared > 0, "no application was compared");
+    assert_eq!(compared, 16);
 }
 
 #[test]
@@ -175,7 +154,7 @@ fn checked_engine_records_verdicts_per_application() {
     assert_eq!(engine.log.len(), 1);
     assert_eq!(engine.log[0].rewrite, "fork-flatten");
     let verdicts = discharge(engine.obligations, &small_cfg());
-    assert_eq!(verdicts.len(), 1, "one obligation per verified application");
+    assert_eq!(verdicts.len(), 1, "one obligation per application");
     assert_eq!(verdicts[0].rewrite, "fork-flatten");
     assert!(verdicts[0].verdict.is_ok(), "{:?}", verdicts[0].verdict);
 }
@@ -184,7 +163,6 @@ fn checked_engine_records_verdicts_per_application() {
 fn unsound_add_to_sub() -> Rewrite {
     Rewrite::new(
         "add-to-sub-unsound",
-        true,
         |g| {
             g.nodes()
                 .filter(|(_, k)| matches!(k, CompKind::Operator { op: Op::AddI }))
