@@ -1,7 +1,7 @@
 //! Hand-rolled JSON rendering of benchmark results.
 //!
 //! The build environment is offline (no serde), so this mirrors the
-//! exporters in `graphiti-obs`: a small escape helper plus one explicit
+//! exporters in `graphiti-obs`: their escape helper plus one explicit
 //! renderer. The `--json` flag of the bench binaries routes through
 //! [`report_json`], which can embed the metrics document produced by
 //! [`graphiti_obs::metrics_json`] so a profile travels alongside the
@@ -9,22 +9,7 @@
 
 use crate::eval::{BenchResult, StallSummary};
 
-/// Escapes `s` for inclusion in a JSON string literal (without quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use graphiti_obs::json_escape as escape;
 
 /// A JSON number literal for `x` (`null` for non-finite values).
 fn num(x: f64) -> String {

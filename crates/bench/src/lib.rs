@@ -20,7 +20,7 @@
 //! `report` regenerate each artefact at the default problem sizes;
 //! `perfdiff` requires a serial `table2 --json --small` report to equal
 //! the committed `ci/perf_baseline.json` in every value but wall-clock
-//! time; criterion benches exercise the same code paths at reduced sizes.
+//! time; `simbench` times the two simulator cores on the reduced suite.
 
 #![warn(missing_docs)]
 
@@ -36,7 +36,8 @@ pub use eval::{
     FlowMetrics, StallSummary,
 };
 
-/// A reduced-size suite for quick runs (unit tests, criterion benches).
+/// A reduced-size suite for quick runs (unit tests, `table2 --small`,
+/// `simbench`).
 pub fn small_suite() -> Vec<graphiti_frontend::Program> {
     vec![
         suite::bicg(6),

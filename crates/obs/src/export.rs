@@ -11,7 +11,7 @@ use crate::trace::{dropped_events, trace_events, PID_SIM, PID_WALL};
 use crate::{bucket_upper_bound, snapshot};
 
 /// Escapes `s` for inclusion inside a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -14,8 +14,8 @@
 //!
 //! Cost model: recording is off until [`enable`] flips one atomic, and
 //! every instrumentation site checks [`enabled`] (a relaxed load) before
-//! formatting anything — the disabled path stays within the PR 1
-//! zero-overhead contract (priced by the `obs_overhead` bench). When
+//! formatting anything — the disabled path stays within the
+//! zero-overhead contract (`disabled_recording_is_inert` pins it). When
 //! enabled, a writer claims its slot with one wait-free `fetch_add` and
 //! takes only that slot's private mutex to store the payload; there is no
 //! global lock on the record path, so concurrent writers never serialize

@@ -45,7 +45,8 @@ pub mod vcd;
 
 pub use cancel::CancelToken;
 pub use export::{
-    chrome_trace_json, metrics_json, summary_table, write_chrome_trace, write_metrics_json,
+    chrome_trace_json, json_escape, metrics_json, summary_table, write_chrome_trace,
+    write_metrics_json,
 };
 pub use span::{adopt_parent, current_span_id, span, ParentGuard, SpanGuard};
 pub use trace::{

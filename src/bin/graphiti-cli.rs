@@ -45,9 +45,10 @@
 //!
 //! * `--vcd-out FILE` simulates each kernel with waveform capture and
 //!   writes a VCD document (openable in GTKWave/Surfer); with several
-//!   kernels the kernel name is inserted before the extension.
+//!   kernels the kernel name is inserted before the file name's extension.
 //! * `--trace-nodes a,b,c` narrows both the acceptance trace and the
-//!   captured waveform signals to channels touching the listed nodes.
+//!   captured waveform signals to channels touching the listed nodes; a
+//!   listed name that is no node of any placed kernel is an error.
 //! * `explain-stalls` simulates each kernel with stall attribution and
 //!   prints the top-K blockage chains with per-cause breakdowns
 //!   (`--top K`, default 10) instead of dot output.
@@ -74,6 +75,7 @@
 use graphiti::pipeline::{find_seq_loops, optimize_loop, PipelineOptions};
 use graphiti::prelude::*;
 use std::io::Read;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// What the invocation asks for (selected by the first positional word).
@@ -463,15 +465,20 @@ fn vcd_check(src: &str, args: &Args) -> Result<(), String> {
 
 /// The VCD output path for one kernel: the requested path verbatim for a
 /// single-kernel program, otherwise the kernel name is inserted before
-/// the extension (`out.vcd` → `out.gcd.vcd`).
-fn vcd_path(requested: &str, kernel: &str, kernels: usize) -> String {
+/// the file name's extension (`out.vcd` → `out.gcd.vcd`, `out` →
+/// `out.gcd`); the directory part is never touched.
+fn vcd_path(requested: &str, kernel: &str, kernels: usize) -> PathBuf {
+    let path = Path::new(requested);
     if kernels <= 1 {
-        return requested.to_string();
+        return path.to_path_buf();
     }
-    match requested.rsplit_once('.') {
-        Some((stem, ext)) => format!("{stem}.{kernel}.{ext}"),
-        None => format!("{requested}.{kernel}"),
+    let mut name = path.file_stem().unwrap_or_default().to_os_string();
+    name.push(format!(".{kernel}"));
+    if let Some(ext) = path.extension() {
+        name.push(".");
+        name.push(ext);
     }
+    path.with_file_name(name)
 }
 
 /// `--compile`: front-end program in, optimized dot circuits out. The
@@ -541,11 +548,16 @@ fn compile_mode(src: &str, args: &Args) -> Result<(), String> {
             cancel: Some(token.clone()),
             ..Default::default()
         };
-        for (name, g) in &optimized {
-            let (placed, _) = place_buffers(g);
+        let placed: Vec<(&String, ExprHigh)> =
+            optimized.iter().map(|(name, g)| (name, place_buffers(g).0)).collect();
+        let no_node = |t: &&String| placed.iter().all(|(_, g)| g.kind(t).is_none());
+        if let Some(t) = args.trace_nodes.iter().find(no_node) {
+            return Err(format!("graphiti-cli: --trace-nodes: no kernel has a node named `{t}`"));
+        }
+        for (name, g) in &placed {
             let memory = mem.clone();
             let r = graphiti_robust::supervise("simulate", &token, || {
-                simulate(&placed, &feeds, memory, cfg.clone())
+                simulate(g, &feeds, memory, cfg.clone())
             })
             .map_err(|e| format!("graphiti-cli: kernel `{name}`: {e}"))?;
             eprintln!(
@@ -554,8 +566,9 @@ fn compile_mode(src: &str, args: &Args) -> Result<(), String> {
             );
             if let (Some(requested), Some(vcd)) = (&args.vcd_out, &r.waveform) {
                 let path = vcd_path(requested, name, optimized.len());
-                std::fs::write(&path, vcd).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-                eprintln!("graphiti-cli: kernel `{name}` waveform written to {path}");
+                std::fs::write(&path, vcd)
+                    .map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;
+                eprintln!("graphiti-cli: kernel `{name}` waveform written to {}", path.display());
             }
             if let Some(report) = &r.stalls {
                 println!("kernel `{name}` stall attribution:");

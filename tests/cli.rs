@@ -266,6 +266,42 @@ fn cli_trace_nodes_narrows_the_waveform() {
 }
 
 #[test]
+fn cli_trace_nodes_rejects_names_that_are_no_node() {
+    let dir = std::env::temp_dir().join(format!("graphiti_cli_tn_bad_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let vcd = dir.join("never.vcd");
+    let vcd_str = vcd.to_str().unwrap().to_string();
+    let (_, stderr, ok) =
+        run_cli(GCD_PROGRAM, &["--compile", "--vcd-out", &vcd_str, "--trace-nodes", "mux2,nosuch"]);
+    assert!(!ok, "stderr: {stderr}");
+    assert!(stderr.contains("no kernel has a node named `nosuch`"), "{stderr}");
+    assert!(!stderr.contains("`mux2`"), "{stderr}");
+    assert!(!vcd.exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cli_vcd_out_names_each_kernel_in_the_file_name_only() {
+    let dir = std::env::temp_dir().join(format!("graphiti_cli_vcd_multi_{}", std::process::id()));
+    let dotted = dir.join("build.d");
+    std::fs::create_dir_all(&dotted).unwrap();
+    let kernel = &GCD_PROGRAM[GCD_PROGRAM.find("kernel").unwrap()..];
+    let out = dotted.join("out");
+    let (_, stderr, ok) = run_cli(
+        &format!("{GCD_PROGRAM}{kernel}"),
+        &["--compile", "--vcd-out", out.to_str().unwrap()],
+    );
+    assert!(ok, "stderr: {stderr}");
+    for k in ["gcd_k0", "gcd_k1"] {
+        let vcd = dotted.join(format!("out.{k}"));
+        let (stdout, stderr, ok) = run_cli("", &["vcd-check", vcd.to_str().unwrap()]);
+        assert!(ok, "{k}: {stderr}");
+        assert!(stdout.contains("signals"), "{stdout}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn cli_vcd_out_requires_compile_mode() {
     let (_, stderr, ok) = run_cli(SEQUENTIAL_LOOP, &["--vcd-out", "/tmp/x.vcd"]);
     assert!(!ok);
