@@ -3,9 +3,10 @@
 //! The compiled backend claims *exact* equivalence with the reference
 //! sweep, the executable specification — not just the same outputs, but
 //! the same cycle counts, final memory, per-node firing totals, leftovers,
-//! waveforms, and stall reports. These tests pin that claim against the
-//! full seven-kernel suite (in-order and after the verified out-of-order
-//! transformation) and against randomly generated front-end kernels.
+//! waveforms, stall reports, and node traces. These tests pin that claim
+//! against the full seven-kernel suite (in-order and after the verified
+//! out-of-order transformation) and against randomly generated front-end
+//! kernels.
 
 use graphiti_core::{optimize_loop, PipelineOptions};
 use graphiti_frontend::{compile, run_program, Expr, InnerLoop, OuterLoop, Program, StoreStmt};
@@ -27,7 +28,9 @@ fn run_with(
     simulate(g, &start_feed(), mem, cfg).expect("simulation succeeds")
 }
 
-/// One observed run: waveform capture and stall attribution on.
+/// One observed run: waveform capture, stall attribution, and the node
+/// trace of every node on. Every channel touches a node, so listing them
+/// all keeps the waveform's full signal set.
 fn run_observed(
     g: &graphiti_ir::ExprHigh,
     mem: graphiti_frontend::Memory,
@@ -38,6 +41,7 @@ fn run_observed(
         scheduler,
         waveform: true,
         attribute_stalls: true,
+        trace_nodes: g.nodes().map(|(name, _)| name.clone()).collect(),
         wave_sample,
         ..SimConfig::default()
     };
@@ -45,8 +49,8 @@ fn run_observed(
 }
 
 /// Asserts the compiled backend's observations match the reference
-/// sweep's: byte-identical VCD, identical stall report, and per-cause sums
-/// equal to the totals.
+/// sweep's: byte-identical VCD, identical stall report and node trace, and
+/// per-cause sums equal to the totals.
 fn assert_observations_agree(
     g: &graphiti_ir::ExprHigh,
     mem: graphiti_frontend::Memory,
@@ -56,6 +60,8 @@ fn assert_observations_agree(
     let co = run_observed(g, mem.clone(), Scheduler::Compiled, 1);
     assert_eq!(sw.waveform, co.waveform, "{what}: VCD documents differ");
     assert_eq!(sw.stalls, co.stalls, "{what}: stall reports differ");
+    assert_eq!(sw.trace, co.trace, "{what}: node traces differ");
+    assert!(!co.trace.is_empty(), "{what}: the loop-index compare alone traces events");
     let report = co.stalls.as_ref().expect("attribution requested");
     assert_eq!(
         report.cause_totals().values().sum::<u64>(),
@@ -246,6 +252,7 @@ proptest! {
         let coo = run_observed(&placed, p.arrays.clone(), Scheduler::Compiled, 1);
         prop_assert_eq!(&swo.waveform, &coo.waveform);
         prop_assert_eq!(&swo.stalls, &coo.stalls);
+        prop_assert_eq!(&swo.trace, &coo.trace);
         // And the compiled run is still *correct*, not just consistent.
         let expected = run_program(&p).unwrap();
         prop_assert_eq!(&co.memory["out"], &expected["out"]);

@@ -87,7 +87,7 @@ pub fn reset() {
     registry().clear();
     GENERATION.fetch_add(1, Ordering::Relaxed);
     trace::clear_events();
-    span::clear_thread_stack();
+    span::clear_current_span();
     flight::clear();
 }
 

@@ -1,5 +1,5 @@
-//! Hierarchical timed spans with a thread-local stack and process-unique
-//! span IDs for causal (cross-thread) parenting.
+//! Hierarchical timed spans with process-unique span IDs for causal
+//! (cross-thread) parenting.
 //!
 //! Every open span has a non-zero ID from a global counter and a parent
 //! ID: the span enclosing it on the *same* thread, or — on a worker
@@ -7,17 +7,17 @@
 //! spawning thread. `graphiti-pool` propagates the caller's current span
 //! through `parallel_map` this way, so fan-out work (deferred refinement
 //! discharge, bench flow jobs) appears parented under the spawning span
-//! in the Chrome trace instead of floating as orphan roots.
+//! in the Chrome trace instead of floating as orphan roots. The parent
+//! chain is the one record of nesting: `obs::profile` rebuilds each
+//! span's causal path from it.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::trace::{emit_complete, PID_WALL};
 
 thread_local! {
-    // Names of the spans currently open on this thread, outermost first.
-    static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
     // ID of the innermost open (or adopted) span; 0 = none.
     static CURRENT_SPAN: Cell<u64> = const { Cell::new(0) };
     static THREAD_ORDINAL: u32 = next_thread_ordinal();
@@ -39,8 +39,9 @@ fn next_span_id() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-pub(crate) fn clear_thread_stack() {
-    SPAN_STACK.with(|s| s.borrow_mut().clear());
+/// Forgets this thread's current span, so spans opened after a reset
+/// start a new root.
+pub(crate) fn clear_current_span() {
     CURRENT_SPAN.with(|c| c.set(0));
 }
 
@@ -73,13 +74,11 @@ impl Drop for ParentGuard {
 
 /// Opens a timed span named `name`.
 ///
-/// While the returned guard lives, the span sits on this thread's span
-/// stack (so nested [`span`] calls record their parent path) and is the
-/// thread's current span ([`current_span_id`]). On drop it records the
-/// elapsed time into the `span.{name}.us` histogram and emits a
-/// wall-clock Chrome trace slice whose args carry the full dotted `path`
-/// (e.g. `optimize.refine`), the span `id`, and — when the span has one —
-/// its `parent` ID.
+/// While the returned guard lives, the span is the thread's current span
+/// ([`current_span_id`]), so nested [`span`] calls record it as their
+/// parent. On drop it records the elapsed time into the `span.{name}.us`
+/// histogram and emits a wall-clock Chrome trace slice whose args carry
+/// the span `id` and — when the span has one — its `parent` ID.
 ///
 /// When collection is disabled ([`crate::enabled`] is false) this is a
 /// no-op costing one relaxed atomic load; the guard does nothing on drop.
@@ -87,22 +86,14 @@ pub fn span(name: &str) -> SpanGuard {
     if !crate::enabled() {
         return SpanGuard { live: None };
     }
-    let depth = SPAN_STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        stack.push(name.to_string());
-        stack.len()
-    });
     let id = next_span_id();
     let parent = CURRENT_SPAN.with(|c| c.replace(id));
-    SpanGuard {
-        live: Some(LiveSpan { name: name.to_string(), start: Instant::now(), depth, id, parent }),
-    }
+    SpanGuard { live: Some(LiveSpan { name: name.to_string(), start: Instant::now(), id, parent }) }
 }
 
 struct LiveSpan {
     name: String,
     start: Instant,
-    depth: usize,
     id: u64,
     parent: u64,
 }
@@ -113,11 +104,6 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Nesting depth of this span (1 = top level), or 0 when disabled.
-    pub fn depth(&self) -> usize {
-        self.live.as_ref().map_or(0, |l| l.depth)
-    }
-
     /// This span's process-unique ID, or 0 when disabled.
     pub fn id(&self) -> u64 {
         self.live.as_ref().map_or(0, |l| l.id)
@@ -129,16 +115,6 @@ impl Drop for SpanGuard {
         let Some(live) = self.live.take() else { return };
         let dur_us = live.start.elapsed().as_micros() as u64;
         let end_us = crate::now_us();
-        let path = SPAN_STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            let path = stack.join(".");
-            // Guards drop in LIFO order, so the top of the stack is this
-            // span — unless reset() cleared it mid-span.
-            if stack.last().map(String::as_str) == Some(live.name.as_str()) {
-                stack.pop();
-            }
-            path
-        });
         CURRENT_SPAN.with(|c| {
             // Restore the enclosing/adopted parent — unless reset()
             // already zeroed the current span mid-flight.
@@ -147,7 +123,7 @@ impl Drop for SpanGuard {
             }
         });
         crate::histogram(&format!("span.{}.us", live.name)).record(dur_us);
-        let mut args = vec![("path".to_string(), path), ("id".to_string(), live.id.to_string())];
+        let mut args = vec![("id".to_string(), live.id.to_string())];
         if live.parent != 0 {
             args.push(("parent".to_string(), live.parent.to_string()));
         }
@@ -172,20 +148,17 @@ mod tests {
     }
 
     #[test]
-    fn spans_nest_and_record_paths() {
+    fn spans_nest_under_their_parent_ids() {
         let _guard = crate::test_lock();
         crate::reset();
         crate::enable();
         {
-            let outer = span("outer");
-            assert_eq!(outer.depth(), 1);
+            let _outer = span("outer");
             {
-                let inner = span("inner");
-                assert_eq!(inner.depth(), 2);
+                let _inner = span("inner");
             }
             {
-                let second = span("second");
-                assert_eq!(second.depth(), 2);
+                let _second = span("second");
             }
         }
         crate::disable();
@@ -198,8 +171,8 @@ mod tests {
         let complete: Vec<&TraceEvent> =
             evs.iter().filter(|e| e.ph == TracePhase::Complete).collect();
         // Inner spans close first, so their events come first.
-        let paths: Vec<&str> = complete.iter().map(|e| arg(e, "path").unwrap()).collect();
-        assert_eq!(paths, ["outer.inner", "outer.second", "outer"]);
+        let names: Vec<&str> = complete.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["inner", "second", "outer"]);
         // Causal edges: both inner spans parent to outer's ID.
         let outer_id = arg(complete[2], "id").unwrap();
         assert_eq!(arg(complete[0], "parent"), Some(outer_id));
@@ -230,8 +203,6 @@ mod tests {
         let evs = trace_events();
         let job = evs.iter().find(|e| e.name == "job").expect("job span recorded");
         assert_eq!(arg(job, "parent"), Some(parent_id.to_string().as_str()));
-        // The worker's own stack was fresh: its path is just "job".
-        assert_eq!(arg(job, "path"), Some("job"));
         assert_eq!(current_span_id(), 0);
     }
 
@@ -242,7 +213,6 @@ mod tests {
         crate::disable();
         {
             let g = span("noop");
-            assert_eq!(g.depth(), 0);
             assert_eq!(g.id(), 0);
         }
         assert_eq!(crate::histogram("span.noop.us").count(), 0);

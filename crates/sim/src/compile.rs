@@ -2,7 +2,10 @@
 //! ([`Scheduler::Compiled`](crate::Scheduler::Compiled)).
 //!
 //! Instead of interpreting the dataflow graph node-by-node, a compile pass
-//! lowers the circuit into a specialised simulator once per run:
+//! lowers the circuit into a specialised simulator once per run. It starts
+//! from the same `Netlist` the reference sweep runs on (node and channel
+//! numbering, names, wiring, unit classes) and adds only what the fast
+//! path needs:
 //!
 //! * every node kind is monomorphised into a direct-dispatch fire function
 //!   over a flat arena — the hot loop calls through a per-node `fn` pointer
@@ -40,10 +43,8 @@ mod fire;
 mod rt;
 
 use crate::memory::Memory;
-use crate::sim::{
-    narrow, op_latency, purefn_latency, SimConfig, SimError, SimResult, LOAD_LATENCY,
-};
-use crate::stall::UnitClass;
+use crate::netlist::{Netlist, Range};
+use crate::sim::{op_latency, purefn_latency, SimConfig, SimError, SimResult, LOAD_LATENCY};
 use fire::FireFn;
 use graphiti_ir::{CompKind, ExprHigh, Op, PureFn, Value};
 use std::cell::Cell;
@@ -54,13 +55,11 @@ pub(crate) const NO_TAG: u32 = u32::MAX;
 /// Sentinel for "this node has no internal queue".
 pub(crate) const NO_IDX: u32 = u32::MAX;
 
-/// A `(start, len)` range into one of the artifact's flat pools.
-pub(crate) type Range = (u32, u32);
-
 /// One lowered node: its monomorphic fire function, port ranges, two
 /// kind-specific parameter words, and the precomputed scheduler marks.
 pub(crate) struct CNode {
     pub(crate) fire: FireFn,
+    /// The netlist's port ranges, inline beside the fire pointer.
     pub(crate) ins: Range,
     pub(crate) outs: Range,
     /// Kind-specific: const/op/pure/tagger/mem index, or Init's initial.
@@ -71,33 +70,6 @@ pub(crate) struct CNode {
     pub(crate) cur_marks: Range,
     /// Word masks OR-ed into the next round on fire (indices `<= i`).
     pub(crate) nxt_marks: Range,
-}
-
-/// Names packed into one buffer: one allocation per table instead of one
-/// per name, which keeps artifacts small.
-#[derive(Default)]
-pub(crate) struct NameTable {
-    buf: String,
-    ends: Vec<u32>,
-}
-
-impl NameTable {
-    fn push(&mut self, name: impl std::fmt::Display) {
-        use std::fmt::Write as _;
-        let _ = write!(self.buf, "{name}");
-        self.ends.push(self.buf.len() as u32);
-    }
-
-    /// The `i`-th name.
-    pub(crate) fn get(&self, i: usize) -> &str {
-        let start = i.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
-        &self.buf[start..self.ends[i] as usize]
-    }
-
-    /// Every name, in index order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &str> {
-        (0..self.ends.len()).map(|i| self.get(i))
-    }
 }
 
 /// Static shape of one internal queue (pipeline, buffer).
@@ -126,36 +98,21 @@ pub(crate) struct LsqSpec {
     pub(crate) cap: usize,
 }
 
-/// Compile-pass facts, kept for metrics and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompileStats {
-    /// Lowered node count.
-    pub nodes: u64,
-    /// Lowered channel count (one-slot latches + external queues).
-    pub chans: u64,
-}
-
 /// A circuit lowered for [`Scheduler::Compiled`](crate::Scheduler::Compiled):
-/// everything the run loop reads and never writes.
+/// everything the run loop reads and never writes. Its layout, and so every
+/// node and channel index, name and wire, is the one the reference sweep
+/// runs on.
 ///
 /// [`simulate`](crate::simulate) lowers its circuit on every call. A caller
 /// that simulates one circuit many times (a benchmark timing the run
 /// alone, say) lowers it once with [`CompiledCircuit::new`] and calls
 /// [`run`](CompiledCircuit::run) for each simulation.
 pub struct CompiledCircuit {
+    /// The layout the reference sweep runs on too.
+    pub(crate) net: Netlist,
     pub(crate) nodes: Vec<CNode>,
-    pub(crate) names: NameTable,
-    /// Flat pool backing every node's `ins`/`outs` channel-id lists.
-    pub(crate) port_pool: Vec<u32>,
     /// Flat pool backing every node's mark lists: `(word, bits)` pairs.
     pub(crate) mark_pool: Vec<(u32, u64)>,
-    /// Channels `0..n_slots` are internal one-slot latches; the rest are
-    /// unbounded external queues (inputs first, then outputs), mirroring
-    /// the reference sweep's channel layout exactly.
-    pub(crate) n_slots: usize,
-    pub(crate) n_chans: usize,
-    pub(crate) input_chans: BTreeMap<String, u32>,
-    pub(crate) output_chans: BTreeMap<String, u32>,
     pub(crate) pipe_specs: Vec<PipeSpec>,
     /// Per node: its pipe index, or [`NO_IDX`].
     pub(crate) pipe_of: Vec<u32>,
@@ -172,17 +129,6 @@ pub struct CompiledCircuit {
     pub(crate) mems: Vec<String>,
     /// `u64` words needed for a bitset over nodes.
     pub(crate) words: usize,
-    /// Per channel: a human-readable name in the reference sweep's exact
-    /// format (`from.port-to.port`, `in.x`, `out.y`), feeding the VCD
-    /// signal list and stall reports.
-    pub(crate) chan_names: NameTable,
-    /// Per channel: the node that reads it, if any (single-consumer).
-    pub(crate) consumer_of: Vec<Option<u32>>,
-    /// Per channel: the node that writes it, if any (single-producer).
-    pub(crate) producer_of: Vec<Option<u32>>,
-    /// Per node: the unit class the stall walks match on.
-    pub(crate) class: Vec<UnitClass>,
-    pub(crate) stats: CompileStats,
 }
 
 thread_local! {
@@ -206,15 +152,10 @@ impl CompiledCircuit {
         LOWERINGS.with(|n| n.set(n.get() + 1));
         if graphiti_obs::enabled() {
             graphiti_obs::counter("sim.compile.lowerings").inc();
-            graphiti_obs::counter("sim.compile.nodes").add(art.stats.nodes);
-            graphiti_obs::counter("sim.compile.chans").add(art.stats.chans);
+            graphiti_obs::counter("sim.compile.nodes").add(art.net.node_count() as u64);
+            graphiti_obs::counter("sim.compile.chans").add(art.net.chan_count() as u64);
         }
         Ok(art)
-    }
-
-    /// Compile-pass facts (node and channel counts).
-    pub fn stats(&self) -> CompileStats {
-        self.stats
     }
 
     /// Runs the circuit to quiescence. `cfg` supplies the observation
@@ -234,7 +175,7 @@ impl CompiledCircuit {
 
     #[inline]
     pub(crate) fn ports(&self, r: Range) -> &[u32] {
-        &self.port_pool[r.0 as usize..(r.0 + r.1) as usize]
+        self.net.pool(r)
     }
 
     #[inline]
@@ -281,48 +222,12 @@ pub(crate) fn assemble(tag: u32, v: Value) -> Value {
     }
 }
 
-/// The lowering pass: interprets the graph's structure once so the run
-/// loop never has to. Mirrors the interpreter's channel/node layout
-/// exactly — node and channel indices coincide, which is what makes the
-/// firing order (and thus every observable) bit-identical.
+/// The lowering pass: interprets the graph once so the run loop never has
+/// to. The layout is the [`Netlist`]'s, the same the reference sweep
+/// runs on, so the compiled core fires the nodes the sweep fires in the
+/// same order, and every observable is bit-identical.
 fn lower(g: &ExprHigh) -> Result<CompiledCircuit, SimError> {
-    g.validate().map_err(|e| SimError::BadGraph(e.to_string()))?;
-
-    // Channel layout: one slot per edge, then unbounded queues for the
-    // external inputs and outputs — the same order the sweep uses.
-    let mut chan_of_out: BTreeMap<graphiti_ir::Endpoint, u32> = BTreeMap::new();
-    let mut chan_of_in: BTreeMap<graphiti_ir::Endpoint, u32> = BTreeMap::new();
-    // Channel names are baked into the artifact so an observed run never
-    // re-derives them; the format matches the interpreter's byte for byte.
-    let mut chan_names = NameTable::default();
-    let mut n_chans: usize = 0;
-    for (from, to) in g.edges() {
-        let id = narrow("channel", n_chans)?;
-        chan_of_out.insert(from.clone(), id);
-        chan_of_in.insert(to.clone(), id);
-        chan_names.push(format_args!("{}.{}-{}.{}", from.node, from.port, to.node, to.port));
-        n_chans += 1;
-    }
-    let n_slots = n_chans;
-    let mut input_chans = BTreeMap::new();
-    for (name, target) in g.inputs() {
-        let id = narrow("channel", n_chans)?;
-        chan_of_in.insert(target.clone(), id);
-        input_chans.insert(name.clone(), id);
-        chan_names.push(format_args!("in.{name}"));
-        n_chans += 1;
-    }
-    let mut output_chans = BTreeMap::new();
-    for (name, source) in g.outputs() {
-        let id = narrow("channel", n_chans)?;
-        chan_of_out.insert(source.clone(), id);
-        output_chans.insert(name.clone(), id);
-        chan_names.push(format_args!("out.{name}"));
-        n_chans += 1;
-    }
-
-    let mut names = NameTable::default();
-    let mut port_pool: Vec<u32> = Vec::new();
+    let net = Netlist::new(g)?;
     let mut nodes: Vec<CNode> = Vec::new();
     let mut consts: Vec<Value> = Vec::new();
     let mut ops: Vec<Op> = Vec::new();
@@ -333,7 +238,6 @@ fn lower(g: &ExprHigh) -> Result<CompiledCircuit, SimError> {
     let mut lsqs: Vec<LsqSpec> = Vec::new();
     let mut mems: Vec<String> = Vec::new();
     let mut queued: Vec<(u32, u32)> = Vec::new();
-    let mut class: Vec<UnitClass> = Vec::new();
 
     let mem_id = |mems: &mut Vec<String>, name: &str| -> u32 {
         match mems.iter().position(|m| m == name) {
@@ -345,21 +249,8 @@ fn lower(g: &ExprHigh) -> Result<CompiledCircuit, SimError> {
         }
     };
 
-    for (name, kind) in g.nodes() {
-        let i = nodes.len();
-        narrow("node", i)?;
-        let (ins_p, outs_p) = kind.interface();
-        let ins_start = port_pool.len() as u32;
-        for p in &ins_p {
-            port_pool.push(chan_of_in[&graphiti_ir::ep(name.clone(), p.clone())]);
-        }
-        let ins = (ins_start, ins_p.len() as u32);
-        let outs_start = port_pool.len() as u32;
-        for p in &outs_p {
-            port_pool.push(chan_of_out[&graphiti_ir::ep(name.clone(), p.clone())]);
-        }
-        let outs = (outs_start, outs_p.len() as u32);
-
+    for (i, (_, kind)) in g.nodes().enumerate() {
+        let (ins, outs) = net.ports[i];
         let mut pipe = NO_IDX;
         let add_pipe = |specs: &mut Vec<PipeSpec>, cap: usize, lat: u64| -> u32 {
             specs.push(PipeSpec { cap, lat });
@@ -427,39 +318,11 @@ fn lower(g: &ExprHigh) -> Result<CompiledCircuit, SimError> {
         if pipe != NO_IDX {
             queued.push((i as u32, pipe));
         }
-        // The same classes the interpreter derives from its units: a
-        // zero-latency operator lowers to `comb` and is walked through, a
-        // latency-bearing one holds tokens like Pure does.
-        class.push(match kind {
-            CompKind::Sink => UnitClass::Sink,
-            CompKind::Load { .. } => UnitClass::Load,
-            CompKind::Store { .. } => UnitClass::Store,
-            CompKind::Buffer { slots, .. } => UnitClass::Buffer { slots: (*slots).max(1) },
-            CompKind::Operator { op } if op_latency(*op) > 0 => UnitClass::Pipe,
-            CompKind::Pure { .. } => UnitClass::Pipe,
-            CompKind::TaggerUntagger { .. } => UnitClass::Tagger,
-            CompKind::StoreQueue { .. } => UnitClass::Lsq,
-            _ => UnitClass::Plain,
-        });
-        names.push(name);
         pipe_of.push(pipe);
         nodes.push(CNode { fire, ins, outs, p0, p1, cur_marks: (0, 0), nxt_marks: (0, 0) });
     }
 
-    let n = nodes.len();
-    narrow("channel", n_chans)?;
-    let mut consumer_of: Vec<Option<u32>> = vec![None; n_chans];
-    let mut producer_of: Vec<Option<u32>> = vec![None; n_chans];
-    for (i, nd) in nodes.iter().enumerate() {
-        for &c in &port_pool[nd.ins.0 as usize..(nd.ins.0 + nd.ins.1) as usize] {
-            consumer_of[c as usize] = Some(i as u32);
-        }
-        for &c in &port_pool[nd.outs.0 as usize..(nd.outs.0 + nd.outs.1) as usize] {
-            producer_of[c as usize] = Some(i as u32);
-        }
-    }
-
-    let words = n.div_ceil(64);
+    let words = nodes.len().div_ceil(64);
     // Per-node scheduler marks: every node whose fireability a fire of `i`
     // can change — the node itself, the consumers of its outputs, the
     // producers of its inputs.
@@ -467,14 +330,10 @@ fn lower(g: &ExprHigh) -> Result<CompiledCircuit, SimError> {
     let mut scratch_mask = vec![0u64; words];
     for (i, nd) in nodes.iter_mut().enumerate() {
         scratch_mask.fill(0);
-        let consumers = port_pool[nd.outs.0 as usize..(nd.outs.0 + nd.outs.1) as usize]
-            .iter()
-            .filter_map(|&c| consumer_of[c as usize]);
-        let producers = port_pool[nd.ins.0 as usize..(nd.ins.0 + nd.ins.1) as usize]
-            .iter()
-            .filter_map(|&c| producer_of[c as usize]);
-        for j in std::iter::once(i as u32).chain(consumers).chain(producers) {
-            scratch_mask[j as usize / 64] |= 1u64 << (j % 64);
+        let consumers = net.outs(i).filter_map(|c| net.consumer(c));
+        let producers = net.ins(i).filter_map(|c| net.producer(c));
+        for j in std::iter::once(i).chain(consumers).chain(producers) {
+            scratch_mask[j / 64] |= 1u64 << (j % 64);
         }
         // Split at index i: strictly greater bits re-arm the current
         // round, the rest the next one.
@@ -507,16 +366,10 @@ fn lower(g: &ExprHigh) -> Result<CompiledCircuit, SimError> {
         nd.nxt_marks = (nxt_start, mark_pool.len() as u32 - nxt_start);
     }
 
-    let stats = CompileStats { nodes: n as u64, chans: n_chans as u64 };
     Ok(CompiledCircuit {
+        net,
         nodes,
-        names,
-        port_pool,
         mark_pool,
-        n_slots,
-        n_chans,
-        input_chans,
-        output_chans,
         pipe_specs,
         pipe_of,
         queued,
@@ -527,11 +380,6 @@ fn lower(g: &ExprHigh) -> Result<CompiledCircuit, SimError> {
         lsqs,
         mems,
         words,
-        chan_names,
-        consumer_of,
-        producer_of,
-        class,
-        stats,
     })
 }
 
@@ -560,7 +408,7 @@ mod tests {
             other => panic!("marks beyond word 0: {other:?}"),
         };
         for i in 0..4 {
-            assert_eq!(art.names.get(i), format!("b{i}"));
+            assert_eq!(art.net.node_name(i), format!("b{i}"));
             let own_and_neighbours = (0b111u64 << i >> 1) & 0b1111;
             let later = !0u64 << (i + 1);
             let nd = &art.nodes[i];

@@ -11,7 +11,8 @@
 
 use super::{assemble, canon, CompiledCircuit, NO_IDX, NO_TAG};
 use crate::memory::{MemError, Memory};
-use crate::sim::{boundary_check, SimConfig, SimError, SimResult, TraceEvent};
+use crate::netlist::Netlist;
+use crate::sim::{boundary_check, SimConfig, SimError, SimResult};
 use crate::stall::{self, CircuitView, Observers, UnitClass};
 use graphiti_ir::{Tag, Value};
 use graphiti_sem::TaggerState;
@@ -135,30 +136,26 @@ pub(crate) struct Rt {
     firings_by_node: Vec<u64>,
     examined: u64,
     // -- observation --
-    /// The run's observers (metrics, attribution, waveform), armed when
-    /// the run starts and absent when it asks for none.
+    /// The run's observers (metrics, attribution, waveform, node trace),
+    /// armed when the run starts and absent when it asks for none.
     observe: Option<Box<Observers>>,
-    /// Whether fires are traced or counted — the one check the fire path
-    /// pays when neither is.
+    /// Whether the observers note fires — the one check the fire path
+    /// pays when they do not.
     observing: bool,
-    /// Per-node [`SimConfig::trace_nodes`] flags (empty unless
-    /// `observing`).
-    traced: Vec<bool>,
     /// Operand values the current fire consumed, when captured.
     pub(super) captured: Option<Vec<Value>>,
-    /// Raw acceptance events `(cycle, node, consumed values)`.
-    trace_buf: Vec<(u64, u32, Vec<Value>)>,
 }
 
 impl Rt {
     fn new(art: &CompiledCircuit, memory: Memory) -> Rt {
         let words = art.words;
+        let n_slots = art.net.n_slots;
         Rt {
-            slot_full: vec![0; art.n_slots.div_ceil(64)],
-            slot_tag: vec![NO_TAG; art.n_slots],
-            slot_val: vec![Value::Unit; art.n_slots],
-            queues: vec![VecDeque::new(); art.n_chans - art.n_slots],
-            n_slots: art.n_slots,
+            slot_full: vec![0; n_slots.div_ceil(64)],
+            slot_tag: vec![NO_TAG; n_slots],
+            slot_val: vec![Value::Unit; n_slots],
+            queues: vec![VecDeque::new(); art.net.chan_count() - n_slots],
+            n_slots,
             accepted: vec![0; words],
             emitted: vec![0; words],
             fired: vec![0; words],
@@ -183,32 +180,23 @@ impl Rt {
             examined: 0,
             observe: None,
             observing: false,
-            traced: Vec::new(),
             captured: None,
-            trace_buf: Vec::new(),
         }
     }
 
     /// Whether a fire of node `i` should capture the operand values it
-    /// consumes (for the trace list or the per-fire trace events).
+    /// consumes (for the node trace or the per-fire trace events).
     #[inline]
     pub(super) fn captures(&self, i: u32) -> bool {
-        self.observing
-            && (self.traced[i as usize]
-                || self.observe.as_ref().is_some_and(|o| o.traces(i as usize)))
+        self.observing && self.observe.as_ref().is_some_and(|o| o.traces(i as usize))
     }
 
     /// Hands one fire of node `i`, and the values it captured, to the
-    /// trace list and the shared observer.
+    /// shared observer.
     fn note_fire(&mut self, i: u32) {
         let values = self.captured.take();
         if let Some(o) = &mut self.observe {
-            o.note_fire(i as usize, values.as_deref());
-        }
-        if let Some(values) = values {
-            if self.traced[i as usize] {
-                self.trace_buf.push((self.now, i, values));
-            }
+            o.note_fire(i as usize, self.now, values);
         }
     }
 
@@ -364,10 +352,7 @@ pub(super) fn run(
 ) -> Result<SimResult, SimError> {
     let mut rt = Rt::new(art, memory);
     for (name, vals) in feeds {
-        let chan = *art
-            .input_chans
-            .get(name)
-            .ok_or_else(|| SimError::BadGraph(format!("no input named `{name}`")))?;
+        let chan = art.net.input(name)? as u32;
         for v in vals {
             rt.put(chan, NO_TAG, v.clone());
         }
@@ -375,12 +360,9 @@ pub(super) fn run(
     // Observers are armed once the inputs are fed; a run that asks for
     // none allocates none of this.
     rt.observe = Observers::arm(&Live { art, rt: &rt }, cfg);
-    rt.observing = rt.observe.as_ref().is_some_and(|o| o.collects()) || !cfg.trace_nodes.is_empty();
-    if rt.observing {
-        rt.traced = art.names.iter().map(|n| cfg.trace_nodes.iter().any(|t| t == n)).collect();
-    }
+    rt.observing = rt.observe.as_ref().is_some_and(|o| o.notes_fires());
     graphiti_obs::flight::record("sim.start", || {
-        format!("{} nodes, {} channels, scheduler=Compiled", art.nodes.len(), art.n_chans)
+        format!("{} nodes, {} channels, scheduler=Compiled", art.nodes.len(), art.net.chan_count())
     });
     let outcome = drive(art, &mut rt, cfg);
     if let Err(e) = &outcome {
@@ -508,11 +490,10 @@ fn drive(art: &CompiledCircuit, rt: &mut Rt, cfg: &SimConfig) -> Result<(), SimE
 }
 
 /// Folds run state into the reference sweep's result shape: reassembles
-/// tagged outputs, reconstitutes the memory map, resolves per-node
-/// firings to names, renders the waveform and stall report, and flushes
-/// the run's metrics.
+/// tagged outputs, reconstitutes the memory map, names the per-node
+/// firings, and finishes the observers.
 fn finish(art: &CompiledCircuit, mut rt: Rt) -> SimResult {
-    let (waveform, stalls) = match rt.observe.take() {
+    let (waveform, stalls, trace) = match rt.observe.take() {
         Some(o) => {
             if o.collects() {
                 rt.lsq_stats.flush();
@@ -520,33 +501,19 @@ fn finish(art: &CompiledCircuit, mut rt: Rt) -> SimResult {
             let live = Live { art, rt: &rt };
             o.finish(&live, rt.last_active + 1, &rt.firings_by_node, rt.examined)
         }
-        None => (None, None),
+        None => (None, None, Vec::new()),
     };
-    let trace: Vec<TraceEvent> = std::mem::take(&mut rt.trace_buf)
-        .into_iter()
-        .map(|(cycle, i, values)| TraceEvent {
-            cycle,
-            node: art.names.get(i as usize).to_string(),
-            values,
-        })
-        .collect();
-    let firings_by_node: BTreeMap<String, u64> = art
-        .names
-        .iter()
-        .zip(&rt.firings_by_node)
-        .filter(|&(_, &c)| c > 0)
-        .map(|(name, &c)| (name.to_string(), c))
-        .collect();
+    let firings_by_node = art.net.by_name(&rt.firings_by_node);
     graphiti_obs::flight::record("sim.finish", || {
         format!("cycles={} firings={}", rt.last_active + 1, rt.firings)
     });
     let leftover_tokens = stall::tokens_in_flight(&Live { art, rt: &rt });
     let outputs: BTreeMap<String, Vec<Value>> = art
-        .output_chans
-        .iter()
-        .map(|(name, &c)| {
-            let q = std::mem::take(&mut rt.queues[c as usize - art.n_slots]);
-            (name.clone(), q.into_iter().map(|(t, v)| assemble(t, v)).collect())
+        .net
+        .outputs()
+        .map(|(name, c)| {
+            let q = std::mem::take(&mut rt.queues[c - rt.n_slots]);
+            (name.to_string(), q.into_iter().map(|(t, v)| assemble(t, v)).collect())
         })
         .collect();
     SimResult {
@@ -570,40 +537,8 @@ struct Live<'a> {
 }
 
 impl CircuitView for Live<'_> {
-    fn node_count(&self) -> usize {
-        self.art.nodes.len()
-    }
-
-    fn chan_count(&self) -> usize {
-        self.art.n_chans
-    }
-
-    fn ins(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        self.art.ports(self.art.nodes[i].ins).iter().map(|&c| c as usize)
-    }
-
-    fn outs(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        self.art.ports(self.art.nodes[i].outs).iter().map(|&c| c as usize)
-    }
-
-    fn producer(&self, c: usize) -> Option<usize> {
-        self.art.producer_of[c].map(|j| j as usize)
-    }
-
-    fn consumer(&self, c: usize) -> Option<usize> {
-        self.art.consumer_of[c].map(|j| j as usize)
-    }
-
-    fn class(&self, i: usize) -> UnitClass {
-        self.art.class[i]
-    }
-
-    fn node_name(&self, i: usize) -> &str {
-        self.art.names.get(i)
-    }
-
-    fn chan_name(&self, c: usize) -> &str {
-        self.art.chan_names.get(c)
+    fn net(&self) -> &Netlist {
+        &self.art.net
     }
 
     fn has_token(&self, c: usize) -> bool {
@@ -621,7 +556,7 @@ impl CircuitView for Live<'_> {
     }
 
     fn occupancy(&self, i: usize) -> usize {
-        match (self.art.pipe_of[i], self.art.class[i]) {
+        match (self.art.pipe_of[i], self.art.net.class(i)) {
             (NO_IDX, UnitClass::Tagger) => self.rt.taggers[self.art.nodes[i].p0 as usize].len(),
             (NO_IDX, _) => 0,
             (pid, _) => self.rt.pipes[pid as usize].len(),
@@ -633,7 +568,7 @@ impl CircuitView for Live<'_> {
     }
 
     fn queued(&self, c: usize) -> usize {
-        match c.checked_sub(self.art.n_slots) {
+        match c.checked_sub(self.rt.n_slots) {
             Some(q) => self.rt.queues[q].len(),
             None => usize::from(self.rt.full(c as u32)),
         }

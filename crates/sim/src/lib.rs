@@ -41,6 +41,7 @@
 mod area;
 mod compile;
 mod memory;
+mod netlist;
 mod place;
 mod sim;
 pub mod stall;
@@ -48,7 +49,7 @@ mod timing;
 mod wave;
 
 pub use area::{circuit_area, component_area, op_area, Area};
-pub use compile::{compile_cache_clear, compile_cache_stats, CompileStats, CompiledCircuit};
+pub use compile::{compile_cache_clear, compile_cache_stats, CompiledCircuit};
 pub use memory::{mem_read, mem_write, MemError, Memory};
 pub use place::{place_buffers, place_buffers_targeted, PlacementStats};
 pub use sim::{

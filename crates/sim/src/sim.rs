@@ -34,14 +34,17 @@
 //!   in this file, retained as the executable specification the compiled
 //!   core is differentially tested against.
 //!
-//! Both observe through the same code: the stall walker, token counts,
-//! and per-cycle metrics in `stall.rs` and the waveform recorder in
-//! `wave.rs` read either core's live state through one `CircuitView`
-//! trait at the end of every active cycle, so every observable is
-//! bit-identical across them.
+//! Both start from one `Netlist` (`netlist.rs`), the only code that
+//! numbers, names and wires a circuit's nodes and channels, so an index
+//! names the same node or channel in either core. Both observe through
+//! the same code: the stall walker, token counts, per-cycle metrics and
+//! node trace in `stall.rs` and the waveform recorder in `wave.rs` read
+//! either core's live state through one `CircuitView` trait, so every
+//! observable is bit-identical across them.
 
 use crate::memory::{mem_read, mem_write, MemError, Memory};
-use crate::stall::{CircuitView, Observers, StallReport, UnitClass};
+use crate::netlist::Netlist;
+use crate::stall::{CircuitView, Observers, StallReport};
 use graphiti_ir::{CompKind, ExprHigh, Op, PureFn, Tag, Value};
 use graphiti_sem::{retag, TaggerState};
 use std::collections::{BTreeMap, VecDeque};
@@ -71,11 +74,11 @@ pub enum Scheduler {
 pub struct SimConfig {
     /// Abort after this many cycles.
     pub max_cycles: u64,
-    /// Record per-cycle acceptance events for these components (empty: no
-    /// tracing). Used to regenerate execution traces like the paper's
-    /// Fig. 2d/2e. When `graphiti-obs` collection is enabled, the same
-    /// list filters which components emit per-fire Chrome trace events
-    /// (empty: all components).
+    /// Record per-cycle acceptance events for these components in
+    /// [`SimResult::trace`] (empty: no tracing). Used to regenerate
+    /// execution traces like the paper's Fig. 2d/2e. When `graphiti-obs`
+    /// collection is enabled, the same list filters which components emit
+    /// per-fire Chrome trace events (empty: all components).
     pub trace_nodes: Vec<String>,
     /// Scheduling core (compiled by default).
     pub scheduler: Scheduler,
@@ -239,17 +242,6 @@ pub struct TraceEvent {
 
 type ChanId = usize;
 
-/// Narrows a node or channel count to the `u32` index space both cores
-/// store in traces, stall paths, and bitsets. A graph too large for it is
-/// a [`SimError::BadGraph`] — never a silent `as u32` truncation that
-/// would alias two distinct indices. Once a count is validated, `as u32`
-/// on any index below it is exact.
-pub(crate) fn narrow(what: &str, i: usize) -> Result<u32, SimError> {
-    u32::try_from(i).map_err(|_| {
-        SimError::BadGraph(format!("{what} index {i} does not fit the simulator's u32 index space"))
-    })
-}
-
 #[derive(Debug, Default)]
 struct Channel {
     cap: usize,
@@ -404,8 +396,9 @@ struct RunState {
 
 #[derive(Debug)]
 struct Node {
-    name: String,
     unit: Unit,
+    /// This node's input and output channels, copied from the netlist in
+    /// the shape `step_unit` reads.
     ins: Vec<ChanId>,
     outs: Vec<ChanId>,
     accepted: bool,
@@ -415,33 +408,19 @@ struct Node {
 /// A netlist instantiated for the reference sweep
 /// ([`Scheduler::ReferenceSweep`]).
 struct Sweep {
+    net: Netlist,
     nodes: Vec<Node>,
     chans: Vec<Channel>,
-    input_chans: BTreeMap<String, ChanId>,
-    output_chans: BTreeMap<String, ChanId>,
     memory: Memory,
     cfg: SimConfig,
-    /// Raw trace events `(cycle, node index, consumed values)`; node names
-    /// are resolved once at export instead of cloned per fire.
-    trace: Vec<(u64, u32, Vec<Value>)>,
-    /// Per node: does [`SimConfig::trace_nodes`] select it (precomputed so
-    /// the fire path avoids a linear scan).
-    traced: Vec<bool>,
     /// Per node: whether it fired in the current cycle.
     fired: Vec<bool>,
-    /// Per channel: the node that reads it, if any (single-consumer).
-    consumer_of: Vec<Option<u32>>,
-    /// Per channel: the node that writes it, if any (single-producer).
-    producer_of: Vec<Option<u32>>,
     /// Reusable operand buffer for multi-input fires (Comb/Piped), so the
     /// hot path performs no per-fire allocation after warm-up.
     scratch: Vec<Value>,
-    /// The run's observers (metrics, attribution, waveform), armed when
-    /// the run starts and absent when it asks for none.
+    /// The run's observers (metrics, attribution, waveform, node trace),
+    /// armed when the run starts and absent when it asks for none.
     observe: Option<Box<Observers>>,
-    /// Per channel: a human-readable name (`from.port-to.port`, `in.x`,
-    /// `out.y`). Built only when waveforms or attribution need it.
-    chan_names: Vec<String>,
 }
 
 /// The common tag across the front tokens of `ins`, by reference.
@@ -498,54 +477,15 @@ impl Sweep {
     ///
     /// Fails if the graph is incomplete.
     fn new(g: &ExprHigh, memory: Memory, cfg: SimConfig) -> Result<Sweep, SimError> {
-        g.validate().map_err(|e| SimError::BadGraph(e.to_string()))?;
-        // Channel names feed the waveform signal list and the stall
-        // report; skipped entirely on plain runs.
-        let want_names = cfg.waveform || cfg.attribute_stalls;
-        let mut chan_names: Vec<String> = Vec::new();
-        let mut chans: Vec<Channel> = Vec::new();
-        let mut chan_of_out: BTreeMap<graphiti_ir::Endpoint, ChanId> = BTreeMap::new();
-        let mut chan_of_in: BTreeMap<graphiti_ir::Endpoint, ChanId> = BTreeMap::new();
-        for (from, to) in g.edges() {
-            let id = chans.len();
-            chans.push(Channel { cap: 1, q: VecDeque::new() });
-            if want_names {
-                chan_names.push(format!("{}.{}-{}.{}", from.node, from.port, to.node, to.port));
-            }
-            chan_of_out.insert(from.clone(), id);
-            chan_of_in.insert(to.clone(), id);
-        }
-        let mut input_chans = BTreeMap::new();
-        for (name, target) in g.inputs() {
-            let id = chans.len();
-            chans.push(Channel { cap: usize::MAX, q: VecDeque::new() });
-            if want_names {
-                chan_names.push(format!("in.{name}"));
-            }
-            chan_of_in.insert(target.clone(), id);
-            input_chans.insert(name.clone(), id);
-        }
-        let mut output_chans = BTreeMap::new();
-        for (name, source) in g.outputs() {
-            let id = chans.len();
-            chans.push(Channel { cap: usize::MAX, q: VecDeque::new() });
-            if want_names {
-                chan_names.push(format!("out.{name}"));
-            }
-            chan_of_out.insert(source.clone(), id);
-            output_chans.insert(name.clone(), id);
-        }
+        let net = Netlist::new(g)?;
+        let chans = (0..net.chan_count())
+            .map(|c| Channel {
+                cap: if c < net.n_slots { 1 } else { usize::MAX },
+                q: VecDeque::new(),
+            })
+            .collect();
         let mut nodes = Vec::new();
-        for (name, kind) in g.nodes() {
-            let (ins_p, outs_p) = kind.interface();
-            let ins = ins_p
-                .iter()
-                .map(|p| chan_of_in[&graphiti_ir::ep(name.clone(), p.clone())])
-                .collect();
-            let outs = outs_p
-                .iter()
-                .map(|p| chan_of_out[&graphiti_ir::ep(name.clone(), p.clone())])
-                .collect();
+        for (i, (_, kind)) in g.nodes().enumerate() {
             let unit = match kind {
                 CompKind::Fork { .. } => Unit::Fork,
                 CompKind::Join => Unit::Join,
@@ -598,52 +538,23 @@ impl Sweep {
                 }
             };
             nodes.push(Node {
-                name: name.clone(),
                 unit,
-                ins,
-                outs,
+                ins: net.ins(i).collect(),
+                outs: net.outs(i).collect(),
                 accepted: false,
                 emitted: false,
             });
         }
-        // Validate both counts once; every later `as u32` narrowing of an
-        // in-range index is then exact.
-        narrow("node", nodes.len())?;
-        narrow("channel", chans.len())?;
-        let mut consumer_of: Vec<Option<u32>> = vec![None; chans.len()];
-        let mut producer_of: Vec<Option<u32>> = vec![None; chans.len()];
-        for (i, n) in nodes.iter().enumerate() {
-            for &c in &n.ins {
-                consumer_of[c] = Some(i as u32);
-            }
-            for &c in &n.outs {
-                producer_of[c] = Some(i as u32);
-            }
-        }
-        let traced = nodes.iter().map(|n| cfg.trace_nodes.contains(&n.name)).collect();
         Ok(Sweep {
             fired: vec![false; nodes.len()],
+            net,
             nodes,
             chans,
-            input_chans,
-            output_chans,
             memory,
             cfg,
-            trace: Vec::new(),
-            traced,
-            consumer_of,
-            producer_of,
             scratch: Vec::new(),
             observe: None,
-            chan_names,
         })
-    }
-
-    /// Records an acceptance event if the node is traced.
-    fn record(&mut self, i: usize, now: u64, values: Vec<Value>) {
-        if self.traced[i] {
-            self.trace.push((now, i as u32, values));
-        }
     }
 
     fn push(&mut self, chan: ChanId, v: Value) {
@@ -666,8 +577,8 @@ impl Sweep {
         let accepted = self.nodes[i].accepted;
         let emitted = self.nodes[i].emitted;
         // Consumed operand values are only materialised when someone will
-        // look at them — the trace or the observability layer.
-        let want_trace = self.traced[i] || self.observe.as_ref().is_some_and(|o| o.traces(i));
+        // look at them — the node trace or the per-fire trace events.
+        let want_trace = self.observe.as_ref().is_some_and(|o| o.traces(i));
         let flags = StepFlags { accepted, emitted, want_trace };
         let res = self.step_unit(&mut unit, &ins, &outs, now, flags);
         let n = &mut self.nodes[i];
@@ -680,11 +591,8 @@ impl Sweep {
         n.emitted = emitted;
         if fired {
             if let Some(o) = &mut self.observe {
-                o.note_fire(i, traced_values.as_deref());
+                o.note_fire(i, now, traced_values);
             }
-        }
-        if let Some(values) = traced_values {
-            self.record(i, now, values);
         }
         Ok(fired)
     }
@@ -1175,10 +1083,7 @@ impl Sweep {
     /// Fails on memory faults, evaluation faults, or timeout.
     fn run(mut self, feeds: &BTreeMap<String, Vec<Value>>) -> Result<SimResult, SimError> {
         for (name, vals) in feeds {
-            let chan = *self
-                .input_chans
-                .get(name)
-                .ok_or_else(|| SimError::BadGraph(format!("no input named `{name}`")))?;
+            let chan = self.net.input(name)?;
             for v in vals {
                 self.chans[chan].q.push_back(v.clone());
             }
@@ -1254,18 +1159,12 @@ impl Sweep {
         Ok(())
     }
 
-    /// Folds run state into the public [`SimResult`] shape: resolves node
-    /// ids to names (trace events, per-node firings), drains the external
-    /// output channels, and flushes scheduler metrics.
+    /// Folds run state into the public [`SimResult`] shape: names the
+    /// per-node firings, drains the external output channels, and
+    /// finishes the observers.
     fn finish(mut self, st: RunState) -> SimResult {
-        let firings_by_node: BTreeMap<String, u64> = self
-            .nodes
-            .iter()
-            .zip(&st.firings_by_node)
-            .filter(|&(_, &c)| c > 0)
-            .map(|(node, &c)| (node.name.clone(), c))
-            .collect();
-        let (waveform, stalls) = match self.observe.take() {
+        let firings_by_node = self.net.by_name(&st.firings_by_node);
+        let (waveform, stalls, trace) = match self.observe.take() {
             Some(o) => {
                 if o.collects() {
                     for node in &self.nodes {
@@ -1276,24 +1175,16 @@ impl Sweep {
                 }
                 o.finish(&self, st.last_active + 1, &st.firings_by_node, st.examined)
             }
-            None => (None, None),
+            None => (None, None, Vec::new()),
         };
         graphiti_obs::flight::record("sim.finish", || {
             format!("cycles={} firings={}", st.last_active + 1, st.firings)
         });
         let leftover = crate::stall::tokens_in_flight(&self);
-        let output_chans = std::mem::take(&mut self.output_chans);
-        let outputs = output_chans
-            .into_iter()
-            .map(|(name, c)| (name, Vec::from(std::mem::take(&mut self.chans[c].q))))
-            .collect();
-        let trace = std::mem::take(&mut self.trace)
-            .into_iter()
-            .map(|(cycle, i, values)| TraceEvent {
-                cycle,
-                node: self.nodes[i as usize].name.clone(),
-                values,
-            })
+        let outputs = self
+            .net
+            .outputs()
+            .map(|(name, c)| (name.to_string(), Vec::from(std::mem::take(&mut self.chans[c].q))))
             .collect();
         SimResult {
             cycles: st.last_active + 1,
@@ -1310,20 +1201,8 @@ impl Sweep {
 }
 
 impl CircuitView for Sweep {
-    fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn chan_count(&self) -> usize {
-        self.chans.len()
-    }
-
-    fn ins(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        self.nodes[i].ins.iter().copied()
-    }
-
-    fn outs(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        self.nodes[i].outs.iter().copied()
+    fn net(&self) -> &Netlist {
+        &self.net
     }
 
     fn has_token(&self, c: usize) -> bool {
@@ -1336,27 +1215,6 @@ impl CircuitView for Sweep {
 
     fn front_tag(&self, c: usize) -> Option<Tag> {
         self.chans[c].front().and_then(|v| v.untag().0)
-    }
-
-    fn producer(&self, c: usize) -> Option<usize> {
-        self.producer_of[c].map(|j| j as usize)
-    }
-
-    fn consumer(&self, c: usize) -> Option<usize> {
-        self.consumer_of[c].map(|j| j as usize)
-    }
-
-    fn class(&self, i: usize) -> UnitClass {
-        match &self.nodes[i].unit {
-            Unit::Sink => UnitClass::Sink,
-            Unit::Load { .. } => UnitClass::Load,
-            Unit::Store { .. } => UnitClass::Store,
-            Unit::Buffer { slots, .. } => UnitClass::Buffer { slots: *slots },
-            Unit::Piped { .. } | Unit::Pure { .. } => UnitClass::Pipe,
-            Unit::Tagger { .. } => UnitClass::Tagger,
-            Unit::Lsq { .. } => UnitClass::Lsq,
-            _ => UnitClass::Plain,
-        }
     }
 
     fn occupancy(&self, i: usize) -> usize {
@@ -1373,14 +1231,6 @@ impl CircuitView for Sweep {
 
     fn fired(&self, i: usize) -> bool {
         self.fired[i]
-    }
-
-    fn node_name(&self, i: usize) -> &str {
-        &self.nodes[i].name
-    }
-
-    fn chan_name(&self, c: usize) -> &str {
-        &self.chan_names[c]
     }
 
     fn queued(&self, c: usize) -> usize {
@@ -1667,17 +1517,6 @@ mod tests {
         let full = run(Scheduler::Compiled, 1).waveform.unwrap();
         let sampled = run(Scheduler::Compiled, 7).waveform.unwrap();
         assert!(sampled.len() <= full.len());
-    }
-
-    #[test]
-    fn compile_stats_count_the_lowered_circuit() {
-        let mut g = ExprHigh::new();
-        g.add_node("b", CompKind::Buffer { slots: 3, transparent: true }).unwrap();
-        g.expose_input("x", ep("b", "in")).unwrap();
-        g.expose_output("y", ep("b", "out")).unwrap();
-        let stats = crate::CompiledCircuit::new(&g).unwrap().stats();
-        assert_eq!(stats.nodes, 1);
-        assert_eq!(stats.chans, 2, "one input queue, one output queue");
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! waiting predicate, stall-cause attribution, token counts, and the
 //! per-cycle observability metrics.
 //!
-//! Both simulation cores expose their state through `CircuitView` — the
-//! reference sweep its `Value`-shaped channels, the compiled backend its
-//! bit-packed runtime — and are observed through `Observers` at the end
-//! of every active cycle, so each observer below has exactly one
+//! Both simulation cores run on the same `Netlist` and expose their live
+//! state through `CircuitView` — the reference sweep its `Value`-shaped
+//! channels, the compiled backend its bit-packed runtime. Each hands every
+//! fire to `Observers` and runs it at the end of every active cycle, so
+//! each observer below, the node trace included, has exactly one
 //! implementation and the cores agree on what they observe by
 //! construction.
 //!
@@ -30,7 +31,8 @@
 //! split equals the counters and the per-cause counters sum to their
 //! total by construction — a property the test suite pins.
 
-use crate::sim::SimConfig;
+use crate::netlist::Netlist;
+use crate::sim::{SimConfig, TraceEvent};
 use crate::wave::WaveRecorder;
 use graphiti_ir::{Tag, Value};
 use std::collections::{BTreeMap, VecDeque};
@@ -257,18 +259,12 @@ pub(crate) enum UnitClass {
 
 /// Read-only access to a running circuit's state. The reference sweep and
 /// the compiled backend's runtime each implement it, and every observer in
-/// this module is written once against it. Node and channel indices
-/// coincide across the cores.
+/// this module is written once against it. Both cores run on the same
+/// [`Netlist`], so its node and channel indices, names and wiring mean
+/// the same thing in either; the trait adds only the live state.
 pub(crate) trait CircuitView {
-    /// Number of nodes.
-    fn node_count(&self) -> usize;
-    /// Number of channels (one-slot latches, then external inputs, then
-    /// external outputs).
-    fn chan_count(&self) -> usize;
-    /// Input channels of node `i`, in port order.
-    fn ins(&self, i: usize) -> impl Iterator<Item = usize> + '_;
-    /// Output channels of node `i`, in port order.
-    fn outs(&self, i: usize) -> impl Iterator<Item = usize> + '_;
+    /// The circuit's layout.
+    fn net(&self) -> &Netlist;
     /// Whether channel `c` holds a token.
     fn has_token(&self, c: usize) -> bool;
     /// Whether channel `c` can accept a token (external queues always
@@ -276,21 +272,11 @@ pub(crate) trait CircuitView {
     fn has_space(&self, c: usize) -> bool;
     /// The tag of channel `c`'s front token (`None`: vacant or untagged).
     fn front_tag(&self, c: usize) -> Option<Tag>;
-    /// The node writing channel `c` (`None`: an external input).
-    fn producer(&self, c: usize) -> Option<usize>;
-    /// The node reading channel `c` (`None`: an external output).
-    fn consumer(&self, c: usize) -> Option<usize>;
-    /// The class of node `i`.
-    fn class(&self, i: usize) -> UnitClass;
     /// Tokens held in node `i`'s internal queue (pipeline, buffer, tagger
     /// window; 0 for units without one).
     fn occupancy(&self, i: usize) -> usize;
     /// Whether node `i` fired in the cycle being observed.
     fn fired(&self, i: usize) -> bool;
-    /// Name of node `i`.
-    fn node_name(&self, i: usize) -> &str;
-    /// Name of channel `c` (`from.port-to.port`, `in.x`, `out.y`).
-    fn chan_name(&self, c: usize) -> &str;
     /// Tokens queued on channel `c` (0 or 1 on a one-slot latch).
     fn queued(&self, c: usize) -> usize;
 }
@@ -311,7 +297,7 @@ fn waiting(v: &impl CircuitView, i: usize) -> Option<Waiting> {
         return None;
     }
     let (mut ins, mut ready) = (0, 0);
-    for c in v.ins(i) {
+    for c in v.net().ins(i) {
         ins += 1;
         ready += usize::from(v.has_token(c));
     }
@@ -335,20 +321,21 @@ fn walk(v: &impl CircuitView, start: usize, w: Waiting, ss: &mut StallState) -> 
         Waiting::Stalled => StallCause::BlockedDownstream,
         Waiting::Starved => StallCause::StarvedUpstream,
     };
+    let net = v.net();
     ss.epoch += 1;
     ss.path.clear();
     ss.visited[start] = ss.epoch;
     let mut cur = start;
     loop {
         let next = match w {
-            Waiting::Stalled => v.outs(cur).find(|&c| !v.has_space(c)),
-            Waiting::Starved => v.ins(cur).find(|&c| !v.has_token(c)),
+            Waiting::Stalled => net.outs(cur).find(|&c| !v.has_space(c)),
+            Waiting::Starved => net.ins(cur).find(|&c| !v.has_token(c)),
         };
         let Some(c) = next else { return stuck };
         ss.path.push(c as u32);
         let j = match w {
-            Waiting::Stalled => v.consumer(c),
-            Waiting::Starved => v.producer(c),
+            Waiting::Stalled => net.consumer(c),
+            Waiting::Starved => net.producer(c),
         };
         let Some(j) = j else {
             // Downstream: an external output never blocks, so this is
@@ -359,7 +346,7 @@ fn walk(v: &impl CircuitView, start: usize, w: Waiting, ss: &mut StallState) -> 
             };
         };
         let held = v.occupancy(j);
-        let root = match (w, v.class(j)) {
+        let root = match (w, net.class(j)) {
             (Waiting::Stalled, UnitClass::Sink) => Some(StallCause::BlockedBySink),
             (Waiting::Stalled, UnitClass::Lsq) => Some(StallCause::LsqOrdering),
             (Waiting::Stalled, UnitClass::Store | UnitClass::Load) => {
@@ -391,7 +378,7 @@ fn walk(v: &impl CircuitView, start: usize, w: Waiting, ss: &mut StallState) -> 
 /// One end-of-cycle attribution pass: classifies every waiting node-cycle
 /// by walking its blockage chain (DESIGN.md §3.8).
 fn attribute_cycle(v: &impl CircuitView, ss: &mut StallState) {
-    for i in 0..v.node_count() {
+    for i in 0..v.net().node_count() {
         if let Some(w) = waiting(v, i) {
             let cause = walk(v, i, w, ss);
             ss.record(i, w, cause);
@@ -403,9 +390,10 @@ fn attribute_cycle(v: &impl CircuitView, ss: &mut StallState) {
 /// external input queues, latency pipelines, buffers, and tagger windows.
 /// At the end of a run this is the leftover count.
 pub(crate) fn tokens_in_flight(v: &impl CircuitView) -> usize {
+    let net = v.net();
     let chans: usize =
-        (0..v.chan_count()).filter(|&c| v.consumer(c).is_some()).map(|c| v.queued(c)).sum();
-    chans + (0..v.node_count()).map(|i| v.occupancy(i)).sum::<usize>()
+        (0..net.chan_count()).filter(|&c| net.consumer(c).is_some()).map(|c| v.queued(c)).sum();
+    chans + (0..net.node_count()).map(|i| v.occupancy(i)).sum::<usize>()
 }
 
 /// Upper bound on distinct chains kept (beyond it, lost cycles are still
@@ -474,8 +462,8 @@ impl StallState {
     }
 
     /// Folds the state into the public report, resolving ids to the
-    /// view's names.
-    fn finish(self, v: &impl CircuitView) -> StallReport {
+    /// netlist's names.
+    fn finish(self, net: &Netlist) -> StallReport {
         let mut by_node = BTreeMap::new();
         let (mut stall_cycles, mut starved_cycles) = (0u64, 0u64);
         for (i, causes) in self.node_causes.iter().enumerate() {
@@ -490,7 +478,7 @@ impl StallState {
                 .map(|&c| (c, causes[c.index()]))
                 .collect();
             by_node.insert(
-                v.node_name(i).to_string(),
+                net.node_name(i).to_string(),
                 NodeWaitStats {
                     stalled: self.node_stalled[i],
                     starved: self.node_starved[i],
@@ -503,7 +491,7 @@ impl StallState {
             .iter()
             .enumerate()
             .filter(|&(_, &n)| n > 0)
-            .map(|(c, &n)| (v.chan_name(c).to_string(), n))
+            .map(|(c, &n)| (net.chan_name(c).to_string(), n))
             .collect();
         channels.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         let mut chains: Vec<StallChain> = self
@@ -511,7 +499,7 @@ impl StallState {
             .into_iter()
             .map(|((cause, path), lost)| StallChain {
                 cause: STALL_CAUSES[cause as usize],
-                path: path.iter().map(|&c| v.chan_name(c as usize).to_string()).collect(),
+                path: path.iter().map(|&c| net.chan_name(c as usize).to_string()).collect(),
                 lost_cycles: lost,
             })
             .collect();
@@ -527,10 +515,11 @@ impl StallState {
     }
 }
 
-/// Everything one run observes, shared by both cores and run at the end of
-/// every active cycle over the core's live state: the metrics (when
-/// `graphiti-obs` collection is enabled), stall attribution, and waveform
-/// capture. A run that asks for none of them builds none of it.
+/// Everything one run observes, shared by both cores: the metrics (when
+/// `graphiti-obs` collection is enabled), stall attribution, waveform
+/// capture, and the node trace. Each core hands it every fire while it
+/// notes fires, and runs it at the end of every active cycle over the
+/// core's live state. A run that asks for none of them builds none of it.
 pub(crate) struct Observers {
     /// Metric handles, present iff collection is enabled.
     obs: Option<SimObs>,
@@ -538,6 +527,9 @@ pub(crate) struct Observers {
     stall: Option<StallState>,
     /// Waveform recorder, present iff [`SimConfig::waveform`].
     wave: Option<WaveRecorder>,
+    /// The acceptance trace, present iff [`SimConfig::trace_nodes`] lists
+    /// a node.
+    trace: Option<NodeTrace>,
     /// Waveform sampling stride ([`SimConfig::wave_stride`]).
     stride: u64,
     /// Active cycles observed so far (the sampling phase; idle
@@ -549,31 +541,48 @@ impl Observers {
     /// Arms what `cfg` asks for over the circuit behind `v` — `None` when
     /// it asks for nothing. Call after the external inputs are fed.
     pub(crate) fn arm(v: &impl CircuitView, cfg: &SimConfig) -> Option<Box<Observers>> {
+        let net = v.net();
         let obs = graphiti_obs::enabled().then(|| SimObs::new(v, &cfg.trace_nodes));
-        let stall = cfg.attribute_stalls.then(|| StallState::new(v.node_count(), v.chan_count()));
-        let wave = cfg.waveform.then(|| WaveRecorder::new(v, &cfg.trace_nodes));
-        (obs.is_some() || stall.is_some() || wave.is_some()).then(|| {
-            Box::new(Observers { obs, stall, wave, stride: cfg.wave_stride(), actives: 0 })
+        let stall =
+            cfg.attribute_stalls.then(|| StallState::new(net.node_count(), net.chan_count()));
+        let wave = cfg.waveform.then(|| WaveRecorder::new(net, &cfg.trace_nodes));
+        let trace = (!cfg.trace_nodes.is_empty())
+            .then(|| NodeTrace { listed: net.listed(&cfg.trace_nodes), events: Vec::new() });
+        (obs.is_some() || stall.is_some() || wave.is_some() || trace.is_some()).then(|| {
+            Box::new(Observers { obs, stall, wave, trace, stride: cfg.wave_stride(), actives: 0 })
         })
     }
 
-    /// Whether metrics are collected (so every fire is worth noting).
+    /// Whether metrics are collected (so the store-queue tallies are
+    /// worth flushing).
     pub(crate) fn collects(&self) -> bool {
         self.obs.is_some()
     }
 
-    /// Whether node `i`'s fires are traced (so its consumed operand values
-    /// are worth capturing).
+    /// Whether fires are worth noting: metrics count them, or the node
+    /// trace records them.
+    pub(crate) fn notes_fires(&self) -> bool {
+        self.obs.is_some() || self.trace.is_some()
+    }
+
+    /// Whether node `i`'s fires are traced, as trace events or in the node
+    /// trace (so its consumed operand values are worth capturing).
     #[inline]
     pub(crate) fn traces(&self, i: usize) -> bool {
         self.obs.as_ref().is_some_and(|o| o.trace_node[i])
+            || self.trace.as_ref().is_some_and(|t| t.listed[i])
     }
 
-    /// Notes one fire of node `i`, with the operand values it consumed if
-    /// the core captured them.
-    pub(crate) fn note_fire(&mut self, i: usize, values: Option<&[Value]>) {
+    /// Notes one fire of node `i` in cycle `now`, with the operand values
+    /// it consumed if the core captured them.
+    pub(crate) fn note_fire(&mut self, i: usize, now: u64, values: Option<Vec<Value>>) {
         if let Some(obs) = &mut self.obs {
-            obs.note_fire(i, values);
+            obs.note_fire(i, values.as_deref());
+        }
+        if let (Some(t), Some(values)) = (&mut self.trace, values) {
+            if t.listed[i] {
+                t.events.push((now, i as u32, values));
+            }
         }
     }
 
@@ -595,22 +604,39 @@ impl Observers {
         self.actives += 1;
     }
 
-    /// Renders the waveform and stall report, and flushes the run totals
-    /// (see [`SimObs::finish`]).
+    /// Renders the waveform, the stall report and the node trace, and
+    /// flushes the run totals (see [`SimObs::finish`]).
     pub(crate) fn finish(
         self,
         v: &impl CircuitView,
         cycles: u64,
         firings_by_node: &[u64],
         examined: u64,
-    ) -> (Option<String>, Option<StallReport>) {
+    ) -> (Option<String>, Option<StallReport>, Vec<TraceEvent>) {
+        let net = v.net();
         let waveform = self.wave.map(WaveRecorder::finish);
-        let stalls = self.stall.map(|ss| ss.finish(v));
+        let stalls = self.stall.map(|ss| ss.finish(net));
         if let Some(obs) = &self.obs {
             obs.finish(cycles, firings_by_node, examined, stalls.as_ref());
         }
-        (waveform, stalls)
+        let trace = self.trace.map_or_else(Vec::new, |t| {
+            let name = |i: u32| net.node_name(i as usize).to_string();
+            t.events
+                .into_iter()
+                .map(|(cycle, i, values)| TraceEvent { cycle, node: name(i), values })
+                .collect()
+        });
+        (waveform, stalls, trace)
     }
+}
+
+/// The acceptance trace of one run: every fire of a listed node that
+/// consumed operand values, in firing order.
+struct NodeTrace {
+    /// Per node: whether [`SimConfig::trace_nodes`] lists it.
+    listed: Vec<bool>,
+    /// `(cycle, node, consumed values)`, named at finish.
+    events: Vec<(u64, u32, Vec<Value>)>,
 }
 
 /// Metric handles and per-run state of one instrumented run.
@@ -654,34 +680,33 @@ impl SimObs {
     /// registry pass per run instead of one name format and lock per
     /// metric event.
     fn new(v: &impl CircuitView, trace_nodes: &[String]) -> SimObs {
-        let nodes = 0..v.node_count();
-        let trace_node = nodes
-            .clone()
-            .map(|i| trace_nodes.is_empty() || trace_nodes.iter().any(|t| t == v.node_name(i)))
-            .collect();
+        let net = v.net();
+        let nodes = 0..net.node_count();
+        let trace_node = net.listed(trace_nodes);
         let occupancy = nodes
             .clone()
             .map(|i| {
                 let queued =
-                    !matches!(v.class(i), UnitClass::Sink | UnitClass::Store | UnitClass::Plain);
+                    !matches!(net.class(i), UnitClass::Sink | UnitClass::Store | UnitClass::Plain);
                 queued.then(|| {
-                    graphiti_obs::histogram(&format!("sim.buf_occupancy.{}", v.node_name(i)))
+                    graphiti_obs::histogram(&format!("sim.buf_occupancy.{}", net.node_name(i)))
                 })
             })
             .collect();
         let stall_by_node = nodes
             .clone()
-            .map(|i| graphiti_obs::counter(&format!("sim.stall_cycles.{}", v.node_name(i))))
+            .map(|i| graphiti_obs::counter(&format!("sim.stall_cycles.{}", net.node_name(i))))
             .collect();
-        let fire_by_node =
-            nodes.map(|i| graphiti_obs::counter(&format!("sim.fire.{}", v.node_name(i)))).collect();
+        let fire_by_node = nodes
+            .map(|i| graphiti_obs::counter(&format!("sim.fire.{}", net.node_name(i))))
+            .collect();
         let stall_cause = STALL_CAUSES
             .iter()
             .map(|c| graphiti_obs::counter(&format!("sim.stall_cause.{c}")))
             .collect();
-        let chans = 0..v.chan_count();
-        let inputs: Vec<usize> = chans.clone().filter(|&c| v.producer(c).is_none()).collect();
-        let outputs: Vec<usize> = chans.filter(|&c| v.consumer(c).is_none()).collect();
+        let chans = 0..net.chan_count();
+        let inputs: Vec<usize> = chans.clone().filter(|&c| net.producer(c).is_none()).collect();
+        let outputs: Vec<usize> = chans.filter(|&c| net.consumer(c).is_none()).collect();
         SimObs {
             trace_node,
             occupancy,
@@ -719,14 +744,14 @@ impl SimObs {
             graphiti_obs::emit_complete(
                 graphiti_obs::PID_SIM,
                 i as u32,
-                v.node_name(i),
+                v.net().node_name(i),
                 now,
                 1,
                 args,
             );
         }
         self.sched_examined.record(examined);
-        for i in 0..v.node_count() {
+        for i in 0..v.net().node_count() {
             if let Some(h) = &self.occupancy[i] {
                 h.record(v.occupancy(i) as u64);
             }

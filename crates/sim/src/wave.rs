@@ -5,9 +5,11 @@
 //! `<name>.tag` (the front token's tag, `x` when absent or untagged).
 //! Capture happens once per *active* cycle at the post-fixpoint channel
 //! state, read through [`CircuitView`]; both simulation cores reach that
-//! state identically, so their dumps are byte-identical. Idle stretches
-//! change no channel, so the change-based writer skips them for free.
+//! state identically and name their channels from the same [`Netlist`],
+//! so their dumps are byte-identical. Idle stretches change no channel,
+//! so the change-based writer skips them for free.
 
+use crate::netlist::Netlist;
 use crate::stall::CircuitView;
 use graphiti_ir::Tag;
 use graphiti_obs::vcd::{SignalId, VcdValue, VcdWriter};
@@ -21,21 +23,18 @@ pub(crate) struct WaveRecorder {
 }
 
 impl WaveRecorder {
-    /// Declares the three wires of every channel of `v` — or, under a
+    /// Declares the three wires of every channel of `net` — or, under a
     /// non-empty `trace_nodes` filter, of every channel touching a listed
     /// node.
-    pub(crate) fn new(v: &impl CircuitView, trace_nodes: &[String]) -> WaveRecorder {
+    pub(crate) fn new(net: &Netlist, trace_nodes: &[String]) -> WaveRecorder {
         let mut writer = VcdWriter::new();
-        let chans = (0..v.chan_count())
+        let listed = net.listed(trace_nodes);
+        let chans = (0..net.chan_count())
             .filter(|&c| {
-                trace_nodes.is_empty()
-                    || [v.producer(c), v.consumer(c)]
-                        .into_iter()
-                        .flatten()
-                        .any(|j| trace_nodes.iter().any(|t| t == v.node_name(j)))
+                [net.producer(c), net.consumer(c)].into_iter().flatten().any(|j| listed[j])
             })
             .map(|c| {
-                let name = v.chan_name(c);
+                let name = net.chan_name(c);
                 let valid = writer.add_wire(&format!("{name}.valid"), 1);
                 let ready = writer.add_wire(&format!("{name}.ready"), 1);
                 let tag = writer.add_wire(&format!("{name}.tag"), Tag::BITS);

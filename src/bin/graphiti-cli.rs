@@ -46,9 +46,11 @@
 //! * `--vcd-out FILE` simulates each kernel with waveform capture and
 //!   writes a VCD document (openable in GTKWave/Surfer); with several
 //!   kernels the kernel name is inserted before the file name's extension.
-//! * `--trace-nodes a,b,c` narrows both the acceptance trace and the
-//!   captured waveform signals to channels touching the listed nodes; a
-//!   listed name that is no node of any placed kernel is an error.
+//! * `--trace-nodes a,b,c` narrows the captured waveform signals to
+//!   channels touching the listed nodes, and a `--trace-out` trace's
+//!   per-fire simulator events to the listed nodes. A run that writes
+//!   neither (or a `profile` run) rejects the flag, and a listed name
+//!   that is no node of any placed kernel is an error.
 //! * `explain-stalls` simulates each kernel with stall attribution and
 //!   prints the top-K blockage chains with per-cause breakdowns
 //!   (`--top K`, default 10) instead of dot output.
@@ -259,6 +261,12 @@ fn parse_args() -> Result<Args, String> {
     if (args.vcd_out.is_some() || args.mode == Mode::ExplainStalls) && !args.compile {
         return Err("waveforms and stall attribution need a `.gsl` program (compile mode): \
                     dot circuits carry no input arrays to simulate"
+            .to_string());
+    }
+    let narrowed = args.compile && (args.vcd_out.is_some() || args.trace_out.is_some());
+    if !args.trace_nodes.is_empty() && (args.mode == Mode::Profile || !narrowed) {
+        return Err("--trace-nodes narrows only a compile-mode run's `--vcd-out` waveform or \
+                    `--trace-out` simulator events, and this run writes neither"
             .to_string());
     }
     if args.metrics_out.is_some() || args.trace_out.is_some() {

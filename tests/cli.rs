@@ -281,6 +281,31 @@ fn cli_trace_nodes_rejects_names_that_are_no_node() {
 }
 
 #[test]
+fn cli_trace_nodes_needs_a_waveform_or_trace_to_narrow() {
+    // The list narrows only a `--vcd-out` waveform and a `--trace-out`
+    // trace's simulator events, so a run that writes neither rejects it
+    // instead of ignoring it.
+    let dir = std::env::temp_dir().join(format!("graphiti_cli_tn_none_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let gsl = dir.join("tiny.gsl");
+    std::fs::write(&gsl, GCD_PROGRAM.replace(" ooo tags 4", "")).unwrap();
+    let gsl = gsl.to_str().unwrap();
+    for args in [
+        &[gsl, "--trace-nodes", "mux2"][..],
+        &["explain-stalls", gsl, "--trace-nodes", "mux2"],
+        &["profile", gsl, "--trace-nodes", "mux2"],
+    ] {
+        let (_, stderr, ok) = run_cli("", args);
+        assert!(!ok, "{args:?} must fail: {stderr}");
+        assert!(
+            stderr.contains("--vcd-out") && stderr.contains("--trace-out"),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn cli_vcd_out_names_each_kernel_in_the_file_name_only() {
     let dir = std::env::temp_dir().join(format!("graphiti_cli_vcd_multi_{}", std::process::id()));
     let dotted = dir.join("build.d");
