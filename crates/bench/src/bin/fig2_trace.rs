@@ -70,13 +70,16 @@ fn mod_node(g: &ExprHigh) -> String {
         .expect("circuit has a modulo unit")
 }
 
+/// The cycle count and the modulo unit's acceptances: its fires that
+/// consumed operands (the node trace also records the fires that only
+/// emit a result).
 fn run_traced(g: &ExprHigh, arrays: &graphiti_sim::Memory) -> (u64, Vec<TraceEvent>) {
     let (placed, _) = place_buffers(g);
     let cfg = SimConfig { trace_nodes: vec![mod_node(&placed)], ..Default::default() };
     let feeds: BTreeMap<String, Vec<Value>> =
         [("start".to_string(), vec![Value::Unit])].into_iter().collect();
     let r = simulate(&placed, &feeds, arrays.clone(), cfg).expect("simulates");
-    (r.cycles, r.trace)
+    (r.cycles, r.trace.into_iter().filter(|e| !e.values.is_empty()).collect())
 }
 
 /// Which GCD instance a modulo acceptance belongs to: the tag when present,

@@ -27,9 +27,9 @@ fn seven_kernels() -> Vec<Program> {
     v
 }
 
-/// Runs one kernel from a fresh registry and returns its result, its
-/// `sim.*` metric lines (backend facts excluded), and its `PID_SIM`
-/// events.
+/// Runs one kernel from a fresh registry, with every node listed so that
+/// each fire is a `PID_SIM` slice, and returns its result, its `sim.*`
+/// metric lines (backend facts excluded), and its `PID_SIM` events.
 fn observe(
     g: &graphiti_ir::ExprHigh,
     mem: graphiti_frontend::Memory,
@@ -38,7 +38,12 @@ fn observe(
     graphiti_obs::reset();
     let feeds: BTreeMap<String, Vec<Value>> =
         [("start".to_string(), vec![Value::Unit])].into_iter().collect();
-    let cfg = SimConfig { scheduler, attribute_stalls: true, ..SimConfig::default() };
+    let cfg = SimConfig {
+        scheduler,
+        attribute_stalls: true,
+        trace_nodes: g.nodes().map(|(name, _)| name.clone()).collect(),
+        ..SimConfig::default()
+    };
     let r = simulate(g, &feeds, mem, cfg).expect("simulation succeeds");
     // One metric per line in the JSON export; the separator comma
     // depends on the neighbouring metric, so it is stripped.
@@ -85,7 +90,7 @@ fn compiled_core_mints_the_sweeps_metrics_and_trace_events() {
                  compiled only: {only_compiled:#?}"
             );
             assert_eq!(sw_metrics, co_metrics, "{what}: metric order differs");
-            assert!(!sw_events.is_empty(), "{what}: no per-fire trace events");
+            assert_eq!(sw_events.len() as u64, sw.firings, "{what}: one slice per fire");
             assert_eq!(sw_events.len(), co_events.len(), "{what}: trace event counts differ");
             assert_eq!(sw_events, co_events, "{what}: PID_SIM trace events differ");
             mem = sw.memory;

@@ -61,7 +61,7 @@ fn assert_observations_agree(
     assert_eq!(sw.waveform, co.waveform, "{what}: VCD documents differ");
     assert_eq!(sw.stalls, co.stalls, "{what}: stall reports differ");
     assert_eq!(sw.trace, co.trace, "{what}: node traces differ");
-    assert!(!co.trace.is_empty(), "{what}: the loop-index compare alone traces events");
+    assert_eq!(co.trace.len() as u64, co.firings, "{what}: one node-trace event per fire");
     let report = co.stalls.as_ref().expect("attribution requested");
     assert_eq!(
         report.cause_totals().values().sum::<u64>(),
@@ -253,6 +253,7 @@ proptest! {
         prop_assert_eq!(&swo.waveform, &coo.waveform);
         prop_assert_eq!(&swo.stalls, &coo.stalls);
         prop_assert_eq!(&swo.trace, &coo.trace);
+        prop_assert_eq!(swo.trace.len() as u64, swo.firings);
         // And the compiled run is still *correct*, not just consistent.
         let expected = run_program(&p).unwrap();
         prop_assert_eq!(&co.memory["out"], &expected["out"]);

@@ -5,7 +5,9 @@
 //! * it is substantially faster when the inner loop's latency can be
 //!   overlapped across outer iterations,
 //! * impure loop bodies are refused (the bicg case) while the unverified
-//!   DF-OoO transformation proceeds — and corrupts memory ordering,
+//!   DF-OoO transformation proceeds; its stores still commit in program
+//!   order through the in-order store queue, so no run here shows the
+//!   paper's memory corruption,
 //! * on every loop it transforms, the verified flow builds the DF-OoO
 //!   circuit up to node names.
 
@@ -248,12 +250,9 @@ fn unverified_dfooo_transforms_the_impure_loop() {
     // The unverified transformation goes ahead...
     let g2 = dfooo_loop(&kc.graph, &kc.inner_init, &opts).unwrap();
     assert!(g2.nodes().any(|(_, k)| matches!(k, graphiti_ir::CompKind::TaggerUntagger { .. })));
-    // ...and the resulting circuit still runs; whether its memory matches
-    // the reference depends on the schedule — the bug is that nothing
-    // forbids the mismatch. We check that the q accumulation (pure part)
-    // still matches while noting the s array may differ; on this determinate
-    // simulator the interleaving does reorder stores across outer
-    // iterations whenever several are in flight.
+    // ...and the resulting circuit still runs. Nothing in the
+    // transformation forbids a store reordering; only the pure part, the
+    // q accumulation, is asserted to match the reference here.
     let expected = run_program(&p).unwrap();
     let r = run_graph(&g2, p.arrays.clone());
     assert_eq!(r.memory["qout"], expected["qout"], "pure accumulation is unaffected");

@@ -267,11 +267,10 @@ fn registry() -> MutexGuard<'static, BTreeMap<String, Metric>> {
 }
 
 /// First-mint schema gate: a name entering the registry must be declared
-/// in [`schema::SCHEMA`] (when enforcement is on — see
-/// [`schema::enforcing`]). Only called on the insert path, so steady-state
+/// in [`schema::SCHEMA`]. Only called on the insert path, so steady-state
 /// lookups of existing metrics never touch the schema.
 fn check_schema(reg: &BTreeMap<String, Metric>, name: &str, kind: schema::MetricKind) {
-    if !reg.contains_key(name) && schema::enforcing() {
+    if !reg.contains_key(name) {
         if let Err(e) = schema::validate(name, kind) {
             panic!("graphiti-obs: {e}");
         }
@@ -283,8 +282,7 @@ fn check_schema(reg: &BTreeMap<String, Metric>, name: &str, kind: schema::Metric
 /// # Panics
 ///
 /// Panics if `name` is already registered as a different metric kind, or
-/// (when [`schema::enforcing`]) on first mint of a name the schema does
-/// not declare as a counter.
+/// on first mint of a name the schema does not declare as a counter.
 pub fn counter(name: &str) -> Counter {
     let mut reg = registry();
     check_schema(&reg, name, schema::MetricKind::Counter);
@@ -302,8 +300,7 @@ pub fn counter(name: &str) -> Counter {
 /// # Panics
 ///
 /// Panics if `name` is already registered as a different metric kind, or
-/// (when [`schema::enforcing`]) on first mint of a name the schema does
-/// not declare as a gauge.
+/// on first mint of a name the schema does not declare as a gauge.
 pub fn gauge(name: &str) -> Gauge {
     let mut reg = registry();
     check_schema(&reg, name, schema::MetricKind::Gauge);
@@ -321,8 +318,7 @@ pub fn gauge(name: &str) -> Gauge {
 /// # Panics
 ///
 /// Panics if `name` is already registered as a different metric kind, or
-/// (when [`schema::enforcing`]) on first mint of a name the schema does
-/// not declare as a histogram.
+/// on first mint of a name the schema does not declare as a histogram.
 pub fn histogram(name: &str) -> Histogram {
     let mut reg = registry();
     check_schema(&reg, name, schema::MetricKind::Histogram);

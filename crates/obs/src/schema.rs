@@ -16,10 +16,9 @@
 //! moving any other value needs a baseline update in the same PR.
 //!
 //! Enforcement: [`crate::counter`] / [`crate::gauge`] / [`crate::histogram`]
-//! validate a name against the schema the *first* time it is minted (debug
-//! builds always; release builds when `GRAPHITI_OBS_STRICT=1`, which CI
-//! sets). An undeclared name, or a declared name requested with the wrong
-//! kind, is an error — a panic at the offending call site.
+//! validate a name against the schema the *first* time it is minted, in
+//! every build. An undeclared name, or a declared name requested with the
+//! wrong kind, is an error — a panic at the offending call site.
 //!
 //! Dynamic name families (`sim.fire.<node>`, `span.<name>.us`, …) are
 //! declared with a single `*` wildcard that matches any non-empty
@@ -381,17 +380,6 @@ pub fn validate(name: &str, kind: MetricKind) -> Result<(), SchemaError> {
             declared: spec.kind,
         }),
         Some(_) => Ok(()),
-    }
-}
-
-/// Whether first-mint validation is active: always in debug builds,
-/// opt-in via `GRAPHITI_OBS_STRICT=1` elsewhere (CI sets it), opt-out via
-/// `GRAPHITI_OBS_STRICT=0`.
-pub fn enforcing() -> bool {
-    match std::env::var("GRAPHITI_OBS_STRICT") {
-        Ok(v) if v == "0" => false,
-        Ok(v) if !v.is_empty() => true,
-        _ => cfg!(debug_assertions),
     }
 }
 

@@ -185,7 +185,7 @@ impl Rt {
     }
 
     /// Whether a fire of node `i` should capture the operand values it
-    /// consumes (for the node trace or the per-fire trace events).
+    /// consumes (the node trace records its fires).
     #[inline]
     pub(super) fn captures(&self, i: u32) -> bool {
         self.observing && self.observe.as_ref().is_some_and(|o| o.traces(i as usize))

@@ -74,11 +74,11 @@ pub enum Scheduler {
 pub struct SimConfig {
     /// Abort after this many cycles.
     pub max_cycles: u64,
-    /// Record per-cycle acceptance events for these components in
-    /// [`SimResult::trace`] (empty: no tracing). Used to regenerate
-    /// execution traces like the paper's Fig. 2d/2e. When `graphiti-obs`
-    /// collection is enabled, the same list filters which components emit
-    /// per-fire Chrome trace events (empty: all components).
+    /// Record every fire of these components in [`SimResult::trace`]
+    /// (empty: no per-fire record at all). Used to regenerate execution
+    /// traces like the paper's Fig. 2d/2e. When `graphiti-obs` collection
+    /// is enabled, each recorded fire is also a Chrome trace slice on the
+    /// simulated-time track.
     pub trace_nodes: Vec<String>,
     /// Scheduling core (compiled by default).
     pub scheduler: Scheduler,
@@ -218,8 +218,8 @@ pub struct SimResult {
     pub leftover_tokens: usize,
     /// Firings per component (utilization profile).
     pub firings_by_node: BTreeMap<String, u64>,
-    /// Recorded trace events `(cycle, node, consumed values)` for the
-    /// components listed in [`SimConfig::trace_nodes`].
+    /// Every fire of the components listed in [`SimConfig::trace_nodes`],
+    /// in firing order.
     pub trace: Vec<TraceEvent>,
     /// The rendered VCD waveform (present iff [`SimConfig::waveform`]).
     pub waveform: Option<String>,
@@ -228,15 +228,16 @@ pub struct SimResult {
     pub stalls: Option<StallReport>,
 }
 
-/// One recorded acceptance: a traced component consumed these input values
-/// in this cycle.
+/// One recorded fire of a traced component.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Cycle of the acceptance.
+    /// Cycle of the fire.
     pub cycle: u64,
     /// Component name.
     pub node: String,
-    /// The values consumed (one per input port, in port order).
+    /// The operand values the fire consumed, one per input port in port
+    /// order. Only operator fires that accept operands capture them; every
+    /// other fire has none.
     pub values: Vec<Value>,
 }
 
@@ -576,8 +577,8 @@ impl Sweep {
         let mut unit = std::mem::replace(&mut self.nodes[i].unit, Unit::Sink);
         let accepted = self.nodes[i].accepted;
         let emitted = self.nodes[i].emitted;
-        // Consumed operand values are only materialised when someone will
-        // look at them — the node trace or the per-fire trace events.
+        // Consumed operand values are only materialised when the node
+        // trace records this node's fires.
         let want_trace = self.observe.as_ref().is_some_and(|o| o.traces(i));
         let flags = StepFlags { accepted, emitted, want_trace };
         let res = self.step_unit(&mut unit, &ins, &outs, now, flags);

@@ -527,7 +527,7 @@ pub(crate) struct Observers {
     stall: Option<StallState>,
     /// Waveform recorder, present iff [`SimConfig::waveform`].
     wave: Option<WaveRecorder>,
-    /// The acceptance trace, present iff [`SimConfig::trace_nodes`] lists
+    /// The per-fire record, present iff [`SimConfig::trace_nodes`] lists
     /// a node.
     trace: Option<NodeTrace>,
     /// Waveform sampling stride ([`SimConfig::wave_stride`]).
@@ -542,12 +542,15 @@ impl Observers {
     /// it asks for nothing. Call after the external inputs are fed.
     pub(crate) fn arm(v: &impl CircuitView, cfg: &SimConfig) -> Option<Box<Observers>> {
         let net = v.net();
-        let obs = graphiti_obs::enabled().then(|| SimObs::new(v, &cfg.trace_nodes));
+        let obs = graphiti_obs::enabled().then(|| SimObs::new(v));
         let stall =
             cfg.attribute_stalls.then(|| StallState::new(net.node_count(), net.chan_count()));
         let wave = cfg.waveform.then(|| WaveRecorder::new(net, &cfg.trace_nodes));
-        let trace = (!cfg.trace_nodes.is_empty())
-            .then(|| NodeTrace { listed: net.listed(&cfg.trace_nodes), events: Vec::new() });
+        let trace = (!cfg.trace_nodes.is_empty()).then(|| NodeTrace {
+            listed: net.listed(&cfg.trace_nodes),
+            events: Vec::new(),
+            emitted: graphiti_obs::enabled().then_some(0),
+        });
         (obs.is_some() || stall.is_some() || wave.is_some() || trace.is_some()).then(|| {
             Box::new(Observers { obs, stall, wave, trace, stride: cfg.wave_stride(), actives: 0 })
         })
@@ -559,29 +562,24 @@ impl Observers {
         self.obs.is_some()
     }
 
-    /// Whether fires are worth noting: metrics count them, or the node
-    /// trace records them.
+    /// Whether fires are worth noting: only the node trace records them.
     pub(crate) fn notes_fires(&self) -> bool {
-        self.obs.is_some() || self.trace.is_some()
+        self.trace.is_some()
     }
 
-    /// Whether node `i`'s fires are traced, as trace events or in the node
-    /// trace (so its consumed operand values are worth capturing).
+    /// Whether node `i`'s fires are recorded (so its consumed operand
+    /// values are worth capturing).
     #[inline]
     pub(crate) fn traces(&self, i: usize) -> bool {
-        self.obs.as_ref().is_some_and(|o| o.trace_node[i])
-            || self.trace.as_ref().is_some_and(|t| t.listed[i])
+        self.trace.as_ref().is_some_and(|t| t.listed[i])
     }
 
     /// Notes one fire of node `i` in cycle `now`, with the operand values
     /// it consumed if the core captured them.
     pub(crate) fn note_fire(&mut self, i: usize, now: u64, values: Option<Vec<Value>>) {
-        if let Some(obs) = &mut self.obs {
-            obs.note_fire(i, values.as_deref());
-        }
-        if let (Some(t), Some(values)) = (&mut self.trace, values) {
+        if let Some(t) = &mut self.trace {
             if t.listed[i] {
-                t.events.push((now, i as u32, values));
+                t.events.push((now, i as u32, values.unwrap_or_default()));
             }
         }
     }
@@ -592,6 +590,9 @@ impl Observers {
     pub(crate) fn end_cycle(&mut self, v: &impl CircuitView, now: u64, examined: u64) {
         if let Some(obs) = &mut self.obs {
             obs.end_cycle(v, now, examined);
+        }
+        if let Some(t) = &mut self.trace {
+            t.emit_slices(v.net());
         }
         if let Some(ss) = &mut self.stall {
             attribute_cycle(v, ss);
@@ -630,20 +631,40 @@ impl Observers {
     }
 }
 
-/// The acceptance trace of one run: every fire of a listed node that
-/// consumed operand values, in firing order.
+/// The simulator's one per-fire record: every fire of a listed node, in
+/// firing order, with the operand values it consumed where the core
+/// captured them. With collection on, each event is also a `PID_SIM`
+/// trace slice (simulated-time track: 1 cycle = 1 µs, one lane per node).
 struct NodeTrace {
     /// Per node: whether [`SimConfig::trace_nodes`] lists it.
     listed: Vec<bool>,
     /// `(cycle, node, consumed values)`, named at finish.
     events: Vec<(u64, u32, Vec<Value>)>,
+    /// With collection on, how many events are already trace slices.
+    emitted: Option<usize>,
+}
+
+impl NodeTrace {
+    /// Emits the events recorded since the last call as trace slices, so
+    /// a run cut off later still leaves the cycles it finished.
+    fn emit_slices(&mut self, net: &Netlist) {
+        let Some(from) = self.emitted.replace(self.events.len()) else { return };
+        for (cycle, i, values) in &self.events[from..] {
+            let args = match values.as_slice() {
+                [] => Vec::new(),
+                vs => {
+                    let rendered: Vec<String> = vs.iter().map(Value::to_string).collect();
+                    vec![("values".to_string(), rendered.join(", "))]
+                }
+            };
+            let name = net.node_name(*i as usize);
+            graphiti_obs::emit_complete(graphiti_obs::PID_SIM, *i, name, *cycle, 1, args);
+        }
+    }
 }
 
 /// Metric handles and per-run state of one instrumented run.
 struct SimObs {
-    /// Per node: whether its fires emit Chrome trace events (driven by
-    /// [`SimConfig::trace_nodes`]; empty list = every node).
-    trace_node: Vec<bool>,
     /// Per node: `sim.buf_occupancy.{name}` for units with an internal
     /// queue (buffers, pipelines, memory ports, taggers, store queues).
     occupancy: Vec<Option<graphiti_obs::Histogram>>,
@@ -670,19 +691,15 @@ struct SimObs {
     out_seen: usize,
     /// Consumption cycles of in-flight tokens, oldest first.
     consumed_at: VecDeque<u64>,
-    /// This cycle's fires of traced nodes, in firing order, with the
-    /// rendered operand values when the fire consumed them.
-    fires: Vec<(usize, Option<String>)>,
 }
 
 impl SimObs {
     /// Resolves every handle once for the circuit behind `v` — one
     /// registry pass per run instead of one name format and lock per
     /// metric event.
-    fn new(v: &impl CircuitView, trace_nodes: &[String]) -> SimObs {
+    fn new(v: &impl CircuitView) -> SimObs {
         let net = v.net();
         let nodes = 0..net.node_count();
-        let trace_node = net.listed(trace_nodes);
         let occupancy = nodes
             .clone()
             .map(|i| {
@@ -708,7 +725,6 @@ impl SimObs {
         let inputs: Vec<usize> = chans.clone().filter(|&c| net.producer(c).is_none()).collect();
         let outputs: Vec<usize> = chans.filter(|&c| net.consumer(c).is_none()).collect();
         SimObs {
-            trace_node,
             occupancy,
             stall_by_node,
             stall_total: graphiti_obs::counter("sim.stall_cycles"),
@@ -722,34 +738,13 @@ impl SimObs {
             inputs,
             outputs,
             consumed_at: VecDeque::new(),
-            fires: Vec::new(),
         }
     }
 
-    fn note_fire(&mut self, i: usize, values: Option<&[Value]>) {
-        if self.trace_node[i] {
-            let args =
-                values.map(|vs| vs.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(", "));
-            self.fires.push((i, args));
-        }
-    }
-
-    /// The metrics of an active cycle: its per-fire trace events
-    /// (simulated-time track: 1 cycle = 1 µs, one lane per node), the
-    /// examination count, buffer occupancy, stall/starve counters, and
-    /// source-to-sink token latencies.
+    /// The metrics of an active cycle: the examination count, buffer
+    /// occupancy, stall/starve counters, and source-to-sink token
+    /// latencies.
     fn end_cycle(&mut self, v: &impl CircuitView, now: u64, examined: u64) {
-        for (i, args) in self.fires.drain(..) {
-            let args = args.map(|a| vec![("values".to_string(), a)]).unwrap_or_default();
-            graphiti_obs::emit_complete(
-                graphiti_obs::PID_SIM,
-                i as u32,
-                v.net().node_name(i),
-                now,
-                1,
-                args,
-            );
-        }
         self.sched_examined.record(examined);
         for i in 0..v.net().node_count() {
             if let Some(h) = &self.occupancy[i] {

@@ -1,7 +1,8 @@
 //! Golden test for the simulator's Chrome trace emission: a two-node
-//! circuit (adder feeding a buffer) must produce exactly the expected
-//! fire events on the simulated-time lanes, with matching registry
-//! counters and a well-formed exported document.
+//! circuit (adder feeding a buffer) with both nodes listed must produce
+//! exactly the expected fire events on the simulated-time lanes, with
+//! matching registry counters and a well-formed exported document; the
+//! same run with no node listed emits no fire event.
 //!
 //! `graphiti-obs` state is process-global, so this lives in its own test
 //! binary with a single `#[test]` — no other test races the registry.
@@ -31,17 +32,22 @@ fn two_node_circuit_emits_golden_trace() {
     ]
     .into_iter()
     .collect();
+    let sim_events =
+        || graphiti_obs::trace_events().into_iter().filter(|e| e.pid == graphiti_obs::PID_SIM);
+    // Metrics alone build no per-fire record.
     let r = simulate(&g, &feeds, Memory::new(), SimConfig::default()).unwrap();
+    assert_eq!(sim_events().count(), 0, "no node listed, no fire event");
+    assert!(r.trace.is_empty());
+    graphiti_obs::reset();
+
+    let cfg = SimConfig { trace_nodes: vec!["add".into(), "buf".into()], ..Default::default() };
+    let r = simulate(&g, &feeds, Memory::new(), cfg).unwrap();
     assert_eq!(r.outputs["y"], vec![Value::Int(3), Value::Int(30)]);
 
     // The golden trace: one complete event per node fire on the PID_SIM
     // process, timestamped with the cycle (1 cycle = 1 µs), one lane (tid)
     // per node in declaration order.
-    let fires: Vec<(String, u32, u64)> = graphiti_obs::trace_events()
-        .into_iter()
-        .filter(|e| e.pid == graphiti_obs::PID_SIM)
-        .map(|e| (e.name, e.tid, e.ts_us))
-        .collect();
+    let fires: Vec<(String, u32, u64)> = sim_events().map(|e| (e.name, e.tid, e.ts_us)).collect();
     let golden: Vec<(String, u32, u64)> = [
         ("add", 0, 0), // first addition the cycle both operands arrive
         ("buf", 1, 0), // buffer latches it the same cycle (elastic handoff)
@@ -53,6 +59,11 @@ fn two_node_circuit_emits_golden_trace() {
     .map(|(n, tid, ts)| (n.to_string(), tid, ts))
     .collect();
     assert_eq!(fires, golden);
+    // The slices are the node trace: the adder's two fires consumed
+    // operands, the buffer's three carry none.
+    let traced: Vec<(&str, u64, usize)> =
+        r.trace.iter().map(|e| (e.node.as_str(), e.cycle, e.values.len())).collect();
+    assert_eq!(traced, [("add", 0, 2), ("buf", 0, 0), ("add", 1, 2), ("buf", 1, 0), ("buf", 2, 0)]);
 
     // Counters must agree with both the trace and the simulator's result.
     assert_eq!(graphiti_obs::counter("sim.fire.add").get(), 2);

@@ -1,13 +1,18 @@
-//! Reproducing the paper's bicg finding (§6.2).
+//! The paper's bicg finding (§6.2): the refusal, and a check for the
+//! miscompile.
 //!
 //! The bicg kernel stores into `s[j]` *inside* its inner loop. The verified
 //! pipeline refuses to make that loop out-of-order — pure generation cannot
 //! turn a Store into a Pure component — while the unverified DF-OoO
-//! transformation proceeds and lets stores from different outer iterations
-//! commit out of program order. With `s[j] += r[i] * A[i][j]`, additions
-//! commute, so to make the corruption *visible* this example uses a
-//! non-commutative update. The refusal is exactly how the paper's authors
-//! discovered the bug in the original compilation scheme.
+//! transformation proceeds. The paper reports that DF-OoO then lets stores
+//! from different outer iterations commit out of program order. With
+//! `s[j] += r[i] * A[i][j]`, additions commute, so this example uses a
+//! non-commutative update, under which a reordered commit would change
+//! `s[]`, and compares both flows' `s[]` with the reference interpreter.
+//! Here DF-OoO's `s[]` is correct: the kernel's stores go through the
+//! in-order store queue, which commits them in program order, so the
+//! miscompile does not show. The refusal is exactly how the paper's
+//! authors discovered the bug in the original compilation scheme.
 //!
 //! Run with: `cargo run --release --example bicg_bug`
 

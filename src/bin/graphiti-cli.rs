@@ -9,73 +9,79 @@
 //!              [--metrics-out FILE] [--trace-out FILE] [INPUT.dot]
 //! graphiti-cli --compile [--vcd-out FILE] [--trace-nodes a,b,c] [PROGRAM.gsl]
 //! graphiti-cli explain-stalls [--top K] [PROGRAM.gsl]
+//! graphiti-cli profile [--json FILE] [--folded FILE] PROGRAM.gsl
 //! graphiti-cli vcd-check FILE.vcd
 //! ```
 //!
-//! * reads a circuit in the dot dialect (stdin when no file is given),
-//! * finds the marked sequential loop (by its Init node, or the unique
-//!   canonical loop when `--mark` is omitted),
-//! * runs the five-phase out-of-order pipeline,
-//! * prints the rewritten circuit as dot on stdout; refusals (impure loop
-//!   bodies) leave the circuit unchanged and are reported on stderr,
-//!   exactly like the bicg case in the paper's evaluation.
+//! Every input runs one pipeline of phases, each a span under a root
+//! `pipeline` span:
 //!
-//! With `--compile` the input is a loop-nest *program* in the front-end's
-//! surface syntax instead of a dot circuit: each kernel is compiled, marked
-//! kernels are optimized (with their declared tag budgets), and the
-//! resulting circuits are printed as dot. A `.gsl` input file implies
-//! `--compile`.
-//!
-//! `--checked` collects each rewrite application's refinement obligation
-//! while the (sequential) rewriting runs, then discharges the whole batch
-//! on worker threads, so the independent checks overlap, before the
-//! circuit is printed. A batch that finds no violation is summarised as a
-//! verdict tally, e.g. `3 hold, 4 bounded (states 2, queue_cap 2), 0 fail`:
-//! a check that stopped at a bound is not a proof.
+//! * **parse** — a circuit in the dot dialect (stdin when no file is
+//!   given) and its marked sequential loop (by its Init node, or the
+//!   unique canonical loop when `--mark` is omitted); or, with
+//!   `--compile`, a loop-nest *program* in the front-end's surface syntax,
+//!   compiled kernel by kernel, with its marked kernels and their declared
+//!   tag budgets. A `.gsl` input file implies `--compile`.
+//! * **rewrite** — each marked loop through the five-phase out-of-order
+//!   pipeline. Refusals (impure loop bodies) leave the kernel in order and
+//!   are reported on stderr, exactly like the bicg case in the paper's
+//!   evaluation.
+//! * **check** — with `--checked`, each rewrite application's refinement
+//!   obligation is collected while the (sequential) rewriting runs, and
+//!   the run's whole batch is discharged on worker threads, so the
+//!   independent checks overlap. A batch that finds no violation is
+//!   summarised as one verdict tally, e.g. `3 hold, 4 bounded (states 2,
+//!   queue_cap 2), 0 fail`: a check that stopped at a bound is not a proof.
+//! * **emit** — the rewritten circuits as dot on stdout (skipped by
+//!   `explain-stalls` and `profile`).
+//! * **simulate** — a program's kernels on its arrays, when the run
+//!   observes, writes a waveform, explains stalls or profiles. Dot
+//!   circuits carry no input arrays, so they are never simulated.
 //!
 //! `--metrics-out FILE` / `--trace-out FILE` install the `graphiti-obs`
 //! collection sink and write a metrics JSON document / Chrome trace-event
 //! file (loadable in Perfetto) when the run finishes. Either implies
-//! `--checked` (so refinement-check metrics exist), and in compile mode
-//! the optimized kernels are additionally simulated against the program's
-//! arrays so the profile includes simulator fire/stall counters.
+//! `--checked` (so refinement-check metrics exist) and simulates a
+//! program, so the profile includes simulator fire/stall counters.
 //!
-//! Waveforms and stall attribution (compile mode only, since only `.gsl`
-//! programs carry the arrays needed to actually run the circuit):
+//! Waveforms, traces and stall attribution (compile mode only):
 //!
 //! * `--vcd-out FILE` simulates each kernel with waveform capture and
 //!   writes a VCD document (openable in GTKWave/Surfer); with several
 //!   kernels the kernel name is inserted before the file name's extension.
-//! * `--trace-nodes a,b,c` narrows the captured waveform signals to
-//!   channels touching the listed nodes, and a `--trace-out` trace's
-//!   per-fire simulator events to the listed nodes. A run that writes
-//!   neither (or a `profile` run) rejects the flag, and a listed name
-//!   that is no node of any placed kernel is an error.
+//! * `--trace-out` records every fire of every placed node as a slice on
+//!   the simulated-cycle track. `--trace-nodes a,b,c` narrows those slices
+//!   and the captured waveform signals to the listed nodes (an empty list
+//!   lists no node, so a run that writes neither rejects the flag), and a
+//!   listed name that is no node of any placed kernel is an error.
 //! * `explain-stalls` simulates each kernel with stall attribution and
 //!   prints the top-K blockage chains with per-cause breakdowns
 //!   (`--top K`, default 10) instead of dot output.
+//! * `profile` is the same run with collection on; it prints per-phase
+//!   and per-rewrite self/total attribution instead of dot.
 //! * `vcd-check FILE` parses a previously dumped VCD and reports its
 //!   signal/change/time summary — the CI round-trip gate.
 //!
 //! Scheduler selection:
 //!
-//! * `--scheduler compiled|sweep` picks the simulation core for
-//!   compile-mode runs (default compiled). `sweep` runs the reference
-//!   sweep, the executable specification; waveforms, stall attribution,
-//!   and node traces are byte-identical under both.
+//! * `--scheduler compiled|sweep` picks the simulation core (default
+//!   compiled). `sweep` runs the reference sweep, the executable
+//!   specification; waveforms, stall attribution, and node traces are
+//!   byte-identical under both.
 //! * `--wave-sample N` captures every N-th active cycle into the waveform
 //!   (either scheduler), bounding VCD growth on long runs; stall
 //!   attribution stays cycle-exact regardless of the stride.
 //!
 //! Deadlines (see DESIGN.md §3.13): `--deadline-ms N` gives the run an
-//! N-millisecond wall-clock budget on a shared cancellation token. Each
-//! pipeline stage (parse, rewrite and simulate in compile mode, and the
-//! check in every mode) runs supervised under it; a stage that
-//! overruns is cut off with a structured stage error instead of hanging
-//! the run, and its outcome is counted under `robust.stage.*`.
+//! N-millisecond wall-clock budget on a shared cancellation token. Every
+//! phase runs as one supervised stage under it; a stage that overruns is
+//! cut off with a structured stage error instead of hanging the run, and
+//! its outcome is counted under `robust.stage.*`.
 
 use graphiti::pipeline::{find_seq_loops, optimize_loop, PipelineOptions};
 use graphiti::prelude::*;
+use graphiti::sim::Memory;
+use std::collections::BTreeMap;
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -89,8 +95,8 @@ enum Mode {
     ExplainStalls,
     /// Parse a VCD file and print its summary (round-trip check).
     VcdCheck,
-    /// Run the whole pipeline phase by phase and print per-phase and
-    /// per-rewrite self/total cost attribution.
+    /// Run the pipeline with collection on and print per-phase and
+    /// per-rewrite self/total cost attribution instead of dot.
     Profile,
     /// Print the canonical metrics schema document (`obs/schema.json`).
     Schema,
@@ -213,24 +219,17 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err(
-                    "usage: graphiti-cli [--tags N] [--mark INIT_NODE] [--checked] [--stats] [--metrics-out FILE] [--trace-out FILE] [--flight-out FILE] [--deadline-ms N] [INPUT.dot]\n       graphiti-cli --compile [--scheduler compiled|sweep] [--vcd-out FILE] [--wave-sample N] [--trace-nodes a,b,c] [--deadline-ms N] [PROGRAM.gsl]\n       graphiti-cli profile [--json FILE] [--folded FILE] [--flight-out FILE] PROGRAM.gsl\n       graphiti-cli explain-stalls [--scheduler NAME] [--top K] [PROGRAM.gsl]\n       graphiti-cli vcd-check FILE.vcd\n       graphiti-cli schema"
+                    "usage: graphiti-cli [--tags N] [--mark INIT_NODE] [--checked] [--stats] [--metrics-out FILE] [--trace-out FILE] [--flight-out FILE] [--deadline-ms N] [INPUT.dot]\n       graphiti-cli --compile [--scheduler compiled|sweep] [--vcd-out FILE] [--wave-sample N] [--trace-nodes a,b,c] [--deadline-ms N] [PROGRAM.gsl]\n       graphiti-cli profile [--scheduler NAME] [--deadline-ms N] [--json FILE] [--folded FILE] [--flight-out FILE] PROGRAM.gsl\n       graphiti-cli explain-stalls [--scheduler NAME] [--top K] [PROGRAM.gsl]\n       graphiti-cli vcd-check FILE.vcd\n       graphiti-cli schema"
                         .to_string(),
                 )
             }
-            "explain-stalls" if first_positional => {
-                args.mode = Mode::ExplainStalls;
-                first_positional = false;
-            }
-            "vcd-check" if first_positional => {
-                args.mode = Mode::VcdCheck;
-                first_positional = false;
-            }
-            "profile" if first_positional => {
-                args.mode = Mode::Profile;
-                first_positional = false;
-            }
-            "schema" if first_positional => {
-                args.mode = Mode::Schema;
+            "explain-stalls" | "vcd-check" | "profile" | "schema" if first_positional => {
+                args.mode = match a.as_str() {
+                    "explain-stalls" => Mode::ExplainStalls,
+                    "vcd-check" => Mode::VcdCheck,
+                    "profile" => Mode::Profile,
+                    _ => Mode::Schema,
+                };
                 first_positional = false;
             }
             other if !other.starts_with('-') => {
@@ -240,36 +239,26 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    if args.input.as_deref().is_some_and(|p| p.ends_with(".gsl")) {
-        args.compile = true;
+    let gsl = args.input.as_deref().is_some_and(|p| p.ends_with(".gsl"));
+    if args.mode == Mode::Profile && !gsl {
+        // Profiling covers the whole pipeline through simulation.
+        return Err("profile needs a `.gsl` program (the simulate phase runs the kernels)".into());
     }
-    if args.mode == Mode::ExplainStalls {
-        // Stall attribution needs a runnable program: only compile mode
-        // carries the arrays to feed the circuit.
-        args.compile = true;
-    }
-    if args.mode == Mode::Profile {
-        // Profiling covers the whole pipeline through simulation, so it
-        // needs a runnable program too.
-        if !args.input.as_deref().is_some_and(|p| p.ends_with(".gsl")) {
-            return Err(
-                "profile needs a `.gsl` program (the simulate phase runs the kernels)".to_string()
-            );
-        }
-        args.compile = true;
-    }
-    if (args.vcd_out.is_some() || args.mode == Mode::ExplainStalls) && !args.compile {
+    // Stall attribution needs a runnable program: only compile mode
+    // carries the arrays to feed the circuit.
+    args.compile |= gsl || matches!(args.mode, Mode::ExplainStalls | Mode::Profile);
+    if args.vcd_out.is_some() && !args.compile {
         return Err("waveforms and stall attribution need a `.gsl` program (compile mode): \
                     dot circuits carry no input arrays to simulate"
             .to_string());
     }
     let narrowed = args.compile && (args.vcd_out.is_some() || args.trace_out.is_some());
-    if !args.trace_nodes.is_empty() && (args.mode == Mode::Profile || !narrowed) {
+    if !args.trace_nodes.is_empty() && !narrowed {
         return Err("--trace-nodes narrows only a compile-mode run's `--vcd-out` waveform or \
                     `--trace-out` simulator events, and this run writes neither"
             .to_string());
     }
-    if args.metrics_out.is_some() || args.trace_out.is_some() {
+    if args.metrics_out.is_some() || args.trace_out.is_some() || args.mode == Mode::Profile {
         // A profile without refinement-check metrics would be misleading:
         // observed runs are always checked.
         args.checked = true;
@@ -327,51 +316,6 @@ fn write_observations(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn check_mode(args: &Args) -> CheckMode {
-    if args.checked {
-        CheckMode::Deferred
-    } else {
-        CheckMode::Off
-    }
-}
-
-/// The run-wide cancellation token: armed with the `--deadline-ms` budget
-/// when given, otherwise a token that never trips on its own.
-fn run_token(args: &Args) -> graphiti::obs::CancelToken {
-    match args.deadline_ms {
-        Some(ms) => graphiti::obs::CancelToken::with_deadline_ms(ms),
-        None => graphiti::obs::CancelToken::new(),
-    }
-}
-
-/// Discharges an obligation batch in parallel at the checker's default
-/// bounds as the supervised `check` stage under the run token and prints
-/// its verdict tally, failing on the first violation. A batch abandoned
-/// because the token tripped surfaces as a stage error naming the deadline
-/// or the cancellation.
-fn discharge_deferred(
-    context: &str,
-    obligations: Vec<graphiti::rewrite::Obligation>,
-    token: &graphiti::obs::CancelToken,
-) -> Result<(), String> {
-    if obligations.is_empty() {
-        return Ok(());
-    }
-    let n = obligations.len();
-    let cfg = graphiti::sem::RefineConfig::default();
-    let tally = graphiti_robust::supervise("check", token, || {
-        let verdicts = graphiti::rewrite::verify::discharge_cancellable(obligations, token, &cfg)
-            .ok_or("deferred obligation batch abandoned")?;
-        if let Some(v) = graphiti::rewrite::verify::first_violation(&verdicts) {
-            return Err(format!("deferred obligation of `{}` failed: {:?}", v.rewrite, v.verdict));
-        }
-        Ok(graphiti::rewrite::verify::Tally::of(&verdicts))
-    })
-    .map_err(|e| format!("graphiti-cli: {context}: {e}"))?;
-    eprintln!("graphiti-cli: {context}: discharged {n} deferred obligations in parallel: {tally}");
-    Ok(())
-}
-
 fn run_inner(args: &Args) -> Result<(), String> {
     let src = match &args.input {
         Some(path) => {
@@ -385,74 +329,253 @@ fn run_inner(args: &Args) -> Result<(), String> {
             buf
         }
     };
-
     if args.mode == Mode::VcdCheck {
         return vcd_check(&src, args);
     }
+    {
+        let _root = graphiti::obs::span("pipeline");
+        if args.mode == Mode::Profile {
+            graphiti::obs::flight::record("profile.start", || {
+                format!("profiling `{}`", args.input.as_deref().unwrap_or("<stdin>"))
+            });
+        }
+        pipeline(&src, args)?;
+    }
     if args.mode == Mode::Profile {
-        return profile_mode(&src, args);
+        print_profile(args)?;
     }
-    if args.compile {
-        return compile_mode(&src, args);
-    }
+    Ok(())
+}
 
-    let g = parse_dot(&src).map_err(|e| e.to_string())?;
-    g.validate().map_err(|e| format!("circuit incomplete: {e}"))?;
+/// One circuit of the run: the dot input, or one kernel of a `.gsl`
+/// program.
+struct Kernel {
+    name: String,
+    graph: ExprHigh,
+    /// The marked loop's Init node and tag budget (`None`: left in order).
+    mark: Option<(String, u32)>,
+}
 
-    let init = match &args.mark {
-        Some(name) => {
-            if g.kind(name).is_none() {
-                return Err(format!("--mark `{name}`: no such node"));
-            }
-            name.clone()
-        }
-        None => {
-            let loops = find_seq_loops(&g);
-            match loops.as_slice() {
-                [l] => l.init.clone(),
-                [] => return Err("no canonical sequential loop found; use --mark".into()),
-                many => {
-                    return Err(format!(
-                        "{} loops found ({}); pick one with --mark",
-                        many.len(),
-                        many.iter().map(|l| l.init.as_str()).collect::<Vec<_>>().join(", ")
-                    ))
+/// The run's phases — parse, rewrite, check, emit dot, simulate — each one
+/// supervised stage under the run token (`--deadline-ms`) and one span of
+/// the same name. A failed or overrunning stage surfaces as a structured
+/// stage error naming the stage and its elapsed time.
+fn pipeline(src: &str, args: &Args) -> Result<(), String> {
+    let token = match args.deadline_ms {
+        Some(ms) => graphiti::obs::CancelToken::with_deadline_ms(ms),
+        None => graphiti::obs::CancelToken::new(),
+    };
+    let (mut kernels, arrays) = stage("parse", &token, || parse(src, args))?;
+    let obligations = stage("rewrite", &token, || rewrite(&mut kernels, args))?;
+    stage("check", &token, || check(obligations, &token))?;
+    let explain = args.mode == Mode::ExplainStalls;
+    if !explain && args.mode != Mode::Profile {
+        stage("emit", &token, || {
+            for k in &kernels {
+                if args.compile {
+                    println!("// kernel {}", k.name);
                 }
+                println!("{}", print_dot(&k.graph));
             }
-        }
-    };
+            Ok(())
+        })?;
+    }
+    // Only a program carries the arrays to run its kernels on.
+    let Some(arrays) = arrays else { return Ok(()) };
+    if graphiti::obs::enabled() || args.vcd_out.is_some() || explain {
+        stage("simulate", &token, || simulate_all(&kernels, arrays, args, &token))?;
+    }
+    Ok(())
+}
 
-    let opts = PipelineOptions { tags: args.tags, check: check_mode(args), ..Default::default() };
-    let (out, mut report) = {
-        let _span = graphiti::obs::span("optimize");
-        optimize_loop(&g, &init, &opts).map_err(|e| e.to_string())?
-    };
-    discharge_deferred("circuit", std::mem::take(&mut report.obligations), &run_token(args))?;
-    if args.stats {
-        eprintln!(
-            "graphiti-cli: transformed = {}, rewrites = {}",
-            report.transformed, report.rewrites
-        );
-        let before = g.kind_histogram();
-        let after = out.kind_histogram();
-        eprintln!(
-            "graphiti-cli: {} -> {} components, {} -> {} edges",
-            g.node_count(),
-            out.node_count(),
-            g.edge_count(),
-            out.edge_count()
-        );
-        for (kind, n) in &after {
-            let b = before.get(kind).copied().unwrap_or(0);
-            if *n != b {
-                eprintln!("graphiti-cli:   {kind}: {b} -> {n}");
-            }
+/// Runs `f` as the supervised stage `name` inside a span of that name.
+fn stage<T>(
+    name: &'static str,
+    token: &graphiti::obs::CancelToken,
+    f: impl FnOnce() -> Result<T, String>,
+) -> Result<T, String> {
+    let _span = graphiti::obs::span(name);
+    graphiti_robust::supervise(name, token, f).map_err(|e| format!("graphiti-cli: {e}"))
+}
+
+/// A dot circuit and its marked loop (by its Init node, or the unique
+/// canonical loop when `--mark` is omitted), or a `.gsl` program's
+/// kernels and the arrays they run on.
+fn parse(src: &str, args: &Args) -> Result<(Vec<Kernel>, Option<Memory>), String> {
+    if args.compile {
+        let program = graphiti::frontend::parse_program(src).map_err(|e| e.to_string())?;
+        let compiled = graphiti::frontend::compile(&program).map_err(|e| e.to_string())?;
+        let kernels = compiled.kernels.into_iter().map(|k| Kernel {
+            mark: k.ooo_tags.map(|tags| (k.inner_init, tags)),
+            name: k.name,
+            graph: k.graph,
+        });
+        return Ok((kernels.collect(), Some(program.arrays)));
+    }
+    let g = parse_dot(src).map_err(|e| e.to_string())?;
+    g.validate().map_err(|e| format!("circuit incomplete: {e}"))?;
+    let init = match &args.mark {
+        Some(name) if g.kind(name).is_none() => {
+            return Err(format!("--mark `{name}`: no such node"))
         }
+        Some(name) => name.clone(),
+        None => match find_seq_loops(&g).as_slice() {
+            [l] => l.init.clone(),
+            [] => return Err("no canonical sequential loop found; use --mark".into()),
+            many => {
+                let inits: Vec<&str> = many.iter().map(|l| l.init.as_str()).collect();
+                return Err(format!(
+                    "{} loops found ({}); pick one with --mark",
+                    many.len(),
+                    inits.join(", ")
+                ));
+            }
+        },
+    };
+    Ok((vec![Kernel { name: "circuit".into(), graph: g, mark: Some((init, args.tags)) }], None))
+}
+
+/// Runs every marked loop through the five-phase out-of-order pipeline in
+/// place, collecting each rewrite application's refinement obligation
+/// when the run is checked. Refusals (impure loop bodies) leave the
+/// kernel in order and are reported on stderr.
+fn rewrite(
+    kernels: &mut [Kernel],
+    args: &Args,
+) -> Result<Vec<graphiti::rewrite::Obligation>, String> {
+    let check = if args.checked { CheckMode::Deferred } else { CheckMode::Off };
+    let mut obligations = Vec::new();
+    for Kernel { name, graph, mark } in kernels {
+        let Some((init, tags)) = mark else { continue };
+        let opts = PipelineOptions { tags: *tags, check, ..Default::default() };
+        let (g, mut report) =
+            optimize_loop(graph, init, &opts).map_err(|e| format!("kernel `{name}`: {e}"))?;
+        obligations.append(&mut report.obligations);
+        if args.stats {
+            eprintln!(
+                "graphiti-cli: kernel `{name}`: transformed = {}, rewrites = {}",
+                report.transformed, report.rewrites
+            );
+        }
+        if let Some(refusal) = &report.refusal {
+            eprintln!("graphiti-cli: kernel `{name}` refused: {refusal}; left in order");
+        }
+        *graph = g;
     }
-    if let Some(refusal) = &report.refusal {
-        eprintln!("graphiti-cli: transformation refused: {refusal}; circuit left unchanged");
+    Ok(obligations)
+}
+
+/// Discharges the run's obligations as one batch in parallel at the
+/// checker's default bounds and prints its verdict tally, failing on the
+/// first violation. A batch abandoned because the token tripped surfaces
+/// as a stage error naming the deadline or the cancellation.
+fn check(
+    obligations: Vec<graphiti::rewrite::Obligation>,
+    token: &graphiti::obs::CancelToken,
+) -> Result<(), String> {
+    use graphiti::rewrite::verify;
+    if obligations.is_empty() {
+        return Ok(());
     }
-    println!("{}", print_dot(&out));
+    let n = obligations.len();
+    let verdicts = verify::discharge_cancellable(obligations, token, &RefineConfig::default())
+        .ok_or("deferred obligation batch abandoned")?;
+    if let Some(v) = verify::first_violation(&verdicts) {
+        return Err(format!("deferred obligation of `{}` failed: {:?}", v.rewrite, v.verdict));
+    }
+    let tally = verify::Tally::of(&verdicts);
+    eprintln!("graphiti-cli: discharged {n} deferred obligations in parallel: {tally}");
+    Ok(())
+}
+
+/// Places and runs each kernel in program order on the program's arrays,
+/// writing its waveform and printing its stall report when asked. Under
+/// `--trace-out` without `--trace-nodes` every placed node is listed, so
+/// each fire is a trace slice.
+fn simulate_all(
+    kernels: &[Kernel],
+    mut mem: Memory,
+    args: &Args,
+    token: &graphiti::obs::CancelToken,
+) -> Result<(), String> {
+    let placed: Vec<(&String, ExprHigh)> =
+        kernels.iter().map(|k| (&k.name, place_buffers(&k.graph).0)).collect();
+    let no_node = |t: &&String| placed.iter().all(|(_, g)| g.kind(t).is_none());
+    if let Some(t) = args.trace_nodes.iter().find(no_node) {
+        return Err(format!("--trace-nodes: no kernel has a node named `{t}`"));
+    }
+    let feeds: BTreeMap<String, Vec<Value>> =
+        [("start".to_string(), vec![Value::Unit])].into_iter().collect();
+    for (name, g) in &placed {
+        let trace_nodes = if args.trace_nodes.is_empty() && args.trace_out.is_some() {
+            g.nodes().map(|(node, _)| node.clone()).collect()
+        } else {
+            args.trace_nodes.clone()
+        };
+        let cfg = SimConfig {
+            trace_nodes,
+            waveform: args.vcd_out.is_some(),
+            attribute_stalls: args.mode == Mode::ExplainStalls,
+            scheduler: args.scheduler,
+            wave_sample: args.wave_sample,
+            cancel: Some(token.clone()),
+            ..Default::default()
+        };
+        let r = simulate(g, &feeds, mem, cfg).map_err(|e| format!("kernel `{name}`: {e}"))?;
+        eprintln!(
+            "graphiti-cli: kernel `{name}` simulated: {} cycles, {} firings",
+            r.cycles, r.firings
+        );
+        if let (Some(requested), Some(vcd)) = (&args.vcd_out, &r.waveform) {
+            let path = vcd_path(requested, name, kernels.len());
+            std::fs::write(&path, vcd)
+                .map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;
+            eprintln!("graphiti-cli: kernel `{name}` waveform written to {}", path.display());
+        }
+        if let Some(report) = &r.stalls {
+            println!("kernel `{name}` stall attribution:");
+            print!("{}", report.render(args.top));
+        }
+        mem = r.memory;
+    }
+    Ok(())
+}
+
+/// `profile`: prints per-phase and per-rewrite self/total attribution of
+/// the run just finished, reconstructed from the trace, and how far the
+/// phase sum drifts from the root `pipeline` span. `--json` / `--folded`
+/// additionally write the JSON document and flamegraph-ready folded
+/// stacks.
+fn print_profile(args: &Args) -> Result<(), String> {
+    let profile = graphiti::obs::profile::Profile::from_trace();
+    print!("{}", profile.text_table());
+    let row = |path: &str| profile.rows.iter().find(|r| r.path == path);
+    let total = |path: &str| row(path).map_or(0, |r| r.total_us);
+    let pipeline_total = total("pipeline");
+    let phase_sum: u64 =
+        ["pipeline;parse", "pipeline;rewrite", "pipeline;check", "pipeline;simulate"]
+            .iter()
+            .map(|p| total(p))
+            .sum::<u64>()
+            + row("pipeline").map_or(0, |r| r.self_us);
+    let drift_pct = if pipeline_total == 0 {
+        0.0
+    } else {
+        (phase_sum as f64 - pipeline_total as f64) / pipeline_total as f64 * 100.0
+    };
+    println!(
+        "phase self/total sum: {phase_sum} us; pipeline span: {pipeline_total} us; \
+         drift {drift_pct:+.3}%"
+    );
+    if let Some(path) = &args.json_out {
+        std::fs::write(path, profile.json()).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        eprintln!("graphiti-cli: profile JSON written to {path}");
+    }
+    if let Some(path) = &args.folded_out {
+        std::fs::write(path, profile.folded())
+            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        eprintln!("graphiti-cli: folded stacks written to {path}");
+    }
     Ok(())
 }
 
@@ -487,219 +610,6 @@ fn vcd_path(requested: &str, kernel: &str, kernels: usize) -> PathBuf {
         name.push(ext);
     }
     path.with_file_name(name)
-}
-
-/// `--compile`: front-end program in, optimized dot circuits out. The
-/// whole mode runs under the run token (`--deadline-ms`), each stage
-/// supervised so a failed or overrunning stage surfaces as a structured
-/// stage error naming the stage and its elapsed time.
-fn compile_mode(src: &str, args: &Args) -> Result<(), String> {
-    let token = run_token(args);
-    let (program, compiled) = graphiti_robust::supervise("parse", &token, || {
-        let program = graphiti::frontend::parse_program(src).map_err(|e| e.to_string())?;
-        let compiled = graphiti::frontend::compile(&program).map_err(|e| e.to_string())?;
-        Ok::<_, String>((program, compiled))
-    })
-    .map_err(|e| format!("graphiti-cli: {e}"))?;
-    let mut optimized: Vec<(String, ExprHigh)> = Vec::new();
-    for kernel in &compiled.kernels {
-        let out = match kernel.ooo_tags {
-            Some(tags) => {
-                let opts = PipelineOptions { tags, check: check_mode(args), ..Default::default() };
-                let (g, mut report) = graphiti_robust::supervise("rewrite", &token, || {
-                    let _span = graphiti::obs::span("optimize");
-                    optimize_loop(&kernel.graph, &kernel.inner_init, &opts)
-                })
-                .map_err(|e| format!("graphiti-cli: kernel `{}`: {e}", kernel.name))?;
-                discharge_deferred(
-                    &format!("kernel `{}`", kernel.name),
-                    std::mem::take(&mut report.obligations),
-                    &token,
-                )?;
-                if args.stats {
-                    eprintln!(
-                        "graphiti-cli: kernel `{}`: transformed = {}, rewrites = {}",
-                        kernel.name, report.transformed, report.rewrites
-                    );
-                }
-                if let Some(refusal) = &report.refusal {
-                    eprintln!(
-                        "graphiti-cli: kernel `{}` refused: {refusal}; left in order",
-                        kernel.name
-                    );
-                }
-                g
-            }
-            None => kernel.graph.clone(),
-        };
-        if args.mode != Mode::ExplainStalls {
-            println!("// kernel {}", kernel.name);
-            println!("{}", print_dot(&out));
-        }
-        optimized.push((kernel.name.clone(), out));
-    }
-    // Simulation pass: under --metrics-out / --trace-out (so the profile
-    // carries fire/stall/latency data), under --vcd-out (waveform
-    // capture), and in explain-stalls mode (attribution).
-    let explain = args.mode == Mode::ExplainStalls;
-    if graphiti::obs::enabled() || args.vcd_out.is_some() || explain {
-        let _span = graphiti::obs::span("simulate");
-        let mut mem = program.arrays.clone();
-        let feeds: std::collections::BTreeMap<String, Vec<Value>> =
-            [("start".to_string(), vec![Value::Unit])].into_iter().collect();
-        let cfg = SimConfig {
-            trace_nodes: args.trace_nodes.clone(),
-            waveform: args.vcd_out.is_some(),
-            attribute_stalls: explain,
-            scheduler: args.scheduler,
-            wave_sample: args.wave_sample,
-            cancel: Some(token.clone()),
-            ..Default::default()
-        };
-        let placed: Vec<(&String, ExprHigh)> =
-            optimized.iter().map(|(name, g)| (name, place_buffers(g).0)).collect();
-        let no_node = |t: &&String| placed.iter().all(|(_, g)| g.kind(t).is_none());
-        if let Some(t) = args.trace_nodes.iter().find(no_node) {
-            return Err(format!("graphiti-cli: --trace-nodes: no kernel has a node named `{t}`"));
-        }
-        for (name, g) in &placed {
-            let memory = mem.clone();
-            let r = graphiti_robust::supervise("simulate", &token, || {
-                simulate(g, &feeds, memory, cfg.clone())
-            })
-            .map_err(|e| format!("graphiti-cli: kernel `{name}`: {e}"))?;
-            eprintln!(
-                "graphiti-cli: kernel `{name}` simulated: {} cycles, {} firings",
-                r.cycles, r.firings
-            );
-            if let (Some(requested), Some(vcd)) = (&args.vcd_out, &r.waveform) {
-                let path = vcd_path(requested, name, optimized.len());
-                std::fs::write(&path, vcd)
-                    .map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;
-                eprintln!("graphiti-cli: kernel `{name}` waveform written to {}", path.display());
-            }
-            if let Some(report) = &r.stalls {
-                println!("kernel `{name}` stall attribution:");
-                print!("{}", report.render(args.top));
-            }
-            mem = r.memory;
-        }
-    }
-    Ok(())
-}
-
-/// `profile PROGRAM.gsl`: run the pipeline phase by phase — parse →
-/// rewrite → check → simulate, each a child span of one root `pipeline`
-/// span — then print per-phase and per-rewrite self/total attribution
-/// reconstructed from the trace. `--json` / `--folded` additionally write
-/// the JSON document and flamegraph-ready folded stacks.
-fn profile_mode(src: &str, args: &Args) -> Result<(), String> {
-    let token = run_token(args);
-    {
-        let _root = graphiti::obs::span("pipeline");
-        graphiti::obs::flight::record("profile.start", || {
-            format!("profiling `{}`", args.input.as_deref().unwrap_or("<stdin>"))
-        });
-
-        let (program, compiled) = {
-            let _phase = graphiti::obs::span("parse");
-            let program = graphiti::frontend::parse_program(src).map_err(|e| e.to_string())?;
-            let compiled = graphiti::frontend::compile(&program).map_err(|e| e.to_string())?;
-            (program, compiled)
-        };
-
-        let mut optimized: Vec<(String, ExprHigh)> = Vec::new();
-        let mut obligations: Vec<graphiti::rewrite::Obligation> = Vec::new();
-        {
-            let _phase = graphiti::obs::span("rewrite");
-            for kernel in &compiled.kernels {
-                match kernel.ooo_tags {
-                    Some(tags) => {
-                        let opts = PipelineOptions {
-                            tags,
-                            check: CheckMode::Deferred,
-                            ..Default::default()
-                        };
-                        let (g, mut report) =
-                            optimize_loop(&kernel.graph, &kernel.inner_init, &opts)
-                                .map_err(|e| e.to_string())?;
-                        obligations.append(&mut report.obligations);
-                        if let Some(refusal) = &report.refusal {
-                            eprintln!(
-                                "graphiti-cli: kernel `{}` refused: {refusal}; left in order",
-                                kernel.name
-                            );
-                        }
-                        optimized.push((kernel.name.clone(), g));
-                    }
-                    None => optimized.push((kernel.name.clone(), kernel.graph.clone())),
-                }
-            }
-        }
-
-        {
-            // Obligations discharge on the pool here; the workers adopt
-            // this span, so refine_check spans parent under `check`.
-            let _phase = graphiti::obs::span("check");
-            discharge_deferred("profile", obligations, &token)?;
-        }
-
-        {
-            // The compiled backend runs here so the profile shows the
-            // lowering cost as its own `sim.compile` child span under
-            // `simulate`, separate from the raw simulation time.
-            let _phase = graphiti::obs::span("simulate");
-            let mut mem = program.arrays.clone();
-            let feeds: std::collections::BTreeMap<String, Vec<Value>> =
-                [("start".to_string(), vec![Value::Unit])].into_iter().collect();
-            let cfg = SimConfig {
-                scheduler: graphiti::sim::Scheduler::Compiled,
-                cancel: Some(token.clone()),
-                ..SimConfig::default()
-            };
-            for (name, g) in &optimized {
-                let (placed, _) = place_buffers(g);
-                let r = simulate(&placed, &feeds, mem, cfg.clone())
-                    .map_err(|e| format!("kernel `{name}` simulation: {e}"))?;
-                eprintln!(
-                    "graphiti-cli: kernel `{name}` simulated: {} cycles, {} firings",
-                    r.cycles, r.firings
-                );
-                mem = r.memory;
-            }
-        }
-    }
-
-    let profile = graphiti::obs::profile::Profile::from_trace();
-    print!("{}", profile.text_table());
-    let total =
-        |path: &str| profile.rows.iter().find(|r| r.path == path).map(|r| r.total_us).unwrap_or(0);
-    let pipeline_total = total("pipeline");
-    let phase_sum: u64 =
-        ["pipeline;parse", "pipeline;rewrite", "pipeline;check", "pipeline;simulate"]
-            .iter()
-            .map(|p| total(p))
-            .sum::<u64>()
-            + profile.rows.iter().find(|r| r.path == "pipeline").map(|r| r.self_us).unwrap_or(0);
-    let drift_pct = if pipeline_total == 0 {
-        0.0
-    } else {
-        (phase_sum as f64 - pipeline_total as f64) / pipeline_total as f64 * 100.0
-    };
-    println!(
-        "phase self/total sum: {phase_sum} us; pipeline span: {pipeline_total} us; \
-         drift {drift_pct:+.3}%"
-    );
-    if let Some(path) = &args.json_out {
-        std::fs::write(path, profile.json()).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        eprintln!("graphiti-cli: profile JSON written to {path}");
-    }
-    if let Some(path) = &args.folded_out {
-        std::fs::write(path, profile.folded())
-            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        eprintln!("graphiti-cli: folded stacks written to {path}");
-    }
-    Ok(())
 }
 
 fn main() -> ExitCode {

@@ -179,9 +179,78 @@ fn cli_supervises_the_deferred_check_stage() {
         "{stderr}"
     );
     let doc = std::fs::read_to_string(&metrics).expect("metrics file exists");
-    assert!(doc.contains("\"robust.stage.check.ok\""), "check stage outcome counted: {doc}");
+    // Dot input runs the same supervised phases as a program.
+    for stage in ["parse", "rewrite", "check"] {
+        let counter = format!("\"robust.stage.{stage}.ok\"");
+        assert!(doc.contains(&counter), "{stage} stage outcome counted: {doc}");
+    }
     assert!(doc.contains("\"refine.visited_states\""), "checker metrics recorded: {doc}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A marked kernel with one loop-carried variable: cheap to check even in
+/// a debug build.
+const COUNTDOWN: &str = "
+kernel for i in 0..2 ooo tags 4 {
+  state a = xs[i]
+  update a = a - 1
+  while nez(a)
+  store r[i] = a
+}
+";
+
+#[test]
+fn cli_checks_every_kernel_of_a_run_as_one_batch() {
+    let program = format!(
+        "program countdowns\narray xs = [i:3, i:2]\narray r = zeros int 2\n{COUNTDOWN}{COUNTDOWN}"
+    );
+    let (stdout, stderr, ok) = run_cli(&program, &["--compile", "--checked"]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(stdout.contains("// kernel countdowns_k1"), "{stdout}");
+    // Both kernels' obligations are one batch with one tally line.
+    assert_eq!(stderr.matches("discharged").count(), 1, "{stderr}");
+    let tally = "discharged 6 deferred obligations in parallel: 0 hold, 6 bounded \
+                 (queue_cap 4, closure_limit 2), 0 fail";
+    assert!(stderr.contains(tally), "{stderr}");
+}
+
+/// Runs `args` with `--trace-out` on the in-order gcd program and returns
+/// the names of the trace's simulated-cycle slices and the firings the
+/// run reports.
+fn sim_slices(dir_name: &str, args: &[&str]) -> (Vec<String>, u64) {
+    use graphiti::bench::jsonin::{parse, Json};
+    let dir = std::env::temp_dir().join(format!("{dir_name}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("t.json");
+    let all = [&["--compile", "--trace-out", trace.to_str().unwrap()], args].concat();
+    let (_, stderr, ok) = run_cli(&GCD_PROGRAM.replace(" ooo tags 4", ""), &all);
+    assert!(ok, "stderr: {stderr}");
+    let firings = stderr.split(" cycles, ").nth(1).and_then(|s| s.split(' ').next());
+    let doc = parse(&std::fs::read_to_string(&trace).unwrap()).expect("trace parses");
+    let str_field = |e: &Json, k: &str| e.get(k).and_then(Json::as_str).map(str::to_string);
+    let events = doc.get("traceEvents").and_then(Json::as_arr).expect("events");
+    let slices = events
+        .iter()
+        .filter(|e| str_field(e, "ph").as_deref() == Some("X"))
+        .filter(|e| e.get("pid").and_then(Json::as_u64) == Some(2))
+        .filter_map(|e| str_field(e, "name"))
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    (slices, firings.expect("the run reports its firings").parse().unwrap())
+}
+
+#[test]
+fn cli_trace_out_records_every_fire_as_a_slice() {
+    let (slices, firings) = sim_slices("graphiti_cli_slices", &[]);
+    assert!(firings > 0);
+    assert_eq!(slices.len() as u64, firings, "one simulated-cycle slice per fire");
+}
+
+#[test]
+fn cli_trace_nodes_narrows_the_trace_slices() {
+    let (slices, _) = sim_slices("graphiti_cli_slices_mux2", &["--trace-nodes", "mux2"]);
+    assert!(!slices.is_empty(), "mux2 fires");
+    assert!(slices.iter().all(|s| s == "mux2"), "{slices:?}");
 }
 
 #[test]
